@@ -106,7 +106,7 @@ fn run(opts: &Options) -> Result<(), String> {
         set.len()
     );
 
-    let tuples = set.to_vec();
+    let tuples = set.into_sorted_vec();
     let thresholds = Thresholds::uniform(opts.threshold);
     let outcome = if opts.row_based {
         run_row_based(&tuples, thresholds)

@@ -175,6 +175,20 @@ impl<'a> TupleStream<'a> {
     pub fn shape_dropped(&self) -> u64 {
         self.shape_dropped
     }
+
+    /// Sanitize one decoded announcement and queue its tuple. The record
+    /// is owned, so the path buffer and the community set move into the
+    /// tuple instead of being copied.
+    fn offer(&mut self, timestamp: u64, peer: Asn, attrs: PathAttributes) {
+        match attrs.as_path.into_sanitized(Some(peer)) {
+            Some(path) => {
+                self.kept += 1;
+                self.pending
+                    .push_back((timestamp, PathCommTuple::new(path, attrs.communities)));
+            }
+            None => self.shape_dropped += 1,
+        }
+    }
 }
 
 impl Iterator for TupleStream<'_> {
@@ -199,28 +213,12 @@ impl Iterator for TupleStream<'_> {
                     if u.announced.is_empty() {
                         continue; // withdrawals carry no usable (path, comm)
                     }
-                    if let Some(path) = u.attributes.as_path.sanitize(Some(u.peer_asn)) {
-                        self.kept += 1;
-                        self.pending.push_back((
-                            u.timestamp,
-                            PathCommTuple::new(path, u.attributes.communities.clone()),
-                        ));
-                    } else {
-                        self.shape_dropped += 1;
-                    }
+                    self.offer(u.timestamp, u.peer_asn, u.attributes);
                 }
                 Ok(MrtRecord::RibEntries(entries)) => {
                     for e in entries {
                         self.raw_entries += 1;
-                        if let Some(path) = e.attributes.as_path.sanitize(Some(e.peer_asn)) {
-                            self.kept += 1;
-                            self.pending.push_back((
-                                e.originated,
-                                PathCommTuple::new(path, e.attributes.communities.clone()),
-                            ));
-                        } else {
-                            self.shape_dropped += 1;
-                        }
+                        self.offer(e.originated, e.peer_asn, e.attributes);
                     }
                 }
             }
@@ -374,6 +372,83 @@ mod tests {
         for ((_, s), b) in streamed.iter().zip(&batch) {
             assert_eq!(s, b);
         }
+    }
+
+    #[test]
+    fn tuple_stream_counts_and_tuples_match_borrowing_sanitation() {
+        // RIB entries, announcements and a withdrawal; lone sequences
+        // (the buffer-reusing path), multi-segment and AS_SET paths (the
+        // fallback), a missing peer, prepending, an empty path, and an
+        // AS0 path that sanitation drops.
+        let seq = |hops: &[u32]| PathSegment::Sequence(hops.iter().map(|&v| Asn(v)).collect());
+        let set = |hops: &[u32]| PathSegment::Set(hops.iter().map(|&v| Asn(v)).collect());
+        let raw = |segments: Vec<PathSegment>| RawAsPath { segments };
+        let paths = [
+            raw(vec![seq(&[64500, 64500, 3356])]),
+            raw(vec![seq(&[3356, 174])]), // peer 64500 absent
+            raw(vec![seq(&[64500, 3356]), set(&[7, 8]), seq(&[9])]),
+            raw(vec![seq(&[64500]), seq(&[64500, 2914])]),
+            raw(vec![seq(&[64500, 0, 174])]), // AS0: dropped
+            raw(vec![]),                      // becomes the peer alone
+        ];
+        let comm = CommunitySet::from_iter([AnyCommunity::regular(3356, 9)]);
+        let mut w = MrtWriter::new();
+        let table = PeerIndexTable {
+            collector_id: 1,
+            view_name: "test".into(),
+            peers: vec![PeerEntry {
+                bgp_id: 1,
+                ip: vec![192, 0, 2, 1],
+                asn: Asn(64500),
+            }],
+        };
+        w.write_peer_index(&table, 0).unwrap();
+        let attrs = |as_path: &RawAsPath| PathAttributes {
+            as_path: as_path.clone(),
+            communities: comm.clone(),
+            ..Default::default()
+        };
+        let group = RibGroup {
+            sequence: 0,
+            prefix: Prefix::v4([193, 0, 0, 0], 16),
+            entries: paths.iter().map(|p| (0, 5, attrs(p))).collect(),
+        };
+        w.write_rib_group(&group, 0).unwrap();
+        for (i, p) in paths.iter().enumerate() {
+            let mut u = update(64500, &[], &[], 100 + i as u64);
+            u.attributes = attrs(p);
+            w.write_update(&u).unwrap();
+        }
+        let mut withdrawal = update(64500, &[64500, 3356], &[], 200);
+        withdrawal.withdrawn = withdrawal.announced.drain(..).collect();
+        w.write_update(&withdrawal).unwrap();
+        let bytes = w.into_bytes();
+
+        // The oracle: the records as decoded, through `sanitize(&self)`.
+        let mut expect = Vec::new();
+        for record in MrtReader::new(&bytes).read_all().unwrap() {
+            let entries: Vec<(u64, Asn, PathAttributes)> = match record {
+                MrtRecord::PeerIndex(_) => vec![],
+                MrtRecord::Update(u) if u.announced.is_empty() => vec![],
+                MrtRecord::Update(u) => vec![(u.timestamp, u.peer_asn, u.attributes)],
+                MrtRecord::RibEntries(es) => es
+                    .into_iter()
+                    .map(|e| (e.originated, e.peer_asn, e.attributes))
+                    .collect(),
+            };
+            for (ts, peer, a) in entries {
+                if let Some(path) = a.as_path.sanitize(Some(peer)) {
+                    expect.push((ts, PathCommTuple::new(path, a.communities.clone())));
+                }
+            }
+        }
+
+        let mut stream = TupleStream::new(&bytes);
+        let got: Vec<(u64, PathCommTuple)> = (&mut stream).map(|r| r.unwrap()).collect();
+        assert_eq!(got, expect);
+        assert_eq!(stream.raw_entries(), 13); // 6 RIB + 6 announcements + 1 withdrawal
+        assert_eq!(stream.kept(), 10);
+        assert_eq!(stream.shape_dropped(), 2);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::engine::CountPhase;
 use bgp_types::prelude::*;
 use obs::Histogram;
-use std::collections::BTreeSet;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,12 +135,15 @@ impl CachedStep {
 
 /// One worker shard: a privately owned, incrementally compiled tuple
 /// partition plus its per-seal scratch and the cached step deltas. With
-/// dedup on, the ordered `seen` set provides membership (counting order
-/// is irrelevant — phases are order-free); the compiled store holds
-/// every stored tuple either way.
+/// dedup on, the hashed `seen` table provides exact membership and is
+/// never iterated (counting order is irrelevant — phases are
+/// order-free); the compiled store holds every stored tuple either way.
 #[derive(Debug)]
 struct Shard {
-    seen: BTreeSet<PathCommTuple>,
+    /// A set, spelled as a unit-valued map: `entry` is the one stable std
+    /// call that hashes and probes once for "look up, borrow the key if
+    /// vacant, then insert it". Same hasher as `TupleSet`.
+    seen: HashMap<PathCommTuple, (), AsnBuildHasher>,
     compiled: CompiledTuples,
     /// Reused per-phase dense delta (touched-id tracked, O(touched) to
     /// clear).
@@ -152,7 +155,7 @@ struct Shard {
 impl Shard {
     fn new(interner: Arc<SharedInterner>) -> Self {
         Shard {
-            seen: BTreeSet::new(),
+            seen: HashMap::default(),
             compiled: CompiledTuples::with_shared(interner),
             delta: DeltaStore::default(),
             cache: Vec::new(),
@@ -161,11 +164,13 @@ impl Shard {
 
     fn push(&mut self, t: PathCommTuple, dedup: bool) -> bool {
         if dedup {
-            if self.seen.contains(&t) {
-                return false;
+            match self.seen.entry(t) {
+                Entry::Occupied(_) => return false,
+                Entry::Vacant(slot) => {
+                    self.compiled.push(slot.key());
+                    slot.insert(());
+                }
             }
-            self.compiled.push(&t);
-            self.seen.insert(t);
         } else {
             self.compiled.push(&t);
         }

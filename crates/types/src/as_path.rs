@@ -80,23 +80,40 @@ impl RawAsPath {
     /// * collapse consecutive duplicates (prepending),
     /// * reject empty results and paths containing AS0.
     pub fn sanitize(&self, peer_asn: Option<Asn>) -> Option<AsPath> {
-        let mut asns: Vec<Asn> = self
+        let asns: Vec<Asn> = self
             .segments
             .iter()
             .filter(|s| !s.is_set())
             .flat_map(|s| s.asns().iter().copied())
             .collect();
-        if let Some(peer) = peer_asn {
-            if asns.first() != Some(&peer) {
-                asns.insert(0, peer);
-            }
-        }
-        asns.dedup(); // collapse prepending
-        if asns.is_empty() || asns.contains(&Asn::ZERO) {
-            return None;
-        }
-        Some(AsPath { asns })
+        clean_sequence(asns, peer_asn)
     }
+
+    /// [`sanitize`](Self::sanitize) for a path the caller is done with:
+    /// the common wire shape, a lone `AS_SEQUENCE`, is cleaned in its own
+    /// buffer instead of being copied out first. Same result for every
+    /// input.
+    pub fn into_sanitized(mut self, peer_asn: Option<Asn>) -> Option<AsPath> {
+        match self.segments.as_mut_slice() {
+            [PathSegment::Sequence(asns)] => clean_sequence(std::mem::take(asns), peer_asn),
+            _ => self.sanitize(peer_asn),
+        }
+    }
+}
+
+/// The part of sanitation that follows `AS_SET` removal, over the
+/// flattened sequence hops.
+fn clean_sequence(mut asns: Vec<Asn>, peer_asn: Option<Asn>) -> Option<AsPath> {
+    if let Some(peer) = peer_asn {
+        if asns.first() != Some(&peer) {
+            asns.insert(0, peer);
+        }
+    }
+    asns.dedup(); // collapse prepending
+    if asns.is_empty() || asns.contains(&Asn::ZERO) {
+        return None;
+    }
+    Some(AsPath { asns })
 }
 
 /// A sanitized AS path: non-empty, prepending collapsed, no sets.

@@ -13,7 +13,8 @@ use std::hash::Hasher;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A multiply-xorshift hasher for `Asn`-keyed maps.
+/// A multiply-xorshift hasher for `Asn`-keyed maps and the tuple dedup
+/// sets ([`crate::tuple::TupleSet`], the stream shards' `seen`).
 ///
 /// Hashing happens once per path hop on ingest paths, so the default
 /// SipHash dominates; ASN keys are 32-bit values needing good avalanche,
@@ -24,6 +25,18 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Default)]
 pub struct AsnHasher(u64);
 
+impl AsnHasher {
+    /// One multiply-xorshift round: the multiply carries every input bit
+    /// into the high half (the bits `hashbrown` tags with), the shift
+    /// folds the high half back onto the low bits it indexes with.
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        let mut x = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 32;
+        self.0 = x;
+    }
+}
+
 impl Hasher for AsnHasher {
     #[inline]
     fn finish(&self) -> u64 {
@@ -31,7 +44,10 @@ impl Hasher for AsnHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Fallback path (FNV-1a); `Asn` hashing always takes `write_u32`.
+        // Fallback path (FNV-1a). Nothing the workspace keys a table by
+        // reaches it: derived `Hash` on `Asn`, communities, paths and
+        // tuples emits only `u32` fields (`write_u32`), slice length
+        // prefixes (`write_usize`) and enum discriminants (`write_isize`).
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
@@ -39,9 +55,22 @@ impl Hasher for AsnHasher {
 
     #[inline]
     fn write_u32(&mut self, v: u32) {
-        let mut x = (self.0 ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 32;
-        self.0 = x;
+        self.mix(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, v: isize) {
+        self.mix(v as u64);
     }
 }
 
@@ -70,7 +99,9 @@ fn process_seed() -> u64 {
 /// Builds [`AsnHasher`]s whose initial state carries per-process random
 /// entropy, so an attacker who controls AS_PATH contents cannot craft
 /// offline-computed bucket-collision sets (hash-flooding DoS) against
-/// the interner's reverse map or the counter stores.
+/// the interner's reverse map, the counter stores or the tuple dedup
+/// sets. Every builder in a process carries the same seed, so tables
+/// built separately hash alike (`TupleSet::merge` and `clone` rely on it).
 #[derive(Debug, Clone)]
 pub struct AsnBuildHasher(u64);
 
@@ -459,6 +490,42 @@ mod tests {
         let it = AsnInterner::new();
         assert!(it.is_empty());
         assert_eq!(it.len(), 0);
+    }
+
+    #[test]
+    fn hasher_spreads_one_hop_differences_over_index_and_tag_bits() {
+        use crate::as_path::path;
+        use std::collections::BTreeSet;
+        use std::hash::BuildHasher;
+        // `hashbrown` picks the bucket from the low bits of the hash and
+        // tags the slot with the top 7: paths that differ in one hop must
+        // land all over both, wherever on the path the hop sits.
+        let build = AsnBuildHasher::default();
+        for varied in 0..4 {
+            let mut low = BTreeSet::new();
+            let mut top = BTreeSet::new();
+            for v in 0..512u32 {
+                let mut hops = [64_500, 3356, 174, 15_169];
+                hops[varied] = 200_000 + v;
+                let h = build.hash_one(path(&hops));
+                low.insert(h & 0x7f);
+                top.insert(h >> 57);
+            }
+            assert!(low.len() >= 100, "hop {varied}: {} low values", low.len());
+            assert!(top.len() >= 100, "hop {varied}: {} top values", top.len());
+        }
+    }
+
+    #[test]
+    fn build_hashers_of_one_process_agree() {
+        use std::hash::BuildHasher;
+        // `TupleSet::merge` and `clone` carry tuples between tables built
+        // from separate `default()` calls.
+        let t = (crate::as_path::path(&[64_500, 3356]), 7u64, 3usize, -1isize);
+        assert_eq!(
+            AsnBuildHasher::default().hash_one(&t),
+            AsnBuildHasher::default().hash_one(&t)
+        );
     }
 
     #[test]

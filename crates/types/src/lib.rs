@@ -70,6 +70,21 @@ mod proptests {
         ]
     }
 
+    /// Tuples from a domain small enough that repeats, shared path
+    /// prefixes (longer than the four hops the sort key packs) and paths
+    /// that differ only by a trailing AS0 all turn up.
+    fn arb_model_tuple() -> impl Strategy<Value = PathCommTuple> {
+        (
+            prop::collection::vec(prop_oneof![0u32..3, 70_000u32..70_002], 1..7),
+            prop::collection::vec((0u16..2, 0u16..2), 0..3),
+        )
+            .prop_map(|(hops, comms)| {
+                let path = AsPath::new(hops.into_iter().map(Asn).collect()).expect("non-empty");
+                let comms = comms.into_iter().map(|(a, b)| AnyCommunity::regular(a, b));
+                PathCommTuple::new(path, CommunitySet::from_iter(comms))
+            })
+    }
+
     proptest! {
         #[test]
         fn community_set_union_commutes(
@@ -172,6 +187,70 @@ mod proptests {
             let c = Community::new(a, b);
             let parsed: Community = c.to_string().parse().unwrap();
             prop_assert_eq!(c, parsed);
+        }
+
+        #[test]
+        fn into_sanitized_equals_sanitize(
+            segments in prop::collection::vec(
+                (any::<bool>(), prop::collection::vec(0u32..5, 0..5)),
+                0..4,
+            ),
+            peer in 0u32..6,
+        ) {
+            // Hops from 0..5: AS0, prepends and a peer equal to the first
+            // hop are all common; zero, one or several segments, any of
+            // them an AS_SET; peer 5 stands for "no peer".
+            let raw = RawAsPath {
+                segments: segments
+                    .into_iter()
+                    .map(|(is_set, hops)| {
+                        let hops = hops.into_iter().map(Asn).collect();
+                        if is_set { PathSegment::Set(hops) } else { PathSegment::Sequence(hops) }
+                    })
+                    .collect(),
+            };
+            let peer = (peer < 5).then_some(Asn(peer));
+            prop_assert_eq!(raw.clone().into_sanitized(peer), raw.sanitize(peer));
+        }
+
+        #[test]
+        fn tuple_set_matches_btreeset_model(
+            ops in prop::collection::vec(
+                (prop::collection::vec(arb_model_tuple(), 1..6), any::<bool>()),
+                0..40,
+            ),
+        ) {
+            use std::collections::BTreeSet;
+            let mut set = TupleSet::new();
+            let mut model: BTreeSet<PathCommTuple> = BTreeSet::new();
+            let mut offered = 0u64;
+            let mut in_order = Vec::new();
+            for (batch, as_merge) in ops {
+                offered += batch.len() as u64;
+                in_order.extend(batch.iter().cloned());
+                if as_merge {
+                    let other: TupleSet = batch.iter().cloned().collect();
+                    set.merge(&other);
+                    model.extend(batch);
+                } else {
+                    for t in batch {
+                        prop_assert_eq!(set.insert(t.clone()), model.insert(t));
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.is_empty(), model.is_empty());
+                prop_assert_eq!(set.total_ingested(), offered);
+            }
+            let expect: Vec<PathCommTuple> = model.into_iter().collect();
+            let sorted = set.to_vec();
+            prop_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(sorted, expect.clone());
+            prop_assert_eq!(set.iter().cloned().collect::<Vec<_>>(), expect.clone());
+            // Insertion order leaves no trace in what a reader sees.
+            let reversed: TupleSet = in_order.into_iter().rev().collect();
+            prop_assert_eq!(reversed.to_vec(), expect.clone());
+            prop_assert_eq!(reversed.into_sorted_vec(), expect.clone());
+            prop_assert_eq!(set.into_sorted_vec(), expect);
         }
 
         #[test]

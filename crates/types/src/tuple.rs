@@ -4,12 +4,21 @@
 //! `(path, comm)` pairs (Table 1) and runs the column-based algorithm over
 //! that deduplicated list. [`TupleSet`] is that deduplicated list plus the
 //! bookkeeping needed for dataset statistics.
+//!
+//! Most offered tuples are duplicates, so dedup is the intake's hot
+//! operation: the set is a hash table keyed by the process-seeded
+//! [`AsnBuildHasher`] — one hash and an expected O(1) probe per offer,
+//! exact full-tuple `Eq` on a hit. Order is not stored; the readers that
+//! promise sorted output ([`TupleSet::iter`], [`TupleSet::to_vec`],
+//! [`TupleSet::into_sorted_vec`]) sort when called, once per read
+//! (O(n log n) tuple comparisons), instead of on every insert.
 
 use crate::as_path::AsPath;
 use crate::asn::Asn;
 use crate::comm_set::CommunitySet;
+use crate::intern::AsnBuildHasher;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// One AS-path / community-set observation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -33,7 +42,7 @@ impl PathCommTuple {
 /// while `len()` is the number of *unique* pairs actually stored.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TupleSet {
-    set: BTreeSet<PathCommTuple>,
+    set: HashSet<PathCommTuple, AsnBuildHasher>,
     total_ingested: u64,
 }
 
@@ -66,13 +75,34 @@ impl TupleSet {
     }
 
     /// Iterate unique tuples in deterministic (sorted) order.
+    ///
+    /// The table keeps no order, so every call collects one reference per
+    /// tuple, beside its first hops packed into a key, and sorts them:
+    /// O(n log n) comparisons and an n-entry allocation up front, then a
+    /// plain slice walk. Call it once per pass, not once per lookup.
     pub fn iter(&self) -> impl Iterator<Item = &PathCommTuple> {
-        self.set.iter()
+        let mut keyed: Vec<(u128, &PathCommTuple)> =
+            self.set.iter().map(|t| (sort_prefix(t), t)).collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+        keyed.into_iter().map(|(_, t)| t)
     }
 
-    /// Collect into a Vec for indexed access by the inference engine.
+    /// Clone into a sorted Vec for indexed access by the inference
+    /// engine (one [`iter`](Self::iter) sort plus a clone per tuple).
     pub fn to_vec(&self) -> Vec<PathCommTuple> {
-        self.set.iter().cloned().collect()
+        self.iter().cloned().collect()
+    }
+
+    /// The stored tuples as a sorted Vec, equal to
+    /// [`to_vec`](Self::to_vec), moving them out of the table instead of
+    /// cloning them.
+    pub fn into_sorted_vec(self) -> Vec<PathCommTuple> {
+        // No prefix key here: the tuples themselves are in the slice, so a
+        // comparison is already one pointer shorter than `iter`'s, and
+        // moving 64-byte keyed elements measured slower than this.
+        let mut tuples: Vec<PathCommTuple> = self.set.into_iter().collect();
+        tuples.sort_unstable();
+        tuples
     }
 
     /// Merge another set into this one (used when aggregating collector
@@ -117,6 +147,18 @@ impl TupleSet {
         }
         seen.difference(&transit).copied().collect()
     }
+}
+
+/// The first four hops packed big-endian, absent hops as 0: monotone in
+/// the tuple order (`a <= b` implies `sort_prefix(a) <= sort_prefix(b)`),
+/// so sorting on it first and on the tuple only between equal prefixes
+/// gives the derived `Ord` exactly, while most comparisons stay inside
+/// the slice being sorted instead of chasing two heap pointers.
+fn sort_prefix(t: &PathCommTuple) -> u128 {
+    let hops = t.path.asns();
+    (0..4).fold(0, |key, i| {
+        (key << 32) | u128::from(hops.get(i).map_or(0, |a| a.0))
+    })
 }
 
 impl FromIterator<PathCommTuple> for TupleSet {
