@@ -71,8 +71,7 @@ mod proptests {
     }
 
     /// Tuples from a domain small enough that repeats, shared path
-    /// prefixes (longer than the four hops the sort key packs) and paths
-    /// that differ only by a trailing AS0 all turn up.
+    /// prefixes and paths that differ only by a trailing AS0 all turn up.
     fn arb_model_tuple() -> impl Strategy<Value = PathCommTuple> {
         (
             prop::collection::vec(prop_oneof![0u32..3, 70_000u32..70_002], 1..7),

@@ -77,14 +77,13 @@ impl TupleSet {
     /// Iterate unique tuples in deterministic (sorted) order.
     ///
     /// The table keeps no order, so every call collects one reference per
-    /// tuple, beside its first hops packed into a key, and sorts them:
-    /// O(n log n) comparisons and an n-entry allocation up front, then a
-    /// plain slice walk. Call it once per pass, not once per lookup.
+    /// tuple and sorts them: O(n log n) comparisons and an n-entry
+    /// allocation up front, then a plain slice walk. Call it once per
+    /// pass, not once per lookup.
     pub fn iter(&self) -> impl Iterator<Item = &PathCommTuple> {
-        let mut keyed: Vec<(u128, &PathCommTuple)> =
-            self.set.iter().map(|t| (sort_prefix(t), t)).collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-        keyed.into_iter().map(|(_, t)| t)
+        let mut refs: Vec<&PathCommTuple> = self.set.iter().collect();
+        refs.sort_unstable();
+        refs.into_iter()
     }
 
     /// Clone into a sorted Vec for indexed access by the inference
@@ -97,9 +96,6 @@ impl TupleSet {
     /// [`to_vec`](Self::to_vec), moving them out of the table instead of
     /// cloning them.
     pub fn into_sorted_vec(self) -> Vec<PathCommTuple> {
-        // No prefix key here: the tuples themselves are in the slice, so a
-        // comparison is already one pointer shorter than `iter`'s, and
-        // moving 64-byte keyed elements measured slower than this.
         let mut tuples: Vec<PathCommTuple> = self.set.into_iter().collect();
         tuples.sort_unstable();
         tuples
@@ -147,18 +143,6 @@ impl TupleSet {
         }
         seen.difference(&transit).copied().collect()
     }
-}
-
-/// The first four hops packed big-endian, absent hops as 0: monotone in
-/// the tuple order (`a <= b` implies `sort_prefix(a) <= sort_prefix(b)`),
-/// so sorting on it first and on the tuple only between equal prefixes
-/// gives the derived `Ord` exactly, while most comparisons stay inside
-/// the slice being sorted instead of chasing two heap pointers.
-fn sort_prefix(t: &PathCommTuple) -> u128 {
-    let hops = t.path.asns();
-    (0..4).fold(0, |key, i| {
-        (key << 32) | u128::from(hops.get(i).map_or(0, |a| a.0))
-    })
 }
 
 impl FromIterator<PathCommTuple> for TupleSet {
