@@ -9,6 +9,7 @@
 //! concurrent `/metrics` scrape reads a consistent-enough view without
 //! ever blocking a writer.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// log2 of the smallest bucket's upper bound in nanoseconds (256 ns).
@@ -143,19 +144,17 @@ impl HistogramSnapshot {
     }
 }
 
-/// Format a nanosecond bound as decimal seconds without an exponent,
-/// e.g. `0.000000256` — the `le` label format for Prometheus buckets.
-pub fn nanos_to_seconds_str(nanos: u64) -> String {
+/// Append `nanos` as decimal seconds without an exponent or trailing
+/// zeros, e.g. `0.000000256` — the `le` label and `_sum` format of the
+/// Prometheus exposition.
+pub fn write_seconds(out: &mut String, nanos: u64) {
     let secs = nanos / 1_000_000_000;
     let frac = nanos % 1_000_000_000;
     if frac == 0 {
-        format!("{secs}")
+        let _ = write!(out, "{secs}");
     } else {
-        let mut s = format!("{secs}.{frac:09}");
-        while s.ends_with('0') {
-            s.pop();
-        }
-        s
+        let _ = write!(out, "{secs}.{frac:09}");
+        out.truncate(out.trim_end_matches('0').len());
     }
 }
 
@@ -218,9 +217,11 @@ mod tests {
 
     #[test]
     fn seconds_formatting() {
-        assert_eq!(nanos_to_seconds_str(256), "0.000000256");
-        assert_eq!(nanos_to_seconds_str(1 << 30), "1.073741824");
-        assert_eq!(nanos_to_seconds_str(1_000_000_000), "1");
-        assert_eq!(nanos_to_seconds_str(500_000_000), "0.5");
+        let mut out = String::from("le=");
+        for nanos in [256, 1 << 30, 1_000_000_000, 500_000_000] {
+            write_seconds(&mut out, nanos);
+            out.push(' ');
+        }
+        assert_eq!(out, "le=0.000000256 1.073741824 1 0.5 ");
     }
 }

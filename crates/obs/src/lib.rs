@@ -20,9 +20,10 @@
 //!   (`/v1/debug/trace` in `bgp-serve`).
 //!
 //! Everything meets in an [`ObsRegistry`] — counters, gauges, and
-//! histograms keyed by (family, labels) plus the journal — shared the
-//! same way `bgp-serve`'s `Metrics` is: one [`global()`] registry for
-//! the process, `Arc`-cloned into whoever renders it. Unit tests build
+//! histograms keyed by (family, labels) plus the journal: one
+//! [`global()`] registry for the process, `Arc`-cloned into whoever
+//! records into or renders it (`bgp-serve`'s `Metrics` is a set of
+//! handles on it, and `/metrics` is its one renderer). Unit tests build
 //! private registries with [`ObsRegistry::new`] instead.
 //!
 //! Histogram semantics: bucket upper bounds are powers of two from

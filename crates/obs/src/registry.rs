@@ -5,18 +5,19 @@
 //! `Arc`s so hot paths resolve their instrument once (at construction
 //! time) and record with pure atomics afterwards — the get-or-create
 //! lookup itself takes a mutex and is meant for setup, not per-event
-//! use. One [`global()`] registry serves the whole process, shared the
-//! same way `bgp-serve` shares its `Metrics`; tests that need isolation
-//! build their own with [`ObsRegistry::new`].
+//! use. One [`global()`] registry serves the whole process (`bgp-serve`'s
+//! `Metrics` is a set of handles on it); tests that need isolation build
+//! their own with [`ObsRegistry::new`].
 //!
 //! [`render_prometheus`](ObsRegistry::render_prometheus) emits
 //! text-format v0.0.4: one `# HELP`/`# TYPE` preamble per family, then
 //! every label set's samples — histograms as cumulative `_bucket{le=…}`
 //! lines (seconds) plus `_sum`/`_count`.
 
-use crate::hist::{nanos_to_seconds_str, Histogram, HistogramSnapshot, BUCKET_COUNT};
+use crate::hist::{write_seconds, Histogram, HistogramSnapshot, BUCKET_COUNT};
 use crate::journal::Journal;
 use crate::span::SpanGuard;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -72,6 +73,20 @@ struct MetricEntry<T> {
     value: Arc<T>,
 }
 
+impl<T> MetricEntry<T> {
+    /// This entry against the key `(family, labels)`. Each instrument
+    /// list is kept sorted by it, so a family's label sets are adjacent
+    /// and the exposition and the per-family views need no sort pass.
+    fn cmp_key(&self, family: &str, labels: &[(&str, &str)]) -> std::cmp::Ordering {
+        self.family.as_str().cmp(family).then_with(|| {
+            self.labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .cmp(labels.iter().copied())
+        })
+    }
+}
+
 fn find_or_insert<T: Default>(
     entries: &Mutex<Vec<MetricEntry<T>>>,
     family: &str,
@@ -79,27 +94,25 @@ fn find_or_insert<T: Default>(
     labels: &[(&str, &str)],
 ) -> Arc<T> {
     let mut guard = entries.lock().expect("registry lock");
-    if let Some(e) = guard.iter().find(|e| {
-        e.family == family
-            && e.labels.len() == labels.len()
-            && e.labels
-                .iter()
-                .zip(labels)
-                .all(|((k1, v1), (k2, v2))| k1 == k2 && v1 == v2)
-    }) {
-        return Arc::clone(&e.value);
+    match guard.binary_search_by(|e| e.cmp_key(family, labels)) {
+        Ok(at) => Arc::clone(&guard[at].value),
+        Err(at) => {
+            let value = Arc::new(T::default());
+            guard.insert(
+                at,
+                MetricEntry {
+                    family: family.to_string(),
+                    help: help.to_string(),
+                    labels: labels
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                    value: Arc::clone(&value),
+                },
+            );
+            value
+        }
     }
-    let value = Arc::new(T::default());
-    guard.push(MetricEntry {
-        family: family.to_string(),
-        help: help.to_string(),
-        labels: labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        value: Arc::clone(&value),
-    });
-    value
 }
 
 /// A histogram's identity and point-in-time state, for JSON rendering.
@@ -201,208 +214,146 @@ impl ObsRegistry {
     /// (family, labels).
     pub fn histogram_snapshots(&self) -> Vec<HistogramEntrySnapshot> {
         let guard = self.hists.lock().expect("registry lock");
-        let mut out: Vec<HistogramEntrySnapshot> = guard
+        guard
             .iter()
             .map(|e| HistogramEntrySnapshot {
                 family: e.family.clone(),
                 labels: e.labels.clone(),
                 snap: e.value.snapshot(),
             })
-            .collect();
-        drop(guard);
-        out.sort_by(|a, b| (&a.family, &a.labels).cmp(&(&b.family, &b.labels)));
-        out
+            .collect()
     }
 
     /// Every counter family with its value summed across label sets,
     /// sorted by family — the sampler's enumeration view.
     pub fn counter_families(&self) -> Vec<(String, u64)> {
-        sum_families(&self.counters, |c: &Counter| c.get())
+        fold_families(&self.counters, Counter::get, |acc, v| *acc += v)
     }
 
     /// Every gauge family with its value summed across label sets,
     /// sorted by family.
     pub fn gauge_families(&self) -> Vec<(String, i64)> {
-        sum_families(&self.gauges, |g: &Gauge| g.get())
+        fold_families(&self.gauges, Gauge::get, |acc, v| *acc += v)
     }
 
     /// Every histogram family aggregated across its label sets
     /// (bucket-wise sums; max of maxes), sorted by family.
     pub fn histogram_families(&self) -> Vec<(String, HistogramSnapshot)> {
-        let guard = self.hists.lock().expect("registry lock");
-        let mut out: Vec<(String, HistogramSnapshot)> = Vec::new();
-        for e in guard.iter() {
-            let snap = e.value.snapshot();
-            match out.iter_mut().find(|(f, _)| f == &e.family) {
-                None => out.push((e.family.clone(), snap)),
-                Some((_, a)) => {
-                    for i in 0..BUCKET_COUNT {
-                        a.buckets[i] += snap.buckets[i];
-                    }
-                    a.sum_nanos += snap.sum_nanos;
-                    a.count += snap.count;
-                    a.max_nanos = a.max_nanos.max(snap.max_nanos);
-                }
+        fold_families(&self.hists, Histogram::snapshot, |acc, snap| {
+            for (a, b) in acc.buckets.iter_mut().zip(snap.buckets) {
+                *a += b;
             }
-        }
-        drop(guard);
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            acc.sum_nanos += snap.sum_nanos;
+            acc.count += snap.count;
+            acc.max_nanos = acc.max_nanos.max(snap.max_nanos);
+        })
     }
 
-    /// Aggregate every label set of `family` into one histogram state
-    /// (bucket-wise sums; max of maxes). `None` if the family has no
-    /// series yet.
-    pub fn family_snapshot(&self, family: &str) -> Option<HistogramSnapshot> {
-        let guard = self.hists.lock().expect("registry lock");
-        let mut agg: Option<HistogramSnapshot> = None;
-        for e in guard.iter().filter(|e| e.family == family) {
-            let snap = e.value.snapshot();
-            match &mut agg {
-                None => agg = Some(snap),
-                Some(a) => {
-                    for i in 0..BUCKET_COUNT {
-                        a.buckets[i] += snap.buckets[i];
-                    }
-                    a.sum_nanos += snap.sum_nanos;
-                    a.count += snap.count;
-                    a.max_nanos = a.max_nanos.max(snap.max_nanos);
-                }
-            }
-        }
-        agg
-    }
-
-    /// Append every registered metric in Prometheus text-format v0.0.4.
+    /// Append every registered metric in Prometheus text-format v0.0.4:
+    /// counters, then gauges, then histograms, each sorted by (family,
+    /// labels). One pass per instrument list, under its lock (recording
+    /// goes through the `Arc` handles and never takes it), written
+    /// straight into `out`.
     pub fn render_prometheus(&self, out: &mut String) {
-        render_simple(out, &self.counters, "counter", |c: &Counter| {
-            c.get().to_string()
+        render_families(out, &self.counters, "counter", |out, e| {
+            write_series(out, e, "", None);
+            let _ = writeln!(out, " {}", e.value.get());
         });
-        render_simple(out, &self.gauges, "gauge", |g: &Gauge| g.get().to_string());
-        self.render_histograms(out);
-    }
-
-    fn render_histograms(&self, out: &mut String) {
-        let mut entries: Vec<RenderRow<HistogramSnapshot>> = {
-            let guard = self.hists.lock().expect("registry lock");
-            guard
-                .iter()
-                .map(|e| {
-                    (
-                        e.family.clone(),
-                        e.help.clone(),
-                        e.labels.clone(),
-                        e.value.snapshot(),
-                    )
-                })
-                .collect()
-        };
-        entries.sort_by(|a, b| (&a.0, &a.2).cmp(&(&b.0, &b.2)));
-        let mut last_family = String::new();
-        for (family, help, labels, snap) in entries {
-            if family != last_family {
-                out.push_str(&format!("# HELP {family} {help}\n"));
-                out.push_str(&format!("# TYPE {family} histogram\n"));
-                last_family = family.clone();
-            }
+        render_families(out, &self.gauges, "gauge", |out, e| {
+            write_series(out, e, "", None);
+            let _ = writeln!(out, " {}", e.value.get());
+        });
+        // The `le` bounds are the same for every series: format them once.
+        let bounds: [String; BUCKET_COUNT] = std::array::from_fn(|i| {
+            let mut le = String::new();
+            write_seconds(&mut le, Histogram::bucket_bound_nanos(i));
+            le
+        });
+        render_families(out, &self.hists, "histogram", |out, e| {
+            let snap = e.value.snapshot();
             let mut cum = 0u64;
-            for (i, &c) in snap.buckets.iter().enumerate() {
+            for (le, &c) in bounds.iter().zip(&snap.buckets) {
                 cum += c;
-                let le = nanos_to_seconds_str(Histogram::bucket_bound_nanos(i));
-                let labelstr = render_labels(&labels, Some(&le));
-                out.push_str(&format!("{family}_bucket{labelstr} {cum}\n"));
+                write_series(out, e, "_bucket", Some(le));
+                let _ = writeln!(out, " {cum}");
             }
-            let labelstr = render_labels(&labels, Some("+Inf"));
-            out.push_str(&format!("{family}_bucket{labelstr} {}\n", snap.count));
-            let labelstr = render_labels(&labels, None);
-            out.push_str(&format!(
-                "{family}_sum{labelstr} {}\n",
-                nanos_to_seconds_str(snap.sum_nanos)
-            ));
-            out.push_str(&format!("{family}_count{labelstr} {}\n", snap.count));
-        }
+            write_series(out, e, "_bucket", Some("+Inf"));
+            let _ = writeln!(out, " {}", snap.count);
+            write_series(out, e, "_sum", None);
+            out.push(' ');
+            write_seconds(out, snap.sum_nanos);
+            out.push('\n');
+            write_series(out, e, "_count", None);
+            let _ = writeln!(out, " {}", snap.count);
+        });
     }
 }
 
-/// One metric row lifted out of the registry for rendering:
-/// `(family, help, labels, rendered value)`.
-type RenderRow<V> = (String, String, Vec<(String, String)>, V);
-
-/// Sum every label set of each family into one value per family,
-/// sorted by family.
-fn sum_families<T, V: Copy + std::ops::Add<Output = V>>(
+/// Fold every label set of each family into one value per family,
+/// sorted by family (the entries already are).
+fn fold_families<T, V>(
     entries: &Mutex<Vec<MetricEntry<T>>>,
-    value: impl Fn(&T) -> V,
+    read: impl Fn(&T) -> V,
+    merge: impl Fn(&mut V, V),
 ) -> Vec<(String, V)> {
     let guard = entries.lock().expect("registry lock");
     let mut out: Vec<(String, V)> = Vec::new();
     for e in guard.iter() {
-        let v = value(&e.value);
-        match out.iter_mut().find(|(f, _)| f == &e.family) {
-            None => out.push((e.family.clone(), v)),
-            Some((_, acc)) => *acc = *acc + v,
+        let v = read(&e.value);
+        match out.last_mut() {
+            Some((family, acc)) if *family == e.family => merge(acc, v),
+            _ => out.push((e.family.clone(), v)),
         }
     }
-    drop(guard);
-    out.sort_by(|a, b| a.0.cmp(&b.0));
     out
 }
 
-fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let mut escaped = String::new();
-        crate::logger::escape_json_into(&mut escaped, v);
-        out.push_str(&format!("{k}=\"{escaped}\""));
-    }
-    if let Some(le) = le {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(&format!("le=\"{le}\""));
-    }
-    out.push('}');
-    out
-}
-
-fn render_simple<T>(
+/// Walk `entries` in order: the `# HELP`/`# TYPE` preamble where the
+/// family changes, then `samples` for each entry.
+fn render_families<T>(
     out: &mut String,
     entries: &Mutex<Vec<MetricEntry<T>>>,
     kind: &str,
-    value: impl Fn(&T) -> String,
+    samples: impl Fn(&mut String, &MetricEntry<T>),
 ) {
-    let mut rows: Vec<RenderRow<String>> = {
-        let guard = entries.lock().expect("registry lock");
-        guard
-            .iter()
-            .map(|e| {
-                (
-                    e.family.clone(),
-                    e.help.clone(),
-                    e.labels.clone(),
-                    value(&e.value),
-                )
-            })
-            .collect()
-    };
-    rows.sort_by(|a, b| (&a.0, &a.2).cmp(&(&b.0, &b.2)));
-    let mut last_family = String::new();
-    for (family, help, labels, v) in rows {
-        if family != last_family {
-            out.push_str(&format!("# HELP {family} {help}\n"));
-            out.push_str(&format!("# TYPE {family} {kind}\n"));
-            last_family = family.clone();
+    let guard = entries.lock().expect("registry lock");
+    let mut last_family = "";
+    for e in guard.iter() {
+        if e.family != last_family {
+            let (family, help) = (&e.family, &e.help);
+            let _ = writeln!(out, "# HELP {family} {help}\n# TYPE {family} {kind}");
+            last_family = family;
         }
-        out.push_str(&format!("{family}{} {v}\n", render_labels(&labels, None)));
+        samples(out, e);
     }
+}
+
+/// Append the series name of one sample line: `family<suffix>{labels}`,
+/// with the bucket bound `le` as the last label when given.
+fn write_series<T>(out: &mut String, e: &MetricEntry<T>, suffix: &str, le: Option<&str>) {
+    out.push_str(&e.family);
+    out.push_str(suffix);
+    if e.labels.is_empty() && le.is_none() {
+        return;
+    }
+    out.push('{');
+    for (k, v) in &e.labels {
+        out.push_str(k);
+        out.push_str("=\"");
+        crate::logger::escape_json_into(out, v);
+        out.push_str("\",");
+    }
+    match le {
+        Some(le) => {
+            out.push_str("le=\"");
+            out.push_str(le);
+            out.push('"');
+        }
+        None => {
+            out.pop(); // the last pair's comma
+        }
+    }
+    out.push('}');
 }
 
 static GLOBAL: OnceLock<Arc<ObsRegistry>> = OnceLock::new();
@@ -439,47 +390,70 @@ mod tests {
         assert_eq!(g.get(), 0);
     }
 
+    /// The page, byte for byte: HELP/TYPE once per family although
+    /// `bgp_x_total`'s two label sets were registered either side of
+    /// `bgp_a_total`; labelled and unlabelled counters; a negative
+    /// gauge; a labelled and an unlabelled histogram series.
     #[test]
-    fn prometheus_rendering_structure() {
+    fn prometheus_rendering_is_pinned_byte_for_byte() {
         let r = ObsRegistry::new();
-        r.counter("bgp_x_total", "Things done", &[("kind", "a")])
-            .add(7);
         r.counter("bgp_x_total", "Things done", &[("kind", "b")])
             .add(1);
+        r.counter("bgp_a_total", "Plain", &[]).add(4);
+        r.counter("bgp_x_total", "Things done", &[("kind", "a")])
+            .add(7);
         r.gauge("bgp_depth", "Queue depth", &[]).set(-2);
-        let h = r.histogram("bgp_y_duration_seconds", "Y time", &[]);
+        let h = r.histogram("bgp_y_duration_seconds", "Y time", &[("kind", "a")]);
         h.record(300);
         h.record(300);
         h.record(70_000);
+        r.histogram("bgp_z_duration_seconds", "Z time", &[]);
 
         let mut out = String::new();
         r.render_prometheus(&mut out);
-
-        // One preamble per family, samples after it.
-        assert_eq!(out.matches("# HELP bgp_x_total").count(), 1);
-        assert_eq!(out.matches("# TYPE bgp_x_total counter").count(), 1);
-        assert!(out.contains("bgp_x_total{kind=\"a\"} 7\n"));
-        assert!(out.contains("bgp_x_total{kind=\"b\"} 1\n"));
-        assert!(out.contains("# TYPE bgp_depth gauge"));
-        assert!(out.contains("bgp_depth -2\n"));
-        assert!(out.contains("# TYPE bgp_y_duration_seconds histogram"));
-        // Buckets are cumulative: both 300 ns observations land by le=512ns.
-        assert!(out.contains("bgp_y_duration_seconds_bucket{le=\"0.000000512\"} 2\n"));
-        assert!(out.contains("bgp_y_duration_seconds_bucket{le=\"+Inf\"} 3\n"));
-        assert!(out.contains("bgp_y_duration_seconds_count 3\n"));
-        assert!(out.contains("bgp_y_duration_seconds_sum 0.0000706\n"));
-    }
-
-    #[test]
-    fn family_snapshot_aggregates_label_sets() {
-        let r = ObsRegistry::new();
-        r.histogram("f", "h", &[("k", "a")]).record(100);
-        r.histogram("f", "h", &[("k", "b")]).record(1_000_000);
-        let agg = r.family_snapshot("f").unwrap();
-        assert_eq!(agg.count, 2);
-        assert_eq!(agg.sum_nanos, 1_000_100);
-        assert_eq!(agg.max_nanos, 1_000_000);
-        assert!(r.family_snapshot("missing").is_none());
+        let (simple, hists) = out.split_at(out.find("# HELP bgp_y").expect("histograms"));
+        assert_eq!(
+            simple,
+            r#"# HELP bgp_a_total Plain
+# TYPE bgp_a_total counter
+bgp_a_total 4
+# HELP bgp_x_total Things done
+# TYPE bgp_x_total counter
+bgp_x_total{kind="a"} 7
+bgp_x_total{kind="b"} 1
+# HELP bgp_depth Queue depth
+# TYPE bgp_depth gauge
+bgp_depth -2
+"#
+        );
+        // Per series: preamble, 32 finite buckets, +Inf, _sum, _count.
+        // Buckets are cumulative: both 300 ns observations land by 512 ns.
+        let per_series = 2 + BUCKET_COUNT + 3;
+        let lines: Vec<&str> = hists.lines().collect();
+        assert_eq!(lines.len(), 2 * per_series);
+        assert_eq!(
+            lines[..4].join("\n"),
+            r#"# HELP bgp_y_duration_seconds Y time
+# TYPE bgp_y_duration_seconds histogram
+bgp_y_duration_seconds_bucket{kind="a",le="0.000000256"} 0
+bgp_y_duration_seconds_bucket{kind="a",le="0.000000512"} 2"#
+        );
+        assert_eq!(
+            lines[per_series - 4..per_series + 3].join("\n"),
+            r#"bgp_y_duration_seconds_bucket{kind="a",le="549.755813888"} 3
+bgp_y_duration_seconds_bucket{kind="a",le="+Inf"} 3
+bgp_y_duration_seconds_sum{kind="a"} 0.0000706
+bgp_y_duration_seconds_count{kind="a"} 3
+# HELP bgp_z_duration_seconds Z time
+# TYPE bgp_z_duration_seconds histogram
+bgp_z_duration_seconds_bucket{le="0.000000256"} 0"#
+        );
+        assert!(out.ends_with(
+            r#"bgp_z_duration_seconds_bucket{le="+Inf"} 0
+bgp_z_duration_seconds_sum 0
+bgp_z_duration_seconds_count 0
+"#
+        ));
     }
 
     #[test]
@@ -502,6 +476,7 @@ mod tests {
         assert_eq!(hists[0].0, "t_seconds");
         assert_eq!(hists[0].1.count, 2);
         assert_eq!(hists[0].1.sum_nanos, 300);
+        assert_eq!(hists[0].1.max_nanos, 200);
     }
 
     #[test]
@@ -511,9 +486,9 @@ mod tests {
             let _g = r.span_named("unit_test_stage", "epoch=3".to_string());
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let snap = r
-            .family_snapshot("bgp_unit_test_stage_duration_seconds")
-            .unwrap();
+        let families = r.histogram_families();
+        let (family, snap) = &families[0];
+        assert_eq!(family, "bgp_unit_test_stage_duration_seconds");
         assert_eq!(snap.count, 1);
         assert!(snap.max_nanos >= 1_000_000);
         let events = r.journal().last(10);

@@ -101,18 +101,19 @@ mod tests {
 
     #[test]
     fn span_macro_formats_detail_and_records_globally() {
-        let before = global()
-            .family_snapshot("bgp_span_macro_test_duration_seconds")
-            .map(|s| s.count)
-            .unwrap_or(0);
+        let observed = || {
+            global()
+                .histogram_families()
+                .into_iter()
+                .find(|(family, _)| family == "bgp_span_macro_test_duration_seconds")
+                .map_or(0, |(_, snap)| snap.count)
+        };
+        let before = observed();
         {
             let mut g = crate::span!("span_macro_test", epoch = 7, events = 1 + 1);
             g.note("replayed=0");
         }
-        let after = global()
-            .family_snapshot("bgp_span_macro_test_duration_seconds")
-            .unwrap();
-        assert_eq!(after.count, before + 1);
+        assert_eq!(observed(), before + 1);
         let entry = global()
             .journal()
             .last(64)

@@ -32,9 +32,16 @@
 //! `--archive`; everything else is served from the live snapshot.
 //!
 //! Every request is timed into a per-endpoint histogram
-//! (`bgp_serve_http_request_duration_seconds{endpoint=…}`) and
-//! journaled, so `/metrics` and the two debug routes expose the serving
-//! tail without any external tracing dependency.
+//! (`bgp_serve_http_request_duration_seconds{endpoint=…}`), so
+//! `/metrics` and `/v1/debug/timings` expose the serving tail without
+//! any external tracing dependency. Only a request answered `>= 500` is
+//! also journaled: at serving rates a journal entry per request would
+//! turn the ring over in milliseconds and push the seal / publish /
+//! archive completions `/v1/debug/trace` exists for out of reach.
+//!
+//! The handler keeps no metrics store of its own: it records through its
+//! [`Metrics`] handles, and `/metrics` and the debug routes read the
+//! registry those handles live on.
 
 use crate::health::{HealthState, HealthStatus};
 use crate::history::HistoryStore;
@@ -50,7 +57,7 @@ use bgp_infer::db::{CommunityLookup, DbRecord};
 use bgp_types::prelude::*;
 use obs::journal::JournalKind;
 use obs::trace::{EpochTrace, TraceStore};
-use obs::{Histogram, ObsRegistry, Recorder};
+use obs::{ObsRegistry, Recorder};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,15 +74,8 @@ pub struct Api {
     metrics: Arc<Metrics>,
     history: Option<Arc<HistoryStore>>,
     /// Degraded-mode health state; when attached, `/healthz` answers
-    /// from the state machine instead of the legacy constant body.
+    /// from the state machine instead of liveness alone.
     health: Option<Arc<HealthState>>,
-    /// Observability registry rendered by `/metrics` and the debug
-    /// routes (the process-global one unless a test injects its own).
-    obs: Arc<ObsRegistry>,
-    /// Per-endpoint request-duration histograms, indexed by
-    /// [`Endpoint::index`] — resolved once so the request path records
-    /// with pure atomics.
-    endpoint_hists: Vec<Arc<Histogram>>,
     /// Time-series recorder behind `/v1/debug/timeseries` (the daemon's
     /// sampler thread feeds it).
     timeseries: Option<Arc<Recorder>>,
@@ -93,31 +93,14 @@ thread_local! {
 }
 
 impl Api {
-    /// Handler over `slot`, metering into `metrics` and the global
-    /// observability registry.
+    /// Handler over `slot`, metering into `metrics`; `/metrics` and the
+    /// debug routes read the registry `metrics` records into.
     pub fn new(slot: Arc<SnapshotSlot>, metrics: Arc<Metrics>) -> Self {
-        Api::with_obs(slot, metrics, obs::global())
-    }
-
-    /// [`Api::new`] recording into an explicit registry (tests).
-    pub fn with_obs(slot: Arc<SnapshotSlot>, metrics: Arc<Metrics>, obs: Arc<ObsRegistry>) -> Self {
-        let endpoint_hists = Endpoint::ALL
-            .iter()
-            .map(|e| {
-                obs.histogram(
-                    "bgp_serve_http_request_duration_seconds",
-                    "Wall time to dispatch one HTTP request, by endpoint",
-                    &[("endpoint", e.label())],
-                )
-            })
-            .collect();
         Api {
             slot,
             metrics,
             history: None,
             health: None,
-            obs,
-            endpoint_hists,
             timeseries: None,
             traces: None,
             start: Instant::now(),
@@ -132,8 +115,8 @@ impl Api {
     }
 
     /// Answer `/healthz` from the degraded-mode state machine (and grow
-    /// `/v1/stats` with the supervision counters) instead of the legacy
-    /// constant `"ok"`.
+    /// `/v1/stats` with the supervision counters) instead of liveness
+    /// alone.
     pub fn with_health(mut self, health: Arc<HealthState>) -> Self {
         self.health = Some(health);
         self
@@ -211,7 +194,6 @@ impl Api {
                 stats_endpoint(
                     &snap,
                     self.metrics.total_requests(),
-                    &self.obs,
                     self.health.as_deref(),
                     self.start.elapsed().as_secs(),
                 ),
@@ -221,10 +203,13 @@ impl Api {
                 Endpoint::Version,
                 version_endpoint(&snap, self.start.elapsed().as_secs()),
             ),
-            "/v1/debug/timings" => (Endpoint::DebugTimings, timings_endpoint(&snap, &self.obs)),
+            "/v1/debug/timings" => (
+                Endpoint::DebugTimings,
+                timings_endpoint(&snap, self.metrics.registry()),
+            ),
             "/v1/debug/trace" => (
                 Endpoint::DebugTrace,
-                trace_endpoint(&snap, &self.obs, request),
+                trace_endpoint(&snap, self.metrics.registry(), request),
             ),
             "/v1/debug/timeseries" => (
                 Endpoint::DebugTimeseries,
@@ -235,8 +220,9 @@ impl Api {
                 health_endpoint(&snap, self.health.as_deref()),
             ),
             "/metrics" => {
-                let mut text = self.metrics.render(&snap);
-                self.obs.render_prometheus(&mut text);
+                self.metrics.observe_snapshot(&snap);
+                let mut text = String::new();
+                self.metrics.registry().render_prometheus(&mut text);
                 (Endpoint::Metrics, Response::text(text))
             }
             _ => (Endpoint::Other, Response::error(404, "no such route")),
@@ -456,15 +442,16 @@ impl Handler for Api {
     fn handle(&self, request: &Request) -> Response {
         let t_request = Instant::now();
         let (endpoint, response) = self.dispatch(request);
-        self.metrics.observe(endpoint, response.status);
         let nanos = t_request.elapsed().as_nanos() as u64;
-        self.endpoint_hists[endpoint.index()].record(nanos);
-        self.obs.journal().push(
-            JournalKind::Span,
-            "http_request",
-            nanos,
-            format!("endpoint={} status={}", endpoint.label(), response.status),
-        );
+        self.metrics.observe(endpoint, response.status, nanos);
+        if response.status >= 500 {
+            self.metrics.registry().journal().push(
+                JournalKind::Span,
+                "http_request",
+                nanos,
+                format!("endpoint={} status={}", endpoint.label(), response.status),
+            );
+        }
         response
     }
 }
@@ -484,7 +471,8 @@ fn begin_envelope(snap: &ServeSnapshot) -> JsonWriter {
 fn health_endpoint(snap: &ServeSnapshot, health: Option<&HealthState>) -> Response {
     let mut w = begin_envelope(snap);
     let Some(health) = health else {
-        // Legacy shape when no health state is attached: liveness only.
+        // No health state attached (`bgp-stream-infer --listen`, the
+        // example, the ledger): liveness only.
         w.field_str("status", "ok");
         w.end_obj();
         return Response::json(w.finish());
@@ -794,24 +782,6 @@ fn reclassify_endpoint(snap: &ServeSnapshot, request: &Request) -> Response {
     Response::json(w.finish())
 }
 
-/// Write `{"p50_nanos":…,"p99_nanos":…,"max_nanos":…,"observed":…}` for
-/// one histogram family aggregated across its label sets. An empty
-/// histogram has no quantiles — report `null`, not a misleading zero.
-fn write_latency_field(w: &mut JsonWriter, name: &str, obs: &ObsRegistry, family: &str) {
-    let snap = obs.family_snapshot(family).unwrap_or_default();
-    w.begin_obj_field(name);
-    if snap.count == 0 {
-        w.field_null("p50_nanos");
-        w.field_null("p99_nanos");
-    } else {
-        w.field_u64("p50_nanos", snap.quantile_nanos(0.5));
-        w.field_u64("p99_nanos", snap.quantile_nanos(0.99));
-    }
-    w.field_u64("max_nanos", snap.max_nanos);
-    w.field_u64("observed", snap.count);
-    w.end_obj();
-}
-
 /// `/v1/version` — build identity and process uptime.
 fn version_endpoint(snap: &ServeSnapshot, uptime_seconds: u64) -> Response {
     let mut w = begin_envelope(snap);
@@ -848,10 +818,14 @@ fn write_trace_stages(w: &mut JsonWriter, trace: &EpochTrace) {
     w.end_arr();
 }
 
+/// `/v1/stats` — the served snapshot's ingest statistics and its own
+/// epoch's seal / count durations (deterministic: identical across a
+/// restart from the archive), plus the request count, uptime and — with
+/// a health state attached — the supervision counters. The process-wide
+/// latency distributions are `/v1/debug/timings`.
 fn stats_endpoint(
     snap: &ServeSnapshot,
     requests_total: u64,
-    obs: &ObsRegistry,
     health: Option<&HealthState>,
     uptime_seconds: u64,
 ) -> Response {
@@ -867,21 +841,6 @@ fn stats_endpoint(
         w.field_u64("seal_nanos", 0);
         w.field_u64("count_nanos", 0);
     }
-    // Distribution views of the same stages (the one-shot fields above
-    // are kept for compatibility): seal wall time across every sealed
-    // epoch, and the recount portion alone.
-    write_latency_field(
-        &mut w,
-        "seal_latency",
-        obs,
-        "bgp_stream_seal_duration_seconds",
-    );
-    write_latency_field(
-        &mut w,
-        "count_latency",
-        obs,
-        "bgp_stream_recount_duration_seconds",
-    );
     w.field_u64("total_events", snap.ingest.total_events);
     w.field_u64("unique_tuples", snap.ingest.unique_tuples as u64);
     w.field_u64("duplicates", snap.ingest.duplicates);
@@ -1011,7 +970,10 @@ mod tests {
         pipe.push(StreamEvent::new(20, mk(&[1, 5, 9], &[1, 5])));
         pipe.push(StreamEvent::new(30, mk(&[2, 9], &[])));
         publisher.sync(&pipe);
-        Api::new(slot, Arc::new(Metrics::new()))
+        // A registry of its own: the request counts asserted below must
+        // not see the other tests' requests.
+        let obs = Arc::new(ObsRegistry::new());
+        Api::new(slot, Arc::new(Metrics::with_registry(obs)))
     }
 
     #[test]
@@ -1082,7 +1044,7 @@ mod tests {
         assert!(health.body.contains("\"status\":\"ok\""));
 
         let metrics = api.handle(&request("/metrics", &[]));
-        assert!(metrics.body.contains("bgp_serve_http_requests_total"));
+        assert!(metrics.body.contains("bgp_serve_snapshot_version 1\n"));
 
         let missing = api.handle(&request("/nope", &[]));
         assert_eq!(missing.status, 404);

@@ -276,9 +276,9 @@ fn run(opts: Options) -> Result<(), String> {
         Some(spec) => obs::parse_alert_rules(spec).map_err(|e| format!("--alert-rules: {e}"))?,
         None => Vec::new(),
     };
-    let mut recorder = Recorder::new(obs::global(), 512);
+    let mut recorder = Recorder::new(Arc::clone(metrics.registry()), 512);
     if !alert_rules.is_empty() {
-        let alerts = Arc::new(AlertState::new(alert_rules, &obs::global()));
+        let alerts = Arc::new(AlertState::new(alert_rules, metrics.registry()));
         health.attach_alerts(Arc::clone(&alerts));
         recorder = recorder.with_alerts(alerts);
     }

@@ -236,7 +236,8 @@ fn run(opts: &Options) -> Result<(), String> {
             )
             .map_err(|e| format!("bind {addr}: {e}"))?;
             obs::info!("http", "serving query API on http://{}", http.local_addr());
-            Some((http, Publisher::new(slot, 100_000), metrics))
+            let publisher = Publisher::new(slot, 100_000).with_metrics(Arc::clone(&metrics));
+            Some((http, publisher, metrics))
         }
         None => None,
     };

@@ -568,9 +568,6 @@ fn sealer_main(
             let sealed = pipeline.push(ev).is_some();
             if sealed {
                 let published = publisher.sync(&pipeline);
-                for _ in 0..published {
-                    metrics.epoch_published();
-                }
                 if let Some(health) = health {
                     health.note_publish(published as u64);
                 }
@@ -602,9 +599,6 @@ fn sealer_main(
     if sealed_events != Some(pipeline.total_events()) {
         pipeline.seal_epoch();
         let published = publisher.sync(&pipeline);
-        for _ in 0..published {
-            metrics.epoch_published();
-        }
         if let Some(health) = health {
             health.note_publish(published as u64);
         }
@@ -665,7 +659,6 @@ mod tests {
         let snap = slot.load();
         assert_eq!(snap.version(), 3);
         assert_eq!(snap.ingest.total_events, 10);
-        assert_eq!(metrics.requests_for(crate::metrics::Endpoint::Class), 0);
     }
 
     #[test]

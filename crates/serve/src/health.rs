@@ -1,10 +1,12 @@
 //! The daemon's degraded-mode health state machine.
 //!
-//! `/healthz` used to be a constant `"ok"` — useless the moment
-//! anything actually went wrong. [`HealthState`] aggregates the
-//! supervision signals the resilient pipeline now produces (archive
-//! sink retries and drops, ingest quarantine counts, driver restarts,
-//! publish staleness) into a three-state report:
+//! An `Api` with no [`HealthState`] attached answers `/healthz` with
+//! liveness alone (`"status":"ok"`): that is what `bgp-stream-infer
+//! --listen`, the example and the ledger serve, none of which supervise
+//! anything. The daemon attaches one, and it aggregates the supervision
+//! signals the resilient pipeline produces (archive sink retries and
+//! drops, ingest quarantine counts, driver restarts, publish staleness)
+//! into a three-state report:
 //!
 //! * **ok** — everything supervised is quiet.
 //! * **degraded** — the daemon is serving but something needs

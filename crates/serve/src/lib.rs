@@ -49,7 +49,8 @@
 //! * [`json`] — hand-rolled JSON encoder (the vendored serde shim has no
 //!   JSON backend);
 //! * [`api`] — routes, parameter parsing, response shapes;
-//! * [`metrics`] — atomic server counters + Prometheus text exposition;
+//! * [`metrics`] — the serving layer's instruments, as handles on the
+//!   `obs` registry that `/metrics` renders;
 //! * [`driver`] — the ingest pair: a feed-puller thread (MRT files,
 //!   simulated scenario feeds, or in-memory events) handing batches over
 //!   a bounded queue to a dedicated sealer/publisher worker;

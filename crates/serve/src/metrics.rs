@@ -1,15 +1,17 @@
-//! Server-side counters and the Prometheus text exposition.
+//! The serving layer's instruments: a set of handles on the
+//! [`ObsRegistry`].
 //!
-//! One [`Metrics`] instance is shared (lock-free `AtomicU64`s) between
-//! the API handler, the ingest driver, and the `/metrics` endpoint. The
-//! exposition follows the Prometheus text format v0.0.4: `# HELP` /
-//! `# TYPE` preamble per family, one sample per line. Snapshot-derived
-//! gauges (epoch, record count, …) are read from the live snapshot at
-//! scrape time rather than duplicated here.
+//! One [`Metrics`] instance is shared between the API handler, the
+//! publisher and the ingest driver. It stores nothing itself: every
+//! field is an `Arc` handle resolved once on the registry (the
+//! process-global one unless a test injects its own), so recording is
+//! pure atomics and `/metrics`, `/v1/debug/timings` and the time-series
+//! sampler all read the same store. The registry is the only Prometheus
+//! renderer; this module has none.
 
 use crate::snapshot::ServeSnapshot;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use obs::{Counter, Gauge, Histogram, ObsRegistry};
+use std::sync::Arc;
 
 /// The API endpoints metered individually.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,194 +95,143 @@ impl Endpoint {
 
     /// Position in [`Endpoint::ALL`] (dense array index).
     pub fn index(self) -> usize {
-        Endpoint::ALL
-            .iter()
-            .position(|&e| e == self)
-            .expect("endpoint in ALL")
+        self as usize
     }
 }
 
-/// Shared atomic counters.
-#[derive(Debug, Default)]
+/// Status classes of `bgp_serve_http_responses_total{class=…}`.
+const RESPONSE_CLASSES: [&str; 3] = ["2xx", "4xx", "5xx"];
+
+/// Registry handles for everything the serving layer counts.
+#[derive(Debug)]
 pub struct Metrics {
-    requests: [AtomicU64; 16],
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-    epochs_published: AtomicU64,
-    events_ingested: AtomicU64,
-    seals_observed: AtomicU64,
-    seal_nanos_last: AtomicU64,
-    seal_nanos_total: AtomicU64,
-    count_nanos_last: AtomicU64,
-    count_nanos_total: AtomicU64,
+    obs: Arc<ObsRegistry>,
+    /// `bgp_serve_http_request_duration_seconds{endpoint=…}`, indexed by
+    /// [`Endpoint::index`]; its `_count` is the per-endpoint request
+    /// count.
+    requests: [Arc<Histogram>; Endpoint::ALL.len()],
+    /// `bgp_serve_http_responses_total{class=…}`, in
+    /// [`RESPONSE_CLASSES`] order.
+    responses: [Arc<Counter>; RESPONSE_CLASSES.len()],
+    epochs_published: Arc<Counter>,
+    events_ingested: Arc<Counter>,
+    snapshot_version: Arc<Gauge>,
+    snapshot_records: Arc<Gauge>,
+    snapshot_total_events: Arc<Gauge>,
+    snapshot_unique_tuples: Arc<Gauge>,
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics::new()
+    }
 }
 
 impl Metrics {
-    /// Fresh zeroed counters.
+    /// Handles on the process-global registry.
     pub fn new() -> Self {
-        Metrics::default()
+        Metrics::with_registry(obs::global())
     }
 
-    /// Count one request to `endpoint` answered with `status`.
-    pub fn observe(&self, endpoint: Endpoint, status: u16) {
-        self.requests[endpoint.index()].fetch_add(1, Ordering::Relaxed);
-        let bucket = match status {
-            200..=299 => &self.responses_2xx,
-            400..=499 => &self.responses_4xx,
-            _ => &self.responses_5xx,
+    /// Handles on an explicit registry (tests that assert exact counts).
+    pub fn with_registry(obs: Arc<ObsRegistry>) -> Self {
+        let requests = Endpoint::ALL.map(|e| {
+            obs.histogram(
+                "bgp_serve_http_request_duration_seconds",
+                "Wall time to dispatch one HTTP request, by endpoint",
+                &[("endpoint", e.label())],
+            )
+        });
+        let responses = RESPONSE_CLASSES.map(|class| {
+            obs.counter(
+                "bgp_serve_http_responses_total",
+                "Responses, by status class.",
+                &[("class", class)],
+            )
+        });
+        let gauge = |family: &str, help: &str| obs.gauge(family, help, &[]);
+        Metrics {
+            requests,
+            responses,
+            epochs_published: obs.counter(
+                "bgp_serve_epochs_published_total",
+                "Epoch snapshots published to the serving slot.",
+                &[],
+            ),
+            events_ingested: obs.counter(
+                "bgp_serve_events_ingested_total",
+                "Stream events pushed by the ingest driver.",
+                &[],
+            ),
+            snapshot_version: gauge(
+                "bgp_serve_snapshot_version",
+                "Version of the snapshot currently served.",
+            ),
+            snapshot_records: gauge(
+                "bgp_serve_snapshot_records",
+                "Classified AS records in the served snapshot.",
+            ),
+            snapshot_total_events: gauge(
+                "bgp_serve_snapshot_total_events",
+                "Stream events behind the served snapshot.",
+            ),
+            snapshot_unique_tuples: gauge(
+                "bgp_serve_snapshot_unique_tuples",
+                "Unique tuples behind the served snapshot.",
+            ),
+            obs,
+        }
+    }
+
+    /// The registry the handles live on — what `/metrics` renders and
+    /// the debug routes read.
+    pub fn registry(&self) -> &Arc<ObsRegistry> {
+        &self.obs
+    }
+
+    /// Record one request to `endpoint` answered with `status` after
+    /// `nanos` in the handler.
+    pub fn observe(&self, endpoint: Endpoint, status: u16, nanos: u64) {
+        self.requests[endpoint.index()].record(nanos);
+        let class = match status {
+            200..=299 => 0,
+            400..=499 => 1,
+            _ => 2,
         };
-        bucket.fetch_add(1, Ordering::Relaxed);
+        self.responses[class].inc();
     }
 
     /// Count one published epoch.
     pub fn epoch_published(&self) {
-        self.epochs_published.fetch_add(1, Ordering::Relaxed);
+        self.epochs_published.inc();
     }
 
     /// Count ingested events (driver batches).
     pub fn events_ingested(&self, n: u64) {
-        self.events_ingested.fetch_add(n, Ordering::Relaxed);
+        self.events_ingested.add(n);
     }
 
-    /// Record one epoch seal's wall-clock durations: the whole seal and
-    /// the counting (recount) portion — the observables that make
-    /// incremental-recount wins visible in production. Nanosecond inputs.
-    pub fn observe_seal(&self, seal_nanos: u64, count_nanos: u64) {
-        self.seals_observed.fetch_add(1, Ordering::Relaxed);
-        self.seal_nanos_last.store(seal_nanos, Ordering::Relaxed);
-        self.seal_nanos_total
-            .fetch_add(seal_nanos, Ordering::Relaxed);
-        self.count_nanos_last.store(count_nanos, Ordering::Relaxed);
-        self.count_nanos_total
-            .fetch_add(count_nanos, Ordering::Relaxed);
+    /// Point the `bgp_serve_snapshot_*` gauges at `snapshot` (the one a
+    /// `/metrics` request loaded, so the page describes what is served).
+    pub fn observe_snapshot(&self, snapshot: &ServeSnapshot) {
+        let set = |gauge: &Gauge, v: u64| gauge.set(i64::try_from(v).unwrap_or(i64::MAX));
+        set(&self.snapshot_version, snapshot.version());
+        set(&self.snapshot_records, snapshot.records.len() as u64);
+        set(&self.snapshot_total_events, snapshot.ingest.total_events);
+        set(
+            &self.snapshot_unique_tuples,
+            snapshot.ingest.unique_tuples as u64,
+        );
     }
 
     /// Total requests across all endpoints.
     pub fn total_requests(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.requests.iter().map(|h| h.count()).sum()
     }
 
     /// Requests observed for one endpoint.
     pub fn requests_for(&self, endpoint: Endpoint) -> u64 {
-        self.requests[endpoint.index()].load(Ordering::Relaxed)
-    }
-
-    /// Render the Prometheus text exposition against `snapshot`.
-    pub fn render(&self, snapshot: &ServeSnapshot) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str(
-            "# HELP bgp_serve_http_requests_total Requests served, by endpoint.\n\
-             # TYPE bgp_serve_http_requests_total counter\n",
-        );
-        for e in Endpoint::ALL {
-            let _ = writeln!(
-                out,
-                "bgp_serve_http_requests_total{{endpoint=\"{}\"}} {}",
-                e.label(),
-                self.requests[e.index()].load(Ordering::Relaxed)
-            );
-        }
-        out.push_str(
-            "# HELP bgp_serve_http_responses_total Responses, by status class.\n\
-             # TYPE bgp_serve_http_responses_total counter\n",
-        );
-        for (class, counter) in [
-            ("2xx", &self.responses_2xx),
-            ("4xx", &self.responses_4xx),
-            ("5xx", &self.responses_5xx),
-        ] {
-            let _ = writeln!(
-                out,
-                "bgp_serve_http_responses_total{{class=\"{class}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
-        }
-        for (name, help, value) in [
-            (
-                "bgp_serve_epochs_published_total",
-                "Epoch snapshots published to the serving slot.",
-                self.epochs_published.load(Ordering::Relaxed),
-            ),
-            (
-                "bgp_serve_events_ingested_total",
-                "Stream events pushed by the ingest driver.",
-                self.events_ingested.load(Ordering::Relaxed),
-            ),
-            (
-                "bgp_serve_seals_observed_total",
-                "Epoch seals whose durations were recorded.",
-                self.seals_observed.load(Ordering::Relaxed),
-            ),
-        ] {
-            let _ = writeln!(
-                out,
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}"
-            );
-        }
-        let nanos = 1e-9f64;
-        for (name, kind, help, value) in [
-            (
-                "bgp_serve_seal_duration_seconds_total",
-                "counter",
-                "Cumulative wall-clock time spent sealing epochs.",
-                self.seal_nanos_total.load(Ordering::Relaxed) as f64 * nanos,
-            ),
-            (
-                "bgp_serve_count_duration_seconds_total",
-                "counter",
-                "Cumulative wall-clock time spent in epoch recounts.",
-                self.count_nanos_total.load(Ordering::Relaxed) as f64 * nanos,
-            ),
-            (
-                "bgp_serve_seal_duration_seconds",
-                "gauge",
-                "Wall-clock duration of the most recent epoch seal.",
-                self.seal_nanos_last.load(Ordering::Relaxed) as f64 * nanos,
-            ),
-            (
-                "bgp_serve_count_duration_seconds",
-                "gauge",
-                "Wall-clock duration of the most recent epoch recount.",
-                self.count_nanos_last.load(Ordering::Relaxed) as f64 * nanos,
-            ),
-        ] {
-            let _ = writeln!(
-                out,
-                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value:.9}"
-            );
-        }
-        for (name, help, value) in [
-            (
-                "bgp_serve_snapshot_version",
-                "Version of the snapshot currently served.",
-                snapshot.version(),
-            ),
-            (
-                "bgp_serve_snapshot_records",
-                "Classified AS records in the served snapshot.",
-                snapshot.records.len() as u64,
-            ),
-            (
-                "bgp_serve_snapshot_total_events",
-                "Stream events behind the served snapshot.",
-                snapshot.ingest.total_events,
-            ),
-            (
-                "bgp_serve_snapshot_unique_tuples",
-                "Unique tuples behind the served snapshot.",
-                snapshot.ingest.unique_tuples as u64,
-            ),
-        ] {
-            let _ = writeln!(
-                out,
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}"
-            );
-        }
-        out
+        self.requests[endpoint.index()].count()
     }
 }
 
@@ -290,33 +241,41 @@ mod tests {
     use bgp_infer::counters::Thresholds;
 
     #[test]
-    fn observe_and_render() {
-        let m = Metrics::new();
-        m.observe(Endpoint::Class, 200);
-        m.observe(Endpoint::Class, 404);
-        m.observe(Endpoint::Health, 200);
+    fn endpoint_index_is_the_position_in_all() {
+        for (i, e) in Endpoint::ALL.iter().enumerate() {
+            assert_eq!(e.index(), i, "{e:?}");
+        }
+        let mut labels: Vec<&str> = Endpoint::ALL.iter().map(|e| e.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), Endpoint::ALL.len(), "labels are distinct");
+    }
+
+    #[test]
+    fn observations_land_on_the_registry() {
+        let obs = Arc::new(ObsRegistry::new());
+        let m = Metrics::with_registry(Arc::clone(&obs));
+        m.observe(Endpoint::Class, 200, 1_000);
+        m.observe(Endpoint::Class, 404, 1_000);
+        m.observe(Endpoint::Health, 503, 1_000);
         m.epoch_published();
         m.events_ingested(42);
-        m.observe_seal(2_000_000, 1_500_000);
+        m.observe_snapshot(&ServeSnapshot::empty(Thresholds::default()));
         assert_eq!(m.total_requests(), 3);
         assert_eq!(m.requests_for(Endpoint::Class), 2);
 
-        let snap = ServeSnapshot::empty(Thresholds::default());
-        let text = m.render(&snap);
-        assert!(text.contains("bgp_serve_http_requests_total{endpoint=\"class\"} 2"));
-        assert!(text.contains("bgp_serve_http_responses_total{class=\"2xx\"} 2"));
-        assert!(text.contains("bgp_serve_http_responses_total{class=\"4xx\"} 1"));
-        assert!(text.contains("bgp_serve_events_ingested_total 42"));
-        assert!(text.contains("bgp_serve_snapshot_version 0"));
-        assert!(text.contains("bgp_serve_seals_observed_total 1"));
-        assert!(text.contains("bgp_serve_seal_duration_seconds 0.002000000"));
-        assert!(text.contains("bgp_serve_count_duration_seconds 0.001500000"));
-        // Every line is either a comment or `name{labels} value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.split_whitespace().count() == 2,
-                "{line}"
-            );
+        let mut text = String::new();
+        obs.render_prometheus(&mut text);
+        for line in [
+            "bgp_serve_http_request_duration_seconds_count{endpoint=\"class\"} 2",
+            "bgp_serve_http_responses_total{class=\"2xx\"} 1",
+            "bgp_serve_http_responses_total{class=\"4xx\"} 1",
+            "bgp_serve_http_responses_total{class=\"5xx\"} 1",
+            "bgp_serve_epochs_published_total 1",
+            "bgp_serve_events_ingested_total 42",
+            "bgp_serve_snapshot_version 0",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing {line:?}");
         }
     }
 }

@@ -459,7 +459,8 @@ pub struct Publisher {
     /// Retain at most this many flip entries (oldest epochs trimmed
     /// first, whole).
     flip_log_cap: usize,
-    /// Seal/counting duration sink (the daemon's Prometheus counters).
+    /// Counts each published epoch
+    /// (`bgp_serve_epochs_published_total`).
     metrics: Option<Arc<crate::metrics::Metrics>>,
     /// Durable epoch tap: every newly published epoch is also queued
     /// here (one `Arc` clone + one queue push — the disk write happens
@@ -503,8 +504,7 @@ impl Publisher {
         }
     }
 
-    /// Report each published epoch's seal/counting durations to
-    /// `metrics`.
+    /// Count each published epoch on `metrics`.
     pub fn with_metrics(mut self, metrics: Arc<crate::metrics::Metrics>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -568,9 +568,6 @@ impl Publisher {
         let t_publish = Instant::now();
         self.log
             .push_epoch(sealed.epoch, &sealed.flips, self.flip_log_cap);
-        if let Some(metrics) = &self.metrics {
-            metrics.observe_seal(sealed.seal_nanos, sealed.count_nanos);
-        }
         let records = match &sealed.dense {
             // The normal path: slice the record table straight out of the
             // dense counter columns through the Asn-sorted permutation.
@@ -631,6 +628,9 @@ impl Publisher {
                         .collect(),
                 },
             );
+        }
+        if let Some(metrics) = &self.metrics {
+            metrics.epoch_published();
         }
         let nanos = t_publish.elapsed().as_nanos() as u64;
         self.publish_hist.record(nanos);

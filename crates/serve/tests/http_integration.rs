@@ -152,10 +152,11 @@ fn oracle() -> Oracle {
 
 /// Start a served copy of the world: ingest runs to completion before
 /// the tests query, so the served snapshot equals the oracle's final
-/// state.
+/// state. The metrics live on a registry of their own, so the request
+/// and event counts asserted below are this world's alone.
 fn served() -> (HttpServer, Arc<SnapshotSlot>, Arc<Metrics>, IngestReport) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let metrics = Arc::new(Metrics::new());
+    let metrics = Arc::new(Metrics::with_registry(Arc::new(obs::ObsRegistry::new())));
     let report = spawn_ingest(
         DriverConfig {
             stream: stream_config(),
@@ -382,26 +383,6 @@ fn every_endpoint_matches_the_records_oracle() {
     let served_epoch = served.epoch.as_ref().expect("served snapshot has an epoch");
     let (status, body) = client.get("/v1/stats");
     assert_eq!(status, 200);
-    // The seal_latency/count_latency objects read the process-global
-    // obs histograms — real measurements shared with every other test
-    // in this binary, so their values are not oracle-derivable. Check
-    // their shape, then excise them and byte-compare the rest.
-    for field in ["seal_latency", "count_latency"] {
-        let at = body.find(&format!("\"{field}\":{{")).expect(field);
-        let object = &body[at..at + body[at..].find('}').expect("object end")];
-        for key in ["p50_nanos", "p99_nanos", "max_nanos", "observed"] {
-            assert!(
-                object.contains(&format!("\"{key}\":")),
-                "{field} lacks {key}"
-            );
-        }
-    }
-    let strip = |body: &str, field: &str| -> String {
-        let start = body.find(&format!(",\"{field}\":{{")).expect(field);
-        let end = start + body[start..].find('}').expect("object end") + 1;
-        format!("{}{}", &body[..start], &body[end..])
-    };
-    let body = strip(&strip(&body, "seal_latency"), "count_latency");
     // Uptime is wall-clock, not oracle-derivable — check presence, then
     // excise the scalar before the byte-compare.
     let uptime_at = body.find(",\"uptime_seconds\":").expect("uptime_seconds");
@@ -437,9 +418,14 @@ fn every_endpoint_matches_the_records_oracle() {
         )
     );
 
-    // /metrics — exposition carries the snapshot gauges.
+    // /metrics — exposition carries the snapshot gauges and the counts
+    // of everything this world did.
     let (status, body) = client.get("/metrics");
     assert_eq!(status, 200);
+    assert!(body.contains(&format!(
+        "bgp_serve_epochs_published_total {}\n",
+        oracle.outcome.snapshots.len()
+    )));
     assert!(body.contains(&format!(
         "bgp_serve_snapshot_version {}",
         oracle.outcome.snapshots.last().unwrap().version

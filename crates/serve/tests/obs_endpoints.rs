@@ -11,8 +11,9 @@
 //! * hits `/v1/debug/timings` and asserts the seal/publish/archive
 //!   stages report real observations with ordered quantiles;
 //! * hits `/v1/debug/trace` and checks the journal replays seal,
-//!   publish, archive-append, and http-request completions with
-//!   monotone sequence numbers.
+//!   publish and archive-append completions with monotone sequence
+//!   numbers — and, on a registry of its own, that a request is
+//!   journaled when it answers `>= 500` and only then.
 
 use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
@@ -420,15 +421,12 @@ fn debug_timings_reports_live_stage_latencies() {
 #[test]
 fn debug_trace_replays_the_journal() {
     let (http, mut client) = served();
-    // Generate a journaled http_request completion before tracing.
-    let (status, _) = client.get("/v1/stats");
-    assert_eq!(status, 200);
     let (status, body) = client.get("/v1/debug/trace?last=512");
     assert_eq!(status, 200);
     let total = json_u64(&body, "journaled_total").expect("journaled_total");
     let count = json_u64(&body, "count").expect("count");
     assert!(total >= 1 && count >= 1, "empty journal: {body}");
-    for name in ["seal", "publish", "archive_append", "http_request"] {
+    for name in ["seal", "publish", "archive_append"] {
         assert!(
             body.contains(&format!("\"name\":\"{name}\"")),
             "trace missing {name} events: {body}"
@@ -453,7 +451,45 @@ fn debug_trace_replays_the_journal() {
     http.shutdown();
 }
 
-/// An empty histogram has no quantiles: the JSON endpoints must report
+fn request(path: &str) -> Request {
+    Request {
+        method: "GET".to_string(),
+        path: path.to_string(),
+        query: Vec::new(),
+    }
+}
+
+/// Successful requests stay out of the journal (the per-endpoint
+/// histogram times them); a 5xx is journaled. On a registry of its own,
+/// so `journaled_total` is exact.
+#[test]
+fn only_failing_requests_are_journaled() {
+    let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let health = Arc::new(HealthState::new(HealthConfig::default()));
+    let api = Api::new(slot, Arc::new(Metrics::with_registry(Arc::clone(&obs))))
+        .with_health(Arc::clone(&health));
+
+    assert_eq!(api.handle(&request("/healthz")).status, 200);
+    assert_eq!(api.handle(&request("/v1/class/notanasn")).status, 400);
+    let trace = api.handle(&request("/v1/debug/trace"));
+    assert_eq!(json_u64(&trace.body, "journaled_total"), Some(0));
+
+    health.mark_ingest_failed();
+    assert_eq!(api.handle(&request("/healthz")).status, 503);
+    let trace = api.handle(&request("/v1/debug/trace"));
+    assert_eq!(json_u64(&trace.body, "journaled_total"), Some(1));
+    assert!(
+        trace.body.contains("\"name\":\"http_request\"")
+            && trace
+                .body
+                .contains("\"detail\":\"endpoint=healthz status=503\""),
+        "{}",
+        trace.body
+    );
+}
+
+/// An empty histogram has no quantiles: `/v1/debug/timings` must report
 /// `null` for p50/p99 (never a misleading `0`), and switch to numbers
 /// once the family records an observation.
 #[test]
@@ -461,14 +497,9 @@ fn empty_histogram_quantiles_are_null_in_json() {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let obs = Arc::new(obs::ObsRegistry::new());
     // Registered but never recorded — along with the endpoint
-    // histograms Api registers on construction, everything is empty.
+    // histograms Metrics registers on construction, everything is empty.
     obs.histogram("bgp_stream_seal_duration_seconds", "h", &[]);
-    let api = Api::with_obs(slot, Arc::new(Metrics::new()), Arc::clone(&obs));
-    let request = |path: &str| Request {
-        method: "GET".to_string(),
-        path: path.to_string(),
-        query: Vec::new(),
-    };
+    let api = Api::new(slot, Arc::new(Metrics::with_registry(Arc::clone(&obs))));
 
     let timings = api.handle(&request("/v1/debug/timings"));
     assert_eq!(timings.status, 200);
@@ -486,22 +517,14 @@ fn empty_histogram_quantiles_are_null_in_json() {
         timings.body
     );
 
-    let stats = api.handle(&request("/v1/stats"));
-    assert_eq!(stats.status, 200);
-    assert!(
-        stats
-            .body
-            .contains("\"seal_latency\":{\"p50_nanos\":null,\"p99_nanos\":null"),
-        "{}",
-        stats.body
-    );
-
     // One observation: the same family now reports numeric quantiles.
     obs.histogram("bgp_stream_seal_duration_seconds", "h", &[])
         .record(1_000);
-    let stats = api.handle(&request("/v1/stats"));
-    let seal_at = stats.body.find("\"seal_latency\":{").expect("seal_latency");
-    let seal = &stats.body[seal_at..];
-    let p50 = json_u64(seal, "p50_nanos").expect("numeric p50 after a record");
-    assert!(p50 > 0, "{}", stats.body);
+    let timings = api.handle(&request("/v1/debug/timings"));
+    let seal_at = timings
+        .body
+        .find("\"family\":\"bgp_stream_seal_duration_seconds\"")
+        .expect("seal family");
+    let p50 = json_u64(&timings.body[seal_at..], "p50_nanos").expect("numeric p50 after a record");
+    assert!(p50 > 0, "{}", timings.body);
 }

@@ -11,6 +11,9 @@
 //!    trace frame after a "restart" (a fresh server with no live store).
 //! 3. An alert rule fires into `/healthz` reasons after its consecutive
 //!    over-threshold windows, and clears once the signal drops.
+//!
+//! Plus, in process: one sampler tick over the registry an `Api` records
+//! into picks up the serving layer's own families.
 
 use bgp_archive::prelude::{ArchiveWriter, SegmentStats};
 use bgp_infer::counters::Thresholds;
@@ -142,6 +145,57 @@ fn timeseries_endpoint_serves_sampled_windows_with_nonzero_rates() {
     assert_eq!(http_get(bare.local_addr(), "/v1/debug/timeseries").0, 400);
     bare.shutdown();
     http.shutdown();
+}
+
+/// The sampler snapshots the whole registry, and `Metrics` is a set of
+/// handles on it: what the serving layer itself counts is sampled too.
+#[test]
+fn sampler_sees_the_serve_families() {
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let recorder = Arc::new(Recorder::new(Arc::clone(&obs), 8));
+    let api = Api::new(
+        Arc::new(SnapshotSlot::new(Thresholds::default())),
+        Arc::new(Metrics::with_registry(obs)),
+    )
+    .with_timeseries(Arc::clone(&recorder));
+    let get = |path: &str, query: &[(&str, &str)]| {
+        api.handle(&Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            query: query
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        })
+    };
+    assert_eq!(get("/healthz", &[]).status, 200);
+    recorder.tick();
+
+    let sampled: Vec<String> = recorder
+        .rings()
+        .iter()
+        .map(|ring| ring.family().to_string())
+        .collect();
+    for family in [
+        "bgp_serve_http_responses_total",
+        "bgp_serve_epochs_published_total",
+    ] {
+        assert!(
+            sampled.iter().any(|f| f == family),
+            "{family} not sampled: {sampled:?}"
+        );
+    }
+    let series = get(
+        "/v1/debug/timeseries",
+        &[("metric", "bgp_serve_http_responses_total")],
+    );
+    assert_eq!(series.status, 200, "{}", series.body);
+    assert!(
+        series.body.contains("\"kind\":\"counter\""),
+        "{}",
+        series.body
+    );
+    assert!(series.body.contains("\"value\":1"), "{}", series.body);
 }
 
 #[test]
