@@ -11,11 +11,11 @@
 //!   only the tuples added since (`StreamConfig::incremental_seal`),
 //!   plus the O(1) zero-delta re-seal fast path.
 //!
-//! The shard sweep quantifies the coordinator's parallel speedup: each
-//! phase counts shard-local on its own thread, so on a multi-core host
-//! 4-shard throughput should exceed 1-shard by well over 1.5×; on a
-//! single-core container the sweep instead measures sharding overhead
-//! (expect ~flat numbers there — the threads serialize).
+//! The shard sweep measures sharding overhead (routing, per-shard
+//! stores and caches), not parallel speedup: a (column, phase) step is
+//! counted on per-shard threads only once it visits
+//! `bgp_infer::compiled::FANOUT_MIN_VISITS` tuples, and these worlds
+//! stay far below that — expect ~flat numbers across shard counts.
 //!
 //! Set `BENCH_QUICK=1` for the CI smoke mode (shrunken worlds; the JSON
 //! then records `"quick": true` and is routed to an untracked path so it

@@ -244,6 +244,49 @@ impl PhasePredicates {
     }
 }
 
+/// Tuple visits at which one (column, phase) step is handed to worker
+/// threads instead of being counted on the calling thread.
+///
+/// Set by measurement (`threads: 2`; the ledger's seed-7 world
+/// replicated to 0.16–1.95 M tuples; every step serial vs every step
+/// fanned, best of 5 per step; table in CHANGES.md, PR 17). Fanning a
+/// step out adds 23–44 µs below 100 k visits, where serial counting
+/// takes 0.1–36 µs; 0.03–0.17 ms at 100–500 k (1.1–5.3× the serial
+/// time); and 0.1–0.4 ms from 1 M visits up, where the step itself is
+/// 0.19–6.7 ms of serial counting (0.17–3.4 ns per visit, cheapest in
+/// the deep columns) and the loss 1–63 % — 1–18 % on the column 1–3
+/// steps that carry a run. No step of any size was faster fanned: the
+/// guest that measured this reports 2 CPUs but gives two busy threads
+/// one core's throughput between them, so these numbers price the
+/// fan-out and cannot show its gain. The constant therefore sits where
+/// the price has shrunk to a fraction of what a second core could take
+/// off the step — half of 0.8–6.7 ms on the steps that matter — not
+/// where fanning was seen to win. Stream seals stay far below it: a
+/// 2,000-event epoch visits a few hundred tuples per step, and a shard
+/// recounting in full on the ledger's worlds about 60 k.
+pub const FANOUT_MIN_VISITS: usize = 1 << 20;
+
+/// The one fan-out decision of the counting path: whether a (column,
+/// phase) step that will visit `visits` tuples (see
+/// [`CompiledTuples::step_visits`]) is split over `workers` threads.
+/// `workers` — [`InferenceConfig::threads`] for the batch engine, the
+/// shard count for a stream seal — is an upper bound, not a request:
+/// what decides is the step's own work, so a small delta on a large
+/// store counts serially and a store's size alone never spawns a thread.
+pub fn step_fans_out(visits: usize, workers: usize) -> bool {
+    workers > 1 && visits >= FANOUT_MIN_VISITS
+}
+
+/// Shortest path length a (column, phase) step counts. A forwarding
+/// pass needs a downstream hop: buckets of exactly length `x` can never
+/// satisfy it (Cond2 on or off).
+fn shortest_counted(x: usize, phase: CountPhase) -> usize {
+    match phase {
+        CountPhase::Tagging => x,
+        CountPhase::Forwarding => x + 1,
+    }
+}
+
 /// Gather one predicate bit per id of `col` into a word (bit `i` =
 /// predicate of `col[i]`). The word-parallel building block for Cond1
 /// and the adjacent-tagger Cond2 fast path. Every id must be covered by
@@ -612,6 +655,11 @@ pub struct CompiledTuples {
     /// Reused per-push scratch: the pushed tuple's community upper
     /// fields as raw `u32`s, probed once per hop.
     upper_scratch: Vec<u32>,
+    /// Test-only override of [`step_fans_out`] for [`run`](Self::run):
+    /// `Some(true)` fans every step out over `threads` workers,
+    /// `Some(false)` counts every step serially.
+    #[cfg(test)]
+    force_fanout: Option<bool>,
 }
 
 impl CompiledTuples {
@@ -637,6 +685,8 @@ impl CompiledTuples {
             present: IdBitSet::default(),
             present_clean: IdBitSet::default(),
             upper_scratch: Vec::new(),
+            #[cfg(test)]
+            force_fanout: None,
         }
     }
 
@@ -651,6 +701,14 @@ impl CompiledTuples {
             store.push(t);
         }
         store
+    }
+
+    /// Pin [`run`](Self::run)'s fan-out decision (tests only): every
+    /// step fanned over `threads` workers, or every step serial.
+    #[cfg(test)]
+    pub(crate) fn force_fanout(mut self, fanned: bool) -> Self {
+        self.force_fanout = Some(fanned);
+        self
     }
 
     /// Append one tuple: intern its hops and write them straight into
@@ -777,6 +835,19 @@ impl CompiledTuples {
         self.buckets.iter().map(|b| b.slots() - b.clean_k).sum()
     }
 
+    /// Tuples one (column, phase) step visits — the work the fan-out
+    /// decision ([`step_fans_out`]) is taken on: the slots of every
+    /// bucket long enough to reach column `x` (one longer for a
+    /// forwarding pass, which needs a downstream hop), or with
+    /// `dirty_only` just their dirty suffixes.
+    pub fn step_visits(&self, x: usize, phase: CountPhase, dirty_only: bool) -> usize {
+        self.buckets
+            .iter()
+            .skip(shortest_counted(x, phase))
+            .map(|b| b.slots() - if dirty_only { b.clean_k } else { 0 })
+            .sum()
+    }
+
     /// Mark everything currently stored as covered by the seal that just
     /// completed: subsequent `dirty_only` counting passes skip it, and
     /// the current present set becomes the clean-prefix reference.
@@ -878,13 +949,7 @@ impl CompiledTuples {
         delta: &mut DeltaStore,
     ) -> bool {
         let mut touched = false;
-        // A forwarding pass needs a downstream hop: buckets of exactly
-        // length x can never satisfy it (Cond2 on or off).
-        let lo = match phase {
-            CountPhase::Tagging => x,
-            CountPhase::Forwarding => x + 1,
-        };
-        for blen in lo..self.buckets.len() {
+        for blen in shortest_counted(x, phase)..self.buckets.len() {
             let b = &self.buckets[blen];
             let nk = b.slots();
             if nk == 0 {
@@ -928,11 +993,7 @@ impl CompiledTuples {
         delta: &mut DeltaStore,
     ) -> bool {
         let mut touched = false;
-        let lo = match phase {
-            CountPhase::Tagging => x,
-            CountPhase::Forwarding => x + 1,
-        };
-        for blen in lo..self.buckets.len() {
+        for blen in shortest_counted(x, phase)..self.buckets.len() {
             let b = &self.buckets[blen];
             if b.slots() == 0 {
                 continue;
@@ -1081,22 +1142,18 @@ impl CompiledTuples {
         self.prepare();
         let mut counters = DenseCounterStore::zeroed(n_ids);
         let mut preds = PhasePredicates::empty(n_ids);
-        // Same small-work guard as the reference engine's parallel_count:
-        // below ~1k tuples, spawn+join costs more than the counting.
-        let n_workers = if config.threads <= 1 || self.len() < 1_024 {
-            1
-        } else {
-            config.threads
-        };
-        let mut deltas: Vec<DeltaStore> =
-            (0..n_workers).map(|_| DeltaStore::zeroed(n_ids)).collect();
+        // `config.threads` is an upper bound: each step fans out only if
+        // its own visits make the spawn+join round worth paying (see
+        // `step_fans_out`), so worker deltas beyond the first exist only
+        // once some step did.
+        let mut deltas = vec![DeltaStore::zeroed(n_ids)];
         let mut deepest_active = 0;
         for x in 1..=deepest {
             self.compute_clean(&preds, x, config.enforce_cond1, false);
             let mut col_active = false;
             for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
                 let mut any = false;
-                if n_workers == 1 {
+                if !self.fans_out(x, phase, config.threads) {
                     any = self.count_worker(
                         &preds,
                         x,
@@ -1107,6 +1164,10 @@ impl CompiledTuples {
                         &mut deltas[0],
                     );
                 } else {
+                    let n_workers = config.threads;
+                    if deltas.len() < n_workers {
+                        deltas.resize_with(n_workers, || DeltaStore::zeroed(n_ids));
+                    }
                     let this = &*self;
                     let preds_ref = &preds;
                     std::thread::scope(|s| {
@@ -1147,6 +1208,17 @@ impl CompiledTuples {
             thresholds: th,
             deepest_active_index: deepest_active,
         }
+    }
+
+    /// [`step_fans_out`] applied to one step of [`run`](Self::run).
+    fn fans_out(&self, x: usize, phase: CountPhase, threads: usize) -> bool {
+        #[cfg(test)]
+        {
+            if let Some(forced) = self.force_fanout {
+                return forced && threads > 1;
+            }
+        }
+        step_fans_out(self.step_visits(x, phase, false), threads)
     }
 
     /// Convert a dense counter column back to the map-based
@@ -1396,6 +1468,45 @@ mod tests {
         store.count_phase_dense(&preds, 1, CountPhase::Tagging, true, false, &mut delta);
         let total: u64 = delta.iter().map(|(_, c)| c.t + c.s).sum();
         assert_eq!(total, 75);
+    }
+
+    #[test]
+    fn step_visits_follow_the_active_buckets() {
+        // Lengths 1, 2, 2, 4: column x reaches the buckets >= x, and a
+        // forwarding pass (downstream hop needed) those >= x + 1.
+        let tuples = vec![
+            tup(&[1], &[]),
+            tup(&[1, 2], &[]),
+            tup(&[3, 2], &[]),
+            tup(&[1, 2, 3, 4], &[]),
+        ];
+        let mut store = CompiledTuples::from_tuples(&tuples);
+        let visits = |s: &CompiledTuples, dirty| {
+            [1, 2, 3, 4, 5].map(|x| {
+                (
+                    s.step_visits(x, CountPhase::Tagging, dirty),
+                    s.step_visits(x, CountPhase::Forwarding, dirty),
+                )
+            })
+        };
+        let full = [(4, 3), (3, 1), (1, 1), (1, 0), (0, 0)];
+        assert_eq!(visits(&store, false), full);
+        assert_eq!(visits(&store, true), full, "nothing sealed yet");
+        store.commit_clean();
+        store.push(&tup(&[5, 6, 7, 8], &[]));
+        assert_eq!(
+            visits(&store, true),
+            [(1, 1), (1, 1), (1, 1), (1, 0), (0, 0)]
+        );
+        assert_eq!(store.step_visits(1, CountPhase::Tagging, false), 5);
+    }
+
+    #[test]
+    fn fan_out_is_decided_by_visits_and_bounded_by_workers() {
+        assert!(step_fans_out(FANOUT_MIN_VISITS, 2));
+        assert!(!step_fans_out(FANOUT_MIN_VISITS - 1, 8));
+        assert!(!step_fans_out(usize::MAX, 1));
+        assert!(!step_fans_out(usize::MAX, 0));
     }
 
     #[test]

@@ -31,7 +31,10 @@ use std::collections::HashMap;
 pub struct InferenceConfig {
     /// Threshold set (default: 99% everywhere, as in the paper).
     pub thresholds: Thresholds,
-    /// Worker threads for the counting phases.
+    /// Worker threads for the counting phases — an upper bound. A
+    /// (column, phase) step fans out over them only when the tuples it
+    /// visits reach [`FANOUT_MIN_VISITS`](crate::compiled::FANOUT_MIN_VISITS);
+    /// smaller steps count on the calling thread.
     pub threads: usize,
     /// Optional cap on the deepest path index to process; `None` runs to
     /// the longest path. (The paper observes counting dies out around
@@ -436,7 +439,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        // Enough tuples to cross the parallel-dispatch threshold.
+        // No test world reaches a step the fan-out policy would split,
+        // so the parallel side pins every step fanned.
         let mut tuples = Vec::new();
         for i in 0..2_000u32 {
             let peer = 10 + (i % 7);
@@ -451,7 +455,9 @@ mod tests {
             threads: 8,
             ..Default::default()
         };
-        let parallel = InferenceEngine::new(cfg).run(&tuples);
+        let parallel = CompiledTuples::from_tuples(&tuples)
+            .force_fanout(true)
+            .run(&cfg);
         let a: Vec<_> = serial.classes();
         let b: Vec<_> = parallel.classes();
         assert_eq!(a, b);

@@ -189,11 +189,14 @@ mod proptests {
         /// byte-identical to the reference `count_tuple_at` path
         /// (`run_reference`) — classes, raw counters, and the deepest
         /// active index — across random worlds, thread counts,
-        /// `max_index` caps, and both ablation switches.
+        /// `max_index` caps, both ablation switches, and both branches
+        /// of the fan-out decision (worlds this small never reach a
+        /// fanned step on their own, so the branch is pinned).
         #[test]
         fn compiled_engine_matches_reference(
             seed in 0u64..400,
             threads in 1usize..8,
+            fanned in any::<bool>(),
             max_index in (0usize..11).prop_map(|v| v.checked_sub(1)),
             enforce_cond1 in any::<bool>(),
             enforce_cond2 in any::<bool>(),
@@ -206,13 +209,15 @@ mod proptests {
                 enforce_cond2,
                 ..Default::default()
             };
-            let compiled = InferenceEngine::new(cfg.clone()).run(&tuples);
+            let compiled = CompiledTuples::from_tuples(&tuples)
+                .force_fanout(fanned)
+                .run(&cfg);
             let reference = InferenceEngine::new(cfg).run_reference(&tuples);
             assert_outcome_identical(
                 &compiled,
                 &reference,
-                &format!("seed={seed} threads={threads} max_index={max_index:?} \
-                          c1={enforce_cond1} c2={enforce_cond2}"),
+                &format!("seed={seed} threads={threads} fanned={fanned} \
+                          max_index={max_index:?} c1={enforce_cond1} c2={enforce_cond2}"),
             );
         }
 
@@ -234,15 +239,16 @@ mod proptests {
             }
         }
 
-        /// Thread count never changes results.
+        /// Neither the thread count nor who counts a step changes
+        /// results: every step serial vs every step fanned out over
+        /// `threads` workers.
         #[test]
         fn thread_invariance(seed in 0u64..200, threads in 1usize..8) {
             let tuples = planted_world(seed, 1500);
-            let a = InferenceEngine::new(
-                InferenceConfig { threads: 1, ..Default::default() }).run(&tuples);
-            let b = InferenceEngine::new(
-                InferenceConfig { threads, ..Default::default() }).run(&tuples);
-            prop_assert_eq!(a.classes(), b.classes());
+            let cfg = InferenceConfig { threads, ..Default::default() };
+            let serial = CompiledTuples::from_tuples(&tuples).force_fanout(false).run(&cfg);
+            let fanned = CompiledTuples::from_tuples(&tuples).force_fanout(true).run(&cfg);
+            assert_outcome_identical(&serial, &fanned, &format!("seed={seed} threads={threads}"));
         }
 
         /// Counters are monotone in input: adding tuples never removes

@@ -17,7 +17,11 @@ use std::time::Instant;
 /// Configuration of a streaming inference run.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Worker shards (1 = serial coordinator-thread counting).
+    /// Worker shards: how tuples are partitioned, and an upper bound on
+    /// the threads that count a seal. A (column, phase) step fans out
+    /// over them only when the tuples it visits reach
+    /// `bgp_infer::compiled::FANOUT_MIN_VISITS`; smaller steps — every
+    /// step of a small-delta seal — count on the sealing thread.
     pub shards: usize,
     /// When to seal epochs.
     pub epoch: EpochPolicy,
@@ -181,6 +185,13 @@ impl StreamPipeline {
         self.shards.last_replay()
     }
 
+    /// `(fanned, total)` (column, phase) steps of the last epoch recount
+    /// — how many were counted on per-shard worker threads (`(0, 0)`
+    /// before any seal or after an O(1) re-seal).
+    pub fn last_fanout(&self) -> (usize, usize) {
+        self.shards.last_fanout()
+    }
+
     /// Sealed snapshots so far. Snapshots are reference-counted so a
     /// serving layer can retain and publish them ([`Arc::clone`] is a
     /// pointer copy) while ingestion keeps running.
@@ -292,8 +303,8 @@ impl StreamPipeline {
         self.perm_len = n;
     }
 
-    /// Force-seal the running epoch: recount everything stored (phases
-    /// shard-parallel, cached steps replayed where valid), classify over
+    /// Force-seal the running epoch: recount everything stored (cached
+    /// steps replayed where valid, large steps shard-parallel), classify over
     /// the dense columns, and diff against the previous snapshot by
     /// interned id. When nothing was stored since the previous seal the
     /// new snapshot shares its predecessor's dense state wholesale —
@@ -327,7 +338,6 @@ impl StreamPipeline {
                 self.cfg.max_index,
                 self.cfg.enforce_cond1,
                 self.cfg.enforce_cond2,
-                self.cfg.shards > 1,
             );
             let count_nanos = t_count.elapsed().as_nanos() as u64;
             self.recount_hist.record(count_nanos);
@@ -387,6 +397,7 @@ impl StreamPipeline {
         }
         snapshot.seal_nanos = t_seal.elapsed().as_nanos() as u64;
         let (replayed, total) = self.shards.last_replay();
+        let (fanned, steps) = self.shards.last_fanout();
         let kind = if zero_delta {
             "zero_delta"
         } else if replayed > 0 {
@@ -405,7 +416,7 @@ impl StreamPipeline {
             "seal",
             snapshot.seal_nanos,
             format!(
-                "epoch={epoch} kind={kind} events={} tuples={} replayed={replayed}/{total} count_nanos={}",
+                "epoch={epoch} kind={kind} events={} tuples={} replayed={replayed}/{total} fanned={fanned}/{steps} count_nanos={}",
                 snapshot.events, snapshot.unique_tuples, snapshot.count_nanos
             ),
         );
@@ -439,6 +450,7 @@ impl StreamPipeline {
                     ("tuples", snapshot.unique_tuples as u64),
                     ("replayed", replayed as u64),
                     ("total_steps", total as u64),
+                    ("fanned_steps", fanned as u64),
                     ("kind", kind_idx as u64),
                 ],
             );
@@ -593,6 +605,59 @@ mod tests {
         assert_eq!(out.total_events, 0);
         assert_eq!(out.snapshots.len(), 1);
         assert!(out.outcome.counters.is_empty());
+    }
+
+    #[test]
+    fn small_delta_seal_on_a_large_store_does_not_fan_out() {
+        // The fan-out decision is a pure function of each step's visits,
+        // so this regression test has no timing in it: a 2,000-event
+        // epoch on a 50,000-tuple store must not spawn a single counting
+        // thread (sized by the store, every step of it would).
+        let event = |i: u32| {
+            let (peer, mid) = (10 + i % 13, 1_000 + i % 997);
+            let tuple = if i.is_multiple_of(10) {
+                tag_tuple(
+                    &[peer, mid, 5_000 + i % 89, 7_000 + i % 97, 100_000 + i],
+                    &[peer],
+                )
+            } else {
+                tag_tuple(&[peer, mid, 100_000 + i], &[peer, mid])
+            };
+            StreamEvent::new(u64::from(i), tuple)
+        };
+        let delta_seal = |force: Option<bool>| {
+            let trace = Arc::new(TraceStore::new(4));
+            let mut pipe = StreamPipeline::new(StreamConfig {
+                shards: 2,
+                epoch: EpochPolicy::manual(),
+                trace: Some(Arc::clone(&trace)),
+                ..Default::default()
+            });
+            pipe.push_batch((0..50_000).map(event));
+            pipe.seal_epoch();
+            assert_eq!(pipe.stored_tuples(), 50_000);
+            pipe.shards.force_fanout = force;
+            pipe.push_batch((50_000..52_000).map(event));
+            pipe.seal_epoch();
+            let seal_row = trace
+                .get(1)
+                .and_then(|t| t.stages.into_iter().find(|s| s.stage == "seal"))
+                .expect("epoch 1 has a seal row");
+            let traced = seal_row
+                .counters
+                .iter()
+                .find(|(k, _)| k == "fanned_steps")
+                .map(|&(_, v)| v);
+            (pipe.last_fanout(), pipe.last_replay(), traced)
+        };
+        let steps = 2 * 5; // two phases per column, longest path 5
+        let (fanout, replay, traced) = delta_seal(None);
+        assert_eq!(fanout, (0, steps));
+        assert_eq!(traced, Some(0));
+        let (forced, forced_replay, forced_traced) = delta_seal(Some(true));
+        assert_eq!(forced, (steps, steps));
+        assert_eq!(forced_traced, Some(steps as u64));
+        assert_eq!(replay, forced_replay, "who counts cannot move what replays");
     }
 
     #[test]

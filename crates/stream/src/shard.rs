@@ -46,9 +46,26 @@
 //! identical for every shard count and cache state, and identical to the
 //! batch engine's reference path, pinned by `tests/stream_parity.rs`
 //! across epochs, shard counts, and incremental on/off.
+//!
+//! ## When counting fans out
+//!
+//! The shard count is an upper bound on the threads that count a seal,
+//! not a promise to use them. Each (column, phase) step asks
+//! [`step_fans_out`] — the one policy the batch engine's thread fan-out
+//! shares — about the tuples it is about to visit, summed over shards:
+//! the dirty suffix of a shard that replays its cached step, the whole
+//! buckets of one that recounts. Only a step that reaches
+//! [`FANOUT_MIN_VISITS`](bgp_infer::compiled::FANOUT_MIN_VISITS) spawns
+//! one scoped thread per shard; every smaller step counts the shards in
+//! turn on the sealing thread. (A guard on the store's size would make
+//! every seal of a 2,000-event epoch pay `2 × max_path_len` spawn+join
+//! rounds to count a few hundred tuples.) Who counts never changes what
+//! is counted — a shard's delta is the same pure function either way —
+//! so counters, replay decisions, trajectories and caches are identical
+//! on both branches; [`ShardSet::last_fanout`] reports which one ran.
 
 use bgp_infer::compiled::{
-    CompiledTuples, DeltaStore, DenseCounterStore, IdBitSet, PhasePredicates,
+    step_fans_out, CompiledTuples, DeltaStore, DenseCounterStore, IdBitSet, PhasePredicates,
 };
 use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::engine::CountPhase;
@@ -93,43 +110,26 @@ impl CachedStep {
     }
 
     /// Fold a fresh dirty-suffix delta into the cache (the suffix becomes
-    /// part of the clean prefix at the next seal).
-    fn absorb(&mut self, delta: &DeltaStore) {
+    /// part of the clean prefix at the next seal): a sorted merge into
+    /// `scratch`, which then trades places with the entries — the
+    /// shard-owned buffer keeps a replayed step allocation-free.
+    fn absorb(&mut self, delta: &DeltaStore, scratch: &mut Vec<(AsnId, AsCounters)>) {
         if delta.is_empty() {
             return;
         }
-        let add: Vec<(AsnId, AsCounters)> = delta.iter().collect();
-        let mut merged = Vec::with_capacity(self.entries.len() + add.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() || j < add.len() {
-            match (self.entries.get(i), add.get(j)) {
-                (Some(&(ia, ca)), Some(&(ib, cb))) => {
-                    if ia < ib {
-                        merged.push((ia, ca));
-                        i += 1;
-                    } else if ib < ia {
-                        merged.push((ib, cb));
-                        j += 1;
-                    } else {
-                        let mut c = ca;
-                        c.accumulate(&cb);
-                        merged.push((ia, c));
-                        i += 1;
-                        j += 1;
-                    }
-                }
-                (Some(&(ia, ca)), None) => {
-                    merged.push((ia, ca));
-                    i += 1;
-                }
-                (None, Some(&(ib, cb))) => {
-                    merged.push((ib, cb));
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
+        scratch.clear();
+        let mut old = self.entries.iter().copied().peekable();
+        for (id, mut c) in delta.iter() {
+            while let Some(e) = old.next_if(|&(oid, _)| oid < id) {
+                scratch.push(e);
             }
+            if let Some((_, prev)) = old.next_if(|&(oid, _)| oid == id) {
+                c.accumulate(&prev);
+            }
+            scratch.push((id, c));
         }
-        self.entries = merged;
+        scratch.extend(old);
+        std::mem::swap(&mut self.entries, scratch);
     }
 }
 
@@ -150,6 +150,8 @@ struct Shard {
     delta: DeltaStore,
     /// `cache[x-1][phase]` — previous seal's step deltas.
     cache: Vec<[CachedStep; 2]>,
+    /// Reused merge buffer of [`CachedStep::absorb`].
+    absorb_scratch: Vec<(AsnId, AsCounters)>,
 }
 
 impl Shard {
@@ -159,6 +161,7 @@ impl Shard {
             compiled: CompiledTuples::with_shared(interner),
             delta: DeltaStore::default(),
             cache: Vec::new(),
+            absorb_scratch: Vec::new(),
         }
     }
 
@@ -211,6 +214,13 @@ pub struct ShardSet {
     /// `(replayed, total)` (shard, step) counting units of the last
     /// recount — incremental-seal observability.
     last_replay: (usize, usize),
+    /// `(fanned, total)` (column, phase) steps of the last recount —
+    /// how many were counted on per-shard worker threads.
+    last_fanout: (usize, usize),
+    /// Test-only override of the fan-out policy: `Some(true)` fans every
+    /// step out (one thread per shard), `Some(false)` none.
+    #[cfg(test)]
+    pub(crate) force_fanout: Option<bool>,
     /// Per-phase stage histograms (`[tagging, forwarding]`), resolved
     /// once from the global registry so the recount loop records with
     /// pure atomics: one observation per (shard, column, phase) count
@@ -259,6 +269,9 @@ impl ShardSet {
             sealed_once: false,
             trajectory: Vec::new(),
             last_replay: (0, 0),
+            last_fanout: (0, 0),
+            #[cfg(test)]
+            force_fanout: None,
             hist_count,
             hist_merge,
             count_nanos: AtomicU64::new(0),
@@ -272,10 +285,20 @@ impl ShardSet {
         self.last_replay
     }
 
-    /// Reset the replay stats (the pipeline's O(1) re-seal fast path
-    /// skips the recount entirely, so no counting units ran).
+    /// `(fanned, total)` (column, phase) steps of the last recount — how
+    /// many of the seal's steps paid a spawn+join round (see *When
+    /// counting fans out* in the module docs). A trickle seal reads
+    /// `0/total`.
+    pub fn last_fanout(&self) -> (usize, usize) {
+        self.last_fanout
+    }
+
+    /// Reset the per-recount stats: at the start of every recount, and
+    /// by the pipeline's O(1) re-seal fast path, which skips the recount
+    /// entirely (no counting units ran).
     pub(crate) fn clear_replay_stats(&mut self) {
         self.last_replay = (0, 0);
+        self.last_fanout = (0, 0);
         self.count_nanos.store(0, Ordering::Relaxed);
         self.merge_nanos.store(0, Ordering::Relaxed);
     }
@@ -367,19 +390,32 @@ impl ShardSet {
         self.sealed_once && self.dirty_tuples() == 0
     }
 
+    /// [`step_fans_out`] applied to one step of a recount: `visits` is
+    /// what the shards will visit between them, one worker per shard.
+    fn fans_out(&self, visits: usize) -> bool {
+        #[cfg(test)]
+        {
+            if let Some(forced) = self.force_fanout {
+                return forced && self.shards.len() > 1;
+            }
+        }
+        step_fans_out(visits, self.shards.len())
+    }
+
     /// Full recount over everything currently stored: the exact column
     /// loop of the batch engine (tagging phase, merge, forwarding phase,
-    /// merge, next column), phases counted shard-parallel, with
-    /// cached-step reuse where the incremental invariants hold. Returns
-    /// the final dense counters over the shared id space and the deepest
-    /// column where anything counted.
+    /// merge, next column), each step counted per shard — on worker
+    /// threads when the step is large enough (see *When counting fans
+    /// out* in the module docs) — with cached-step reuse where the
+    /// incremental invariants hold. Returns the final dense counters
+    /// over the shared id space and the deepest column where anything
+    /// counted.
     pub fn recount(
         &mut self,
         th: &Thresholds,
         max_index: Option<usize>,
         enforce_cond1: bool,
         enforce_cond2: bool,
-        parallel: bool,
     ) -> (DenseCounterStore, usize) {
         let n_ids = self.interner.len();
         let max_len = self.max_path_len();
@@ -414,16 +450,10 @@ impl ShardSet {
                 overlay.push(id);
             }
         };
-        // Same small-work guard as the batch engine's fan-out: below
-        // this, spawn+join costs more than the counting itself (hit hard
-        // by fine-grained epoch policies like every_events(1)).
-        let parallel = parallel && self.shards.len() > 1 && self.unique >= 1_024;
         let mut deepest_active = 0;
         let mut reuse = vec![false; self.shards.len()];
         let mut clean_full = vec![false; self.shards.len()];
-        self.last_replay = (0, 0);
-        self.count_nanos.store(0, Ordering::Relaxed);
-        self.merge_nanos.store(0, Ordering::Relaxed);
+        self.clear_replay_stats();
         for x in 1..=deepest {
             let mut col_active = false;
             for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
@@ -471,6 +501,18 @@ impl ShardSet {
                 }
                 self.last_replay.0 += reuse.iter().filter(|&&r| r).count();
                 self.last_replay.1 += reuse.len();
+                // Who counts is decided per step, on the tuples the
+                // shards will visit between them: dirty suffixes where a
+                // cached step replays, whole buckets where it recounts.
+                let visits = self
+                    .shards
+                    .iter()
+                    .zip(&reuse)
+                    .map(|(s, &replay)| s.compiled.step_visits(x, phase, replay))
+                    .sum();
+                let fanned = self.fans_out(visits);
+                self.last_fanout.0 += fanned as usize;
+                self.last_fanout.1 += 1;
                 // Counting: each shard fills its private delta — only the
                 // dirty suffix when its cached step will be replayed.
                 // The Cond1 `clean` words are computed at the tagging
@@ -502,7 +544,7 @@ impl ShardSet {
                     count_hist.record(nanos);
                     count_acc.fetch_add(nanos, Ordering::Relaxed);
                 };
-                if parallel {
+                if fanned {
                     std::thread::scope(|scope| {
                         let handles: Vec<_> = self
                             .shards
@@ -544,7 +586,7 @@ impl ShardSet {
                             for id in s.delta.touched() {
                                 grow_overlay(&mut overlay, &mut overlay_set, id);
                             }
-                            s.cache[x - 1][pi].absorb(&s.delta);
+                            s.cache[x - 1][pi].absorb(&s.delta, &mut s.absorb_scratch);
                         }
                     } else if direct_mode {
                         if !s.delta.is_empty() {
@@ -663,14 +705,61 @@ mod tests {
                 for t in tuples.clone() {
                     set.push(t);
                 }
-                let (counters, deepest) =
-                    set.recount(&batch.thresholds, None, true, true, shards > 1);
+                let (counters, deepest) = set.recount(&batch.thresholds, None, true, true);
                 assert_eq!(deepest, batch.deepest_active_index, "{shards} shards");
                 let mut got: Vec<(Asn, AsCounters)> = sparse(&set, &counters).iter().collect();
                 let mut want: Vec<(Asn, AsCounters)> = batch.counters.iter().collect();
                 got.sort_by_key(|&(a, _)| a);
                 want.sort_by_key(|&(a, _)| a);
                 assert_eq!(got, want, "{shards} shards diverged from batch");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_cannot_change_a_recount() {
+        // No test corpus reaches a step the policy would fan out, so pin
+        // it both ways and compare everything a recount produces or
+        // decides, over three seals: a first seal (nothing cached), a
+        // fully replayed seal with a dirty suffix, and a seal whose
+        // delta drops AS 99 below the tagger threshold — the shards
+        // whose clean prefix holds 99 recount, the rest keep replaying.
+        let th = Thresholds::default();
+        let mut base = corpus();
+        let second = base.split_off(300);
+        base.extend((0..3).map(|i| tup(&[99, 500 + i, 20_000 + i], &[99])));
+        let flip: Vec<_> = (0..3)
+            .map(|i| tup(&[99, 600 + i, 30_000 + i], &[]))
+            .collect();
+        for shards in [1usize, 2, 4, 7] {
+            let mut serial = ShardSet::new(shards, false, true);
+            serial.force_fanout = Some(false);
+            let mut fanned = ShardSet::new(shards, false, true);
+            fanned.force_fanout = Some(true);
+            for (seal, batch) in [&base, &second, &flip].into_iter().enumerate() {
+                let ctx = format!("{shards} shards, seal {seal}");
+                for t in batch {
+                    serial.push(t.clone());
+                    fanned.push(t.clone());
+                }
+                let (a, a_deepest) = serial.recount(&th, None, true, true);
+                let (b, b_deepest) = fanned.recount(&th, None, true, true);
+                assert_eq!(a.counts(), b.counts(), "{ctx}: counters");
+                assert_eq!(a_deepest, b_deepest, "{ctx}: deepest active index");
+                assert_eq!(serial.last_replay(), fanned.last_replay(), "{ctx}: replay");
+                let (replayed, units) = serial.last_replay();
+                match seal {
+                    0 => assert_eq!(replayed, 0, "{ctx}"),
+                    1 => assert_eq!(replayed, units, "{ctx}"),
+                    _ => assert!(
+                        0 < replayed && replayed < units,
+                        "{ctx}: {replayed}/{units}"
+                    ),
+                }
+                let steps = units / shards;
+                assert_eq!(serial.last_fanout(), (0, steps), "{ctx}");
+                let want = if shards > 1 { steps } else { 0 };
+                assert_eq!(fanned.last_fanout(), (want, steps), "{ctx}");
             }
         }
     }
@@ -687,17 +776,17 @@ mod tests {
         for t in first.iter().cloned() {
             warm.push(t);
         }
-        warm.recount(&th, None, true, true, false);
+        warm.recount(&th, None, true, true);
         for t in rest.iter().cloned() {
             warm.push(t);
         }
-        let (inc, inc_deepest) = warm.recount(&th, None, true, true, false);
+        let (inc, inc_deepest) = warm.recount(&th, None, true, true);
 
         let mut cold = ShardSet::new(3, false, false);
         for t in tuples.iter().cloned() {
             cold.push(t);
         }
-        let (full, full_deepest) = cold.recount(&th, None, true, true, false);
+        let (full, full_deepest) = cold.recount(&th, None, true, true);
 
         assert_eq!(inc_deepest, full_deepest);
         let mut got: Vec<(Asn, AsCounters)> = sparse(&warm, &inc).iter().collect();
@@ -715,10 +804,10 @@ mod tests {
         }
         assert!(!set.unchanged_since_seal(), "never sealed yet");
         let th = Thresholds::default();
-        let (a, da) = set.recount(&th, None, true, true, false);
+        let (a, da) = set.recount(&th, None, true, true);
         assert!(set.unchanged_since_seal());
         // A recount with zero dirty tuples replays every step.
-        let (b, db) = set.recount(&th, None, true, true, false);
+        let (b, db) = set.recount(&th, None, true, true);
         assert_eq!(da, db);
         assert_eq!(a.counts(), b.counts());
         // A dedup hit adds no tuple, so the set stays unchanged.
