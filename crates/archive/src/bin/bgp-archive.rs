@@ -201,9 +201,10 @@ fn run_compact(dir: PathBuf, keep: u64) -> Result<ExitCode> {
 }
 
 fn parse_and_run(args: &[String]) -> std::result::Result<Result<ExitCode>, String> {
-    let Some(command) = args.first() else {
+    if args.is_empty() || args.iter().any(|a| a == "-h" || a == "--help") {
         return Err(String::new());
-    };
+    }
+    let command = args[0].as_str();
     let mut dir: Option<PathBuf> = None;
     let mut epoch: Option<u64> = None;
     let mut keep: u64 = 16;
@@ -218,7 +219,6 @@ fn parse_and_run(args: &[String]) -> std::result::Result<Result<ExitCode>, Strin
                 let v = it.next().ok_or("missing value for --keep")?;
                 keep = v.parse().map_err(|e| format!("bad --keep: {e}"))?;
             }
-            "-h" | "--help" => return Err(String::new()),
             other if other.starts_with('-') => return Err(format!("unknown option {other}")),
             path => {
                 if dir.replace(PathBuf::from(path)).is_some() {
@@ -228,7 +228,7 @@ fn parse_and_run(args: &[String]) -> std::result::Result<Result<ExitCode>, Strin
         }
     }
     let dir = dir.ok_or("no archive directory given")?;
-    match command.as_str() {
+    match command {
         "inspect" => Ok(inspect(dir, epoch)),
         "verify" => Ok(verify(dir)),
         "classes" => Ok(classes(dir, epoch)),

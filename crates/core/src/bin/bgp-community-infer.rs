@@ -10,7 +10,9 @@
 //! OPTIONS:
 //!   -t, --threshold <0.5..=1.0>   classification threshold (default 0.99)
 //!   -o, --output <FILE>           write the inference db here (default stdout)
-//!   -j, --threads <N>             counting threads (default: cores)
+//!   -j, --threads <N>             upper bound on counting threads (default:
+//!                                 cores); a step fans out only past ~1M visited
+//!                                 tuples, which no ledger-size input reaches
 //!       --row-based               use the Listing-2 baseline (comparison only)
 //!       --reference               use the uncompiled Listing-1 reference engine
 //!                                 (oracle/debug; the default compiled engine is
@@ -77,7 +79,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--row-based" => opts.row_based = true,
             "--reference" => opts.reference = true,
             "--summary" => opts.summary = true,
-            "-h" | "--help" => return Err(usage().to_string()),
+            "-h" | "--help" => return Err(String::new()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown option {other:?}\n{}", usage()));
             }
@@ -154,6 +156,10 @@ fn main() -> ExitCode {
     let opts = match parse_args(&args) {
         Ok(o) => o,
         Err(msg) => {
+            if msg.is_empty() {
+                eprintln!("{}", usage());
+                return ExitCode::SUCCESS;
+            }
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }

@@ -411,12 +411,6 @@ impl DenseCounterStore {
         &self.counts[id as usize]
     }
 
-    /// Mutable counters of one interned AS.
-    #[inline]
-    pub fn get_mut(&mut self, id: AsnId) -> &mut AsCounters {
-        &mut self.counts[id as usize]
-    }
-
     /// Number of id slots (zeroed slots included).
     pub fn len(&self) -> usize {
         self.counts.len()
@@ -436,16 +430,6 @@ impl DenseCounterStore {
     /// as an `Arc`'d slice).
     pub fn into_counts(self) -> Vec<AsCounters> {
         self.counts
-    }
-
-    /// Slice-add a same-size dense store (bench comparisons; the engine
-    /// itself merges sparse-touched deltas via
-    /// [`merge_update`](DenseCounterStore::merge_update)).
-    pub fn merge(&mut self, delta: &DenseCounterStore) {
-        debug_assert_eq!(self.counts.len(), delta.counts.len());
-        for (e, d) in self.counts.iter_mut().zip(&delta.counts) {
-            e.accumulate(d);
-        }
     }
 
     /// Refresh the predicate bit of `id` that `phase`'s increments can
@@ -485,23 +469,6 @@ impl DenseCounterStore {
         phase: CountPhase,
     ) {
         for (id, d) in delta.iter() {
-            let e = &mut self.counts[id as usize];
-            e.accumulate(&d);
-            Self::refresh_predicate(e, id, preds, th, phase);
-        }
-    }
-
-    /// Merge a sparse `(id, counters)` slice — the stream layer's cached
-    /// epoch deltas — with the same predicate maintenance as
-    /// [`merge_update`](DenseCounterStore::merge_update).
-    pub fn merge_sparse_update(
-        &mut self,
-        entries: &[(AsnId, AsCounters)],
-        preds: &mut PhasePredicates,
-        th: &Thresholds,
-        phase: CountPhase,
-    ) {
-        for &(id, d) in entries {
             let e = &mut self.counts[id as usize];
             e.accumulate(&d);
             Self::refresh_predicate(e, id, preds, th, phase);
@@ -1224,7 +1191,7 @@ impl CompiledTuples {
     /// Convert a dense counter column back to the map-based
     /// [`CounterStore`], keeping exactly the ASes that received at least
     /// one increment — the reference engine's key set.
-    pub fn sparse_counters(&self, dense: &DenseCounterStore) -> CounterStore {
+    fn sparse_counters(&self, dense: &DenseCounterStore) -> CounterStore {
         let counted = dense.counts().iter().filter(|c| !c.is_zero()).count();
         let mut store = CounterStore::with_capacity(counted);
         for (id, c) in dense.counts().iter().enumerate() {

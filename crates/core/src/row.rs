@@ -7,8 +7,8 @@
 //! upstream of it forwarded; if not, I cleaned).
 //!
 //! The paper keeps this as the motivating straw man: it is cheaper but
-//! susceptible to hidden behavior and noise — the ablation benchmark and
-//! the comparison tests quantify exactly that.
+//! susceptible to hidden behavior and noise — the ablation and
+//! comparison tests quantify exactly that.
 
 use crate::counters::{CounterStore, Thresholds};
 use crate::engine::InferenceOutcome;
