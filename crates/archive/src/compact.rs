@@ -1,6 +1,7 @@
 //! Manifest-driven compaction: merge aged segments and slim them down.
 //!
-//! The writer appends one segment per epoch, which is ideal for commit
+//! The writer appends one segment per epoch (per run of epochs, when the
+//! sink works off a backlog), which is ideal for commit
 //! latency and terrible for a month-old archive: thousands of files,
 //! each repeating a full counter column. Compaction rewrites every
 //! segment wholly outside the retention window into a single merged

@@ -26,6 +26,9 @@
 //! * [`writer`] — appending: segment first, manifest second, and an
 //!   [`ArchiveSink`](writer::ArchiveSink) background thread so the
 //!   ingest hot path pays one `Arc` clone per epoch, never a disk wait.
+//!   The sink group-commits: epochs that queued up while a commit was in
+//!   flight go out as one segment under one manifest write, so a slow
+//!   disk costs a backlog its `fsync`s once per run, not once per epoch.
 //! * [`compact`] — merge aged segments, dropping counter columns and
 //!   flip chunks outside the retention window.
 //!

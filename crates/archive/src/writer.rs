@@ -10,12 +10,21 @@
 //! [`ArchiveSink`] wraps a writer in a background thread fed by a
 //! bounded queue of `Arc<EpochSnapshot>`s, so the publishing path pays
 //! one `Arc` clone and one mutex push per epoch — a slow disk backs up
-//! the sink's queue, never the feed. The sink is *supervised*, not
+//! the sink's queue, never the feed. The sink **group-commits**: each
+//! turn it takes the head of the queue *and the consecutive epochs
+//! already waiting behind it* (at most `GROUP_COMMIT_EPOCHS`) and
+//! appends them as one segment under one manifest commit. A sink that
+//! keeps up therefore writes one segment per epoch, exactly as the
+//! synchronous writer does; one that falls behind pays the disk's four
+//! `fsync`s once per run instead of once per epoch, so how long a feed
+//! takes to become durable follows the feed, not the latency of the
+//! disk under it. The sink is *supervised*, not
 //! sticky: a failed append is retried with exponential backoff and a
 //! writer reopen between attempts (so orphan adoption repairs a
 //! segment-committed/manifest-failed split), and only after the retry
 //! budget is exhausted is the epoch dropped — loudly, with a journal
-//! event and a counter, never silently. A dropped epoch leaves a chain
+//! event and a counter, never silently. A run is retried and dropped
+//! as the unit it is committed as. A dropped epoch leaves a chain
 //! gap, so subsequent epochs are fast-dropped until a restart backfill
 //! (which replays the feed from epoch 0 and dedups) heals the archive.
 //!
@@ -39,7 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Synchronous epoch appender. One segment file per appended epoch;
+/// Synchronous epoch appender. One segment file per append — one epoch
+/// ([`append_epoch`](ArchiveWriter::append_epoch)) or a run of them
+/// ([`append_epochs`](ArchiveWriter::append_epochs));
 /// `compact` (see [`crate::compact`]) later merges old ones.
 #[derive(Debug)]
 pub struct ArchiveWriter {
@@ -59,8 +70,8 @@ pub struct ArchiveWriter {
     /// timeline each epoch persists as a Trace frame). `None` keeps the
     /// writer trace-free.
     trace: Option<Arc<TraceStore>>,
-    /// `(epoch, attempts)` of the most recent append, so a sink retry
-    /// re-records the archive stage with a bumped attempt count.
+    /// `(last epoch, attempts)` of the most recent append, so a sink
+    /// retry re-records the archive stage with a bumped attempt count.
     last_attempt: (u64, u64),
 }
 
@@ -148,83 +159,118 @@ impl ArchiveWriter {
     /// writer must not duplicate epochs it already holds). The epoch
     /// must otherwise chain directly onto the committed range.
     pub fn append_epoch(&mut self, snap: &EpochSnapshot, stats: &SegmentStats) -> Result<bool> {
-        match self.manifest.last_epoch() {
-            Some(last) if snap.epoch <= last => return Ok(false),
-            Some(last) if snap.epoch != last + 1 => {
+        Ok(self.append_epochs(&[(snap, stats)])? == 1)
+    }
+
+    /// Append a run of consecutive sealed epochs as **one** segment and
+    /// one manifest commit, so a run of any length costs the durable
+    /// writes of a single epoch (group commit; the sink uses it to work
+    /// off a backlog). Leading epochs the archive already holds are
+    /// skipped, as in [`append_epoch`](ArchiveWriter::append_epoch); the
+    /// rest must chain directly onto the committed range and onto each
+    /// other. Returns how many epochs were committed — all of the rest or,
+    /// on an error, none.
+    pub fn append_epochs(&mut self, run: &[(&EpochSnapshot, &SegmentStats)]) -> Result<usize> {
+        let committed = self.manifest.last_epoch();
+        let held = run
+            .iter()
+            .take_while(|(snap, _)| committed.is_some_and(|last| snap.epoch <= last))
+            .count();
+        let run = &run[held..];
+        let Some(&(first, _)) = run.first() else {
+            return Ok(0);
+        };
+        match committed {
+            Some(last) if first.epoch != last + 1 => {
                 return Err(corrupt(format!(
                     "epoch {} does not chain onto committed epoch {last}",
-                    snap.epoch
+                    first.epoch
                 )))
             }
-            None if snap.epoch != 0 => {
+            None if first.epoch != 0 => {
                 return Err(corrupt(format!(
                     "epoch {} appended to an empty archive (expected 0)",
-                    snap.epoch
+                    first.epoch
                 )))
             }
             _ => {}
         }
-        let dense = snap.dense.as_ref().ok_or_else(|| {
-            corrupt(format!(
-                "epoch {} was compacted before archiving",
-                snap.epoch
-            ))
-        })?;
-
-        // The seal-time interner length is pinned by the counter column:
-        // ids >= counters.len() were interned after this seal and belong
-        // to a later epoch's delta.
-        let seal_len = u32::try_from(dense.counters.len()).expect("interner fits u32");
-        if seal_len < self.interner_written {
-            return Err(corrupt(format!(
-                "epoch {} interner length {seal_len} below already-written {}",
-                snap.epoch, self.interner_written
-            )));
-        }
-        let delta: Vec<Asn> = dense
-            .interner
-            .range(self.interner_written, seal_len)
-            .map(|(_, asn)| asn)
-            .collect();
-
-        let meta = EpochMeta {
-            epoch: snap.epoch,
-            sealed_at: snap.sealed_at,
-            events: snap.events,
-            total_events: snap.total_events,
-            unique_tuples: snap.unique_tuples as u64,
-            seal_nanos: snap.seal_nanos,
-            count_nanos: snap.count_nanos,
-            deepest_active_index: dense.deepest_active_index as u64,
-            thresholds: dense.thresholds,
-        };
-        // Close the epoch's provenance timeline: the archive stage spans
-        // from the end of the last pipeline stage to this commit attempt,
-        // and a retry replaces the row with a bumped attempt count — so
-        // the persisted frame always equals what the store serves live.
-        let trace = if let Some(store) = self.trace.clone() {
-            let attempts = if self.last_attempt.0 == snap.epoch {
-                self.last_attempt.1 + 1
-            } else {
-                1
-            };
-            self.last_attempt = (snap.epoch, attempts);
-            store.record_since_last(snap.epoch, "archive", &[("attempt", attempts)]);
-            store.get(snap.epoch)
+        let last_epoch = first.epoch + run.len() as u64 - 1;
+        // A retry of the same run re-records each epoch's archive stage
+        // with a bumped attempt count.
+        let attempts = if self.last_attempt.0 == last_epoch {
+            self.last_attempt.1 + 1
         } else {
-            None
+            1
         };
+
         let mut builder = SegmentBuilder::new();
-        builder.push_epoch(&EpochFrames {
-            meta,
-            interner_base: self.interner_written,
-            interner_delta: &delta,
-            counters: Some(&dense.counters),
-            classes: &snap.classes,
-            flips: Some(&snap.flips),
-            stats,
-            trace: trace.as_ref(),
-        });
+        let mut interner_written = self.interner_written;
+        for (i, &(snap, stats)) in run.iter().enumerate() {
+            if snap.epoch != first.epoch + i as u64 {
+                return Err(corrupt(format!(
+                    "epoch {} does not chain onto epoch {} of the same append",
+                    snap.epoch,
+                    first.epoch + i as u64 - 1
+                )));
+            }
+            let dense = snap.dense.as_ref().ok_or_else(|| {
+                corrupt(format!(
+                    "epoch {} was compacted before archiving",
+                    snap.epoch
+                ))
+            })?;
+
+            // The seal-time interner length is pinned by the counter column:
+            // ids >= counters.len() were interned after this seal and belong
+            // to a later epoch's delta.
+            let seal_len = u32::try_from(dense.counters.len()).expect("interner fits u32");
+            if seal_len < interner_written {
+                return Err(corrupt(format!(
+                    "epoch {} interner length {seal_len} below already-written {interner_written}",
+                    snap.epoch
+                )));
+            }
+            let delta: Vec<Asn> = dense
+                .interner
+                .range(interner_written, seal_len)
+                .map(|(_, asn)| asn)
+                .collect();
+
+            let meta = EpochMeta {
+                epoch: snap.epoch,
+                sealed_at: snap.sealed_at,
+                events: snap.events,
+                total_events: snap.total_events,
+                unique_tuples: snap.unique_tuples as u64,
+                seal_nanos: snap.seal_nanos,
+                count_nanos: snap.count_nanos,
+                deepest_active_index: dense.deepest_active_index as u64,
+                thresholds: dense.thresholds,
+            };
+            // Close the epoch's provenance timeline: the archive stage spans
+            // from the end of the last pipeline stage to this commit attempt,
+            // and a retry replaces the row with a bumped attempt count — so
+            // the persisted frame always equals what the store serves live.
+            let trace = self.trace.as_ref().and_then(|store| {
+                store.record_since_last(snap.epoch, "archive", &[("attempt", attempts)]);
+                store.get(snap.epoch)
+            });
+            builder.push_epoch(&EpochFrames {
+                meta,
+                interner_base: interner_written,
+                interner_delta: &delta,
+                counters: Some(&dense.counters),
+                classes: &snap.classes,
+                flips: Some(&snap.flips),
+                stats,
+                trace: trace.as_ref(),
+            });
+            interner_written = seal_len;
+        }
+        if self.trace.is_some() {
+            self.last_attempt = (last_epoch, attempts);
+        }
         let (bytes, checksum) = builder.finish();
 
         let file = segment_file_name(self.manifest.next_seq());
@@ -235,8 +281,8 @@ impl ArchiveWriter {
         let mut next = self.manifest.clone();
         next.entries.push(ManifestEntry {
             file,
-            first_epoch: snap.epoch,
-            last_epoch: snap.epoch,
+            first_epoch: first.epoch,
+            last_epoch,
             bytes: bytes.len() as u64,
             checksum,
         });
@@ -244,10 +290,10 @@ impl ArchiveWriter {
         self.io
             .write_atomic(&self.dir, MANIFEST_FILE, next.render().as_bytes())?;
         self.manifest = next;
-        self.interner_written = seal_len;
+        self.interner_written = interner_written;
         self.segments_appended.inc();
         self.bytes_written.add(bytes.len() as u64);
-        Ok(true)
+        Ok(run.len())
     }
 }
 
@@ -359,9 +405,12 @@ impl std::fmt::Display for SinkError {
 
 impl std::error::Error for SinkError {}
 
+/// One submitted epoch.
+type Queued = (Arc<EpochSnapshot>, SegmentStats);
+
 #[derive(Debug)]
 struct SinkQueue {
-    queue: VecDeque<(Arc<EpochSnapshot>, SegmentStats)>,
+    queue: VecDeque<Queued>,
     closed: bool,
 }
 
@@ -455,7 +504,7 @@ impl ArchiveSink {
         let reg = obs::global();
         let append_hist = reg.histogram(
             "bgp_archive_append_duration_seconds",
-            "Wall time of one epoch append (segment + manifest commit)",
+            "Wall time of one sink append (segment + manifest commit; an epoch or a queued run)",
             &[],
         );
         let journal = Arc::clone(reg.journal());
@@ -477,27 +526,22 @@ impl ArchiveSink {
                     let mut guard = lock
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let item = loop {
-                        if let Some(item) = guard.queue.pop_front() {
-                            break Some(item);
-                        }
-                        if guard.closed {
-                            break None;
-                        }
+                    while guard.queue.is_empty() && !guard.closed {
                         guard = cvar
                             .wait(guard)
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    };
+                    }
+                    let run = take_run(&mut guard.queue);
                     drop(guard);
-                    let Some((snap, stats)) = item else {
-                        break;
-                    };
-                    op += 1;
+                    if run.is_empty() {
+                        break; // closed and drained
+                    }
+                    op += run.len() as u64;
+                    let label = run_label(&run);
                     let t_append = Instant::now();
                     let outcome = append_supervised(
                         &mut writer,
-                        &snap,
-                        &stats,
+                        &run,
                         &cfg,
                         &thread_shared,
                         &thread_status,
@@ -505,39 +549,34 @@ impl ArchiveSink {
                     );
                     let nanos = t_append.elapsed().as_nanos() as u64;
                     append_hist.record(nanos);
-                    journal.push(
-                        JournalKind::Span,
-                        "archive_append",
-                        nanos,
-                        format!("epoch={}", snap.epoch),
-                    );
-                    thread_shared.queue_depth.add(-1);
+                    journal.push(JournalKind::Span, "archive_append", nanos, label.clone());
+                    thread_shared.queue_depth.add(-(run.len() as i64));
                     match outcome {
-                        Appended::Committed => {
-                            report.written += 1;
-                            thread_status.committed.fetch_add(1, Ordering::AcqRel);
+                        // Dedup: the archive already held the whole run.
+                        Appended::Committed(0) => {}
+                        Appended::Committed(epochs) => {
+                            report.written += epochs;
+                            thread_status.committed.fetch_add(epochs, Ordering::AcqRel);
                             thread_status.last_commit_op.store(op, Ordering::Release);
                             if !thread_status.in_drop_state() {
                                 thread_shared.failed.set(0);
                             }
                         }
-                        Appended::AlreadyCommitted => {}
-                        Appended::Dropped(e) => {
-                            report.dropped += 1;
-                            thread_status.dropped.fetch_add(1, Ordering::AcqRel);
+                        Appended::Dropped(epochs, e) => {
+                            report.dropped += epochs;
+                            thread_status.dropped.fetch_add(epochs, Ordering::AcqRel);
                             thread_status.last_drop_op.store(op, Ordering::Release);
-                            thread_shared.dropped_total.inc();
+                            thread_shared.dropped_total.add(epochs);
                             thread_shared.failed.set(1);
                             journal.push(
                                 JournalKind::Log,
                                 "archive_drop",
                                 0,
-                                format!("epoch={} error={e}", snap.epoch),
+                                format!("{label} error={e}"),
                             );
                             obs::error!(
                                 "archive",
-                                "sink dropped epoch {} after exhausting retries: {e}",
-                                snap.epoch
+                                "sink dropped {label} after exhausting retries: {e}"
                             );
                             *thread_shared
                                 .error
@@ -645,37 +684,78 @@ impl ArchiveSink {
     }
 }
 
-enum Appended {
-    /// The epoch is durably on disk (fresh commit, or adopted as an
-    /// orphan during a retry reopen).
-    Committed,
-    /// Dedup: the archive already held the epoch before this append.
-    AlreadyCommitted,
-    /// Retry budget exhausted (or unrecoverable chain gap).
-    Dropped(ArchiveError),
+/// Most epochs one group commit folds into a segment: enough that a
+/// backlog costs a sixteenth of the durable writes, small enough that
+/// reading one epoch back never decodes more than a few megabytes.
+const GROUP_COMMIT_EPOCHS: usize = 16;
+
+/// Pop the next group commit off the queue: the head and whatever
+/// consecutive epochs are already waiting behind it. A sink that keeps up
+/// finds one epoch and commits it as before; one that has fallen behind a
+/// slow disk finds several and pays that disk once for all of them, so the
+/// backlog shrinks instead of growing. A restart backfill re-submits from
+/// epoch 0, which ends the run it lands behind.
+fn take_run(queue: &mut VecDeque<Queued>) -> Vec<Queued> {
+    let mut run: Vec<Queued> = Vec::new();
+    while run.len() < GROUP_COMMIT_EPOCHS {
+        let chains = match (run.last(), queue.front()) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some((prev, _)), Some((next, _))) => next.epoch == prev.epoch + 1,
+        };
+        if !chains {
+            break;
+        }
+        run.extend(queue.pop_front());
+    }
+    run
 }
 
-/// One epoch through the retry/backoff/reopen cycle.
+/// `epoch=N` or `epochs=N..=M`: what the journal calls a run.
+fn run_label(run: &[Queued]) -> String {
+    match run {
+        [(only, _)] => format!("epoch={}", only.epoch),
+        [(first, _), .., (last, _)] => format!("epochs={}..={}", first.epoch, last.epoch),
+        [] => String::new(),
+    }
+}
+
+enum Appended {
+    /// This many epochs of the run became durable through this sink
+    /// (fresh commit, or adopted as an orphan during a retry reopen); the
+    /// archive held the others before the append.
+    Committed(u64),
+    /// Retry budget exhausted (or unrecoverable chain gap): this many
+    /// epochs are lost.
+    Dropped(u64, ArchiveError),
+}
+
+/// One run through the retry/backoff/reopen cycle.
 fn append_supervised(
     writer: &mut ArchiveWriter,
-    snap: &EpochSnapshot,
-    stats: &SegmentStats,
+    run: &[Queued],
     cfg: &SinkConfig,
     shared: &SinkShared,
     status: &SinkStatus,
     journal: &obs::Journal,
 ) -> Appended {
-    match writer.append_epoch(snap, stats) {
-        Ok(true) => Appended::Committed,
-        Ok(false) => Appended::AlreadyCommitted,
+    let borrowed: Vec<(&EpochSnapshot, &SegmentStats)> =
+        run.iter().map(|(snap, stats)| (&**snap, stats)).collect();
+    // What the archive does not hold yet is what this append commits or
+    // loses, however many attempts it takes.
+    let fresh = fresh_of(writer, run).len() as u64;
+    match writer.append_epochs(&borrowed) {
+        Ok(_) => Appended::Committed(fresh),
         Err(first) => {
             // A chain gap is permanent until a restart backfill: no
             // amount of retrying lets epoch N+2 append over a missing
             // N+1. Fast-drop instead of burning the retry budget.
-            if is_chain_gap(writer, snap) {
-                return Appended::Dropped(first);
+            if is_chain_gap(writer, run) {
+                return Appended::Dropped(fresh, first);
             }
+            let label = run_label(run);
             let mut last_err = first;
+            let mut committed = false;
             status.retrying.store(true, Ordering::Release);
             shared.retrying_gauge.set(1);
             for attempt in 1..=cfg.max_retries {
@@ -684,33 +764,26 @@ fn append_supervised(
                     JournalKind::Log,
                     "archive_retry",
                     backoff.as_nanos() as u64,
-                    format!("epoch={} attempt={attempt} error={last_err}", snap.epoch),
+                    format!("{label} attempt={attempt} error={last_err}"),
                 );
                 shared.retries_total.inc();
                 status.retries.fetch_add(1, Ordering::AcqRel);
                 std::thread::sleep(backoff);
                 // Reopen re-runs recovery: if the segment committed but
                 // the manifest write failed, the orphan is adopted and
-                // the retry below dedups to AlreadyCommitted.
+                // the retry below finds the run already held — durable,
+                // so it counts as written.
                 if let Err(e) = writer.reopen() {
                     last_err = e;
                     continue;
                 }
-                match writer.append_epoch(snap, stats) {
-                    Ok(true) => {
-                        status.retrying.store(false, Ordering::Release);
-                        shared.retrying_gauge.set(0);
-                        return Appended::Committed;
-                    }
-                    Ok(false) => {
-                        status.retrying.store(false, Ordering::Release);
-                        shared.retrying_gauge.set(0);
-                        // The reopen adopted this epoch's orphan: it is
-                        // durable, so it counts as written.
-                        return Appended::Committed;
+                match writer.append_epochs(&borrowed) {
+                    Ok(_) => {
+                        committed = true;
+                        break;
                     }
                     Err(e) => {
-                        if is_chain_gap(writer, snap) {
+                        if is_chain_gap(writer, run) {
                             break;
                         }
                         last_err = e;
@@ -719,18 +792,32 @@ fn append_supervised(
             }
             status.retrying.store(false, Ordering::Release);
             shared.retrying_gauge.set(0);
-            Appended::Dropped(last_err)
+            if committed {
+                Appended::Committed(fresh)
+            } else {
+                Appended::Dropped(fresh, last_err)
+            }
         }
     }
 }
 
-/// Whether `snap` can never chain onto the writer's committed range
-/// (an earlier epoch was dropped, leaving a permanent gap).
-fn is_chain_gap(writer: &ArchiveWriter, snap: &EpochSnapshot) -> bool {
-    match writer.last_epoch() {
-        Some(last) => snap.epoch > last + 1,
-        None => snap.epoch != 0,
-    }
+/// The epochs of `run` the archive does not hold yet: all but a leading
+/// stretch, since a run ascends.
+fn fresh_of<'a>(writer: &ArchiveWriter, run: &'a [Queued]) -> &'a [Queued] {
+    let held = run
+        .iter()
+        .take_while(|(snap, _)| writer.last_epoch().is_some_and(|last| snap.epoch <= last))
+        .count();
+    &run[held..]
+}
+
+/// Whether `run` can never chain onto the writer's committed range (an
+/// earlier epoch was dropped, leaving a permanent gap).
+fn is_chain_gap(writer: &ArchiveWriter, run: &[Queued]) -> bool {
+    let expected = writer.last_epoch().map_or(0, |last| last + 1);
+    fresh_of(writer, run)
+        .first()
+        .is_some_and(|(next, _)| next.epoch != expected)
 }
 
 /// Exponential backoff for the `attempt`-th retry (1-based), capped.

@@ -325,3 +325,210 @@ fn sink_archives_off_thread_and_reports_counts() {
     assert!(archive.verify().is_ok());
     fs::remove_dir_all(&dir).unwrap();
 }
+
+fn run_of(snaps: &[Arc<EpochSnapshot>]) -> Vec<(&EpochSnapshot, &SegmentStats)> {
+    static STATS: std::sync::OnceLock<SegmentStats> = std::sync::OnceLock::new();
+    let stats = STATS.get_or_init(SegmentStats::default);
+    snaps.iter().map(|snap| (&**snap, stats)).collect()
+}
+
+/// Every epoch of `dir`, decoded, as text (`ArchivedEpoch` has no `Eq`).
+fn epochs_as_text(dir: &Path) -> Vec<String> {
+    let archive = Archive::open(dir).unwrap();
+    assert!(archive.verify().is_ok());
+    archive
+        .read_all(DecodeFilter::all())
+        .unwrap()
+        .iter()
+        .map(|ep| format!("{ep:?}"))
+        .collect()
+}
+
+fn epoch_ranges(dir: &Path) -> Vec<(u64, u64)> {
+    let manifest = Manifest::load(dir).unwrap();
+    manifest
+        .entries
+        .iter()
+        .map(|e| (e.first_epoch, e.last_epoch))
+        .collect()
+}
+
+#[test]
+fn a_run_is_one_segment_holding_what_single_appends_hold() {
+    let out = build_world(8, 16);
+    let snaps = &out.snapshots[..8];
+    let single = tmp_dir("run-single");
+    archive_outcome(&single, &out);
+
+    // Two runs, the second overlapping the first: the held epochs are
+    // skipped, the rest land in one segment under one manifest entry.
+    let grouped = tmp_dir("run-grouped");
+    let mut writer = ArchiveWriter::open(&grouped).unwrap();
+    assert_eq!(writer.append_epochs(&run_of(&snaps[..5])).unwrap(), 5);
+    assert_eq!(writer.append_epochs(&run_of(&snaps[3..])).unwrap(), 3);
+    assert_eq!(epoch_ranges(&grouped), [(0, 4), (5, 7)]);
+    assert_eq!(
+        epochs_as_text(&grouped)[..],
+        epochs_as_text(&single)[..8],
+        "a grouped epoch decodes to what the same epoch appended alone does"
+    );
+
+    // Nothing new: no write at all.
+    let before = dir_snapshot(&grouped);
+    assert_eq!(writer.append_epochs(&run_of(&snaps[2..6])).unwrap(), 0);
+    assert_eq!(writer.append_epochs(&[]).unwrap(), 0);
+    assert!(!writer
+        .append_epoch(&snaps[7], &SegmentStats::default())
+        .unwrap());
+    assert_eq!(dir_snapshot(&grouped), before);
+    fs::remove_dir_all(&single).unwrap();
+    fs::remove_dir_all(&grouped).unwrap();
+}
+
+#[test]
+fn a_run_that_does_not_chain_writes_nothing() {
+    let out = build_world(4, 16);
+    let snaps = &out.snapshots;
+    let dir = tmp_dir("run-gap");
+    let mut writer = ArchiveWriter::open(&dir).unwrap();
+
+    let err = writer.append_epochs(&run_of(&snaps[1..3])).unwrap_err();
+    assert!(err.to_string().contains("expected 0"), "{err}");
+    let holed = [Arc::clone(&snaps[0]), Arc::clone(&snaps[2])];
+    let err = writer.append_epochs(&run_of(&holed)).unwrap_err();
+    assert!(err.to_string().contains("of the same append"), "{err}");
+    assert!(dir_snapshot(&dir).is_empty(), "a rejected run left files");
+
+    assert_eq!(writer.append_epochs(&run_of(&snaps[..2])).unwrap(), 2);
+    let err = writer.append_epochs(&run_of(&snaps[3..])).unwrap_err();
+    assert!(err.to_string().contains("does not chain"), "{err}");
+    assert_eq!(epoch_ranges(&dir), [(0, 1)]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A disk whose first write blocks until the test lets it through, so
+/// what queues up behind it is the test's to decide; it dies after
+/// `writes_left` writes.
+#[derive(Debug)]
+struct GatedIo {
+    entered: std::sync::mpsc::Sender<()>,
+    release: Option<std::sync::mpsc::Receiver<()>>,
+    writes_left: usize,
+}
+
+impl IoShim for GatedIo {
+    fn write_atomic(&mut self, dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
+        if let Some(release) = self.release.take() {
+            self.entered.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        if self.writes_left == 0 {
+            return Err(std::io::Error::other("dead disk").into());
+        }
+        self.writes_left -= 1;
+        RealIo.write_atomic(dir, name, bytes)
+    }
+}
+
+/// A sink on a gated disk, with epoch 0 already submitted and its write
+/// held; `open()` lets the disk go.
+fn gated_sink(
+    dir: &Path,
+    first: &Arc<EpochSnapshot>,
+    writes_left: usize,
+) -> (ArchiveSink, impl FnOnce()) {
+    let (entered, has_entered) = std::sync::mpsc::channel();
+    let (open, release) = std::sync::mpsc::channel();
+    let io = GatedIo {
+        entered,
+        release: Some(release),
+        writes_left,
+    };
+    let writer = ArchiveWriter::open_with_io(dir, Box::new(io)).unwrap();
+    let sink = ArchiveSink::spawn_with(
+        writer,
+        SinkConfig {
+            max_retries: 2,
+            backoff_base: std::time::Duration::from_millis(1),
+            ..Default::default()
+        },
+    );
+    sink.submit(Arc::clone(first), SegmentStats::default());
+    has_entered.recv().unwrap();
+    (sink, move || open.send(()).unwrap())
+}
+
+#[test]
+fn sink_commits_a_backlog_in_runs() {
+    let out = build_world(20, 16);
+    let snaps = &out.snapshots[..20];
+    let single = tmp_dir("backlog-single");
+    archive_outcome(&single, &out);
+
+    // Epoch 0 is on its way to a disk that does not answer; the other 19
+    // pile up behind it.
+    let dir = tmp_dir("backlog");
+    let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
+    for snap in &snaps[1..] {
+        sink.submit(Arc::clone(snap), SegmentStats::default());
+    }
+    open();
+    let (writer, report) = sink.finish().unwrap();
+    assert_eq!((report.written, report.dropped, report.retries), (20, 0, 0));
+    assert_eq!(writer.last_epoch(), Some(19));
+
+    // The backlog cost three commits, not twenty: the epoch in flight, a
+    // full run, and the rest.
+    assert_eq!(epoch_ranges(&dir), [(0, 0), (1, 16), (17, 19)]);
+    assert_eq!(epochs_as_text(&dir)[..], epochs_as_text(&single)[..20]);
+    fs::remove_dir_all(&single).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_restart_backfill_ends_the_run_it_lands_behind() {
+    let out = build_world(6, 16);
+    let snaps = &out.snapshots[..6];
+    let dir = tmp_dir("backfill-run");
+    let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
+    // 1..=3 queue up, then a respawned driver replays the feed from 0.
+    for snap in snaps[1..4].iter().chain(snaps) {
+        sink.submit(Arc::clone(snap), SegmentStats::default());
+    }
+    open();
+    let (_, report) = sink.finish().unwrap();
+    assert_eq!((report.written, report.dropped, report.retries), (6, 0, 0));
+    assert_eq!(epoch_ranges(&dir), [(0, 0), (1, 3), (4, 5)]);
+    assert!(Archive::open(&dir).unwrap().verify().is_ok());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_run_is_retried_and_dropped_as_one() {
+    let out = build_world(8, 16);
+    let snaps = &out.snapshots[..8];
+    let dir = tmp_dir("drop-run");
+    // The disk takes epoch 0 (segment + manifest) and then dies.
+    let (sink, open) = gated_sink(&dir, &snaps[0], 2);
+    for snap in &snaps[1..5] {
+        sink.submit(Arc::clone(snap), SegmentStats::default());
+    }
+    open();
+    let status = sink.status();
+    while status.dropped() == 0 {
+        std::thread::yield_now();
+    }
+    // 1..=4 went down together after one retry budget; what follows no
+    // longer chains and is dropped without one.
+    assert_eq!((status.dropped(), status.retries()), (4, 2));
+    for snap in &snaps[5..] {
+        sink.submit(Arc::clone(snap), SegmentStats::default());
+    }
+    let err = sink.finish().unwrap_err();
+    assert_eq!(
+        (err.report.written, err.report.dropped, err.report.retries),
+        (1, 7, 2)
+    );
+    assert_eq!(epoch_ranges(&dir), [(0, 0)]);
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -96,11 +96,16 @@ fn run(opts: &Options) -> Result<(), String> {
     let mut set = TupleSet::new();
     for input in &opts.inputs {
         let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-        let (tuples, raw) = bgp_mrt_extract(&bytes).map_err(|e| format!("{input}: {e}"))?;
-        eprintln!("{input}: {raw} entries, {} usable tuples", tuples.len());
-        for t in tuples {
-            set.insert(t);
+        let mut stream = bgp_mrt::TupleStream::new(&bytes);
+        for item in &mut stream {
+            let (_, tuple) = item.map_err(|e| format!("{input}: {e}"))?;
+            set.insert(tuple);
         }
+        eprintln!(
+            "{input}: {} entries, {} usable tuples",
+            stream.raw_entries(),
+            stream.kept()
+        );
     }
     eprintln!(
         "total: {} entries ingested, {} unique (path, comm) tuples",
@@ -144,11 +149,6 @@ fn run(opts: &Options) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-// Thin alias so the binary body reads clean.
-fn bgp_mrt_extract(bytes: &[u8]) -> bgp_mrt::Result<(Vec<PathCommTuple>, u64)> {
-    bgp_mrt::extract_tuples(bytes)
 }
 
 fn main() -> ExitCode {

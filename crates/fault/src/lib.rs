@@ -20,7 +20,11 @@
 //!   [`IoShim`](bgp_archive::manifest::IoShim) as [`FaultyIo`]:
 //!   `fail` (write errors without touching disk), `torn` (half the
 //!   segment bytes land, then the write errors — the classic
-//!   power-cut), `slow` (the write succeeds after a delay).
+//!   power-cut), `slow` (the write succeeds after a delay). An
+//!   operation is one durable write (a segment or a manifest). The sink
+//!   commits epochs that queued up behind a write as one run — two
+//!   writes, not two per epoch — so which epoch the N-th write belongs
+//!   to depends on how far the sink had fallen behind.
 //! * **feed** — wrapped around any
 //!   [`TupleSource`](bgp_stream::ingest::TupleSource) as
 //!   [`FaultSource`]: `corrupt` (a malformed AS0-path event is

@@ -31,9 +31,9 @@ pub const FLAG_TRANSITIVE: u8 = 0x40;
 pub const FLAG_EXTENDED: u8 = 0x10;
 
 /// AS_PATH segment type: AS_SET.
-const SEG_AS_SET: u8 = 1;
+pub(crate) const SEG_AS_SET: u8 = 1;
 /// AS_PATH segment type: AS_SEQUENCE.
-const SEG_AS_SEQUENCE: u8 = 2;
+pub(crate) const SEG_AS_SEQUENCE: u8 = 2;
 
 /// Decoded attribute section plus any IPv6 NLRI found in MP_REACH.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -74,8 +74,10 @@ pub fn encode_nlri_prefix(out: &mut Vec<u8>, p: &Prefix) {
     out.extend_from_slice(&bytes[..p.nlri_byte_len()]);
 }
 
-/// Decode one packed NLRI prefix for the given address family.
-pub fn decode_nlri_prefix(c: &mut Cursor<'_>, v6: bool) -> Result<Prefix> {
+/// Frame one packed NLRI prefix: its length in bits, checked against the
+/// family's maximum, and the significant network bytes that follow.
+#[inline]
+pub(crate) fn read_nlri_prefix<'a>(c: &mut Cursor<'a>, v6: bool) -> Result<(u8, &'a [u8])> {
     let len = c.get_u8("nlri prefix length")?;
     let max = if v6 { 128 } else { 32 };
     if len > max {
@@ -84,17 +86,48 @@ pub fn decode_nlri_prefix(c: &mut Cursor<'_>, v6: bool) -> Result<Prefix> {
             detail: format!("/{} exceeds maximum /{max}", len),
         });
     }
-    let nbytes = (len as usize).div_ceil(8);
-    let raw = c.get_bytes(nbytes, "nlri prefix bytes")?;
+    let raw = c.get_bytes((len as usize).div_ceil(8), "nlri prefix bytes")?;
+    Ok((len, raw))
+}
+
+/// Decode one packed NLRI prefix for the given address family.
+pub fn decode_nlri_prefix(c: &mut Cursor<'_>, v6: bool) -> Result<Prefix> {
+    let (len, raw) = read_nlri_prefix(c, v6)?;
     if v6 {
         let mut o = [0u8; 16];
-        o[..nbytes].copy_from_slice(raw);
+        o[..raw.len()].copy_from_slice(raw);
         Ok(Prefix::v6(o, len))
     } else {
         let mut o = [0u8; 4];
-        o[..nbytes].copy_from_slice(raw);
+        o[..raw.len()].copy_from_slice(raw);
         Ok(Prefix::v4(o, len))
     }
+}
+
+/// Frame one attribute: its flags, its type code, and a cursor over
+/// exactly its value (so the value's length is `remaining()`).
+#[inline]
+pub(crate) fn read_attr_header<'a>(c: &mut Cursor<'a>) -> Result<(u8, u8, Cursor<'a>)> {
+    let flags = c.get_u8("attribute flags")?;
+    let type_code = c.get_u8("attribute type")?;
+    let len = if flags & FLAG_EXTENDED != 0 {
+        c.get_u16("attribute extended length")? as usize
+    } else {
+        c.get_u8("attribute length")? as usize
+    };
+    Ok((flags, type_code, c.sub(len, "attribute value")?))
+}
+
+/// Read an MP_REACH_NLRI value up to its NLRI list, leaving `val` on the
+/// first prefix; returns whether those prefixes are IPv6.
+#[inline]
+pub(crate) fn read_mp_reach_header(val: &mut Cursor<'_>) -> Result<bool> {
+    let afi = val.get_u16("mp_reach afi")?;
+    let _safi = val.get_u8("mp_reach safi")?;
+    let nh_len = val.get_u8("mp_reach nexthop length")? as usize;
+    val.get_bytes(nh_len, "mp_reach nexthop")?;
+    val.get_u8("mp_reach reserved")?;
+    Ok(afi == 2)
 }
 
 /// Encode the complete path-attribute section (without the section length
@@ -202,14 +235,8 @@ pub fn decode_attributes(c: &mut Cursor<'_>) -> Result<DecodedAttributes> {
     let mut out = DecodedAttributes::default();
 
     while !c.is_exhausted() {
-        let flags = c.get_u8("attribute flags")?;
-        let type_code = c.get_u8("attribute type")?;
-        let len = if flags & FLAG_EXTENDED != 0 {
-            c.get_u16("attribute extended length")? as usize
-        } else {
-            c.get_u8("attribute length")? as usize
-        };
-        let mut val = c.sub(len, "attribute value")?;
+        let (flags, type_code, mut val) = read_attr_header(c)?;
+        let len = val.remaining();
 
         match type_code {
             ATTR_ORIGIN => {
@@ -279,12 +306,7 @@ pub fn decode_attributes(c: &mut Cursor<'_>) -> Result<DecodedAttributes> {
                 }
             }
             ATTR_MP_REACH_NLRI => {
-                let afi = val.get_u16("mp_reach afi")?;
-                let _safi = val.get_u8("mp_reach safi")?;
-                let nh_len = val.get_u8("mp_reach nexthop length")? as usize;
-                val.get_bytes(nh_len, "mp_reach nexthop")?;
-                val.get_u8("mp_reach reserved")?;
-                let v6 = afi == 2;
+                let v6 = read_mp_reach_header(&mut val)?;
                 while !val.is_exhausted() {
                     out.mp_reach_nlri.push(decode_nlri_prefix(&mut val, v6)?);
                 }

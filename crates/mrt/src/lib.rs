@@ -14,10 +14,25 @@
 //! Design rules (mirroring what production parsers like bgpkit-parser do):
 //!
 //! * decoding never panics on malformed input — every failure is a typed
-//!   [`error::MrtError`];
+//!   [`error::MrtError`] — and never reserves more than the input can hold,
+//!   whatever a count field claims;
 //! * unknown attributes are preserved opaquely so round-trips are lossless;
 //! * the reader is a streaming iterator and maintains PEER_INDEX_TABLE
 //!   state so RIB entries resolve peer ASNs exactly as in real dumps.
+//!
+//! Two readers share that state and the framing code in [`record`] and
+//! [`attributes`]:
+//!
+//! * [`MrtReader`] yields whole owned [`MrtRecord`]s: prefixes, every
+//!   attribute, peer addresses. It is what the encoders round-trip
+//!   through, what registry-filtered ingest and `bgp-collector`'s
+//!   statistics read, and the oracle the other reader is tested against.
+//! * [`TupleStream`] yields the sanitized `(path, comm)` pair inference
+//!   reads and nothing else. It walks BGP4MP_MESSAGE_AS4 and
+//!   RIB_IPV4/IPV6_UNICAST records in place — two exact-size allocations
+//!   a tuple, none for a withdrawal — and hands every other record, and
+//!   every record it cannot prove well-formed, to [`MrtReader`]; see
+//!   [`stream`] for why its output and its errors cannot differ.
 //!
 //! ```
 //! use bgp_mrt::{MrtWriter, extract_tuples};

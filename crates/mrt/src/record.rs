@@ -61,6 +61,7 @@ impl MrtHeader {
     }
 
     /// Decode from a cursor.
+    #[inline]
     pub fn decode(c: &mut Cursor<'_>) -> Result<Self> {
         Ok(MrtHeader {
             timestamp: c.get_u32("mrt timestamp")?,
@@ -181,7 +182,18 @@ pub fn encode_update(msg: &UpdateMessage) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-fn decode_bgp4mp_message_as4(timestamp: u32, body: &mut Cursor<'_>) -> Result<UpdateMessage> {
+/// A `BGP4MP_MESSAGE_AS4` body up to the UPDATE's own fields.
+pub(crate) struct Bgp4mpPrelude<'a> {
+    pub(crate) peer_asn: Asn,
+    pub(crate) peer_ip: &'a [u8],
+    /// The UPDATE message body, past the 19-byte BGP header.
+    pub(crate) update: Cursor<'a>,
+}
+
+/// Read the BGP4MP_MESSAGE_AS4 prelude and the BGP message header it
+/// wraps; only an UPDATE is accepted.
+#[inline]
+pub(crate) fn read_bgp4mp_as4_prelude<'a>(body: &mut Cursor<'a>) -> Result<Bgp4mpPrelude<'a>> {
     let peer_asn = Asn(body.get_u32("peer asn")?);
     let _local_asn = body.get_u32("local asn")?;
     let _ifindex = body.get_u16("interface index")?;
@@ -196,12 +208,12 @@ fn decode_bgp4mp_message_as4(timestamp: u32, body: &mut Cursor<'_>) -> Result<Up
             })
         }
     };
-    let peer_ip = body.get_bytes(ip_len, "peer ip")?.to_vec();
+    let peer_ip = body.get_bytes(ip_len, "peer ip")?;
     body.get_bytes(ip_len, "local ip")?;
 
     // BGP message header.
     let marker = body.get_bytes(16, "bgp marker")?;
-    if marker.iter().any(|&b| b != 0xFF) {
+    if marker != [0xFF; 16] {
         return Err(MrtError::Malformed {
             context: "bgp marker",
             detail: "non-0xFF bytes".into(),
@@ -221,7 +233,19 @@ fn decode_bgp4mp_message_as4(timestamp: u32, body: &mut Cursor<'_>) -> Result<Up
             subtype: msg_type as u16,
         });
     }
-    let mut msg = body.sub(msg_len - 19, "bgp update body")?;
+    Ok(Bgp4mpPrelude {
+        peer_asn,
+        peer_ip,
+        update: body.sub(msg_len - 19, "bgp update body")?,
+    })
+}
+
+fn decode_bgp4mp_message_as4(timestamp: u32, body: &mut Cursor<'_>) -> Result<UpdateMessage> {
+    let Bgp4mpPrelude {
+        peer_asn,
+        peer_ip,
+        update: mut msg,
+    } = read_bgp4mp_as4_prelude(body)?;
 
     let withdrawn_len = msg.get_u16("withdrawn routes length")? as usize;
     let mut wcur = msg.sub(withdrawn_len, "withdrawn routes")?;
@@ -242,7 +266,7 @@ fn decode_bgp4mp_message_as4(timestamp: u32, body: &mut Cursor<'_>) -> Result<Up
 
     Ok(UpdateMessage {
         peer_asn,
-        peer_ip,
+        peer_ip: peer_ip.to_vec(),
         timestamp: timestamp as u64,
         withdrawn,
         announced,
@@ -303,7 +327,9 @@ fn decode_peer_index(body: &mut Cursor<'_>) -> Result<PeerIndexTable> {
         detail: "invalid utf-8".into(),
     })?;
     let count = body.get_u16("peer count")? as usize;
-    let mut peers = Vec::with_capacity(count);
+    // A peer entry is at least 11 bytes: reserve what the body can hold,
+    // not what the count claims.
+    let mut peers = Vec::with_capacity(count.min(body.remaining() / 11));
     for _ in 0..count {
         let peer_type = body.get_u8("peer type")?;
         let bgp_id = body.get_u32("peer bgp id")?;
@@ -379,6 +405,16 @@ pub fn encode_rib_group(g: &RibGroup, timestamp: u32) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Frame one RIB entry: its peer-table index, its originated time, and a
+/// cursor over exactly its attribute section.
+#[inline]
+pub(crate) fn read_rib_entry_header<'a>(body: &mut Cursor<'a>) -> Result<(usize, u32, Cursor<'a>)> {
+    let peer_idx = body.get_u16("rib peer index")? as usize;
+    let originated = body.get_u32("rib originated time")?;
+    let attr_len = body.get_u16("rib attribute length")? as usize;
+    Ok((peer_idx, originated, body.sub(attr_len, "rib attributes")?))
+}
+
 fn decode_rib_group(
     body: &mut Cursor<'_>,
     v6: bool,
@@ -387,12 +423,11 @@ fn decode_rib_group(
     let _sequence = body.get_u32("rib sequence")?;
     let prefix = decode_nlri_prefix(body, v6)?;
     let count = body.get_u16("rib entry count")? as usize;
-    let mut out = Vec::with_capacity(count);
+    // A RIB entry is at least 8 bytes: reserve what the body can hold,
+    // not what the count claims.
+    let mut out = Vec::with_capacity(count.min(body.remaining() / 8));
     for _ in 0..count {
-        let peer_idx = body.get_u16("rib peer index")? as usize;
-        let originated = body.get_u32("rib originated time")?;
-        let attr_len = body.get_u16("rib attribute length")? as usize;
-        let mut acur = body.sub(attr_len, "rib attributes")?;
+        let (peer_idx, originated, mut acur) = read_rib_entry_header(body)?;
         let decoded = decode_attributes(&mut acur)?;
         let (peer_asn, peer_ip) = match peer_table {
             Some(t) => {
@@ -415,13 +450,20 @@ fn decode_rib_group(
     Ok(out)
 }
 
+/// Frame one record: its common header and a cursor over exactly its body.
+#[inline]
+pub(crate) fn read_frame<'a>(c: &mut Cursor<'a>) -> Result<(MrtHeader, Cursor<'a>)> {
+    let header = MrtHeader::decode(c)?;
+    let body = c.sub(header.length as usize, "mrt body")?;
+    Ok((header, body))
+}
+
 /// Decode a single MRT record starting at the cursor.
 ///
 /// `peer_table` must be the most recently seen PEER_INDEX_TABLE when
 /// decoding RIB subtypes (as in a real dump, where it is the first record).
 pub fn decode_record(c: &mut Cursor<'_>, peer_table: Option<&PeerIndexTable>) -> Result<MrtRecord> {
-    let header = MrtHeader::decode(c)?;
-    let mut body = c.sub(header.length as usize, "mrt body")?;
+    let (header, mut body) = read_frame(c)?;
     match (header.mrt_type, header.subtype) {
         (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4) => Ok(MrtRecord::Update(
             decode_bgp4mp_message_as4(header.timestamp, &mut body)?,

@@ -1,4 +1,4 @@
-//! Streaming MRT archive reader/writer.
+//! Streaming MRT archive writer and the two readers.
 //!
 //! [`MrtWriter`] serializes records into an in-memory archive (or any
 //! `Vec<u8>`-backed file image). [`MrtReader`] iterates records back out,
@@ -10,11 +10,57 @@
 //! choose to abort or skip on malformed frames. Resynchronisation after a
 //! corrupt frame is impossible in MRT (lengths chain), matching real-world
 //! tooling.
+//!
+//! # Two readers
+//!
+//! [`MrtReader`] is the full decoder: every record becomes an owned
+//! [`MrtRecord`]. Use it when the record itself is wanted — encoder
+//! round-trips, registry filters that look at prefixes, collector
+//! statistics — and as the reference for the reader below.
+//!
+//! [`TupleStream`] is what inference runs on. The paper's pipeline (§4.1)
+//! reduces an entry to one sanitized `(path, comm)` pair, so for the three
+//! record kinds a collector day consists of — `BGP4MP_MESSAGE_AS4`,
+//! `RIB_IPV4_UNICAST`, `RIB_IPV6_UNICAST` — it advances a cursor over the
+//! record instead of building it: the peer ASN comes from the BGP4MP
+//! prelude or the held peer table; withdrawn routes, NLRI and every
+//! attribute other than AS_PATH, COMMUNITIES and LARGE_COMMUNITIES are
+//! checked and skipped by length (MP_REACH_NLRI only far enough to know
+//! whether it announces a prefix); `AS_SEQUENCE` hops and communities go
+//! into two reused scratch buffers and from there into a tuple of two
+//! exact-size allocations. A withdrawal or a shape-dropped path allocates
+//! nothing.
+//!
+//! The walk has no error path of its own. PEER_INDEX_TABLE, the legacy
+//! subtypes, unsupported types and **any record the walk cannot prove
+//! well-formed** — a length that does not fit, a bad marker, a BGP message
+//! that is not an UPDATE, an over-long prefix, a malformed ORIGIN /
+//! NEXT_HOP / community length / segment type, an attribute value not
+//! consumed exactly, a second AS_PATH (the decoder lets it overwrite the
+//! first), a RIB record before any peer table, a peer index out of range —
+//! rewind to the record's first byte and go through [`MrtReader`]. Every
+//! [`MrtError`](crate::MrtError) therefore comes from the one decoder that
+//! constructs them, and a record stays all-or-nothing: the counters move,
+//! and a RIB group's tuples are released, only when the whole record has
+//! been walked. Both readers frame records with the same helpers
+//! (`read_frame`, `read_bgp4mp_as4_prelude`, `read_rib_entry_header`,
+//! `read_attr_header`, `read_mp_reach_header`, `read_nlri_prefix`), so the
+//! only thing the walk adds is *which attributes are materialised*.
+//! `tests/walk_differential.rs` holds the two to the same items, counters
+//! and terminal error on generated, damaged and hand-built archives;
+//! `tests/alloc_budget.rs` counts the allocations.
 
+use crate::attributes::{
+    read_attr_header, read_mp_reach_header, read_nlri_prefix, ATTR_AS_PATH, ATTR_COMMUNITIES,
+    ATTR_LARGE_COMMUNITIES, ATTR_MP_REACH_NLRI, ATTR_NEXT_HOP, ATTR_ORIGIN, SEG_AS_SEQUENCE,
+    SEG_AS_SET,
+};
 use crate::error::Result;
 use crate::record::{
-    decode_record, encode_peer_index, encode_rib_group, encode_update, MrtRecord, PeerIndexTable,
-    RibGroup,
+    decode_record, encode_peer_index, encode_rib_group, encode_update, read_bgp4mp_as4_prelude,
+    read_frame, read_rib_entry_header, MrtRecord, PeerIndexTable, RibGroup,
+    SUBTYPE_BGP4MP_MESSAGE_AS4, SUBTYPE_RIB_IPV4_UNICAST, SUBTYPE_RIB_IPV6_UNICAST, TYPE_BGP4MP,
+    TYPE_TABLE_DUMP_V2,
 };
 use crate::wire::Cursor;
 use bgp_types::prelude::*;
@@ -131,14 +177,131 @@ impl Iterator for MrtReader<'_> {
     }
 }
 
+/// What the in-place walk keeps of one attribute section: the
+/// `AS_SEQUENCE` hops and the communities, in buffers reused from entry
+/// to entry.
+#[derive(Default)]
+struct Scratch {
+    hops: Vec<Asn>,
+    comms: Vec<AnyCommunity>,
+}
+
+impl Scratch {
+    /// Walk one attribute section, keeping hops and communities and
+    /// checking and skipping everything else. `Some(announces)` says
+    /// whether an MP_REACH_NLRI carried a prefix; `None` means the section
+    /// is not provably what [`decode_attributes`] would accept and turn
+    /// into the same two fields, so the record is the full decoder's.
+    ///
+    /// [`decode_attributes`]: crate::attributes::decode_attributes
+    fn walk_attributes(&mut self, c: &mut Cursor<'_>) -> Option<bool> {
+        self.hops.clear();
+        self.comms.clear();
+        let (mut path_seen, mut announces) = (false, false);
+        while !c.is_exhausted() {
+            let (_flags, type_code, mut val) = read_attr_header(c).ok()?;
+            let len = val.remaining();
+            match type_code {
+                ATTR_ORIGIN => {
+                    Origin::from_code(val.get_u8("origin code").ok()?)?;
+                }
+                ATTR_NEXT_HOP => {
+                    val.get_bytes(4, "next hop").ok()?;
+                }
+                ATTR_AS_PATH => {
+                    // The decoder lets a second AS_PATH overwrite the first.
+                    if std::mem::replace(&mut path_seen, true) {
+                        return None;
+                    }
+                    while !val.is_exhausted() {
+                        let seg_type = val.get_u8("segment type").ok()?;
+                        let count = val.get_u8("segment length").ok()? as usize;
+                        let asns = val.get_bytes(count * 4, "segment asns").ok()?;
+                        match seg_type {
+                            SEG_AS_SEQUENCE => self
+                                .hops
+                                .extend(asns.chunks_exact(4).map(|b| Asn(be_u32(b)))),
+                            SEG_AS_SET => {}
+                            _ => return None,
+                        }
+                    }
+                }
+                ATTR_COMMUNITIES => {
+                    // A second attribute adds to the first, as in the decoder.
+                    if len % 4 != 0 {
+                        return None;
+                    }
+                    let raw = val.get_bytes(len, "communities").ok()?;
+                    self.comms.extend(
+                        raw.chunks_exact(4)
+                            .map(|b| AnyCommunity::Regular(Community(be_u32(b)))),
+                    );
+                }
+                ATTR_LARGE_COMMUNITIES => {
+                    if len % 12 != 0 {
+                        return None;
+                    }
+                    let raw = val.get_bytes(len, "large communities").ok()?;
+                    self.comms.extend(
+                        raw.chunks_exact(12).map(|b| {
+                            AnyCommunity::large(be_u32(b), be_u32(&b[4..]), be_u32(&b[8..]))
+                        }),
+                    );
+                }
+                ATTR_MP_REACH_NLRI => {
+                    let v6 = read_mp_reach_header(&mut val).ok()?;
+                    announces |= skip_nlri(&mut val, v6)?;
+                }
+                _ => continue, // its length fitted; nothing else is checked
+            }
+            if !val.is_exhausted() {
+                return None;
+            }
+        }
+        Some(announces)
+    }
+
+    /// The tuple of the section just walked, as seen from `peer`: the
+    /// shared sanitation rule over the kept hops, and the kept communities
+    /// as a set — one allocation each, sized by what they hold (none for
+    /// an empty set, none at all for a shape-dropped path).
+    fn tuple(&self, peer: Asn) -> Option<PathCommTuple> {
+        let path = AsPath::sanitized(self.hops.iter().copied(), Some(peer))?;
+        let comm = CommunitySet::from_iter(self.comms.iter().copied());
+        Some(PathCommTuple::new(path, comm))
+    }
+}
+
+/// The big-endian `u32` that `b` starts with.
+fn be_u32(b: &[u8]) -> u32 {
+    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// Check and skip packed NLRI prefixes to the end of `c`; whether there
+/// was at least one.
+fn skip_nlri(c: &mut Cursor<'_>, v6: bool) -> Option<bool> {
+    let any = !c.is_exhausted();
+    while !c.is_exhausted() {
+        read_nlri_prefix(c, v6).ok()?;
+    }
+    Some(any)
+}
+
 /// Lazy, record-at-a-time tuple extraction: the streaming counterpart of
 /// [`extract_tuples`]. Yields `(timestamp, tuple)` pairs as records
 /// decode — update messages carry their capture time, RIB entries their
 /// `originated` time — applying the path-shape sanitation (AS_SET
 /// removal, peer prepending, prepend collapse) per entry. Memory stays
 /// bounded by one record regardless of archive size.
+///
+/// Extraction reads two fields of an entry, so the three record kinds a
+/// collector day consists of (see the [module docs](self)) are walked in
+/// place; every other record, and every record the walk cannot prove
+/// well-formed, goes through [`MrtReader`] from its first byte. The items,
+/// the counters and the terminal error are the full decoder's either way.
 pub struct TupleStream<'a> {
     reader: MrtReader<'a>,
+    scratch: Scratch,
     pending: std::collections::VecDeque<(u64, PathCommTuple)>,
     raw_entries: u64,
     kept: u64,
@@ -151,6 +314,7 @@ impl<'a> TupleStream<'a> {
     pub fn new(bytes: &'a [u8]) -> Self {
         TupleStream {
             reader: MrtReader::new(bytes),
+            scratch: Scratch::default(),
             pending: std::collections::VecDeque::new(),
             raw_entries: 0,
             kept: 0,
@@ -176,11 +340,89 @@ impl<'a> TupleStream<'a> {
         self.shape_dropped
     }
 
-    /// Sanitize one decoded announcement and queue its tuple. The record
-    /// is owned, so the path buffer and the community set move into the
-    /// tuple instead of being copied.
+    /// Walk the record under the reader's cursor in place. `None` leaves
+    /// the cursor, the counters and `pending` as they were: the record is
+    /// the full decoder's. `Some` has consumed it; the inner value is an
+    /// update's tuple, yielded directly, while a RIB group's tuples are in
+    /// `pending`.
+    fn walk_record(&mut self) -> Option<Option<(u64, PathCommTuple)>> {
+        let mut c = self.reader.cursor.clone();
+        let (header, mut body) = read_frame(&mut c).ok()?;
+        let direct = match (header.mrt_type, header.subtype) {
+            (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4) => {
+                self.walk_update(header.timestamp, &mut body)?
+            }
+            (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST | SUBTYPE_RIB_IPV6_UNICAST) => {
+                let v6 = header.subtype == SUBTYPE_RIB_IPV6_UNICAST;
+                if self.walk_rib_group(&mut body, v6).is_none() {
+                    self.pending.clear(); // entries ahead of the bad one
+                    return None;
+                }
+                None
+            }
+            _ => return None,
+        };
+        self.reader.cursor = c;
+        Some(direct)
+    }
+
+    /// One BGP4MP_MESSAGE_AS4 body: count the entry and, if it announces
+    /// anything, build its tuple.
+    fn walk_update(
+        &mut self,
+        timestamp: u32,
+        body: &mut Cursor<'_>,
+    ) -> Option<Option<(u64, PathCommTuple)>> {
+        let prelude = read_bgp4mp_as4_prelude(body).ok()?;
+        let mut msg = prelude.update;
+        let withdrawn_len = msg.get_u16("withdrawn routes length").ok()? as usize;
+        skip_nlri(&mut msg.sub(withdrawn_len, "withdrawn routes").ok()?, false)?;
+        let attrs_len = msg.get_u16("attributes length").ok()? as usize;
+        let mp_reach = self
+            .scratch
+            .walk_attributes(&mut msg.sub(attrs_len, "attributes").ok()?)?;
+        let nlri = skip_nlri(&mut msg, false)?;
+
+        self.raw_entries += 1;
+        if !(nlri || mp_reach) {
+            return Some(None); // withdrawals carry no usable (path, comm)
+        }
+        let tuple = self.scratch.tuple(prelude.peer_asn);
+        match &tuple {
+            Some(_) => self.kept += 1,
+            None => self.shape_dropped += 1,
+        }
+        Some(tuple.map(|t| (timestamp as u64, t)))
+    }
+
+    /// One RIB_IPVx_UNICAST body: queue every entry's tuple, and count the
+    /// entries once the whole group has been walked.
+    fn walk_rib_group(&mut self, body: &mut Cursor<'_>, v6: bool) -> Option<()> {
+        // Without a table the decoder resolves every peer to AS0.
+        let table = self.reader.peer_table.as_ref()?;
+        body.get_u32("rib sequence").ok()?;
+        read_nlri_prefix(body, v6).ok()?;
+        let count = body.get_u16("rib entry count").ok()?;
+        for _ in 0..count {
+            let (peer_idx, originated, mut attrs) = read_rib_entry_header(body).ok()?;
+            self.scratch.walk_attributes(&mut attrs)?;
+            let peer = table.peers.get(peer_idx)?.asn;
+            if let Some(tuple) = self.scratch.tuple(peer) {
+                self.pending.push_back((originated as u64, tuple));
+            }
+        }
+        // `next` drains `pending` before it walks, so this group is all of it.
+        let kept = self.pending.len() as u64;
+        self.raw_entries += count as u64;
+        self.kept += kept;
+        self.shape_dropped += count as u64 - kept;
+        Some(())
+    }
+
+    /// Sanitize one fully decoded announcement and queue its tuple: what
+    /// the records the walk hands back go through.
     fn offer(&mut self, timestamp: u64, peer: Asn, attrs: PathAttributes) {
-        match attrs.as_path.into_sanitized(Some(peer)) {
+        match attrs.as_path.sanitize(Some(peer)) {
             Some(path) => {
                 self.kept += 1;
                 self.pending
@@ -201,6 +443,11 @@ impl Iterator for TupleStream<'_> {
             }
             if self.failed {
                 return None;
+            }
+            match self.walk_record() {
+                Some(Some(item)) => return Some(Ok(item)),
+                Some(None) => continue,
+                None => {}
             }
             match self.reader.next()? {
                 Err(e) => {
@@ -235,7 +482,9 @@ impl Iterator for TupleStream<'_> {
 /// This is [`TupleStream`] drained into a vector.
 pub fn extract_tuples(bytes: &[u8]) -> Result<(Vec<PathCommTuple>, u64)> {
     let mut stream = TupleStream::new(bytes);
-    let mut tuples = Vec::new();
+    // A RIB entry with a path and a community is some 40 wire bytes and an
+    // update more, so this is rarely outgrown, and then once.
+    let mut tuples = Vec::with_capacity(bytes.len() / 40);
     for item in &mut stream {
         tuples.push(item?.1);
     }
@@ -372,83 +621,6 @@ mod tests {
         for ((_, s), b) in streamed.iter().zip(&batch) {
             assert_eq!(s, b);
         }
-    }
-
-    #[test]
-    fn tuple_stream_counts_and_tuples_match_borrowing_sanitation() {
-        // RIB entries, announcements and a withdrawal; lone sequences
-        // (the buffer-reusing path), multi-segment and AS_SET paths (the
-        // fallback), a missing peer, prepending, an empty path, and an
-        // AS0 path that sanitation drops.
-        let seq = |hops: &[u32]| PathSegment::Sequence(hops.iter().map(|&v| Asn(v)).collect());
-        let set = |hops: &[u32]| PathSegment::Set(hops.iter().map(|&v| Asn(v)).collect());
-        let raw = |segments: Vec<PathSegment>| RawAsPath { segments };
-        let paths = [
-            raw(vec![seq(&[64500, 64500, 3356])]),
-            raw(vec![seq(&[3356, 174])]), // peer 64500 absent
-            raw(vec![seq(&[64500, 3356]), set(&[7, 8]), seq(&[9])]),
-            raw(vec![seq(&[64500]), seq(&[64500, 2914])]),
-            raw(vec![seq(&[64500, 0, 174])]), // AS0: dropped
-            raw(vec![]),                      // becomes the peer alone
-        ];
-        let comm = CommunitySet::from_iter([AnyCommunity::regular(3356, 9)]);
-        let mut w = MrtWriter::new();
-        let table = PeerIndexTable {
-            collector_id: 1,
-            view_name: "test".into(),
-            peers: vec![PeerEntry {
-                bgp_id: 1,
-                ip: vec![192, 0, 2, 1],
-                asn: Asn(64500),
-            }],
-        };
-        w.write_peer_index(&table, 0).unwrap();
-        let attrs = |as_path: &RawAsPath| PathAttributes {
-            as_path: as_path.clone(),
-            communities: comm.clone(),
-            ..Default::default()
-        };
-        let group = RibGroup {
-            sequence: 0,
-            prefix: Prefix::v4([193, 0, 0, 0], 16),
-            entries: paths.iter().map(|p| (0, 5, attrs(p))).collect(),
-        };
-        w.write_rib_group(&group, 0).unwrap();
-        for (i, p) in paths.iter().enumerate() {
-            let mut u = update(64500, &[], &[], 100 + i as u64);
-            u.attributes = attrs(p);
-            w.write_update(&u).unwrap();
-        }
-        let mut withdrawal = update(64500, &[64500, 3356], &[], 200);
-        withdrawal.withdrawn = withdrawal.announced.drain(..).collect();
-        w.write_update(&withdrawal).unwrap();
-        let bytes = w.into_bytes();
-
-        // The oracle: the records as decoded, through `sanitize(&self)`.
-        let mut expect = Vec::new();
-        for record in MrtReader::new(&bytes).read_all().unwrap() {
-            let entries: Vec<(u64, Asn, PathAttributes)> = match record {
-                MrtRecord::PeerIndex(_) => vec![],
-                MrtRecord::Update(u) if u.announced.is_empty() => vec![],
-                MrtRecord::Update(u) => vec![(u.timestamp, u.peer_asn, u.attributes)],
-                MrtRecord::RibEntries(es) => es
-                    .into_iter()
-                    .map(|e| (e.originated, e.peer_asn, e.attributes))
-                    .collect(),
-            };
-            for (ts, peer, a) in entries {
-                if let Some(path) = a.as_path.sanitize(Some(peer)) {
-                    expect.push((ts, PathCommTuple::new(path, a.communities.clone())));
-                }
-            }
-        }
-
-        let mut stream = TupleStream::new(&bytes);
-        let got: Vec<(u64, PathCommTuple)> = (&mut stream).map(|r| r.unwrap()).collect();
-        assert_eq!(got, expect);
-        assert_eq!(stream.raw_entries(), 13); // 6 RIB + 6 announcements + 1 withdrawal
-        assert_eq!(stream.kept(), 10);
-        assert_eq!(stream.shape_dropped(), 2);
     }
 
     #[test]

@@ -80,40 +80,13 @@ impl RawAsPath {
     /// * collapse consecutive duplicates (prepending),
     /// * reject empty results and paths containing AS0.
     pub fn sanitize(&self, peer_asn: Option<Asn>) -> Option<AsPath> {
-        let asns: Vec<Asn> = self
+        let hops = self
             .segments
             .iter()
             .filter(|s| !s.is_set())
-            .flat_map(|s| s.asns().iter().copied())
-            .collect();
-        clean_sequence(asns, peer_asn)
+            .flat_map(|s| s.asns().iter().copied());
+        AsPath::sanitized(hops, peer_asn)
     }
-
-    /// [`sanitize`](Self::sanitize) for a path the caller is done with:
-    /// the common wire shape, a lone `AS_SEQUENCE`, is cleaned in its own
-    /// buffer instead of being copied out first. Same result for every
-    /// input.
-    pub fn into_sanitized(mut self, peer_asn: Option<Asn>) -> Option<AsPath> {
-        match self.segments.as_mut_slice() {
-            [PathSegment::Sequence(asns)] => clean_sequence(std::mem::take(asns), peer_asn),
-            _ => self.sanitize(peer_asn),
-        }
-    }
-}
-
-/// The part of sanitation that follows `AS_SET` removal, over the
-/// flattened sequence hops.
-fn clean_sequence(mut asns: Vec<Asn>, peer_asn: Option<Asn>) -> Option<AsPath> {
-    if let Some(peer) = peer_asn {
-        if asns.first() != Some(&peer) {
-            asns.insert(0, peer);
-        }
-    }
-    asns.dedup(); // collapse prepending
-    if asns.is_empty() || asns.contains(&Asn::ZERO) {
-        return None;
-    }
-    Some(AsPath { asns })
 }
 
 /// A sanitized AS path: non-empty, prepending collapsed, no sets.
@@ -126,6 +99,44 @@ pub struct AsPath {
 }
 
 impl AsPath {
+    /// The sanitation rule that follows `AS_SET` removal, over the
+    /// `AS_SEQUENCE` hops in wire order: prepend `peer_asn` unless it
+    /// already leads, collapse consecutive duplicates (prepending), reject
+    /// an empty result and any path containing AS0.
+    ///
+    /// [`RawAsPath::sanitize`] and the in-place MRT walk both end here.
+    /// `hops` is walked twice, once to size the path and once to fill it,
+    /// so a kept path is one exact-size allocation and a rejected one
+    /// allocates nothing.
+    pub fn sanitized<I>(hops: I, peer_asn: Option<Asn>) -> Option<AsPath>
+    where
+        I: Iterator<Item = Asn> + Clone,
+    {
+        let lead = peer_asn.filter(|peer| hops.clone().next() != Some(*peer));
+        let hops = lead.into_iter().chain(hops);
+        let mut len = 0;
+        let mut last = None;
+        for asn in hops.clone() {
+            if asn == Asn::ZERO {
+                return None;
+            }
+            if last != Some(asn) {
+                len += 1;
+                last = Some(asn);
+            }
+        }
+        if len == 0 {
+            return None;
+        }
+        let mut asns = Vec::with_capacity(len);
+        for asn in hops {
+            if asns.last() != Some(&asn) {
+                asns.push(asn);
+            }
+        }
+        Some(AsPath { asns })
+    }
+
     /// Construct directly from an ordered ASN list, applying prepend
     /// collapse. Returns `None` if empty after cleaning.
     pub fn new(mut asns: Vec<Asn>) -> Option<Self> {

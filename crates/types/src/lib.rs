@@ -189,7 +189,7 @@ mod proptests {
         }
 
         #[test]
-        fn into_sanitized_equals_sanitize(
+        fn sanitize_matches_the_vec_model(
             segments in prop::collection::vec(
                 (any::<bool>(), prop::collection::vec(0u32..5, 0..5)),
                 0..4,
@@ -209,7 +209,25 @@ mod proptests {
                     .collect(),
             };
             let peer = (peer < 5).then_some(Asn(peer));
-            prop_assert_eq!(raw.clone().into_sanitized(peer), raw.sanitize(peer));
+            // The rule spelled out on a plain vector.
+            let mut model: Vec<Asn> = raw
+                .segments
+                .iter()
+                .filter(|s| !s.is_set())
+                .flat_map(|s| s.asns().iter().copied())
+                .collect();
+            let hops = model.clone();
+            if let Some(peer) = peer {
+                if model.first() != Some(&peer) {
+                    model.insert(0, peer);
+                }
+            }
+            model.dedup();
+            let expect = (!model.is_empty() && !model.contains(&Asn::ZERO)).then_some(model);
+            let got = raw.sanitize(peer);
+            prop_assert_eq!(got.as_ref().map(|p| p.asns().to_vec()), expect);
+            // Segmented or flat, one rule.
+            prop_assert_eq!(AsPath::sanitized(hops.iter().copied(), peer), got);
         }
 
         #[test]
