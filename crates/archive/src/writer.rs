@@ -22,8 +22,8 @@
 //! sticky: a failed append is retried with exponential backoff and a
 //! writer reopen between attempts (so orphan adoption repairs a
 //! segment-committed/manifest-failed split), and only after the retry
-//! budget is exhausted is the epoch dropped — loudly, with a journal
-//! event and a counter, never silently. A run is retried and dropped
+//! budget is exhausted is the epoch dropped — loudly, with an error
+//! log line and a counter, never silently. A run is retried and dropped
 //! as the unit it is committed as. A dropped epoch leaves a chain
 //! gap, so subsequent epochs are fast-dropped until a restart backfill
 //! (which replays the feed from epoch 0 and dedups) heals the archive.
@@ -39,7 +39,6 @@ use crate::manifest::{segment_file_name, IoShim, Manifest, ManifestEntry, RealIo
 use crate::segment::{DecodeFilter, EpochFrames, EpochMeta, SegmentBuilder, SegmentStats};
 use bgp_stream::epoch::EpochSnapshot;
 use bgp_types::asn::Asn;
-use obs::journal::JournalKind;
 use obs::trace::TraceStore;
 use obs::{Counter, Gauge};
 use std::collections::VecDeque;
@@ -470,7 +469,7 @@ impl Default for SinkShared {
 /// off the caller's thread. Failed appends are retried with exponential
 /// backoff and a writer reopen between attempts; an epoch is dropped
 /// only once its retry budget is exhausted, and every retry and drop is
-/// journaled and counted. [`finish`](ArchiveSink::finish) surfaces the
+/// logged and counted. [`finish`](ArchiveSink::finish) surfaces the
 /// drop count and last error.
 #[derive(Debug)]
 pub struct ArchiveSink {
@@ -501,13 +500,11 @@ impl ArchiveSink {
         let thread_queue = Arc::clone(&queue);
         let thread_shared = Arc::clone(&shared);
         let thread_status = Arc::clone(&status);
-        let reg = obs::global();
-        let append_hist = reg.histogram(
+        let append_hist = obs::global().histogram(
             "bgp_archive_append_duration_seconds",
             "Wall time of one sink append (segment + manifest commit; an epoch or a queued run)",
             &[],
         );
-        let journal = Arc::clone(reg.journal());
         let queue_cap = cfg.queue_cap;
         let thread = std::thread::Builder::new()
             .name("bgp-archive-sink".into())
@@ -537,19 +534,10 @@ impl ArchiveSink {
                         break; // closed and drained
                     }
                     op += run.len() as u64;
-                    let label = run_label(&run);
                     let t_append = Instant::now();
-                    let outcome = append_supervised(
-                        &mut writer,
-                        &run,
-                        &cfg,
-                        &thread_shared,
-                        &thread_status,
-                        &journal,
-                    );
-                    let nanos = t_append.elapsed().as_nanos() as u64;
-                    append_hist.record(nanos);
-                    journal.push(JournalKind::Span, "archive_append", nanos, label.clone());
+                    let outcome =
+                        append_supervised(&mut writer, &run, &cfg, &thread_shared, &thread_status);
+                    append_hist.record(t_append.elapsed().as_nanos() as u64);
                     thread_shared.queue_depth.add(-(run.len() as i64));
                     match outcome {
                         // Dedup: the archive already held the whole run.
@@ -568,15 +556,10 @@ impl ArchiveSink {
                             thread_status.last_drop_op.store(op, Ordering::Release);
                             thread_shared.dropped_total.add(epochs);
                             thread_shared.failed.set(1);
-                            journal.push(
-                                JournalKind::Log,
-                                "archive_drop",
-                                0,
-                                format!("{label} error={e}"),
-                            );
                             obs::error!(
                                 "archive",
-                                "sink dropped {label} after exhausting retries: {e}"
+                                "sink dropped {} after exhausting retries: {e}",
+                                run_label(&run)
                             );
                             *thread_shared
                                 .error
@@ -605,7 +588,7 @@ impl ArchiveSink {
 
     /// Queue one epoch for archiving. Never blocks on disk; when the
     /// queue is full the *oldest* queued epoch is dropped (counted and
-    /// journaled) so the newest data keeps flowing.
+    /// logged) so the newest data keeps flowing.
     pub fn submit(&self, snap: Arc<EpochSnapshot>, stats: SegmentStats) {
         let (lock, cvar) = &*self.queue;
         let mut guard = lock
@@ -711,7 +694,7 @@ fn take_run(queue: &mut VecDeque<Queued>) -> Vec<Queued> {
     run
 }
 
-/// `epoch=N` or `epochs=N..=M`: what the journal calls a run.
+/// `epoch=N` or `epochs=N..=M`: what the log calls a run.
 fn run_label(run: &[Queued]) -> String {
     match run {
         [(only, _)] => format!("epoch={}", only.epoch),
@@ -737,7 +720,6 @@ fn append_supervised(
     cfg: &SinkConfig,
     shared: &SinkShared,
     status: &SinkStatus,
-    journal: &obs::Journal,
 ) -> Appended {
     let borrowed: Vec<(&EpochSnapshot, &SegmentStats)> =
         run.iter().map(|(snap, stats)| (&**snap, stats)).collect();
@@ -760,11 +742,10 @@ fn append_supervised(
             shared.retrying_gauge.set(1);
             for attempt in 1..=cfg.max_retries {
                 let backoff = backoff_for(cfg, attempt);
-                journal.push(
-                    JournalKind::Log,
-                    "archive_retry",
-                    backoff.as_nanos() as u64,
-                    format!("{label} attempt={attempt} error={last_err}"),
+                obs::warn!(
+                    "archive",
+                    "retrying {label} attempt={attempt} backoff_ms={} error={last_err}",
+                    backoff.as_millis()
                 );
                 shared.retries_total.inc();
                 status.retries.fetch_add(1, Ordering::AcqRel);

@@ -3,28 +3,38 @@
 //! The daemon spans four layers — ingest → shard count → epoch seal →
 //! publish → archive → serve — and every one of them answers latency
 //! questions through this crate instead of ad-hoc timers and scattered
-//! `eprintln!`. Three primitives, all hand-rolled over `std::sync::atomic`
+//! `eprintln!`. Four primitives, all hand-rolled over `std::sync::atomic`
 //! (the workspace is offline: no `log`, no `tracing`):
 //!
 //! - **Leveled structured logging** ([`log!`], [`error!`] … [`trace!`]):
 //!   text or JSON lines on stderr, a per-target level filter, and a
 //!   lock-free fast path — a disabled level costs one relaxed atomic
-//!   load and a branch.
-//! - **Spans + histograms** ([`span!`], [`Histogram`]): wall-time of a
-//!   scope recorded into fixed power-of-2-nanosecond buckets on drop.
-//!   Buckets are plain `AtomicU64`s, so recording is wait-free and
-//!   scraping never blocks a writer — the same writer-owned /
+//!   load and a branch. "What just happened" is read here.
+//! - **Histograms on the registry** ([`Histogram`], [`ObsRegistry`]):
+//!   wall time of a stage recorded into fixed power-of-2-nanosecond
+//!   buckets. Buckets are plain `AtomicU64`s, so recording is wait-free
+//!   and scraping never blocks a writer — the same writer-owned /
 //!   concurrently-read discipline `SnapshotSlot` uses for snapshots.
-//! - **A bounded ring-buffer journal** ([`Journal`]): the last N span
-//!   completions and log events, queryable while the daemon runs
-//!   (`/v1/debug/trace` in `bgp-serve`).
+//!   "How long does this stage take" is read here.
+//! - **Per-epoch traces** ([`TraceStore`]): one timeline of named stages
+//!   per sealed epoch, persisted with the epoch in the archive. "Where
+//!   did epoch N's time go" is read here.
+//! - **Alert rules** ([`AlertState`]): `name>threshold@N` over any
+//!   registry family, evaluated against the window since the last
+//!   evaluation.
 //!
-//! Everything meets in an [`ObsRegistry`] — counters, gauges, and
-//! histograms keyed by (family, labels) plus the journal: one
-//! [`global()`] registry for the process, `Arc`-cloned into whoever
-//! records into or renders it (`bgp-serve`'s `Metrics` is a set of
-//! handles on it, and `/metrics` is its one renderer). Unit tests build
-//! private registries with [`ObsRegistry::new`] instead.
+//! Every event is written to exactly one of each it needs — a seal is
+//! one histogram observation, one trace stage and one debug log line —
+//! and nothing restates them: no second store replays log lines or
+//! stage completions, and nothing in the process samples the registry
+//! that `/metrics` already exposes.
+//!
+//! Counters, gauges and histograms are keyed by (family, labels) in an
+//! [`ObsRegistry`]: one [`global()`] registry for the process,
+//! `Arc`-cloned into whoever records into or renders it (`bgp-serve`'s
+//! `Metrics` is a set of handles on it, and `/metrics` is its one
+//! renderer). Unit tests build private registries with
+//! [`ObsRegistry::new`] instead.
 //!
 //! Histogram semantics: bucket upper bounds are powers of two from
 //! 256 ns to ~137 s (factor-2 resolution); quantiles are reported as
@@ -35,21 +45,16 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod alerts;
 pub mod hist;
-pub mod journal;
 pub mod logger;
 pub mod registry;
-pub mod span;
-pub mod timeseries;
 pub mod trace;
 
+pub use alerts::{
+    parse_alert_rules, spawn_sampler, AlertRule, AlertState, MetricSelector, SamplerHandle,
+};
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
-pub use journal::{Journal, JournalEntry, JournalKind};
 pub use logger::{Level, LogConfig};
 pub use registry::{global, Counter, Gauge, ObsRegistry};
-pub use span::SpanGuard;
-pub use timeseries::{
-    parse_alert_rules, spawn_sampler, AlertRule, AlertState, MetricRing, MetricSelector, Recorder,
-    Sample, SamplerHandle,
-};
 pub use trace::{EpochTrace, TraceStage, TraceStore};

@@ -3,17 +3,15 @@
 //! A log call compiles to one relaxed `AtomicU8` load and a branch when
 //! its level is filtered out — cheap enough to leave `debug!`/`trace!`
 //! calls on hot paths. Enabled calls take a mutex on the (rarely
-//! reconfigured) filter config, format one line, write it to stderr,
-//! and mirror it into the global [`Journal`](crate::Journal) so tests
-//! and `/v1/debug/trace` can observe logs without capturing stderr.
+//! reconfigured) filter config, format one line and write it to stderr
+//! — the one place a log event goes; ship stderr to keep it.
 //!
 //! Output is one line per event: a human-readable text form by default,
 //! or a JSON object per line (`--log-json` in `bgp-served`). Targets
 //! are short static subsystem names (`"serve"`, `"stream"`,
-//! `"archive"`, `"http"`); per-target level overrides are parsed from
-//! specs like `info,stream=debug`.
+//! `"archive"`, `"http"`, `"alert"`); per-target level overrides are
+//! parsed from specs like `info,stream=debug`.
 
-use crate::journal::JournalKind;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -213,14 +211,7 @@ pub fn emit(level: Level, target: &'static str, args: std::fmt::Arguments<'_>) {
         .map(|c| c.json)
         .unwrap_or(false);
     let line = format_line(json, level, target, &msg, unix_nanos);
-    {
-        let stderr = std::io::stderr();
-        let mut handle = stderr.lock();
-        let _ = writeln!(handle, "{line}");
-    }
-    crate::registry::global()
-        .journal()
-        .push(JournalKind::Log, target, 0, msg);
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
 }
 
 /// Log at an explicit level: `obs::log!(obs::Level::Info, "serve", "up in {ms} ms")`.

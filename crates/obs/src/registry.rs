@@ -1,7 +1,7 @@
 //! The process-wide metric registry.
 //!
 //! An [`ObsRegistry`] owns counters, gauges, and histograms keyed by
-//! `(family, labels)` plus the event [`Journal`]. Handles come back as
+//! `(family, labels)`. Handles come back as
 //! `Arc`s so hot paths resolve their instrument once (at construction
 //! time) and record with pure atomics afterwards — the get-or-create
 //! lookup itself takes a mutex and is meant for setup, not per-event
@@ -15,12 +15,9 @@
 //! lines (seconds) plus `_sum`/`_count`.
 
 use crate::hist::{write_seconds, Histogram, HistogramSnapshot, BUCKET_COUNT};
-use crate::journal::Journal;
-use crate::span::SpanGuard;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -126,44 +123,18 @@ pub struct HistogramEntrySnapshot {
     pub snap: HistogramSnapshot,
 }
 
-/// Counters + gauges + histograms + the event journal.
-#[derive(Debug)]
+/// Counters + gauges + histograms.
+#[derive(Debug, Default)]
 pub struct ObsRegistry {
     counters: Mutex<Vec<MetricEntry<Counter>>>,
     gauges: Mutex<Vec<MetricEntry<Gauge>>>,
     hists: Mutex<Vec<MetricEntry<Histogram>>>,
-    journal: Arc<Journal>,
-}
-
-/// Journal capacity of the [`global()`] registry and of
-/// [`ObsRegistry::new`].
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
-
-impl Default for ObsRegistry {
-    fn default() -> Self {
-        ObsRegistry::new()
-    }
 }
 
 impl ObsRegistry {
-    /// An empty registry with a [`DEFAULT_JOURNAL_CAPACITY`] journal.
+    /// An empty registry.
     pub fn new() -> ObsRegistry {
-        ObsRegistry::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// An empty registry with a journal holding `capacity` events.
-    pub fn with_journal_capacity(capacity: usize) -> ObsRegistry {
-        ObsRegistry {
-            counters: Mutex::new(Vec::new()),
-            gauges: Mutex::new(Vec::new()),
-            hists: Mutex::new(Vec::new()),
-            journal: Arc::new(Journal::new(capacity)),
-        }
-    }
-
-    /// The event journal.
-    pub fn journal(&self) -> &Arc<Journal> {
-        &self.journal
+        ObsRegistry::default()
     }
 
     /// Get or create the counter `family{labels}`.
@@ -181,35 +152,6 @@ impl ObsRegistry {
         find_or_insert(&self.hists, family, help, labels)
     }
 
-    /// Start a span over a pre-resolved histogram handle (the hot-path
-    /// form: no registry lookup). The guard records wall time into
-    /// `hist` and journals a completion event on drop.
-    pub fn span_cached(
-        &self,
-        stage: &'static str,
-        hist: Arc<Histogram>,
-        detail: String,
-    ) -> SpanGuard {
-        SpanGuard::new(
-            stage,
-            hist,
-            Arc::clone(&self.journal),
-            detail,
-            Instant::now(),
-        )
-    }
-
-    /// Start a span by stage name: records into the histogram family
-    /// `bgp_<stage>_duration_seconds` (no labels). Prefer
-    /// [`span_cached`](Self::span_cached) on hot paths — this form
-    /// pays a registry lookup per call.
-    pub fn span_named(&self, stage: &'static str, detail: String) -> SpanGuard {
-        let family = format!("bgp_{stage}_duration_seconds");
-        let help = format!("Wall time of the {stage} stage");
-        let hist = self.histogram(&family, &help, &[]);
-        self.span_cached(stage, hist, detail)
-    }
-
     /// Point-in-time state of every histogram series, sorted by
     /// (family, labels).
     pub fn histogram_snapshots(&self) -> Vec<HistogramEntrySnapshot> {
@@ -225,7 +167,7 @@ impl ObsRegistry {
     }
 
     /// Every counter family with its value summed across label sets,
-    /// sorted by family — the sampler's enumeration view.
+    /// sorted by family — what alert rules are evaluated against.
     pub fn counter_families(&self) -> Vec<(String, u64)> {
         fold_families(&self.counters, Counter::get, |acc, v| *acc += v)
     }
@@ -477,24 +419,5 @@ bgp_z_duration_seconds_count 0
         assert_eq!(hists[0].1.count, 2);
         assert_eq!(hists[0].1.sum_nanos, 300);
         assert_eq!(hists[0].1.max_nanos, 200);
-    }
-
-    #[test]
-    fn span_records_into_histogram_and_journal() {
-        let r = ObsRegistry::new();
-        {
-            let _g = r.span_named("unit_test_stage", "epoch=3".to_string());
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let families = r.histogram_families();
-        let (family, snap) = &families[0];
-        assert_eq!(family, "bgp_unit_test_stage_duration_seconds");
-        assert_eq!(snap.count, 1);
-        assert!(snap.max_nanos >= 1_000_000);
-        let events = r.journal().last(10);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "unit_test_stage");
-        assert_eq!(events[0].detail, "epoch=3");
-        assert!(events[0].duration_nanos >= 1_000_000);
     }
 }

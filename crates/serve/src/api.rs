@@ -20,9 +20,6 @@
 //! | `/metrics`                   | Prometheus text exposition |
 //!
 //! | `/v1/debug/timings`          | per-stage latency histograms (p50/p99/max) |
-//! | `/v1/debug/trace?last=N`     | the last N span completions + log events |
-//! | `/v1/debug/timeseries`       | per-family sampled-window summary |
-//! | `/v1/debug/timeseries?metric=FAM&last=N` | the last N sampled windows of one family |
 //! | `/v1/debug/epoch/{N}/trace`  | epoch `N`'s provenance timeline (live or archived) |
 //! | `/v1/version`                | crate version, build profile, uptime |
 //!
@@ -35,9 +32,8 @@
 //! (`bgp_serve_http_request_duration_seconds{endpoint=…}`), so
 //! `/metrics` and `/v1/debug/timings` expose the serving tail without
 //! any external tracing dependency. Only a request answered `>= 500` is
-//! also journaled: at serving rates a journal entry per request would
-//! turn the ring over in milliseconds and push the seal / publish /
-//! archive completions `/v1/debug/trace` exists for out of reach.
+//! also logged (`warn` on target `http`): at serving rates a line per
+//! request would bury everything else on stderr.
 //!
 //! The handler keeps no metrics store of its own: it records through its
 //! [`Metrics`] handles, and `/metrics` and the debug routes read the
@@ -55,9 +51,8 @@ use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
 use bgp_infer::db::{CommunityLookup, DbRecord};
 use bgp_types::prelude::*;
-use obs::journal::JournalKind;
 use obs::trace::{EpochTrace, TraceStore};
-use obs::{ObsRegistry, Recorder};
+use obs::ObsRegistry;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -76,9 +71,6 @@ pub struct Api {
     /// Degraded-mode health state; when attached, `/healthz` answers
     /// from the state machine instead of liveness alone.
     health: Option<Arc<HealthState>>,
-    /// Time-series recorder behind `/v1/debug/timeseries` (the daemon's
-    /// sampler thread feeds it).
-    timeseries: Option<Arc<Recorder>>,
     /// Live per-epoch provenance traces for `/v1/debug/epoch/{N}/trace`
     /// (evicted epochs fall back to the archive through `history`).
     traces: Option<Arc<TraceStore>>,
@@ -101,7 +93,6 @@ impl Api {
             metrics,
             history: None,
             health: None,
-            timeseries: None,
             traces: None,
             start: Instant::now(),
         }
@@ -119,12 +110,6 @@ impl Api {
     /// alone.
     pub fn with_health(mut self, health: Arc<HealthState>) -> Self {
         self.health = Some(health);
-        self
-    }
-
-    /// Serve `/v1/debug/timeseries` from `recorder`'s sampled rings.
-    pub fn with_timeseries(mut self, recorder: Arc<Recorder>) -> Self {
-        self.timeseries = Some(recorder);
         self
     }
 
@@ -207,14 +192,6 @@ impl Api {
                 Endpoint::DebugTimings,
                 timings_endpoint(&snap, self.metrics.registry()),
             ),
-            "/v1/debug/trace" => (
-                Endpoint::DebugTrace,
-                trace_endpoint(&snap, self.metrics.registry(), request),
-            ),
-            "/v1/debug/timeseries" => (
-                Endpoint::DebugTimeseries,
-                self.timeseries_endpoint(&snap, request),
-            ),
             "/healthz" => (
                 Endpoint::Health,
                 health_endpoint(&snap, self.health.as_deref()),
@@ -274,72 +251,6 @@ impl Api {
             w.field_u64("events", meta.events);
             w.field_u64("total_events", meta.total_events);
             w.field_u64("unique_tuples", meta.unique_tuples);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-        Response::json(w.finish())
-    }
-
-    /// `/v1/debug/timeseries` — the sampler's rings: a per-family
-    /// summary, or (`?metric=FAM&last=N`) one family's recent windows.
-    fn timeseries_endpoint(&self, snap: &ServeSnapshot, request: &Request) -> Response {
-        let Some(rec) = &self.timeseries else {
-            return Response::error(400, "no time-series recorder attached");
-        };
-        if let Some(family) = request.param("metric") {
-            let last = match parse_usize(request, "last", 64) {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
-            let Some(ring) = rec.ring(family) else {
-                return Response::error(404, "metric family not sampled yet");
-            };
-            let samples = ring.last(last);
-            let mut w = begin_envelope(snap);
-            w.field_u64("ticks", rec.ticks());
-            w.field_str("metric", ring.family());
-            w.field_str("kind", ring.kind().label());
-            w.field_u64("count", samples.len() as u64);
-            w.begin_arr_field("samples");
-            for s in &samples {
-                w.begin_obj();
-                w.field_u64("seq", s.seq);
-                w.field_u64("unix_millis", s.unix_millis);
-                w.field_f64("value", s.value);
-                w.field_f64("rate", s.rate);
-                match s.p50_nanos {
-                    Some(v) => w.field_u64("p50_nanos", v),
-                    None => w.field_null("p50_nanos"),
-                }
-                match s.p99_nanos {
-                    Some(v) => w.field_u64("p99_nanos", v),
-                    None => w.field_null("p99_nanos"),
-                }
-                w.end_obj();
-            }
-            w.end_arr();
-            w.end_obj();
-            return Response::json(w.finish());
-        }
-        let rings = rec.rings();
-        let mut w = begin_envelope(snap);
-        w.field_u64("ticks", rec.ticks());
-        w.field_u64("families", rings.len() as u64);
-        w.begin_arr_field("metrics");
-        for ring in &rings {
-            let Some(summary) = ring.summary() else {
-                continue;
-            };
-            w.begin_obj();
-            w.field_str("metric", ring.family());
-            w.field_str("kind", ring.kind().label());
-            w.field_u64("samples", summary.samples);
-            w.field_f64("min", summary.min);
-            w.field_f64("max", summary.max);
-            w.field_f64("mean", summary.mean);
-            w.field_f64("last", summary.last);
-            w.field_f64("last_rate", summary.last_rate);
             w.end_obj();
         }
         w.end_arr();
@@ -445,11 +356,11 @@ impl Handler for Api {
         let nanos = t_request.elapsed().as_nanos() as u64;
         self.metrics.observe(endpoint, response.status, nanos);
         if response.status >= 500 {
-            self.metrics.registry().journal().push(
-                JournalKind::Span,
-                "http_request",
-                nanos,
-                format!("endpoint={} status={}", endpoint.label(), response.status),
+            obs::warn!(
+                "http",
+                "endpoint={} status={} nanos={nanos}",
+                endpoint.label(),
+                response.status
             );
         }
         response
@@ -471,8 +382,8 @@ fn begin_envelope(snap: &ServeSnapshot) -> JsonWriter {
 fn health_endpoint(snap: &ServeSnapshot, health: Option<&HealthState>) -> Response {
     let mut w = begin_envelope(snap);
     let Some(health) = health else {
-        // No health state attached (`bgp-stream-infer --listen`, the
-        // example, the ledger): liveness only.
+        // No health state attached (the example, the ledger): liveness
+        // only.
         w.field_str("status", "ok");
         w.end_obj();
         return Response::json(w.finish());
@@ -898,34 +809,6 @@ fn timings_endpoint(snap: &ServeSnapshot, obs: &ObsRegistry) -> Response {
             w.field_u64("p99_nanos", entry.snap.quantile_nanos(0.99));
         }
         w.field_u64("max_nanos", entry.snap.max_nanos);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.end_obj();
-    Response::json(w.finish())
-}
-
-/// `/v1/debug/trace?last=N` — the journal's most recent events (span
-/// completions and log lines), oldest first. `last` defaults to 64.
-fn trace_endpoint(snap: &ServeSnapshot, obs: &ObsRegistry, request: &Request) -> Response {
-    let last = match parse_usize(request, "last", 64) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let events = obs.journal().last(last);
-    let mut w = begin_envelope(snap);
-    w.field_u64("journaled_total", obs.journal().pushed());
-    w.field_u64("count", events.len() as u64);
-    w.begin_arr_field("events");
-    for e in &events {
-        w.begin_obj();
-        w.field_u64("seq", e.seq);
-        w.field_str("kind", e.kind.label());
-        w.field_str("name", e.name);
-        w.field_u64("duration_nanos", e.duration_nanos);
-        w.field_str("detail", &e.detail);
-        w.field_u64("unix_nanos", e.unix_nanos);
-        w.field_u64("unix_millis", e.unix_millis);
         w.end_obj();
     }
     w.end_arr();

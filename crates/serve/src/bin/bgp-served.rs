@@ -49,12 +49,14 @@
 //!       --log-level <SPEC>      log filter: a default level and optional
 //!                               per-target overrides, e.g. `info`,
 //!                               `debug,http=warn`, `info,stream=trace`
-//!                               (targets: serve, stream, archive, http;
-//!                               default info)
+//!                               (targets: serve, stream, archive, http,
+//!                               alert; default info)
 //!       --log-json              one JSON object per log line instead of text
-//!       --sample-interval <MS>  self-monitoring sampler tick in milliseconds
-//!                               (default 1000; feeds /v1/debug/timeseries)
-//!       --alert-rules <SPEC>    alert rules evaluated every sampler tick,
+//!       --sample-interval <MS>  alert-evaluation interval in milliseconds:
+//!                               how often --alert-rules are judged, each
+//!                               against the window since the last time
+//!                               (default 1000; idle without --alert-rules)
+//!       --alert-rules <SPEC>    alert rules evaluated every interval,
 //!                               e.g. `seal_p99>50ms@3;archive_sink_queue>64@5;
 //!                               quarantine_rate>0.05@10` — firing alerts
 //!                               surface in /healthz reasons and the
@@ -75,7 +77,7 @@ use bgp_serve::prelude::*;
 use bgp_serve::shutdown;
 use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::StreamConfig;
-use obs::{AlertState, Recorder};
+use obs::AlertState;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -270,23 +272,20 @@ fn run(opts: Options) -> Result<(), String> {
     // archive after a restart) at /v1/debug/epoch/{N}/trace.
     let traces = Arc::new(obs::trace::TraceStore::new(256));
 
-    // Self-monitoring: the sampler snapshots every obs family into
-    // bounded rings each tick and evaluates the alert rules.
+    // Alert rules: judged every --sample-interval on a thread of their
+    // own, which exists only when there is a rule to judge.
     let alert_rules = match &opts.alert_rules {
         Some(spec) => obs::parse_alert_rules(spec).map_err(|e| format!("--alert-rules: {e}"))?,
         None => Vec::new(),
     };
-    let mut recorder = Recorder::new(Arc::clone(metrics.registry()), 512);
-    if !alert_rules.is_empty() {
-        let alerts = Arc::new(AlertState::new(alert_rules, metrics.registry()));
+    let sampler = (!alert_rules.is_empty()).then(|| {
+        let alerts = Arc::new(AlertState::new(alert_rules, Arc::clone(metrics.registry())));
         health.attach_alerts(Arc::clone(&alerts));
-        recorder = recorder.with_alerts(alerts);
-    }
-    let recorder = Arc::new(recorder);
-    let sampler = obs::spawn_sampler(
-        Arc::clone(&recorder),
-        std::time::Duration::from_millis(opts.sample_interval_ms),
-    );
+        obs::spawn_sampler(
+            alerts,
+            std::time::Duration::from_millis(opts.sample_interval_ms),
+        )
+    });
 
     let fault_plan = match &opts.fault_plan {
         Some(spec) => {
@@ -369,7 +368,6 @@ fn run(opts: Options) -> Result<(), String> {
 
     let mut api = Api::new(Arc::clone(&slot), Arc::clone(&metrics))
         .with_health(Arc::clone(&health))
-        .with_timeseries(Arc::clone(&recorder))
         .with_traces(Arc::clone(&traces));
     if let Some(history) = &history {
         api = api.with_history(Arc::clone(history));
@@ -506,8 +504,9 @@ fn run(opts: Options) -> Result<(), String> {
         "final health: {}",
         health.evaluate().status.as_str()
     );
-    sampler.stop();
-    sampler.join();
+    if let Some(sampler) = sampler {
+        sampler.join();
+    }
     http.shutdown();
     Ok(())
 }

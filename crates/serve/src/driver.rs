@@ -112,7 +112,7 @@ pub struct IngestReport {
     /// the driver runs without an archive sink).
     pub archived_epochs: u64,
     /// Epochs the archive sink had to drop (retries exhausted or queue
-    /// overflow); every one was journaled and counted when it happened.
+    /// overflow); every one was logged and counted when it happened.
     pub archive_dropped: u64,
     /// Malformed records/chunks quarantined during the successful feed
     /// attempt.
@@ -290,7 +290,7 @@ fn ingest_main(
     // Flush and join the archive sink before reporting: once `finish`
     // returns, every committed epoch is durable (segment + manifest).
     // Dropped epochs are NOT fatal to the run — each one was already
-    // journaled and counted when it happened, the report carries the
+    // logged and counted when it happened, the report carries the
     // total, and `/healthz` stays degraded — but they do mean a restart
     // must re-derive those epochs from the feed.
     let (archived_epochs, archive_dropped) = match sink {

@@ -1,12 +1,12 @@
 //! The daemon's degraded-mode health state machine.
 //!
 //! An `Api` with no [`HealthState`] attached answers `/healthz` with
-//! liveness alone (`"status":"ok"`): that is what `bgp-stream-infer
-//! --listen`, the example and the ledger serve, none of which supervise
-//! anything. The daemon attaches one, and it aggregates the supervision
-//! signals the resilient pipeline produces (archive sink retries and
-//! drops, ingest quarantine counts, driver restarts, publish staleness)
-//! into a three-state report:
+//! liveness alone (`"status":"ok"`): that is what the example and the
+//! ledger serve, neither of which supervises anything. The daemon
+//! attaches one, and it aggregates the supervision signals the
+//! resilient pipeline produces (archive sink retries and drops, ingest
+//! quarantine counts, driver restarts, publish staleness) into a
+//! three-state report:
 //!
 //! * **ok** — everything supervised is quiet.
 //! * **degraded** — the daemon is serving but something needs
@@ -104,8 +104,8 @@ pub struct HealthState {
     sink: Mutex<Option<Arc<SinkStatus>>>,
     alerts: Mutex<Option<Arc<AlertState>>>,
     /// Global-registry mirrors of the ingested/quarantined totals, so
-    /// the time-series sampler (and the `quarantine_rate` alert
-    /// selector) can watch the same numbers `evaluate` rates on.
+    /// `/metrics` and the `quarantine_rate` alert selector watch the
+    /// same numbers `evaluate` rates on.
     ingested_total: Arc<Counter>,
     quarantined_total: Arc<Counter>,
 }

@@ -62,9 +62,8 @@
 //!   `/v1/history/{asn}`);
 //! * [`shutdown`] — SIGINT/SIGTERM flag so the daemon seals and
 //!   archives the trailing epoch before exiting;
-//! * two binaries: `bgp-served` (the daemon) and `bgp-stream-infer`
-//!   (the streaming front end, now with `--listen` to serve while
-//!   ingesting).
+//! * two binaries: `bgp-served` (the daemon) and `bgp-flood` (its
+//!   connection-flood load generator).
 //!
 //! ```
 //! use bgp_serve::prelude::*;

@@ -5,8 +5,8 @@
 //! publisher and the ingest driver. It stores nothing itself: every
 //! field is an `Arc` handle resolved once on the registry (the
 //! process-global one unless a test injects its own), so recording is
-//! pure atomics and `/metrics`, `/v1/debug/timings` and the time-series
-//! sampler all read the same store. The registry is the only Prometheus
+//! pure atomics and `/metrics`, `/v1/debug/timings` and the alert rules
+//! all read the same store. The registry is the only Prometheus
 //! renderer; this module has none.
 
 use crate::snapshot::ServeSnapshot;
@@ -38,10 +38,6 @@ pub enum Endpoint {
     Metrics,
     /// `/v1/debug/timings`
     DebugTimings,
-    /// `/v1/debug/trace`
-    DebugTrace,
-    /// `/v1/debug/timeseries`
-    DebugTimeseries,
     /// `/v1/debug/epoch/{epoch}/trace`
     EpochTrace,
     /// `/v1/version`
@@ -52,7 +48,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// Every metered endpoint, in label/index order.
-    pub const ALL: [Endpoint; 16] = [
+    pub const ALL: [Endpoint; 14] = [
         Endpoint::Class,
         Endpoint::Classes,
         Endpoint::Community,
@@ -64,8 +60,6 @@ impl Endpoint {
         Endpoint::Health,
         Endpoint::Metrics,
         Endpoint::DebugTimings,
-        Endpoint::DebugTrace,
-        Endpoint::DebugTimeseries,
         Endpoint::EpochTrace,
         Endpoint::Version,
         Endpoint::Other,
@@ -85,8 +79,6 @@ impl Endpoint {
             Endpoint::Health => "healthz",
             Endpoint::Metrics => "metrics",
             Endpoint::DebugTimings => "debug_timings",
-            Endpoint::DebugTrace => "debug_trace",
-            Endpoint::DebugTimeseries => "debug_timeseries",
             Endpoint::EpochTrace => "epoch_trace",
             Endpoint::Version => "version",
             Endpoint::Other => "other",

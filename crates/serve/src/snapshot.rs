@@ -29,9 +29,8 @@ use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_stream::epoch::{ClassFlip, EpochSnapshot};
 use bgp_stream::pipeline::StreamPipeline;
-use obs::journal::JournalKind;
 use obs::trace::TraceStore;
-use obs::{Histogram, Journal};
+use obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -473,10 +472,8 @@ pub struct Publisher {
     /// backwards), the flip log (already seeded), or the sink (already
     /// committed).
     resume_skip: Option<u64>,
-    /// Publish-stage histogram + journal, resolved once from the global
-    /// registry.
+    /// Publish-stage histogram, resolved once from the global registry.
     publish_hist: Arc<Histogram>,
-    journal: Arc<Journal>,
     /// Per-epoch provenance traces: each publication appends a
     /// `"publish"` stage to its epoch's timeline.
     traces: Option<Arc<TraceStore>>,
@@ -485,7 +482,6 @@ pub struct Publisher {
 impl Publisher {
     /// A publisher feeding `slot`, retaining at most `flip_log_cap` flips.
     pub fn new(slot: Arc<SnapshotSlot>, flip_log_cap: usize) -> Self {
-        let reg = obs::global();
         Publisher {
             slot,
             published: 0,
@@ -494,12 +490,11 @@ impl Publisher {
             metrics: None,
             archive: None,
             resume_skip: None,
-            publish_hist: reg.histogram(
+            publish_hist: obs::global().histogram(
                 "bgp_serve_publish_duration_seconds",
                 "Wall time to build and publish one ServeSnapshot",
                 &[],
             ),
-            journal: Arc::clone(reg.journal()),
             traces: None,
         }
     }
@@ -632,19 +627,8 @@ impl Publisher {
         if let Some(metrics) = &self.metrics {
             metrics.epoch_published();
         }
-        let nanos = t_publish.elapsed().as_nanos() as u64;
-        self.publish_hist.record(nanos);
-        self.journal.push(
-            JournalKind::Span,
-            "publish",
-            nanos,
-            format!(
-                "epoch={} version={} records={}",
-                snapshot.epoch_id().unwrap_or(0),
-                snapshot.version(),
-                snapshot.records.len()
-            ),
-        );
+        self.publish_hist
+            .record(t_publish.elapsed().as_nanos() as u64);
         true
     }
 }

@@ -6,7 +6,6 @@ use std::process::Command;
 fn help_prints_usage_and_exits_zero() {
     for (name, exe) in [
         ("bgp-served", env!("CARGO_BIN_EXE_bgp-served")),
-        ("bgp-stream-infer", env!("CARGO_BIN_EXE_bgp-stream-infer")),
         ("bgp-flood", env!("CARGO_BIN_EXE_bgp-flood")),
     ] {
         let out = Command::new(exe).arg("--help").output().expect(name);

@@ -10,10 +10,9 @@
 //!   histogram families added by the obs layer must all be live;
 //! * hits `/v1/debug/timings` and asserts the seal/publish/archive
 //!   stages report real observations with ordered quantiles;
-//! * hits `/v1/debug/trace` and checks the journal replays seal,
-//!   publish and archive-append completions with monotone sequence
-//!   numbers — and, on a registry of its own, that a request is
-//!   journaled when it answers `>= 500` and only then.
+//! * pins the surface: `/v1/debug/trace` and `/v1/debug/timeseries`
+//!   are gone (404, metered as `other`), and the `endpoint` labels on
+//!   `/metrics` are exactly the routes that exist.
 
 use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
@@ -418,39 +417,6 @@ fn debug_timings_reports_live_stage_latencies() {
     http.shutdown();
 }
 
-#[test]
-fn debug_trace_replays_the_journal() {
-    let (http, mut client) = served();
-    let (status, body) = client.get("/v1/debug/trace?last=512");
-    assert_eq!(status, 200);
-    let total = json_u64(&body, "journaled_total").expect("journaled_total");
-    let count = json_u64(&body, "count").expect("count");
-    assert!(total >= 1 && count >= 1, "empty journal: {body}");
-    for name in ["seal", "publish", "archive_append"] {
-        assert!(
-            body.contains(&format!("\"name\":\"{name}\"")),
-            "trace missing {name} events: {body}"
-        );
-    }
-    // Sequence numbers are monotone increasing in the replay.
-    let mut last_seq = None;
-    for chunk in body.split("\"seq\":").skip(1) {
-        let end = chunk
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(chunk.len());
-        let seq: u64 = chunk[..end].parse().expect("numeric seq");
-        if let Some(prev) = last_seq {
-            assert!(seq > prev, "journal replay not seq-ordered");
-        }
-        last_seq = Some(seq);
-    }
-    // Bounded: asking for 3 returns at most 3.
-    let (_, body3) = client.get("/v1/debug/trace?last=3");
-    let count3 = json_u64(&body3, "count").expect("count");
-    assert!(count3 <= 3, "last=3 returned {count3} events");
-    http.shutdown();
-}
-
 fn request(path: &str) -> Request {
     Request {
         method: "GET".to_string(),
@@ -459,34 +425,61 @@ fn request(path: &str) -> Request {
     }
 }
 
-/// Successful requests stay out of the journal (the per-endpoint
-/// histogram times them); a 5xx is journaled. On a registry of its own,
-/// so `journaled_total` is exact.
+/// The introspection surface is what the route table says and nothing
+/// else: the two retired debug routes are plain 404s, every meter has a
+/// route that reaches it, and `/metrics` carries exactly those meters.
+/// On a registry of its own, so the counts are exact.
 #[test]
-fn only_failing_requests_are_journaled() {
+fn the_debug_surface_is_pinned() {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let obs = Arc::new(obs::ObsRegistry::new());
-    let health = Arc::new(HealthState::new(HealthConfig::default()));
-    let api = Api::new(slot, Arc::new(Metrics::with_registry(Arc::clone(&obs))))
-        .with_health(Arc::clone(&health));
+    let api = Api::new(slot, Arc::new(Metrics::with_registry(obs)));
 
-    assert_eq!(api.handle(&request("/healthz")).status, 200);
-    assert_eq!(api.handle(&request("/v1/class/notanasn")).status, 400);
-    let trace = api.handle(&request("/v1/debug/trace"));
-    assert_eq!(json_u64(&trace.body, "journaled_total"), Some(0));
+    for gone in ["/v1/debug/trace", "/v1/debug/timeseries"] {
+        assert_eq!(api.handle(&request(gone)).status, 404, "{gone}");
+    }
+    assert_eq!(api.metrics().requests_for(Endpoint::Other), 2);
 
-    health.mark_ingest_failed();
-    assert_eq!(api.handle(&request("/healthz")).status, 503);
-    let trace = api.handle(&request("/v1/debug/trace"));
-    assert_eq!(json_u64(&trace.body, "journaled_total"), Some(1));
-    assert!(
-        trace.body.contains("\"name\":\"http_request\"")
-            && trace
-                .body
-                .contains("\"detail\":\"endpoint=healthz status=503\""),
-        "{}",
-        trace.body
-    );
+    // One path per route, in `Endpoint::ALL` order (`Other` was reached
+    // above): a route that is added, or a meter that loses its route,
+    // has to show up here.
+    let routes = [
+        "/v1/class/1",
+        "/v1/classes",
+        "/v1/community/1:1",
+        "/v1/flips",
+        "/v1/reclassify",
+        "/v1/stats",
+        "/v1/epochs",
+        "/v1/history/1",
+        "/healthz",
+        "/metrics",
+        "/v1/debug/timings",
+        "/v1/debug/epoch/0/trace",
+        "/v1/version",
+    ];
+    for path in routes {
+        assert_ne!(api.handle(&request(path)).status, 500, "{path}");
+    }
+
+    let text = api.handle(&request("/metrics")).body;
+    let families = parse_families(&text);
+    let requested: BTreeMap<String, f64> = families["bgp_serve_http_request_duration_seconds"]
+        .samples
+        .iter()
+        .filter(|(key, _)| key.starts_with("_count"))
+        .map(|(key, count)| {
+            let label = key.split("endpoint=\"").nth(1).expect("endpoint label");
+            (label.split('"').next().unwrap().to_string(), *count)
+        })
+        .collect();
+    let metered: Vec<&str> = requested.keys().map(String::as_str).collect();
+    let mut expected: Vec<&str> = Endpoint::ALL.iter().map(|e| e.label()).collect();
+    expected.sort_unstable();
+    assert_eq!(metered, expected, "meters on /metrics vs Endpoint::ALL");
+    for (label, count) in &requested {
+        assert!(*count >= 1.0, "no route reaches the {label:?} meter");
+    }
 }
 
 /// An empty histogram has no quantiles: `/v1/debug/timings` must report

@@ -1,19 +1,15 @@
-//! Self-monitoring end-to-end: the sampler's time-series rings, the
-//! per-epoch provenance traces, and the alert-rules engine, all observed
-//! over real loopback TCP.
+//! Self-monitoring end-to-end: the per-epoch provenance traces and the
+//! alert-rules engine, observed over real loopback TCP.
 //!
-//! Three proofs:
-//! 1. `/v1/debug/timeseries` serves at least two genuinely sampled
-//!    windows with a nonzero counter rate (a real sampler thread ticking
-//!    a real registry, not synthetic samples).
-//! 2. An epoch's provenance trace is byte-identical whether served live
+//! Two proofs:
+//! 1. An epoch's provenance trace is byte-identical whether served live
 //!    (from the in-memory `TraceStore`) or from the archive's persisted
 //!    trace frame after a "restart" (a fresh server with no live store).
-//! 3. An alert rule fires into `/healthz` reasons after its consecutive
+//! 2. An alert rule fires into `/healthz` reasons after its consecutive
 //!    over-threshold windows, and clears once the signal drops.
 //!
-//! Plus, in process: one sampler tick over the registry an `Api` records
-//! into picks up the serving layer's own families.
+//! Plus, in process: a rule can name what the serving layer itself
+//! counts, because `Metrics` records into the registry rules read.
 
 use bgp_archive::prelude::{ArchiveWriter, SegmentStats};
 use bgp_infer::counters::Thresholds;
@@ -23,7 +19,7 @@ use bgp_stream::ingest::StreamEvent;
 use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
 use bgp_types::prelude::*;
 use obs::trace::TraceStore;
-use obs::{spawn_sampler, AlertState, Recorder};
+use obs::AlertState;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -78,124 +74,31 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("bgp-selfmon-{tag}-{}-{n}", std::process::id()))
 }
 
+/// `Metrics` is a set of handles on the registry rules are evaluated
+/// against: what the serving layer itself counts is alertable.
 #[test]
-fn timeseries_endpoint_serves_sampled_windows_with_nonzero_rates() {
-    let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let recorder = Arc::new(Recorder::new(obs::global(), 64));
-    let api = Api::new(Arc::clone(&slot), Arc::new(Metrics::new()))
-        .with_timeseries(Arc::clone(&recorder));
-    let http = serve(api);
-    let addr = http.local_addr();
-
-    // A real sampler thread ticks the process registry while this test
-    // drives a counter — the windows it cuts are genuine wall-clock
-    // samples, not synthetic pushes.
-    let counter = obs::global().counter(
-        "bgp_selfmon_test_total",
-        "Loopback self-monitoring test traffic",
-        &[],
-    );
-    let sampler = spawn_sampler(Arc::clone(&recorder), Duration::from_millis(15));
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let body = loop {
-        counter.add(100);
-        std::thread::sleep(Duration::from_millis(5));
-        let (status, body) = http_get(addr, "/v1/debug/timeseries?metric=bgp_selfmon_test_total");
-        if status == 200 {
-            let nonzero = body
-                .split("\"rate\":")
-                .skip(1)
-                .filter(|rest| {
-                    let value = rest.split([',', '}']).next().unwrap_or("0");
-                    value.parse::<f64>().map(|v| v != 0.0).unwrap_or(false)
-                })
-                .count();
-            if nonzero >= 2 {
-                break body;
-            }
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no two nonzero-rate windows within 10s; last body: {body}"
-        );
-    };
-    sampler.stop();
-    sampler.join();
-
-    assert!(
-        body.contains("\"metric\":\"bgp_selfmon_test_total\""),
-        "{body}"
-    );
-    assert!(body.contains("\"kind\":\"counter\""), "{body}");
-    // Counter samples have no latency quantiles: explicit nulls.
-    assert!(body.contains("\"p50_nanos\":null"), "{body}");
-
-    // The whole-registry summary lists the family with its aggregates.
-    let (status, summary) = http_get(addr, "/v1/debug/timeseries");
-    assert_eq!(status, 200);
-    assert!(
-        summary.contains("\"metric\":\"bgp_selfmon_test_total\""),
-        "{summary}"
-    );
-    assert!(summary.contains("\"last_rate\":"), "{summary}");
-
-    // Unknown family: 404. No recorder attached: 400.
-    assert_eq!(http_get(addr, "/v1/debug/timeseries?metric=nope").0, 404);
-    let bare = serve(Api::new(Arc::clone(&slot), Arc::new(Metrics::new())));
-    assert_eq!(http_get(bare.local_addr(), "/v1/debug/timeseries").0, 400);
-    bare.shutdown();
-    http.shutdown();
-}
-
-/// The sampler snapshots the whole registry, and `Metrics` is a set of
-/// handles on it: what the serving layer itself counts is sampled too.
-#[test]
-fn sampler_sees_the_serve_families() {
+fn a_rule_on_the_serve_response_counter_fires() {
     let obs = Arc::new(obs::ObsRegistry::new());
-    let recorder = Arc::new(Recorder::new(Arc::clone(&obs), 8));
     let api = Api::new(
         Arc::new(SnapshotSlot::new(Thresholds::default())),
-        Arc::new(Metrics::with_registry(obs)),
-    )
-    .with_timeseries(Arc::clone(&recorder));
-    let get = |path: &str, query: &[(&str, &str)]| {
+        Arc::new(Metrics::with_registry(Arc::clone(&obs))),
+    );
+    let rules = obs::parse_alert_rules("bgp_serve_http_responses_total>1@1").unwrap();
+    let alerts = AlertState::new(rules, obs);
+    let get = |path: &str| {
         api.handle(&Request {
             method: "GET".to_string(),
             path: path.to_string(),
-            query: query
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            query: Vec::new(),
         })
     };
-    assert_eq!(get("/healthz", &[]).status, 200);
-    recorder.tick();
-
-    let sampled: Vec<String> = recorder
-        .rings()
-        .iter()
-        .map(|ring| ring.family().to_string())
-        .collect();
-    for family in [
-        "bgp_serve_http_responses_total",
-        "bgp_serve_epochs_published_total",
-    ] {
-        assert!(
-            sampled.iter().any(|f| f == family),
-            "{family} not sampled: {sampled:?}"
-        );
-    }
-    let series = get(
-        "/v1/debug/timeseries",
-        &[("metric", "bgp_serve_http_responses_total")],
-    );
-    assert_eq!(series.status, 200, "{}", series.body);
-    assert!(
-        series.body.contains("\"kind\":\"counter\""),
-        "{}",
-        series.body
-    );
-    assert!(series.body.contains("\"value\":1"), "{}", series.body);
+    assert_eq!(get("/healthz").status, 200);
+    alerts.evaluate();
+    assert!(alerts.firing().is_empty(), "one response is not over 1");
+    // The family's label sets are summed: a 2xx and a 4xx make two.
+    assert_eq!(get("/nope").status, 404);
+    alerts.evaluate();
+    assert_eq!(alerts.firing(), ["bgp_serve_http_responses_total"]);
 }
 
 #[test]
@@ -275,30 +178,28 @@ fn epoch_trace_is_identical_across_restart() {
 
 #[test]
 fn alert_fires_into_healthz_and_clears() {
-    // Rule over a test-owned counter family: `_rate` selects the
-    // per-second delta the sampler computes for it.
+    // Rule over a test-owned counter family: `_rate` selects its
+    // per-second delta over the window since the last evaluation.
     let rules = obs::parse_alert_rules("bgp_selfmon_alert_total_rate>5@2").unwrap();
-    let alerts = Arc::new(AlertState::new(rules, &obs::global()));
+    let alerts = Arc::new(AlertState::new(rules, obs::global()));
     let health = Arc::new(HealthState::default());
     health.attach_alerts(Arc::clone(&alerts));
-    let recorder = Arc::new(Recorder::new(obs::global(), 32).with_alerts(Arc::clone(&alerts)));
 
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let api = Api::new(Arc::clone(&slot), Arc::new(Metrics::new()))
-        .with_health(Arc::clone(&health))
-        .with_timeseries(Arc::clone(&recorder));
+    let api =
+        Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_health(Arc::clone(&health));
     let http = serve(api);
     let addr = http.local_addr();
 
     let counter = obs::global().counter("bgp_selfmon_alert_total", "Alert-rule test traffic", &[]);
-    // Baseline tick so the family has a previous value to delta from.
-    recorder.tick();
+    // Baseline evaluation so the family has a previous value to delta from.
+    alerts.evaluate();
 
     // Two consecutive over-threshold windows: the streak requirement.
     for _ in 0..2 {
         counter.add(10_000);
         std::thread::sleep(Duration::from_millis(2));
-        recorder.tick();
+        alerts.evaluate();
     }
     assert_eq!(alerts.firing(), vec!["bgp_selfmon_alert_total_rate"]);
     let (status, body) = http_get(addr, "/healthz");
@@ -312,7 +213,7 @@ fn alert_fires_into_healthz_and_clears() {
     // Quiet windows: the rule clears and /healthz drops the reason.
     for _ in 0..2 {
         std::thread::sleep(Duration::from_millis(2));
-        recorder.tick();
+        alerts.evaluate();
     }
     assert!(alerts.firing().is_empty());
     let (status, body) = http_get(addr, "/healthz");

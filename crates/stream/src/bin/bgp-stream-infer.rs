@@ -20,22 +20,18 @@
 //!       --seed <N>              simulation seed (default 7)
 //!       --repeats <N>           extra re-announcements per tuple in --sim (default 2)
 //!       --flips                 print every class flip, not just counts
-//!       --listen <ADDR>         serve the bgp-serve query API on ADDR while
-//!                               ingesting (shut down when the stream ends;
-//!                               use bgp-served for a long-running daemon)
 //!   -h, --help                  show this help
 //! ```
 //!
 //! Input files must be raw (uncompressed) MRT as served by RIPE RIS,
-//! RouteViews, or this workspace's own `bgp-collector` generator.
+//! RouteViews, or this workspace's own `bgp-collector` generator. To
+//! query the database over HTTP while it builds, run `bgp-served`.
 
-use bgp_serve::prelude::*;
 use bgp_sim::prelude::*;
 use bgp_stream::prelude::*;
 use bgp_topology::prelude::*;
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 struct Options {
     shards: usize,
@@ -48,13 +44,12 @@ struct Options {
     seed: u64,
     repeats: u32,
     print_flips: bool,
-    listen: Option<String>,
     inputs: Vec<String>,
 }
 
 fn usage() -> &'static str {
     "usage: bgp-stream-infer [-s SHARDS] [-e EVENTS] [--epoch-secs S] [-t THRESHOLD]\n\
-     \x20                      [-b BATCH] [-o FILE] [--flips] [--listen ADDR]\n\
+     \x20                      [-b BATCH] [-o FILE] [--flips]\n\
      \x20                      <MRT-FILE>... | --sim SCENARIO\n\
      Streams MRT archives (or a simulated feed) through the sharded epoch pipeline,\n\
      reporting per-epoch class flips, and writes the final inference database."
@@ -74,7 +69,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         seed: 7,
         repeats: 2,
         print_flips: false,
-        listen: None,
         inputs: Vec::new(),
     };
     let mut it = args.iter();
@@ -125,7 +119,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.repeats = num(arg)?.parse().map_err(|e| format!("bad repeats: {e}"))?;
             }
             "--flips" => opts.print_flips = true,
-            "--listen" => opts.listen = Some(num(arg)?),
             "-h" | "--help" => return Err(String::new()),
             other if other.starts_with('-') => return Err(format!("unknown option {other}")),
             file => opts.inputs.push(file.to_string()),
@@ -172,27 +165,20 @@ fn report_epoch(snap: &EpochSnapshot, print_flips: bool) {
     }
 }
 
-/// Drain a source batch-by-batch: ingest, report newly sealed epochs,
-/// and (with `--listen`) publish them to the serving slot as they seal.
+/// Drain a source batch-by-batch: ingest and report newly sealed epochs.
 fn drain(
     pipe: &mut StreamPipeline,
     source: &mut dyn TupleSource,
     batch: usize,
-    publisher: Option<&mut Publisher>,
     print_flips: bool,
     reported: &mut usize,
 ) -> Result<(), bgp_stream::ingest::IngestError> {
-    let mut publisher = publisher;
     loop {
         let events = source.next_batch(batch.max(1))?;
         if events.is_empty() {
             return Ok(());
         }
         for ev in events {
-            // Per-seal (not per-batch) reporting and publication: with
-            // `compact_history` the next seal strips the previous
-            // epoch's counters, so the serving slot must clone each
-            // epoch's Arc before another one seals.
             if pipe.push(ev).is_none() {
                 continue;
             }
@@ -200,9 +186,6 @@ fn drain(
                 report_epoch(snap, print_flips);
             }
             *reported = pipe.snapshots().len();
-            if let Some(publisher) = publisher.as_deref_mut() {
-                publisher.sync(pipe);
-            }
         }
     }
 }
@@ -215,36 +198,10 @@ fn run(opts: &Options) -> Result<(), String> {
         thresholds,
         // Long-running front end: epochs are reported as they seal, and
         // only the final db is exported, so historical counter stores
-        // would be dead weight. (A snapshot published to the serving slot
-        // keeps its counters: compaction copy-on-writes shared epochs.)
+        // would be dead weight.
         compact_history: true,
         ..Default::default()
     });
-
-    // --listen: the thin wire-up over bgp-serve — same slot/handler
-    // stack as bgp-served, fed by this process's ingest loop.
-    let serving = match &opts.listen {
-        Some(addr) => {
-            let slot = Arc::new(SnapshotSlot::new(thresholds));
-            let metrics = Arc::new(Metrics::new());
-            let http = HttpServer::start(
-                HttpConfig {
-                    addr: addr.clone(),
-                    ..Default::default()
-                },
-                Arc::new(Api::new(Arc::clone(&slot), Arc::clone(&metrics))),
-            )
-            .map_err(|e| format!("bind {addr}: {e}"))?;
-            obs::info!("http", "serving query API on http://{}", http.local_addr());
-            let publisher = Publisher::new(slot, 100_000).with_metrics(Arc::clone(&metrics));
-            Some((http, publisher, metrics))
-        }
-        None => None,
-    };
-    let (http, mut publisher, metrics) = match serving {
-        Some((h, p, m)) => (Some(h), Some(p), Some(m)),
-        None => (None, None, None),
-    };
 
     let mut reported = 0usize;
     if let Some(name) = &opts.sim {
@@ -266,7 +223,6 @@ fn run(opts: &Options) -> Result<(), String> {
             &mut pipe,
             &mut source,
             opts.batch,
-            publisher.as_mut(),
             opts.print_flips,
             &mut reported,
         )
@@ -279,7 +235,6 @@ fn run(opts: &Options) -> Result<(), String> {
                 &mut pipe,
                 &mut source,
                 opts.batch,
-                publisher.as_mut(),
                 opts.print_flips,
                 &mut reported,
             )
@@ -295,15 +250,6 @@ fn run(opts: &Options) -> Result<(), String> {
         }
     }
 
-    // Seal the trailing partial epoch while the pipeline is still
-    // borrowable so the serving slot gets it too; `finish` then has
-    // nothing left to seal.
-    if pipe.latest().map(|s| s.total_events) != Some(pipe.total_events()) {
-        pipe.seal_epoch();
-    }
-    if let Some(publisher) = publisher.as_mut() {
-        publisher.sync(&pipe);
-    }
     let interned_asns = pipe.interned_asns();
     let arena_hops = pipe.arena_hops();
     let out = pipe.finish();
@@ -330,16 +276,6 @@ fn run(opts: &Options) -> Result<(), String> {
         None => std::io::stdout()
             .write_all(db.as_bytes())
             .map_err(|e| format!("write stdout: {e}"))?,
-    }
-    if let Some(http) = http {
-        if let Some(metrics) = &metrics {
-            obs::info!(
-                "http",
-                "query API answered {} requests; shutting down",
-                metrics.total_requests()
-            );
-        }
-        http.shutdown();
     }
     Ok(())
 }

@@ -8,9 +8,8 @@ use bgp_infer::classify::Class;
 use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::counters::Thresholds;
 use bgp_types::prelude::*;
-use obs::journal::JournalKind;
 use obs::trace::TraceStore;
-use obs::{Histogram, Journal};
+use obs::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -100,7 +99,6 @@ pub struct StreamPipeline {
     /// registry so sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
     recount_hist: Arc<Histogram>,
-    journal: Arc<Journal>,
 }
 
 impl StreamPipeline {
@@ -121,7 +119,6 @@ impl StreamPipeline {
             "Wall time of the whole recount of one sealed epoch",
             &[],
         );
-        let journal = Arc::clone(reg.journal());
         if let Some(trace) = &cfg.trace {
             trace.set_active(0);
         }
@@ -138,7 +135,6 @@ impl StreamPipeline {
             last_ts: 0,
             seal_hists,
             recount_hist,
-            journal,
         }
     }
 
@@ -397,7 +393,7 @@ impl StreamPipeline {
         }
         snapshot.seal_nanos = t_seal.elapsed().as_nanos() as u64;
         let (replayed, total) = self.shards.last_replay();
-        let (fanned, steps) = self.shards.last_fanout();
+        let (fanned, _) = self.shards.last_fanout();
         let kind = if zero_delta {
             "zero_delta"
         } else if replayed > 0 {
@@ -411,15 +407,6 @@ impl StreamPipeline {
             _ => 2,
         };
         self.seal_hists[kind_idx].record(snapshot.seal_nanos);
-        self.journal.push(
-            JournalKind::Span,
-            "seal",
-            snapshot.seal_nanos,
-            format!(
-                "epoch={epoch} kind={kind} events={} tuples={} replayed={replayed}/{total} fanned={fanned}/{steps} count_nanos={}",
-                snapshot.events, snapshot.unique_tuples, snapshot.count_nanos
-            ),
-        );
         obs::debug!(
             "stream",
             "sealed epoch {epoch} kind={kind} events={} tuples={} flips={} seal_nanos={} count_nanos={}",
@@ -440,7 +427,7 @@ impl StreamPipeline {
                 trace.record(epoch, "shard_merge", self.shards.last_merge_nanos(), &[]);
             }
             // `kind` as a counter: 0 = zero_delta, 1 = incremental,
-            // 2 = full — the journal's seal span carries the word form.
+            // 2 = full — the `stream` debug log line carries the word form.
             trace.record(
                 epoch,
                 "seal",
