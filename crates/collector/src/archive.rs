@@ -251,9 +251,9 @@ pub fn ingest_day(archive: &DayArchive, set: &mut TupleSet) -> bgp_mrt::Result<(
         if bytes.is_empty() {
             continue;
         }
-        let (tuples, _raw) = bgp_mrt::extract_tuples(bytes)?;
-        for t in tuples {
-            set.insert(t);
+        let mut stream = bgp_mrt::TupleStream::new(bytes);
+        while let Some(item) = stream.next_ref() {
+            set.insert_ref(item?.1);
         }
     }
     Ok(())
@@ -323,7 +323,7 @@ mod tests {
         // Every ingested tuple must match the direct propagation output.
         let prop = Propagator::new(&g, &roles);
         let project_peers = CollectorProject::ripe().select_peers(&g, 1);
-        for t in set.iter() {
+        for t in set.to_vec() {
             assert!(project_peers.contains(&t.path.peer()));
             assert_eq!(
                 t.comm,
@@ -416,7 +416,7 @@ mod tests {
         ingest_day(&day, &mut set).unwrap();
         assert!(!set.is_empty());
         let prop = Propagator::new(&g, &roles);
-        for t in set.iter() {
+        for t in set.to_vec() {
             assert_eq!(
                 t.comm,
                 prop.output(&t.path),

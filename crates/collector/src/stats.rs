@@ -81,7 +81,7 @@ impl DatasetStats {
         let mut upper_public: BTreeSet<Asn> = BTreeSet::new();
         let mut upper_onpath: BTreeSet<Asn> = BTreeSet::new();
 
-        for t in tuples.iter() {
+        for t in tuples.unordered().map(TupleRef::to_owned) {
             for c in t.comm.iter() {
                 s.communities_total += 1;
                 if c.is_large() {

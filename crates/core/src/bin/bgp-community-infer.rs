@@ -97,9 +97,9 @@ fn run(opts: &Options) -> Result<(), String> {
     for input in &opts.inputs {
         let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
         let mut stream = bgp_mrt::TupleStream::new(&bytes);
-        for item in &mut stream {
+        while let Some(item) = stream.next_ref() {
             let (_, tuple) = item.map_err(|e| format!("{input}: {e}"))?;
-            set.insert(tuple);
+            set.insert_ref(tuple);
         }
         eprintln!(
             "{input}: {} entries, {} usable tuples",
@@ -113,22 +113,25 @@ fn run(opts: &Options) -> Result<(), String> {
         set.len()
     );
 
-    let tuples = set.into_sorted_vec();
     let thresholds = Thresholds::uniform(opts.threshold);
+    let cfg = InferenceConfig {
+        thresholds,
+        threads: opts.threads,
+        ..Default::default()
+    };
     let outcome = if opts.row_based {
-        run_row_based(&tuples, thresholds)
+        run_row_based(&set.into_sorted_vec(), thresholds)
+    } else if opts.reference {
+        InferenceEngine::new(cfg).run_reference(&set.into_sorted_vec())
     } else {
-        let cfg = InferenceConfig {
-            thresholds,
-            threads: opts.threads,
-            ..Default::default()
-        };
-        let engine = InferenceEngine::new(cfg);
-        if opts.reference {
-            engine.run_reference(&tuples)
-        } else {
-            engine.run(&tuples)
+        // The engine is order-free: compile straight off the set's
+        // records, in the order they arrived, and own no tuple at all.
+        let mut compiled = CompiledTuples::new();
+        for t in set.unordered() {
+            compiled.push_ref(t);
         }
+        drop(set);
+        compiled.run(&cfg)
     };
 
     if opts.summary {

@@ -678,10 +678,27 @@ impl CompiledTuples {
         self
     }
 
-    /// Append one tuple: intern its hops and write them straight into
-    /// the next slot of its length bucket's id and tag columns.
+    /// Append one owned tuple (see [`push_ref`](Self::push_ref)).
     pub fn push(&mut self, t: &PathCommTuple) {
-        let blen = t.path.len();
+        let uppers = t.comm.iter().map(|c| c.upper_field());
+        self.push_parts(t.path.asns().iter().copied(), uppers);
+    }
+
+    /// Append one tuple from its encoded record: intern its hops and
+    /// write them straight into the next slot of its length bucket's id
+    /// and tag columns. Nothing of the record is kept.
+    pub fn push_ref(&mut self, t: TupleRef<'_>) {
+        self.push_parts(t.hops(), t.uppers());
+    }
+
+    /// The one append: all a tuple contributes is its hops and the upper
+    /// fields of its communities.
+    fn push_parts(
+        &mut self,
+        hops: impl ExactSizeIterator<Item = Asn>,
+        uppers: impl Iterator<Item = Asn>,
+    ) {
+        let blen = hops.len();
         self.n_tuples += 1;
         if blen == 0 {
             return;
@@ -692,8 +709,7 @@ impl CompiledTuples {
         // small scan faster than they binary-search; large ones get
         // sorted and probed logarithmically.
         self.upper_scratch.clear();
-        self.upper_scratch
-            .extend(t.comm.iter().map(|c| c.upper_field().0));
+        self.upper_scratch.extend(uppers.map(|asn| asn.0));
         let big_comm = self.upper_scratch.len() > 16;
         if big_comm {
             self.upper_scratch.sort_unstable();
@@ -727,7 +743,7 @@ impl CompiledTuples {
             // Batch path: intern, column append, and tag probe in one
             // pass over the hops.
             StoreInterner::Own(it) => {
-                for (p, &asn) in t.path.asns().iter().enumerate() {
+                for (p, asn) in hops.enumerate() {
                     b.cols[p].push(it.intern(asn));
                     if new_word {
                         b.tag_cols[p].push(0);
@@ -741,7 +757,7 @@ impl CompiledTuples {
             // path, then the column/tag pass.
             StoreInterner::Shared(s) => {
                 let mut batch = s.batch();
-                for (p, &asn) in t.path.asns().iter().enumerate() {
+                for (p, asn) in hops.enumerate() {
                     b.cols[p].push(batch.intern(asn));
                     if new_word {
                         b.tag_cols[p].push(0);

@@ -200,8 +200,8 @@ impl AmbientCommunities {
     /// Decorate a whole tuple set.
     pub fn decorate_set(&self, set: &TupleSet) -> TupleSet {
         let mut out = TupleSet::new();
-        for t in set.iter() {
-            out.insert(self.decorate(t));
+        for t in set.unordered() {
+            out.insert(self.decorate(&t.to_owned()));
         }
         out
     }

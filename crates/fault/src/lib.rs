@@ -45,9 +45,8 @@
 
 use bgp_archive::frame::Result as ArchiveResult;
 use bgp_archive::manifest::{write_atomic, IoShim};
-use bgp_stream::ingest::{IngestError, StreamEvent, TupleSource};
+use bgp_stream::ingest::{EventBatch, IngestError, StreamEvent, TupleSource};
 use bgp_types::prelude::{AsPath, Asn, CommunitySet, PathCommTuple};
-use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -342,15 +341,11 @@ impl IoShim for FaultyIo {
 }
 
 /// The marker a feed fault injects: an AS0 path (forbidden on the wire
-/// by RFC 7607), which the ingest quarantine must skip and count.
+/// by RFC 7607), which the ingest quarantine
+/// ([`bgp_stream::ingest::is_malformed`]) must skip and count.
 pub fn malformed_event() -> StreamEvent {
     let path = AsPath::new(vec![Asn(0)]).expect("AS0 path is non-empty");
     StreamEvent::new(0, PathCommTuple::new(path, CommunitySet::new()))
-}
-
-/// Whether `ev` is a quarantinable malformed event (AS0 in the path).
-pub fn is_malformed(ev: &StreamEvent) -> bool {
-    ev.tuple.path.asns().iter().any(|a| a.0 == 0)
 }
 
 #[derive(Debug)]
@@ -358,7 +353,7 @@ struct InjectorState {
     clock: FaultClock,
     /// Real events pulled but not yet delivered (a truncated batch's
     /// tail). Redelivered, in order, before anything else.
-    pending: VecDeque<StreamEvent>,
+    pending: EventBatch,
 }
 
 /// Feed-domain fault state that survives driver respawns: the clock
@@ -378,7 +373,7 @@ impl FeedInjector {
         FeedInjector {
             state: Mutex::new(InjectorState {
                 clock: FaultClock::new(rules, seed),
-                pending: VecDeque::new(),
+                pending: EventBatch::new(),
             }),
             fired: std::sync::atomic::AtomicU64::new(0),
         }
@@ -388,7 +383,7 @@ impl FeedInjector {
     /// the attempt replays its feed from scratch, so redelivering a
     /// previous attempt's tail would duplicate events.
     pub fn reset_stream(&self) {
-        self.lock().pending.clear();
+        self.lock().pending = EventBatch::new();
     }
 
     /// Faults injected so far, across all attempts.
@@ -424,13 +419,14 @@ impl<'a> FaultSource<'a> {
 }
 
 impl TupleSource for FaultSource<'_> {
-    fn next_batch(&mut self, max: usize) -> std::result::Result<Vec<StreamEvent>, IngestError> {
+    fn next_batch(&mut self, max: usize) -> std::result::Result<EventBatch, IngestError> {
         // Redeliver a truncated batch's tail before pulling new data.
         {
             let mut state = self.injector.lock();
             if !state.pending.is_empty() {
                 let take = state.pending.len().min(max.max(1));
-                return Ok(state.pending.drain(..take).collect());
+                let later = state.pending.split_off(take);
+                return Ok(std::mem::replace(&mut state.pending, later));
             }
         }
         let fault = self.injector.lock().clock.tick();
@@ -446,16 +442,14 @@ impl TupleSource for FaultSource<'_> {
                 // events — nothing real is consumed, so order and
                 // completeness are preserved by construction.
                 self.injector.note_fired();
-                Ok(vec![malformed_event()])
+                Ok(EventBatch::from_iter([malformed_event()]))
             }
             Some(FaultKind::Truncate) => {
                 self.injector.note_fired();
                 let mut batch = self.inner.next_batch(max)?;
-                let keep = batch.len() / 2;
-                let tail: Vec<StreamEvent> = batch.split_off(keep);
-                let mut state = self.injector.lock();
-                state.pending.extend(tail);
-                batch.push(malformed_event());
+                let tail = batch.split_off(batch.len() / 2);
+                self.injector.lock().pending = tail;
+                batch.push_event(&malformed_event());
                 Ok(batch)
             }
             Some(FaultKind::Panic) => {
@@ -475,7 +469,7 @@ impl TupleSource for FaultSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_stream::ingest::IterSource;
+    use bgp_stream::ingest::{is_malformed, IterSource};
 
     #[test]
     fn spec_roundtrip() {
@@ -550,11 +544,11 @@ mod tests {
             if batch.is_empty() {
                 return (real, markers);
             }
-            for ev in batch {
-                if is_malformed(&ev) {
+            for (timestamp, tuple) in batch.iter() {
+                if is_malformed(tuple) {
                     markers += 1;
                 } else {
-                    real.push(ev);
+                    real.push(StreamEvent::new(timestamp, tuple.to_owned()));
                 }
             }
         }

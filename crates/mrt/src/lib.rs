@@ -29,8 +29,10 @@
 //!   statistics read, and the oracle the other reader is tested against.
 //! * [`TupleStream`] yields the sanitized `(path, comm)` pair inference
 //!   reads and nothing else. It walks BGP4MP_MESSAGE_AS4 and
-//!   RIB_IPV4/IPV6_UNICAST records in place — two exact-size allocations
-//!   a tuple, none for a withdrawal — and hands every other record, and
+//!   RIB_IPV4/IPV6_UNICAST records in place and lends each tuple as one
+//!   encoded record ([`TupleStream::next_ref`]: no allocation an entry;
+//!   its `Iterator` impl owns what it yields, two exact-size allocations
+//!   a tuple, none for a withdrawal), and hands every other record, and
 //!   every record it cannot prove well-formed, to [`MrtReader`]; see
 //!   [`stream`] for why its output and its errors cannot differ.
 //!

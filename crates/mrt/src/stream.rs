@@ -27,9 +27,20 @@
 //! attribute other than AS_PATH, COMMUNITIES and LARGE_COMMUNITIES are
 //! checked and skipped by length (MP_REACH_NLRI only far enough to know
 //! whether it announces a prefix); `AS_SEQUENCE` hops and communities go
-//! into two reused scratch buffers and from there into a tuple of two
-//! exact-size allocations. A withdrawal or a shape-dropped path allocates
-//! nothing.
+//! into two reused scratch buffers, where the communities are sorted and
+//! deduplicated in place, and from there — the hops through
+//! [`AsPath::sanitized_hops`] — into one encoded tuple record
+//! ([`bgp_types::tuple`]) in a third reused buffer.
+//!
+//! **It lends.** [`TupleStream::next_ref`] hands out that record as a
+//! [`TupleRef`] borrowed until the next call, so a drain into a dedup
+//! table allocates nothing per entry: most entries are tuples already
+//! seen, and recognising one needs its words, not its ownership. The
+//! `Iterator` impl is `next_ref` plus [`TupleRef::to_owned`] — two
+//! exact-size allocations per kept tuple — for callers that keep what
+//! they are given ([`extract_tuples`]). One walk, one fallback, one place
+//! errors come from, either way. A withdrawal or a shape-dropped path
+//! writes nothing.
 //!
 //! The walk has no error path of its own. PEER_INDEX_TABLE, the legacy
 //! subtypes, unsupported types and **any record the walk cannot prove
@@ -38,7 +49,8 @@
 //! NEXT_HOP / community length / segment type, an attribute value not
 //! consumed exactly, a second AS_PATH (the decoder lets it overwrite the
 //! first), a RIB record before any peer table, a peer index out of range —
-//! rewind to the record's first byte and go through [`MrtReader`]. Every
+//! rewind to the record's first byte and go through [`MrtReader`], whose
+//! owned tuples are encoded into the same record buffer. Every
 //! [`MrtError`](crate::MrtError) therefore comes from the one decoder that
 //! constructs them, and a record stays all-or-nothing: the counters move,
 //! and a RIB group's tuples are released, only when the whole record has
@@ -46,9 +58,10 @@
 //! (`read_frame`, `read_bgp4mp_as4_prelude`, `read_rib_entry_header`,
 //! `read_attr_header`, `read_mp_reach_header`, `read_nlri_prefix`), so the
 //! only thing the walk adds is *which attributes are materialised*.
-//! `tests/walk_differential.rs` holds the two to the same items, counters
-//! and terminal error on generated, damaged and hand-built archives;
-//! `tests/alloc_budget.rs` counts the allocations.
+//! `tests/walk_differential.rs` holds the lending reader to the decoder's
+//! items, counters and terminal error on generated, damaged and hand-built
+//! archives; `tests/alloc_budget.rs` counts the allocations of both ways
+//! to drain it.
 
 use crate::attributes::{
     read_attr_header, read_mp_reach_header, read_nlri_prefix, ATTR_AS_PATH, ATTR_COMMUNITIES,
@@ -261,15 +274,31 @@ impl Scratch {
         Some(announces)
     }
 
-    /// The tuple of the section just walked, as seen from `peer`: the
-    /// shared sanitation rule over the kept hops, and the kept communities
-    /// as a set — one allocation each, sized by what they hold (none for
-    /// an empty set, none at all for a shape-dropped path).
-    fn tuple(&self, peer: Asn) -> Option<PathCommTuple> {
-        let path = AsPath::sanitized(self.hops.iter().copied(), Some(peer))?;
-        let comm = CommunitySet::from_iter(self.comms.iter().copied());
-        Some(PathCommTuple::new(path, comm))
+    /// Append the tuple of the section just walked, as seen from `peer`
+    /// and stamped `timestamp`, to `queue`: the shared sanitation rule
+    /// over the kept hops, and the kept communities sorted and
+    /// deduplicated where they lie. `false` — nothing written — for a
+    /// shape-dropped path.
+    fn encode(&mut self, timestamp: u64, peer: Asn, queue: &mut Vec<u32>) -> bool {
+        let Some(hops) = AsPath::sanitized_hops(self.hops.iter().copied(), Some(peer)) else {
+            return false;
+        };
+        self.comms.sort_unstable();
+        self.comms.dedup();
+        push_queued(queue, timestamp, hops, &self.comms);
+        true
     }
+}
+
+/// Append one `[ts_lo, ts_hi, record..]` entry to a [`TupleStream`] queue.
+fn push_queued(
+    queue: &mut Vec<u32>,
+    timestamp: u64,
+    hops: impl Iterator<Item = Asn>,
+    comms: &[AnyCommunity],
+) {
+    queue.extend_from_slice(&[timestamp as u32, (timestamp >> 32) as u32]);
+    encode_record(queue, hops, comms);
 }
 
 /// The big-endian `u32` that `b` starts with.
@@ -299,10 +328,18 @@ fn skip_nlri(c: &mut Cursor<'_>, v6: bool) -> Option<bool> {
 /// place; every other record, and every record the walk cannot prove
 /// well-formed, goes through [`MrtReader`] from its first byte. The items,
 /// the counters and the terminal error are the full decoder's either way.
+///
+/// [`next_ref`](Self::next_ref) lends each tuple as an encoded record;
+/// the `Iterator` impl owns what it yields.
 pub struct TupleStream<'a> {
     reader: MrtReader<'a>,
     scratch: Scratch,
-    pending: std::collections::VecDeque<(u64, PathCommTuple)>,
+    /// The tuples of the record last walked or decoded and not yet
+    /// handed out, as `[ts_lo, ts_hi, record..]` entries: one for an
+    /// update, one per kept entry of a RIB group.
+    queue: Vec<u32>,
+    /// Where in `queue` the next entry to hand out starts.
+    queue_at: usize,
     raw_entries: u64,
     kept: u64,
     shape_dropped: u64,
@@ -315,7 +352,8 @@ impl<'a> TupleStream<'a> {
         TupleStream {
             reader: MrtReader::new(bytes),
             scratch: Scratch::default(),
-            pending: std::collections::VecDeque::new(),
+            queue: Vec::new(),
+            queue_at: 0,
             raw_entries: 0,
             kept: 0,
             shape_dropped: 0,
@@ -340,39 +378,58 @@ impl<'a> TupleStream<'a> {
         self.shape_dropped
     }
 
+    /// The next `(timestamp, tuple)`, the tuple lent as an encoded record
+    /// that the following call overwrites — not an `Iterator`, whose items
+    /// must outlive the next one. `None` once the archive is exhausted or
+    /// after the one `Err` a malformed record ends the stream with.
+    pub fn next_ref(&mut self) -> Option<Result<(u64, TupleRef<'_>)>> {
+        while self.queue_at == self.queue.len() {
+            if self.failed {
+                return None;
+            }
+            self.queue.clear();
+            self.queue_at = 0;
+            if self.walk_record().is_none() {
+                if let Err(e) = self.decode_record()? {
+                    self.failed = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        let entry = &self.queue[self.queue_at..];
+        let timestamp = entry[0] as u64 | (entry[1] as u64) << 32;
+        let (tuple, _) = TupleRef::read(&entry[2..]);
+        self.queue_at += 2 + tuple.words().len();
+        Some(Ok((timestamp, tuple)))
+    }
+
     /// Walk the record under the reader's cursor in place. `None` leaves
-    /// the cursor, the counters and `pending` as they were: the record is
-    /// the full decoder's. `Some` has consumed it; the inner value is an
-    /// update's tuple, yielded directly, while a RIB group's tuples are in
-    /// `pending`.
-    fn walk_record(&mut self) -> Option<Option<(u64, PathCommTuple)>> {
+    /// the cursor and the counters as they were and the queue empty: the
+    /// record is the full decoder's. `Some` has consumed it and queued
+    /// its tuples.
+    fn walk_record(&mut self) -> Option<()> {
         let mut c = self.reader.cursor.clone();
         let (header, mut body) = read_frame(&mut c).ok()?;
-        let direct = match (header.mrt_type, header.subtype) {
+        match (header.mrt_type, header.subtype) {
             (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4) => {
                 self.walk_update(header.timestamp, &mut body)?
             }
             (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST | SUBTYPE_RIB_IPV6_UNICAST) => {
                 let v6 = header.subtype == SUBTYPE_RIB_IPV6_UNICAST;
                 if self.walk_rib_group(&mut body, v6).is_none() {
-                    self.pending.clear(); // entries ahead of the bad one
+                    self.queue.clear(); // entries ahead of the bad one
                     return None;
                 }
-                None
             }
             _ => return None,
-        };
+        }
         self.reader.cursor = c;
-        Some(direct)
+        Some(())
     }
 
     /// One BGP4MP_MESSAGE_AS4 body: count the entry and, if it announces
-    /// anything, build its tuple.
-    fn walk_update(
-        &mut self,
-        timestamp: u32,
-        body: &mut Cursor<'_>,
-    ) -> Option<Option<(u64, PathCommTuple)>> {
+    /// anything, queue its tuple.
+    fn walk_update(&mut self, timestamp: u32, body: &mut Cursor<'_>) -> Option<()> {
         let prelude = read_bgp4mp_as4_prelude(body).ok()?;
         let mut msg = prelude.update;
         let withdrawn_len = msg.get_u16("withdrawn routes length").ok()? as usize;
@@ -385,14 +442,17 @@ impl<'a> TupleStream<'a> {
 
         self.raw_entries += 1;
         if !(nlri || mp_reach) {
-            return Some(None); // withdrawals carry no usable (path, comm)
+            return Some(()); // withdrawals carry no usable (path, comm)
         }
-        let tuple = self.scratch.tuple(prelude.peer_asn);
-        match &tuple {
-            Some(_) => self.kept += 1,
-            None => self.shape_dropped += 1,
+        if self
+            .scratch
+            .encode(timestamp as u64, prelude.peer_asn, &mut self.queue)
+        {
+            self.kept += 1;
+        } else {
+            self.shape_dropped += 1;
         }
-        Some(tuple.map(|t| (timestamp as u64, t)))
+        Some(())
     }
 
     /// One RIB_IPVx_UNICAST body: queue every entry's tuple, and count the
@@ -403,30 +463,56 @@ impl<'a> TupleStream<'a> {
         body.get_u32("rib sequence").ok()?;
         read_nlri_prefix(body, v6).ok()?;
         let count = body.get_u16("rib entry count").ok()?;
+        let mut kept = 0;
         for _ in 0..count {
             let (peer_idx, originated, mut attrs) = read_rib_entry_header(body).ok()?;
             self.scratch.walk_attributes(&mut attrs)?;
             let peer = table.peers.get(peer_idx)?.asn;
-            if let Some(tuple) = self.scratch.tuple(peer) {
-                self.pending.push_back((originated as u64, tuple));
-            }
+            kept += self
+                .scratch
+                .encode(originated as u64, peer, &mut self.queue) as u64;
         }
-        // `next` drains `pending` before it walks, so this group is all of it.
-        let kept = self.pending.len() as u64;
         self.raw_entries += count as u64;
         self.kept += kept;
         self.shape_dropped += count as u64 - kept;
         Some(())
     }
 
-    /// Sanitize one fully decoded announcement and queue its tuple: what
-    /// the records the walk hands back go through.
+    /// The record under the reader's cursor through the full decoder:
+    /// what the walk hands back. `None` at the end of the archive.
+    fn decode_record(&mut self) -> Option<Result<()>> {
+        match self.reader.next()? {
+            Err(e) => return Some(Err(e)),
+            Ok(MrtRecord::PeerIndex(_)) => {}
+            Ok(MrtRecord::Update(u)) => {
+                self.raw_entries += 1;
+                // Withdrawals carry no usable (path, comm).
+                if !u.announced.is_empty() {
+                    self.offer(u.timestamp, u.peer_asn, u.attributes);
+                }
+            }
+            Ok(MrtRecord::RibEntries(entries)) => {
+                for e in entries {
+                    self.raw_entries += 1;
+                    self.offer(e.originated, e.peer_asn, e.attributes);
+                }
+            }
+        }
+        Some(Ok(()))
+    }
+
+    /// Sanitize one fully decoded announcement and queue its tuple.
     fn offer(&mut self, timestamp: u64, peer: Asn, attrs: PathAttributes) {
         match attrs.as_path.sanitize(Some(peer)) {
             Some(path) => {
                 self.kept += 1;
-                self.pending
-                    .push_back((timestamp, PathCommTuple::new(path, attrs.communities)));
+                let hops = path.asns().iter().copied();
+                push_queued(
+                    &mut self.queue,
+                    timestamp,
+                    hops,
+                    attrs.communities.as_slice(),
+                );
             }
             None => self.shape_dropped += 1,
         }
@@ -437,39 +523,8 @@ impl Iterator for TupleStream<'_> {
     type Item = Result<(u64, PathCommTuple)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.pending.pop_front() {
-                return Some(Ok(item));
-            }
-            if self.failed {
-                return None;
-            }
-            match self.walk_record() {
-                Some(Some(item)) => return Some(Ok(item)),
-                Some(None) => continue,
-                None => {}
-            }
-            match self.reader.next()? {
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                Ok(MrtRecord::PeerIndex(_)) => {}
-                Ok(MrtRecord::Update(u)) => {
-                    self.raw_entries += 1;
-                    if u.announced.is_empty() {
-                        continue; // withdrawals carry no usable (path, comm)
-                    }
-                    self.offer(u.timestamp, u.peer_asn, u.attributes);
-                }
-                Ok(MrtRecord::RibEntries(entries)) => {
-                    for e in entries {
-                        self.raw_entries += 1;
-                        self.offer(e.originated, e.peer_asn, e.attributes);
-                    }
-                }
-            }
-        }
+        let item = self.next_ref()?;
+        Some(item.map(|(timestamp, tuple)| (timestamp, tuple.to_owned())))
     }
 }
 
@@ -479,7 +534,7 @@ impl Iterator for TupleStream<'_> {
 ///
 /// Returns the tuples plus the number of raw entries seen (for Table 1's
 /// "Entries total" accounting). Withdrawals carry no path and are skipped.
-/// This is [`TupleStream`] drained into a vector.
+/// This is [`TupleStream`]'s owning iterator drained into a vector.
 pub fn extract_tuples(bytes: &[u8]) -> Result<(Vec<PathCommTuple>, u64)> {
     let mut stream = TupleStream::new(bytes);
     // A RIB entry with a path and a community is some 40 wire bytes and an

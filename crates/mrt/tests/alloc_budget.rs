@@ -1,63 +1,17 @@
 //! What extraction may allocate, counted.
 //!
-//! This file is its own test binary so that its counting
-//! `#[global_allocator]` is seen by no other suite. Counts are kept per
-//! thread, so the tests here do not see each other's either.
+//! This file is its own test binary so that the counting
+//! `#[global_allocator]` of `support/counting_alloc.rs` is seen by no other
+//! suite. Counts are kept per thread, so the tests here do not see each
+//! other's either.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use bgp_mrt::record::{PeerEntry, RibGroup};
 use bgp_mrt::{MrtError, MrtHeader, MrtReader, MrtWriter, PeerIndexTable, TupleStream};
 use bgp_types::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct Counting;
-
-thread_local! {
-    /// `(allocations, bytes)` requested on this thread. Const-initialised
-    /// and without a destructor, so touching it never allocates.
-    static REQUESTED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    REQUESTED.with(|r| {
-        let (n, b) = r.get();
-        r.set((n + 1, b + bytes as u64));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter bump
-// that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator, with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `(allocations, bytes)` this thread requested while `f` ran.
-fn requested_by<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (n0, b0) = REQUESTED.with(Cell::get);
-    let out = f();
-    let (n1, b1) = REQUESTED.with(Cell::get);
-    (out, n1 - n0, b1 - b0)
-}
+use counting_alloc::requested_by;
 
 fn attrs(hops: &[u32], comms: &[(u16, u16)]) -> PathAttributes {
     PathAttributes {
@@ -70,8 +24,9 @@ fn attrs(hops: &[u32], comms: &[(u16, u16)]) -> PathAttributes {
     }
 }
 
-#[test]
-fn draining_a_well_formed_archive_allocates_what_the_tuples_hold() {
+/// 3,200 entries: 2,400 kept tuples, all distinct, 300 dropped paths, 500
+/// withdrawals.
+fn budget_archive() -> Vec<u8> {
     const PEERS: [u32; 4] = [64500, 64501, 64502, 64503];
     let mut w = MrtWriter::new();
     let table = PeerIndexTable {
@@ -118,8 +73,18 @@ fn draining_a_well_formed_archive_allocates_what_the_tuples_hold() {
             w.write_update(&msg).unwrap();
         }
     }
-    let bytes = w.into_bytes();
+    w.into_bytes()
+}
 
+fn assert_budget_counters(stream: &TupleStream<'_>) {
+    assert_eq!(stream.raw_entries(), 300 * 4 + 1500 + 500);
+    assert_eq!(stream.kept(), 300 * 3 + 1500);
+    assert_eq!(stream.shape_dropped(), 300);
+}
+
+#[test]
+fn draining_a_well_formed_archive_allocates_what_the_tuples_hold() {
+    let bytes = budget_archive();
     let mut stream = TupleStream::new(&bytes);
     let (payload, allocations, requested) = requested_by(|| {
         let mut payload = 0u64;
@@ -131,16 +96,15 @@ fn draining_a_well_formed_archive_allocates_what_the_tuples_hold() {
         }
         payload
     });
-    assert_eq!(stream.raw_entries(), 300 * 4 + 1500 + 500);
-    assert_eq!(stream.kept(), 300 * 3 + 1500);
-    assert_eq!(stream.shape_dropped(), 300);
+    assert_budget_counters(&stream);
 
-    // A path and, unless it is empty, a set per kept tuple; nothing for a
-    // withdrawal or a dropped path. The slack covers the peer table (the
-    // full decoder's, a dozen small vectors) and the growth of the scratch
-    // buffers and the RIB queue. Whole-record decoding spends three to
-    // five allocations an entry and fails this several times over; so
-    // would well-formed records that took the fallback.
+    // The owning iterator: a path and, unless it is empty, a set per kept
+    // tuple; nothing for a withdrawal or a dropped path. The slack covers
+    // the peer table (the full decoder's, a dozen small vectors) and the
+    // growth of the scratch buffers and the record queue. Whole-record
+    // decoding spends three to five allocations an entry and fails this
+    // several times over; so would well-formed records that took the
+    // fallback.
     let kept = stream.kept();
     assert!(
         allocations <= 2 * kept + 64,
@@ -150,6 +114,35 @@ fn draining_a_well_formed_archive_allocates_what_the_tuples_hold() {
     assert!(
         requested <= payload + 4096,
         "{requested} bytes requested for {payload} bytes of tuples"
+    );
+}
+
+#[test]
+fn a_lending_drain_into_a_set_allocates_a_constant_and_the_doublings() {
+    let bytes = budget_archive();
+    let mut stream = TupleStream::new(&bytes);
+    let (set, allocations, _) = requested_by(|| {
+        let mut set = TupleSet::new();
+        while let Some(item) = stream.next_ref() {
+            set.insert_ref(item.unwrap().1);
+        }
+        set
+    });
+    assert_budget_counters(&stream);
+    assert_eq!(set.total_ingested(), 2400);
+    assert_eq!(
+        set.len(),
+        2400,
+        "every kept tuple of this archive is distinct"
+    );
+
+    // Nothing per entry: the scratch buffers and the record queue growing
+    // to their working size, the peer table, and the set's arena and index
+    // doubling as 2,400 records arrive.
+    assert!(
+        allocations <= 64,
+        "{allocations} allocations to take in {} tuples",
+        stream.kept()
     );
 }
 

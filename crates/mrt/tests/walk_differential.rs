@@ -2,10 +2,13 @@
 //!
 //! The oracle is the extraction spelled out over whole records:
 //! [`MrtReader`] decodes each one, `RawAsPath::sanitize(&self)` cleans each
-//! path. The walk must agree with it item by item — every `Ok((ts, tuple))`,
-//! the terminal `Err` value and where it falls, and the three counters at
-//! every returned item and at the end — on well-formed archives, on the
-//! same archives damaged, and on records the encoder cannot emit.
+//! path. The lending reader (`TupleStream::next_ref`, each lent record
+//! read back with `TupleRef::to_owned`) must agree with it item by item —
+//! every `Ok((ts, tuple))`, the terminal `Err` value and where it falls,
+//! and the three counters at every returned item and at the end — on
+//! well-formed archives, on the same archives damaged, and on records the
+//! encoder cannot emit. The owning iterator is the lending reader plus
+//! `to_owned`, and is held to the same items.
 
 use bgp_mrt::attributes::{
     encode_attributes, encode_nlri_prefix, ATTR_AS_PATH, ATTR_COMMUNITIES, ATTR_MP_REACH_NLRI,
@@ -65,20 +68,41 @@ fn oracle(bytes: &[u8]) -> (Vec<Step>, Counters) {
     (steps, (raw, kept, dropped))
 }
 
-fn walked(bytes: &[u8]) -> (Vec<Step>, Counters) {
+fn counters(s: &TupleStream<'_>) -> Counters {
+    (s.raw_entries(), s.kept(), s.shape_dropped())
+}
+
+/// Drain a stream over `bytes` through `next`, noting the counters at
+/// every item.
+fn drained(
+    bytes: &[u8],
+    mut next: impl FnMut(&mut TupleStream<'_>) -> Option<Result<Item, MrtError>>,
+) -> (Vec<Step>, Counters) {
     let mut stream = TupleStream::new(bytes);
-    let counters = |s: &TupleStream<'_>| (s.raw_entries(), s.kept(), s.shape_dropped());
     let mut steps = Vec::new();
-    while let Some(item) = stream.next() {
+    while let Some(item) = next(&mut stream) {
         steps.push((item, counters(&stream)));
     }
-    assert!(stream.next().is_none(), "a drained stream stays drained");
+    assert!(
+        next(&mut stream).is_none(),
+        "a drained stream stays drained"
+    );
     (steps, counters(&stream))
+}
+
+/// The lending reader, every lent record read back before the next call.
+fn walked(bytes: &[u8]) -> (Vec<Step>, Counters) {
+    drained(bytes, |stream| {
+        let item = stream.next_ref()?;
+        Some(item.map(|(ts, tuple)| (ts, tuple.to_owned())))
+    })
 }
 
 fn assert_walk_matches_oracle(bytes: &[u8]) -> (Vec<Step>, Counters) {
     let got = walked(bytes);
     assert_eq!(got, oracle(bytes), "archive: {bytes:02x?}");
+    let owned = drained(bytes, |stream| stream.next());
+    assert_eq!(got, owned, "owning iterator, archive: {bytes:02x?}");
     got
 }
 
@@ -765,4 +789,50 @@ fn tuple_stream_counts_and_tuples_match_borrowing_sanitation() {
     assert_eq!(steps.len(), 10);
     // 6 RIB + 6 announcements + 1 withdrawal; 10 kept; 2 AS0 paths dropped.
     assert_eq!(counters, (13, 10, 2));
+}
+
+#[test]
+fn a_long_path_and_a_wide_set_keep_their_full_lengths() {
+    // 300 hops over two AS_SEQUENCE segments (one holds at most 255), 260
+    // regular and 20 large communities: some 2.5 KB of attributes, inside
+    // one 4,096-byte UPDATE, and every length past a `u8`.
+    let hops: Vec<Asn> = (1..=300).map(Asn).collect();
+    let comms = (0..260u16)
+        .map(|i| AnyCommunity::regular(300, i))
+        .chain((0..20).map(|i| AnyCommunity::large(70_000, i, 1)));
+    let msg = UpdateMessage::announcement(
+        Asn(1),
+        77,
+        V4,
+        RawAsPath {
+            segments: vec![
+                PathSegment::Sequence(hops[..200].to_vec()),
+                PathSegment::Sequence(hops[200..].to_vec()),
+            ],
+        },
+        CommunitySet::from_iter(comms),
+    );
+    let mut w = bgp_mrt::MrtWriter::new();
+    w.write_update(&msg).unwrap();
+    w.write_update(&msg).unwrap();
+    let bytes = w.into_bytes();
+    assert!(bytes.len() / 2 < 4096, "{} bytes a record", bytes.len() / 2);
+
+    let (steps, totals) = assert_walk_matches_oracle(&bytes);
+    assert_eq!(totals, (2, 2, 0));
+    let (_, tuple) = steps[0].0.clone().unwrap();
+    assert_eq!(tuple.path.asns(), hops);
+    assert_eq!((tuple.comm.len(), tuple.comm.large_count()), (280, 20));
+
+    // Lent record → dedup table → sorted owned view: the same tuple, once.
+    let mut set = TupleSet::new();
+    let mut stream = TupleStream::new(&bytes);
+    let mut fresh = Vec::new();
+    while let Some(item) = stream.next_ref() {
+        let (_, lent) = item.unwrap();
+        assert_eq!((lent.path_len(), lent.communities().count()), (300, 280));
+        fresh.push(set.insert_ref(lent));
+    }
+    assert_eq!(fresh, [true, false]);
+    assert_eq!(set.to_vec(), [tuple]);
 }

@@ -17,6 +17,13 @@
 //!   slow recount stalls the feed only once the small channel fills,
 //!   instead of on every seal.
 //!
+//! What crosses the channel is an [`EventBatch`]: one flat buffer of
+//! encoded tuple records per pull, not a vector of owned events. The
+//! puller makes one allocation a batch and the sealer frees one, instead
+//! of two `malloc`s an event on one thread and two `free`s on the other;
+//! the sealer pushes each tuple borrowed from the buffer, and only a
+//! tuple no shard has seen is copied out of it.
+//!
 //! A panic on either side is contained: the puller always joins the
 //! sealer before propagating, so the supervisor never respawns while an
 //! old publisher could still touch the slot.
@@ -37,7 +44,9 @@ use crate::snapshot::{Publisher, ServeSnapshot, SnapshotSlot};
 use bgp_archive::prelude::ArchiveSink;
 use bgp_sim::feed::Churn;
 use bgp_sim::prelude::*;
-use bgp_stream::ingest::{IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource};
+use bgp_stream::ingest::{
+    EventBatch, IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource,
+};
 use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
 use bgp_topology::prelude::*;
 use fault::{FaultSource, FeedInjector};
@@ -362,7 +371,7 @@ fn run_feed_once(
         publisher = publisher.with_traces(Arc::clone(traces));
     }
 
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<StreamEvent>>(SEAL_QUEUE_BATCHES);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
     let depth_gauge = obs::global().gauge(
         "bgp_serve_seal_queue_depth",
         "Event batches queued between the feed puller and the sealer worker",
@@ -423,7 +432,7 @@ fn run_feed_once(
 fn pull_feed(
     cfg: &DriverConfig,
     feed: &Feed,
-    tx: &std::sync::mpsc::SyncSender<Vec<StreamEvent>>,
+    tx: &std::sync::mpsc::SyncSender<EventBatch>,
     depth_gauge: &obs::Gauge,
     health: Option<&HealthState>,
     stop: &AtomicBool,
@@ -489,7 +498,7 @@ fn pull_feed(
 /// discovers the panic at join time).
 fn pump_guarded(
     cfg: &DriverConfig,
-    tx: &std::sync::mpsc::SyncSender<Vec<StreamEvent>>,
+    tx: &std::sync::mpsc::SyncSender<EventBatch>,
     depth_gauge: &obs::Gauge,
     health: Option<&HealthState>,
     source: &mut dyn TupleSource,
@@ -517,7 +526,7 @@ fn pump_guarded(
 fn pump(
     source: &mut dyn TupleSource,
     batch: usize,
-    tx: &std::sync::mpsc::SyncSender<Vec<StreamEvent>>,
+    tx: &std::sync::mpsc::SyncSender<EventBatch>,
     depth_gauge: &obs::Gauge,
     stop: &AtomicBool,
 ) -> Result<bool, bgp_stream::ingest::IngestError> {
@@ -544,7 +553,7 @@ fn pump(
 fn sealer_main(
     mut pipeline: StreamPipeline,
     mut publisher: Publisher,
-    rx: std::sync::mpsc::Receiver<Vec<StreamEvent>>,
+    rx: std::sync::mpsc::Receiver<EventBatch>,
     metrics: &Metrics,
     health: Option<&HealthState>,
     depth_gauge: &obs::Gauge,
@@ -559,13 +568,13 @@ fn sealer_main(
         depth_gauge.add(-1);
         let t_batch = std::time::Instant::now();
         let n = events.len() as u64;
-        for ev in events {
+        for (timestamp, tuple) in events.iter() {
             // Publish per seal, not per batch: with `compact_history`
             // the NEXT seal strips the previous epoch's counter store,
             // so the publisher must clone the Arc before that happens
             // (compaction then copy-on-writes, leaving the published
             // snapshot intact). A batch can seal several epochs.
-            let sealed = pipeline.push(ev).is_some();
+            let sealed = pipeline.push_ref(timestamp, tuple).is_some();
             if sealed {
                 let published = publisher.sync(&pipeline);
                 if let Some(health) = health {

@@ -178,8 +178,8 @@ fn drain(
         if events.is_empty() {
             return Ok(());
         }
-        for ev in events {
-            if pipe.push(ev).is_none() {
+        for (timestamp, tuple) in events.iter() {
+            if pipe.push_ref(timestamp, tuple).is_none() {
                 continue;
             }
             for snap in &pipe.snapshots()[*reported..] {

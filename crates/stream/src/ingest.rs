@@ -1,13 +1,12 @@
 //! Ingest layer: chunked sources of timestamped tuples.
 //!
-//! A [`TupleSource`] hands the pipeline bounded batches of
-//! [`StreamEvent`]s instead of one giant tuple vector, so decode and
-//! sanitation memory stay bounded by one record, not one archive. (The
-//! MRT-backed sources still borrow the archive *bytes* as a slice — per
-//! [`bgp_mrt::MrtReader`]'s design — so whole-file bytes are the
-//! caller's to provide, e.g. via `fs::read` or an mmap; what never
-//! materializes is the tuple vector.) Three sources cover the
-//! workspace's data planes:
+//! A [`TupleSource`] hands the pipeline bounded [`EventBatch`]es instead
+//! of one giant tuple vector, so decode and sanitation memory stay bounded
+//! by one record, not one archive. (The MRT-backed sources still borrow
+//! the archive *bytes* as a slice — per [`bgp_mrt::MrtReader`]'s design —
+//! so whole-file bytes are the caller's to provide, e.g. via `fs::read` or
+//! an mmap; what never materializes is the tuple vector.) Three sources
+//! cover the workspace's data planes:
 //!
 //! * [`MrtSource`] — pulls records incrementally out of a
 //!   [`bgp_mrt::TupleStream`], the §4.1 path-shape cleaning used by the
@@ -19,6 +18,18 @@
 //!   collector's published files;
 //! * [`IterSource`] — adapts any in-memory event iterator (e.g. the
 //!   [`bgp_sim::feed::UpdateFeed`] scenario stream).
+//!
+//! # One buffer a batch
+//!
+//! An [`EventBatch`] is one flat `Vec<u32>` of `[ts_lo, ts_hi, record..]`
+//! entries — the tuple records of [`bgp_types::tuple`], as
+//! [`TupleStream::next_ref`] lends them — plus an event count. Every
+//! source returns one, wrappers ([`QuarantinedSource`], the fault
+//! injector) scan and edit it in place, and it is what crosses the
+//! driver's puller → sealer channel: a batch is one allocation made and
+//! one freed, whatever it holds, and the pipeline pushes
+//! [`TupleRef`]s borrowed from it. Its `IntoIterator` yields owned
+//! [`StreamEvent`]s for callers that keep events.
 
 use bgp_collector::archive::DayArchive;
 use bgp_infer::prelude::{SanitationStats, Sanitizer};
@@ -38,6 +49,176 @@ impl StreamEvent {
     /// Construct an event.
     pub fn new(timestamp: u64, tuple: PathCommTuple) -> Self {
         StreamEvent { timestamp, tuple }
+    }
+}
+
+/// A batch of timestamped tuples in one flat buffer (see the [module
+/// docs](self)).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EventBatch {
+    /// `[ts_lo, ts_hi, record..]` per event, in order.
+    words: Vec<u32>,
+    events: usize,
+}
+
+/// Words of an entry before its record: the timestamp's two halves.
+const STAMP_WORDS: usize = 2;
+
+/// The entry `words` starts with, and the words after it.
+fn read_entry(words: &[u32]) -> ((u64, TupleRef<'_>), &[u32]) {
+    let timestamp = words[0] as u64 | (words[1] as u64) << 32;
+    let (tuple, rest) = TupleRef::read(&words[STAMP_WORDS..]);
+    ((timestamp, tuple), rest)
+}
+
+impl EventBatch {
+    /// An empty batch; nothing is allocated until the first push.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty batch with room for `words` buffer words — a source's
+    /// previous batch is a good guess at its next.
+    pub fn with_capacity(words: usize) -> Self {
+        EventBatch {
+            words: Vec::with_capacity(words),
+            events: 0,
+        }
+    }
+
+    /// Events held.
+    pub fn len(&self) -> usize {
+        self.events
+    }
+
+    /// Whether no event is held.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+    }
+
+    /// Buffer words held: what [`with_capacity`](Self::with_capacity)
+    /// takes.
+    pub fn words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Append one event, copying the record.
+    pub fn push(&mut self, timestamp: u64, tuple: TupleRef<'_>) {
+        self.push_stamp(timestamp);
+        self.words.extend_from_slice(tuple.words());
+    }
+
+    /// Append one owned event, encoding its tuple in place.
+    pub fn push_event(&mut self, ev: &StreamEvent) {
+        self.push_stamp(ev.timestamp);
+        ev.tuple.encode_into(&mut self.words);
+    }
+
+    fn push_stamp(&mut self, timestamp: u64) {
+        self.words
+            .extend_from_slice(&[timestamp as u32, (timestamp >> 32) as u32]);
+        self.events += 1;
+    }
+
+    /// The events in order, their tuples borrowed from the batch.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, TupleRef<'_>)> {
+        let mut rest = self.words.as_slice();
+        (0..self.events).map(move |_| {
+            let (entry, after) = read_entry(rest);
+            rest = after;
+            entry
+        })
+    }
+
+    /// Split at event `at`: the batch keeps the events before it, the
+    /// returned one holds the rest, order kept.
+    ///
+    /// # Panics
+    /// If `at > len()`.
+    pub fn split_off(&mut self, at: usize) -> EventBatch {
+        assert!(at <= self.events, "split at {at} of {} events", self.events);
+        let mut rest = self.words.as_slice();
+        for _ in 0..at {
+            rest = read_entry(rest).1;
+        }
+        let cut = self.words.len() - rest.len();
+        let tail = EventBatch {
+            words: self.words.split_off(cut),
+            events: self.events - at,
+        };
+        self.events = at;
+        tail
+    }
+
+    /// Keep only the events `keep` accepts, in place and in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, TupleRef<'_>) -> bool) {
+        let (mut read, mut write, mut kept) = (0, 0, 0);
+        for _ in 0..self.events {
+            let ((timestamp, tuple), rest) = read_entry(&self.words[read..]);
+            let end = self.words.len() - rest.len();
+            if keep(timestamp, tuple) {
+                self.words.copy_within(read..end, write);
+                write += end - read;
+                kept += 1;
+            }
+            read = end;
+        }
+        self.words.truncate(write);
+        self.events = kept;
+    }
+}
+
+/// The owned reading of a batch: every event as a [`StreamEvent`].
+#[derive(Debug)]
+pub struct IntoEvents {
+    words: Vec<u32>,
+    /// Where in `words` the next event starts.
+    at: usize,
+    /// Events not yet yielded.
+    left: usize,
+}
+
+impl Iterator for IntoEvents {
+    type Item = StreamEvent;
+
+    fn next(&mut self) -> Option<StreamEvent> {
+        if self.left == 0 {
+            return None;
+        }
+        let words = &self.words[self.at..];
+        let ((timestamp, tuple), rest) = read_entry(words);
+        self.at += words.len() - rest.len();
+        self.left -= 1;
+        Some(StreamEvent::new(timestamp, tuple.to_owned()))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for IntoEvents {}
+
+impl IntoIterator for EventBatch {
+    type Item = StreamEvent;
+    type IntoIter = IntoEvents;
+
+    fn into_iter(self) -> IntoEvents {
+        IntoEvents {
+            words: self.words,
+            at: 0,
+            left: self.events,
+        }
+    }
+}
+
+impl FromIterator<StreamEvent> for EventBatch {
+    fn from_iter<I: IntoIterator<Item = StreamEvent>>(events: I) -> Self {
+        let mut batch = EventBatch::new();
+        for ev in events {
+            batch.push_event(&ev);
+        }
+        batch
     }
 }
 
@@ -86,15 +267,15 @@ pub trait TupleSource {
     /// callers may stop, or call again to continue with whatever the
     /// source can still deliver — [`QuarantinedSource`] wraps that
     /// retry-and-count policy for supervised pipelines.
-    fn next_batch(&mut self, max: usize) -> Result<Vec<StreamEvent>, IngestError>;
+    fn next_batch(&mut self, max: usize) -> Result<EventBatch, IngestError>;
 }
 
-/// Whether `ev` is a malformed observation a supervised pipeline must
+/// Whether `tuple` is a malformed observation a supervised pipeline must
 /// quarantine rather than classify: AS0 anywhere in the path (RFC 7607
 /// forbids AS0 on the wire; sanitized real feeds never produce it, so
 /// it doubles as the fault-injection marker).
-pub fn is_malformed(ev: &StreamEvent) -> bool {
-    ev.tuple.path.asns().iter().any(|a| a.0 == 0)
+pub fn is_malformed(tuple: TupleRef<'_>) -> bool {
+    tuple.hops().any(|asn| asn == Asn::ZERO)
 }
 
 /// A [`TupleSource`] wrapper that quarantines malformed input instead
@@ -138,9 +319,9 @@ impl<'a> QuarantinedSource<'a> {
 }
 
 impl TupleSource for QuarantinedSource<'_> {
-    fn next_batch(&mut self, max: usize) -> Result<Vec<StreamEvent>, IngestError> {
+    fn next_batch(&mut self, max: usize) -> Result<EventBatch, IngestError> {
         loop {
-            let batch = match self.inner.next_batch(max) {
+            let mut batch = match self.inner.next_batch(max) {
                 Ok(b) => b,
                 Err(e @ IngestError::QuarantineExceeded { .. }) => return Err(e),
                 Err(_) => {
@@ -152,23 +333,17 @@ impl TupleSource for QuarantinedSource<'_> {
                     continue;
                 }
             };
-            if batch.is_empty() {
-                return Ok(batch);
-            }
-            // Clean batches (the overwhelmingly common case) pass
-            // through without a filter/reallocation round.
-            if !batch.iter().any(is_malformed) {
+            // Clean batches (the overwhelmingly common case, and the
+            // empty one that ends the stream) pass through on a scan.
+            if !batch.iter().any(|(_, tuple)| is_malformed(tuple)) {
                 return Ok(batch);
             }
             let before = batch.len();
-            let kept: Vec<StreamEvent> = batch.into_iter().filter(|ev| !is_malformed(ev)).collect();
-            let skipped = (before - kept.len()) as u64;
-            if skipped > 0 {
-                self.quarantined += skipped;
-                self.check()?;
-            }
-            if !kept.is_empty() {
-                return Ok(kept);
+            batch.retain(|_, tuple| !is_malformed(tuple));
+            self.quarantined += (before - batch.len()) as u64;
+            self.check()?;
+            if !batch.is_empty() {
+                return Ok(batch);
             }
             // The whole batch was quarantined; pull again rather than
             // signal a false end-of-stream.
@@ -192,6 +367,8 @@ impl TupleSource for QuarantinedSource<'_> {
 pub struct MrtSource<'a> {
     mode: Mode<'a>,
     done: bool,
+    /// Buffer words of the largest batch so far: the next one's capacity.
+    batch_words: usize,
 }
 
 enum Mode<'a> {
@@ -217,6 +394,7 @@ impl<'a> MrtSource<'a> {
         MrtSource {
             mode: Mode::Shape(TupleStream::new(bytes)),
             done: false,
+            batch_words: 0,
         }
     }
 
@@ -233,6 +411,7 @@ impl<'a> MrtSource<'a> {
                 raw_entries: 0,
             },
             done: false,
+            batch_words: 0,
         }
     }
 
@@ -285,15 +464,15 @@ fn registry_sanitize_into(
 }
 
 impl TupleSource for MrtSource<'_> {
-    fn next_batch(&mut self, max: usize) -> Result<Vec<StreamEvent>, IngestError> {
-        let mut out = Vec::new();
+    fn next_batch(&mut self, max: usize) -> Result<EventBatch, IngestError> {
         if self.done {
-            return Ok(out);
+            return Ok(EventBatch::new());
         }
+        let mut out = EventBatch::with_capacity(self.batch_words);
         match &mut self.mode {
             Mode::Shape(stream) => {
                 while out.len() < max {
-                    match stream.next() {
+                    match stream.next_ref() {
                         None => {
                             self.done = true;
                             break;
@@ -302,7 +481,7 @@ impl TupleSource for MrtSource<'_> {
                             self.done = true;
                             return Err(e.into());
                         }
-                        Some(Ok((ts, tuple))) => out.push(StreamEvent::new(ts, tuple)),
+                        Some(Ok((ts, tuple))) => out.push(ts, tuple),
                     }
                 }
             }
@@ -315,7 +494,7 @@ impl TupleSource for MrtSource<'_> {
             } => {
                 while out.len() < max {
                     if let Some(ev) = pending.pop() {
-                        out.push(ev);
+                        out.push_event(&ev);
                         continue;
                     }
                     match reader.next() {
@@ -370,6 +549,7 @@ impl TupleSource for MrtSource<'_> {
                 }
             }
         }
+        self.batch_words = self.batch_words.max(out.words());
         Ok(out)
     }
 }
@@ -415,7 +595,7 @@ impl<'a> DaySource<'a> {
 }
 
 impl TupleSource for DaySource<'_> {
-    fn next_batch(&mut self, max: usize) -> Result<Vec<StreamEvent>, IngestError> {
+    fn next_batch(&mut self, max: usize) -> Result<EventBatch, IngestError> {
         loop {
             if let Some(src) = self.current.as_mut() {
                 let batch = match src.next_batch(max) {
@@ -438,7 +618,7 @@ impl TupleSource for DaySource<'_> {
                 self.current = None;
             }
             match self.chunks.get(self.next_chunk) {
-                None => return Ok(Vec::new()),
+                None => return Ok(EventBatch::new()),
                 Some(bytes) => {
                     self.current = Some(MrtSource::new(bytes));
                     self.next_chunk += 1;
@@ -472,7 +652,7 @@ impl<I: Iterator<Item = StreamEvent>> IterSource<I> {
 }
 
 impl<I: Iterator<Item = StreamEvent>> TupleSource for IterSource<I> {
-    fn next_batch(&mut self, max: usize) -> Result<Vec<StreamEvent>, IngestError> {
+    fn next_batch(&mut self, max: usize) -> Result<EventBatch, IngestError> {
         Ok(self.inner.by_ref().take(max).collect())
     }
 }
@@ -552,7 +732,7 @@ mod tests {
         let (batch_tuples, _) = bgp_mrt::extract_tuples(&bytes).unwrap();
         assert_eq!(batch_tuples.len(), 1);
         let mut src = MrtSource::new(&bytes);
-        let streamed = src.next_batch(16).unwrap();
+        let streamed: Vec<StreamEvent> = src.next_batch(16).unwrap().into_iter().collect();
         assert_eq!(streamed.len(), 1);
         assert_eq!(streamed[0].tuple, batch_tuples[0]);
 
@@ -576,7 +756,7 @@ mod tests {
 
         let (batch_tuples, _) = bgp_mrt::extract_tuples(&bytes).unwrap();
         let mut src = MrtSource::new(&bytes);
-        let streamed = src.next_batch(16).unwrap();
+        let streamed: Vec<StreamEvent> = src.next_batch(16).unwrap().into_iter().collect();
         assert_eq!(batch_tuples.len(), 1);
         assert_eq!(streamed.len(), 1);
         assert_eq!(streamed[0].tuple, batch_tuples[0]);
@@ -642,7 +822,7 @@ mod tests {
         let mut src = QuarantinedSource::new(&mut inner, 0);
         let batch = src.next_batch(16).unwrap();
         assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].timestamp, 1);
+        assert_eq!(batch.iter().next().unwrap().0, 1);
         assert_eq!(src.quarantined(), 1);
     }
 
@@ -667,6 +847,88 @@ mod tests {
         assert!(src.next_batch(64).is_err());
         // Sticky: after the error the source reports exhaustion.
         assert!(src.next_batch(64).unwrap().is_empty());
+    }
+
+    /// Events `0..n`, each distinct in timestamp, path and set size.
+    fn numbered(n: u64) -> Vec<StreamEvent> {
+        (0..n)
+            .map(|i| {
+                let comm = (0..i % 3).map(|c| AnyCommunity::regular(7, c as u16));
+                let tuple =
+                    PathCommTuple::new(path(&[1, 100 + i as u32]), CommunitySet::from_iter(comm));
+                StreamEvent::new(u64::MAX - i, tuple)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn event_batch_reads_back_what_was_pushed() {
+        let events = numbered(7);
+        let batch: EventBatch = events.iter().cloned().collect();
+        assert_eq!((batch.len(), batch.is_empty()), (7, false));
+        assert_eq!(batch.iter().len(), 7);
+        let borrowed: Vec<StreamEvent> = batch
+            .iter()
+            .map(|(ts, tuple)| StreamEvent::new(ts, tuple.to_owned()))
+            .collect();
+        assert_eq!(borrowed, events);
+        // Pushing the borrowed form builds the same buffer.
+        let mut copy = EventBatch::new();
+        for (ts, tuple) in batch.iter() {
+            copy.push(ts, tuple);
+        }
+        assert_eq!(copy, batch);
+        // The owned reading knows its length at every step.
+        let mut owned = batch.into_iter();
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(owned.len(), 7 - i);
+            assert_eq!(owned.next().as_ref(), Some(ev));
+        }
+        assert_eq!((owned.len(), owned.next()), (0, None));
+        assert!(EventBatch::new().is_empty());
+        assert_eq!(EventBatch::new().into_iter().next(), None);
+    }
+
+    #[test]
+    fn event_batch_split_off_keeps_order_on_both_sides() {
+        let events = numbered(6);
+        for at in 0..=6 {
+            let mut head: EventBatch = events.iter().cloned().collect();
+            let tail = head.split_off(at);
+            assert_eq!((head.len(), tail.len()), (at, 6 - at));
+            assert_eq!(head.into_iter().collect::<Vec<_>>(), events[..at]);
+            assert_eq!(tail.into_iter().collect::<Vec<_>>(), events[at..]);
+        }
+    }
+
+    #[test]
+    fn event_batch_retain_compacts_in_place() {
+        let events = numbered(9);
+        for keep_mask in [
+            0u32,
+            0b1_1111_1111,
+            0b1_0101_0101,
+            0b0_1110_0001,
+            0b1_0000_0000,
+        ] {
+            let kept = |i: usize| keep_mask >> i & 1 == 1;
+            let mut batch: EventBatch = events.iter().cloned().collect();
+            let mut seen = 0;
+            batch.retain(|ts, tuple| {
+                // Every event is offered once, in order, intact.
+                assert_eq!(StreamEvent::new(ts, tuple.to_owned()), events[seen]);
+                seen += 1;
+                kept(seen - 1)
+            });
+            assert_eq!(seen, 9);
+            let want: Vec<StreamEvent> = (0..9)
+                .filter(|&i| kept(i))
+                .map(|i| events[i].clone())
+                .collect();
+            assert_eq!(batch.len(), want.len());
+            assert_eq!(batch, want.iter().cloned().collect::<EventBatch>());
+            assert_eq!(batch.into_iter().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! ```text
 //!            ┌──────────── ingest ─────────────┐
 //! MRT bytes ─┤ MrtSource: chunked record pull  │──┐
-//! sim feed ──┤ IterSource: any event iterator  │  │ StreamEvent batches
-//! DayArchive┄┤ DaySource: per-bin update files │  │
+//! sim feed ──┤ IterSource: any event iterator  │  │ EventBatch: one flat
+//! DayArchive┄┤ DaySource: per-bin update files │  │ buffer of records
 //!            └─────────────────────────────────┘  ▼
 //!            ┌─────────────── shard ────────────────┐
 //!            │ route(tuple) = fnv(on-path ASNs) % N │  N shards, each a
-//!            │ private dedup set + tuple store      │  private delta map
+//!            │ private dedup table + tuple store    │  private delta map
 //!            └──────────────────────────────────────┘
 //!                              │ CounterStore::merge at phase boundaries
 //!                              ▼
@@ -82,7 +82,7 @@ pub mod shard;
 pub mod prelude {
     pub use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot};
     pub use crate::ingest::{
-        DaySource, IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource,
+        DaySource, EventBatch, IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource,
     };
     pub use crate::outcome::StreamOutcome;
     pub use crate::pipeline::{StreamConfig, StreamPipeline};

@@ -73,8 +73,9 @@ impl Default for StreamConfig {
 
 /// Push-driven streaming inference.
 ///
-/// Feed events with [`push`](StreamPipeline::push) /
-/// [`push_batch`](StreamPipeline::push_batch) or drain a whole
+/// Feed borrowed events with [`push_ref`](StreamPipeline::push_ref),
+/// owned ones with [`push`](StreamPipeline::push) /
+/// [`push_batch`](StreamPipeline::push_batch), or drain a whole
 /// [`TupleSource`] with [`drive`](StreamPipeline::drive); epochs seal
 /// automatically per the [`EpochPolicy`], and [`finish`](StreamPipeline::finish)
 /// seals the trailing partial epoch and returns the [`StreamOutcome`].
@@ -99,6 +100,8 @@ pub struct StreamPipeline {
     /// registry so sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
     recount_hist: Arc<Histogram>,
+    /// What [`push`](Self::push) encodes its owned tuple into.
+    buf: TupleBuf,
 }
 
 impl StreamPipeline {
@@ -135,6 +138,7 @@ impl StreamPipeline {
             last_ts: 0,
             seal_hists,
             recount_hist,
+            buf: TupleBuf::new(),
         }
     }
 
@@ -206,14 +210,29 @@ impl StreamPipeline {
         self.latest().map_or(Class::NONE, |s| s.class_of(asn))
     }
 
-    /// Ingest one event. Returns the snapshot sealed by this event, if
+    /// Ingest one event, its tuple borrowed (from an
+    /// [`EventBatch`](crate::ingest::EventBatch), typically) and copied
+    /// only if it is new. Returns the snapshot sealed by this event, if
     /// the epoch policy tripped.
+    pub fn push_ref(&mut self, timestamp: u64, tuple: TupleRef<'_>) -> Option<&Arc<EpochSnapshot>> {
+        self.shards.push(tuple);
+        self.event_pushed(timestamp)
+    }
+
+    /// [`push_ref`](Self::push_ref) for an owned event, encoded into the
+    /// pipeline's reused buffer first.
     pub fn push(&mut self, ev: StreamEvent) -> Option<&Arc<EpochSnapshot>> {
-        self.epoch_start_ts.get_or_insert(ev.timestamp);
-        self.last_ts = ev.timestamp;
+        self.shards.push(self.buf.encode_tuple(&ev.tuple));
+        self.event_pushed(ev.timestamp)
+    }
+
+    /// Account for the event just offered to the shards and seal if the
+    /// epoch policy trips on it.
+    fn event_pushed(&mut self, timestamp: u64) -> Option<&Arc<EpochSnapshot>> {
+        self.epoch_start_ts.get_or_insert(timestamp);
+        self.last_ts = timestamp;
         self.total_events += 1;
         self.events_in_epoch += 1;
-        self.shards.push(ev.tuple);
 
         let span = self
             .last_ts
@@ -248,7 +267,9 @@ impl StreamPipeline {
             if events.is_empty() {
                 break;
             }
-            self.push_batch(events);
+            for (timestamp, tuple) in events.iter() {
+                self.push_ref(timestamp, tuple);
+            }
         }
         Ok(self.snapshots.len() - before)
     }

@@ -1,12 +1,19 @@
 //! Shard layer: partitioned tuple ownership, dense parallel phase
 //! counting over one shared id space, and incremental epoch recounts.
 //!
-//! Incoming tuples are routed onto `N` shards by an FNV-1a hash of their
-//! on-path ASNs, so an identical tuple always lands on the same shard —
-//! which makes per-shard deduplication equivalent to global deduplication.
-//! Each shard owns its partition as a [`CompiledTuples`] store (the
-//! length-bucketed columnar representation of `bgp_infer::compiled`,
-//! appended incrementally as events arrive), and **every shard interns
+//! Incoming tuples arrive as borrowed records ([`TupleRef`]) and are
+//! routed onto `N` shards by an FNV-1a hash of their on-path ASNs, so an
+//! identical tuple always lands on the same shard — which makes per-shard
+//! deduplication equivalent to global deduplication. With dedup on, a
+//! shard recognises a tuple it has seen in its [`TupleTable`] (a hash, a
+//! probe and a compare against the table's record arena; nothing is
+//! allocated or freed for a duplicate) and stores a new one exactly once:
+//! its record in that arena, its columns in the compiled store. With dedup
+//! off there is no table. Each shard owns its partition as a
+//! [`CompiledTuples`] store (the length-bucketed columnar representation
+//! of `bgp_infer::compiled`, appended incrementally as events arrive —
+//! from the record's hops and community upper fields, all the engine
+//! reads of a tuple), and **every shard interns
 //! through one workspace-level [`SharedInterner`]**: all shards speak the
 //! same dense `u32` id space, so a counting phase hands the coordinator a
 //! [`DeltaStore`] (flat counters + touched-id bitmap) that folds into
@@ -71,7 +78,6 @@ use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::engine::CountPhase;
 use bgp_types::prelude::*;
 use obs::Histogram;
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,15 +141,13 @@ impl CachedStep {
 
 /// One worker shard: a privately owned, incrementally compiled tuple
 /// partition plus its per-seal scratch and the cached step deltas. With
-/// dedup on, the hashed `seen` table provides exact membership and is
-/// never iterated (counting order is irrelevant — phases are
-/// order-free); the compiled store holds every stored tuple either way.
+/// dedup on, `seen` provides exact membership and is never iterated
+/// (counting order is irrelevant — phases are order-free); the compiled
+/// store holds the columns of every stored tuple either way.
 #[derive(Debug)]
 struct Shard {
-    /// A set, spelled as a unit-valued map: `entry` is the one stable std
-    /// call that hashes and probes once for "look up, borrow the key if
-    /// vacant, then insert it". Same hasher as `TupleSet`.
-    seen: HashMap<PathCommTuple, (), AsnBuildHasher>,
+    /// The records stored so far; `None` when the set does not dedup.
+    seen: Option<TupleTable>,
     compiled: CompiledTuples,
     /// Reused per-phase dense delta (touched-id tracked, O(touched) to
     /// clear).
@@ -155,9 +159,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(interner: Arc<SharedInterner>) -> Self {
+    fn new(interner: Arc<SharedInterner>, dedup: bool) -> Self {
         Shard {
-            seen: HashMap::default(),
+            seen: dedup.then(TupleTable::new),
             compiled: CompiledTuples::with_shared(interner),
             delta: DeltaStore::default(),
             cache: Vec::new(),
@@ -165,19 +169,12 @@ impl Shard {
         }
     }
 
-    fn push(&mut self, t: PathCommTuple, dedup: bool) -> bool {
-        if dedup {
-            match self.seen.entry(t) {
-                Entry::Occupied(_) => return false,
-                Entry::Vacant(slot) => {
-                    self.compiled.push(slot.key());
-                    slot.insert(());
-                }
-            }
-        } else {
-            self.compiled.push(&t);
+    fn push(&mut self, t: TupleRef<'_>) -> bool {
+        let fresh = self.seen.as_mut().is_none_or(|seen| seen.insert(t));
+        if fresh {
+            self.compiled.push_ref(t);
         }
-        true
+        fresh
     }
 
     fn len(&self) -> usize {
@@ -185,10 +182,12 @@ impl Shard {
     }
 }
 
-/// Stable tuple→shard routing: FNV-1a over the on-path ASNs.
-fn route_hash(path: &AsPath) -> u64 {
+/// Stable tuple→shard routing: FNV-1a over the on-path ASNs. Shard loads
+/// are archived and compared across restarts, so this is not the seeded
+/// hash the dedup table uses.
+fn route_hash(hops: impl Iterator<Item = Asn>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for asn in path.asns() {
+    for asn in hops {
         for b in asn.0.to_le_bytes() {
             h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
@@ -201,7 +200,6 @@ fn route_hash(path: &AsPath) -> u64 {
 pub struct ShardSet {
     shards: Vec<Shard>,
     interner: Arc<SharedInterner>,
-    dedup: bool,
     incremental: bool,
     unique: usize,
     duplicates: u64,
@@ -259,9 +257,10 @@ impl ShardSet {
             "Wall time of the serial dense merge of one (column, phase) step",
         );
         ShardSet {
-            shards: (0..n).map(|_| Shard::new(Arc::clone(&interner))).collect(),
+            shards: (0..n)
+                .map(|_| Shard::new(Arc::clone(&interner), dedup))
+                .collect(),
             interner,
-            dedup,
             incremental,
             unique: 0,
             duplicates: 0,
@@ -327,14 +326,14 @@ impl ShardSet {
     }
 
     /// The shard a tuple routes to.
-    pub fn route(&self, path: &AsPath) -> usize {
-        (route_hash(path) % self.shards.len() as u64) as usize
+    pub fn route(&self, t: TupleRef<'_>) -> usize {
+        (route_hash(t.hops()) % self.shards.len() as u64) as usize
     }
 
     /// Offer a tuple; returns `true` when stored (not a dedup hit).
-    pub fn push(&mut self, t: PathCommTuple) -> bool {
-        let idx = self.route(&t.path);
-        let stored = self.shards[idx].push(t, self.dedup);
+    pub fn push(&mut self, t: TupleRef<'_>) -> bool {
+        let idx = self.route(t);
+        let stored = self.shards[idx].push(t);
         if stored {
             self.unique += 1;
         } else {
@@ -656,6 +655,11 @@ mod tests {
         v
     }
 
+    /// Offer an owned tuple the way the pipeline's owned wrapper does.
+    fn push(set: &mut ShardSet, t: &PathCommTuple) -> bool {
+        set.push(TupleBuf::new().encode_tuple(t))
+    }
+
     fn sparse(set: &ShardSet, counters: &DenseCounterStore) -> CounterStore {
         let mut store = CounterStore::new();
         for (id, c) in counters.counts().iter().enumerate() {
@@ -669,9 +673,10 @@ mod tests {
     #[test]
     fn routing_is_stable_and_total() {
         let set = ShardSet::new(4, true, true);
+        let mut buf = TupleBuf::new();
         for t in corpus() {
-            let a = set.route(&t.path);
-            let b = set.route(&t.path);
+            let a = set.route(buf.encode_tuple(&t));
+            let b = set.route(buf.encode_tuple(&t));
             assert_eq!(a, b);
             assert!(a < 4);
         }
@@ -681,11 +686,11 @@ mod tests {
     fn dedup_is_global_across_shards() {
         let mut set = ShardSet::new(4, true, true);
         for t in corpus() {
-            set.push(t);
+            push(&mut set, &t);
         }
         let unique = set.stored_tuples();
         for t in corpus() {
-            assert!(!set.push(t), "duplicate accepted");
+            assert!(!push(&mut set, &t), "duplicate accepted");
         }
         assert_eq!(set.stored_tuples(), unique);
         assert_eq!(set.duplicates(), unique as u64);
@@ -702,8 +707,8 @@ mod tests {
         for shards in [1usize, 2, 4, 7] {
             for incremental in [false, true] {
                 let mut set = ShardSet::new(shards, false, incremental);
-                for t in tuples.clone() {
-                    set.push(t);
+                for t in &tuples {
+                    push(&mut set, t);
                 }
                 let (counters, deepest) = set.recount(&batch.thresholds, None, true, true);
                 assert_eq!(deepest, batch.deepest_active_index, "{shards} shards");
@@ -739,8 +744,8 @@ mod tests {
             for (seal, batch) in [&base, &second, &flip].into_iter().enumerate() {
                 let ctx = format!("{shards} shards, seal {seal}");
                 for t in batch {
-                    serial.push(t.clone());
-                    fanned.push(t.clone());
+                    push(&mut serial, t);
+                    push(&mut fanned, t);
                 }
                 let (a, a_deepest) = serial.recount(&th, None, true, true);
                 let (b, b_deepest) = fanned.recount(&th, None, true, true);
@@ -773,18 +778,18 @@ mod tests {
         let (first, rest) = tuples.split_at(300);
 
         let mut warm = ShardSet::new(3, false, true);
-        for t in first.iter().cloned() {
-            warm.push(t);
+        for t in first {
+            push(&mut warm, t);
         }
         warm.recount(&th, None, true, true);
-        for t in rest.iter().cloned() {
-            warm.push(t);
+        for t in rest {
+            push(&mut warm, t);
         }
         let (inc, inc_deepest) = warm.recount(&th, None, true, true);
 
         let mut cold = ShardSet::new(3, false, false);
-        for t in tuples.iter().cloned() {
-            cold.push(t);
+        for t in &tuples {
+            push(&mut cold, t);
         }
         let (full, full_deepest) = cold.recount(&th, None, true, true);
 
@@ -800,7 +805,7 @@ mod tests {
     fn unchanged_reseal_is_detected_and_stable() {
         let mut set = ShardSet::new(2, true, true);
         for t in corpus() {
-            set.push(t);
+            push(&mut set, &t);
         }
         assert!(!set.unchanged_since_seal(), "never sealed yet");
         let th = Thresholds::default();
@@ -811,7 +816,7 @@ mod tests {
         assert_eq!(da, db);
         assert_eq!(a.counts(), b.counts());
         // A dedup hit adds no tuple, so the set stays unchanged.
-        set.push(corpus().remove(0));
+        push(&mut set, &corpus()[0]);
         assert!(set.unchanged_since_seal());
     }
 
@@ -819,7 +824,7 @@ mod tests {
     fn load_spreads_across_shards() {
         let mut set = ShardSet::new(4, true, true);
         for t in corpus() {
-            set.push(t);
+            push(&mut set, &t);
         }
         let loads = set.shard_loads();
         assert_eq!(loads.len(), 4);

@@ -102,39 +102,54 @@ impl AsPath {
     /// The sanitation rule that follows `AS_SET` removal, over the
     /// `AS_SEQUENCE` hops in wire order: prepend `peer_asn` unless it
     /// already leads, collapse consecutive duplicates (prepending), reject
-    /// an empty result and any path containing AS0.
+    /// an empty result and any path containing AS0. `Some` yields the hops
+    /// of the sanitized path; `None` is a rejected one.
     ///
-    /// [`RawAsPath::sanitize`] and the in-place MRT walk both end here.
-    /// `hops` is walked twice, once to size the path and once to fill it,
-    /// so a kept path is one exact-size allocation and a rejected one
-    /// allocates nothing.
-    pub fn sanitized<I>(hops: I, peer_asn: Option<Asn>) -> Option<AsPath>
+    /// Everything that sanitizes ends here: [`AsPath::sanitized`] (and so
+    /// [`RawAsPath::sanitize`]) collects the hops into an owned path, the
+    /// in-place MRT walk writes them straight into a tuple record.
+    pub fn sanitized_hops<I>(
+        hops: I,
+        peer_asn: Option<Asn>,
+    ) -> Option<impl Iterator<Item = Asn> + Clone>
     where
         I: Iterator<Item = Asn> + Clone,
     {
         let lead = peer_asn.filter(|peer| hops.clone().next() != Some(*peer));
         let hops = lead.into_iter().chain(hops);
-        let mut len = 0;
-        let mut last = None;
+        let mut empty = true;
         for asn in hops.clone() {
             if asn == Asn::ZERO {
                 return None;
             }
-            if last != Some(asn) {
-                len += 1;
-                last = Some(asn);
-            }
+            empty = false;
         }
-        if len == 0 {
+        if empty {
             return None;
         }
-        let mut asns = Vec::with_capacity(len);
-        for asn in hops {
-            if asns.last() != Some(&asn) {
-                asns.push(asn);
-            }
-        }
+        let mut last = None;
+        Some(hops.filter(move |&asn| last.replace(asn) != Some(asn)))
+    }
+
+    /// [`sanitized_hops`](Self::sanitized_hops) as an owned path. `hops`
+    /// is walked once to check it, once to size the path and once to fill
+    /// it, so a kept path is one exact-size allocation and a rejected one
+    /// allocates nothing.
+    pub fn sanitized<I>(hops: I, peer_asn: Option<Asn>) -> Option<AsPath>
+    where
+        I: Iterator<Item = Asn> + Clone,
+    {
+        let hops = Self::sanitized_hops(hops, peer_asn)?;
+        let mut asns = Vec::with_capacity(hops.clone().count());
+        asns.extend(hops);
         Some(AsPath { asns })
+    }
+
+    /// Wrap hops that already satisfy the path invariant (non-empty, no
+    /// consecutive duplicates) — what a tuple record holds.
+    pub(crate) fn from_clean(asns: Vec<Asn>) -> AsPath {
+        debug_assert!(!asns.is_empty() && asns.windows(2).all(|w| w[0] != w[1]));
+        AsPath { asns }
     }
 
     /// Construct directly from an ordered ASN list, applying prepend

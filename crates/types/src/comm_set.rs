@@ -163,6 +163,18 @@ impl CommunitySet {
         self.items.clear();
     }
 
+    /// The communities as a sorted, duplicate-free slice.
+    pub fn as_slice(&self) -> &[AnyCommunity] {
+        &self.items
+    }
+
+    /// Wrap communities that are already sorted and duplicate-free — what
+    /// a tuple record holds.
+    pub(crate) fn from_sorted(items: Vec<AnyCommunity>) -> Self {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
+        CommunitySet { items }
+    }
+
     /// Iterate in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = &AnyCommunity> {
         self.items.iter()

@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A multiply-xorshift hasher for `Asn`-keyed maps and the tuple dedup
-/// sets ([`crate::tuple::TupleSet`], the stream shards' `seen`).
+/// table ([`crate::tuple::TupleTable`], under `TupleSet` and every stream
+/// shard).
 ///
 /// Hashing happens once per path hop on ingest paths, so the default
 /// SipHash dominates; ASN keys are 32-bit values needing good avalanche,
@@ -27,8 +28,9 @@ pub struct AsnHasher(u64);
 
 impl AsnHasher {
     /// One multiply-xorshift round: the multiply carries every input bit
-    /// into the high half (the bits `hashbrown` tags with), the shift
-    /// folds the high half back onto the low bits it indexes with.
+    /// into the high half (the bits `hashbrown` tags with, and all that
+    /// `TupleTable` keeps), the shift folds the high half back onto the
+    /// low bits `hashbrown` indexes with.
     #[inline]
     fn mix(&mut self, v: u64) {
         let mut x = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -45,9 +47,10 @@ impl Hasher for AsnHasher {
 
     fn write(&mut self, bytes: &[u8]) {
         // Fallback path (FNV-1a). Nothing the workspace keys a table by
-        // reaches it: derived `Hash` on `Asn`, communities, paths and
-        // tuples emits only `u32` fields (`write_u32`), slice length
-        // prefixes (`write_usize`) and enum discriminants (`write_isize`).
+        // reaches it: derived `Hash` on `Asn`, communities and paths
+        // emits only `u32` fields (`write_u32`), slice length prefixes
+        // (`write_usize`) and enum discriminants (`write_isize`), and
+        // `TupleTable` feeds a record word by word (`write_u32`).
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
@@ -100,10 +103,18 @@ fn process_seed() -> u64 {
 /// entropy, so an attacker who controls AS_PATH contents cannot craft
 /// offline-computed bucket-collision sets (hash-flooding DoS) against
 /// the interner's reverse map, the counter stores or the tuple dedup
-/// sets. Every builder in a process carries the same seed, so tables
-/// built separately hash alike (`TupleSet::merge` and `clone` rely on it).
+/// tables. Every builder in a process carries the same seed, so tables
+/// built separately hash alike (a cloned `TupleTable` relies on it).
 #[derive(Debug, Clone)]
 pub struct AsnBuildHasher(u64);
+
+impl AsnBuildHasher {
+    /// A builder with a chosen seed, for tests that must know it.
+    #[cfg(test)]
+    pub(crate) fn with_seed(seed: u64) -> Self {
+        AsnBuildHasher(seed)
+    }
+}
 
 impl Default for AsnBuildHasher {
     fn default() -> Self {
@@ -498,20 +509,25 @@ mod tests {
         use std::collections::BTreeSet;
         use std::hash::BuildHasher;
         // `hashbrown` picks the bucket from the low bits of the hash and
-        // tags the slot with the top 7: paths that differ in one hop must
-        // land all over both, wherever on the path the hop sits.
+        // tags the slot with the top 7; `TupleTable` keeps the high half,
+        // homes a record by its low bits and compares the rest. Paths that
+        // differ in one hop must land all over each, wherever on the path
+        // the hop sits.
         let build = AsnBuildHasher::default();
         for varied in 0..4 {
             let mut low = BTreeSet::new();
+            let mut home = BTreeSet::new();
             let mut top = BTreeSet::new();
             for v in 0..512u32 {
                 let mut hops = [64_500, 3356, 174, 15_169];
                 hops[varied] = 200_000 + v;
                 let h = build.hash_one(path(&hops));
                 low.insert(h & 0x7f);
+                home.insert((h >> 32) & 0x7f);
                 top.insert(h >> 57);
             }
             assert!(low.len() >= 100, "hop {varied}: {} low values", low.len());
+            assert!(home.len() >= 100, "hop {varied}: {} homes", home.len());
             assert!(top.len() >= 100, "hop {varied}: {} top values", top.len());
         }
     }
@@ -519,8 +535,8 @@ mod tests {
     #[test]
     fn build_hashers_of_one_process_agree() {
         use std::hash::BuildHasher;
-        // `TupleSet::merge` and `clone` carry tuples between tables built
-        // from separate `default()` calls.
+        // A cloned or merged-from table was built from a separate
+        // `default()` call.
         let t = (crate::as_path::path(&[64_500, 3356]), 7u64, 3usize, -1isize);
         assert_eq!(
             AsnBuildHasher::default().hash_one(&t),

@@ -43,7 +43,9 @@ pub mod prelude {
     pub use crate::intern::{AsnBuildHasher, AsnHasher, AsnId, AsnInterner, SharedInterner};
     pub use crate::prefix::Prefix;
     pub use crate::registry::{Allocation, AsnRegistry, PrefixRegistry};
-    pub use crate::tuple::{PathCommTuple, TupleSet};
+    pub use crate::tuple::{
+        encode_record, PathCommTuple, TupleBuf, TupleRef, TupleSet, TupleTable,
+    };
     pub use crate::update::{Origin, PathAttributes, RibEntry, UpdateMessage};
     pub use crate::wellknown::{display_name, lookup as wellknown_lookup, WellKnown};
 }
@@ -71,17 +73,99 @@ mod proptests {
     }
 
     /// Tuples from a domain small enough that repeats, shared path
-    /// prefixes and paths that differ only by a trailing AS0 all turn up.
+    /// prefixes, paths that differ only by a trailing AS0 and sets that are
+    /// prefixes of each other all turn up, with both community variants,
+    /// so a regular community meets a large one at the same position.
     fn arb_model_tuple() -> impl Strategy<Value = PathCommTuple> {
         (
             prop::collection::vec(prop_oneof![0u32..3, 70_000u32..70_002], 1..7),
-            prop::collection::vec((0u16..2, 0u16..2), 0..3),
+            prop::collection::vec(
+                prop_oneof![
+                    (0u16..2, 0u16..2).prop_map(|(a, b)| AnyCommunity::regular(a, b)),
+                    (0u16..2, 0u16..2).prop_map(|(a, b)| AnyCommunity::regular(a, b)),
+                    (0u32..2, 0u32..2, 0u32..2).prop_map(|(a, b, c)| AnyCommunity::large(a, b, c)),
+                ],
+                0..4,
+            ),
         )
             .prop_map(|(hops, comms)| {
                 let path = AsPath::new(hops.into_iter().map(Asn).collect()).expect("non-empty");
-                let comms = comms.into_iter().map(|(a, b)| AnyCommunity::regular(a, b));
                 PathCommTuple::new(path, CommunitySet::from_iter(comms))
             })
+    }
+
+    /// Batches of offers and how each is made: merged in from a set of
+    /// its own, inserted owned, or inserted as borrowed records.
+    type Ops = Vec<(Vec<PathCommTuple>, u8)>;
+
+    fn arb_ops(max: usize) -> impl Strategy<Value = Ops> {
+        prop::collection::vec(
+            (prop::collection::vec(arb_model_tuple(), 1..6), 0u8..3),
+            0..max,
+        )
+    }
+
+    /// `TupleSet` against `BTreeSet<PathCommTuple>` over one sequence of
+    /// offers: what each insert returns, the counters after every batch,
+    /// and every reader at the end.
+    fn check_tuple_set_against_model(ops: Ops) {
+        use std::collections::BTreeSet;
+        let mut set = TupleSet::new();
+        let mut model: BTreeSet<PathCommTuple> = BTreeSet::new();
+        let mut offered = 0u64;
+        let mut in_order = Vec::new();
+        let mut buf = TupleBuf::new();
+        for (batch, how) in ops {
+            offered += batch.len() as u64;
+            in_order.extend(batch.iter().cloned());
+            for t in &batch {
+                // The order and the encoding, on the way past.
+                for other in model.iter().take(3) {
+                    let mut other_buf = TupleBuf::new();
+                    let (a, b) = (buf.encode_tuple(t), other_buf.encode_tuple(other));
+                    assert_eq!(a.cmp(&b), t.cmp(other), "{t:?} vs {other:?}");
+                    assert_eq!(a == b, t == other);
+                }
+                assert_eq!(&buf.encode_tuple(t).to_owned(), t);
+            }
+            match how {
+                0 => {
+                    let other: TupleSet = batch.iter().cloned().collect();
+                    set.merge(&other);
+                    model.extend(batch);
+                }
+                1 => {
+                    for t in batch {
+                        assert_eq!(set.insert(t.clone()), model.insert(t));
+                    }
+                }
+                _ => {
+                    for t in batch {
+                        assert_eq!(set.insert_ref(buf.encode_tuple(&t)), model.insert(t));
+                    }
+                }
+            }
+            assert_eq!(set.len(), model.len());
+            assert_eq!(set.is_empty(), model.is_empty());
+            assert_eq!(set.total_ingested(), offered);
+        }
+        let expect: Vec<PathCommTuple> = model.into_iter().collect();
+        let sorted = set.to_vec();
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(sorted, expect);
+        let walked: Vec<PathCommTuple> = set.iter().map(TupleRef::to_owned).collect();
+        assert_eq!(walked, expect);
+        // First-offer order, each tuple once.
+        let mut seen = BTreeSet::new();
+        let first_offers: Vec<&PathCommTuple> =
+            in_order.iter().filter(|t| seen.insert(*t)).collect();
+        let unordered: Vec<PathCommTuple> = set.unordered().map(TupleRef::to_owned).collect();
+        assert!(unordered.iter().eq(first_offers));
+        // Insertion order leaves no trace in what a sorted reader sees.
+        let reversed: TupleSet = in_order.into_iter().rev().collect();
+        assert_eq!(reversed.to_vec(), expect);
+        assert_eq!(reversed.into_sorted_vec(), expect);
+        assert_eq!(set.into_sorted_vec(), expect);
     }
 
     proptest! {
@@ -231,43 +315,29 @@ mod proptests {
         }
 
         #[test]
-        fn tuple_set_matches_btreeset_model(
-            ops in prop::collection::vec(
-                (prop::collection::vec(arb_model_tuple(), 1..6), any::<bool>()),
-                0..40,
-            ),
+        fn tuple_set_matches_btreeset_model(ops in arb_ops(40)) {
+            check_tuple_set_against_model(ops);
+        }
+
+        #[test]
+        fn tuple_ref_orders_and_reads_back_like_the_owned_tuple(
+            a in arb_model_tuple(),
+            b in arb_model_tuple(),
         ) {
-            use std::collections::BTreeSet;
-            let mut set = TupleSet::new();
-            let mut model: BTreeSet<PathCommTuple> = BTreeSet::new();
-            let mut offered = 0u64;
-            let mut in_order = Vec::new();
-            for (batch, as_merge) in ops {
-                offered += batch.len() as u64;
-                in_order.extend(batch.iter().cloned());
-                if as_merge {
-                    let other: TupleSet = batch.iter().cloned().collect();
-                    set.merge(&other);
-                    model.extend(batch);
-                } else {
-                    for t in batch {
-                        prop_assert_eq!(set.insert(t.clone()), model.insert(t));
-                    }
-                }
-                prop_assert_eq!(set.len(), model.len());
-                prop_assert_eq!(set.is_empty(), model.is_empty());
-                prop_assert_eq!(set.total_ingested(), offered);
-            }
-            let expect: Vec<PathCommTuple> = model.into_iter().collect();
-            let sorted = set.to_vec();
-            prop_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-            prop_assert_eq!(sorted, expect.clone());
-            prop_assert_eq!(set.iter().cloned().collect::<Vec<_>>(), expect.clone());
-            // Insertion order leaves no trace in what a reader sees.
-            let reversed: TupleSet = in_order.into_iter().rev().collect();
-            prop_assert_eq!(reversed.to_vec(), expect.clone());
-            prop_assert_eq!(reversed.into_sorted_vec(), expect.clone());
-            prop_assert_eq!(set.into_sorted_vec(), expect);
+            let (mut buf_a, mut buf_b) = (TupleBuf::new(), TupleBuf::new());
+            let (ra, rb) = (buf_a.encode_tuple(&a), buf_b.encode_tuple(&b));
+            prop_assert_eq!(ra.cmp(&rb), a.cmp(&b));
+            prop_assert_eq!(ra == rb, a == b);
+            prop_assert_eq!(ra.to_owned(), a.clone());
+            prop_assert!(ra.uppers().eq(a.comm.iter().map(|c| c.upper_field())));
+            // Records laid back to back read back in turn.
+            let mut flat = Vec::new();
+            a.encode_into(&mut flat);
+            b.encode_into(&mut flat);
+            let (first, rest) = TupleRef::read(&flat);
+            let (second, rest) = TupleRef::read(rest);
+            prop_assert!(rest.is_empty());
+            prop_assert_eq!((first, second), (ra, rb));
         }
 
         #[test]
@@ -282,6 +352,18 @@ mod proptests {
                 }
             }
             prop_assert!(s.len() as u64 <= s.total_ingested());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The model at length — up to a thousand offers a case, through
+        /// several doublings of the index; CI runs it in release.
+        #[test]
+        #[ignore = "long: run with --release -- --ignored"]
+        fn tuple_set_matches_btreeset_model_at_length(ops in arb_ops(200)) {
+            check_tuple_set_against_model(ops);
         }
     }
 }

@@ -57,7 +57,7 @@ fn as_set_only_paths_are_dropped() {
     let stats = sanitizer.ingest_updates([&u], &mut set);
     assert_eq!(stats.kept, 1);
     let t = set.iter().next().unwrap();
-    assert_eq!(t.path.asns(), &[Asn(60500)]);
+    assert!(t.hops().eq([Asn(60500)]));
 }
 
 #[test]
@@ -73,7 +73,7 @@ fn heavy_prepending_collapses() {
     u.attributes.as_path = RawAsPath::from_sequence(path);
     sanitizer.ingest_updates([&u], &mut set);
     let t = set.iter().next().unwrap();
-    assert_eq!(t.path.len(), 3);
+    assert_eq!(t.path_len(), 3);
 }
 
 #[test]
