@@ -28,7 +28,8 @@
 //!   ingest hot path pays one `Arc` clone per epoch, never a disk wait.
 //!   The sink group-commits: epochs that queued up while a commit was in
 //!   flight go out as one segment under one manifest write, so a slow
-//!   disk costs a backlog its `fsync`s once per run, not once per epoch.
+//!   disk costs a backlog its `fsync`s once per run, not once per epoch;
+//!   a sink that is behind waits (briefly) for a full run.
 //! * [`compact`] — merge aged segments, dropping counter columns and
 //!   flip chunks outside the retention window.
 //!

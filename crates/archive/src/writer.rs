@@ -18,7 +18,11 @@
 //! synchronous writer does; one that falls behind pays the disk's four
 //! `fsync`s once per run instead of once per epoch, so how long a feed
 //! takes to become durable follows the feed, not the latency of the
-//! disk under it. The sink is *supervised*, not
+//! disk under it. A sink that finds epochs waiting when a commit returns
+//! *is* behind, and holds its next commit until a full run is queued
+//! (for at most `GROUP_LINGER`, or until `finish`): a feed that outruns
+//! the disk is then cut into full runs, not into however many epochs
+//! each `fsync` happened to let through. The sink is *supervised*, not
 //! sticky: a failed append is retried with exponential backoff and a
 //! writer reopen between attempts (so orphan adoption repairs a
 //! segment-committed/manifest-failed split), and only after the retry
@@ -523,10 +527,16 @@ impl ArchiveSink {
                     let mut guard = lock
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    // Epochs that arrived while the last run was being
+                    // written: the feed outruns one commit per epoch.
+                    let behind = !guard.queue.is_empty();
                     while guard.queue.is_empty() && !guard.closed {
                         guard = cvar
                             .wait(guard)
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    }
+                    if behind {
+                        guard = linger_for_full_run(cvar, guard);
                     }
                     let run = take_run(&mut guard.queue);
                     drop(guard);
@@ -671,6 +681,37 @@ impl ArchiveSink {
 /// backlog costs a sixteenth of the durable writes, small enough that
 /// reading one epoch back never decodes more than a few megabytes.
 const GROUP_COMMIT_EPOCHS: usize = 16;
+
+/// Longest a sink that has fallen behind waits for a full run before it
+/// commits a shorter one. A feed that outruns the disk fills a run in a
+/// few milliseconds, so this only ever elapses on a feed that slowed down
+/// again; [`finish`](ArchiveSink::finish) cuts it short.
+const GROUP_LINGER: Duration = Duration::from_millis(100);
+
+/// Hold the queue until it has a full run, the sink is closed, or
+/// [`GROUP_LINGER`] is over. Only a sink that is behind waits here: how
+/// many commits a backlog costs is then decided by the backlog (a full
+/// run each), not by how long each `fsync` happened to take. Committing
+/// whatever is waiting the moment the disk answers cuts the same feed
+/// differently on every pass over a disk whose latency wanders, and each
+/// commit is work the feed's own threads wait behind on a small box.
+fn linger_for_full_run<'a>(
+    cvar: &Condvar,
+    mut guard: std::sync::MutexGuard<'a, SinkQueue>,
+) -> std::sync::MutexGuard<'a, SinkQueue> {
+    let deadline = Instant::now() + GROUP_LINGER;
+    while guard.queue.len() < GROUP_COMMIT_EPOCHS && !guard.closed {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        guard = cvar
+            .wait_timeout(guard, left)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .0;
+    }
+    guard
+}
 
 /// Pop the next group commit off the queue: the head and whatever
 /// consecutive epochs are already waiting behind it. A sink that keeps up

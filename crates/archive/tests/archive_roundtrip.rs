@@ -486,6 +486,63 @@ fn sink_commits_a_backlog_in_runs() {
 }
 
 #[test]
+fn a_sink_that_is_behind_waits_for_a_full_run() {
+    let out = build_world(18, 16);
+    let snaps = &out.snapshots[..18];
+    let dir = tmp_dir("linger-full");
+    // Epoch 1 arrives while epoch 0 is being written: the sink is behind
+    // when that write returns, with one epoch to show for it.
+    let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
+    sink.submit(Arc::clone(&snaps[1]), SegmentStats::default());
+    open();
+    let status = sink.status();
+    while status.committed() < 1 {
+        std::thread::yield_now();
+    }
+    // The rest come one at a time, as a feed's do. The sixteenth queued
+    // epoch wakes the sink; nothing else has to.
+    for snap in &snaps[2..17] {
+        sink.submit(Arc::clone(snap), SegmentStats::default());
+    }
+    while status.committed() < 17 {
+        std::thread::yield_now();
+    }
+    // Having caught up, it takes the next epoch as it comes.
+    sink.submit(Arc::clone(&snaps[17]), SegmentStats::default());
+    while status.committed() < 18 {
+        std::thread::yield_now();
+    }
+    assert_eq!(epoch_ranges(&dir), [(0, 0), (1, 16), (17, 17)]);
+    let (_, report) = sink.finish().unwrap();
+    assert_eq!((report.written, report.dropped, report.retries), (18, 0, 0));
+    assert!(Archive::open(&dir).unwrap().verify().is_ok());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_lingering_sink_settles_for_a_short_run() {
+    let out = build_world(2, 16);
+    let snaps = &out.snapshots[..2];
+    let dir = tmp_dir("linger-short");
+    let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
+    sink.submit(Arc::clone(&snaps[1]), SegmentStats::default());
+    let opened = std::time::Instant::now();
+    open();
+    // Behind, and the feed has gone quiet: epoch 1 is committed anyway,
+    // once the sink has waited out its linger (100 ms) — no `finish`, no
+    // further submission.
+    let status = sink.status();
+    while status.committed() < 2 {
+        std::thread::yield_now();
+    }
+    assert!(opened.elapsed() >= std::time::Duration::from_millis(100));
+    assert_eq!(epoch_ranges(&dir), [(0, 0), (1, 1)]);
+    let (_, report) = sink.finish().unwrap();
+    assert_eq!((report.written, report.dropped, report.retries), (2, 0, 0));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn a_restart_backfill_ends_the_run_it_lands_behind() {
     let out = build_world(6, 16);
     let snaps = &out.snapshots[..6];
