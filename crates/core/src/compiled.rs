@@ -55,6 +55,20 @@
 //!   count only the tuples appended since (`dirty_only`), which is what
 //!   makes the stream layer's incremental epoch recounts (see
 //!   `bgp_stream::shard`) scale with the delta instead of the store.
+//! * **Occurrence index and word-restricted counting** — a
+//!   shared-interner store also keeps, per id, the 64-tuple words whose
+//!   tuples contain it (appended by [`prepare`](CompiledTuples::prepare)
+//!   at seal time, never by a push).
+//!   [`affected_clean_words`](CompiledTuples::affected_clean_words) turns
+//!   a few ids into the sealed words one step can read them in, and
+//!   [`count_clean_words`](CompiledTuples::count_clean_words) runs the
+//!   same per-word kernel over just those words under whatever
+//!   predicates it is handed. A step's delta is a sum over tuples, so
+//!   evaluating the words that hold a moved predicate under the old and
+//!   the new bits gives exactly what a recount of the step would change
+//!   — the stream layer's cached-step correction (see
+//!   `bgp_stream::shard`, *Incremental recounts*). The batch path
+//!   ([`run`](CompiledTuples::run)) builds and reads none of it.
 //!
 //! ## Parity guarantee
 //!
@@ -80,9 +94,8 @@ use crate::engine::{CountPhase, InferenceConfig, InferenceOutcome};
 use bgp_types::prelude::*;
 use std::sync::Arc;
 
-/// One bit per interned AS id. Used for the phase predicates, for the
-/// per-store "which ids occur here" membership set, and for the stream
-/// layer's diverged-id tracking during incremental recounts.
+/// One bit per interned AS id. Used for the phase predicates and for the
+/// stream layer's overlay membership during incremental recounts.
 #[derive(Debug, Clone, Default)]
 pub struct IdBitSet {
     words: Vec<u64>,
@@ -132,26 +145,9 @@ impl IdBitSet {
             .is_some_and(|w| w & (1u64 << (id % 64)) != 0)
     }
 
-    /// Whether any id is in both sets — the incremental-recount validity
-    /// probe, one AND per 64 ids.
-    pub fn intersects(&self, other: &IdBitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    /// Whether any id of this set has its bit set in the raw `words`
-    /// mask (the stream layer's predicate-divergence probe).
-    pub fn intersects_words(&self, words: &[u64]) -> bool {
-        self.words.iter().zip(words).any(|(a, b)| a & b != 0)
-    }
-
     /// The raw bit words (64 ids per word, id order).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 }
 
@@ -300,6 +296,36 @@ fn gather_bits(set: &IdBitSet, col: &[AsnId]) -> u64 {
         g |= ((w >> (id & 63)) & 1) << i;
     }
     g
+}
+
+/// A word with its `n` lowest rows set (`n <= 64`).
+#[inline]
+fn low_rows(n: usize) -> u64 {
+    if n >= 64 {
+        !0u64
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// The Cond1 `clean` word of column `x` for bucket word `w`: per
+/// upstream position, the `is_forward` bits of the word's ids gathered
+/// into a `u64`, ANDed together (early exit once all-dirty); all rows
+/// set when `x == 1` or Cond1 is ablated.
+#[inline]
+fn clean_word(b: &Bucket, preds: &PhasePredicates, x: usize, enforce_cond1: bool, w: usize) -> u64 {
+    let base = w * 64;
+    let n = (b.slots() - base).min(64);
+    let mut acc = low_rows(n);
+    if enforce_cond1 {
+        for p in 0..x - 1 {
+            acc &= gather_bits(&preds.forward, &b.cols[p][base..base + n]);
+            if acc == 0 {
+                break;
+            }
+        }
+    }
+    acc
 }
 
 /// A phase delta over the dense id space: flat counters plus a touched
@@ -579,8 +605,11 @@ struct Bucket {
     tag_cols: Vec<Vec<u64>>,
     /// Per-column scratch: the Cond1 word AND for the current column.
     clean: Vec<u64>,
-    /// Slots `< mat_k` have their ids recorded in the present set.
+    /// Slots `< mat_k` have their ids recorded in the occurrence index.
     mat_k: usize,
+    /// `word_keys[w]`: the store-wide key of this bucket's `w`-th
+    /// 64-tuple word in the occurrence index (words `< ceil(mat_k / 64)`).
+    word_keys: Vec<u32>,
     /// Slots `< clean_k` were already present at the last epoch seal
     /// (the incremental-recount boundary); slots `>= clean_k` are dirty.
     clean_k: usize,
@@ -594,6 +623,32 @@ impl Bucket {
     fn words(&self) -> usize {
         self.len.div_ceil(64)
     }
+}
+
+/// "No entry" in the occurrence index's links and heads.
+const NO_OCCURRENCE: u32 = u32::MAX;
+
+/// Per interned id, the 64-tuple words whose tuples contain it — what
+/// lets the stream layer re-evaluate a step over just the words a
+/// diverged predicate can reach instead of recounting the store.
+///
+/// A word is named by a store-wide key (`words[key]` = its bucket and
+/// its index there; keys are handed out as words are first indexed, so
+/// no path length or bucket size limits them). An id's words form a
+/// chain through `nodes`, newest first: appending is two flat pushes
+/// whatever the id, and a store of mostly one-occurrence ASes pays one
+/// 8-byte node each. `prepare` walks word by word, so `last_key` keeps a
+/// word from being chained twice for one id within a walk; a word that
+/// fills over two walks can be, which readers absorb by deduplicating
+/// (they merge the chains of several ids anyway).
+#[derive(Debug, Default)]
+struct OccurrenceIndex {
+    /// `key -> (bucket, word index in that bucket)`.
+    words: Vec<(u32, u32)>,
+    /// `id -> (last_key, newest node)`, [`NO_OCCURRENCE`] when absent.
+    heads: Vec<(u32, u32)>,
+    /// `(key, next older node of the same id)`.
+    nodes: Vec<(u32, u32)>,
 }
 
 /// The columnar tuple store the compiled engine runs over. The columns
@@ -611,14 +666,9 @@ pub struct CompiledTuples {
     /// Total path positions across all buckets.
     total_hops: usize,
     max_len: usize,
-    /// Ids occurring anywhere in this store (current up to the last
-    /// [`prepare`](CompiledTuples::prepare)).
-    present: IdBitSet,
-    /// `present` as of the last [`commit_clean`](CompiledTuples::commit_clean)
-    /// — the ids the clean-prefix tuples can possibly contain. Ids
-    /// interned later cannot appear in older tuples, so replay validity
-    /// is tested against this set, not the live one.
-    present_clean: IdBitSet,
+    /// Where each id occurs (current up to the last
+    /// [`prepare`](CompiledTuples::prepare)); shared-interner stores only.
+    occurrences: OccurrenceIndex,
     /// Reused per-push scratch: the pushed tuple's community upper
     /// fields as raw `u32`s, probed once per hop.
     upper_scratch: Vec<u32>,
@@ -649,8 +699,7 @@ impl CompiledTuples {
             n_tuples: 0,
             total_hops: 0,
             max_len: 0,
-            present: IdBitSet::default(),
-            present_clean: IdBitSet::default(),
+            occurrences: OccurrenceIndex::default(),
             upper_scratch: Vec::new(),
             #[cfg(test)]
             force_fanout: None,
@@ -799,20 +848,6 @@ impl CompiledTuples {
         self.interner.len()
     }
 
-    /// Ids occurring anywhere in this store. Current as of the last
-    /// [`prepare`](CompiledTuples::prepare).
-    pub fn present_ids(&self) -> &IdBitSet {
-        &self.present
-    }
-
-    /// Ids the clean-prefix tuples (those sealed by the last
-    /// [`commit_clean`](CompiledTuples::commit_clean)) can contain — the
-    /// incremental-replay validity probe intersects the predicate
-    /// divergence mask with this.
-    pub fn clean_present_ids(&self) -> &IdBitSet {
-        &self.present_clean
-    }
-
     /// Tuples appended since the last [`commit_clean`](CompiledTuples::commit_clean).
     pub fn dirty_tuples(&self) -> usize {
         self.buckets.iter().map(|b| b.slots() - b.clean_k).sum()
@@ -832,37 +867,134 @@ impl CompiledTuples {
     }
 
     /// Mark everything currently stored as covered by the seal that just
-    /// completed: subsequent `dirty_only` counting passes skip it, and
-    /// the current present set becomes the clean-prefix reference.
+    /// completed: subsequent `dirty_only` counting passes skip it.
     pub fn commit_clean(&mut self) {
         for b in &mut self.buckets {
             b.clean_k = b.slots();
         }
-        self.present_clean.clone_from(&self.present);
     }
 
-    /// Refresh the present-id set with the tuples appended since the
+    /// Extend the occurrence index with the tuples appended since the
     /// last call. O(new hops), zero when nothing was pushed. Only feeds
-    /// the stream layer's incremental replay probe, so private-interner
-    /// (batch) stores skip it entirely. Must run before a recount that
-    /// consults [`present_ids`](CompiledTuples::present_ids).
+    /// the stream layer's step corrections, so private-interner (batch)
+    /// stores skip it entirely. Must run before a recount that calls
+    /// [`affected_clean_words`](CompiledTuples::affected_clean_words).
     pub fn prepare(&mut self) {
         if !matches!(self.interner, StoreInterner::Shared(_)) {
             return;
         }
-        self.present.ensure(self.interner.len());
-        let present = &mut self.present;
-        for b in &mut self.buckets {
+        let occ = &mut self.occurrences;
+        if occ.heads.len() < self.interner.len() {
+            occ.heads
+                .resize(self.interner.len(), (NO_OCCURRENCE, NO_OCCURRENCE));
+        }
+        let index_u32 = |n: usize| u32::try_from(n).expect("occurrence index fits u32");
+        for (blen, b) in self.buckets.iter_mut().enumerate() {
             let nk = b.slots();
             if b.mat_k == nk {
                 continue;
             }
-            for col in &b.cols {
-                for &id in &col[b.mat_k..nk] {
-                    present.set(id);
+            for w in b.mat_k / 64..nk.div_ceil(64) {
+                if w == b.word_keys.len() {
+                    b.word_keys.push(index_u32(occ.words.len()));
+                    occ.words.push((index_u32(blen), index_u32(w)));
+                }
+                let key = b.word_keys[w];
+                let rows = (w * 64).max(b.mat_k)..((w + 1) * 64).min(nk);
+                for col in &b.cols {
+                    for &id in &col[rows.clone()] {
+                        let head = &mut occ.heads[id as usize];
+                        if head.0 != key {
+                            occ.nodes.push((key, head.1));
+                            *head = (key, index_u32(occ.nodes.len() - 1));
+                        }
+                    }
                 }
             }
             b.mat_k = nk;
+        }
+    }
+
+    /// Collect into `out`, sorted and without repeats, the keys of the
+    /// clean-prefix words that one (column, phase) step reads and that
+    /// hold any of `ids`: words of buckets long enough for the step (see
+    /// [`step_visits`](CompiledTuples::step_visits)) with at least one
+    /// tuple sealed by the last
+    /// [`commit_clean`](CompiledTuples::commit_clean). Those are all the
+    /// sealed tuples whose contribution to the step can depend on a
+    /// predicate bit of `ids`. Current as of the last
+    /// [`prepare`](CompiledTuples::prepare).
+    pub fn affected_clean_words(
+        &self,
+        ids: &[AsnId],
+        x: usize,
+        phase: CountPhase,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        let occ = &self.occurrences;
+        let shortest = shortest_counted(x, phase);
+        for &id in ids {
+            let mut node = occ.heads.get(id as usize).map_or(NO_OCCURRENCE, |h| h.1);
+            while node != NO_OCCURRENCE {
+                let (key, older) = occ.nodes[node as usize];
+                let (blen, w) = occ.words[key as usize];
+                if blen as usize >= shortest
+                    && (w as usize) * 64 < self.buckets[blen as usize].clean_k
+                {
+                    out.push(key);
+                }
+                node = older;
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Count one (column, phase) over just `words` — keys from
+    /// [`affected_clean_words`](CompiledTuples::affected_clean_words) for
+    /// the same step — under `preds`, clean-prefix tuples only: the rows
+    /// of a boundary word appended since the last
+    /// [`commit_clean`](CompiledTuples::commit_clean) are masked off.
+    /// This is [`compute_clean`](CompiledTuples::compute_clean) +
+    /// [`count_phase_dense`](CompiledTuples::count_phase_dense) restricted
+    /// to those words — same kernel, so what it adds to `delta` is exactly
+    /// those tuples' share of a full count under `preds` — and it leaves
+    /// their `clean` scratch words computed under `preds`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn count_clean_words(
+        &mut self,
+        preds: &PhasePredicates,
+        x: usize,
+        phase: CountPhase,
+        enforce_cond1: bool,
+        enforce_cond2: bool,
+        words: &[u32],
+        delta: &mut DeltaStore,
+    ) {
+        for &key in words {
+            let (blen, w) = self.occurrences.words[key as usize];
+            let (blen, w) = (blen as usize, w as usize);
+            let b = &mut self.buckets[blen];
+            debug_assert!(blen >= shortest_counted(x, phase) && w * 64 < b.clean_k);
+            if b.clean.len() <= w {
+                b.clean.resize(b.words(), 0);
+            }
+            b.clean[w] = clean_word(b, preds, x, enforce_cond1, w);
+            let sealed_mask = low_rows(b.clean_k - w * 64);
+            let b = &self.buckets[blen];
+            self.count_bucket_words(
+                b,
+                blen,
+                preds,
+                x,
+                phase,
+                enforce_cond2,
+                w,
+                w + 1,
+                sealed_mask,
+                delta,
+            );
         }
     }
 
@@ -899,19 +1031,7 @@ impl CompiledTuples {
                 0
             };
             for w in w_lo..words {
-                let base = w * 64;
-                let n = (nk - base).min(64);
-                let full = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-                let mut acc = full;
-                if enforce_cond1 {
-                    for p in 0..x - 1 {
-                        acc &= gather_bits(&preds.forward, &b.cols[p][base..base + n]);
-                        if acc == 0 {
-                            break;
-                        }
-                    }
-                }
-                b.clean[w] = acc;
+                b.clean[w] = clean_word(b, preds, x, enforce_cond1, w);
             }
         }
     }
@@ -1376,18 +1496,92 @@ mod tests {
     }
 
     #[test]
-    fn id_bitset_intersection_probe() {
-        let mut a = IdBitSet::with_capacity(200);
-        let mut b = IdBitSet::with_capacity(100);
-        a.set(150);
-        b.set(70);
-        assert!(!a.intersects(&b));
-        a.set(70);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        a.assign(70, false);
-        assert!(!a.intersects(&b));
-        assert!(!a.is_empty());
+    fn words_of_an_id_sum_to_the_whole_store() {
+        // The word-restricted evaluation against `count_phase_dense`: ask
+        // the occurrence index for the words of *every* id and the two
+        // must agree on every step — both phases, Cond1/Cond2 on and off,
+        // predicates with bits of every kind set. 150 three-hop tuples
+        // leave that bucket's last word partial (22 rows); a second,
+        // longer bucket and a dirty suffix sharing its boundary word
+        // with sealed rows check the row mask.
+        let shared = Arc::new(SharedInterner::new());
+        let mut store = CompiledTuples::with_shared(Arc::clone(&shared));
+        let row = |i: u32| {
+            let (a, b) = (10 + i % 7, 40 + i % 13);
+            let mut uppers = vec![];
+            if !i.is_multiple_of(3) {
+                uppers.push(a);
+            }
+            if i % 5 < 3 {
+                uppers.push(b);
+            }
+            if i.is_multiple_of(4) {
+                tup(&[a, b, 70 + i % 11, 9_000 + i], &uppers)
+            } else {
+                tup(&[a, b, 9_000 + i], &uppers)
+            }
+        };
+        for i in 0..200 {
+            store.push(&row(i));
+        }
+        assert_eq!(store.buckets[3].slots() % 64, 22);
+        store.prepare();
+        store.commit_clean();
+        for i in 200..230 {
+            store.push(&row(i));
+        }
+        store.prepare();
+        let n = store.interned_asns();
+        let mut preds = PhasePredicates::empty(n);
+        for id in 0..n as AsnId {
+            preds.forward.assign(id, id % 3 != 1);
+            preds.tagger.assign(id, id % 4 == 0);
+        }
+        let every_id: Vec<AsnId> = (0..n as AsnId).collect();
+        let mut words = Vec::new();
+        let (mut by_word, mut whole, mut suffix) = (
+            DeltaStore::zeroed(n),
+            DeltaStore::zeroed(n),
+            DeltaStore::zeroed(n),
+        );
+        for (cond1, cond2) in [(true, true), (true, false), (false, true), (false, false)] {
+            for x in 1..=4 {
+                for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
+                    store.affected_clean_words(&every_id, x, phase, &mut words);
+                    assert!(words.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+                    store.count_clean_words(&preds, x, phase, cond1, cond2, &words, &mut by_word);
+                    // Sealed tuples = everything minus the dirty suffix.
+                    store.compute_clean(&preds, x, cond1, false);
+                    store.count_phase_dense(&preds, x, phase, cond2, false, &mut whole);
+                    store.count_phase_dense(&preds, x, phase, cond2, true, &mut suffix);
+                    let ctx = format!("x={x} {phase:?} cond1={cond1} cond2={cond2}");
+                    for id in every_id.iter().copied() {
+                        let mut want = whole.get(id);
+                        want.retract(&suffix.get(id));
+                        assert_eq!(by_word.get(id), want, "{ctx}: id {id}");
+                    }
+                    assert_eq!(
+                        by_word.touched().collect::<Vec<_>>(),
+                        whole
+                            .touched()
+                            .filter(|&id| whole.get(id) != suffix.get(id))
+                            .collect::<Vec<_>>(),
+                        "{ctx}: touched ids"
+                    );
+                    by_word.clear();
+                    whole.clear();
+                    suffix.clear();
+                }
+            }
+        }
+        // One id's words are a strict subset: the origin of one sealed
+        // tuple lives in exactly one word.
+        let origin = shared.get(Asn(9_001)).expect("interned");
+        store.affected_clean_words(&[origin], 1, CountPhase::Tagging, &mut words);
+        assert_eq!(words.len(), 1);
+        // Its path is three hops long: no column-4 step reads that word.
+        store.affected_clean_words(&[origin], 4, CountPhase::Tagging, &mut words);
+        assert!(words.is_empty());
     }
 
     #[test]

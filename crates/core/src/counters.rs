@@ -81,6 +81,17 @@ impl AsCounters {
         self.c += d.c;
     }
 
+    /// Take `d` back out — the inverse of
+    /// [`accumulate`](AsCounters::accumulate), for a `d` that is part of
+    /// what these counters hold.
+    #[inline]
+    pub fn retract(&mut self, d: &AsCounters) {
+        self.t -= d.t;
+        self.s -= d.s;
+        self.f -= d.f;
+        self.c -= d.c;
+    }
+
     /// Whether all four counters are zero.
     #[inline]
     pub fn is_zero(&self) -> bool {

@@ -71,6 +71,11 @@ impl Default for StreamConfig {
     }
 }
 
+/// The kinds of seal, as `bgp_stream_seal_duration_seconds{kind=…}`
+/// labels them; an index into this table is what the `seal` trace row
+/// carries as its `kind` counter and the `stream` debug line spells out.
+const SEAL_KINDS: [&str; 3] = ["zero_delta", "incremental", "full"];
+
 /// Push-driven streaming inference.
 ///
 /// Feed borrowed events with [`push_ref`](StreamPipeline::push_ref),
@@ -95,8 +100,8 @@ pub struct StreamPipeline {
     total_events: u64,
     epoch_start_ts: Option<u64>,
     last_ts: u64,
-    /// Seal-stage histograms by kind (`[zero_delta, incremental, full]`)
-    /// plus the whole-recount histogram, resolved once from the global
+    /// Seal-stage histograms by kind (one per [`SEAL_KINDS`] entry) plus
+    /// the whole-recount histogram, resolved once from the global
     /// registry so sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
     recount_hist: Arc<Histogram>,
@@ -110,7 +115,7 @@ impl StreamPipeline {
         let shards = ShardSet::new(cfg.shards, cfg.dedup, cfg.incremental_seal);
         let reg = obs::global();
         let seal_help = "Wall time of one epoch seal";
-        let seal_hists = ["zero_delta", "incremental", "full"].map(|kind| {
+        let seal_hists = SEAL_KINDS.map(|kind| {
             reg.histogram(
                 "bgp_stream_seal_duration_seconds",
                 seal_help,
@@ -414,23 +419,20 @@ impl StreamPipeline {
         }
         snapshot.seal_nanos = t_seal.elapsed().as_nanos() as u64;
         let (replayed, total) = self.shards.last_replay();
+        let (corrected, corrected_words) = self.shards.last_corrected();
         let (fanned, _) = self.shards.last_fanout();
         let kind = if zero_delta {
-            "zero_delta"
+            0
         } else if replayed > 0 {
-            "incremental"
+            1
         } else {
-            "full"
+            2
         };
-        let kind_idx = match kind {
-            "zero_delta" => 0,
-            "incremental" => 1,
-            _ => 2,
-        };
-        self.seal_hists[kind_idx].record(snapshot.seal_nanos);
+        self.seal_hists[kind].record(snapshot.seal_nanos);
         obs::debug!(
             "stream",
-            "sealed epoch {epoch} kind={kind} events={} tuples={} flips={} seal_nanos={} count_nanos={}",
+            "sealed epoch {epoch} kind={} events={} tuples={} flips={} replayed={replayed}/{total} corrected={corrected} corrected_words={corrected_words} seal_nanos={} count_nanos={}",
+            SEAL_KINDS[kind],
             snapshot.events,
             snapshot.unique_tuples,
             snapshot.flips.len(),
@@ -447,8 +449,10 @@ impl StreamPipeline {
                 );
                 trace.record(epoch, "shard_merge", self.shards.last_merge_nanos(), &[]);
             }
-            // `kind` as a counter: 0 = zero_delta, 1 = incremental,
-            // 2 = full — the `stream` debug log line carries the word form.
+            // `kind` indexes `SEAL_KINDS`; `replayed` counts the units
+            // answered from their cache, `corrected` those of them whose
+            // cache was first corrected over `corrected_words` words;
+            // `visited_tuples` is what all of it read, step by step.
             trace.record(
                 epoch,
                 "seal",
@@ -457,9 +461,12 @@ impl StreamPipeline {
                     ("events", snapshot.events),
                     ("tuples", snapshot.unique_tuples as u64),
                     ("replayed", replayed as u64),
+                    ("corrected", corrected as u64),
+                    ("corrected_words", corrected_words as u64),
                     ("total_steps", total as u64),
                     ("fanned_steps", fanned as u64),
-                    ("kind", kind_idx as u64),
+                    ("visited_tuples", self.shards.last_visits() as u64),
+                    ("kind", kind as u64),
                 ],
             );
             // Later batches belong to the next epoch's timeline.
@@ -666,6 +673,72 @@ mod tests {
         assert_eq!(forced, (steps, steps));
         assert_eq!(forced_traced, Some(steps as u64));
         assert_eq!(replay, forced_replay, "who counts cannot move what replays");
+    }
+
+    #[test]
+    fn a_first_count_on_a_large_store_is_corrected_not_recounted() {
+        // The measured trickle case: a 20 k-tuple store, and one AS (77)
+        // seen once, four hops deep behind a mid (6000) nobody has seen
+        // forward, so never counted. One new tuple shows 77 tagging at
+        // column 3. That flips `is_tagger(77)` entering step 3.forwarding,
+        // where the sealed tuple now counts 6000 as forwarding 77's tag;
+        // 6000 turns `is_forward`, and column 4 counts 77 on the sealed
+        // tuple too. Three ids move, one sealed word is re-read: every
+        // unit must come from its cache, for a few hundred tuple visits
+        // against the ~130 k of a recount — and the snapshots must be the
+        // ones full recounts give.
+        let peers = |i: u32| (10 + i % 6, 10 + (i + 1 + i / 6 % 5) % 6);
+        let base = (0..20_000u32).map(|i| {
+            let (p, q) = peers(i);
+            let tuple = if i.is_multiple_of(3) {
+                tag_tuple(&[p, q, 200_000 + i], &[p, q])
+            } else {
+                let mid = 1_000 + i % 400;
+                tag_tuple(&[p, q, mid, 200_000 + i], &[p, q, mid])
+            };
+            StreamEvent::new(u64::from(i), tuple)
+        });
+        let lone = StreamEvent::new(20_000, tag_tuple(&[10, 11, 6_000, 77], &[10, 11, 77]));
+        let first_count =
+            StreamEvent::new(20_001, tag_tuple(&[12, 13, 77, 300_000], &[12, 13, 77]));
+        let run = |incremental_seal: bool| {
+            let mut pipe = StreamPipeline::new(StreamConfig {
+                shards: 2,
+                epoch: EpochPolicy::manual(),
+                incremental_seal,
+                ..Default::default()
+            });
+            pipe.push_batch(base.clone().chain([lone.clone()]));
+            pipe.seal_epoch();
+            pipe.push(first_count.clone());
+            pipe.seal_epoch();
+            pipe
+        };
+        let corrected = run(true);
+        let recounted = run(false);
+        let (replayed, units) = corrected.last_replay();
+        assert_eq!(replayed, units, "no unit recounts");
+        assert_eq!(units, 2 * 2 * 4, "two shards, four columns");
+        let (corrected_units, words) = corrected.shards.last_corrected();
+        assert!((1..=3).contains(&corrected_units), "{corrected_units}");
+        assert_eq!(words, corrected_units, "one sealed word each");
+        let visits = corrected.shards.last_visits();
+        assert!(visits <= 2 * 64 * words + 8, "{visits} tuple visits");
+        assert!(recounted.shards.last_visits() > 100_000);
+        assert_eq!(recounted.last_replay(), (0, units));
+        for (a, b) in corrected.snapshots().iter().zip(recounted.snapshots()) {
+            assert_eq!(a.classes, b.classes, "epoch {}", a.epoch);
+            assert_eq!(a.flips, b.flips, "epoch {}", a.epoch);
+            let (a, b) = (a.dense.as_ref().unwrap(), b.dense.as_ref().unwrap());
+            assert_eq!(a.counters, b.counters);
+            assert_eq!(a.deepest_active_index, b.deepest_active_index);
+        }
+        // The flip did what the comment says it does.
+        let last = corrected.latest().unwrap();
+        assert_eq!(last.class_of(Asn(77)).tagging, TaggingClass::Tagger);
+        assert_eq!(last.class_of(Asn(6_000)).forwarding.code(), 'f');
+        assert_eq!(last.dense.as_ref().unwrap().lookup(Asn(77)).unwrap().t, 2);
+        assert_eq!(last.flips.len(), 2, "{:?}", last.flips);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! CI and `scripts/` agree: every script is run by some CI step, and
-//! every script a step names exists.
+//! CI and the tree agree: every script is run by some CI step and every
+//! script a step names exists; every crate with `#[ignore]`d tests is
+//! named by the release step that runs them.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -26,4 +27,56 @@ fn ci_steps_and_scripts_dir_name_the_same_files() {
         .map(|name| name.to_string_lossy().into_owned())
         .collect();
     assert_eq!(named, on_disk, "left: run by ci.yml, right: in scripts/");
+}
+
+#[test]
+fn the_ignored_step_names_every_crate_with_ignored_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("read ci.yml");
+    let step = ci
+        .lines()
+        .find(|l| l.trim_start().starts_with("run:") && l.contains("-- --ignored"))
+        .expect("a step runs the ignored tests");
+    assert!(
+        step.contains("--release"),
+        "long tests run optimised: {step}"
+    );
+    let named: BTreeSet<&str> = step
+        .split(" -p ")
+        .skip(1)
+        .map(|rest| rest.split_whitespace().next().unwrap_or_default())
+        .collect();
+
+    fn has_ignored_test(dir: &Path) -> bool {
+        std::fs::read_dir(dir).is_ok_and(|entries| {
+            entries.map(|e| e.expect("dir entry").path()).any(|path| {
+                if path.is_dir() {
+                    has_ignored_test(&path)
+                } else {
+                    path.extension().is_some_and(|ext| ext == "rs")
+                        && std::fs::read_to_string(&path).is_ok_and(|src| src.contains("#[ignore"))
+                }
+            })
+        })
+    }
+    let mut with_ignored = BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let dir = krate.expect("dir entry").path();
+        if !(has_ignored_test(&dir.join("src")) || has_ignored_test(&dir.join("tests"))) {
+            continue;
+        }
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("crate manifest");
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = "))
+            .expect("package name")
+            .trim_matches('"')
+            .to_string();
+        with_ignored.insert(name);
+    }
+    let with_ignored: BTreeSet<&str> = with_ignored.iter().map(String::as_str).collect();
+    assert_eq!(
+        named, with_ignored,
+        "left: -p in ci.yml, right: crates with #[ignore]"
+    );
 }
