@@ -10,13 +10,6 @@
 //! OPTIONS:
 //!   -t, --threshold <0.5..=1.0>   classification threshold (default 0.99)
 //!   -o, --output <FILE>           write the inference db here (default stdout)
-//!   -j, --threads <N>             upper bound on counting threads (default:
-//!                                 cores); a step fans out only past ~1M visited
-//!                                 tuples, which no ledger-size input reaches
-//!       --row-based               use the Listing-2 baseline (comparison only)
-//!       --reference               use the uncompiled Listing-1 reference engine
-//!                                 (oracle/debug; the default compiled engine is
-//!                                 byte-identical and much faster)
 //!       --summary                 print class counts to stderr
 //!   -h, --help                    show this help
 //! ```
@@ -32,15 +25,12 @@ use std::process::ExitCode;
 struct Options {
     threshold: f64,
     output: Option<String>,
-    threads: usize,
-    row_based: bool,
-    reference: bool,
     summary: bool,
     inputs: Vec<String>,
 }
 
 fn usage() -> &'static str {
-    "usage: bgp-community-infer [-t THRESHOLD] [-o FILE] [-j THREADS] [--row-based] [--reference] [--summary] <MRT-FILE>...\n\
+    "usage: bgp-community-infer [-t THRESHOLD] [-o FILE] [--summary] <MRT-FILE>...\n\
      Reads MRT archives (RIBs and/or updates), infers per-AS BGP community usage\n\
      (tagger/silent x forward/cleaner), and writes the inference database."
 }
@@ -49,11 +39,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         threshold: 0.99,
         output: None,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-        row_based: false,
-        reference: false,
         summary: false,
         inputs: Vec::new(),
     };
@@ -70,14 +55,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "-o" | "--output" => {
                 opts.output = Some(it.next().ok_or("missing value for --output")?.clone());
             }
-            "-j" | "--threads" => {
-                let v = it.next().ok_or("missing value for --threads")?;
-                opts.threads = v
-                    .parse()
-                    .map_err(|e| format!("bad thread count {v:?}: {e}"))?;
-            }
-            "--row-based" => opts.row_based = true,
-            "--reference" => opts.reference = true,
             "--summary" => opts.summary = true,
             "-h" | "--help" => return Err(String::new()),
             other if other.starts_with('-') => {
@@ -113,26 +90,14 @@ fn run(opts: &Options) -> Result<(), String> {
         set.len()
     );
 
-    let thresholds = Thresholds::uniform(opts.threshold);
-    let cfg = InferenceConfig {
-        thresholds,
-        threads: opts.threads,
-        ..Default::default()
-    };
-    let outcome = if opts.row_based {
-        run_row_based(&set.into_sorted_vec(), thresholds)
-    } else if opts.reference {
-        InferenceEngine::new(cfg).run_reference(&set.into_sorted_vec())
-    } else {
-        // The engine is order-free: compile straight off the set's
-        // records, in the order they arrived, and own no tuple at all.
-        let mut compiled = CompiledTuples::new();
-        for t in set.unordered() {
-            compiled.push_ref(t);
-        }
-        drop(set);
-        compiled.run(&cfg)
-    };
+    // The engine is order-free: compile straight off the set's records,
+    // in the order they arrived, and own no tuple at all.
+    let mut compiled = CompiledTuples::new();
+    for t in set.unordered() {
+        compiled.push_ref(t);
+    }
+    drop(set);
+    let outcome = compiled.run(&InferenceConfig::with_threshold(opts.threshold));
 
     if opts.summary {
         let mut counts = std::collections::BTreeMap::new();

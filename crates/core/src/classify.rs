@@ -131,7 +131,7 @@ impl std::str::FromStr for Class {
     type Err = String;
 
     /// Parse a two-character class code (`"tf"`, `"un"`, …) — the inverse
-    /// of [`Display`], used by query front ends filtering on class.
+    /// of [`Display`](std::fmt::Display), used by query front ends filtering on class.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut chars = s.chars();
         let (Some(t), Some(f), None) = (chars.next(), chars.next(), chars.next()) else {

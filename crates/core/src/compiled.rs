@@ -80,8 +80,8 @@
 //! very same [`AsCounters::tag_share`]/[`AsCounters::fwd_share`] float
 //! comparisons; counter increments are `u64` additions, which commute,
 //! so dense slice merges equal map merges for any partition of the
-//! tuples into buckets, words, worker threads, or stream shards; and a
-//! reference delta entry exists iff it received at least one increment,
+//! tuples into buckets, words, or stream shards; and a reference delta
+//! entry exists iff it received at least one increment,
 //! so filtering zero rows when sparsifying reproduces the reference key
 //! set exactly. `InferenceEngine::run_reference` is kept as the oracle,
 //! and the property tests in this crate plus `tests/stream_parity.rs`
@@ -240,39 +240,6 @@ impl PhasePredicates {
     }
 }
 
-/// Tuple visits at which one (column, phase) step is handed to worker
-/// threads instead of being counted on the calling thread.
-///
-/// Set by measurement (`threads: 2`; the ledger's seed-7 world
-/// replicated to 0.16–1.95 M tuples; every step serial vs every step
-/// fanned, best of 5 per step; table in CHANGES.md, PR 17). Fanning a
-/// step out adds 23–44 µs below 100 k visits, where serial counting
-/// takes 0.1–36 µs; 0.03–0.17 ms at 100–500 k (1.1–5.3× the serial
-/// time); and 0.1–0.4 ms from 1 M visits up, where the step itself is
-/// 0.19–6.7 ms of serial counting (0.17–3.4 ns per visit, cheapest in
-/// the deep columns) and the loss 1–63 % — 1–18 % on the column 1–3
-/// steps that carry a run. No step of any size was faster fanned: the
-/// guest that measured this reports 2 CPUs but gives two busy threads
-/// one core's throughput between them, so these numbers price the
-/// fan-out and cannot show its gain. The constant therefore sits where
-/// the price has shrunk to a fraction of what a second core could take
-/// off the step — half of 0.8–6.7 ms on the steps that matter — not
-/// where fanning was seen to win. Stream seals stay far below it: a
-/// 2,000-event epoch visits a few hundred tuples per step, and a shard
-/// recounting in full on the ledger's worlds about 60 k.
-pub const FANOUT_MIN_VISITS: usize = 1 << 20;
-
-/// The one fan-out decision of the counting path: whether a (column,
-/// phase) step that will visit `visits` tuples (see
-/// [`CompiledTuples::step_visits`]) is split over `workers` threads.
-/// `workers` — [`InferenceConfig::threads`] for the batch engine, the
-/// shard count for a stream seal — is an upper bound, not a request:
-/// what decides is the step's own work, so a small delta on a large
-/// store counts serially and a store's size alone never spawns a thread.
-pub fn step_fans_out(visits: usize, workers: usize) -> bool {
-    workers > 1 && visits >= FANOUT_MIN_VISITS
-}
-
 /// Shortest path length a (column, phase) step counts. A forwarding
 /// pass needs a downstream hop: buckets of exactly length `x` can never
 /// satisfy it (Cond2 on or off).
@@ -331,10 +298,10 @@ fn clean_word(b: &Bucket, preds: &PhasePredicates, x: usize, enforce_cond1: bool
 /// A phase delta over the dense id space: flat counters plus a touched
 /// bitmap, so the per-increment bookkeeping is one OR and clearing /
 /// sparsifying cost O(id space / 64 + touched) instead of O(id space).
-/// Workers and shards accumulate into one of these; the coordinator
-/// folds them with [`DenseCounterStore::merge_update`]. Touched ids
-/// enumerate in ascending order — the stream layer's cached step deltas
-/// come out sorted for free.
+/// A step, or one shard's share of it, counts into one of these; the
+/// coordinator folds it with [`DenseCounterStore::merge_update`].
+/// Touched ids enumerate in ascending order — the stream layer's cached
+/// step deltas come out sorted for free.
 #[derive(Debug, Default)]
 pub struct DeltaStore {
     counts: Vec<AsCounters>,
@@ -672,11 +639,6 @@ pub struct CompiledTuples {
     /// Reused per-push scratch: the pushed tuple's community upper
     /// fields as raw `u32`s, probed once per hop.
     upper_scratch: Vec<u32>,
-    /// Test-only override of [`step_fans_out`] for [`run`](Self::run):
-    /// `Some(true)` fans every step out over `threads` workers,
-    /// `Some(false)` counts every step serially.
-    #[cfg(test)]
-    force_fanout: Option<bool>,
 }
 
 impl CompiledTuples {
@@ -701,8 +663,6 @@ impl CompiledTuples {
             max_len: 0,
             occurrences: OccurrenceIndex::default(),
             upper_scratch: Vec::new(),
-            #[cfg(test)]
-            force_fanout: None,
         }
     }
 
@@ -717,14 +677,6 @@ impl CompiledTuples {
             store.push(t);
         }
         store
-    }
-
-    /// Pin [`run`](Self::run)'s fan-out decision (tests only): every
-    /// step fanned over `threads` workers, or every step serial.
-    #[cfg(test)]
-    pub(crate) fn force_fanout(mut self, fanned: bool) -> Self {
-        self.force_fanout = Some(fanned);
-        self
     }
 
     /// Append one owned tuple (see [`push_ref`](Self::push_ref)).
@@ -853,8 +805,7 @@ impl CompiledTuples {
         self.buckets.iter().map(|b| b.slots() - b.clean_k).sum()
     }
 
-    /// Tuples one (column, phase) step visits — the work the fan-out
-    /// decision ([`step_fans_out`]) is taken on: the slots of every
+    /// Tuples one (column, phase) step visits: the slots of every
     /// bucket long enough to reach column `x` (one longer for a
     /// forwarding pass, which needs a downstream hop), or with
     /// `dirty_only` just their dirty suffixes.
@@ -1082,48 +1033,6 @@ impl CompiledTuples {
         touched
     }
 
-    /// Worker-sliced counting for the batch engine's thread fan-out:
-    /// worker `w` of `n` takes an even word share of every active bucket.
-    #[allow(clippy::too_many_arguments)]
-    fn count_worker(
-        &self,
-        preds: &PhasePredicates,
-        x: usize,
-        phase: CountPhase,
-        enforce_cond2: bool,
-        worker: usize,
-        n_workers: usize,
-        delta: &mut DeltaStore,
-    ) -> bool {
-        let mut touched = false;
-        for blen in shortest_counted(x, phase)..self.buckets.len() {
-            let b = &self.buckets[blen];
-            if b.slots() == 0 {
-                continue;
-            }
-            let words = b.words();
-            let per = words.div_ceil(n_workers);
-            let w_lo = worker * per;
-            let w_hi = ((worker + 1) * per).min(words);
-            if w_lo >= w_hi {
-                continue;
-            }
-            touched |= self.count_bucket_words(
-                b,
-                blen,
-                preds,
-                x,
-                phase,
-                enforce_cond2,
-                w_lo,
-                w_hi,
-                !0u64,
-                delta,
-            );
-        }
-        touched
-    }
-
     /// The innermost loop: one (column, phase) over one bucket's word
     /// range. `lo_mask` filters the first word (dirty-suffix boundaries).
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
@@ -1237,7 +1146,10 @@ impl CompiledTuples {
     /// all-false (zero counters) and are refreshed per touched AS at
     /// every delta merge, so each phase reads exactly the snapshot the
     /// reference path would compute at its start. One `clean`
-    /// gather-and-AND per column serves both phases.
+    /// gather-and-AND per column serves both phases. Every step is
+    /// counted on the calling thread by
+    /// [`count_phase_dense`](CompiledTuples::count_phase_dense), the
+    /// entry point a stream seal counts its shards with.
     pub fn run(&mut self, config: &InferenceConfig) -> InferenceOutcome {
         let th = config.thresholds;
         let deepest = config.max_index.unwrap_or(self.max_len).min(self.max_len);
@@ -1245,62 +1157,22 @@ impl CompiledTuples {
         self.prepare();
         let mut counters = DenseCounterStore::zeroed(n_ids);
         let mut preds = PhasePredicates::empty(n_ids);
-        // `config.threads` is an upper bound: each step fans out only if
-        // its own visits make the spawn+join round worth paying (see
-        // `step_fans_out`), so worker deltas beyond the first exist only
-        // once some step did.
-        let mut deltas = vec![DeltaStore::zeroed(n_ids)];
+        let mut delta = DeltaStore::zeroed(n_ids);
         let mut deepest_active = 0;
         for x in 1..=deepest {
             self.compute_clean(&preds, x, config.enforce_cond1, false);
             let mut col_active = false;
             for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
-                let mut any = false;
-                if !self.fans_out(x, phase, config.threads) {
-                    any = self.count_worker(
-                        &preds,
-                        x,
-                        phase,
-                        config.enforce_cond2,
-                        0,
-                        1,
-                        &mut deltas[0],
-                    );
-                } else {
-                    let n_workers = config.threads;
-                    if deltas.len() < n_workers {
-                        deltas.resize_with(n_workers, || DeltaStore::zeroed(n_ids));
-                    }
-                    let this = &*self;
-                    let preds_ref = &preds;
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = deltas
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(i, d)| {
-                                s.spawn(move || {
-                                    this.count_worker(
-                                        preds_ref,
-                                        x,
-                                        phase,
-                                        config.enforce_cond2,
-                                        i,
-                                        n_workers,
-                                        d,
-                                    )
-                                })
-                            })
-                            .collect();
-                        for h in handles {
-                            any |= h.join().expect("compiled counting worker panicked");
-                        }
-                    });
-                }
-                for d in &mut deltas {
-                    counters.merge_update(d, &mut preds, &th, phase);
-                    d.clear();
-                }
-                col_active |= any;
+                col_active |= self.count_phase_dense(
+                    &preds,
+                    x,
+                    phase,
+                    config.enforce_cond2,
+                    false,
+                    &mut delta,
+                );
+                counters.merge_update(&delta, &mut preds, &th, phase);
+                delta.clear();
             }
             if col_active {
                 deepest_active = x;
@@ -1311,17 +1183,6 @@ impl CompiledTuples {
             thresholds: th,
             deepest_active_index: deepest_active,
         }
-    }
-
-    /// [`step_fans_out`] applied to one step of [`run`](Self::run).
-    fn fans_out(&self, x: usize, phase: CountPhase, threads: usize) -> bool {
-        #[cfg(test)]
-        {
-            if let Some(forced) = self.force_fanout {
-                return forced && threads > 1;
-            }
-        }
-        step_fans_out(self.step_visits(x, phase, false), threads)
     }
 
     /// Convert a dense counter column back to the map-based
@@ -1676,14 +1537,6 @@ mod tests {
             [(1, 1), (1, 1), (1, 1), (1, 0), (0, 0)]
         );
         assert_eq!(store.step_visits(1, CountPhase::Tagging, false), 5);
-    }
-
-    #[test]
-    fn fan_out_is_decided_by_visits_and_bounded_by_workers() {
-        assert!(step_fans_out(FANOUT_MIN_VISITS, 2));
-        assert!(!step_fans_out(FANOUT_MIN_VISITS - 1, 8));
-        assert!(!step_fans_out(usize::MAX, 1));
-        assert!(!step_fans_out(usize::MAX, 0));
     }
 
     #[test]

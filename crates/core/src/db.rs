@@ -3,10 +3,10 @@
 //! The paper publishes its per-AS inferences as a public resource (its
 //! reference \[5\]); this
 //! module provides the equivalent: a line-oriented text format
-//! (`asn<TAB>class<TAB>t s f c`) that round-trips the full outcome, plus a
-//! tiny hand-rolled writer/reader so we stay within the sanctioned
-//! dependency set (serde derives exist on the types for users who want
-//! their own containers).
+//! (`asn<TAB>class<TAB>t s f c`) that round-trips the full outcome, with a
+//! tiny hand-rolled writer/reader. It is the only serialization of an
+//! outcome: the `serde` derives on the types are no-op shims with no
+//! serializer behind them.
 
 use crate::classify::Class;
 use crate::counters::{AsCounters, CounterStore, Thresholds};
@@ -78,6 +78,11 @@ pub fn import(text: &str) -> Result<InferenceOutcome, ParseError> {
                     let v: f64 = v
                         .parse()
                         .map_err(|e| err(format!("bad threshold value: {e}")))?;
+                    // `f64::from_str` takes `nan`, `inf` and any magnitude;
+                    // a share threshold is a finite value in 0..=1.
+                    if !(0.0..=1.0).contains(&v) {
+                        return Err(err(format!("threshold {k}={v} outside 0..=1")));
+                    }
                     match k {
                         "tagger" => thresholds.tagger = v,
                         "silent" => thresholds.silent = v,
@@ -118,6 +123,9 @@ pub fn import(text: &str) -> Result<InferenceOutcome, ParseError> {
             f: next("f")?,
             c: next("c")?,
         };
+        if counters.lookup(Asn(asn)).is_some() {
+            return Err(err(format!("repeated asn {asn}")));
+        }
         *counters.entry(Asn(asn)) = c;
     }
 

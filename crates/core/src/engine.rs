@@ -11,14 +11,17 @@
 //! * **Cond2** (forwarding of `Ax`): some downstream `At` satisfies
 //!   `is_tagger` with every intermediate `Aj`, `x<j<t`, `is_forward`.
 //!
-//! ## Determinism and parallelism
+//! ## Determinism
 //!
 //! Within one (index, phase) the conditions are evaluated against the
 //! counter snapshot taken at phase start; increments are accumulated as
 //! deltas and merged at phase end. This makes each phase order-independent
-//! — shards of tuples can be counted on separate threads and merged —
-//! and the whole run deterministic, while preserving the paper's
-//! column-to-column knowledge transfer exactly.
+//! — any partition of the tuples, counted separately and merged, gives the
+//! same counters (the stream layer's shards are such a partition) — and
+//! the whole run deterministic, while preserving the paper's
+//! column-to-column knowledge transfer exactly. The production path counts
+//! on the calling thread; only the reference path splits a phase over
+//! [`InferenceConfig::threads`] workers.
 
 use crate::classify::Class;
 use crate::compiled::CompiledTuples;
@@ -31,10 +34,11 @@ use std::collections::HashMap;
 pub struct InferenceConfig {
     /// Threshold set (default: 99% everywhere, as in the paper).
     pub thresholds: Thresholds,
-    /// Worker threads for the counting phases — an upper bound. A
-    /// (column, phase) step fans out over them only when the tuples it
-    /// visits reach [`FANOUT_MIN_VISITS`](crate::compiled::FANOUT_MIN_VISITS);
-    /// smaller steps count on the calling thread.
+    /// Worker threads of the oracle,
+    /// [`InferenceEngine::run_reference`], which splits each phase of a
+    /// slice of 1,024 tuples or more over them. The compiled engine
+    /// ([`InferenceEngine::run`]) ignores it and counts on the calling
+    /// thread.
     pub threads: usize,
     /// Optional cap on the deepest path index to process; `None` runs to
     /// the longest path. (The paper observes counting dies out around
@@ -132,11 +136,11 @@ pub enum CountPhase {
 
 /// Count one tuple's contribution to column `x` during `phase`.
 ///
-/// This is the reentrant core of the algorithm, shared by the batch
-/// [`InferenceEngine`] and the streaming shards in `bgp-stream`: it reads
-/// the Cond1/Cond2 predicates from the immutable `counters` snapshot
-/// (state as of the previous phase boundary) and accumulates increments
-/// into `delta`. Because `counters` is never written here, calls are
+/// This is the reentrant core of the reference path
+/// ([`InferenceEngine::run_reference`]): it reads the Cond1/Cond2
+/// predicates from the immutable `counters` snapshot (state as of the
+/// previous phase boundary) and accumulates increments into `delta`.
+/// Because `counters` is never written here, calls are
 /// order-free within a phase — any partition of the tuple set counted on
 /// any number of threads and merged with [`CounterStore::merge`] yields
 /// byte-identical results to a serial pass.
@@ -435,32 +439,6 @@ mod tests {
         assert_eq!(out.class_of(Asn(3)).forwarding, ForwardingClass::Cleaner);
         let c1 = out.counters.get(Asn(1));
         assert_eq!(c1.f + c1.c, 0, "no forwarding evidence for 1");
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        // No test world reaches a step the fan-out policy would split,
-        // so the parallel side pins every step fanned.
-        let mut tuples = Vec::new();
-        for i in 0..2_000u32 {
-            let peer = 10 + (i % 7);
-            tuples.push(tup(&[peer, 100 + i, 10_000 + i], &[peer, 100 + i]));
-        }
-        let serial = InferenceEngine::new(InferenceConfig {
-            threads: 1,
-            ..Default::default()
-        })
-        .run(&tuples);
-        let cfg = InferenceConfig {
-            threads: 8,
-            ..Default::default()
-        };
-        let parallel = CompiledTuples::from_tuples(&tuples)
-            .force_fanout(true)
-            .run(&cfg);
-        let a: Vec<_> = serial.classes();
-        let b: Vec<_> = parallel.classes();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -39,16 +39,16 @@
 //! interned ids, bit-packed tag arena, per-phase predicate bitsets),
 //! which evaluates Cond1/Cond2 against an immutable counter snapshot and
 //! accumulates into caller-owned deltas. Within one (column, phase) that
-//! makes counting order-free — any partition of the tuples, counted on
-//! any number of threads/shards and folded with
-//! [`counters::CounterStore::merge`], produces byte-identical counters.
-//! The batch engine's thread fan-out and `bgp-stream`'s shard fan-out are
-//! two schedulers over the same primitive, which is why streaming results
-//! are bit-for-bit equal to batch results on the same input (pinned by
-//! `tests/stream_parity.rs` at the workspace root). The uncompiled
-//! per-tuple step [`engine::count_tuple_at`] remains public as the
-//! readable reference semantics and the parity oracle
-//! (`InferenceEngine::run_reference`).
+//! makes counting order-free — any partition of the tuples, counted
+//! separately and folded together, produces byte-identical counters.
+//! The batch engine counts a step with
+//! [`compiled::CompiledTuples::count_phase_dense`] over one store, and a
+//! `bgp-stream` seal calls the same entry point once per shard, in turn,
+//! which is why streaming results are bit-for-bit equal to batch results
+//! on the same input (pinned by `tests/stream_parity.rs` at the
+//! workspace root). The uncompiled per-tuple step
+//! [`engine::count_tuple_at`] remains public as the readable reference
+//! semantics and the parity oracle (`InferenceEngine::run_reference`).
 //!
 //! ```
 //! use bgp_infer::prelude::*;
@@ -188,15 +188,12 @@ mod proptests {
         /// The tentpole parity pin: the compiled engine (`run`) is
         /// byte-identical to the reference `count_tuple_at` path
         /// (`run_reference`) — classes, raw counters, and the deepest
-        /// active index — across random worlds, thread counts,
-        /// `max_index` caps, both ablation switches, and both branches
-        /// of the fan-out decision (worlds this small never reach a
-        /// fanned step on their own, so the branch is pinned).
+        /// active index — across random worlds, the reference's thread
+        /// counts, `max_index` caps, and both ablation switches.
         #[test]
         fn compiled_engine_matches_reference(
             seed in 0u64..400,
             threads in 1usize..8,
-            fanned in any::<bool>(),
             max_index in (0usize..11).prop_map(|v| v.checked_sub(1)),
             enforce_cond1 in any::<bool>(),
             enforce_cond2 in any::<bool>(),
@@ -209,14 +206,12 @@ mod proptests {
                 enforce_cond2,
                 ..Default::default()
             };
-            let compiled = CompiledTuples::from_tuples(&tuples)
-                .force_fanout(fanned)
-                .run(&cfg);
+            let compiled = CompiledTuples::from_tuples(&tuples).run(&cfg);
             let reference = InferenceEngine::new(cfg).run_reference(&tuples);
             assert_outcome_identical(
                 &compiled,
                 &reference,
-                &format!("seed={seed} threads={threads} fanned={fanned} \
+                &format!("seed={seed} threads={threads} \
                           max_index={max_index:?} c1={enforce_cond1} c2={enforce_cond2}"),
             );
         }
@@ -237,18 +232,6 @@ mod proptests {
                 // Everyone forwards: no cleaner inference may appear.
                 prop_assert_ne!(class.forwarding, ForwardingClass::Cleaner);
             }
-        }
-
-        /// Neither the thread count nor who counts a step changes
-        /// results: every step serial vs every step fanned out over
-        /// `threads` workers.
-        #[test]
-        fn thread_invariance(seed in 0u64..200, threads in 1usize..8) {
-            let tuples = planted_world(seed, 1500);
-            let cfg = InferenceConfig { threads, ..Default::default() };
-            let serial = CompiledTuples::from_tuples(&tuples).force_fanout(false).run(&cfg);
-            let fanned = CompiledTuples::from_tuples(&tuples).force_fanout(true).run(&cfg);
-            assert_outcome_identical(&serial, &fanned, &format!("seed={seed} threads={threads}"));
         }
 
         /// Counters are monotone in input: adding tuples never removes

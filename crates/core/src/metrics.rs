@@ -10,7 +10,6 @@
 //! ground truth may come from operator surveys instead).
 
 use crate::classify::{ForwardingClass, TaggingClass};
-use crate::counters::Thresholds;
 use crate::engine::{InferenceConfig, InferenceEngine, InferenceOutcome};
 use bgp_types::prelude::*;
 use std::collections::HashMap;
@@ -278,17 +277,11 @@ pub fn roc_sweep(
     tuples: &[PathCommTuple],
     truth: &HashMap<Asn, TruthEntry>,
     thresholds: &[f64],
-    threads: usize,
 ) -> Vec<RocPoint> {
     thresholds
         .iter()
         .map(|&thr| {
-            let cfg = InferenceConfig {
-                thresholds: Thresholds::uniform(thr),
-                threads,
-                ..Default::default()
-            };
-            let outcome = InferenceEngine::new(cfg).run(tuples);
+            let outcome = InferenceEngine::new(InferenceConfig::with_threshold(thr)).run(tuples);
 
             let (mut tp, mut fp, mut pos, mut neg) = (0u64, 0u64, 0u64, 0u64);
             let (mut ftp, mut ffp, mut fpos, mut fneg) = (0u64, 0u64, 0u64, 0u64);
@@ -461,7 +454,7 @@ mod tests {
             tup(&[1, 9], &[]),
         ];
         let t = truth(&[(1, TruthTagging::Tagger, TruthForwarding::Forward, false)]);
-        let pts = roc_sweep(&tuples, &t, &[0.5, 0.9], 1);
+        let pts = roc_sweep(&tuples, &t, &[0.5, 0.9]);
         assert_eq!(pts.len(), 2);
         assert!(
             pts[0].tagging_tpr >= pts[1].tagging_tpr,

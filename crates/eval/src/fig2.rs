@@ -34,15 +34,12 @@ pub fn default_thresholds() -> Vec<f64> {
 
 /// Run the sweep for both selective scenarios.
 pub fn run(world: &World, thresholds: &[f64], seed: u64) -> Fig2 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     let curves = [Scenario::RandomP, Scenario::RandomPp]
         .into_iter()
         .map(|scenario| {
             let ds = scenario.materialize(&world.graph, &world.paths, seed);
             let truth = truth_map(&ds);
-            let points = roc_sweep(&ds.tuples, &truth, thresholds, threads);
+            let points = roc_sweep(&ds.tuples, &truth, thresholds);
             RocCurve {
                 scenario: scenario.name(),
                 points,

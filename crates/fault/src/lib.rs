@@ -1,6 +1,7 @@
 //! Deterministic fault injection for resilience soaks.
 //!
-//! The supervision layers in `bgp-archive` (retrying [`ArchiveSink`])
+//! The supervision layers in `bgp-archive` (retrying
+//! [`ArchiveSink`](bgp_archive::writer::ArchiveSink))
 //! and `bgp-serve` (quarantining ingest, respawning driver, degraded
 //! health) are only trustworthy if they are *exercised* — so this crate
 //! turns "the disk failed" and "the feed went bad" into seeded,
@@ -17,7 +18,7 @@
 //! same plan + same seed ⇒ same faults, byte for byte):
 //!
 //! * **archive** — threaded through the writer's
-//!   [`IoShim`](bgp_archive::manifest::IoShim) as [`FaultyIo`]:
+//!   [`IoShim`] as [`FaultyIo`]:
 //!   `fail` (write errors without touching disk), `torn` (half the
 //!   segment bytes land, then the write errors — the classic
 //!   power-cut), `slow` (the write succeeds after a delay). An
@@ -26,7 +27,7 @@
 //!   writes, not two per epoch — so which epoch the N-th write belongs
 //!   to depends on how far the sink had fallen behind.
 //! * **feed** — wrapped around any
-//!   [`TupleSource`](bgp_stream::ingest::TupleSource) as
+//!   [`TupleSource`] as
 //!   [`FaultSource`]: `corrupt` (a malformed AS0-path event is
 //!   injected), `truncate` (a batch is cut short mid-delivery, the
 //!   remainder redelivered later — never lost), `stall` (the source

@@ -14,7 +14,7 @@
 //!   `archive_sink_retrying`, `archive_epochs_dropped`,
 //!   `epochs_stale`, `quarantine_rate`, `driver_restarted`, plus one
 //!   `alert:{name}` per firing rule of an attached
-//!   [`AlertState`](obs::AlertState) (`--alert-rules`).
+//!   [`AlertState`] (`--alert-rules`).
 //! * **unhealthy** — ingest is gone for good (`ingest_failed`): the
 //!   restart budget was exhausted or the feed aborted. `/healthz`
 //!   answers 503 so load balancers eject the instance.

@@ -7,7 +7,7 @@
 //! (`/v1/history/{asn}`).
 //!
 //! Historical epochs are rebuilt on demand through
-//! [`rebuild_snapshot`](crate::restore::rebuild_snapshot) and kept in a
+//! [`rebuild_snapshot`] and kept in a
 //! small LRU — rebuilding walks segment files and re-interns the id
 //! table, so repeated queries against the same epoch must not pay that
 //! twice. The store re-reads the manifest (cheap: one small text file)

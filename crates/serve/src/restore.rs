@@ -11,7 +11,7 @@
 //!
 //! Fidelity is the contract here. The record table is sliced by the
 //! *same* code the live publisher uses
-//! ([`slice_records`](crate::snapshot::slice_records)), the interner is
+//! (`snapshot::slice_records`), the interner is
 //! re-interned in id order (the id assignment is deterministic, so ids
 //! match the originals exactly), and the flip log is replayed through
 //! the same append-and-trim step — a restarted daemon answers every

@@ -142,9 +142,9 @@ fn epoch_trace_is_identical_across_restart() {
             "missing {stage}: {live_body}"
         );
     }
-    // The seal row says how many of its steps paid a thread fan-out; it
-    // reaches the archive copy through the tail comparison below.
-    assert!(live_body.contains("\"fanned_steps\":"), "{live_body}");
+    // The seal row says how many tuples its steps visited; it reaches
+    // the archive copy through the tail comparison below.
+    assert!(live_body.contains("\"visited_tuples\":"), "{live_body}");
     live.shutdown();
 
     // "Restart": a fresh server with no live TraceStore answers the same

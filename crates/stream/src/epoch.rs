@@ -192,7 +192,7 @@ impl EpochSnapshot {
     }
 
     /// Rebuild a snapshot from durable state — the archive restore path.
-    /// Unlike [`assemble`](EpochSnapshot::assemble) this is `pub` (the
+    /// Unlike `assemble`, the seal path's constructor, this is `pub` (the
     /// archive lives downstream of this crate), takes the persisted
     /// timing fields verbatim, and accepts `dense: None` for epochs
     /// whose counter column was compacted away on disk.

@@ -11,7 +11,7 @@
 //! * [`MrtSource`] — pulls records incrementally out of a
 //!   [`bgp_mrt::TupleStream`], the §4.1 path-shape cleaning used by the
 //!   batch [`bgp_mrt::extract_tuples`] itself (an optional
-//!   [`Sanitizer`](bgp_infer::sanitize::Sanitizer) adds the registry
+//!   [`Sanitizer`] adds the registry
 //!   filters on top);
 //! * [`DaySource`] — walks a generated [`DayArchive`]'s chunks (RIB
 //!   snapshot, then each per-bin update file) the way a poller walks a

@@ -16,9 +16,9 @@
 //!            └─────────────────────────────────┘  ▼
 //!            ┌─────────────── shard ────────────────┐
 //!            │ route(tuple) = fnv(on-path ASNs) % N │  N shards, each a
-//!            │ private dedup table + tuple store    │  private delta map
+//!            │ private dedup table + tuple store    │  private dense delta
 //!            └──────────────────────────────────────┘
-//!                              │ CounterStore::merge at phase boundaries
+//!                              │ dense merge at phase boundaries
 //!                              ▼
 //!            ┌─────────────── epoch ────────────────┐
 //!            │ EpochPolicy (tuple count / time span)│ → EpochSnapshot:
@@ -36,16 +36,17 @@
 //! of the whole tuple set — there is no per-tuple shortcut that preserves
 //! its semantics. This pipeline therefore keeps the phase structure: at
 //! every epoch boundary the coordinator re-runs the column loop, with each
-//! phase counted **shard-parallel** through the reentrant
-//! [`bgp_infer::engine::count_tuple_at`] primitive and shard deltas merged
-//! via [`CounterStore::merge`](bgp_infer::counters::CounterStore::merge).
+//! phase counted shard by shard through the batch engine's own entry
+//! point, [`CompiledTuples::count_phase_dense`](bgp_infer::compiled::CompiledTuples::count_phase_dense),
+//! and the shard deltas merged into one dense counter column.
 //! Because counting within a phase is order-free, the result is
 //! byte-identical to the batch engine on the same tuples — for any shard
 //! count — which the parity tests in `tests/stream_parity.rs` pin down.
 //! What streaming buys is (a) bounded ingest memory (no full-archive tuple
-//! vector), (b) parallel counting across shards, and (c) *live* answers:
-//! every epoch yields a monotonically versioned snapshot plus the class
-//! flips since the last one, instead of one answer at the end of the world.
+//! vector), (b) seals that recount only what changed, and (c) *live*
+//! answers: every epoch yields a monotonically versioned snapshot plus the
+//! class flips since the last one, instead of one answer at the end of
+//! the world.
 //!
 //! ```
 //! use bgp_stream::prelude::*;

@@ -1,5 +1,5 @@
-//! Shard layer: partitioned tuple ownership, dense parallel phase
-//! counting over one shared id space, and incremental epoch recounts.
+//! Shard layer: partitioned tuple ownership, dense phase counting over
+//! one shared id space, and incremental epoch recounts.
 //!
 //! Incoming tuples arrive as borrowed records ([`TupleRef`]) and are
 //! routed onto `N` shards by an FNV-1a hash of their on-path ASNs, so an
@@ -103,32 +103,21 @@
 //! many of them and an incremental seal of a 10 k-tuple store costs 2.7×
 //! a full one (1.4× *faster* at 50 k, 3× at 100 k; CHANGES PR 24).
 //!
-//! ## When counting fans out
+//! ## Who counts
 //!
-//! The shard count is an upper bound on the threads that count a seal,
-//! not a promise to use them. Each (column, phase) step asks
-//! [`step_fans_out`] — the one policy the batch engine's thread fan-out
-//! shares — about the tuples it is about to visit, summed over shards:
-//! the dirty suffix of a shard that replays its cached step (plus, twice,
-//! the words it corrects), the whole buckets of one that recounts. Only a
-//! step that reaches
-//! [`FANOUT_MIN_VISITS`](bgp_infer::compiled::FANOUT_MIN_VISITS) spawns
-//! one scoped thread per shard; every smaller step counts the shards in
-//! turn on the sealing thread. (A guard on the store's size would make
-//! every seal of a 2,000-event epoch pay `2 × max_path_len` spawn+join
-//! rounds to count a few hundred tuples.) Who counts never changes what
-//! is counted — a shard's delta is the same pure function either way —
-//! so counters, replay decisions, trajectories and caches are identical
-//! on both branches; [`ShardSet::last_fanout`] reports which one ran.
+//! A seal counts its shards in turn, on the sealing thread, each with
+//! the batch engine's own entry point
+//! ([`CompiledTuples::count_phase_dense`]). A step visits at most the
+//! store's tuples, and a trickle seal a few thousand of them, so no
+//! workload has a step large enough to pay for a thread spawn.
 
 use bgp_infer::compiled::{
-    step_fans_out, CompiledTuples, DeltaStore, DenseCounterStore, IdBitSet, PhasePredicates,
+    CompiledTuples, DeltaStore, DenseCounterStore, IdBitSet, PhasePredicates,
 };
 use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::engine::CountPhase;
 use bgp_types::prelude::*;
 use obs::Histogram;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -303,28 +292,19 @@ pub struct ShardSet {
     /// `(units, words)` of the last recount: replayed units whose cached
     /// step was corrected first, and the words re-evaluated for them.
     last_corrected: (usize, usize),
-    /// Tuple visits of the last recount, summed over its steps — what
-    /// the fan-out decision is taken on.
+    /// Tuple visits of the last recount, summed over its steps.
     last_visits: usize,
-    /// `(fanned, total)` (column, phase) steps of the last recount —
-    /// how many were counted on per-shard worker threads.
-    last_fanout: (usize, usize),
-    /// Test-only override of the fan-out policy: `Some(true)` fans every
-    /// step out (one thread per shard), `Some(false)` none.
-    #[cfg(test)]
-    pub(crate) force_fanout: Option<bool>,
     /// Per-phase stage histograms (`[tagging, forwarding]`), resolved
     /// once from the global registry so the recount loop records with
     /// pure atomics: one observation per (shard, column, phase) count
     /// and one per (column, phase) merge.
     hist_count: [Arc<Histogram>; 2],
     hist_merge: [Arc<Histogram>; 2],
-    /// Counting / serial-merge nanoseconds accumulated by the last
-    /// recount, summed across shards and steps — the provenance-trace
-    /// inputs mirroring the per-step histograms. Atomic because the
-    /// count side accumulates from scoped worker threads.
-    count_nanos: AtomicU64,
-    merge_nanos: AtomicU64,
+    /// Counting / merge nanoseconds accumulated by the last recount,
+    /// summed across shards and steps — the provenance-trace inputs
+    /// mirroring the per-step histograms.
+    count_nanos: u64,
+    merge_nanos: u64,
 }
 
 impl ShardSet {
@@ -364,13 +344,10 @@ impl ShardSet {
             last_replay: (0, 0),
             last_corrected: (0, 0),
             last_visits: 0,
-            last_fanout: (0, 0),
-            #[cfg(test)]
-            force_fanout: None,
             hist_count,
             hist_merge,
-            count_nanos: AtomicU64::new(0),
-            merge_nanos: AtomicU64::new(0),
+            count_nanos: 0,
+            merge_nanos: 0,
         }
     }
 
@@ -395,14 +372,6 @@ impl ShardSet {
         self.last_visits
     }
 
-    /// `(fanned, total)` (column, phase) steps of the last recount — how
-    /// many of the seal's steps paid a spawn+join round (see *When
-    /// counting fans out* in the module docs). A trickle seal reads
-    /// `0/total`.
-    pub fn last_fanout(&self) -> (usize, usize) {
-        self.last_fanout
-    }
-
     /// Reset the per-recount stats: at the start of every recount, and
     /// by the pipeline's O(1) re-seal fast path, which skips the recount
     /// entirely (no counting units ran).
@@ -410,22 +379,20 @@ impl ShardSet {
         self.last_replay = (0, 0);
         self.last_corrected = (0, 0);
         self.last_visits = 0;
-        self.last_fanout = (0, 0);
-        self.count_nanos.store(0, Ordering::Relaxed);
-        self.merge_nanos.store(0, Ordering::Relaxed);
+        self.count_nanos = 0;
+        self.merge_nanos = 0;
     }
 
     /// Shard-counting nanoseconds of the last recount, summed across
-    /// shards and (column, phase) steps — CPU time, not wall time, when
-    /// shards count in parallel.
+    /// shards and (column, phase) steps.
     pub fn last_count_nanos(&self) -> u64 {
-        self.count_nanos.load(Ordering::Relaxed)
+        self.count_nanos
     }
 
-    /// Serial dense-merge nanoseconds of the last recount, summed
-    /// across (column, phase) steps.
+    /// Dense-merge nanoseconds of the last recount, summed across
+    /// (column, phase) steps.
     pub fn last_merge_nanos(&self) -> u64 {
-        self.merge_nanos.load(Ordering::Relaxed)
+        self.merge_nanos
     }
 
     /// The workspace-shared interner all shards intern through.
@@ -502,18 +469,6 @@ impl ShardSet {
         self.sealed_once && self.dirty_tuples() == 0
     }
 
-    /// [`step_fans_out`] applied to one step of a recount: `visits` is
-    /// what the shards will visit between them, one worker per shard.
-    fn fans_out(&self, visits: usize) -> bool {
-        #[cfg(test)]
-        {
-            if let Some(forced) = self.force_fanout {
-                return forced && self.shards.len() > 1;
-            }
-        }
-        step_fans_out(visits, self.shards.len())
-    }
-
     /// The cache invariant, checked the slow way (tests only; call after
     /// a seal): every (shard, step) cache is what [`CachedStep::refill`]
     /// would hold after counting the step over all of the shard's tuples
@@ -553,12 +508,10 @@ impl ShardSet {
 
     /// Full recount over everything currently stored: the exact column
     /// loop of the batch engine (tagging phase, merge, forwarding phase,
-    /// merge, next column), each step counted per shard — on worker
-    /// threads when the step is large enough (see *When counting fans
-    /// out* in the module docs) — with cached-step reuse where the
-    /// incremental invariants hold. Returns the final dense counters
-    /// over the shared id space and the deepest column where anything
-    /// counted.
+    /// merge, next column), each step counted shard by shard with
+    /// cached-step reuse where the incremental invariants hold. Returns
+    /// the final dense counters over the shared id space and the deepest
+    /// column where anything counted.
     pub fn recount(
         &mut self,
         th: &Thresholds,
@@ -670,53 +623,37 @@ impl ShardSet {
                 if self.incremental {
                     self.trajectory[x - 1][pi].record(&preds);
                 }
-                // Who counts is decided per step, on the tuples the
-                // shards will visit between them: dirty suffixes where a
-                // cached step replays (and its affected words, twice,
-                // where it is corrected), whole buckets where it recounts.
-                let mut visits = 0;
-                for (s, &p) in self.shards.iter().zip(&plan) {
+                // Counting, shard by shard: each fills its private delta
+                // — only the dirty suffix when its cached step will be
+                // replayed. The Cond1 `clean` words are computed at the
+                // tagging phase (they serve both) and only over the dirty
+                // suffix when that phase replays; a forwarding phase that
+                // stops replaying recomputes them in full. A correction
+                // evaluates its words under the recorded trajectory first
+                // and the entering predicates second, which leaves their
+                // `clean` words as the suffix needs.
+                for (s, (&p, clean_full)) in self
+                    .shards
+                    .iter_mut()
+                    .zip(plan.iter().zip(clean_full.iter_mut()))
+                {
                     let cached = p != StepPlan::Recount;
-                    visits += s.compiled.step_visits(x, phase, cached);
                     self.last_replay.0 += cached as usize;
-                    if p == StepPlan::Correct {
-                        visits += VISITS_PER_CORRECTED_WORD * s.affected.len();
-                        self.last_corrected.0 += 1;
-                        self.last_corrected.1 += s.affected.len();
-                    }
-                }
-                self.last_replay.1 += plan.len();
-                self.last_visits += visits;
-                let fanned = self.fans_out(visits);
-                self.last_fanout.0 += fanned as usize;
-                self.last_fanout.1 += 1;
-                // Counting: each shard fills its private delta — only the
-                // dirty suffix when its cached step will be replayed.
-                // The Cond1 `clean` words are computed at the tagging
-                // phase (they serve both) and only over the dirty
-                // suffix when that phase replays; a forwarding phase
-                // that stops replaying recomputes them in full. A
-                // correction evaluates its words under the recorded
-                // trajectory first and the entering predicates second,
-                // which leaves their `clean` words as the suffix needs.
-                let preds_ref = &preds;
-                let recorded_ref = &recorded;
-                let count_hist = &self.hist_count[pi];
-                let count_acc = &self.count_nanos;
-                let count_one = |s: &mut Shard, p: StepPlan, clean_full: &mut bool| {
+                    self.last_visits += s.compiled.step_visits(x, phase, cached);
                     let t_count = Instant::now();
-                    let cached = p != StepPlan::Recount;
                     if phase == CountPhase::Tagging {
-                        s.compiled
-                            .compute_clean(preds_ref, x, enforce_cond1, cached);
+                        s.compiled.compute_clean(&preds, x, enforce_cond1, cached);
                         *clean_full = !cached;
                     } else if !cached && !*clean_full {
-                        s.compiled.compute_clean(preds_ref, x, enforce_cond1, false);
+                        s.compiled.compute_clean(&preds, x, enforce_cond1, false);
                         *clean_full = true;
                     }
                     if p == StepPlan::Correct {
+                        self.last_corrected.0 += 1;
+                        self.last_corrected.1 += s.affected.len();
+                        self.last_visits += VISITS_PER_CORRECTED_WORD * s.affected.len();
                         for (under, delta) in
-                            [(recorded_ref, &mut s.retracted), (preds_ref, &mut s.delta)]
+                            [(&recorded, &mut s.retracted), (&preds, &mut s.delta)]
                         {
                             s.compiled.count_clean_words(
                                 under,
@@ -730,7 +667,7 @@ impl ShardSet {
                         }
                     }
                     s.compiled.count_phase_dense(
-                        preds_ref,
+                        &preds,
                         x,
                         phase,
                         enforce_cond2,
@@ -738,30 +675,10 @@ impl ShardSet {
                         &mut s.delta,
                     );
                     let nanos = t_count.elapsed().as_nanos() as u64;
-                    count_hist.record(nanos);
-                    count_acc.fetch_add(nanos, Ordering::Relaxed);
-                };
-                if fanned {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = self
-                            .shards
-                            .iter_mut()
-                            .zip(plan.iter().zip(clean_full.iter_mut()))
-                            .map(|(s, (&p, cf))| scope.spawn(move || count_one(s, p, cf)))
-                            .collect();
-                        for h in handles {
-                            h.join().expect("shard counting worker panicked");
-                        }
-                    });
-                } else {
-                    for (s, (&p, cf)) in self
-                        .shards
-                        .iter_mut()
-                        .zip(plan.iter().zip(clean_full.iter_mut()))
-                    {
-                        count_one(s, p, cf);
-                    }
+                    self.hist_count[pi].record(nanos);
+                    self.count_nanos += nanos;
                 }
+                self.last_replay.1 += plan.len();
                 // Serial merge in shard order. In trajectory mode the
                 // merges are accumulate-only — the predicate evolution is
                 // already known — and every id whose counters moved off
@@ -815,7 +732,7 @@ impl ShardSet {
                 }
                 let merge_elapsed = t_merge.elapsed().as_nanos() as u64;
                 self.hist_merge[pi].record(merge_elapsed);
-                self.merge_nanos.fetch_add(merge_elapsed, Ordering::Relaxed);
+                self.merge_nanos += merge_elapsed;
             }
             if col_active {
                 deepest_active = x;
@@ -927,17 +844,17 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_cannot_change_a_recount() {
-        // No test corpus reaches a step the policy would fan out, so pin
-        // it both ways and compare everything a recount produces or
-        // decides, over three seals: a first seal (nothing cached), a
-        // fully replayed seal with a dirty suffix, and a seal whose
-        // delta drops AS 99 below the tagger threshold. From there on the
-        // shards whose sealed tuples hold 99 correct their cached steps —
-        // one to three words each, which on the 4,000-tuple corpus is
-        // far from a recount's worth at every shard count; on the
-        // 500-tuple one some of them are better off recounting — and the
-        // rest replay theirs as they stand.
+    fn three_seals_replay_correct_and_visit_as_planned() {
+        // Everything a recount decides, over three seals: a first seal
+        // (nothing cached), a fully replayed seal with a dirty suffix,
+        // and a seal whose delta drops AS 99 below the tagger threshold.
+        // From there on the shards whose sealed tuples hold 99 correct
+        // their cached steps — one to three words each, which on the
+        // 4,000-tuple corpus is far from a recount's worth at every shard
+        // count; on the 500-tuple one some of them are better off
+        // recounting — and the rest replay theirs as they stand. Every
+        // path is three hops: three tagging steps and two forwarding
+        // steps read a tuple, six steps run in all.
         let th = Thresholds::default();
         for (tuples, recounts_nothing) in [(500, false), (4_000, true)] {
             let mut base = corpus_of(tuples);
@@ -947,52 +864,45 @@ mod tests {
                 .map(|i| tup(&[99, 600 + i, 30_000 + i], &[]))
                 .collect();
             for shards in [1usize, 2, 4, 7] {
-                let mut serial = ShardSet::new(shards, false, true);
-                serial.force_fanout = Some(false);
-                let mut fanned = ShardSet::new(shards, false, true);
-                fanned.force_fanout = Some(true);
+                let mut set = ShardSet::new(shards, false, true);
                 for (seal, batch) in [&base, &second, &flip].into_iter().enumerate() {
                     let ctx = format!("{tuples} tuples, {shards} shards, seal {seal}");
                     for t in batch {
-                        push(&mut serial, t);
-                        push(&mut fanned, t);
+                        push(&mut set, t);
                     }
-                    let (a, a_deepest) = serial.recount(&th, None, true, true);
-                    let (b, b_deepest) = fanned.recount(&th, None, true, true);
-                    assert_eq!(a.counts(), b.counts(), "{ctx}: counters");
-                    assert_eq!(a_deepest, b_deepest, "{ctx}: deepest active index");
-                    assert_eq!(serial.last_replay(), fanned.last_replay(), "{ctx}: replay");
-                    assert_eq!(
-                        serial.last_corrected(),
-                        fanned.last_corrected(),
-                        "{ctx}: corrections"
-                    );
-                    assert_eq!(serial.last_visits(), fanned.last_visits(), "{ctx}: visits");
-                    serial.assert_caches_fresh(true, true, &ctx);
-                    fanned.assert_caches_fresh(true, true, &ctx);
-                    let (replayed, units) = serial.last_replay();
-                    let (corrected, words) = serial.last_corrected();
+                    set.recount(&th, None, true, true);
+                    set.assert_caches_fresh(true, true, &ctx);
+                    let (replayed, units) = set.last_replay();
+                    let (corrected, words) = set.last_corrected();
+                    let visits = set.last_visits();
+                    let fresh = 5 * batch.len();
+                    assert_eq!(units, 6 * shards, "{ctx}");
                     match seal {
-                        0 => assert_eq!((replayed, corrected), (0, 0), "{ctx}"),
-                        1 => assert_eq!((replayed, corrected), (units, 0), "{ctx}"),
+                        0 => {
+                            assert_eq!((replayed, corrected), (0, 0), "{ctx}");
+                            assert_eq!(visits, fresh, "{ctx}");
+                        }
+                        1 => {
+                            assert_eq!((replayed, corrected), (units, 0), "{ctx}");
+                            assert_eq!(visits, fresh, "{ctx}");
+                        }
                         _ => {
                             assert!(
                                 corrected <= words,
                                 "{ctx}: {corrected} units, {words} words"
                             );
                             assert!(corrected < replayed, "{ctx}: {corrected}/{replayed}");
+                            let corrections = fresh + VISITS_PER_CORRECTED_WORD * words;
                             if recounts_nothing {
                                 assert_eq!(replayed, units, "{ctx}");
                                 assert!(corrected > 0, "{ctx}");
+                                assert_eq!(visits, corrections, "{ctx}");
                             } else {
                                 assert!(replayed < units || corrected > 0, "{ctx}");
+                                assert!(visits >= corrections, "{ctx}: {visits}");
                             }
                         }
                     }
-                    let steps = units / shards;
-                    assert_eq!(serial.last_fanout(), (0, steps), "{ctx}");
-                    let want = if shards > 1 { steps } else { 0 };
-                    assert_eq!(fanned.last_fanout(), (want, steps), "{ctx}");
                 }
             }
         }

@@ -27,7 +27,7 @@ fn main() {
     );
 
     let thresholds: Vec<f64> = (0..=10).map(|i| 0.5 + 0.05 * i as f64).collect();
-    let points = roc_sweep(&ds.tuples, &truth, &thresholds, 4);
+    let points = roc_sweep(&ds.tuples, &truth, &thresholds);
 
     println!("\n thresh | tag TPR | tag FPR | fwd TPR | fwd FPR");
     println!(" -------+---------+---------+---------+--------");

@@ -141,13 +141,24 @@ fn empty_and_single_as_paths_handled() {
 #[test]
 fn db_import_rejects_adversarial_payloads() {
     use bgp_community_usage::infer::db;
-    for garbage in [
-        "999999999999999999999\ttf\t1 2 3 4", // asn overflow
-        "12\ttf\t1 2 3",                      // short counters
-        "12\ttf\tx y z w",                    // non-numeric
-        "# thresholds tagger=nope",           // bad header
+    for (garbage, line) in [
+        ("999999999999999999999\ttf\t1 2 3 4", 1), // asn overflow
+        ("12\ttf\t1 2 3", 1),                      // short counters
+        ("12\ttf\tx y z w", 1),                    // non-numeric
+        ("# thresholds tagger=nope", 1),           // bad header
+        // Thresholds `f64::from_str` accepts but no share can meet:
+        // under any of them `12 t- 10 0 0 0` would re-import as `un`.
+        ("# thresholds tagger=nan\n12\tt-\t10 0 0 0", 1),
+        ("# thresholds tagger=inf\n12\tt-\t10 0 0 0", 1),
+        ("# thresholds silent=0.99 tagger=2\n12\tt-\t10 0 0 0", 1),
+        ("# v1\n# thresholds forward=-0.5", 2),
+        // A repeated AS would silently replace the earlier line.
+        ("12\tt-\t10 0 0 0\n12\ts-\t0 10 0 0", 2),
     ] {
-        assert!(db::import(garbage).is_err(), "{garbage:?} accepted");
+        match db::import(garbage) {
+            Ok(_) => panic!("{garbage:?} accepted"),
+            Err(e) => assert_eq!(e.line, line, "{garbage:?}: {e}"),
+        }
     }
 }
 
