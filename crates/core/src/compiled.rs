@@ -489,9 +489,10 @@ impl DenseCounterStore {
 /// One sealed epoch's dense classification state: the counter column, the
 /// shared interner that gives the ids meaning, and the Asn-sorted id
 /// permutation every publish-time table walk uses. All three are `Arc`'d,
-/// so an epoch with no new evidence republishes as three pointer copies
-/// and a serving layer can slice record tables straight out of the
-/// columns instead of rebuilding them from a sparse map.
+/// so an epoch with no new evidence republishes as three pointer copies.
+/// Its record table is [`db::slice_records`](crate::db::slice_records)
+/// over `by_asn`, `counters` and the epoch's class table; there is no
+/// sparse form.
 #[derive(Debug, Clone)]
 pub struct DenseOutcome {
     /// The workspace id authority.
@@ -504,35 +505,6 @@ pub struct DenseOutcome {
     pub thresholds: Thresholds,
     /// Deepest path index at which any counter was incremented.
     pub deepest_active_index: usize,
-}
-
-impl DenseOutcome {
-    /// Counters of one AS, `None` when the AS was never counted.
-    pub fn lookup(&self, asn: Asn) -> Option<AsCounters> {
-        self.by_asn
-            .binary_search_by_key(&asn, |&(a, _)| a)
-            .ok()
-            .map(|i| self.counters[self.by_asn[i].1 as usize])
-            .filter(|c| !c.is_zero())
-    }
-
-    /// Materialize the sparse map-backed [`InferenceOutcome`] — the batch
-    /// engine's shape, kept for exports and historical-epoch queries.
-    /// O(counted ASes); epoch snapshots do this lazily.
-    pub fn to_outcome(&self) -> InferenceOutcome {
-        let mut store = CounterStore::with_capacity(self.by_asn.len());
-        for &(asn, id) in self.by_asn.iter() {
-            let c = self.counters[id as usize];
-            if !c.is_zero() {
-                *store.entry(asn) = c;
-            }
-        }
-        InferenceOutcome {
-            counters: store,
-            thresholds: self.thresholds,
-            deepest_active_index: self.deepest_active_index,
-        }
-    }
 }
 
 /// The id authority of one compiled store: private (batch runs) or the
@@ -1537,28 +1509,5 @@ mod tests {
             [(1, 1), (1, 1), (1, 1), (1, 0), (0, 0)]
         );
         assert_eq!(store.step_visits(1, CountPhase::Tagging, false), 5);
-    }
-
-    #[test]
-    fn dense_outcome_lookup_and_materialize() {
-        let shared = Arc::new(SharedInterner::new());
-        let a = shared.intern(Asn(30));
-        let b = shared.intern(Asn(10));
-        let mut counters = vec![AsCounters::default(); 2];
-        counters[a as usize].t = 3;
-        let by_asn = vec![(Asn(10), b), (Asn(30), a)];
-        let dense = DenseOutcome {
-            interner: shared,
-            counters: Arc::new(counters),
-            by_asn: Arc::new(by_asn),
-            thresholds: Thresholds::default(),
-            deepest_active_index: 1,
-        };
-        assert_eq!(dense.lookup(Asn(30)).unwrap().t, 3);
-        assert_eq!(dense.lookup(Asn(10)), None, "zero rows are not counted");
-        assert_eq!(dense.lookup(Asn(99)), None);
-        let outcome = dense.to_outcome();
-        assert_eq!(outcome.counters.len(), 1);
-        assert_eq!(outcome.counters.get(Asn(30)).t, 3);
     }
 }

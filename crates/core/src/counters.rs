@@ -71,8 +71,8 @@ impl AsCounters {
     }
 
     /// Add another counter quadruple onto this one. The single merge
-    /// primitive behind every delta fold in the workspace (batch thread
-    /// merge, stream shard merge, [`CounterStore::merge`]).
+    /// primitive behind every delta fold in the workspace (dense column
+    /// merges, cached stream steps, [`CounterStore::merge`]).
     #[inline]
     pub fn accumulate(&mut self, d: &AsCounters) {
         self.t += d.t;
@@ -129,22 +129,14 @@ impl AsCounters {
     }
 }
 
-/// Fold one phase-delta map into an accumulator map. Shared by the batch
-/// engine's thread fan-in and the stream coordinator's shard fan-in so
-/// both use one merge path.
-pub fn merge_delta_map(into: &mut HashMap<Asn, AsCounters>, delta: HashMap<Asn, AsCounters>) {
-    for (asn, d) in delta {
-        into.entry(asn).or_default().accumulate(&d);
-    }
-}
-
-/// Counter storage for all ASes, plus threshold-based queries.
+/// Counter storage for all ASes, plus threshold-based queries — the
+/// batch engine's outcome and the reference engine's working state. A
+/// sealed stream epoch keeps dense columns instead and never builds one.
 ///
 /// Keyed by the multiply-xorshift [`AsnHasher`] (per-process seeded via
 /// [`AsnBuildHasher`] — AS_PATH contents are remote-influenced, so the
 /// seed blocks offline collision crafting) rather than SipHash: the map
-/// is on the dense-to-sparse conversion path of every outcome
-/// materialization.
+/// is on the dense-to-sparse conversion path of every batch run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CounterStore {
     counters: HashMap<Asn, AsCounters, AsnBuildHasher>,

@@ -1,4 +1,4 @@
-//! Inference database export/import.
+//! Inference database export/import, and the per-AS record table.
 //!
 //! The paper publishes its per-AS inferences as a public resource (its
 //! reference \[5\]); this
@@ -7,6 +7,11 @@
 //! tiny hand-rolled writer/reader. It is the only serialization of an
 //! outcome: the `serde` derives on the types are no-op shims with no
 //! serializer behind them.
+//!
+//! [`export_records`] writes a [`DbRecord`] table: a batch outcome's
+//! ([`records`]) or a sealed epoch's, which [`slice_records`] makes from
+//! its dense columns — the one way the stream's exports, the serving
+//! layer's publisher and the archive restore read an epoch.
 
 use crate::classify::Class;
 use crate::counters::{AsCounters, CounterStore, Thresholds};
@@ -14,25 +19,32 @@ use crate::engine::InferenceOutcome;
 use bgp_types::prelude::*;
 use std::fmt::Write as _;
 
-/// Serialize an outcome to the release format.
+/// Serialize an outcome to the release format: [`export_records`] over
+/// its [`records`].
+pub fn export(outcome: &InferenceOutcome) -> String {
+    export_records(&outcome.thresholds, &records(outcome))
+}
+
+/// Serialize a record table, sorted by ASN, to the release format.
 ///
 /// Header lines (`#`) carry the thresholds; each record line is
 /// `asn<TAB>class<TAB>t<SP>s<SP>f<SP>c`.
-pub fn export(outcome: &InferenceOutcome) -> String {
+pub fn export_records(th: &Thresholds, records: &[DbRecord]) -> String {
     let mut out = String::new();
-    let th = outcome.thresholds;
     writeln!(
         out,
         "# bgp-community-usage inference db v1\n# thresholds tagger={} silent={} forward={} cleaner={}",
         th.tagger, th.silent, th.forward, th.cleaner
     )
     .expect("string write");
-    let mut rows: Vec<(Asn, AsCounters)> = outcome.counters.iter().collect();
-    rows.sort_by_key(|&(a, _)| a);
-    for (asn, c) in rows {
-        let class = outcome.class_of(asn);
-        writeln!(out, "{}\t{}\t{} {} {} {}", asn.0, class, c.t, c.s, c.f, c.c)
-            .expect("string write");
+    for r in records {
+        let c = r.counters;
+        writeln!(
+            out,
+            "{}\t{}\t{} {} {} {}",
+            r.asn.0, r.class, c.t, c.s, c.f, c.c
+        )
+        .expect("string write");
     }
     out
 }
@@ -162,15 +174,73 @@ pub fn records(outcome: &InferenceOutcome) -> Vec<DbRecord> {
     v
 }
 
-/// The record of one AS, or `None` when the outcome never counted it —
-/// the point-query counterpart of [`records`], for per-request use by a
-/// serving layer (no full-table materialization).
-pub fn record_of(outcome: &InferenceOutcome, asn: Asn) -> Option<DbRecord> {
-    outcome.counters.lookup(asn).map(|counters| DbRecord {
-        asn,
-        class: counters.classify(&outcome.thresholds),
-        counters,
-    })
+/// Where a class table first fails to pair with the counted ids (see
+/// [`slice_records`]): the counted AS and the AS the class table names
+/// in its place, `None` on the side that ran out first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SliceError {
+    /// The counted AS, `None` when the class table goes on past the last.
+    pub counted: Option<Asn>,
+    /// The classed AS, `None` when the class table ended first.
+    pub classed: Option<Asn>,
+}
+
+impl std::fmt::Display for SliceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let side = |asn: Option<Asn>| asn.map_or("nothing".to_string(), |a| a.to_string());
+        write!(
+            f,
+            "counted {} is classed as {}",
+            side(self.counted),
+            side(self.classed)
+        )
+    }
+}
+
+impl std::error::Error for SliceError {}
+
+/// The record table of one sealed epoch, sliced out of its dense columns:
+/// `by_asn` is the `(asn, id)` permutation sorted by ASN, `counters` the
+/// counter column every id indexes, and `classes` the seal-time class of
+/// exactly the ids whose counters are not all zero, in `by_asn` order.
+/// No map is built and nothing is sorted.
+///
+/// Every pairing is checked — the n-th counted id against the n-th class,
+/// and the two lengths — so columns that disagree (an archive's, say) are
+/// an error, never a record with one AS's counters and another's class.
+pub fn slice_records(
+    by_asn: &[(Asn, AsnId)],
+    counters: &[AsCounters],
+    classes: &[(Asn, Class)],
+) -> Result<Vec<DbRecord>, SliceError> {
+    let mut records = Vec::with_capacity(classes.len());
+    let mut classes = classes.iter();
+    for &(asn, id) in by_asn {
+        let counters = counters[id as usize];
+        if counters.is_zero() {
+            continue;
+        }
+        match classes.next() {
+            Some(&(classed, class)) if classed == asn => records.push(DbRecord {
+                asn,
+                class,
+                counters,
+            }),
+            other => {
+                return Err(SliceError {
+                    counted: Some(asn),
+                    classed: other.map(|&(classed, _)| classed),
+                })
+            }
+        }
+    }
+    match classes.next() {
+        Some(&(extra, _)) => Err(SliceError {
+            counted: None,
+            classed: Some(extra),
+        }),
+        None => Ok(records),
+    }
 }
 
 /// How a concrete community value should be read against the inference
@@ -204,38 +274,9 @@ impl CommunityVerdict {
     }
 }
 
-/// The dictionary entry for one community value (see [`lookup_community`]).
-#[derive(Debug, Clone, Copy)]
-pub struct CommunityLookup {
-    /// The AS named by the upper field / global administrator.
-    pub owner: Asn,
-    /// The owner's record in the database, if it was ever counted.
-    pub owner_record: Option<DbRecord>,
-    /// IANA registry entry when the value is a well-known community.
-    pub well_known: Option<&'static bgp_types::wellknown::WellKnown>,
-    /// The attribution verdict.
-    pub verdict: CommunityVerdict,
-}
-
-/// Look one community value up in the inference database: who does the
-/// upper field name, what do we know about that AS, and is the
-/// attribution credible?
-pub fn lookup_community(outcome: &InferenceOutcome, community: &AnyCommunity) -> CommunityLookup {
-    let owner = community.upper_field();
-    let well_known = bgp_types::wellknown::lookup_any(community);
-    let owner_record = record_of(outcome, owner);
-    let verdict = community_verdict(owner_record.as_ref(), community);
-    CommunityLookup {
-        owner,
-        owner_record,
-        well_known,
-        verdict,
-    }
-}
-
 /// The verdict for a community value given its owner's database record
-/// (if any) — the single decision rule behind [`lookup_community`] and
-/// any serving layer that already holds the owner's record.
+/// (if any) — the single decision rule of the community dictionary,
+/// evaluated by whoever holds the record table.
 pub fn community_verdict(
     owner_record: Option<&DbRecord>,
     community: &AnyCommunity,
@@ -332,35 +373,26 @@ mod tests {
     }
 
     #[test]
-    fn record_of_matches_records() {
-        let outcome = sample_outcome();
-        for r in records(&outcome) {
-            let point = record_of(&outcome, r.asn).expect("counted AS has a record");
-            assert_eq!(point, r);
-        }
-        assert!(record_of(&outcome, Asn(4_000_000_000)).is_none());
-    }
-
-    #[test]
     fn community_dictionary_verdicts() {
-        let outcome = sample_outcome(); // 5 tags; 9 silent (never tags)
-        let tagged = AnyCommunity::regular(5, 100);
-        let looked = lookup_community(&outcome, &tagged);
-        assert_eq!(looked.owner, Asn(5));
-        assert_eq!(looked.verdict, CommunityVerdict::Attributable);
-        assert!(looked.well_known.is_none());
-        assert!(looked.owner_record.is_some());
-
+        let table = records(&sample_outcome()); // 5 tags; 64000 is never counted
+        let verdict = |community: AnyCommunity| {
+            let owner = community.upper_field();
+            let record = table.iter().find(|r| r.asn == owner);
+            community_verdict(record, &community)
+        };
+        assert_eq!(
+            verdict(AnyCommunity::regular(5, 100)),
+            CommunityVerdict::Attributable
+        );
         // Well-known values are interpreted by the registry, not the db.
-        let bh = AnyCommunity::Regular(Community::BLACKHOLE);
-        let looked = lookup_community(&outcome, &bh);
-        assert_eq!(looked.verdict, CommunityVerdict::WellKnown);
-        assert_eq!(looked.well_known.unwrap().name, "BLACKHOLE");
-
+        assert_eq!(
+            verdict(AnyCommunity::Regular(Community::BLACKHOLE)),
+            CommunityVerdict::WellKnown
+        );
         // An AS the db never counted yields no attribution either way.
-        let unknown = AnyCommunity::regular(64000, 1);
-        let looked = lookup_community(&outcome, &unknown);
-        assert_eq!(looked.verdict, CommunityVerdict::Unattributed);
-        assert!(looked.owner_record.is_none());
+        assert_eq!(
+            verdict(AnyCommunity::regular(64000, 1)),
+            CommunityVerdict::Unattributed
+        );
     }
 }

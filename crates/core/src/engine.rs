@@ -25,7 +25,7 @@
 
 use crate::classify::Class;
 use crate::compiled::CompiledTuples;
-use crate::counters::{merge_delta_map, AsCounters, CounterStore, Thresholds};
+use crate::counters::{AsCounters, CounterStore, Thresholds};
 use bgp_types::prelude::*;
 use std::collections::HashMap;
 
@@ -309,6 +309,13 @@ impl InferenceEngine {
             }
         });
         merged
+    }
+}
+
+/// Fold one worker's phase-delta map into the oracle's accumulator map.
+fn merge_delta_map(into: &mut HashMap<Asn, AsCounters>, delta: HashMap<Asn, AsCounters>) {
+    for (asn, d) in delta {
+        into.entry(asn).or_default().accumulate(&d);
     }
 }
 

@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::compiled::{
         CompiledTuples, DeltaStore, DenseCounterStore, DenseOutcome, IdBitSet, PhasePredicates,
     };
-    pub use crate::counters::{merge_delta_map, AsCounters, CounterStore, Thresholds};
+    pub use crate::counters::{AsCounters, CounterStore, Thresholds};
     pub use crate::db::{export, import, records, DbRecord};
     pub use crate::engine::{InferenceConfig, InferenceEngine, InferenceOutcome};
     pub use crate::metrics::{

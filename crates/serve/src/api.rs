@@ -49,7 +49,7 @@ use crate::snapshot::{
 };
 use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
-use bgp_infer::db::{CommunityLookup, DbRecord};
+use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
 use obs::trace::{EpochTrace, TraceStore};
 use obs::ObsRegistry;
@@ -539,23 +539,17 @@ fn community_endpoint(snap: &ServeSnapshot, raw: &str) -> Response {
     let Some(community) = parse_community(raw) else {
         return Response::error(400, "expected a:b (regular) or a:b:c (large) community");
     };
-    // Dictionary semantics live in bgp_infer::db — one decision rule
-    // shared with the library's `lookup_community` — evaluated against
-    // this snapshot's record table (same data, point lookup).
+    // Dictionary semantics live in bgp_infer::db (`community_verdict`),
+    // evaluated against this snapshot's record table (a point lookup).
     let owner = community.upper_field();
-    let owner_record = snap.record_of(owner).copied();
-    let lookup = CommunityLookup {
-        owner,
-        owner_record,
-        well_known: bgp_types::wellknown::lookup_any(&community),
-        verdict: bgp_infer::db::community_verdict(owner_record.as_ref(), &community),
-    };
+    let owner_record = snap.record_of(owner);
+    let verdict = bgp_infer::db::community_verdict(owner_record, &community);
 
     let mut w = begin_envelope(snap);
     w.field_str("community", &community.to_string());
-    w.field_u64("owner", lookup.owner.0 as u64);
-    w.field_str("verdict", lookup.verdict.name());
-    match lookup.well_known {
+    w.field_u64("owner", owner.0 as u64);
+    w.field_str("verdict", verdict.name());
+    match bgp_types::wellknown::lookup_any(&community) {
         Some(wk) => {
             w.begin_obj_field("well_known");
             w.field_str("name", wk.name);
@@ -565,7 +559,7 @@ fn community_endpoint(snap: &ServeSnapshot, raw: &str) -> Response {
         }
         None => w.field_null("well_known"),
     }
-    match &lookup.owner_record {
+    match owner_record {
         Some(record) => write_record_field(&mut w, "owner_record", record),
         None => w.field_null("owner_record"),
     }

@@ -8,9 +8,9 @@
 //!
 //! Historical epochs are rebuilt on demand through
 //! [`rebuild_snapshot`] and kept in a
-//! small LRU — rebuilding walks segment files and re-interns the id
-//! table, so repeated queries against the same epoch must not pay that
-//! twice. The store re-reads the manifest (cheap: one small text file)
+//! small LRU — rebuilding walks segment files, sorts the id table and
+//! slices the record table, so repeated queries against the same epoch
+//! must not pay that twice. The store re-reads the manifest (cheap: one small text file)
 //! whenever a request mentions an epoch it does not know yet, so a
 //! long-lived reader keeps up with the concurrent writer without any
 //! channel between them.

@@ -3,86 +3,72 @@
 //! This is the boot path of `bgp-served --archive`: instead of waiting
 //! for the feed to re-ingest from the start, the daemon maps the
 //! archive's last committed epoch back into a fully formed
-//! [`ServeSnapshot`] — dense counter column, shared interner, Asn-sorted
-//! record table, seeded flip log — and publishes it before the first
-//! event is read. The same rebuild serves time-travel queries: any
-//! retained epoch can be materialized on demand (see
-//! [`crate::history`]).
+//! [`ServeSnapshot`] — Asn-sorted record table, epoch header, seeded flip
+//! log — and publishes it before the first event is read. The same
+//! rebuild serves time-travel queries: any retained epoch can be
+//! materialized on demand (see [`crate::history`]).
 //!
 //! Fidelity is the contract here. The record table is sliced by the
-//! *same* code the live publisher uses
-//! (`snapshot::slice_records`), the interner is
-//! re-interned in id order (the id assignment is deterministic, so ids
-//! match the originals exactly), and the flip log is replayed through
-//! the same append-and-trim step — a restarted daemon answers every
-//! endpoint byte-identically to one that never went down.
+//! *same* conversion the live publisher uses,
+//! [`bgp_infer::db::slice_records`], from the archived counter column and
+//! class table through the archived ASN table ([`Archive::interner_upto`])
+//! sorted into `(asn, id)` pairs, and the flip log is replayed through the
+//! same append-and-trim step — a restarted daemon answers every endpoint
+//! byte-identically to one that never went down. Nothing is re-interned:
+//! the restored [`EpochSnapshot`] has `dense: None` and carries the
+//! header, classes and flips, all the serving layer reads of it.
+//!
+//! Archived bytes that disagree are [`ArchiveError::Corrupt`], never a
+//! panic or a wrong answer. Checked: the ASN table is as long as the
+//! epoch's id space and the counter column as long as the table, no ASN
+//! holds two ids, and the class table pairs with the counted ids one for
+//! one, ASN for ASN.
 
-use crate::snapshot::{slice_records, zeroed_records, FlipLog, IngestStats, ServeSnapshot};
+use crate::snapshot::{zeroed_records, FlipLog, IngestStats, ServeSnapshot};
 use bgp_archive::prelude::*;
-use bgp_infer::compiled::DenseOutcome;
+use bgp_infer::db::{slice_records, DbRecord};
 use bgp_stream::epoch::EpochSnapshot;
 use bgp_types::asn::Asn;
-use bgp_types::intern::SharedInterner;
+use bgp_types::intern::AsnId;
 use std::sync::Arc;
 
 fn corrupt(why: String) -> ArchiveError {
     ArchiveError::Corrupt(why)
 }
 
-/// Re-intern the archived ASN table in id order. Interner ids are
-/// assigned densely in first-seen order, so replaying the table yields
-/// the exact original id space — checked, not assumed.
-fn rebuild_interner(table: &[Asn]) -> Result<Arc<SharedInterner>> {
-    let interner = SharedInterner::new();
-    for (id, &asn) in table.iter().enumerate() {
-        let got = interner.intern(asn);
-        if got as usize != id {
-            return Err(corrupt(format!(
-                "archived interner table is not an id sequence: {asn} re-interned as {got}, expected {id}"
-            )));
-        }
-    }
-    Ok(Arc::new(interner))
-}
-
-/// Rebuild the dense inference state of one archived epoch. `None` when
-/// the epoch's counter column was dropped by compaction (classes still
-/// serve, counters read as zero).
-fn rebuild_dense(archive: &Archive, ep: &ArchivedEpoch) -> Result<Option<DenseOutcome>> {
-    let Some(counters) = ep.counters.clone() else {
-        return Ok(None);
+/// The record table of one archived epoch. An epoch whose counter
+/// column was dropped by compaction still serves its classes, with
+/// counters read as zero.
+fn epoch_records(archive: &Archive, ep: &ArchivedEpoch) -> Result<Vec<DbRecord>> {
+    let epoch = ep.meta.epoch;
+    let Some(counters) = &ep.counters else {
+        return Ok(zeroed_records(&ep.classes));
     };
-    let table = archive.interner_upto(ep.meta.epoch)?;
+    let table = archive.interner_upto(epoch)?;
     if table.len() != ep.interner_len() {
         return Err(corrupt(format!(
-            "epoch {}: accumulated interner table {} != epoch interner length {}",
-            ep.meta.epoch,
+            "epoch {epoch}: accumulated interner table {} != epoch interner length {}",
             table.len(),
             ep.interner_len()
         )));
     }
     if counters.len() != table.len() {
         return Err(corrupt(format!(
-            "epoch {}: counter column {} != interner length {}",
-            ep.meta.epoch,
+            "epoch {epoch}: counter column {} != interner length {}",
             counters.len(),
             table.len()
         )));
     }
-    let interner = rebuild_interner(&table)?;
-    let mut by_asn: Vec<(Asn, u32)> = table
-        .iter()
-        .enumerate()
-        .map(|(id, &asn)| (asn, id as u32))
-        .collect();
-    by_asn.sort_unstable_by_key(|&(asn, _)| asn);
-    Ok(Some(DenseOutcome {
-        interner,
-        counters: Arc::new(counters),
-        by_asn: Arc::new(by_asn),
-        thresholds: ep.meta.thresholds,
-        deepest_active_index: ep.meta.deepest_active_index as usize,
-    }))
+    let mut by_asn: Vec<(Asn, AsnId)> = table.into_iter().zip(0..).collect();
+    by_asn.sort_unstable();
+    if let Some(w) = by_asn.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(corrupt(format!(
+            "epoch {epoch}: interner table gives {} two ids ({} and {})",
+            w[0].0, w[0].1, w[1].1
+        )));
+    }
+    slice_records(&by_asn, counters, &ep.classes)
+        .map_err(|e| corrupt(format!("epoch {epoch}: class table: {e}")))
 }
 
 /// Replay the archived flip chunks up to and including `epoch` into a
@@ -115,11 +101,7 @@ pub fn rebuild_snapshot(
     flip_log_cap: usize,
 ) -> Result<ServeSnapshot> {
     let ep = archive.load_epoch(epoch, DecodeFilter::all())?;
-    let dense = rebuild_dense(archive, &ep)?;
-    let records = match &dense {
-        Some(dense) => slice_records(dense, &ep.classes),
-        None => zeroed_records(&ep.classes),
-    };
+    let records = epoch_records(archive, &ep)?;
     let flip_log = rebuild_flip_log(archive, epoch, flip_log_cap)?;
     let thresholds = ep.meta.thresholds;
     let ingest = IngestStats {
@@ -138,7 +120,6 @@ pub fn rebuild_snapshot(
         ep.meta.events,
         ep.meta.total_events,
         ep.meta.unique_tuples as usize,
-        dense,
         Arc::new(ep.classes),
         Arc::new(ep.flips.unwrap_or_default()),
         ep.meta.seal_nanos,
@@ -166,5 +147,68 @@ pub fn restore_latest(
             flip_log_cap,
         )?))),
         None => Ok(None),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgp_infer::classify::Class;
+    use bgp_stream::epoch::EpochPolicy;
+    use bgp_stream::ingest::StreamEvent;
+    use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
+    use bgp_types::prelude::*;
+
+    /// One sealed epoch of three tagging peers, archived with its class
+    /// table intact and then with one AS missing, renamed or extra.
+    #[test]
+    fn a_class_table_that_disagrees_with_the_counters_is_corrupt() {
+        let mut pipe = StreamPipeline::new(StreamConfig {
+            epoch: EpochPolicy::manual(),
+            ..Default::default()
+        });
+        for peer in [7u32, 8, 9] {
+            let tags = CommunitySet::from_iter([AnyCommunity::tag_for(Asn(peer), 100)]);
+            pipe.push(StreamEvent::new(
+                0,
+                PathCommTuple::new(path(&[peer, 100]), tags),
+            ));
+        }
+        let sealed = pipe.seal_epoch().as_ref().clone();
+        let intact = sealed.classes.as_ref().clone();
+        assert_eq!(intact.len(), 3, "{intact:?}");
+        let mut missing = intact.clone();
+        missing.remove(1);
+        let mut renamed = intact.clone();
+        renamed[1].0 = Asn(64_000);
+        let mut extra = intact.clone();
+        extra.push((Asn(64_001), Class::NONE));
+        for (tag, classes) in [
+            ("intact", intact),
+            ("missing", missing),
+            ("renamed", renamed),
+            ("extra", extra),
+        ] {
+            let mut snap = sealed.clone();
+            snap.classes = Arc::new(classes);
+            let dir =
+                std::env::temp_dir().join(format!("bgp-restore-{tag}-{}", std::process::id()));
+            let mut writer = ArchiveWriter::open(&dir).unwrap();
+            writer
+                .append_epoch(&snap, &SegmentStats::default())
+                .unwrap();
+            let restored = restore_latest(&Archive::open(&dir).unwrap(), 64);
+            std::fs::remove_dir_all(&dir).unwrap();
+            match restored {
+                Ok(Some(r)) if tag == "intact" => {
+                    assert_eq!(Some(r.records.clone()), sealed.records());
+                    assert!(r.epoch.as_ref().unwrap().dense.is_none());
+                }
+                Err(ArchiveError::Corrupt(why)) if tag != "intact" => {
+                    assert!(why.contains("class table"), "{why}")
+                }
+                other => panic!("{tag}: restored {other:?}"),
+            }
+        }
     }
 }

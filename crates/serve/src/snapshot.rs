@@ -16,15 +16,16 @@
 //!
 //! Publishing is cheap by construction: the record table is sliced out
 //! of the epoch's dense counter columns through the Asn-sorted id
-//! permutation (no sparse-map rebuild, no sort), and the cumulative flip
-//! log is a [`FlipLog`] of per-epoch `Arc`'d chunks shared by every
-//! snapshot that retains them — per publish the log costs one chunk
-//! pointer per retained epoch, not a deep copy of every entry.
+//! permutation ([`EpochSnapshot::records`], which is
+//! [`bgp_infer::db::slice_records`]: no map, no sort), and the
+//! cumulative flip log is a [`FlipLog`] of per-epoch `Arc`'d chunks
+//! shared by every snapshot that retains them — per publish the log
+//! costs one chunk pointer per retained epoch, not a deep copy of every
+//! entry.
 
 use crate::json::JsonWriter;
 use bgp_archive::prelude::{ArchiveSink, SegmentStats};
 use bgp_infer::classify::Class;
-use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_stream::epoch::{ClassFlip, EpochSnapshot};
@@ -237,44 +238,14 @@ impl ServeSnapshot {
     }
 
     /// Re-classify every record under different thresholds without
-    /// re-counting — the same approximation
-    /// [`InferenceOutcome::reclassify`](bgp_infer::engine::InferenceOutcome::reclassify)
-    /// documents, evaluated against this immutable snapshot.
+    /// re-counting — the same approximation the batch engine's
+    /// `reclassify` documents, evaluated against this immutable snapshot.
     pub fn reclassify(&self, th: &Thresholds) -> impl Iterator<Item = (&DbRecord, Class)> + '_ {
         let th = *th;
         self.records
             .iter()
             .map(move |r| (r, r.counters.classify(&th)))
     }
-}
-
-/// Slice the per-AS record table straight out of a dense counter column
-/// through the Asn-sorted id permutation — no sparse-map rebuild, no
-/// sort. `classes` must be the seal-time classification of exactly the
-/// non-zero counters in `by_asn` order (which is what both the live
-/// sealer and the archive produce). Shared by the live publisher and
-/// the archive restore path so a restarted daemon builds byte-identical
-/// tables.
-pub(crate) fn slice_records(
-    dense: &DenseOutcome,
-    classes: &[(bgp_types::asn::Asn, Class)],
-) -> Vec<DbRecord> {
-    let mut records = Vec::with_capacity(classes.len());
-    let mut next_class = classes.iter();
-    for &(asn, id) in dense.by_asn.iter() {
-        let counters = dense.counters[id as usize];
-        if counters.is_zero() {
-            continue;
-        }
-        let &(casn, class) = next_class.next().expect("classes cover counted ids");
-        debug_assert_eq!(casn, asn);
-        records.push(DbRecord {
-            asn,
-            class,
-            counters,
-        });
-    }
-    records
 }
 
 /// Records for an epoch whose counter column is gone (compacted in the
@@ -563,16 +534,11 @@ impl Publisher {
         let t_publish = Instant::now();
         self.log
             .push_epoch(sealed.epoch, &sealed.flips, self.flip_log_cap);
-        let records = match &sealed.dense {
-            // The normal path: slice the record table straight out of the
-            // dense counter columns through the Asn-sorted permutation.
-            Some(dense) => slice_records(dense, &sealed.classes),
-            // Compacted epochs keep classes but not counters; serve
-            // them with zeroed counters rather than failing. The
-            // driver always publishes an epoch before it can be
-            // compacted, so this is a fallback, not the normal path.
-            None => zeroed_records(&sealed.classes),
-        };
+        // An epoch compacted before it was published keeps classes but
+        // not counters: serve them with zeroed counters rather than fail.
+        let records = sealed
+            .records()
+            .unwrap_or_else(|| zeroed_records(&sealed.classes));
         let (replayed_steps, total_steps) = pipeline.last_replay();
         let snapshot = ServeSnapshot {
             records,
@@ -648,6 +614,10 @@ mod tests {
         )
     }
 
+    fn batch(p: &[u32], uppers: &[u32]) -> bgp_infer::engine::InferenceOutcome {
+        bgp_infer::engine::InferenceEngine::default().run(&[tag_tuple(p, uppers)])
+    }
+
     fn pipeline(every: u64) -> StreamPipeline {
         StreamPipeline::new(StreamConfig {
             shards: 2,
@@ -680,9 +650,8 @@ mod tests {
         assert_eq!(snap.version(), 2);
         assert_eq!(snap.epoch_id(), Some(1));
         assert_eq!(snap.class_of(Asn(1)).tagging.code(), 't');
-        // Records match the db::records oracle on the same outcome.
-        let oracle = bgp_infer::db::records(snap.epoch.as_ref().unwrap().outcome().unwrap());
-        assert_eq!(snap.records, oracle);
+        // Records match the batch engine's over the one unique tuple.
+        assert_eq!(snap.records, bgp_infer::db::records(&batch(&[1, 9], &[1])));
         // Nothing new -> no publish.
         assert_eq!(publisher.sync(&pipe), 0);
     }
@@ -898,11 +867,14 @@ mod tests {
         pipe.push(StreamEvent::new(1, tag_tuple(&[2, 9], &[2])));
         publisher.sync(&pipe);
         assert!(
-            pipe.snapshots()[0].outcome().is_none(),
+            pipe.snapshots()[0].dense.is_none(),
             "pipeline history compacted"
         );
         // ...but the published epoch-0 snapshot keeps its full state.
-        assert!(first.epoch.as_ref().unwrap().outcome().is_some());
+        assert_eq!(
+            first.epoch.as_ref().unwrap().records().as_ref(),
+            Some(&first.records)
+        );
         assert!(first.records.iter().any(|r| !r.counters.is_zero()));
         // And the live snapshot moved on with real counters too.
         let second = slot.load();
@@ -922,13 +894,7 @@ mod tests {
         let snap = slot.load();
         let relaxed = Thresholds::uniform(0.5);
         let reclassified: Vec<Class> = snap.reclassify(&relaxed).map(|(_, c)| c).collect();
-        let oracle = snap
-            .epoch
-            .as_ref()
-            .unwrap()
-            .outcome()
-            .unwrap()
-            .reclassify(relaxed);
+        let oracle = batch(&[1, 5, 9], &[1, 5]).reclassify(relaxed);
         let oracle_classes: Vec<Class> = oracle.into_iter().map(|(_, c)| c).collect();
         assert_eq!(reclassified, oracle_classes);
     }

@@ -127,8 +127,8 @@ fn stream_config() -> StreamConfig {
     }
 }
 
-/// The oracle: the same events through an independent pipeline, plus the
-/// final `db::records` table.
+/// The oracle: the same events through an independent pipeline, plus its
+/// final record table.
 struct Oracle {
     records: Vec<DbRecord>,
     outcome: bgp_stream::outcome::StreamOutcome,
@@ -145,7 +145,7 @@ fn oracle() -> Oracle {
     }
     let outcome = pipe.finish();
     Oracle {
-        records: bgp_infer::db::records(&outcome.outcome),
+        records: outcome.records().to_vec(),
         outcome,
     }
 }

@@ -111,13 +111,14 @@ fn tmp_dir() -> std::path::PathBuf {
 }
 
 /// Run the full observable stack — archived ingest to completion, then
-/// a live HTTP server — and return a connected client.
-fn served() -> (HttpServer, Client) {
+/// a live HTTP server — and return it, a connected client and the
+/// ingest report (which accounts for this world's own archive sink).
+fn served() -> (HttpServer, Client, IngestReport) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let metrics = Arc::new(Metrics::new());
     let dir = tmp_dir();
     let sink = ArchiveSink::spawn(ArchiveWriter::open(&dir).expect("open archive"));
-    spawn_ingest_archived(
+    let report = spawn_ingest_archived(
         DriverConfig {
             stream: StreamConfig {
                 shards: 2,
@@ -146,7 +147,7 @@ fn served() -> (HttpServer, Client) {
     )
     .expect("bind loopback");
     let client = Client::connect(http.local_addr());
-    (http, client)
+    (http, client, report)
 }
 
 // ------------------------------------------- Prometheus text parse-back
@@ -326,7 +327,7 @@ const OBS_HISTOGRAMS: [&str; 8] = [
 
 #[test]
 fn metrics_exposition_parses_back_and_is_live() {
-    let (http, mut client) = served();
+    let (http, mut client, report) = served();
     // One request before the scrape so the http-request histogram has
     // at least one completed observation.
     let (status, _) = client.get("/v1/stats");
@@ -370,11 +371,12 @@ fn metrics_exposition_parses_back_and_is_live() {
     }
     let appended = families["bgp_archive_segments_appended_total"].samples[0].1;
     assert!(appended >= 1.0, "no segments appended during the run");
-    assert_eq!(
-        families["bgp_archive_sink_queue_depth"].samples[0].1, 0.0,
-        "queue depth nonzero after the sink drained"
-    );
-    assert_eq!(families["bgp_archive_sink_failed"].samples[0].1, 0.0);
+    // The sink gauges are process-wide and the sibling tests' sinks run
+    // beside this one, so whether *this* sink drained clean is read off
+    // its own report: every sealed epoch committed, none dropped.
+    assert!(report.epochs > 1, "{report:?}");
+    assert_eq!(report.archived_epochs, report.epochs as u64, "{report:?}");
+    assert_eq!(report.archive_dropped, 0, "{report:?}");
 
     http.shutdown();
 }
@@ -393,7 +395,7 @@ fn json_u64(body: &str, field: &str) -> Option<u64> {
 
 #[test]
 fn debug_timings_reports_live_stage_latencies() {
-    let (http, mut client) = served();
+    let (http, mut client, _) = served();
     let (status, body) = client.get("/v1/debug/timings");
     assert_eq!(status, 200);
     for family in OBS_HISTOGRAMS {

@@ -130,7 +130,7 @@ fn readers_never_observe_mixed_epochs() {
         );
         pipe.push(StreamEvent::new(i, tuple));
         let sealed = pipe.seal_epoch();
-        let records = bgp_infer::db::records(sealed.outcome().expect("manual seals keep outcomes"));
+        let records = sealed.records().expect("manual seals keep their counters");
         fingerprints
             .lock()
             .unwrap()

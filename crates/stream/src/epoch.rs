@@ -8,21 +8,27 @@
 //! forwarding, dashboards, the `bgp-stream-infer` binary) watch the flip
 //! stream instead of diffing full databases.
 //!
-//! A snapshot's primary state is **dense**: a [`DenseOutcome`] holding the
+//! A snapshot's state is **dense**: a [`DenseOutcome`] holding the
 //! `Arc`'d counter column over the shared interner's id space plus the
-//! Asn-sorted id permutation. Classes and flips are `Arc`'d too, so an
-//! epoch that sealed without new evidence shares every component of its
-//! predecessor at pointer-copy cost, and the serving layer slices record
-//! tables straight from the columns. The sparse map-backed
-//! [`InferenceOutcome`] the batch engine returns is materialized lazily
-//! (once, on first use) for exports and historical queries.
+//! Asn-sorted id permutation, beside the seal-time class table. Classes
+//! and flips are `Arc`'d too, so an epoch that sealed without new
+//! evidence shares every component of its predecessor at pointer-copy
+//! cost. A reader gets the epoch's record table,
+//! [`EpochSnapshot::records`] ([`bgp_infer::db::slice_records`] over
+//! those columns); there is no sparse view, lazy or otherwise.
+//!
+//! `dense` is `None` in two cases. A **compacted** epoch (see
+//! `StreamConfig::compact_history`) is a pipeline history entry whose
+//! counters were dropped once a later epoch sealed; it keeps classes and
+//! flips. A **restored** epoch ([`EpochSnapshot::restored`]) never had
+//! columns: the archive restore slices its record table from the archive
+//! and keeps only the header, classes and flips here.
 
 use bgp_infer::classify::Class;
 use bgp_infer::compiled::DenseOutcome;
-use bgp_infer::engine::InferenceOutcome;
+use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// When the pipeline seals the running epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +106,7 @@ impl std::fmt::Display for ClassFlip {
 }
 
 /// The published state of one sealed epoch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     /// 0-based epoch sequence number.
     pub epoch: u64,
@@ -119,11 +125,9 @@ pub struct EpochSnapshot {
     /// space, Asn-sorted permutation, thresholds. `None` once the
     /// snapshot has been compacted (see `StreamConfig::compact_history`):
     /// a long-lived stream keeps every epoch's classes and flips, but
-    /// only the latest epoch's counters.
+    /// only the latest epoch's counters. Also `None` on a restored
+    /// snapshot (see [`restored`](EpochSnapshot::restored)).
     pub dense: Option<DenseOutcome>,
-    /// Lazily materialized sparse view of `dense` (the batch engine's
-    /// shape, kept for exports and historical-epoch tooling).
-    outcome_cell: OnceLock<InferenceOutcome>,
     /// Classification of every counted AS, sorted by ASN. Shared with the
     /// previous snapshot when nothing changed.
     pub classes: Arc<Vec<(Asn, Class)>>,
@@ -138,64 +142,11 @@ pub struct EpochSnapshot {
     pub count_nanos: u64,
 }
 
-impl Clone for EpochSnapshot {
-    fn clone(&self) -> Self {
-        let outcome_cell = OnceLock::new();
-        if let Some(v) = self.outcome_cell.get() {
-            let _ = outcome_cell.set(v.clone());
-        }
-        EpochSnapshot {
-            epoch: self.epoch,
-            version: self.version,
-            sealed_at: self.sealed_at,
-            events: self.events,
-            total_events: self.total_events,
-            unique_tuples: self.unique_tuples,
-            dense: self.dense.clone(),
-            outcome_cell,
-            classes: Arc::clone(&self.classes),
-            flips: Arc::clone(&self.flips),
-            seal_nanos: self.seal_nanos,
-            count_nanos: self.count_nanos,
-        }
-    }
-}
-
 impl EpochSnapshot {
-    /// Assemble a snapshot (pipeline-internal; the lazy sparse cell
-    /// starts empty).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        epoch: u64,
-        sealed_at: u64,
-        events: u64,
-        total_events: u64,
-        unique_tuples: usize,
-        dense: DenseOutcome,
-        classes: Arc<Vec<(Asn, Class)>>,
-        flips: Arc<Vec<ClassFlip>>,
-    ) -> Self {
-        EpochSnapshot {
-            epoch,
-            version: epoch + 1,
-            sealed_at,
-            events,
-            total_events,
-            unique_tuples,
-            dense: Some(dense),
-            outcome_cell: OnceLock::new(),
-            classes,
-            flips,
-            seal_nanos: 0,
-            count_nanos: 0,
-        }
-    }
-
-    /// Rebuild a snapshot from durable state — the archive restore path.
-    /// Unlike `assemble`, the seal path's constructor, this is `pub` (the
-    /// archive lives downstream of this crate), takes the persisted
-    /// timing fields verbatim, and accepts `dense: None` for epochs
-    /// whose counter column was compacted away on disk.
+    /// Rebuild a snapshot's header from durable state — the archive
+    /// restore path. It takes the persisted timing fields verbatim and
+    /// carries no counter columns (`dense` is `None`): whoever restores
+    /// an epoch builds its record table from the archive itself.
     #[allow(clippy::too_many_arguments)]
     pub fn restored(
         epoch: u64,
@@ -203,7 +154,6 @@ impl EpochSnapshot {
         events: u64,
         total_events: u64,
         unique_tuples: usize,
-        dense: Option<DenseOutcome>,
         classes: Arc<Vec<(Asn, Class)>>,
         flips: Arc<Vec<ClassFlip>>,
         seal_nanos: u64,
@@ -216,8 +166,7 @@ impl EpochSnapshot {
             events,
             total_events,
             unique_tuples,
-            dense,
-            outcome_cell: OnceLock::new(),
+            dense: None,
             classes,
             flips,
             seal_nanos,
@@ -225,19 +174,15 @@ impl EpochSnapshot {
         }
     }
 
-    /// The sparse map-backed [`InferenceOutcome`] of this epoch —
-    /// materialized from the dense state on first use, then cached.
-    /// `None` once the snapshot has been compacted.
-    pub fn outcome(&self) -> Option<&InferenceOutcome> {
+    /// This epoch's per-AS record table, sorted by ASN: the counter
+    /// column sliced through the Asn-sorted permutation beside the class
+    /// table ([`bgp_infer::db::slice_records`]). `None` when the snapshot
+    /// carries no counters (compacted or restored).
+    pub fn records(&self) -> Option<Vec<DbRecord>> {
         let dense = self.dense.as_ref()?;
-        Some(self.outcome_cell.get_or_init(|| dense.to_outcome()))
-    }
-
-    /// Drop the counter state (history compaction), keeping classes and
-    /// flips.
-    pub(crate) fn compact(&mut self) {
-        self.dense = None;
-        self.outcome_cell = OnceLock::new();
+        let records = bgp_infer::db::slice_records(&dense.by_asn, &dense.counters, &self.classes)
+            .expect("a seal classes exactly its counted ids");
+        Some(records)
     }
 
     /// Classification of one AS in this snapshot ([`Class::NONE`] for an
@@ -251,37 +196,9 @@ impl EpochSnapshot {
     }
 }
 
-/// Diff two classification maps into a sorted flip list. `prev` may be
-/// empty (first epoch): every decided AS then flips from [`Class::NONE`].
-/// (The pipeline itself diffs densely by interned id; this is the
-/// reference shape, kept for tools and tests.)
-pub fn diff_classes(prev: &HashMap<Asn, Class>, now: &[(Asn, Class)]) -> Vec<ClassFlip> {
-    let mut flips = Vec::new();
-    for &(asn, to) in now {
-        let from = prev.get(&asn).copied().unwrap_or(Class::NONE);
-        if from != to {
-            flips.push(ClassFlip { asn, from, to });
-        }
-    }
-    // ASes that vanish from the counted set cannot happen (counters only
-    // grow), so no reverse sweep is needed.
-    flips.sort_by_key(|f| f.asn);
-    flips
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_infer::classify::{ForwardingClass, TaggingClass};
-
-    const TF: Class = Class {
-        tagging: TaggingClass::Tagger,
-        forwarding: ForwardingClass::Forward,
-    };
-    const TN: Class = Class {
-        tagging: TaggingClass::Tagger,
-        forwarding: ForwardingClass::None,
-    };
 
     #[test]
     fn policy_event_trigger() {
@@ -304,20 +221,5 @@ mod tests {
         assert!(p.should_seal(0, 60));
         assert!(!p.should_seal(9, 59));
         assert!(!EpochPolicy::manual().should_seal(u64::MAX, u64::MAX));
-    }
-
-    #[test]
-    fn diff_reports_new_and_changed() {
-        let mut prev = HashMap::new();
-        prev.insert(Asn(1), TN);
-        prev.insert(Asn(2), TF);
-        let now = vec![(Asn(1), TF), (Asn(2), TF), (Asn(3), TN)];
-        let flips = diff_classes(&prev, &now);
-        assert_eq!(flips.len(), 2);
-        assert_eq!(flips[0].asn, Asn(1));
-        assert_eq!(flips[0].from, TN);
-        assert_eq!(flips[0].to, TF);
-        assert_eq!(flips[1].asn, Asn(3));
-        assert_eq!(flips[1].from, Class::NONE);
     }
 }

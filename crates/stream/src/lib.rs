@@ -26,7 +26,8 @@
 //!            └──────────────────────────────────────┘
 //!                              │
 //!                              ▼
-//!            StreamOutcome: class_of / reclassify / db export
+//!            StreamOutcome: the last epoch's record table
+//!            (db::slice_records) → class_of / reclassify / db export
 //! ```
 //!
 //! ## Exactness

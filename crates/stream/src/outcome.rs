@@ -1,24 +1,25 @@
-//! Query/export layer: the finished stream's answer surface.
+//! Query/export layer: the finished stream's answer surface, which is the
+//! record table of its last epoch ([`EpochSnapshot::records`], built once
+//! by [`finish`](crate::pipeline::StreamPipeline::finish)). A historical
+//! epoch's export slices that epoch's columns the same way.
 
 use crate::epoch::{ClassFlip, EpochSnapshot};
 use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
-use bgp_infer::engine::InferenceOutcome;
+use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
 use std::sync::Arc;
 
 /// The result of a completed streaming run — the streaming mirror of
-/// [`InferenceOutcome`], with the epoch history attached.
+/// a batch run's outcome, with the epoch history attached.
 ///
 /// `class_of` / `classes` / `reclassify` behave exactly as on the batch
 /// outcome (and, by the parity guarantee, *return* exactly what a batch
-/// run over the same tuples would). [`export_db`](StreamOutcome::export_db)
+/// run over the same unique tuples would). [`export_db`](StreamOutcome::export_db)
 /// writes the paper's release format through [`bgp_infer::db`], so a
 /// streaming deployment publishes byte-compatible databases.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
-    /// Final inference state (identical shape to a batch run).
-    pub outcome: InferenceOutcome,
     /// Every sealed epoch, in order. Never empty. Snapshots are shared
     /// ([`Arc`]) with any serving layer that retained them mid-stream.
     pub snapshots: Vec<Arc<EpochSnapshot>>,
@@ -30,23 +31,39 @@ pub struct StreamOutcome {
     pub duplicates: u64,
     /// Stored-tuple count per shard (load-balance introspection).
     pub shard_loads: Vec<usize>,
+    /// The last epoch's record table.
+    pub(crate) records: Vec<DbRecord>,
+    /// Thresholds the run counted and classified under.
+    pub(crate) thresholds: Thresholds,
 }
 
 impl StreamOutcome {
-    /// Final classification of one AS.
+    /// Final per-AS records (ASN, class, counters), sorted by ASN — the
+    /// rows of [`export_db`](StreamOutcome::export_db).
+    pub fn records(&self) -> &[DbRecord] {
+        &self.records
+    }
+
+    /// Final classification of one AS ([`Class::NONE`] when never
+    /// counted).
     pub fn class_of(&self, asn: Asn) -> Class {
-        self.outcome.class_of(asn)
+        self.records
+            .binary_search_by_key(&asn, |r| r.asn)
+            .map_or(Class::NONE, |i| self.records[i].class)
     }
 
     /// Final classification of every counted AS, sorted by ASN.
     pub fn classes(&self) -> Vec<(Asn, Class)> {
-        self.outcome.classes()
+        self.records.iter().map(|r| (r.asn, r.class)).collect()
     }
 
     /// Re-classify every counted AS under different thresholds without
     /// re-counting (same approximation the batch engine documents).
     pub fn reclassify(&self, thresholds: Thresholds) -> Vec<(Asn, Class)> {
-        self.outcome.reclassify(thresholds)
+        self.records
+            .iter()
+            .map(|r| (r.asn, r.counters.classify(&thresholds)))
+            .collect()
     }
 
     /// Number of sealed epochs.
@@ -63,17 +80,16 @@ impl StreamOutcome {
 
     /// Export the final state in the paper's release db format.
     pub fn export_db(&self) -> String {
-        bgp_infer::db::export(&self.outcome)
+        bgp_infer::db::export_records(&self.thresholds, &self.records)
     }
 
     /// Export one historical epoch in the release db format. `None` for
     /// an out-of-range epoch or one compacted away by
     /// `StreamConfig::compact_history`.
     pub fn export_epoch_db(&self, epoch: usize) -> Option<String> {
-        self.snapshots
-            .get(epoch)
-            .and_then(|s| s.outcome())
-            .map(bgp_infer::db::export)
+        let snap = self.snapshots.get(epoch)?;
+        let records = snap.records()?;
+        Some(bgp_infer::db::export_records(&self.thresholds, &records))
     }
 }
 
@@ -107,8 +123,10 @@ mod tests {
     fn query_surface_mirrors_batch_outcome() {
         let out = run();
         assert_eq!(out.class_of(Asn(5)).tagging, TaggingClass::Tagger);
+        assert_eq!(out.class_of(Asn(64_000)), Class::NONE);
         let classes = out.classes();
         assert!(classes.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(classes.len(), out.records().len());
         let relaxed = out.reclassify(Thresholds::uniform(0.5));
         assert_eq!(relaxed.len(), classes.len());
     }
@@ -121,9 +139,11 @@ mod tests {
         for (asn, class) in out.classes() {
             assert_eq!(back.class_of(asn), class);
         }
-        // Historical epoch export exists for every sealed epoch.
+        // Historical epoch export exists for every sealed epoch, and the
+        // last one is the final export.
         assert_eq!(out.epochs(), 2);
         assert!(out.export_epoch_db(0).is_some());
+        assert_eq!(out.export_epoch_db(1), Some(text));
         assert!(out.export_epoch_db(5).is_none());
     }
 

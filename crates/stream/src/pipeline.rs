@@ -18,7 +18,8 @@ use std::time::Instant;
 pub struct StreamConfig {
     /// Shards: how tuples are partitioned for deduplication, step
     /// caching and load reporting. A seal counts them in turn on the
-    /// sealing thread.
+    /// sealing thread. Identical tuples are always counted once, as the
+    /// paper's `TupleSet` pipeline does.
     pub shards: usize,
     /// When to seal epochs.
     pub epoch: EpochPolicy,
@@ -30,15 +31,13 @@ pub struct StreamConfig {
     pub enforce_cond1: bool,
     /// Enforce Cond2 (visible downstream tagger) — see `InferenceConfig`.
     pub enforce_cond2: bool,
-    /// Deduplicate identical tuples (the paper's `TupleSet` semantics).
-    /// Disable to mirror a batch run over a raw (non-deduplicated) slice.
-    pub dedup: bool,
     /// Keep only the latest snapshot's full counter state, dropping the
     /// dense outcome of older epochs as new ones seal. Classes and flips
     /// are kept for every epoch either way; what compaction costs is
-    /// [`StreamOutcome::export_epoch_db`]/`reclassify` on *historical*
-    /// epochs. On a long-lived stream the history would otherwise grow by
-    /// a full per-AS counter column every epoch, without bound.
+    /// [`StreamOutcome::export_epoch_db`] and the record table of
+    /// *historical* epochs. On a long-lived stream the history would
+    /// otherwise grow by a full per-AS counter column every epoch,
+    /// without bound.
     pub compact_history: bool,
     /// Reuse the previous seal's per-(shard, column, phase) deltas when
     /// recounting an epoch, so seal cost scales with the tuples added
@@ -61,7 +60,6 @@ impl Default for StreamConfig {
             max_index: None,
             enforce_cond1: true,
             enforce_cond2: true,
-            dedup: true,
             compact_history: false,
             incremental_seal: true,
             trace: None,
@@ -110,7 +108,7 @@ pub struct StreamPipeline {
 impl StreamPipeline {
     /// New pipeline.
     pub fn new(cfg: StreamConfig) -> Self {
-        let shards = ShardSet::new(cfg.shards, cfg.dedup, cfg.incremental_seal);
+        let shards = ShardSet::new(cfg.shards, cfg.incremental_seal);
         let reg = obs::global();
         let seal_help = "Wall time of one epoch seal";
         let seal_hists = SEAL_KINDS.map(|kind| {
@@ -327,23 +325,16 @@ impl StreamPipeline {
         let t_seal = Instant::now();
         let epoch = self.snapshots.len() as u64;
         let zero_delta = self.shards.unchanged_since_seal();
-        let mut snapshot = if zero_delta {
+        let (dense, classes, flips, count_nanos) = if zero_delta {
             // O(1) fast path: identical tuple set => identical counters,
             // classes, and (empty) flip set. Share every component.
             self.shards.clear_replay_stats();
             let prev = self.snapshots.last().expect("unchanged implies a seal");
-            EpochSnapshot::assemble(
-                epoch,
-                self.last_ts,
-                self.events_in_epoch,
-                self.total_events,
-                self.shards.stored_tuples(),
-                prev.dense
-                    .clone()
-                    .expect("latest snapshot is never compacted"),
-                Arc::clone(&prev.classes),
-                Arc::new(Vec::new()),
-            )
+            let dense = prev
+                .dense
+                .clone()
+                .expect("latest snapshot is never compacted");
+            (dense, Arc::clone(&prev.classes), Vec::new(), 0)
         } else {
             let t_count = Instant::now();
             let (counters, deepest_active_index) = self.shards.recount(
@@ -384,18 +375,20 @@ impl StreamPipeline {
                 thresholds: th,
                 deepest_active_index,
             };
-            let mut snap = EpochSnapshot::assemble(
-                epoch,
-                self.last_ts,
-                self.events_in_epoch,
-                self.total_events,
-                self.shards.stored_tuples(),
-                dense,
-                Arc::new(classes),
-                Arc::new(flips),
-            );
-            snap.count_nanos = count_nanos;
-            snap
+            (dense, Arc::new(classes), flips, count_nanos)
+        };
+        let mut snapshot = EpochSnapshot {
+            epoch,
+            version: epoch + 1,
+            sealed_at: self.last_ts,
+            events: self.events_in_epoch,
+            total_events: self.total_events,
+            unique_tuples: self.shards.stored_tuples(),
+            dense: Some(dense),
+            classes,
+            flips: Arc::new(flips),
+            seal_nanos: 0,
+            count_nanos,
         };
         self.events_in_epoch = 0;
         self.epoch_start_ts = None;
@@ -404,8 +397,8 @@ impl StreamPipeline {
                 // A shared snapshot (e.g. one a serving layer still
                 // publishes) is cloned before stripping, so external
                 // holders keep their full counter state; only the
-                // pipeline's history copy is compacted.
-                Arc::make_mut(prev).compact();
+                // pipeline's history copy drops its counters.
+                Arc::make_mut(prev).dense = None;
             }
         }
         snapshot.seal_nanos = t_seal.elapsed().as_nanos() as u64;
@@ -472,10 +465,8 @@ impl StreamPipeline {
         }
         let last = self.snapshots.last().expect("finish always seals once");
         StreamOutcome {
-            outcome: last
-                .outcome()
-                .cloned()
-                .expect("latest snapshot is never compacted"),
+            records: last.records().expect("latest snapshot is never compacted"),
+            thresholds: self.cfg.thresholds,
             total_events: self.total_events,
             unique_tuples: self.shards.stored_tuples(),
             duplicates: self.shards.duplicates(),
@@ -558,7 +549,6 @@ mod tests {
         let mut pipe = StreamPipeline::new(StreamConfig {
             shards: 2,
             epoch: EpochPolicy::every_events(2),
-            dedup: true,
             ..Default::default()
         });
         pipe.push(StreamEvent::new(0, tag_tuple(&[1, 9], &[1])));
@@ -593,8 +583,11 @@ mod tests {
         }
         let out = pipe.finish();
         assert_eq!(out.snapshots.len(), 3);
-        assert!(out.snapshots[..2].iter().all(|s| s.outcome().is_none()));
-        assert!(out.snapshots.last().unwrap().outcome().is_some());
+        assert!(out.snapshots[..2].iter().all(|s| s.records().is_none()));
+        assert_eq!(
+            out.snapshots.last().unwrap().records().as_deref(),
+            Some(out.records())
+        );
         // Compacted epochs still answer class queries and keep flips;
         // only their counter-store exports are gone.
         assert_eq!(out.snapshots[0].class_of(Asn(1)).tagging.code(), 't');
@@ -608,7 +601,8 @@ mod tests {
         let out = StreamPipeline::new(StreamConfig::default()).finish();
         assert_eq!(out.total_events, 0);
         assert_eq!(out.snapshots.len(), 1);
-        assert!(out.outcome.counters.is_empty());
+        assert!(out.records().is_empty());
+        assert_eq!(out.export_db().lines().count(), 2, "the header only");
     }
 
     #[test]
@@ -673,7 +667,9 @@ mod tests {
         let last = corrected.latest().unwrap();
         assert_eq!(last.class_of(Asn(77)).tagging, TaggingClass::Tagger);
         assert_eq!(last.class_of(Asn(6_000)).forwarding.code(), 'f');
-        assert_eq!(last.dense.as_ref().unwrap().lookup(Asn(77)).unwrap().t, 2);
+        let records = last.records().unwrap();
+        let at = records.binary_search_by_key(&Asn(77), |r| r.asn).unwrap();
+        assert_eq!(records[at].counters.t, 2);
         assert_eq!(last.flips.len(), 2, "{:?}", last.flips);
     }
 

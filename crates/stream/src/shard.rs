@@ -4,16 +4,15 @@
 //! Incoming tuples arrive as borrowed records ([`TupleRef`]) and are
 //! routed onto `N` shards by an FNV-1a hash of their on-path ASNs, so an
 //! identical tuple always lands on the same shard — which makes per-shard
-//! deduplication equivalent to global deduplication. With dedup on, a
-//! shard recognises a tuple it has seen in its [`TupleTable`] (a hash, a
-//! probe and a compare against the table's record arena; nothing is
-//! allocated or freed for a duplicate) and stores a new one exactly once:
-//! its record in that arena, its columns in the compiled store. With dedup
-//! off there is no table. Each shard owns its partition as a
-//! [`CompiledTuples`] store (the length-bucketed columnar representation
-//! of `bgp_infer::compiled`, appended incrementally as events arrive —
-//! from the record's hops and community upper fields, all the engine
-//! reads of a tuple), and **every shard interns
+//! deduplication equivalent to global deduplication. A shard recognises a
+//! tuple it has seen in its [`TupleTable`] (a hash, a probe and a compare
+//! against the table's record arena; nothing is allocated or freed for a
+//! duplicate) and stores a new one exactly once: its record in that
+//! arena, its columns in the compiled store. Each shard owns its
+//! partition as a [`CompiledTuples`] store (the length-bucketed columnar
+//! representation of `bgp_infer::compiled`, appended incrementally as
+//! events arrive — from the record's hops and community upper fields,
+//! all the engine reads of a tuple), and **every shard interns
 //! through one workspace-level [`SharedInterner`]**: all shards speak the
 //! same dense `u32` id space, so a counting phase hands the coordinator a
 //! [`DeltaStore`] (flat counters + touched-id bitmap) that folds into
@@ -210,14 +209,14 @@ enum StepPlan {
 }
 
 /// One worker shard: a privately owned, incrementally compiled tuple
-/// partition plus its per-seal scratch and the cached step deltas. With
-/// dedup on, `seen` provides exact membership and is never iterated
-/// (counting order is irrelevant — phases are order-free); the compiled
-/// store holds the columns of every stored tuple either way.
+/// partition plus its per-seal scratch and the cached step deltas.
+/// `seen` provides exact membership and is never iterated (counting
+/// order is irrelevant — phases are order-free); the compiled store holds
+/// the columns of every stored tuple.
 #[derive(Debug)]
 struct Shard {
-    /// The records stored so far; `None` when the set does not dedup.
-    seen: Option<TupleTable>,
+    /// The records stored so far.
+    seen: TupleTable,
     compiled: CompiledTuples,
     /// Reused per-phase dense delta (touched-id tracked, O(touched) to
     /// clear).
@@ -234,9 +233,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(interner: Arc<SharedInterner>, dedup: bool) -> Self {
+    fn new(interner: Arc<SharedInterner>) -> Self {
         Shard {
-            seen: dedup.then(TupleTable::new),
+            seen: TupleTable::new(),
             compiled: CompiledTuples::with_shared(interner),
             delta: DeltaStore::default(),
             cache: Vec::new(),
@@ -247,7 +246,7 @@ impl Shard {
     }
 
     fn push(&mut self, t: TupleRef<'_>) -> bool {
-        let fresh = self.seen.as_mut().is_none_or(|seen| seen.insert(t));
+        let fresh = self.seen.insert(t);
         if fresh {
             self.compiled.push_ref(t);
         }
@@ -308,11 +307,11 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// `n` empty shards (`n >= 1`) sharing one fresh interner. With
-    /// `dedup`, repeated identical tuples are counted once, as the
-    /// paper's `TupleSet` pipeline does. With `incremental`, epoch
-    /// recounts reuse the previous seal's step deltas where valid.
-    pub fn new(n: usize, dedup: bool, incremental: bool) -> Self {
+    /// `n` empty shards (`n >= 1`) sharing one fresh interner. Repeated
+    /// identical tuples are counted once, as the paper's `TupleSet`
+    /// pipeline does. With `incremental`, epoch recounts reuse the
+    /// previous seal's step deltas where valid.
+    pub fn new(n: usize, incremental: bool) -> Self {
         let n = n.max(1);
         let interner = Arc::new(SharedInterner::new());
         let reg = obs::global();
@@ -331,9 +330,7 @@ impl ShardSet {
             "Wall time of the serial dense merge of one (column, phase) step",
         );
         ShardSet {
-            shards: (0..n)
-                .map(|_| Shard::new(Arc::clone(&interner), dedup))
-                .collect(),
+            shards: (0..n).map(|_| Shard::new(Arc::clone(&interner))).collect(),
             interner,
             incremental,
             unique: 0,
@@ -794,7 +791,7 @@ mod tests {
 
     #[test]
     fn routing_is_stable_and_total() {
-        let set = ShardSet::new(4, true, true);
+        let set = ShardSet::new(4, true);
         let mut buf = TupleBuf::new();
         for t in corpus() {
             let a = set.route(buf.encode_tuple(&t));
@@ -806,7 +803,7 @@ mod tests {
 
     #[test]
     fn dedup_is_global_across_shards() {
-        let mut set = ShardSet::new(4, true, true);
+        let mut set = ShardSet::new(4, true);
         for t in corpus() {
             push(&mut set, &t);
         }
@@ -828,7 +825,7 @@ mod tests {
         .run(&tuples);
         for shards in [1usize, 2, 4, 7] {
             for incremental in [false, true] {
-                let mut set = ShardSet::new(shards, false, incremental);
+                let mut set = ShardSet::new(shards, incremental);
                 for t in &tuples {
                     push(&mut set, t);
                 }
@@ -864,7 +861,7 @@ mod tests {
                 .map(|i| tup(&[99, 600 + i, 30_000 + i], &[]))
                 .collect();
             for shards in [1usize, 2, 4, 7] {
-                let mut set = ShardSet::new(shards, false, true);
+                let mut set = ShardSet::new(shards, true);
                 for (seal, batch) in [&base, &second, &flip].into_iter().enumerate() {
                     let ctx = format!("{tuples} tuples, {shards} shards, seal {seal}");
                     for t in batch {
@@ -1023,8 +1020,8 @@ mod tests {
             classes
         };
         for shards in [1usize, 2, 4, 7] {
-            let mut inc = ShardSet::new(shards, false, true);
-            let mut full = ShardSet::new(shards, false, false);
+            let mut inc = ShardSet::new(shards, true);
+            let mut full = ShardSet::new(shards, false);
             let mut prev_classes: Vec<(Asn, Class)> = Vec::new();
             for (epoch, batch) in feed.iter().enumerate() {
                 let ctx = format!("seed {seed}, {shards} shards, epoch {epoch}");
@@ -1109,7 +1106,7 @@ mod tests {
         let th = Thresholds::default();
         let (first, rest) = tuples.split_at(300);
 
-        let mut warm = ShardSet::new(3, false, true);
+        let mut warm = ShardSet::new(3, true);
         for t in first {
             push(&mut warm, t);
         }
@@ -1119,7 +1116,7 @@ mod tests {
         }
         let (inc, inc_deepest) = warm.recount(&th, None, true, true);
 
-        let mut cold = ShardSet::new(3, false, false);
+        let mut cold = ShardSet::new(3, false);
         for t in &tuples {
             push(&mut cold, t);
         }
@@ -1135,7 +1132,7 @@ mod tests {
 
     #[test]
     fn unchanged_reseal_is_detected_and_stable() {
-        let mut set = ShardSet::new(2, true, true);
+        let mut set = ShardSet::new(2, true);
         for t in corpus() {
             push(&mut set, &t);
         }
@@ -1154,7 +1151,7 @@ mod tests {
 
     #[test]
     fn load_spreads_across_shards() {
-        let mut set = ShardSet::new(4, true, true);
+        let mut set = ShardSet::new(4, true);
         for t in corpus() {
             push(&mut set, &t);
         }

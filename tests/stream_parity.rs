@@ -3,6 +3,10 @@
 //! counters) to the batch `InferenceEngine::run` on the same input, for
 //! any shard count and any epoch slicing; snapshots version monotonically
 //! and their flip streams compose back into the final classification.
+//!
+//! A stream counts each distinct tuple once, as the paper's `TupleSet`
+//! pipeline does, so every batch and reference oracle here runs over the
+//! feed's unique tuples (`unique`).
 
 use bgp_community_usage::prelude::*;
 use std::collections::HashMap;
@@ -17,19 +21,31 @@ fn world(seed: u64) -> GroundTruthDataset {
     Scenario::Random.materialize(&g, &paths, seed)
 }
 
+/// The feed's `TupleSet`-unique tuples: what a stream over it stores.
+fn unique(tuples: &[PathCommTuple]) -> Vec<PathCommTuple> {
+    tuples.iter().cloned().collect::<TupleSet>().to_vec()
+}
+
 fn batch_outcome(tuples: &[PathCommTuple]) -> InferenceOutcome {
     InferenceEngine::new(InferenceConfig {
         threads: 1,
         ..Default::default()
     })
-    .run(tuples)
+    .run(&unique(tuples))
+}
+
+fn reference_outcome(tuples: &[PathCommTuple]) -> InferenceOutcome {
+    InferenceEngine::new(InferenceConfig {
+        threads: 1,
+        ..Default::default()
+    })
+    .run_reference(&unique(tuples))
 }
 
 fn stream_over(tuples: &[PathCommTuple], shards: usize, epoch: EpochPolicy) -> StreamOutcome {
     let mut pipe = StreamPipeline::new(StreamConfig {
         shards,
         epoch,
-        dedup: false, // mirror the batch engine's raw-slice semantics
         ..Default::default()
     });
     for (i, t) in tuples.iter().enumerate() {
@@ -41,13 +57,14 @@ fn stream_over(tuples: &[PathCommTuple], shards: usize, epoch: EpochPolicy) -> S
 fn assert_counter_parity(batch: &InferenceOutcome, stream: &StreamOutcome, ctx: &str) {
     // Classes AND the raw counters behind them must match exactly.
     assert_eq!(batch.classes(), stream.classes(), "{ctx}: classes diverged");
-    let mut got: Vec<(Asn, AsCounters)> = stream.outcome.counters.iter().collect();
-    let mut want: Vec<(Asn, AsCounters)> = batch.counters.iter().collect();
-    got.sort_by_key(|&(a, _)| a);
-    want.sort_by_key(|&(a, _)| a);
-    assert_eq!(got, want, "{ctx}: counters diverged");
+    assert_eq!(records(batch), stream.records(), "{ctx}: counters diverged");
+    let last = stream.snapshots.last().expect("a finished stream sealed");
+    let dense = last
+        .dense
+        .as_ref()
+        .expect("the last epoch keeps its counters");
     assert_eq!(
-        batch.deepest_active_index, stream.outcome.deepest_active_index,
+        batch.deepest_active_index, dense.deepest_active_index,
         "{ctx}: deepest active index diverged"
     );
 }
@@ -57,29 +74,18 @@ fn compiled_shards_match_the_reference_oracle() {
     // The shards now count over the compiled columnar store
     // (`bgp_infer::compiled`); pin them not just against the (also
     // compiled) batch engine but against the uncompiled Listing-1
-    // oracle `run_reference`, for raw and deduplicated feeds.
+    // oracle `run_reference`, for a plain feed and one with repeats.
     let ds = world(37);
-    let oracle = InferenceEngine::new(InferenceConfig {
-        threads: 1,
-        ..Default::default()
-    })
-    .run_reference(&ds.tuples);
+    let oracle = reference_outcome(&ds.tuples);
     for shards in [1usize, 3] {
         let out = stream_over(&ds.tuples, shards, EpochPolicy::every_events(250));
         assert_counter_parity(&oracle, &out, &format!("compiled store, {shards} shards"));
     }
 
-    // Dedup mode: the oracle runs over the unique tuple set.
-    let unique: TupleSet = ds.tuples.iter().cloned().collect();
-    let oracle = InferenceEngine::new(InferenceConfig {
-        threads: 1,
-        ..Default::default()
-    })
-    .run_reference(&unique.to_vec());
+    // Repeats: the oracle's unique set is unchanged by them.
     let mut pipe = StreamPipeline::new(StreamConfig {
         shards: 4,
         epoch: EpochPolicy::every_events(300),
-        dedup: true,
         ..Default::default()
     });
     for (i, t) in ds
@@ -91,7 +97,7 @@ fn compiled_shards_match_the_reference_oracle() {
         pipe.push(StreamEvent::new(i as u64, t.clone()));
     }
     let out = pipe.finish();
-    assert_counter_parity(&oracle, &out, "compiled store, dedup feed");
+    assert_counter_parity(&oracle, &out, "compiled store, repeating feed");
 }
 
 #[test]
@@ -204,7 +210,6 @@ fn mrt_day_stream_matches_batch_ingest() {
     let mut pipe = StreamPipeline::new(StreamConfig {
         shards: 4,
         epoch: EpochPolicy::every_events(500),
-        dedup: true, // the batch path dedups through TupleSet
         ..Default::default()
     });
     let mut source = DaySource::new(&day);
@@ -290,8 +295,9 @@ mod proptests {
         }
 
         /// The dense-id stream path — shared interner, columnar shards,
-        /// incremental or full seals, any shard count and epoch slicing —
-        /// is byte-identical to the uncompiled batch oracle: classes AND
+        /// incremental or full seals, any shard count and epoch slicing,
+        /// a feed with repeats or without — is byte-identical to the
+        /// uncompiled batch oracle over its unique tuples: classes AND
         /// raw counters.
         #[test]
         fn stream_matrix_matches_batch_oracle(
@@ -299,11 +305,10 @@ mod proptests {
             shards in 1usize..5,
             every in (0usize..4).prop_map(|i| [1u64, 97, 250, 100_000][i]),
             incremental in any::<bool>(),
-            dedup in any::<bool>(),
+            repeats in any::<bool>(),
         ) {
             let ds = world(seed);
-            let tuples: Vec<PathCommTuple> = if dedup {
-                // Feed duplicates; the oracle runs on the unique set.
+            let tuples: Vec<PathCommTuple> = if repeats {
                 ds.tuples
                     .iter()
                     .chain(ds.tuples.iter().take(ds.tuples.len() / 3))
@@ -312,22 +317,11 @@ mod proptests {
             } else {
                 ds.tuples.clone()
             };
-            let oracle_input: Vec<PathCommTuple> = if dedup {
-                let set: TupleSet = tuples.iter().cloned().collect();
-                set.to_vec()
-            } else {
-                tuples.clone()
-            };
-            let oracle = InferenceEngine::new(InferenceConfig {
-                threads: 1,
-                ..Default::default()
-            })
-            .run_reference(&oracle_input);
+            let oracle = reference_outcome(&tuples);
 
             let mut pipe = StreamPipeline::new(StreamConfig {
                 shards,
                 epoch: EpochPolicy::every_events(every),
-                dedup,
                 incremental_seal: incremental,
                 ..Default::default()
             });
@@ -339,7 +333,7 @@ mod proptests {
                 &oracle,
                 &out,
                 &format!("seed={seed} shards={shards} every={every} \
-                          incremental={incremental} dedup={dedup}"),
+                          incremental={incremental} repeats={repeats}"),
             );
         }
     }
@@ -347,17 +341,16 @@ mod proptests {
 
 #[test]
 fn duplicate_heavy_feed_dedups_to_batch_answer() {
-    // A live feed re-announces the same routes over and over; with dedup
-    // on, the stream's answer equals the batch answer on the unique set.
+    // A live feed re-announces the same routes over and over; the
+    // stream's answer equals the batch answer on the unique set.
     let ds = world(31);
     let feed = UpdateFeed::new(&ds, 31, 3);
-    let unique: TupleSet = ds.tuples.iter().cloned().collect();
-    let batch = batch_outcome(&unique.to_vec());
+    let unique = unique(&ds.tuples);
+    let batch = batch_outcome(&unique);
 
     let mut pipe = StreamPipeline::new(StreamConfig {
         shards: 4,
         epoch: EpochPolicy::every_span(7_200), // two-hour epochs
-        dedup: true,
         ..Default::default()
     });
     let mut source = IterSource::new(feed.map(|(ts, t)| StreamEvent::new(ts, t)));
