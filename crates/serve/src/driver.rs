@@ -20,9 +20,17 @@
 //! What crosses the channel is an [`EventBatch`]: one flat buffer of
 //! encoded tuple records per pull, not a vector of owned events. The
 //! puller makes one allocation a batch and the sealer frees one, instead
-//! of two `malloc`s an event on one thread and two `free`s on the other;
-//! the sealer pushes each tuple borrowed from the buffer, and only a
-//! tuple no shard has seen is copied out of it.
+//! of two `malloc`s an event on one thread and two `free`s on the other.
+//! The sealer hands each batch whole to
+//! [`StreamPipeline::push_events`], which hashes every record of a run
+//! before probing any of them, publishes from its per-seal callback, and
+//! copies out of the buffer only a tuple no shard has seen.
+//!
+//! `bgp_serve_seal_queue_depth` counts a batch in before the puller
+//! sends it and out after the sealer receives it; whatever an attempt
+//! leaves queued (its sealer died) is taken back after the join, so the
+//! process-global gauge neither dips below zero nor drifts up across
+//! respawns.
 //!
 //! A panic on either side is contained: the puller always joins the
 //! sealer before propagating, so the supervisor never respawns while an
@@ -51,7 +59,7 @@ use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
 use bgp_topology::prelude::*;
 use fault::{FaultSource, FeedInjector};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -333,6 +341,37 @@ fn ingest_main(
 /// seal, shallow enough that a stuck sealer applies backpressure fast.
 const SEAL_QUEUE_BATCHES: usize = 4;
 
+/// One attempt's share of `bgp_serve_seal_queue_depth`, a process-global
+/// gauge other drivers add to as well. The puller counts a batch in
+/// before it sends it and the sealer counts it out after it receives it,
+/// so the share never reads below zero; what a dead sealer leaves queued
+/// is taken back once both threads have joined.
+struct QueueDepth {
+    gauge: Arc<obs::Gauge>,
+    /// Sent minus received, this attempt only.
+    queued: AtomicI64,
+}
+
+impl QueueDepth {
+    fn new(gauge: Arc<obs::Gauge>) -> Self {
+        QueueDepth {
+            gauge,
+            queued: AtomicI64::new(0),
+        }
+    }
+
+    fn add(&self, d: i64) {
+        self.queued.fetch_add(d, Ordering::Relaxed);
+        self.gauge.add(d);
+    }
+
+    /// Take back whatever the attempt left queued. Call after both
+    /// threads joined; never `set(0)`: the gauge is not this attempt's.
+    fn settle(&self) {
+        self.gauge.add(-self.queued.swap(0, Ordering::Relaxed));
+    }
+}
+
 /// The sealer worker's share of [`AttemptStats`].
 struct SealerStats {
     total_events: u64,
@@ -372,26 +411,19 @@ fn run_feed_once(
     }
 
     let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
-    let depth_gauge = obs::global().gauge(
+    let depth = Arc::new(QueueDepth::new(obs::global().gauge(
         "bgp_serve_seal_queue_depth",
         "Event batches queued between the feed puller and the sealer worker",
         &[],
-    );
+    )));
     let sealer = {
         let metrics = Arc::clone(metrics);
         let health = health.map(Arc::clone);
-        let depth_gauge = Arc::clone(&depth_gauge);
+        let depth = Arc::clone(&depth);
         std::thread::Builder::new()
             .name("bgp-serve-sealer".to_string())
             .spawn(move || {
-                sealer_main(
-                    pipeline,
-                    publisher,
-                    rx,
-                    &metrics,
-                    health.as_deref(),
-                    &depth_gauge,
-                )
+                sealer_main(pipeline, publisher, rx, &metrics, health.as_deref(), &depth)
             })
             .expect("spawn sealer worker")
     };
@@ -400,10 +432,11 @@ fn run_feed_once(
     // before a puller panic reaches the supervisor.
     let health_ref = health.map(Arc::as_ref);
     let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        pull_feed(cfg, feed, &tx, &depth_gauge, health_ref, stop)
+        pull_feed(cfg, feed, &tx, &depth, health_ref, stop)
     }));
     drop(tx); // disconnect: the sealer drains, seals the trailing epoch, exits
     let sealed = sealer.join();
+    depth.settle();
     let quarantined = match pulled {
         Err(panic) => {
             let _ = sealed;
@@ -433,7 +466,7 @@ fn pull_feed(
     cfg: &DriverConfig,
     feed: &Feed,
     tx: &std::sync::mpsc::SyncSender<EventBatch>,
-    depth_gauge: &obs::Gauge,
+    depth: &QueueDepth,
     health: Option<&HealthState>,
     stop: &AtomicBool,
 ) -> Result<u64, String> {
@@ -443,9 +476,8 @@ fn pull_feed(
             for file in files {
                 let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
                 let mut source = MrtSource::new(&bytes);
-                let (q, sealer_alive) =
-                    pump_guarded(cfg, tx, depth_gauge, health, &mut source, stop)
-                        .map_err(|e| format!("{file}: {e}"))?;
+                let (q, sealer_alive) = pump_guarded(cfg, tx, depth, health, &mut source, stop)
+                    .map_err(|e| format!("{file}: {e}"))?;
                 quarantined += q;
                 if !sealer_alive || stop.load(Ordering::Acquire) {
                     break;
@@ -477,13 +509,13 @@ fn pull_feed(
             let ds = scenario.materialize(&graph, &paths, *seed);
             let feed = UpdateFeed::churned(&ds, *seed, *repeats, churn);
             let mut source = IterSource::new(feed.map(|(ts, tuple)| StreamEvent::new(ts, tuple)));
-            let (q, _) = pump_guarded(cfg, tx, depth_gauge, health, &mut source, stop)
+            let (q, _) = pump_guarded(cfg, tx, depth, health, &mut source, stop)
                 .map_err(|e| e.to_string())?;
             quarantined += q;
         }
         Feed::Events(events) => {
             let mut source = IterSource::new(events.clone().into_iter());
-            let (q, _) = pump_guarded(cfg, tx, depth_gauge, health, &mut source, stop)
+            let (q, _) = pump_guarded(cfg, tx, depth, health, &mut source, stop)
                 .map_err(|e| e.to_string())?;
             quarantined += q;
         }
@@ -499,7 +531,7 @@ fn pull_feed(
 fn pump_guarded(
     cfg: &DriverConfig,
     tx: &std::sync::mpsc::SyncSender<EventBatch>,
-    depth_gauge: &obs::Gauge,
+    depth: &QueueDepth,
     health: Option<&HealthState>,
     source: &mut dyn TupleSource,
     stop: &AtomicBool,
@@ -508,11 +540,11 @@ fn pump_guarded(
     let (pumped, quarantined) = if let Some(injector) = &cfg.fault {
         let mut faulty = FaultSource::new(injector, source);
         let mut guarded = QuarantinedSource::new(&mut faulty, cfg.quarantine_abort);
-        let pumped = pump(&mut guarded, batch, tx, depth_gauge, stop);
+        let pumped = pump(&mut guarded, batch, tx, depth, stop);
         (pumped, guarded.quarantined())
     } else {
         let mut guarded = QuarantinedSource::new(source, cfg.quarantine_abort);
-        let pumped = pump(&mut guarded, batch, tx, depth_gauge, stop);
+        let pumped = pump(&mut guarded, batch, tx, depth, stop);
         (pumped, guarded.quarantined())
     };
     if let Some(health) = health {
@@ -527,7 +559,7 @@ fn pump(
     source: &mut dyn TupleSource,
     batch: usize,
     tx: &std::sync::mpsc::SyncSender<EventBatch>,
-    depth_gauge: &obs::Gauge,
+    depth: &QueueDepth,
     stop: &AtomicBool,
 ) -> Result<bool, bgp_stream::ingest::IngestError> {
     loop {
@@ -538,11 +570,12 @@ fn pump(
         if events.is_empty() {
             return Ok(true);
         }
+        depth.add(1);
         if tx.send(events).is_err() {
             // Receiver gone: the sealer panicked. Surface it via join.
+            depth.add(-1);
             return Ok(false);
         }
-        depth_gauge.add(1);
     }
 }
 
@@ -556,7 +589,7 @@ fn sealer_main(
     rx: std::sync::mpsc::Receiver<EventBatch>,
     metrics: &Metrics,
     health: Option<&HealthState>,
-    depth_gauge: &obs::Gauge,
+    depth: &QueueDepth,
 ) -> SealerStats {
     let batch_hist = obs::global().histogram(
         "bgp_serve_ingest_batch_duration_seconds",
@@ -565,23 +598,20 @@ fn sealer_main(
     );
     let traces = pipeline.config().trace.clone();
     while let Ok(events) = rx.recv() {
-        depth_gauge.add(-1);
+        depth.add(-1);
         let t_batch = std::time::Instant::now();
         let n = events.len() as u64;
-        for (timestamp, tuple) in events.iter() {
-            // Publish per seal, not per batch: with `compact_history`
-            // the NEXT seal strips the previous epoch's counter store,
-            // so the publisher must clone the Arc before that happens
-            // (compaction then copy-on-writes, leaving the published
-            // snapshot intact). A batch can seal several epochs.
-            let sealed = pipeline.push_ref(timestamp, tuple).is_some();
-            if sealed {
-                let published = publisher.sync(&pipeline);
-                if let Some(health) = health {
-                    health.note_publish(published as u64);
-                }
+        // Publish per seal, not per batch: with `compact_history` the
+        // NEXT seal strips the previous epoch's counter store, so the
+        // publisher must clone the Arc before that happens (compaction
+        // then copy-on-writes, leaving the published snapshot intact).
+        // A batch can seal several epochs.
+        pipeline.push_events(&events, |pipeline| {
+            let published = publisher.sync(pipeline);
+            if let Some(health) = health {
+                health.note_publish(published as u64);
             }
-        }
+        });
         metrics.events_ingested(n);
         if let Some(health) = health {
             health.note_ingested(n);
@@ -640,6 +670,33 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn the_queue_depth_never_counts_a_batch_it_did_not_queue() {
+        // A private gauge, already carrying another driver's share.
+        let gauge = obs::ObsRegistry::new().gauge("depth", "", &[]);
+        gauge.add(5);
+        let depth = QueueDepth::new(Arc::clone(&gauge));
+        let stop = AtomicBool::new(false);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
+        let mut source = IterSource::new(events(9).into_iter());
+        assert!(pump(&mut source, 3, &tx, &depth, &stop).unwrap());
+        assert_eq!(gauge.get(), 5 + 3);
+        // The sealer takes one batch and dies with two queued.
+        rx.recv().unwrap();
+        depth.add(-1);
+        drop(rx);
+        assert_eq!(gauge.get(), 5 + 2);
+        // A send that fails takes back its own count.
+        let mut source = IterSource::new(events(3).into_iter());
+        assert!(!pump(&mut source, 3, &tx, &depth, &stop).unwrap());
+        assert_eq!(gauge.get(), 5 + 2);
+        // After the join the attempt's leftovers go, and only they.
+        depth.settle();
+        assert_eq!(gauge.get(), 5);
+        depth.settle();
+        assert_eq!(gauge.get(), 5);
     }
 
     #[test]

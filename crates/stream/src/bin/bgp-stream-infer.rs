@@ -178,15 +178,11 @@ fn drain(
         if events.is_empty() {
             return Ok(());
         }
-        for (timestamp, tuple) in events.iter() {
-            if pipe.push_ref(timestamp, tuple).is_none() {
-                continue;
-            }
-            for snap in &pipe.snapshots()[*reported..] {
-                report_epoch(snap, print_flips);
-            }
-            *reported = pipe.snapshots().len();
+        pipe.push_events(&events, |_| {});
+        for snap in &pipe.snapshots()[*reported..] {
+            report_epoch(snap, print_flips);
         }
+        *reported = pipe.snapshots().len();
     }
 }
 

@@ -27,9 +27,10 @@
 //! source returns one, wrappers ([`QuarantinedSource`], the fault
 //! injector) scan and edit it in place, and it is what crosses the
 //! driver's puller → sealer channel: a batch is one allocation made and
-//! one freed, whatever it holds, and the pipeline pushes
-//! [`TupleRef`]s borrowed from it. Its `IntoIterator` yields owned
-//! [`StreamEvent`]s for callers that keep events.
+//! one freed, whatever it holds, and the pipeline pushes it whole
+//! (`StreamPipeline::push_events`), each tuple a [`TupleRef`] borrowed
+//! from it. Its `IntoIterator` yields owned [`StreamEvent`]s for callers
+//! that keep events.
 
 use bgp_collector::archive::DayArchive;
 use bgp_infer::prelude::{SanitationStats, Sanitizer};
@@ -120,8 +121,16 @@ impl EventBatch {
         self.events += 1;
     }
 
-    /// The events in order, their tuples borrowed from the batch.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, TupleRef<'_>)> {
+    /// Drop every event, keeping the buffer for reuse.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.events = 0;
+    }
+
+    /// The events in order, their tuples borrowed from the batch. A clone
+    /// resumes where the original stands, so a caller can read a run of
+    /// events twice.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, TupleRef<'_>)> + Clone {
         let mut rest = self.words.as_slice();
         (0..self.events).map(move |_| {
             let (entry, after) = read_entry(rest);

@@ -1,7 +1,14 @@
 //! The coordinator: ingest → shard → epoch, in one push-driven object.
+//!
+//! Every event enters through one loop, [`StreamPipeline::push_events`]
+//! over an [`EventBatch`]: it cuts the batch where the epoch policy trips,
+//! hands each run between cuts to [`ShardSet::push_records`] (hash pass,
+//! then probe pass), and seals at the cut. The other entry points are its
+//! special cases: `push_ref` a run of one, `push` and `push_batch` owned
+//! events encoded into a reused batch, `drive` a source's batches in turn.
 
 use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot};
-use crate::ingest::{IngestError, StreamEvent, TupleSource};
+use crate::ingest::{EventBatch, IngestError, StreamEvent, TupleSource};
 use crate::outcome::StreamOutcome;
 use crate::shard::ShardSet;
 use bgp_infer::classify::Class;
@@ -74,12 +81,14 @@ const SEAL_KINDS: [&str; 3] = ["zero_delta", "incremental", "full"];
 
 /// Push-driven streaming inference.
 ///
-/// Feed borrowed events with [`push_ref`](StreamPipeline::push_ref),
-/// owned ones with [`push`](StreamPipeline::push) /
-/// [`push_batch`](StreamPipeline::push_batch), or drain a whole
-/// [`TupleSource`] with [`drive`](StreamPipeline::drive); epochs seal
-/// automatically per the [`EpochPolicy`], and [`finish`](StreamPipeline::finish)
-/// seals the trailing partial epoch and returns the [`StreamOutcome`].
+/// Feed an [`EventBatch`] with [`push_events`](StreamPipeline::push_events),
+/// the one entry point: [`push_ref`](StreamPipeline::push_ref) is its
+/// run of one, [`push`](StreamPipeline::push) and
+/// [`push_batch`](StreamPipeline::push_batch) encode owned events into a
+/// reused batch first, and [`drive`](StreamPipeline::drive) drains a whole
+/// [`TupleSource`] through it. Epochs seal automatically per the
+/// [`EpochPolicy`], and [`finish`](StreamPipeline::finish) seals the
+/// trailing partial epoch and returns the [`StreamOutcome`].
 #[derive(Debug)]
 pub struct StreamPipeline {
     cfg: StreamConfig,
@@ -101,8 +110,8 @@ pub struct StreamPipeline {
     /// registry so sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
     recount_hist: Arc<Histogram>,
-    /// What [`push`](Self::push) encodes its owned tuple into.
-    buf: TupleBuf,
+    /// What [`push_batch`](Self::push_batch) encodes owned events into.
+    owned: EventBatch,
 }
 
 impl StreamPipeline {
@@ -139,7 +148,7 @@ impl StreamPipeline {
             last_ts: 0,
             seal_hists,
             recount_hist,
-            buf: TupleBuf::new(),
+            owned: EventBatch::new(),
         }
     }
 
@@ -204,47 +213,83 @@ impl StreamPipeline {
         self.latest().map_or(Class::NONE, |s| s.class_of(asn))
     }
 
-    /// Ingest one event, its tuple borrowed (from an
-    /// [`EventBatch`](crate::ingest::EventBatch), typically) and copied
-    /// only if it is new. Returns the snapshot sealed by this event, if
-    /// the epoch policy tripped.
+    /// Ingest a batch, its tuples borrowed and copied only if new: the
+    /// entry point every other push goes through. The batch is cut where
+    /// the epoch policy trips — a walk over event counts and timestamps
+    /// that reads no record — and each run between cuts goes to the
+    /// shards whole ([`ShardSet::push_records`]). At each cut the epoch
+    /// seals and `on_seal` sees the pipeline: a publisher syncs there,
+    /// because with `compact_history` the next seal strips the epoch it
+    /// must read. Returns how many epochs sealed.
+    pub fn push_events(&mut self, batch: &EventBatch, on_seal: impl FnMut(&Self)) -> usize {
+        self.ingest(batch.iter(), on_seal)
+    }
+
+    /// [`push_events`](Self::push_events) over a run of one. Returns the
+    /// snapshot sealed by this event, if the epoch policy tripped.
     pub fn push_ref(&mut self, timestamp: u64, tuple: TupleRef<'_>) -> Option<&Arc<EpochSnapshot>> {
-        self.shards.push(tuple);
-        self.event_pushed(timestamp)
+        let sealed = self.ingest(std::iter::once((timestamp, tuple)), |_| {});
+        self.snapshots.last().filter(|_| sealed > 0)
     }
 
-    /// [`push_ref`](Self::push_ref) for an owned event, encoded into the
-    /// pipeline's reused buffer first.
+    /// [`push_ref`](Self::push_ref) for an owned event.
     pub fn push(&mut self, ev: StreamEvent) -> Option<&Arc<EpochSnapshot>> {
-        self.shards.push(self.buf.encode_tuple(&ev.tuple));
-        self.event_pushed(ev.timestamp)
+        let sealed = self.push_batch([ev]);
+        self.snapshots.last().filter(|_| sealed > 0)
     }
 
-    /// Account for the event just offered to the shards and seal if the
-    /// epoch policy trips on it.
-    fn event_pushed(&mut self, timestamp: u64) -> Option<&Arc<EpochSnapshot>> {
+    /// [`push_events`](Self::push_events) for owned events, encoded into
+    /// the pipeline's reused batch first. Returns how many epochs sealed.
+    pub fn push_batch(&mut self, events: impl IntoIterator<Item = StreamEvent>) -> usize {
+        let mut owned = std::mem::take(&mut self.owned);
+        owned.clear();
+        for ev in events {
+            owned.push_event(&ev);
+        }
+        let sealed = self.push_events(&owned, |_| {});
+        self.owned = owned;
+        sealed
+    }
+
+    /// The one ingest loop (see [`push_events`](Self::push_events)).
+    fn ingest<'a>(
+        &mut self,
+        events: impl Iterator<Item = (u64, TupleRef<'a>)> + Clone,
+        mut on_seal: impl FnMut(&Self),
+    ) -> usize {
+        let before = self.snapshots.len();
+        let mut rest = events;
+        loop {
+            let run = rest.clone();
+            let mut len = 0;
+            let mut trips = false;
+            for (timestamp, _) in rest.by_ref() {
+                len += 1;
+                if self.count_event(timestamp) {
+                    trips = true;
+                    break;
+                }
+            }
+            self.shards.push_records(run.take(len).map(|(_, t)| t));
+            if !trips {
+                break;
+            }
+            self.seal_epoch();
+            on_seal(self);
+        }
+        self.snapshots.len() - before
+    }
+
+    /// Account for one event; whether the epoch policy trips on it.
+    fn count_event(&mut self, timestamp: u64) -> bool {
         self.epoch_start_ts.get_or_insert(timestamp);
         self.last_ts = timestamp;
         self.total_events += 1;
         self.events_in_epoch += 1;
-
         let span = self
             .last_ts
             .saturating_sub(self.epoch_start_ts.unwrap_or(self.last_ts));
-        if self.cfg.epoch.should_seal(self.events_in_epoch, span) {
-            Some(self.seal_epoch())
-        } else {
-            None
-        }
-    }
-
-    /// Ingest a batch; returns how many epochs sealed.
-    pub fn push_batch(&mut self, events: impl IntoIterator<Item = StreamEvent>) -> usize {
-        let before = self.snapshots.len();
-        for ev in events {
-            self.push(ev);
-        }
-        self.snapshots.len() - before
+        self.cfg.epoch.should_seal(self.events_in_epoch, span)
     }
 
     /// Drain a source to exhaustion in `batch`-sized pulls. Returns how
@@ -255,17 +300,14 @@ impl StreamPipeline {
         source: &mut dyn TupleSource,
         batch: usize,
     ) -> Result<usize, IngestError> {
-        let before = self.snapshots.len();
+        let mut sealed = 0;
         loop {
             let events = source.next_batch(batch.max(1))?;
             if events.is_empty() {
-                break;
+                return Ok(sealed);
             }
-            for (timestamp, tuple) in events.iter() {
-                self.push_ref(timestamp, tuple);
-            }
+            sealed += self.push_events(&events, |_| {});
         }
-        Ok(self.snapshots.len() - before)
     }
 
     /// Extend the Asn-sorted id permutation with any ids interned since
@@ -480,6 +522,7 @@ impl StreamPipeline {
 mod tests {
     use super::*;
     use crate::ingest::StreamEvent;
+    use crate::testing::Rng;
     use bgp_infer::classify::TaggingClass;
 
     fn tag_tuple(p: &[u32], uppers: &[u32]) -> PathCommTuple {
@@ -671,6 +714,175 @@ mod tests {
         let at = records.binary_search_by_key(&Asn(77), |r| r.asn).unwrap();
         assert_eq!(records[at].counters.t, 2);
         assert_eq!(last.flips.len(), 2, "{:?}", last.flips);
+    }
+
+    /// A feed of `events` cut into batches of 1 to 1,500: paths over a
+    /// few dozen 16- and 32-bit ASNs (the latter tag with large
+    /// communities), extra large communities, a third of the events a
+    /// repeat of an earlier tuple, and now and then a tuple sent twice in
+    /// a row; timestamps that stand still or jump.
+    fn generated_feed(rng: &mut Rng, events: u32) -> Vec<EventBatch> {
+        let mut sent: Vec<PathCommTuple> = Vec::new();
+        let mut feed = Vec::new();
+        let mut ts = 1_000u64;
+        let mut left = events;
+        while left > 0 {
+            let cap = [8, 64, 1_500][rng.below(3) as usize];
+            let size = (1 + rng.below(cap)).min(left);
+            left -= size;
+            let mut batch = EventBatch::new();
+            while batch.len() < size as usize {
+                ts += [0, 0, 1, 3, 40][rng.below(5) as usize];
+                let tuple = if !sent.is_empty() && rng.below(3) == 0 {
+                    sent[rng.below(sent.len() as u32) as usize].clone()
+                } else {
+                    let mut hops: Vec<u32> = Vec::new();
+                    for _ in 0..1 + rng.below(5) {
+                        let asn = match rng.below(3) {
+                            0 => 70_000 + rng.below(12),
+                            _ => 10 + rng.below(30),
+                        };
+                        if !hops.contains(&asn) {
+                            hops.push(asn);
+                        }
+                    }
+                    let tags = hops.iter().filter(|_| rng.below(2) == 0);
+                    let mut comm: Vec<AnyCommunity> =
+                        tags.map(|&a| AnyCommunity::tag_for(Asn(a), 100)).collect();
+                    if rng.below(4) == 0 {
+                        comm.push(AnyCommunity::large(rng.below(3), 1, rng.below(2)));
+                    }
+                    PathCommTuple::new(path(&hops), CommunitySet::from_iter(comm))
+                };
+                let twice = rng.below(10) == 0 && batch.len() + 1 < size as usize;
+                for _ in 0..1 + twice as usize {
+                    batch.push_event(&StreamEvent::new(ts, tuple.clone()));
+                }
+                sent.push(tuple);
+            }
+            feed.push(batch);
+        }
+        feed
+    }
+
+    /// One generated feed through two pipelines: whole batches
+    /// (`push_events`, and the owned `push_batch`) into one, one event at
+    /// a time (`push_ref`, and the owned `push`) into the other. They must
+    /// seal the same epochs at the same events, the batch side calling
+    /// back once a seal as it happens, and end with the same shards; and
+    /// a seal must hold every tuple offered up to the event that tripped
+    /// it, that one included.
+    fn check_batches_against_single_events(seed: u64) {
+        let mut rng = Rng(seed);
+        // Each policy with a feed long enough to seal a few dozen times.
+        let (policy, events) = match rng.below(6) {
+            0 => (EpochPolicy::every_events(1), 120),
+            1 => (EpochPolicy::every_events(7), 600),
+            2 => (EpochPolicy::every_events(2_000), 6_000),
+            3 => (
+                EpochPolicy::every_span(20 + u64::from(rng.below(400))),
+                3_000,
+            ),
+            4 => (
+                EpochPolicy::either(u64::from(1 + rng.below(300)), 200),
+                3_000,
+            ),
+            _ => (EpochPolicy::manual(), 3_000),
+        };
+        let shards = [1, 2, 4, 7][rng.below(4) as usize];
+        let events = 1 + rng.below(events);
+        let feed = generated_feed(&mut rng, events);
+        let ctx = format!("seed {seed}: {policy:?}, {shards} shards, {events} events");
+        let cfg = StreamConfig {
+            shards,
+            epoch: policy,
+            ..Default::default()
+        };
+        let mut batched = StreamPipeline::new(cfg.clone());
+        let mut single = StreamPipeline::new(cfg);
+        let mut distinct = std::collections::BTreeSet::new();
+        let mut offered = 0;
+        for (i, batch) in feed.iter().enumerate() {
+            let mut seen = Vec::new();
+            let sealed = if i % 2 == 0 {
+                batched.push_events(batch, |p| {
+                    seen.push(p.latest().map(|s| (s.epoch, s.total_events)));
+                })
+            } else {
+                batched.push_batch(batch.clone())
+            };
+            for (k, (timestamp, tuple)) in batch.iter().enumerate() {
+                let owned = tuple.to_owned();
+                offered += 1;
+                distinct.insert(owned.clone());
+                let snap = if k % 2 == 0 {
+                    single.push_ref(timestamp, tuple)
+                } else {
+                    single.push(StreamEvent::new(timestamp, owned))
+                };
+                // A seal covers the event that tripped it.
+                if let Some(s) = snap {
+                    let covers = (s.total_events, s.unique_tuples, s.sealed_at);
+                    assert_eq!(covers, (offered, distinct.len(), timestamp), "{ctx}");
+                }
+            }
+            let sealed_now = &single.snapshots()[single.snapshots().len() - sealed..];
+            if i % 2 == 0 {
+                let want: Vec<_> = sealed_now
+                    .iter()
+                    .map(|s| Some((s.epoch, s.total_events)))
+                    .collect();
+                assert_eq!(seen, want, "{ctx}: batch {i} callbacks");
+            }
+            assert_eq!(
+                batched.snapshots().len(),
+                single.snapshots().len(),
+                "{ctx}: batch {i}"
+            );
+        }
+        assert_eq!(batched.duplicates(), single.duplicates(), "{ctx}");
+        assert_eq!(batched.shard_loads(), single.shard_loads(), "{ctx}");
+        assert_eq!(batched.arena_hops(), single.arena_hops(), "{ctx}");
+        let (a, b) = (batched.finish(), single.finish());
+        assert_eq!(a.snapshots.len(), b.snapshots.len(), "{ctx}");
+        for (x, y) in a.snapshots.iter().zip(&b.snapshots) {
+            let ctx = format!("{ctx}, epoch {}", y.epoch);
+            assert_eq!(
+                (
+                    x.epoch,
+                    x.events,
+                    x.sealed_at,
+                    x.total_events,
+                    x.unique_tuples
+                ),
+                (
+                    y.epoch,
+                    y.events,
+                    y.sealed_at,
+                    y.total_events,
+                    y.unique_tuples
+                ),
+                "{ctx}"
+            );
+            assert_eq!(x.classes, y.classes, "{ctx}");
+            assert_eq!(x.flips, y.flips, "{ctx}");
+            assert_eq!(x.records(), y.records(), "{ctx}: counters");
+        }
+    }
+
+    #[test]
+    fn batches_seal_as_one_event_at_a_time() {
+        for seed in 0..64 {
+            check_batches_against_single_events(seed);
+        }
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn batches_seal_as_one_event_at_a_time_at_length() {
+        for seed in 64..4_096 {
+            check_batches_against_single_events(seed);
+        }
     }
 
     #[test]

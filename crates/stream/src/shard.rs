@@ -8,9 +8,28 @@
 //! tuple it has seen in its [`TupleTable`] (a hash, a probe and a compare
 //! against the table's record arena; nothing is allocated or freed for a
 //! duplicate) and stores a new one exactly once: its record in that
-//! arena, its columns in the compiled store. Each shard owns its
-//! partition as a [`CompiledTuples`] store (the length-bucketed columnar
-//! representation of `bgp_infer::compiled`, appended incrementally as
+//! arena, its columns in the compiled store.
+//!
+//! ## One pass a record
+//!
+//! Records come in runs ([`ShardSet::push_records`]; a lone record is a
+//! run of one), and a run is taken in two passes. The **hash pass** reads
+//! each record once: [`TupleTable::tag_with`] walks its words for the
+//! table's seeded tag and hands each hop to the route, so the two hashes
+//! are independent lanes of one loop. It writes each record with its
+//! `(shard, tag)` into a reused scratch buffer, so the run is read once.
+//! The **probe pass** then walks that buffer and inserts in arrival order
+//! through [`TupleTable::insert_tagged`]; with no hashing or parsing
+//! between them, the slot and arena misses of neighbouring records
+//! overlap instead of queuing. The route is unseeded FNV-1a over
+//! the hop bytes and must stay so: shard loads are archived and compared
+//! across restarts (the routing test pins it by value).
+//!
+//! ## The compiled partitions
+//!
+//! Each shard owns its partition as a [`CompiledTuples`] store (the
+//! length-bucketed columnar representation of `bgp_infer::compiled`,
+//! appended incrementally as
 //! events arrive — from the record's hops and community upper fields,
 //! all the engine reads of a tuple), and **every shard interns
 //! through one workspace-level [`SharedInterner`]**: all shards speak the
@@ -245,36 +264,51 @@ impl Shard {
         }
     }
 
-    fn push(&mut self, t: TupleRef<'_>) -> bool {
-        let fresh = self.seen.insert(t);
-        if fresh {
-            self.compiled.push_ref(t);
-        }
-        fresh
-    }
-
     fn len(&self) -> usize {
         self.compiled.len()
     }
 }
 
-/// Stable tuple→shard routing: FNV-1a over the on-path ASNs. Shard loads
-/// are archived and compared across restarts, so this is not the seeded
-/// hash the dedup table uses.
-fn route_hash(hops: impl Iterator<Item = Asn>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for asn in hops {
-        for b in asn.0.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+/// One record of the run being pushed, as the hash pass leaves it for
+/// the probe pass.
+#[derive(Debug, Clone, Copy)]
+struct Routed<'a> {
+    t: TupleRef<'a>,
+    shard: u32,
+    tag: u32,
+}
+
+/// `v` emptied and retyped to borrow for another lifetime, on the same
+/// allocation: collecting an empty `vec::IntoIter` through `map` into a
+/// vector of a same-sized type reuses its buffer. This is how the hash
+/// pass's scratch outlives the runs it borrows from.
+fn recycle<'b>(mut v: Vec<Routed<'_>>) -> Vec<Routed<'b>> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was cleared"))
+        .collect()
+}
+
+/// FNV-1a's offset basis: the route of a path before its first hop.
+const ROUTE_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Stable tuple→shard routing, one hop at a time: FNV-1a over the hop's
+/// little-endian bytes. Shard loads are archived and compared across
+/// restarts, so this is not the seeded hash the dedup table uses.
+#[inline]
+fn route_step(h: u64, hop: u32) -> u64 {
+    hop.to_le_bytes()
+        .into_iter()
+        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 /// `N` shards plus the coordinator-side counting entry points.
 #[derive(Debug)]
 pub struct ShardSet {
     shards: Vec<Shard>,
+    /// The hash pass's output, kept empty between runs so its buffer is
+    /// reused (see [`recycle`]).
+    routed: Vec<Routed<'static>>,
     interner: Arc<SharedInterner>,
     incremental: bool,
     unique: usize,
@@ -331,6 +365,7 @@ impl ShardSet {
         );
         ShardSet {
             shards: (0..n).map(|_| Shard::new(Arc::clone(&interner))).collect(),
+            routed: Vec::new(),
             interner,
             incremental,
             unique: 0,
@@ -404,18 +439,50 @@ impl ShardSet {
 
     /// The shard a tuple routes to.
     pub fn route(&self, t: TupleRef<'_>) -> usize {
-        (route_hash(t.hops()) % self.shards.len() as u64) as usize
+        self.hash_pass(t).shard as usize
     }
 
-    /// Offer a tuple; returns `true` when stored (not a dedup hit).
-    pub fn push(&mut self, t: TupleRef<'_>) -> bool {
-        let idx = self.route(t);
-        let stored = self.shards[idx].push(t);
-        if stored {
-            self.unique += 1;
+    /// One record's hash pass: its shard and its table tag, in one loop
+    /// over its words. Every table hashes from the process seed, so shard
+    /// 0's tag is the one the routed shard's table expects.
+    #[inline]
+    fn hash_pass<'a>(&self, t: TupleRef<'a>) -> Routed<'a> {
+        let mut route = ROUTE_BASIS;
+        let tag = self.shards[0]
+            .seen
+            .tag_with(t, |hop| route = route_step(route, hop));
+        // A power-of-two count, the usual one, takes the same remainder
+        // as a mask: a division a record was a tenth of the hash pass.
+        let n = self.shards.len() as u64;
+        let shard = if n.is_power_of_two() {
+            route & (n - 1)
         } else {
-            self.duplicates += 1;
+            route % n
+        };
+        Routed {
+            t,
+            shard: shard as u32,
+            tag,
         }
+    }
+
+    /// Offer a run of records, in arrival order: the hash pass over all
+    /// of them, then the probe pass (see the [module docs](self)).
+    /// Returns how many were stored; the rest were dedup hits.
+    pub fn push_records<'a>(&mut self, records: impl IntoIterator<Item = TupleRef<'a>>) -> usize {
+        let mut routed = recycle(std::mem::take(&mut self.routed));
+        routed.extend(records.into_iter().map(|t| self.hash_pass(t)));
+        let mut stored = 0;
+        for &Routed { t, shard, tag } in &routed {
+            let s = &mut self.shards[shard as usize];
+            if s.seen.insert_tagged(tag, t) {
+                s.compiled.push_ref(t);
+                stored += 1;
+            }
+        }
+        self.unique += stored;
+        self.duplicates += (routed.len() - stored) as u64;
+        self.routed = recycle(routed);
         stored
     }
 
@@ -747,6 +814,7 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Rng;
     use bgp_infer::classify::{Class, TaggingClass};
     use bgp_infer::counters::CounterStore;
     use bgp_infer::engine::{InferenceConfig, InferenceEngine};
@@ -774,9 +842,9 @@ mod tests {
         v
     }
 
-    /// Offer an owned tuple the way the pipeline's owned wrapper does.
+    /// Offer an owned tuple as a run of one; whether it was stored.
     fn push(set: &mut ShardSet, t: &PathCommTuple) -> bool {
-        set.push(TupleBuf::new().encode_tuple(t))
+        set.push_records(std::iter::once(TupleBuf::new().encode_tuple(t))) == 1
     }
 
     fn sparse(set: &ShardSet, counters: &DenseCounterStore) -> CounterStore {
@@ -798,6 +866,85 @@ mod tests {
             let b = set.route(buf.encode_tuple(&t));
             assert_eq!(a, b);
             assert!(a < 4);
+        }
+    }
+
+    #[test]
+    fn a_run_is_deduplicated_in_order_on_a_reused_scratch() {
+        // The whole corpus as one run, twice over, each tuple offered
+        // twice in a row the first time.
+        let mut words = Vec::new();
+        for t in corpus() {
+            t.encode_into(&mut words);
+            t.encode_into(&mut words);
+        }
+        fn records(mut rest: &[u32]) -> impl Iterator<Item = TupleRef<'_>> {
+            std::iter::from_fn(move || {
+                (!rest.is_empty()).then(|| {
+                    let (t, after) = TupleRef::read(rest);
+                    rest = after;
+                    t
+                })
+            })
+        }
+        let mut set = ShardSet::new(3, true);
+        assert_eq!(set.push_records(records(&words)), 500);
+        assert_eq!(set.duplicates(), 500);
+        let (at, capacity) = (set.routed.as_ptr(), set.routed.capacity());
+        assert!(set.routed.is_empty() && capacity >= 1_000);
+        assert_eq!(set.push_records(records(&words)), 0);
+        assert_eq!((set.stored_tuples(), set.duplicates()), (500, 1_500));
+        assert_eq!((set.routed.as_ptr(), set.routed.capacity()), (at, capacity));
+    }
+
+    #[test]
+    fn routing_is_pinned_across_versions() {
+        // Shard loads are archived and compared across restarts, so a
+        // record's shard is part of the format. The expectations were
+        // computed before the route became a lane of the hash pass; the
+        // communities are there to show they play no part.
+        let paths: [&[u32]; 12] = [
+            &[3356],
+            &[64500, 3356, 174],
+            &[174, 3356],
+            &[6939, 13335],
+            &[396_982, 15169],
+            &[65536, 1],
+            &[4_294_967_294, 64512],
+            &[
+                1299, 2914, 3257, 6762, 7018, 701, 3320, 5511, 6453, 1273, 12956, 209, 3491, 4637,
+                9002, 20485,
+            ],
+            &[20940, 16625, 4_200_000_001],
+            &[1, 2, 3, 4, 5],
+            &[8075],
+            &[212_345, 3356, 174, 13335],
+        ];
+        let expected: [(usize, [usize; 12]); 3] = [
+            (2, [0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0]),
+            (4, [2, 1, 0, 0, 3, 1, 0, 2, 0, 0, 3, 2]),
+            (7, [3, 4, 6, 6, 1, 2, 0, 6, 1, 1, 4, 2]),
+        ];
+        let comm = CommunitySet::from_iter([
+            AnyCommunity::regular(3356, 9),
+            AnyCommunity::large(70_000, 1, 2),
+        ]);
+        let mut buf = TupleBuf::new();
+        for (n, want) in expected {
+            let mut set = ShardSet::new(n, true);
+            for (p, &shard) in paths.iter().zip(&want) {
+                for comm in [CommunitySet::new(), comm.clone()] {
+                    let t = PathCommTuple::new(path(p), comm);
+                    assert_eq!(set.route(buf.encode_tuple(&t)), shard, "{p:?} at {n}");
+                    // And a pushed record lands where it routes.
+                    let loads = set.shard_loads();
+                    push(&mut set, &t);
+                    let grew: Vec<usize> = (0..n)
+                        .filter(|&s| set.shard_loads()[s] > loads[s])
+                        .collect();
+                    assert_eq!(grew, [shard], "{p:?} at {n}");
+                }
+            }
         }
     }
 
@@ -902,23 +1049,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// SplitMix64 — the worlds below are a pure function of their seed.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u32) -> u32 {
-            (self.next() % u64::from(n)) as u32
         }
     }
 

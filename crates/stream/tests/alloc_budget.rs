@@ -57,8 +57,10 @@ fn driving_a_feed_allocates_by_the_batch_and_the_doubling_not_by_the_event() {
     // rest is growth by doubling — four dedup tables' arenas and indexes,
     // the compiled stores' columns, the interner — so four times the feed
     // costs 24 more batches and two more doublings of each, nowhere near
-    // four times the allocations, and an event costs none. (357 and 465
-    // when this was written; owned events cost two each, 16,384 and up.)
+    // four times the allocations, and an event costs none. (358 and 466:
+    // one of them the shard set's `(shard, tag)` scratch, sized once by
+    // the first batch and reused; owned events cost two each, 16,384 and
+    // up.)
     assert!(
         small <= 8 * 1024 / 16,
         "{small} allocations for 8,192 events"

@@ -320,6 +320,26 @@ mod proptests {
         }
 
         #[test]
+        fn a_tagged_insert_is_an_insert(ts in prop::collection::vec(arb_model_tuple(), 0..120)) {
+            use std::collections::BTreeSet;
+            let (mut plain, mut tagged) = (TupleTable::new(), TupleTable::new());
+            let mut model: BTreeSet<PathCommTuple> = BTreeSet::new();
+            let mut buf = TupleBuf::new();
+            for t in ts {
+                let r = buf.encode_tuple(&t);
+                let mut hops = Vec::new();
+                let tag = tagged.tag_with(r, |w| hops.push(w));
+                prop_assert_eq!(tag, tagged.tag(r));
+                prop_assert!(hops.iter().map(|&w| Asn(w)).eq(r.hops()));
+                let new = model.insert(t);
+                prop_assert_eq!(plain.insert(r), new);
+                prop_assert_eq!(tagged.insert_tagged(tag, r), new);
+            }
+            prop_assert_eq!(tagged.len(), model.len());
+            prop_assert!(tagged.iter().eq(plain.iter()), "arena order");
+        }
+
+        #[test]
         fn tuple_ref_orders_and_reads_back_like_the_owned_tuple(
             a in arb_model_tuple(),
             b in arb_model_tuple(),

@@ -39,6 +39,16 @@
 //! compare against the arena — no allocation, no free; a new tuple is an
 //! `extend_from_slice`; dropping the table is two frees.
 //!
+//! Who computes the tag is the caller's choice. [`TupleTable::insert`]
+//! hashes the record itself, which is all [`TupleSet`] needs. A caller
+//! that reads the record anyway computes it beside its own work and hands
+//! it over: [`TupleTable::tag_with`] passes each hop word to a closure in
+//! the same loop, and [`TupleTable::insert_tagged`] takes the result. The
+//! stream shards route on that closure, and tag a whole batch before
+//! probing any of it, so the slot misses of neighbouring records overlap.
+//! Every table in a process hashes from one seed, so any table's tag is
+//! every table's.
+//!
 //! **Limit:** offsets are `u32` word offsets, so one table holds at most
 //! `u32::MAX` words (16 GiB) of records — some 250 million tuples of the
 //! sizes a collector day produces, per [`TupleSet`] and per stream shard.
@@ -306,9 +316,26 @@ impl TupleTable {
 
     /// The tag of a record: the high half of the seeded hash of its
     /// words. Its low bits pick the home slot.
-    fn tag(&self, t: TupleRef<'_>) -> u32 {
+    pub fn tag(&self, t: TupleRef<'_>) -> u32 {
+        self.tag_with(t, |_| {})
+    }
+
+    /// [`tag`](Self::tag), handing each hop word to `hop` as the loop
+    /// passes it: a caller's own hash of the path runs as a second,
+    /// independent lane of the same pass over the record.
+    #[inline]
+    pub fn tag_with(&self, t: TupleRef<'_>, mut hop: impl FnMut(u32)) -> u32 {
+        let (header, rest) = t.words.split_at(HEADER_WORDS);
+        let (hops, comms) = rest.split_at(t.path_len());
         let mut h = self.build.build_hasher();
-        for &w in t.words {
+        for &w in header {
+            h.write_u32(w);
+        }
+        for &w in hops {
+            h.write_u32(w);
+            hop(w);
+        }
+        for &w in comms {
             h.write_u32(w);
         }
         (h.finish() >> 32) as u32
@@ -344,10 +371,21 @@ impl TupleTable {
     /// If the arena would pass `u32::MAX` words (see the [module
     /// docs](self)).
     pub fn insert(&mut self, t: TupleRef<'_>) -> bool {
+        self.insert_tagged(self.tag(t), t)
+    }
+
+    /// [`insert`](Self::insert) with `t`'s tag already computed
+    /// ([`tag`](Self::tag) or [`tag_with`](Self::tag_with)). Any other
+    /// value breaks membership: an equal record would be looked for in
+    /// the wrong run of slots and stored twice.
+    ///
+    /// # Panics
+    /// As [`insert`](Self::insert).
+    pub fn insert_tagged(&mut self, tag: u32, t: TupleRef<'_>) -> bool {
+        debug_assert_eq!(tag, self.tag(t), "a tag computed for another record");
         if (self.len + 1) * 5 > self.slots.len() * 3 {
             self.grow();
         }
-        let tag = self.tag(t);
         let (i, held) = self.probe(tag, t);
         if held {
             return false;
@@ -697,14 +735,16 @@ mod tests {
     }
 
     /// A table seeded `seed` over `records`, asserting what a set must:
-    /// each new once, each found again, none lost.
+    /// each new once, each found again, none lost. Inserts go through the
+    /// tagged path, the one the stream shards take.
     fn exact_table(seed: u64, records: &[Vec<u32>]) -> TupleTable {
         let mut table = TupleTable::with_hasher(AsnBuildHasher::with_seed(seed));
+        let mut insert = |r: &[u32]| table.insert_tagged(table.tag(record(r)), record(r));
         for r in records {
-            assert!(table.insert(record(r)), "{:?} is new", record(r));
+            assert!(insert(r), "{:?} is new", record(r));
         }
         for r in records {
-            assert!(!table.insert(record(r)), "{:?} is held", record(r));
+            assert!(!insert(r), "{:?} is held", record(r));
         }
         assert_eq!(table.len(), records.len());
         assert!(table
