@@ -69,7 +69,7 @@ pub struct EpochMeta {
 pub struct SegmentStats {
     /// Dedup hits observed.
     pub duplicates: u64,
-    /// Distinct ASNs in the shared interner.
+    /// Distinct ASNs in the shards' interner.
     pub interned_asns: u64,
     /// Total path positions in the shard id arenas.
     pub arena_hops: u64,

@@ -32,15 +32,16 @@
 //! gap, so subsequent epochs are fast-dropped until a restart backfill
 //! (which replays the feed from epoch 0 and dedups) heals the archive.
 //!
-//! The snapshot's dense column is safe to read from the sink thread:
-//! every component is `Arc`'d and append-only, and the writer bounds
-//! its interner reads by the seal-time column length, so post-seal
-//! interning by the live pipeline is never observed.
+//! The sink thread reads only what a sealed snapshot holds, immutable
+//! columns behind `Arc`s: the archived ASN table comes from the epoch's
+//! own Asn-sorted `(asn, id)` table, not from the pipeline's interner, so
+//! nothing the pipeline interns after the seal can reach a segment.
 
 use crate::archive::Archive;
 use crate::frame::{corrupt, ArchiveError, Result};
 use crate::manifest::{segment_file_name, IoShim, Manifest, ManifestEntry, RealIo, MANIFEST_FILE};
 use crate::segment::{DecodeFilter, EpochFrames, EpochMeta, SegmentBuilder, SegmentStats};
+use bgp_infer::compiled::DenseOutcome;
 use bgp_stream::epoch::EpochSnapshot;
 use bgp_types::asn::Asn;
 use obs::trace::TraceStore;
@@ -207,6 +208,10 @@ impl ArchiveWriter {
             1
         };
 
+        // Ids only grow, so the run's last epoch names every ASN any epoch
+        // of the run adds; each takes its delta as a slice of that table.
+        let (last, _) = run[run.len() - 1];
+        let asns = asns_by_id(last)?;
         let mut builder = SegmentBuilder::new();
         let mut interner_written = self.interner_written;
         for (i, &(snap, stats)) in run.iter().enumerate() {
@@ -217,12 +222,7 @@ impl ArchiveWriter {
                     first.epoch + i as u64 - 1
                 )));
             }
-            let dense = snap.dense.as_ref().ok_or_else(|| {
-                corrupt(format!(
-                    "epoch {} was compacted before archiving",
-                    snap.epoch
-                ))
-            })?;
+            let dense = dense_of(snap)?;
 
             // The seal-time interner length is pinned by the counter column:
             // ids >= counters.len() were interned after this seal and belong
@@ -234,11 +234,15 @@ impl ArchiveWriter {
                     snap.epoch
                 )));
             }
-            let delta: Vec<Asn> = dense
-                .interner
-                .range(interner_written, seal_len)
-                .map(|(_, asn)| asn)
-                .collect();
+            let delta = asns
+                .get(interner_written as usize..seal_len as usize)
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "epoch {} interner length {seal_len} above the run's last epoch's {}",
+                        snap.epoch,
+                        asns.len()
+                    ))
+                })?;
 
             let meta = EpochMeta {
                 epoch: snap.epoch,
@@ -262,7 +266,7 @@ impl ArchiveWriter {
             builder.push_epoch(&EpochFrames {
                 meta,
                 interner_base: interner_written,
-                interner_delta: &delta,
+                interner_delta: delta,
                 counters: Some(&dense.counters),
                 classes: &snap.classes,
                 flips: Some(&snap.flips),
@@ -298,6 +302,41 @@ impl ArchiveWriter {
         self.bytes_written.add(bytes.len() as u64);
         Ok(run.len())
     }
+}
+
+/// The dense state of a snapshot that still has it.
+fn dense_of(snap: &EpochSnapshot) -> Result<&DenseOutcome> {
+    snap.dense.as_ref().ok_or_else(|| {
+        corrupt(format!(
+            "epoch {} was compacted before archiving",
+            snap.epoch
+        ))
+    })
+}
+
+/// A sealed epoch's ASNs in id order, scattered from its Asn-sorted
+/// `(asn, id)` table, which must name every id below the seal-time
+/// length (the counter column's) exactly once: as many pairs as ids, none
+/// past the end, none twice.
+fn asns_by_id(snap: &EpochSnapshot) -> Result<Vec<Asn>> {
+    let dense = dense_of(snap)?;
+    let (epoch, ids) = (snap.epoch, dense.counters.len());
+    let bad = |why: String| corrupt(format!("epoch {epoch}: ASN table {why}"));
+    if dense.by_asn.len() != ids {
+        return Err(bad(format!(
+            "has {} pairs for {ids} ids",
+            dense.by_asn.len()
+        )));
+    }
+    let mut by_id: Vec<Option<Asn>> = vec![None; ids];
+    for &(asn, id) in dense.by_asn.iter() {
+        match by_id.get_mut(id as usize) {
+            Some(slot @ None) => *slot = Some(asn),
+            Some(Some(_)) => return Err(bad(format!("names id {id} twice"))),
+            None => return Err(bad(format!("names id {id}, past its {ids} ids"))),
+        }
+    }
+    Ok(by_id.into_iter().flatten().collect())
 }
 
 /// Retry/queue policy for an [`ArchiveSink`].

@@ -116,13 +116,15 @@ fn roundtrip_preserves_every_epoch() {
         assert_eq!(arch.interner_len(), dense.counters.len());
     }
 
-    // The accumulated interner matches the live one id-for-id.
+    // The accumulated ASN table matches the live epoch's `(asn, id)`
+    // table id for id.
     let last = out.snapshots.last().unwrap();
     let dense = last.dense.as_ref().unwrap();
     let table = archive.interner_upto(last.epoch).unwrap();
     assert_eq!(table.len(), dense.counters.len());
-    for (id, asn) in table.iter().enumerate() {
-        assert_eq!(*asn, dense.interner.resolve(id as u32));
+    assert_eq!(dense.by_asn.len(), table.len());
+    for &(asn, id) in dense.by_asn.iter() {
+        assert_eq!(table[id as usize], asn, "id {id}");
     }
 
     // Time travel: the trajectory of every classified AS matches each
@@ -403,6 +405,41 @@ fn a_run_that_does_not_chain_writes_nothing() {
     let err = writer.append_epochs(&run_of(&snaps[3..])).unwrap_err();
     assert!(err.to_string().contains("does not chain"), "{err}");
     assert_eq!(epoch_ranges(&dir), [(0, 1)]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_asn_table_that_is_not_one_to_one_is_corrupt() {
+    // The archived ASN delta is read off the epoch's own `(asn, id)`
+    // table, which must name every id below the seal-time length once.
+    // One that misses, repeats or over-runs an id writes nothing.
+    let out = build_world(1, 16);
+    let good = &out.snapshots[0];
+    let by_asn = good.dense.as_ref().unwrap().by_asn.as_ref().clone();
+    let ids = by_asn.len() as u32;
+    let mut missing = by_asn.clone();
+    missing.pop();
+    let mut repeated = by_asn.clone();
+    repeated[1].1 = repeated[0].1;
+    let mut over_run = by_asn;
+    over_run[0].1 = ids;
+    let dir = tmp_dir("asn-table");
+    let mut writer = ArchiveWriter::open(&dir).unwrap();
+    for (what, table) in [
+        ("missing", missing),
+        ("repeated", repeated),
+        ("over-run", over_run),
+    ] {
+        let mut snap = EpochSnapshot::clone(good);
+        snap.dense.as_mut().unwrap().by_asn = Arc::new(table);
+        let err = writer
+            .append_epoch(&snap, &SegmentStats::default())
+            .unwrap_err();
+        assert!(matches!(err, ArchiveError::Corrupt(_)), "{what}: {err}");
+        assert!(err.to_string().contains("ASN table"), "{what}: {err}");
+    }
+    assert!(dir_snapshot(&dir).is_empty(), "a rejected epoch left files");
+    assert!(writer.append_epoch(good, &SegmentStats::default()).unwrap());
     fs::remove_dir_all(&dir).unwrap();
 }
 

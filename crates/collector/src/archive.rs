@@ -42,8 +42,8 @@ impl DayArchive {
     /// RIB snapshot first (when the project publishes one), then each
     /// per-bin update file in publication order. Concatenating the chunks
     /// reproduces `rib_bytes` + `update_bytes`; consuming them one at a
-    /// time (e.g. via `bgp-stream`'s `DaySource`) bounds ingest memory to
-    /// one file instead of one day.
+    /// time (e.g. one `bgp-stream` `MrtSource` per chunk) bounds ingest
+    /// memory to one file instead of one day.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
         std::iter::once(self.rib_bytes.as_slice())
             .filter(|b| !b.is_empty())

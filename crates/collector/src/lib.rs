@@ -14,6 +14,7 @@
 //! decode → sanitize`, the exact shape of a real collector pipeline.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod archive;

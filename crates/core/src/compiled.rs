@@ -13,11 +13,12 @@
 //!
 //! * **Interning** — every on-path ASN is mapped to a dense `u32` id at
 //!   build time, so all per-AS state lives in flat vectors indexed by id.
-//!   A store interns either privately ([`AsnInterner`], the batch path)
-//!   or through a workspace-level [`SharedInterner`] (the stream shards),
-//!   in which case every shard speaks one global id space and shard
-//!   deltas merge into the coordinator's [`DenseCounterStore`] by slice
-//!   addition — no `Asn`-keyed map hop anywhere in the pipeline.
+//!   A batch store interns into its own [`AsnInterner`]; a stream shard's
+//!   store interns through the one its shard set owns
+//!   ([`push_ref_with`](CompiledTuples::push_ref_with)), so every shard
+//!   speaks one id space and shard deltas merge into the coordinator's
+//!   [`DenseCounterStore`] by slice addition — no `Asn`-keyed map hop
+//!   anywhere in the pipeline.
 //! * **Length-bucketed transposed columns** — tuples are grouped by exact
 //!   path length; within bucket `ℓ` the store keeps, for each position
 //!   `p < ℓ`, a contiguous id column `cols[p]` plus a static bit column
@@ -55,10 +56,10 @@
 //!   count only the tuples appended since (`dirty_only`), which is what
 //!   makes the stream layer's incremental epoch recounts (see
 //!   `bgp_stream::shard`) scale with the delta instead of the store.
-//! * **Occurrence index and word-restricted counting** — a
-//!   shared-interner store also keeps, per id, the 64-tuple words whose
-//!   tuples contain it (appended by [`prepare`](CompiledTuples::prepare)
-//!   at seal time, never by a push).
+//! * **Occurrence index and word-restricted counting** — a stream
+//!   shard's store also keeps, per id, the 64-tuple words whose tuples
+//!   contain it (appended by [`prepare`](CompiledTuples::prepare) at seal
+//!   time, never by a push).
 //!   [`affected_clean_words`](CompiledTuples::affected_clean_words) turns
 //!   a few ids into the sealed words one step can read them in, and
 //!   [`count_clean_words`](CompiledTuples::count_clean_words) runs the
@@ -317,7 +318,7 @@ impl DeltaStore {
         }
     }
 
-    /// Grow to cover `n_ids` (the shared interner keeps growing between
+    /// Grow to cover `n_ids` (a stream's id space keeps growing between
     /// epoch seals; deltas are resized at seal start).
     pub fn resize(&mut self, n_ids: usize) {
         if n_ids > self.counts.len() {
@@ -486,49 +487,23 @@ impl DenseCounterStore {
     }
 }
 
-/// One sealed epoch's dense classification state: the counter column, the
-/// shared interner that gives the ids meaning, and the Asn-sorted id
-/// permutation every publish-time table walk uses. All three are `Arc`'d,
-/// so an epoch with no new evidence republishes as three pointer copies.
-/// Its record table is [`db::slice_records`](crate::db::slice_records)
-/// over `by_asn`, `counters` and the epoch's class table; there is no
-/// sparse form.
+/// One sealed epoch's dense classification state: the counter column and
+/// the Asn-sorted id permutation that gives its ids meaning. Both are
+/// `Arc`'d, so an epoch with no new evidence republishes as two pointer
+/// copies. Its record table is
+/// [`db::slice_records`](crate::db::slice_records) over `by_asn`,
+/// `counters` and the epoch's class table; there is no sparse form.
 #[derive(Debug, Clone)]
 pub struct DenseOutcome {
-    /// The workspace id authority.
-    pub interner: Arc<SharedInterner>,
     /// Final counters, indexed by id; covers ids `< counters.len()`.
     pub counters: Arc<Vec<AsCounters>>,
-    /// `(asn, id)` pairs sorted by ASN — the publication order.
+    /// `(asn, id)` pairs sorted by ASN — the publication order. Names
+    /// every id `< counters.len()` exactly once.
     pub by_asn: Arc<Vec<(Asn, AsnId)>>,
     /// Thresholds the epoch was counted under.
     pub thresholds: Thresholds,
     /// Deepest path index at which any counter was incremented.
     pub deepest_active_index: usize,
-}
-
-/// The id authority of one compiled store: private (batch runs) or the
-/// workspace-shared interner (stream shards speaking one id space).
-#[derive(Debug)]
-enum StoreInterner {
-    Own(AsnInterner),
-    Shared(Arc<SharedInterner>),
-}
-
-impl StoreInterner {
-    fn resolve(&self, id: AsnId) -> Asn {
-        match self {
-            StoreInterner::Own(it) => it.resolve(id),
-            StoreInterner::Shared(s) => s.resolve(id),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            StoreInterner::Own(it) => it.len(),
-            StoreInterner::Shared(s) => s.len(),
-        }
-    }
 }
 
 /// All tuples of one exact path length, stored column-major.
@@ -596,7 +571,11 @@ struct OccurrenceIndex {
 /// docs for the layout rationale and the parity argument.
 #[derive(Debug)]
 pub struct CompiledTuples {
-    interner: StoreInterner,
+    /// The ids of [`push`](CompiledTuples::push) and
+    /// [`push_ref`](CompiledTuples::push_ref), which [`run`](CompiledTuples::run)
+    /// resolves. Empty in a store pushed through
+    /// [`push_ref_with`](CompiledTuples::push_ref_with).
+    interner: AsnInterner,
     /// Length buckets; index == exact path length (index 0 unused).
     buckets: Vec<Bucket>,
     /// Tuples stored (zero-length paths included — they count nothing
@@ -606,7 +585,7 @@ pub struct CompiledTuples {
     total_hops: usize,
     max_len: usize,
     /// Where each id occurs (current up to the last
-    /// [`prepare`](CompiledTuples::prepare)); shared-interner stores only.
+    /// [`prepare`](CompiledTuples::prepare)); stream shards' stores only.
     occurrences: OccurrenceIndex,
     /// Reused per-push scratch: the pushed tuple's community upper
     /// fields as raw `u32`s, probed once per hop.
@@ -614,21 +593,10 @@ pub struct CompiledTuples {
 }
 
 impl CompiledTuples {
-    /// An empty store with a private interner (the batch path).
+    /// An empty store.
     pub fn new() -> Self {
-        Self::with_interner(StoreInterner::Own(AsnInterner::new()))
-    }
-
-    /// An empty store interning through the workspace-shared interner —
-    /// the stream-shard constructor. All shards sharing `interner` speak
-    /// one dense id space, so their deltas merge by slice addition.
-    pub fn with_shared(interner: Arc<SharedInterner>) -> Self {
-        Self::with_interner(StoreInterner::Shared(interner))
-    }
-
-    fn with_interner(interner: StoreInterner) -> Self {
         CompiledTuples {
-            interner,
+            interner: AsnInterner::new(),
             buckets: Vec::new(),
             n_tuples: 0,
             total_hops: 0,
@@ -654,20 +622,32 @@ impl CompiledTuples {
     /// Append one owned tuple (see [`push_ref`](Self::push_ref)).
     pub fn push(&mut self, t: &PathCommTuple) {
         let uppers = t.comm.iter().map(|c| c.upper_field());
-        self.push_parts(t.path.asns().iter().copied(), uppers);
+        self.push_parts(None, t.path.asns().iter().copied(), uppers);
     }
 
     /// Append one tuple from its encoded record: intern its hops and
     /// write them straight into the next slot of its length bucket's id
     /// and tag columns. Nothing of the record is kept.
     pub fn push_ref(&mut self, t: TupleRef<'_>) {
-        self.push_parts(t.hops(), t.uppers());
+        self.push_parts(None, t.hops(), t.uppers());
+    }
+
+    /// [`push_ref`](Self::push_ref), interning through `interner` — a
+    /// stream shard's push, so that every shard of a set speaks its one
+    /// id space. The ids are the caller's: such a store is counted step
+    /// by step over the caller's id count (see
+    /// [`prepare`](Self::prepare)), not by [`run`](Self::run), and is
+    /// never also pushed through its own interner.
+    pub fn push_ref_with(&mut self, interner: &mut AsnInterner, t: TupleRef<'_>) {
+        self.push_parts(Some(interner), t.hops(), t.uppers());
     }
 
     /// The one append: all a tuple contributes is its hops and the upper
-    /// fields of its communities.
+    /// fields of its communities, interned through `interner` or, with
+    /// `None`, the store's own.
     fn push_parts(
         &mut self,
+        interner: Option<&mut AsnInterner>,
         hops: impl ExactSizeIterator<Item = Asn>,
         uppers: impl Iterator<Item = Asn>,
     ) {
@@ -691,11 +671,12 @@ impl CompiledTuples {
             self.buckets.resize_with(blen + 1, Bucket::default);
         }
         let CompiledTuples {
-            interner,
+            interner: own,
             buckets,
             upper_scratch,
             ..
         } = self;
+        let interner = interner.unwrap_or(own);
         let b = &mut buckets[blen];
         if b.cols.is_empty() {
             b.cols = vec![Vec::new(); blen];
@@ -712,33 +693,14 @@ impl CompiledTuples {
                 upper_scratch.contains(&asn.0)
             }
         };
-        match interner {
-            // Batch path: intern, column append, and tag probe in one
-            // pass over the hops.
-            StoreInterner::Own(it) => {
-                for (p, asn) in hops.enumerate() {
-                    b.cols[p].push(it.intern(asn));
-                    if new_word {
-                        b.tag_cols[p].push(0);
-                    }
-                    if probe(asn) {
-                        b.tag_cols[p][word] |= bit;
-                    }
-                }
+        // Intern, column append, and tag probe in one pass over the hops.
+        for (p, asn) in hops.enumerate() {
+            b.cols[p].push(interner.intern(asn));
+            if new_word {
+                b.tag_cols[p].push(0);
             }
-            // Shared path: one writer-lock acquisition for the whole
-            // path, then the column/tag pass.
-            StoreInterner::Shared(s) => {
-                let mut batch = s.batch();
-                for (p, asn) in hops.enumerate() {
-                    b.cols[p].push(batch.intern(asn));
-                    if new_word {
-                        b.tag_cols[p].push(0);
-                    }
-                    if probe(asn) {
-                        b.tag_cols[p][word] |= bit;
-                    }
-                }
+            if probe(asn) {
+                b.tag_cols[p][word] |= bit;
             }
         }
         b.len += 1;
@@ -764,12 +726,6 @@ impl CompiledTuples {
     /// Total path positions across the bucket id columns.
     pub fn arena_len(&self) -> usize {
         self.total_hops
-    }
-
-    /// Size of the id space this store counts over (for a shared
-    /// interner: the workspace-global id count).
-    pub fn interned_asns(&self) -> usize {
-        self.interner.len()
     }
 
     /// Tuples appended since the last [`commit_clean`](CompiledTuples::commit_clean).
@@ -798,18 +754,16 @@ impl CompiledTuples {
     }
 
     /// Extend the occurrence index with the tuples appended since the
-    /// last call. O(new hops), zero when nothing was pushed. Only feeds
-    /// the stream layer's step corrections, so private-interner (batch)
-    /// stores skip it entirely. Must run before a recount that calls
+    /// last call; `n_ids` is the size of the id space they were interned
+    /// into. O(new hops), zero when nothing was pushed. Only feeds the
+    /// stream layer's step corrections, so the batch path
+    /// ([`run`](CompiledTuples::run)) never calls it. Must run before a
+    /// recount that calls
     /// [`affected_clean_words`](CompiledTuples::affected_clean_words).
-    pub fn prepare(&mut self) {
-        if !matches!(self.interner, StoreInterner::Shared(_)) {
-            return;
-        }
+    pub fn prepare(&mut self, n_ids: usize) {
         let occ = &mut self.occurrences;
-        if occ.heads.len() < self.interner.len() {
-            occ.heads
-                .resize(self.interner.len(), (NO_OCCURRENCE, NO_OCCURRENCE));
+        if occ.heads.len() < n_ids {
+            occ.heads.resize(n_ids, (NO_OCCURRENCE, NO_OCCURRENCE));
         }
         let index_u32 = |n: usize| u32::try_from(n).expect("occurrence index fits u32");
         for (blen, b) in self.buckets.iter_mut().enumerate() {
@@ -1126,7 +1080,6 @@ impl CompiledTuples {
         let th = config.thresholds;
         let deepest = config.max_index.unwrap_or(self.max_len).min(self.max_len);
         let n_ids = self.interner.len();
-        self.prepare();
         let mut counters = DenseCounterStore::zeroed(n_ids);
         let mut preds = PhasePredicates::empty(n_ids);
         let mut delta = DeltaStore::zeroed(n_ids);
@@ -1205,8 +1158,7 @@ mod tests {
             tup(&[7, 8, 9], &[]),
             tup(&[2, 1], &[]),
         ];
-        let mut store = CompiledTuples::from_tuples(&tuples);
-        store.prepare();
+        let store = CompiledTuples::from_tuples(&tuples);
         assert_eq!(store.len(), 4);
         assert_eq!(store.max_path_len(), 4);
         assert_eq!(store.arena_len(), 11);
@@ -1336,9 +1288,11 @@ mod tests {
         // predicates with bits of every kind set. 150 three-hop tuples
         // leave that bucket's last word partial (22 rows); a second,
         // longer bucket and a dirty suffix sharing its boundary word
-        // with sealed rows check the row mask.
-        let shared = Arc::new(SharedInterner::new());
-        let mut store = CompiledTuples::with_shared(Arc::clone(&shared));
+        // with sealed rows check the row mask. Pushed the way a stream
+        // shard pushes, through an interner the store does not own.
+        let mut interner = AsnInterner::new();
+        let mut store = CompiledTuples::new();
+        let mut buf = TupleBuf::new();
         let row = |i: u32| {
             let (a, b) = (10 + i % 7, 40 + i % 13);
             let mut uppers = vec![];
@@ -1355,16 +1309,16 @@ mod tests {
             }
         };
         for i in 0..200 {
-            store.push(&row(i));
+            store.push_ref_with(&mut interner, buf.encode_tuple(&row(i)));
         }
         assert_eq!(store.buckets[3].slots() % 64, 22);
-        store.prepare();
+        store.prepare(interner.len());
         store.commit_clean();
         for i in 200..230 {
-            store.push(&row(i));
+            store.push_ref_with(&mut interner, buf.encode_tuple(&row(i)));
         }
-        store.prepare();
-        let n = store.interned_asns();
+        store.prepare(interner.len());
+        let n = interner.len();
         let mut preds = PhasePredicates::empty(n);
         for id in 0..n as AsnId {
             preds.forward.assign(id, id % 3 != 1);
@@ -1409,7 +1363,7 @@ mod tests {
         }
         // One id's words are a strict subset: the origin of one sealed
         // tuple lives in exactly one word.
-        let origin = shared.get(Asn(9_001)).expect("interned");
+        let origin = interner.get(Asn(9_001)).expect("interned");
         store.affected_clean_words(&[origin], 1, CountPhase::Tagging, &mut words);
         assert_eq!(words.len(), 1);
         // Its path is three hops long: no column-4 step reads that word.
@@ -1418,25 +1372,30 @@ mod tests {
     }
 
     #[test]
-    fn shared_interner_store_matches_private_store() {
+    fn a_caller_interner_builds_the_store_its_own_would() {
+        // The columns of a shard's store are the batch store's, with the
+        // ids in the caller's interner.
         let tuples: Vec<PathCommTuple> = (0..120u32)
             .map(|i| {
                 tup(
-                    &[3 + i % 11, 50 + i % 7, 2_000 + i],
-                    &[3 + i % 11, 50 + i % 7],
+                    &[3 + i % 11, 70_000 + i % 7, 2_000 + i],
+                    &[3 + i % 11, 70_000 + i % 7],
                 )
             })
             .collect();
-        let shared = Arc::new(SharedInterner::new());
-        let mut a = CompiledTuples::with_shared(Arc::clone(&shared));
+        let own = CompiledTuples::from_tuples(&tuples);
+        let mut interner = AsnInterner::new();
+        let mut shard = CompiledTuples::new();
+        let mut buf = TupleBuf::new();
         for t in &tuples {
-            a.push(t);
+            shard.push_ref_with(&mut interner, buf.encode_tuple(t));
         }
-        let cfg = cfg1();
-        let got = a.run(&cfg);
-        let want = InferenceEngine::new(cfg).run_reference(&tuples);
-        assert_eq!(got.classes(), want.classes());
-        assert_eq!(shared.len(), a.interned_asns());
+        assert!(shard.interner.is_empty());
+        assert_eq!(interner.asns(), own.interner.asns());
+        assert_eq!(shard.buckets.len(), own.buckets.len());
+        for (a, b) in shard.buckets.iter().zip(&own.buckets) {
+            assert_eq!((&a.cols, &a.tag_cols), (&b.cols, &b.tag_cols));
+        }
     }
 
     #[test]
@@ -1454,8 +1413,7 @@ mod tests {
             store.push(&tup(&[2, 200 + i], &[]));
         }
         assert_eq!(store.dirty_tuples(), 5);
-        store.prepare();
-        let n = store.interned_asns();
+        let n = store.interner.len();
         let preds = PhasePredicates::empty(n);
         store.compute_clean(&preds, 1, true, false);
         let mut delta = DeltaStore::zeroed(n);

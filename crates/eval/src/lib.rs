@@ -26,6 +26,7 @@
 //! multi-seed tables) inherit its speedup with byte-identical results.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod fig2;

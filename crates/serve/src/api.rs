@@ -575,6 +575,14 @@ fn flips_endpoint(snap: &ServeSnapshot, request: &Request) -> Response {
         },
         None => 0,
     };
+    // Only the long-poll reads `wait_ms` (see `Api::poll`), but a
+    // malformed one must not pass for "answer now".
+    if request
+        .param("wait_ms")
+        .is_some_and(|raw| raw.parse::<u64>().is_err())
+    {
+        return Response::error(400, "wait_ms must be an unsigned integer");
+    }
     let (flips, complete) = snap.flips_since(since);
     let mut w = begin_envelope(snap);
     w.field_u64("since_epoch", since);
@@ -926,6 +934,25 @@ mod tests {
         let missing = api.handle(&request("/nope", &[]));
         assert_eq!(missing.status, 404);
         assert_eq!(api.metrics().total_requests(), 7);
+    }
+
+    #[test]
+    fn a_long_poll_with_a_malformed_wait_is_400() {
+        let api = served_api();
+        for wait in ["soon", "-1", ""] {
+            for since in ["0", "99"] {
+                let query = [("since_epoch", since), ("wait_ms", wait)];
+                match api.poll(&request("/v1/flips", &query)) {
+                    Dispatch::Ready(r) => assert_eq!(r.status, 400, "{query:?}: {}", r.body),
+                    Dispatch::Park { .. } => panic!("{query:?} parked"),
+                }
+            }
+        }
+        let fine = [("since_epoch", "0"), ("wait_ms", "5")];
+        assert!(matches!(
+            api.poll(&request("/v1/flips", &fine)),
+            Dispatch::Ready(Response { status: 200, .. })
+        ));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!       --max-conns <N>         global concurrent-connection budget;
 //!                               beyond it new connections are shed with
 //!                               503 and accept pauses (default 16384)
-//!   -s, --shards <N>            pipeline worker shards (default: cores)
+//!   -s, --shards <N>            pipeline shards (default 4)
 //!   -e, --epoch-events <N>      seal an epoch every N events (default 8192)
 //!       --epoch-secs <S>        seal an epoch every S seconds of stream time
 //!   -t, --threshold <0.5..=1.0> classification threshold (default 0.99)
@@ -122,9 +122,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         listen: "127.0.0.1:7179".to_string(),
         workers: 4,
         max_conns: 16_384,
-        shards: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
+        shards: StreamConfig::default().shards,
         epoch_events: None,
         epoch_secs: None,
         threshold: 0.99,

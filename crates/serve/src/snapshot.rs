@@ -160,8 +160,8 @@ pub struct IngestStats {
     pub duplicates: u64,
     /// Stored-tuple count per shard.
     pub shard_loads: Vec<usize>,
-    /// Distinct ASNs in the workspace-shared interner (one id space for
-    /// all shards).
+    /// Distinct ASNs in the shards' interner (one id space for all
+    /// shards).
     pub interned_asns: usize,
     /// Total path positions in the shard id arenas.
     pub arena_hops: usize,

@@ -19,6 +19,7 @@
 //! * [`peering`] — the §7.4 PEERING testbed analogue.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod feed;

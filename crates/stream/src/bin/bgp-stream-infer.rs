@@ -9,7 +9,7 @@
 //!   bgp-stream-infer [OPTIONS] --sim <SCENARIO>
 //!
 //! OPTIONS:
-//!   -s, --shards <N>            worker shards (default: cores)
+//!   -s, --shards <N>            shards (default 4)
 //!   -e, --epoch-events <N>      seal an epoch every N events (default 8192)
 //!       --epoch-secs <S>        seal an epoch every S seconds of stream time
 //!   -t, --threshold <0.5..=1.0> classification threshold (default 0.99)
@@ -57,9 +57,7 @@ fn usage() -> &'static str {
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
-        shards: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
+        shards: StreamConfig::default().shards,
         epoch_events: None,
         epoch_secs: None,
         threshold: 0.99,

@@ -9,7 +9,7 @@
 //! stream instead of diffing full databases.
 //!
 //! A snapshot's state is **dense**: a [`DenseOutcome`] holding the
-//! `Arc`'d counter column over the shared interner's id space plus the
+//! `Arc`'d counter column over the shards' one id space plus the
 //! Asn-sorted id permutation, beside the seal-time class table. Classes
 //! and flips are `Arc`'d too, so an epoch that sealed without new
 //! evidence shares every component of its predecessor at pointer-copy

@@ -5,17 +5,13 @@
 //! by one record, not one archive. (The MRT-backed sources still borrow
 //! the archive *bytes* as a slice — per [`bgp_mrt::MrtReader`]'s design —
 //! so whole-file bytes are the caller's to provide, e.g. via `fs::read` or
-//! an mmap; what never materializes is the tuple vector.) Three sources
+//! an mmap; what never materializes is the tuple vector.) Two sources
 //! cover the workspace's data planes:
 //!
 //! * [`MrtSource`] — pulls records incrementally out of a
 //!   [`bgp_mrt::TupleStream`], the §4.1 path-shape cleaning used by the
-//!   batch [`bgp_mrt::extract_tuples`] itself (an optional
-//!   [`Sanitizer`] adds the registry
-//!   filters on top);
-//! * [`DaySource`] — walks a generated [`DayArchive`]'s chunks (RIB
-//!   snapshot, then each per-bin update file) the way a poller walks a
-//!   collector's published files;
+//!   batch [`bgp_mrt::extract_tuples`] itself; a collector's files are
+//!   one source each, in publication order;
 //! * [`IterSource`] — adapts any in-memory event iterator (e.g. the
 //!   [`bgp_sim::feed::UpdateFeed`] scenario stream).
 //!
@@ -32,9 +28,8 @@
 //! from it. Its `IntoIterator` yields owned [`StreamEvent`]s for callers
 //! that keep events.
 
-use bgp_collector::archive::DayArchive;
-use bgp_infer::prelude::{SanitationStats, Sanitizer};
-use bgp_mrt::{MrtReader, MrtRecord, TupleStream};
+use bgp_infer::prelude::SanitationStats;
+use bgp_mrt::TupleStream;
 use bgp_types::prelude::*;
 
 /// One timestamped `(path, comm)` observation entering the pipeline.
@@ -363,37 +358,17 @@ impl TupleSource for QuarantinedSource<'_> {
 /// Streams one MRT archive's records through the §4.1 sanitation pipeline
 /// without ever materializing the full tuple vector.
 ///
-/// The default ([`MrtSource::new`]) wraps [`bgp_mrt::TupleStream`] — the
-/// exact record-at-a-time extraction behind the batch
-/// [`bgp_mrt::extract_tuples`] — so it applies path-shape cleaning only
-/// and emits **one event per update message** (a multi-prefix
-/// announcement carries one `(path, comm)`). Sharing that implementation
-/// is what makes the stream/batch parity guarantee hold on arbitrary
-/// archives, including ones mentioning reserved ASNs.
-/// [`MrtSource::with_sanitizer`] layers the registry filters on top for
-/// deployments that want them; that mode deliberately diverges from the
-/// registry-less batch reference.
+/// It wraps [`bgp_mrt::TupleStream`] — the exact record-at-a-time
+/// extraction behind the batch [`bgp_mrt::extract_tuples`] — so it applies
+/// path-shape cleaning only and emits **one event per update message** (a
+/// multi-prefix announcement carries one `(path, comm)`). Sharing that
+/// implementation is what makes the stream/batch parity guarantee hold on
+/// arbitrary archives, including ones mentioning reserved ASNs.
 pub struct MrtSource<'a> {
-    mode: Mode<'a>,
+    stream: TupleStream<'a>,
     done: bool,
     /// Buffer words of the largest batch so far: the next one's capacity.
     batch_words: usize,
-}
-
-enum Mode<'a> {
-    /// Batch-parity reference: the same extraction the batch path runs.
-    Shape(TupleStream<'a>),
-    /// Registry overlay: raw records, filtered through
-    /// [`Sanitizer::process`] (which owns the drop rules and stats).
-    Registry {
-        reader: MrtReader<'a>,
-        sanitizer: Sanitizer,
-        stats: SanitationStats,
-        /// Entries decoded from the current record but not yet emitted
-        /// (one TABLE_DUMP_V2 record carries a whole prefix group).
-        pending: Vec<StreamEvent>,
-        raw_entries: u64,
-    },
 }
 
 impl<'a> MrtSource<'a> {
@@ -401,24 +376,7 @@ impl<'a> MrtSource<'a> {
     /// [`bgp_mrt::extract_tuples`] semantics, record for record.
     pub fn new(bytes: &'a [u8]) -> Self {
         MrtSource {
-            mode: Mode::Shape(TupleStream::new(bytes)),
-            done: false,
-            batch_words: 0,
-        }
-    }
-
-    /// Stream `bytes` through a caller-provided registry-driven sanitizer
-    /// (drops tuples mentioning unallocated ASNs or bogon prefixes, on
-    /// top of the shape cleaning).
-    pub fn with_sanitizer(bytes: &'a [u8], sanitizer: Sanitizer) -> Self {
-        MrtSource {
-            mode: Mode::Registry {
-                reader: MrtReader::new(bytes),
-                sanitizer,
-                stats: SanitationStats::default(),
-                pending: Vec::new(),
-                raw_entries: 0,
-            },
+            stream: TupleStream::new(bytes),
             done: false,
             batch_words: 0,
         }
@@ -426,49 +384,17 @@ impl<'a> MrtSource<'a> {
 
     /// Sanitation counters accumulated so far.
     pub fn stats(&self) -> SanitationStats {
-        match &self.mode {
-            Mode::Shape(s) => SanitationStats {
-                offered: s.kept() + s.shape_dropped(),
-                dropped_path: s.shape_dropped(),
-                kept: s.kept(),
-                ..SanitationStats::default()
-            },
-            Mode::Registry { stats, .. } => *stats,
+        SanitationStats {
+            offered: self.stream.kept() + self.stream.shape_dropped(),
+            dropped_path: self.stream.shape_dropped(),
+            kept: self.stream.kept(),
+            ..SanitationStats::default()
         }
     }
 
     /// Raw MRT entries seen so far (Table 1's "entries" accounting).
     pub fn raw_entries(&self) -> u64 {
-        match &self.mode {
-            Mode::Shape(s) => s.raw_entries(),
-            Mode::Registry { raw_entries, .. } => *raw_entries,
-        }
-    }
-}
-
-/// Registry-filter one entry into at most one event. `prefix_ok` reports
-/// whether any announced prefix passed the registry — the batch pipeline
-/// keeps an update's tuple as long as any of its prefixes does (the
-/// tuple is identical across them); the rest of the rules and the stats
-/// bookkeeping live in [`Sanitizer::process`].
-#[allow(clippy::too_many_arguments)]
-fn registry_sanitize_into(
-    sanitizer: &Sanitizer,
-    stats: &mut SanitationStats,
-    peer: Asn,
-    raw_path: &RawAsPath,
-    prefix_ok: bool,
-    comm: &CommunitySet,
-    ts: u64,
-    out: &mut Vec<StreamEvent>,
-) {
-    if !prefix_ok {
-        stats.offered += 1;
-        stats.dropped_prefix += 1;
-        return;
-    }
-    if let Some(t) = sanitizer.process(peer, raw_path, None, comm, stats) {
-        out.push(StreamEvent::new(ts, t));
+        self.stream.raw_entries()
     }
 }
 
@@ -478,172 +404,21 @@ impl TupleSource for MrtSource<'_> {
             return Ok(EventBatch::new());
         }
         let mut out = EventBatch::with_capacity(self.batch_words);
-        match &mut self.mode {
-            Mode::Shape(stream) => {
-                while out.len() < max {
-                    match stream.next_ref() {
-                        None => {
-                            self.done = true;
-                            break;
-                        }
-                        Some(Err(e)) => {
-                            self.done = true;
-                            return Err(e.into());
-                        }
-                        Some(Ok((ts, tuple))) => out.push(ts, tuple),
-                    }
+        while out.len() < max {
+            match self.stream.next_ref() {
+                None => {
+                    self.done = true;
+                    break;
                 }
-            }
-            Mode::Registry {
-                reader,
-                sanitizer,
-                stats,
-                pending,
-                raw_entries,
-            } => {
-                while out.len() < max {
-                    if let Some(ev) = pending.pop() {
-                        out.push_event(&ev);
-                        continue;
-                    }
-                    match reader.next() {
-                        None => {
-                            self.done = true;
-                            break;
-                        }
-                        Some(Err(e)) => {
-                            self.done = true;
-                            return Err(e.into());
-                        }
-                        Some(Ok(MrtRecord::PeerIndex(_))) => {}
-                        Some(Ok(MrtRecord::Update(u))) => {
-                            *raw_entries += 1;
-                            if u.announced.is_empty() {
-                                continue; // withdrawals carry no usable (path, comm)
-                            }
-                            let prefix_ok = u
-                                .announced
-                                .iter()
-                                .any(|p| sanitizer.prefix_registry().is_allocated(p));
-                            registry_sanitize_into(
-                                sanitizer,
-                                stats,
-                                u.peer_asn,
-                                &u.attributes.as_path,
-                                prefix_ok,
-                                &u.attributes.communities,
-                                u.timestamp,
-                                pending,
-                            );
-                            pending.reverse(); // popped back-to-front above
-                        }
-                        Some(Ok(MrtRecord::RibEntries(entries))) => {
-                            for e in &entries {
-                                *raw_entries += 1;
-                                let prefix_ok = sanitizer.prefix_registry().is_allocated(&e.prefix);
-                                registry_sanitize_into(
-                                    sanitizer,
-                                    stats,
-                                    e.peer_asn,
-                                    &e.attributes.as_path,
-                                    prefix_ok,
-                                    &e.attributes.communities,
-                                    e.originated,
-                                    pending,
-                                );
-                            }
-                            pending.reverse();
-                        }
-                    }
+                Some(Err(e)) => {
+                    self.done = true;
+                    return Err(e.into());
                 }
+                Some(Ok((ts, tuple))) => out.push(ts, tuple),
             }
         }
         self.batch_words = self.batch_words.max(out.words());
         Ok(out)
-    }
-}
-
-/// Streams a generated collector day — RIB snapshot, then each update bin
-/// in publication order — as one continuous source.
-pub struct DaySource<'a> {
-    chunks: Vec<&'a [u8]>,
-    current: Option<MrtSource<'a>>,
-    next_chunk: usize,
-    stats: SanitationStats,
-    raw_entries: u64,
-    quarantined_chunks: u64,
-}
-
-impl<'a> DaySource<'a> {
-    /// Walk `archive`'s chunks (see [`DayArchive::chunks`]).
-    pub fn new(archive: &'a DayArchive) -> Self {
-        DaySource {
-            chunks: archive.chunks().collect(),
-            current: None,
-            next_chunk: 0,
-            stats: SanitationStats::default(),
-            raw_entries: 0,
-            quarantined_chunks: 0,
-        }
-    }
-
-    /// Sanitation counters accumulated across finished chunks.
-    pub fn stats(&self) -> SanitationStats {
-        self.stats
-    }
-
-    /// Raw MRT entries seen across finished chunks.
-    pub fn raw_entries(&self) -> u64 {
-        self.raw_entries
-    }
-
-    /// Chunks abandoned after a decode error (their tails are lost).
-    pub fn quarantined_chunks(&self) -> u64 {
-        self.quarantined_chunks
-    }
-}
-
-impl TupleSource for DaySource<'_> {
-    fn next_batch(&mut self, max: usize) -> Result<EventBatch, IngestError> {
-        loop {
-            if let Some(src) = self.current.as_mut() {
-                let batch = match src.next_batch(max) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        // Quarantine the chunk: its decoded prefix was
-                        // already delivered and its tail is lost, so
-                        // surface the error once (the caller counts it)
-                        // and resume with the next chunk on re-poll.
-                        self.quarantined_chunks += 1;
-                        self.current = None;
-                        return Err(e);
-                    }
-                };
-                if !batch.is_empty() {
-                    return Ok(batch);
-                }
-                self.stats = add_stats(self.stats, src.stats());
-                self.raw_entries += src.raw_entries();
-                self.current = None;
-            }
-            match self.chunks.get(self.next_chunk) {
-                None => return Ok(EventBatch::new()),
-                Some(bytes) => {
-                    self.current = Some(MrtSource::new(bytes));
-                    self.next_chunk += 1;
-                }
-            }
-        }
-    }
-}
-
-fn add_stats(a: SanitationStats, b: SanitationStats) -> SanitationStats {
-    SanitationStats {
-        offered: a.offered + b.offered,
-        dropped_asn: a.dropped_asn + b.dropped_asn,
-        dropped_prefix: a.dropped_prefix + b.dropped_prefix,
-        dropped_path: a.dropped_path + b.dropped_path,
-        kept: a.kept + b.kept,
     }
 }
 
@@ -744,11 +519,6 @@ mod tests {
         let streamed: Vec<StreamEvent> = src.next_batch(16).unwrap().into_iter().collect();
         assert_eq!(streamed.len(), 1);
         assert_eq!(streamed[0].tuple, batch_tuples[0]);
-
-        // The registry-filtered mode drops it, by request only.
-        let mut strict = MrtSource::with_sanitizer(&bytes, Sanitizer::permissive());
-        assert!(strict.next_batch(16).unwrap().is_empty());
-        assert_eq!(strict.stats().dropped_asn, 1);
     }
 
     #[test]
@@ -772,52 +542,37 @@ mod tests {
         assert_eq!(src.stats().kept, 1);
     }
 
-    #[test]
-    fn day_source_quarantines_bad_chunk_and_continues() {
-        let mut w = MrtWriter::new();
-        w.write_update(&update(1, &[1, 2], None, 0)).unwrap();
-        let good = w.into_bytes();
-        let mut corrupt = good.clone();
-        corrupt.truncate(corrupt.len() - 3);
+    /// A source whose first pull fails, then yields `events`.
+    struct FailsOnce {
+        failed: bool,
+        events: IterSource<std::vec::IntoIter<StreamEvent>>,
+    }
 
-        let archive = DayArchive {
-            project: "test",
-            rib_bytes: corrupt,
-            update_bytes: good.clone(),
-            update_files: vec![good],
-            rib_entries: 1,
-            update_messages: 1,
-        };
-        let mut src = DaySource::new(&archive);
-        // The corrupt RIB chunk surfaces its error exactly once...
-        assert!(src.next_batch(16).is_err());
-        assert_eq!(src.quarantined_chunks(), 1);
-        // ...then the day continues with the good update chunk instead
-        // of staying poisoned.
-        assert_eq!(src.next_batch(16).unwrap().len(), 1);
-        assert!(src.next_batch(16).unwrap().is_empty());
-        assert_eq!(src.quarantined_chunks(), 1);
+    impl TupleSource for FailsOnce {
+        fn next_batch(&mut self, max: usize) -> Result<EventBatch, IngestError> {
+            if !std::mem::replace(&mut self.failed, true) {
+                let e = bgp_mrt::MrtError::Truncated {
+                    context: "test",
+                    needed: 1,
+                };
+                return Err(e.into());
+            }
+            self.events.next_batch(max)
+        }
     }
 
     #[test]
     fn quarantined_source_skips_errors_and_malformed_events() {
-        let mut w = MrtWriter::new();
-        w.write_update(&update(1, &[1, 2], None, 0)).unwrap();
-        let good = w.into_bytes();
-        let mut corrupt = good.clone();
-        corrupt.truncate(corrupt.len() - 3);
-
-        let archive = DayArchive {
-            project: "test",
-            rib_bytes: corrupt,
-            update_bytes: good.clone(),
-            update_files: vec![good],
-            rib_entries: 1,
-            update_messages: 1,
+        let good = vec![StreamEvent::new(
+            0,
+            PathCommTuple::new(path(&[1, 2]), CommunitySet::new()),
+        )];
+        let mut inner = FailsOnce {
+            failed: false,
+            events: IterSource::new(good.into_iter()),
         };
-        let mut inner = DaySource::new(&archive);
         let mut src = QuarantinedSource::new(&mut inner, 0);
-        // The corrupt chunk is absorbed: callers only see good events.
+        // The failed pull is absorbed: callers only see good events.
         assert_eq!(src.next_batch(16).unwrap().len(), 1);
         assert!(src.next_batch(16).unwrap().is_empty());
         assert_eq!(src.quarantined(), 1);

@@ -10,9 +10,8 @@
 //!
 //! ```text
 //!            ┌──────────── ingest ─────────────┐
-//! MRT bytes ─┤ MrtSource: chunked record pull  │──┐
-//! sim feed ──┤ IterSource: any event iterator  │  │ EventBatch: one flat
-//! DayArchive┄┤ DaySource: per-bin update files │  │ buffer of records
+//! MRT bytes ─┤ MrtSource: chunked record pull  │──┐ EventBatch: one flat
+//! sim feed ──┤ IterSource: any event iterator  │  │ buffer of records
 //!            └─────────────────────────────────┘  ▼
 //!            ┌─────────────── shard ────────────────┐
 //!            │ route(tuple) = fnv(on-path ASNs) % N │  N shards, each a
@@ -72,6 +71,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod epoch;
@@ -105,7 +105,7 @@ mod testing {
 pub mod prelude {
     pub use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot};
     pub use crate::ingest::{
-        DaySource, EventBatch, IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource,
+        EventBatch, IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource,
     };
     pub use crate::outcome::StreamOutcome;
     pub use crate::pipeline::{StreamConfig, StreamPipeline};

@@ -98,7 +98,7 @@ pub struct StreamPipeline {
     /// the dense diff source for flip computation.
     prev_classes: Vec<Class>,
     /// `(asn, id)` pairs sorted by ASN, covering ids `< perm_len`;
-    /// extended by merge whenever the shared interner grew.
+    /// extended by merge whenever the shards' interner grew.
     by_asn: Arc<Vec<(Asn, AsnId)>>,
     perm_len: usize,
     events_in_epoch: u64,
@@ -167,8 +167,8 @@ impl StreamPipeline {
         self.shards.stored_tuples()
     }
 
-    /// Distinct ASNs in the workspace-shared interner (one id space for
-    /// all shards — an AS spanning shards counts once).
+    /// Distinct ASNs in the shards' interner (one id space for all
+    /// shards — an AS spanning shards counts once).
     pub fn interned_asns(&self) -> usize {
         self.shards.interned_asns()
     }
@@ -317,10 +317,10 @@ impl StreamPipeline {
         if n == self.perm_len {
             return;
         }
-        let interner = self.shards.interner();
-        let mut fresh: Vec<(Asn, AsnId)> = interner
-            .range(self.perm_len as AsnId, n as AsnId)
-            .map(|(id, asn)| (asn, id))
+        let mut fresh: Vec<(Asn, AsnId)> = self.shards.interner().asns()[self.perm_len..]
+            .iter()
+            .zip(self.perm_len as AsnId..)
+            .map(|(&asn, id)| (asn, id))
             .collect();
         fresh.sort_unstable_by_key(|&(a, _)| a);
         if self.perm_len == 0 {
@@ -411,7 +411,6 @@ impl StreamPipeline {
                 classes.push((asn, class));
             }
             let dense = DenseOutcome {
-                interner: Arc::clone(self.shards.interner()),
                 counters,
                 by_asn: Arc::clone(&self.by_asn),
                 thresholds: th,

@@ -29,13 +29,14 @@
 //!
 //! Each shard owns its partition as a [`CompiledTuples`] store (the
 //! length-bucketed columnar representation of `bgp_infer::compiled`,
-//! appended incrementally as
-//! events arrive — from the record's hops and community upper fields,
-//! all the engine reads of a tuple), and **every shard interns
-//! through one workspace-level [`SharedInterner`]**: all shards speak the
-//! same dense `u32` id space, so a counting phase hands the coordinator a
-//! [`DeltaStore`] (flat counters + touched-id bitmap) that folds into
-//! the epoch's [`DenseCounterStore`] by slice addition — the old
+//! appended incrementally as events arrive — from the record's hops and
+//! community upper fields, all the engine reads of a tuple), and **every
+//! shard interns through the shard set's one [`AsnInterner`]**, lent to
+//! the store for each push ([`CompiledTuples::push_ref_with`]) on the
+//! thread that pushes and seals. All shards speak the same dense `u32`
+//! id space, so a counting phase hands the coordinator a [`DeltaStore`]
+//! (flat counters + touched-id bitmap) that folds into the epoch's
+//! [`DenseCounterStore`] by slice addition — the old
 //! `HashMap<Asn, AsCounters>` hop between shard and coordinator is gone
 //! end to end. The coordinator maintains the phase predicate bitsets
 //! incrementally per touched AS at each merge; shards evaluate Cond1 and
@@ -115,7 +116,7 @@
 //! distinct (id, word) — 164 k nodes, 1.3 MB, for a shard of 61 k tuples
 //! (291 k hops) on the ledger's trickle feed, about what its id columns
 //! take — appended at seal time by the walk over new hops that
-//! [`CompiledTuples::prepare`] already made; a push does not touch it.
+//! [`CompiledTuples::prepare`] makes; a push does not touch it.
 //! On a *small* store the bookkeeping still loses to recounting: with
 //! most ASes a handful of occurrences old, every 256-tuple delta flips
 //! many of them and an incremental seal of a 10 k-tuple store costs 2.7×
@@ -252,10 +253,10 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(interner: Arc<SharedInterner>) -> Self {
+    fn new() -> Self {
         Shard {
             seen: TupleTable::new(),
-            compiled: CompiledTuples::with_shared(interner),
+            compiled: CompiledTuples::new(),
             delta: DeltaStore::default(),
             cache: Vec::new(),
             absorb_scratch: Vec::new(),
@@ -309,7 +310,8 @@ pub struct ShardSet {
     /// The hash pass's output, kept empty between runs so its buffer is
     /// reused (see [`recycle`]).
     routed: Vec<Routed<'static>>,
-    interner: Arc<SharedInterner>,
+    /// The one id space of every shard's compiled store.
+    interner: AsnInterner,
     incremental: bool,
     unique: usize,
     duplicates: u64,
@@ -341,13 +343,12 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// `n` empty shards (`n >= 1`) sharing one fresh interner. Repeated
-    /// identical tuples are counted once, as the paper's `TupleSet`
-    /// pipeline does. With `incremental`, epoch recounts reuse the
-    /// previous seal's step deltas where valid.
+    /// `n` empty shards (`n >= 1`) interning into one fresh id space.
+    /// Repeated identical tuples are counted once, as the paper's
+    /// `TupleSet` pipeline does. With `incremental`, epoch recounts reuse
+    /// the previous seal's step deltas where valid.
     pub fn new(n: usize, incremental: bool) -> Self {
         let n = n.max(1);
-        let interner = Arc::new(SharedInterner::new());
         let reg = obs::global();
         let phase_hist = |family: &str, help: &str| {
             [
@@ -364,9 +365,9 @@ impl ShardSet {
             "Wall time of the serial dense merge of one (column, phase) step",
         );
         ShardSet {
-            shards: (0..n).map(|_| Shard::new(Arc::clone(&interner))).collect(),
+            shards: (0..n).map(|_| Shard::new()).collect(),
             routed: Vec::new(),
-            interner,
+            interner: AsnInterner::new(),
             incremental,
             unique: 0,
             duplicates: 0,
@@ -427,8 +428,9 @@ impl ShardSet {
         self.merge_nanos
     }
 
-    /// The workspace-shared interner all shards intern through.
-    pub fn interner(&self) -> &Arc<SharedInterner> {
+    /// The interner all shards intern through: ids `0..len()` are the
+    /// id space of the counters a [`recount`](ShardSet::recount) returns.
+    pub fn interner(&self) -> &AsnInterner {
         &self.interner
     }
 
@@ -476,7 +478,7 @@ impl ShardSet {
         for &Routed { t, shard, tag } in &routed {
             let s = &mut self.shards[shard as usize];
             if s.seen.insert_tagged(tag, t) {
-                s.compiled.push_ref(t);
+                s.compiled.push_ref_with(&mut self.interner, t);
                 stored += 1;
             }
         }
@@ -589,7 +591,7 @@ impl ShardSet {
         let mut counters = DenseCounterStore::zeroed(n_ids);
         let mut preds = PhasePredicates::empty(n_ids);
         for s in &mut self.shards {
-            s.compiled.prepare();
+            s.compiled.prepare(n_ids);
             s.delta.resize(n_ids);
             if self.incremental && s.cache.len() < deepest {
                 s.cache.resize(deepest, Default::default());

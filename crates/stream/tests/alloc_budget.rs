@@ -57,7 +57,7 @@ fn driving_a_feed_allocates_by_the_batch_and_the_doubling_not_by_the_event() {
     // rest is growth by doubling — four dedup tables' arenas and indexes,
     // the compiled stores' columns, the interner — so four times the feed
     // costs 24 more batches and two more doublings of each, nowhere near
-    // four times the allocations, and an event costs none. (358 and 466:
+    // four times the allocations, and an event costs none. (367 and 475:
     // one of them the shard set's `(shard, tag)` scratch, sized once by
     // the first batch and reused; owned events cost two each, 16,384 and
     // up.)

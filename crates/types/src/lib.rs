@@ -21,6 +21,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod as_path;
@@ -40,7 +41,7 @@ pub mod prelude {
     pub use crate::asn::Asn;
     pub use crate::comm_set::CommunitySet;
     pub use crate::community::{AnyCommunity, Community, LargeCommunity};
-    pub use crate::intern::{AsnBuildHasher, AsnHasher, AsnId, AsnInterner, SharedInterner};
+    pub use crate::intern::{AsnBuildHasher, AsnHasher, AsnId, AsnInterner};
     pub use crate::prefix::Prefix;
     pub use crate::registry::{Allocation, AsnRegistry, PrefixRegistry};
     pub use crate::tuple::{

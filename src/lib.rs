@@ -45,6 +45,8 @@
 //! println!("{some_as} is {class}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bgp_collector as collector;
 pub use bgp_eval as eval;
 pub use bgp_infer as infer;

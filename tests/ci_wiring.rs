@@ -1,9 +1,55 @@
 //! CI and the tree agree: every script is run by some CI step and every
 //! script a step names exists; every crate with `#[ignore]`d tests is
-//! named by the release step that runs them.
+//! named by the release step that runs them; `unsafe` is confined to
+//! `bgp-serve`.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// The package name a crate manifest declares.
+fn package_name(crate_dir: &Path) -> String {
+    let manifest = std::fs::read_to_string(crate_dir.join("Cargo.toml")).expect("crate manifest");
+    manifest
+        .lines()
+        .find_map(|l| l.strip_prefix("name = "))
+        .expect("package name")
+        .trim_matches('"')
+        .to_string()
+}
+
+#[test]
+fn every_crate_but_serve_forbids_unsafe() {
+    // The epoll FFI and `signal(2)` are the only `unsafe` the workspace
+    // needs; every other library crate, vendored shims included, rules
+    // it out at compile time.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crates: Vec<PathBuf> = vec![root.to_path_buf()];
+    for parent in [root.join("crates"), root.join("crates/vendor")] {
+        for entry in std::fs::read_dir(parent).expect("read crates/") {
+            let dir = entry.expect("dir entry").path();
+            if dir.join("src/lib.rs").is_file() {
+                crates.push(dir);
+            }
+        }
+    }
+    assert!(crates.len() > 10, "found only {crates:?}");
+    let lacking: Vec<String> = crates
+        .iter()
+        .map(|dir| (package_name(dir), dir.join("src/lib.rs")))
+        .filter(|(name, _)| name != "bgp-serve")
+        .filter(|(_, lib)| {
+            !std::fs::read_to_string(lib)
+                .expect("read lib.rs")
+                .lines()
+                .any(|l| l.trim() == "#![forbid(unsafe_code)]")
+        })
+        .map(|(name, _)| name)
+        .collect();
+    assert!(
+        lacking.is_empty(),
+        "crates without #![forbid(unsafe_code)]: {lacking:?}"
+    );
+}
 
 #[test]
 fn ci_steps_and_scripts_dir_name_the_same_files() {
@@ -65,14 +111,7 @@ fn the_ignored_step_names_every_crate_with_ignored_tests() {
         if !(has_ignored_test(&dir.join("src")) || has_ignored_test(&dir.join("tests"))) {
             continue;
         }
-        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("crate manifest");
-        let name = manifest
-            .lines()
-            .find_map(|l| l.strip_prefix("name = "))
-            .expect("package name")
-            .trim_matches('"')
-            .to_string();
-        with_ignored.insert(name);
+        with_ignored.insert(package_name(&dir));
     }
     let with_ignored: BTreeSet<&str> = with_ignored.iter().map(String::as_str).collect();
     assert_eq!(

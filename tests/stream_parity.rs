@@ -193,7 +193,8 @@ fn snapshots_version_monotonically_and_flips_compose() {
 fn mrt_day_stream_matches_batch_ingest() {
     // Full-system parity: generate a collector day, consume it once via
     // the batch path (ingest_day -> TupleSet -> engine) and once via the
-    // streaming path (DaySource per-bin chunks -> sharded pipeline).
+    // streaming path (one MrtSource per published file, RIB snapshot then
+    // each update bin -> sharded pipeline).
     let mut cfg = TopologyConfig::small();
     cfg.transit = 25;
     cfg.edge = 80;
@@ -212,8 +213,10 @@ fn mrt_day_stream_matches_batch_ingest() {
         epoch: EpochPolicy::every_events(500),
         ..Default::default()
     });
-    let mut source = DaySource::new(&day);
-    pipe.drive(&mut source, 256).expect("stream parses");
+    for chunk in day.chunks() {
+        pipe.drive(&mut MrtSource::new(chunk), 256)
+            .expect("stream parses");
+    }
     let out = pipe.finish();
 
     assert_eq!(out.unique_tuples, set.len(), "dedup diverged from TupleSet");
@@ -237,64 +240,60 @@ fn reclassify_matches_batch_reclassify() {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// Any interleaving of interner pushes across threads yields a
-        /// consistent dense-id ↔ ASN bijection: every observed id
-        /// resolves back to the ASN that produced it, re-interning is
-        /// stable, and the id space is exactly `0..len`.
+        /// The shards of a set speak one id space, at any shard count:
+        /// its ids are what a private interner fed the new tuples' hops
+        /// in arrival order assigns (dedup hits intern nothing), every
+        /// id is some hop's, and `resolve` ∘ `get` is the identity.
         #[test]
-        fn shared_interner_concurrent_pushes_are_consistent(
-            seed in 0u64..200,
-            threads in 2usize..5,
-        ) {
-            let interner = Arc::new(SharedInterner::new());
-            // Overlapping ASN sets per thread, offset so every pair of
-            // threads races on part of its range.
-            let observed: Vec<Vec<(u32, u32)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let interner = Arc::clone(&interner);
-                        s.spawn(move || {
-                            let mut seen = Vec::new();
-                            for i in 0..400u32 {
-                                // A mix of 16-bit and 32-bit ASNs, with
-                                // cross-thread overlap.
-                                let a = 10 + ((seed as u32).wrapping_mul(31)
-                                    + i * (t as u32 + 1)) % 600;
-                                let asn = if a.is_multiple_of(13) { a + 300_000 } else { a };
-                                let id = interner.intern(Asn(asn));
-                                seen.push((asn, id));
-                            }
-                            seen
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            let n = interner.len();
-            let mut id_seen = vec![false; n];
-            for pairs in &observed {
-                for &(asn, id) in pairs {
-                    // Every observation resolves back to its ASN...
-                    prop_assert_eq!(interner.resolve(id), Asn(asn));
-                    // ...and re-interning is stable after the races.
-                    prop_assert_eq!(interner.intern(Asn(asn)), id);
-                    id_seen[id as usize] = true;
+        fn shards_share_one_dense_id_space(seed in 0u64..200, run in 1usize..300) {
+            let ds = world(seed);
+            let feed: Vec<&PathCommTuple> = ds
+                .tuples
+                .iter()
+                .chain(ds.tuples.iter().take(ds.tuples.len() / 3))
+                .collect();
+            let mut stored = TupleSet::new();
+            let mut want = AsnInterner::new();
+            for &t in &feed {
+                if stored.insert(t.clone()) {
+                    for &hop in t.path.asns() {
+                        want.intern(hop);
+                    }
                 }
             }
-            // Ids are dense: every assigned id was observed by someone.
-            prop_assert!(id_seen.iter().all(|&b| b), "gap in the dense id space");
-            // The reverse map agrees with the forward map everywhere.
-            for id in 0..n as u32 {
-                prop_assert_eq!(interner.get(interner.resolve(id)), Some(id));
+            for shards in [1usize, 2, 4, 7] {
+                let mut set = ShardSet::new(shards, true);
+                for chunk in feed.chunks(run) {
+                    let batch: EventBatch = chunk
+                        .iter()
+                        .map(|&t| StreamEvent::new(0, t.clone()))
+                        .collect();
+                    set.push_records(batch.iter().map(|(_, t)| t));
+                }
+                let got = set.interner();
+                prop_assert_eq!(got.asns(), want.asns(), "{} shards", shards);
+                let mut named = vec![false; got.len()];
+                for &t in &feed {
+                    for &hop in t.path.asns() {
+                        let id = got.get(hop);
+                        prop_assert!(id.is_some(), "{} unnamed", hop);
+                        let id = id.unwrap_or_default();
+                        prop_assert_eq!(got.resolve(id), hop);
+                        named[id as usize] = true;
+                    }
+                }
+                prop_assert!(named.iter().all(|&n| n), "an id no hop holds");
+                for (id, asn) in got.iter() {
+                    prop_assert_eq!(got.get(asn), Some(id));
+                }
             }
         }
 
-        /// The dense-id stream path — shared interner, columnar shards,
+        /// The dense-id stream path — one interner, columnar shards,
         /// incremental or full seals, any shard count and epoch slicing,
         /// a feed with repeats or without — is byte-identical to the
         /// uncompiled batch oracle over its unique tuples: classes AND
