@@ -1,12 +1,12 @@
 //! `bgp-flood` — loopback connection-flood client for the serve
-//! transport's c10k tests and `scripts/c10k_guard`.
+//! transport's c10k test.
 //!
-//! The 10k-connection proofs need the client fds in a *separate
+//! The 10k-connection proof needs the client fds in a *separate
 //! process* from the server (each side of a loopback connection costs
 //! an fd, and typical `RLIMIT_NOFILE` hard caps would be blown by
-//! holding both ends in one process). The integration tests spawn this
-//! binary via `CARGO_BIN_EXE_bgp-flood`; the guard script runs it
-//! against a release `bgp-served`.
+//! holding both ends in one process). `tests/event_loop.rs` spawns this
+//! binary via `CARGO_BIN_EXE_bgp-flood`; it works the same against a
+//! running `bgp-served`.
 //!
 //! ```text
 //! USAGE:
@@ -22,15 +22,12 @@
 //!   --hold-ms <M>      keep the flood connections open this long after the
 //!                      ramp completes (default 30000); the parent usually
 //!                      kills the process earlier
-//!   --long-poll <S,W>  open one /v1/flips?since_epoch=S&wait_ms=W long-poll
-//!                      and report how it resolved (status + clean close)
 //! ```
 //!
 //! Progress and results are emitted as one JSON object per line on
-//! stdout: `{"connected":N}` when the ramp is done,
+//! stdout: `{"connected":N}` when the ramp is done, and
 //! `{"probe_requests":N,"probe_p50_us":X,"probe_p99_us":Y}` after a
-//! probe, `{"long_poll_status":S,"clean_close":B,"body_bytes":N}` for a
-//! resolved long-poll.
+//! probe.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -43,12 +40,10 @@ struct Options {
     path: String,
     probe: usize,
     hold_ms: u64,
-    long_poll: Option<(u64, u64)>,
 }
 
 fn usage() -> &'static str {
-    "usage: bgp-flood --addr HOST:PORT [--conns N] [--path P] [--probe N]\n\
-     \x20                [--hold-ms M] [--long-poll SINCE,WAIT_MS]\n\
+    "usage: bgp-flood --addr HOST:PORT [--conns N] [--path P] [--probe N] [--hold-ms M]\n\
      Holds keep-alive connections open against a bgp-served instance."
 }
 
@@ -59,7 +54,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         path: "/healthz".to_string(),
         probe: 0,
         hold_ms: 30_000,
-        long_poll: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -79,16 +73,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--hold-ms" => {
                 opts.hold_ms = val(arg)?.parse().map_err(|e| format!("bad hold-ms: {e}"))?;
-            }
-            "--long-poll" => {
-                let raw = val(arg)?;
-                let (s, w) = raw
-                    .split_once(',')
-                    .ok_or("long-poll wants SINCE,WAIT_MS".to_string())?;
-                opts.long_poll = Some((
-                    s.parse().map_err(|e| format!("bad long-poll since: {e}"))?,
-                    w.parse().map_err(|e| format!("bad long-poll wait: {e}"))?,
-                ));
             }
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown argument {other}")),
@@ -166,28 +150,6 @@ fn read_response(stream: &mut TcpStream) -> Result<(u16, usize), String> {
 }
 
 fn run(opts: Options) -> Result<(), String> {
-    // Long-poll mode: a single connection that may sit parked for a
-    // while; resolve it and report.
-    if let Some((since, wait_ms)) = opts.long_poll {
-        let mut stream = connect(&opts.addr)?;
-        stream.set_nodelay(true).ok();
-        let path = format!("/v1/flips?since_epoch={since}&wait_ms={wait_ms}");
-        let req = format!("GET {path} HTTP/1.1\r\nHost: flood\r\nConnection: close\r\n\r\n");
-        stream
-            .write_all(req.as_bytes())
-            .map_err(|e| format!("write: {e}"))?;
-        let (status, body_bytes) = read_response(&mut stream)?;
-        // Clean close: the server FINs after a `Connection: close`
-        // response; a reset would have errored the reads above.
-        let mut tail = [0u8; 64];
-        let clean = matches!(stream.read(&mut tail), Ok(0));
-        // cli-out
-        println!(
-            "{{\"long_poll_status\":{status},\"clean_close\":{clean},\"body_bytes\":{body_bytes}}}"
-        );
-        return Ok(());
-    }
-
     let mut held: Vec<TcpStream> = Vec::with_capacity(opts.conns);
     let ramp = Instant::now();
     for i in 0..opts.conns {

@@ -376,14 +376,6 @@ fn run(opts: Options) -> Result<(), String> {
         max_connections: opts.max_conns,
         ..Default::default()
     };
-    // Same flag, new meaning since the epoll transport: an idle
-    // keep-alive connection no longer pins a worker thread, so the old
-    // socket read timeout now drives the idle-reap deadline only.
-    obs::info!(
-        "http",
-        "read-timeout {}s maps to the idle keep-alive reap deadline (event-loop transport; idle connections cost bytes, not threads)",
-        http_cfg.read_timeout.as_secs()
-    );
     let http = HttpServer::start(http_cfg, Arc::new(api))
         .map_err(|e| format!("bind {}: {e}", opts.listen))?;
     // Publish wakeups: every sealed epoch resumes parked long-poll

@@ -81,15 +81,6 @@ impl HistoryStore {
         inner.archive.epoch_metas()
     }
 
-    /// The retained epoch range `(first, last)`, `None` when the
-    /// archive is empty.
-    pub fn epoch_range(&self) -> Result<Option<(u64, u64)>> {
-        let mut inner = self.lock();
-        inner.archive.refresh()?;
-        let manifest = inner.archive.manifest();
-        Ok(manifest.first_epoch().zip(manifest.last_epoch()))
-    }
-
     /// Materialize epoch `epoch` as a full [`ServeSnapshot`], or `None`
     /// when the archive does not retain it. Cached; an epoch beyond the
     /// known range triggers a manifest refresh first.
@@ -251,7 +242,8 @@ mod tests {
         let new_last = out.snapshots.last().unwrap().epoch;
         assert!(new_last > last);
         assert!(store.snapshot_at(new_last).unwrap().is_some());
-        assert_eq!(store.epoch_range().unwrap(), Some((0, new_last)));
+        let epochs: Vec<u64> = store.epochs().unwrap().iter().map(|m| m.epoch).collect();
+        assert_eq!(epochs, (0..=new_last).collect::<Vec<u64>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

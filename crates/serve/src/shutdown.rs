@@ -7,8 +7,7 @@
 //! daemon does the actual work (stop ingest, seal the trailing epoch,
 //! flush the archive sink, join) from its ordinary control flow.
 //!
-//! On non-Unix targets installation is a no-op: the flag exists but
-//! only [`request`] (used by tests) can set it.
+//! On non-Unix targets installation is a no-op and the flag stays clear.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -42,35 +41,14 @@ pub fn install() {
     }
 }
 
-/// Whether a shutdown signal has been received (or [`request`]ed).
+/// Whether a shutdown signal has been received.
 pub fn requested() -> bool {
     SHUTDOWN.load(Ordering::Relaxed)
-}
-
-/// Set the flag programmatically — what the signal handler does, for
-/// tests and for in-process shutdown paths.
-pub fn request() {
-    SHUTDOWN.store(true, Ordering::Relaxed);
-}
-
-/// Clear the flag (tests only — a real daemon exits once it is set).
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flag_roundtrip() {
-        reset();
-        assert!(!requested());
-        request();
-        assert!(requested());
-        reset();
-        assert!(!requested());
-    }
 
     #[test]
     fn install_is_idempotent() {

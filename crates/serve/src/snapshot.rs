@@ -497,13 +497,6 @@ impl Publisher {
         self.log = restored.flip_log.clone();
     }
 
-    /// Surrender the archive sink handle (the driver calls this after
-    /// the feed drains, before unwrapping the `Arc` to flush and join
-    /// the archiving thread).
-    pub fn take_archive(&mut self) -> Option<Arc<ArchiveSink>> {
-        self.archive.take()
-    }
-
     /// The slot this publisher feeds.
     pub fn slot(&self) -> &Arc<SnapshotSlot> {
         &self.slot

@@ -15,6 +15,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod support;
+
 // ------------------------------------------------------------- helpers
 
 /// A handler that answers from the request path alone: `/big` returns a
@@ -435,6 +437,13 @@ fn ten_thousand_keepalive_connections_on_reactor_threads() {
     let (status, body) = get(&mut direct, "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
+    // The operator sees them too. The gauge is process-global and moved
+    // by deltas, so servers of other tests in this binary cannot pull it
+    // under this one's count.
+    let (status, page) = get(&mut direct, "/metrics");
+    assert_eq!(status, 200);
+    let open = support::metric(&page, "bgp_http_open_connections").expect("open-connections gauge");
+    assert!(open >= TARGET as f64, "bgp_http_open_connections {open}");
 
     flood.kill().ok();
     flood.wait().ok();

@@ -20,22 +20,13 @@ use bgp_serve::prelude::*;
 use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::StreamConfig;
 use fault::FaultPlan;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const SEED: u64 = 11;
+mod support;
+use support::tmp_dir;
 
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "bgp-soak-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+const SEED: u64 = 11;
 
 fn cfg() -> DriverConfig {
     DriverConfig {

@@ -10,85 +10,13 @@ use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
 use bgp_serve::prelude::*;
 use bgp_stream::epoch::EpochPolicy;
-use bgp_stream::ingest::StreamEvent;
 use bgp_stream::pipeline::StreamConfig;
-use bgp_types::prelude::*;
 use fault::FaultPlan;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-// ---------------------------------------------------------------- client
-
-struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        Client {
-            stream: TcpStream::connect(addr).expect("connect to server"),
-        }
-    }
-
-    fn get(&mut self, path: &str) -> (u16, String) {
-        let head = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
-        self.stream
-            .write_all(head.as_bytes())
-            .expect("write request");
-        let mut buf = Vec::new();
-        let mut byte = [0u8; 1];
-        while !buf.ends_with(b"\r\n\r\n") {
-            let n = self.stream.read(&mut byte).expect("read response head");
-            assert!(n > 0, "EOF mid-head");
-            buf.push(byte[0]);
-        }
-        let head = String::from_utf8(buf).expect("head is UTF-8");
-        let status: u16 = head[9..12].parse().expect("status code");
-        let length: usize = head
-            .lines()
-            .find_map(|l| {
-                l.to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                    .map(str::to_string)
-            })
-            .expect("Content-Length present")
-            .trim()
-            .parse()
-            .expect("numeric Content-Length");
-        let mut body = vec![0u8; length];
-        self.stream.read_exact(&mut body).expect("read body");
-        (status, String::from_utf8(body).expect("body is UTF-8"))
-    }
-}
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "bgp-health-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn events(n: u64) -> Vec<StreamEvent> {
-    (0..n)
-        .map(|i| {
-            let tag = u32::try_from(2 + i % 5).unwrap();
-            StreamEvent::new(
-                i,
-                PathCommTuple::new(
-                    path(&[tag, 9]),
-                    CommunitySet::from_iter([AnyCommunity::tag_for(Asn(tag), 100)]),
-                ),
-            )
-        })
-        .collect()
-}
+mod support;
+use support::{tag_events, tmp_dir, Client};
 
 fn serve_with_health(health: Arc<HealthState>) -> (HttpServer, Client, Arc<SnapshotSlot>) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
@@ -160,7 +88,7 @@ fn sink_drops_degrade_healthz_and_stats() {
             batch: 3,
             ..Default::default()
         },
-        Feed::Events(events(10)),
+        Feed::Events(tag_events(10)),
         Arc::clone(&slot),
         Arc::new(Metrics::new()),
         Some(sink),
@@ -219,7 +147,7 @@ fn sink_retry_recovers_to_ok() {
             batch: 3,
             ..Default::default()
         },
-        Feed::Events(events(10)),
+        Feed::Events(tag_events(10)),
         Arc::clone(&slot),
         Arc::new(Metrics::new()),
         Some(sink),
@@ -263,7 +191,7 @@ fn dead_ingest_is_unhealthy_503() {
             restart_budget: 1,
             ..Default::default()
         },
-        Feed::Events(events(10)),
+        Feed::Events(tag_events(10)),
         slot,
         Arc::new(Metrics::new()),
         None,

@@ -16,78 +16,11 @@ use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
 use bgp_types::prelude::*;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 
-// ---------------------------------------------------------------- client
-
-/// A keep-alive HTTP/1.1 client over one `TcpStream`.
-struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        Client {
-            stream: TcpStream::connect(addr).expect("connect to server"),
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str) -> (u16, Vec<(String, String)>, String) {
-        let head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n");
-        self.stream
-            .write_all(head.as_bytes())
-            .expect("write request");
-        // HEAD responses carry Content-Length but no body bytes.
-        self.read_response(method == "HEAD")
-    }
-
-    fn get(&mut self, path: &str) -> (u16, String) {
-        let (status, _, body) = self.request("GET", path);
-        (status, body)
-    }
-
-    fn read_response(&mut self, head_only: bool) -> (u16, Vec<(String, String)>, String) {
-        // Read the head.
-        let mut buf = Vec::new();
-        let mut byte = [0u8; 1];
-        while !buf.ends_with(b"\r\n\r\n") {
-            let n = self.stream.read(&mut byte).expect("read response head");
-            assert!(
-                n > 0,
-                "EOF mid-head; got {:?}",
-                String::from_utf8_lossy(&buf)
-            );
-            buf.push(byte[0]);
-        }
-        let head = String::from_utf8(buf).expect("response head is UTF-8");
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().expect("status line");
-        assert!(status_line.starts_with("HTTP/1.1 "), "{status_line}");
-        let status: u16 = status_line[9..12].parse().expect("status code");
-        let headers: Vec<(String, String)> = lines
-            .filter(|l| !l.is_empty())
-            .map(|l| {
-                let (k, v) = l.split_once(':').expect("header line");
-                (k.to_ascii_lowercase(), v.trim().to_string())
-            })
-            .collect();
-        let length: usize = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .expect("Content-Length present")
-            .1
-            .parse()
-            .expect("numeric Content-Length");
-        let mut body = vec![0u8; if head_only { 0 } else { length }];
-        self.stream.read_exact(&mut body).expect("read body");
-        (
-            status,
-            headers,
-            String::from_utf8(body).expect("body is UTF-8"),
-        )
-    }
-}
+mod support;
+use support::Client;
 
 // ----------------------------------------------------------- the world
 

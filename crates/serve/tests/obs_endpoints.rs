@@ -23,54 +23,10 @@ use bgp_stream::ingest::StreamEvent;
 use bgp_stream::pipeline::StreamConfig;
 use bgp_types::prelude::*;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// ---------------------------------------------------------------- client
-
-struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        Client {
-            stream: TcpStream::connect(addr).expect("connect to server"),
-        }
-    }
-
-    fn get(&mut self, path: &str) -> (u16, String) {
-        let head = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
-        self.stream
-            .write_all(head.as_bytes())
-            .expect("write request");
-        let mut buf = Vec::new();
-        let mut byte = [0u8; 1];
-        while !buf.ends_with(b"\r\n\r\n") {
-            let n = self.stream.read(&mut byte).expect("read response head");
-            assert!(n > 0, "EOF mid-head");
-            buf.push(byte[0]);
-        }
-        let head = String::from_utf8(buf).expect("head is UTF-8");
-        let status: u16 = head[9..12].parse().expect("status code");
-        let length: usize = head
-            .lines()
-            .find_map(|l| {
-                l.to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                    .map(str::to_string)
-            })
-            .expect("Content-Length present")
-            .trim()
-            .parse()
-            .expect("numeric Content-Length");
-        let mut body = vec![0u8; length];
-        self.stream.read_exact(&mut body).expect("read body");
-        (status, String::from_utf8(body).expect("body is UTF-8"))
-    }
-}
+mod support;
+use support::{tmp_dir, Client};
 
 // ----------------------------------------------------------- the world
 
@@ -98,25 +54,13 @@ fn world_events() -> Vec<StreamEvent> {
         .collect()
 }
 
-fn tmp_dir() -> std::path::PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "bgp-obs-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// Run the full observable stack — archived ingest to completion, then
 /// a live HTTP server — and return it, a connected client and the
 /// ingest report (which accounts for this world's own archive sink).
 fn served() -> (HttpServer, Client, IngestReport) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let metrics = Arc::new(Metrics::new());
-    let dir = tmp_dir();
+    let dir = tmp_dir("obs");
     let sink = ArchiveSink::spawn(ArchiveWriter::open(&dir).expect("open archive"));
     let report = spawn_ingest_archived(
         DriverConfig {

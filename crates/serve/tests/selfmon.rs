@@ -15,31 +15,14 @@ use bgp_archive::prelude::{ArchiveWriter, SegmentStats};
 use bgp_infer::counters::Thresholds;
 use bgp_serve::prelude::*;
 use bgp_stream::epoch::EpochPolicy;
-use bgp_stream::ingest::StreamEvent;
 use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
-use bgp_types::prelude::*;
 use obs::trace::TraceStore;
 use obs::AlertState;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One-shot HTTP/1.1 GET over a fresh loopback connection.
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let head = format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    stream.write_all(head.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let status: u16 = text[9..12].parse().expect("status code");
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
+mod support;
+use support::{tag_events, tmp_dir, Client};
 
 fn serve(api: Api) -> HttpServer {
     HttpServer::start(
@@ -51,27 +34,6 @@ fn serve(api: Api) -> HttpServer {
         Arc::new(api),
     )
     .expect("bind loopback")
-}
-
-fn tag_events(n: u64) -> Vec<StreamEvent> {
-    (0..n)
-        .map(|i| {
-            let tag = u32::try_from(2 + i % 5).unwrap();
-            StreamEvent::new(
-                i,
-                PathCommTuple::new(
-                    path(&[tag, 9]),
-                    CommunitySet::from_iter([AnyCommunity::tag_for(Asn(tag), 100)]),
-                ),
-            )
-        })
-        .collect()
-}
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("bgp-selfmon-{tag}-{}-{n}", std::process::id()))
 }
 
 /// `Metrics` is a set of handles on the registry rules are evaluated
@@ -104,7 +66,6 @@ fn a_rule_on_the_serve_response_counter_fires() {
 #[test]
 fn epoch_trace_is_identical_across_restart() {
     let dir = tmp_dir("trace");
-    let _ = std::fs::remove_dir_all(&dir);
 
     // "First boot": pipeline + publisher + archive writer all threaded
     // with one TraceStore, exactly like the daemon wires them.
@@ -133,7 +94,7 @@ fn epoch_trace_is_identical_across_restart() {
     let live_api =
         Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_traces(Arc::clone(&traces));
     let live = serve(live_api);
-    let (status, live_body) = http_get(live.local_addr(), "/v1/debug/epoch/1/trace");
+    let (status, live_body) = Client::connect(live.local_addr()).get("/v1/debug/epoch/1/trace");
     assert_eq!(status, 200, "{live_body}");
     assert!(live_body.contains("\"source\":\"live\""), "{live_body}");
     for stage in ["seal", "publish", "archive"] {
@@ -152,7 +113,8 @@ fn epoch_trace_is_identical_across_restart() {
     let history = Arc::new(HistoryStore::open(&dir, 4, 4096).unwrap());
     let restarted_api = Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_history(history);
     let restarted = serve(restarted_api);
-    let (status, archived_body) = http_get(restarted.local_addr(), "/v1/debug/epoch/1/trace");
+    let (status, archived_body) =
+        Client::connect(restarted.local_addr()).get("/v1/debug/epoch/1/trace");
     assert_eq!(status, 200, "{archived_body}");
     assert!(
         archived_body.contains("\"source\":\"archive\""),
@@ -169,7 +131,9 @@ fn epoch_trace_is_identical_across_restart() {
 
     // An epoch nobody recorded: 404, not an empty trace.
     assert_eq!(
-        http_get(restarted.local_addr(), "/v1/debug/epoch/99/trace").0,
+        Client::connect(restarted.local_addr())
+            .get("/v1/debug/epoch/99/trace")
+            .0,
         404
     );
     restarted.shutdown();
@@ -202,7 +166,7 @@ fn alert_fires_into_healthz_and_clears() {
         alerts.evaluate();
     }
     assert_eq!(alerts.firing(), vec!["bgp_selfmon_alert_total_rate"]);
-    let (status, body) = http_get(addr, "/healthz");
+    let (status, body) = Client::connect(addr).get("/healthz");
     assert_eq!(status, 200);
     assert!(
         body.contains("\"alert:bgp_selfmon_alert_total_rate\""),
@@ -216,7 +180,7 @@ fn alert_fires_into_healthz_and_clears() {
         alerts.evaluate();
     }
     assert!(alerts.firing().is_empty());
-    let (status, body) = http_get(addr, "/healthz");
+    let (status, body) = Client::connect(addr).get("/healthz");
     assert_eq!(status, 200);
     assert!(
         !body.contains("alert:bgp_selfmon_alert_total_rate"),

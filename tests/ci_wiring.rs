@@ -1,7 +1,7 @@
-//! CI and the tree agree: every script is run by some CI step and every
-//! script a step names exists; every crate with `#[ignore]`d tests is
-//! named by the release step that runs them; `unsafe` is confined to
-//! `bgp-serve`.
+//! CI and the tree agree: every crate with `#[ignore]`d tests is named by
+//! the release step that runs them; `unsafe` is confined to `bgp-serve`;
+//! the instrumented crates print diagnostics only through the `obs`
+//! logger; and `/metrics` has one renderer.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -52,30 +52,6 @@ fn every_crate_but_serve_forbids_unsafe() {
 }
 
 #[test]
-fn ci_steps_and_scripts_dir_name_the_same_files() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("read ci.yml");
-    // A script named only in a `#` comment is not run.
-    let named: BTreeSet<String> = ci
-        .lines()
-        .filter(|l| !l.trim_start().starts_with('#'))
-        .flat_map(|l| l.split("scripts/").skip(1))
-        .map(|rest| {
-            rest.split(|c: char| !(c.is_ascii_alphanumeric() || "_-.".contains(c)))
-                .next()
-                .unwrap_or_default()
-                .to_string()
-        })
-        .collect();
-    let on_disk: BTreeSet<String> = std::fs::read_dir(root.join("scripts"))
-        .expect("read scripts/")
-        .map(|e| e.expect("dir entry").file_name())
-        .map(|name| name.to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(named, on_disk, "left: run by ci.yml, right: in scripts/");
-}
-
-#[test]
 fn the_ignored_step_names_every_crate_with_ignored_tests() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("read ci.yml");
@@ -117,5 +93,110 @@ fn the_ignored_step_names_every_crate_with_ignored_tests() {
     assert_eq!(
         named, with_ignored,
         "left: -p in ci.yml, right: crates with #[ignore]"
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// The numbered lines a source lint reads: everything above the file's
+/// first `#[cfg(test)]`, since test code prints only under a failing or
+/// verbose run.
+fn non_test_lines(src: &str) -> impl Iterator<Item = (usize, &str)> {
+    src.lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        .take_while(|(_, line)| !line.contains("#[cfg(test)]"))
+}
+
+fn is_comment(line: &str) -> bool {
+    line.trim_start().starts_with("//")
+}
+
+/// Whether `line` calls `println!` or `eprintln!` (not `writeln!`, not
+/// some `foo_println!`).
+fn calls_print(line: &str) -> bool {
+    let bytes = line.as_bytes();
+    let starts_word =
+        |at: usize| at == 0 || !(bytes[at - 1].is_ascii_alphabetic() || bytes[at - 1] == b'_');
+    line.match_indices("println!")
+        .any(|(at, _)| starts_word(at) || (at > 0 && bytes[at - 1] == b'e' && starts_word(at - 1)))
+}
+
+#[test]
+fn the_instrumented_crates_print_only_through_the_logger() {
+    // Runtime diagnostics go through `obs::info!` and friends (levelled,
+    // filterable, JSON-capable). A print call is deliberate CLI output
+    // (usage text, error exits, reports, stdout exports) only where
+    // `// cli-out` marks it, on its line or on the comment line right
+    // above (rustfmt splits long calls).
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut hits = Vec::new();
+    for krate in ["serve", "stream", "archive", "obs"] {
+        for file in rust_files(&root.join("crates").join(krate).join("src")) {
+            let src = std::fs::read_to_string(&file).expect("read source");
+            let mut marked_above = false;
+            for (n, line) in non_test_lines(&src) {
+                if is_comment(line) {
+                    marked_above = line.contains("// cli-out");
+                    continue;
+                }
+                if calls_print(line) && !line.contains("// cli-out") && !marked_above {
+                    let file = file.strip_prefix(root).unwrap().display();
+                    hits.push(format!("{file}:{n}: {line}"));
+                }
+                marked_above = false;
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "bare print macros (use the obs log macros, or mark CLI output `// cli-out`):\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn only_the_registry_writes_prometheus_exposition() {
+    // `/metrics` is one `ObsRegistry::render_prometheus` call; a
+    // `# HELP` / `# TYPE` string in the code of any other crate source is
+    // a second renderer growing back.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let renderer = Path::new("crates/obs/src/registry.rs");
+    let mut hits = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let src_dir = krate.expect("dir entry").path().join("src");
+        if !src_dir.is_dir() {
+            continue;
+        }
+        for file in rust_files(&src_dir) {
+            let rel = file.strip_prefix(root).unwrap();
+            if rel == renderer {
+                continue;
+            }
+            let src = std::fs::read_to_string(&file).expect("read source");
+            for (n, line) in non_test_lines(&src) {
+                if !is_comment(line) && (line.contains("# HELP ") || line.contains("# TYPE ")) {
+                    hits.push(format!("{}:{n}: {line}", rel.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "Prometheus exposition text outside {} (register the metric on the ObsRegistry):\n{}",
+        renderer.display(),
+        hits.join("\n")
     );
 }
