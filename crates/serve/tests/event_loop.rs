@@ -355,6 +355,33 @@ fn shutdown_drains_a_parked_long_poller_with_a_clean_close() {
     assert!(clean, "parked poller closed uncleanly at shutdown");
 }
 
+#[test]
+fn shutdown_flushes_an_in_flight_response() {
+    // An 8 MiB body outgrows the socket buffers, so the response is still
+    // being written when shutdown starts and the client has not read for
+    // 300 ms; the reactor finishes it before closing.
+    const BIG: usize = 8 * 1024 * 1024;
+    let http = echo_server(|_| {}, BIG);
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream
+        .write_all(b"GET /big HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    // The first byte proves the response is queued and being written.
+    let mut got = vec![0u8; 1];
+    assert_eq!(stream.read(&mut got).unwrap(), 1);
+    let stopper = std::thread::spawn(move || http.shutdown());
+    std::thread::sleep(Duration::from_millis(300));
+    stream
+        .read_to_end(&mut got)
+        .expect("clean close after the body");
+    stopper.join().unwrap();
+    let head_end = got.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+    assert_eq!(got.len() - head_end, BIG, "body cut short at shutdown");
+}
+
 // -------------------------------------------------------------- c10k
 
 #[test]
