@@ -35,7 +35,7 @@ pub enum MetricSelector {
     P99(String),
     /// The quarantined share of the feed,
     /// `quarantined / (quarantined + ingested)`, from the serve-side
-    /// supervision counters.
+    /// `bgp_serve_quarantined_total` and `bgp_serve_events_ingested_total`.
     QuarantineRatio,
 }
 
@@ -276,7 +276,7 @@ impl AlertState {
                 MetricSelector::P99(f) => window_of(f).map(|w| w.quantile_nanos(0.99) as f64),
                 MetricSelector::QuarantineRatio => {
                     let q = counter("bgp_serve_quarantined_total").unwrap_or(0) as f64;
-                    let i = counter("bgp_serve_ingested_total").unwrap_or(0) as f64;
+                    let i = counter("bgp_serve_events_ingested_total").unwrap_or(0) as f64;
                     Some(if q == 0.0 { 0.0 } else { q / (q + i) })
                 }
             }
@@ -493,7 +493,7 @@ mod tests {
     #[test]
     fn quarantine_ratio_selector() {
         let obs = Arc::new(ObsRegistry::new());
-        let ingested = obs.counter("bgp_serve_ingested_total", "h", &[]);
+        let ingested = obs.counter("bgp_serve_events_ingested_total", "h", &[]);
         let quarantined = obs.counter("bgp_serve_quarantined_total", "h", &[]);
         let alerts = state(&obs, "quarantine_rate>0.10@1");
 

@@ -44,8 +44,9 @@
 //!       --fault-seed <N>        fault-plan RNG seed (default 7)
 //!       --restart-budget <N>    driver respawns allowed after ingest
 //!                               panics (default 2)
-//!       --quarantine-abort <N>  abort the feed after N quarantined
-//!                               records (default 0 = never)
+//!       --quarantine-abort <N>  abort the feed once more than N records
+//!                               were quarantined, counted across all of
+//!                               its files (default 0 = never)
 //!       --log-level <SPEC>      log filter: a default level and optional
 //!                               per-target overrides, e.g. `info`,
 //!                               `debug,http=warn`, `info,stream=trace`
@@ -246,15 +247,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn epoch_policy(opts: &Options) -> EpochPolicy {
-    match (opts.epoch_events, opts.epoch_secs) {
-        (Some(e), Some(s)) => EpochPolicy::either(e, s),
-        (Some(e), None) => EpochPolicy::every_events(e),
-        (None, Some(s)) => EpochPolicy::every_span(s),
-        (None, None) => EpochPolicy::default(),
-    }
-}
-
 fn run(opts: Options) -> Result<(), String> {
     let mut log_cfg =
         obs::LogConfig::parse(&opts.log_level).map_err(|e| format!("--log-level: {e}"))?;
@@ -301,7 +293,7 @@ fn run(opts: Options) -> Result<(), String> {
     let driver_cfg = DriverConfig {
         stream: StreamConfig {
             shards: opts.shards,
-            epoch: epoch_policy(&opts),
+            epoch: EpochPolicy::from_limits(opts.epoch_events, opts.epoch_secs),
             thresholds,
             // The daemon serves the latest snapshot; historical counter
             // stores would grow without bound on a long-lived feed.
@@ -316,6 +308,7 @@ fn run(opts: Options) -> Result<(), String> {
             .as_ref()
             .and_then(|p| p.feed_injector(opts.fault_seed))
             .map(Arc::new),
+        health: Arc::clone(&health),
         ..Default::default()
     };
 
@@ -398,14 +391,13 @@ fn run(opts: Options) -> Result<(), String> {
         },
         None => Feed::MrtFiles(opts.inputs.clone()),
     };
-    let ingest = bgp_serve::driver::spawn_supervised(
+    let ingest = spawn_ingest_archived(
         driver_cfg,
         feed,
         Arc::clone(&slot),
         Arc::clone(&metrics),
         sink,
         restored,
-        Some(Arc::clone(&health)),
     );
 
     // Report progress until the feed drains, polling for shutdown

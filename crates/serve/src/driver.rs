@@ -41,25 +41,28 @@
 //! [`DriverConfig::restart_budget`] times) with the pipeline rebuilt
 //! and the feed replayed from the start — the same deterministic-replay
 //! backfill the restart path uses, resuming past whatever the slot
-//! already serves so versions stay monotone. Sources are wrapped in a
-//! [`QuarantinedSource`], so malformed records are skipped and counted
-//! instead of poisoning the feed, and an optional
-//! [`fault::FeedInjector`] slots in underneath for resilience soaks.
+//! already serves so versions stay monotone. Every source is wrapped in
+//! a [`QuarantinedSource`], so malformed records are skipped instead of
+//! poisoning the feed, and an optional [`fault::FeedInjector`] slots in
+//! underneath for resilience soaks. An attempt keeps one quarantine
+//! count across all of its sources: it bounds
+//! [`DriverConfig::quarantine_abort`] feed-wide, and each pulled batch's
+//! quarantines reach [`DriverConfig::health`] and
+//! `bgp_serve_quarantined_total` at once.
 
 use crate::health::HealthState;
 use crate::metrics::Metrics;
 use crate::snapshot::{Publisher, ServeSnapshot, SnapshotSlot};
 use bgp_archive::prelude::ArchiveSink;
-use bgp_sim::feed::Churn;
 use bgp_sim::prelude::*;
 use bgp_stream::ingest::{
-    EventBatch, IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource,
+    EventBatch, IngestError, IterSource, MrtSource, QuarantinedSource, StreamEvent, TupleSource,
 };
 use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
-use bgp_topology::prelude::*;
 use fault::{FaultSource, FeedInjector};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -95,12 +98,18 @@ pub struct DriverConfig {
     /// reports itself failed (0 = die on the first panic).
     pub restart_budget: u32,
     /// Abort the feed once more than this many records were quarantined
-    /// (0 = never abort, quarantine forever).
+    /// across all of its sources (0 = never abort, quarantine forever).
     pub quarantine_abort: u64,
     /// Feed-domain fault injector for resilience soaks (shared so the
     /// fault clock survives driver respawns — a `panic@N` fires once
     /// ever, not once per attempt).
     pub fault: Option<Arc<FeedInjector>>,
+    /// Where the driver reports every supervision event (publish,
+    /// quarantine, respawn, fatal failure). A daemon that serves
+    /// `/healthz` hands the same state to
+    /// [`Api::with_health`](crate::api::Api::with_health); the default is
+    /// a fresh state nobody reads.
+    pub health: Arc<HealthState>,
 }
 
 impl Default for DriverConfig {
@@ -112,12 +121,13 @@ impl Default for DriverConfig {
             restart_budget: 2,
             quarantine_abort: 0,
             fault: None,
+            health: Arc::default(),
         }
     }
 }
 
 /// What the driver reports when its feed is exhausted.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Events ingested.
     pub total_events: u64,
@@ -166,25 +176,17 @@ impl IngestHandle {
 }
 
 /// Spawn the ingest driver: drives `feed` through a fresh pipeline,
-/// publishing every sealed epoch to `slot`. A trailing partial epoch is
-/// sealed (and published) when the feed ends, so the served snapshot
-/// always covers every ingested event once the driver finishes.
-pub fn spawn_ingest(
-    cfg: DriverConfig,
-    feed: Feed,
-    slot: Arc<SnapshotSlot>,
-    metrics: Arc<Metrics>,
-) -> IngestHandle {
-    spawn_ingest_archived(cfg, feed, slot, metrics, None, None)
-}
-
-/// [`spawn_ingest`] with durability: every newly sealed epoch is queued
-/// into `sink` (committed off this thread), and `resume` — the snapshot
-/// the restore path republished at boot — makes the deterministic-feed
-/// backfill skip epochs the archive already holds. When the feed drains
-/// (or `stop` is honored), the trailing epoch is sealed, the sink is
-/// flushed and joined, and the report carries how many epochs this run
-/// newly committed.
+/// publishing every sealed epoch to `slot` and reporting every
+/// supervision event to [`DriverConfig::health`]. A trailing partial
+/// epoch is sealed (and published) when the feed ends, so the served
+/// snapshot always covers every ingested event once the driver finishes.
+///
+/// With a `sink`, every newly sealed epoch is queued into it (committed
+/// off this thread), and `resume` — the snapshot the restore path
+/// republished at boot — makes the deterministic-feed backfill skip
+/// epochs the archive already holds. When the feed drains (or `stop` is
+/// honored), the sink is flushed and joined, and the report carries how
+/// many epochs this run newly committed.
 pub fn spawn_ingest_archived(
     cfg: DriverConfig,
     feed: Feed,
@@ -193,147 +195,163 @@ pub fn spawn_ingest_archived(
     sink: Option<ArchiveSink>,
     resume: Option<Arc<ServeSnapshot>>,
 ) -> IngestHandle {
-    spawn_supervised(cfg, feed, slot, metrics, sink, resume, None)
-}
-
-/// [`spawn_ingest_archived`] with health reporting: every supervision
-/// event (publish, quarantine, respawn, fatal failure) is mirrored into
-/// `health` so `/healthz` reflects the live pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_supervised(
-    cfg: DriverConfig,
-    feed: Feed,
-    slot: Arc<SnapshotSlot>,
-    metrics: Arc<Metrics>,
-    sink: Option<ArchiveSink>,
-    resume: Option<Arc<ServeSnapshot>>,
-    health: Option<Arc<HealthState>>,
-) -> IngestHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
+    let driver = Driver {
+        cfg,
+        feed,
+        slot,
+        metrics,
+        sink: sink.map(Arc::new),
+        stop: Arc::clone(&stop),
+    };
     let thread = std::thread::Builder::new()
         .name("bgp-serve-ingest".to_string())
-        .spawn(move || ingest_main(cfg, feed, slot, metrics, sink, resume, health, &stop_flag))
+        .spawn(move || driver.run(resume))
         .expect("spawn ingest driver");
     IngestHandle { thread, stop }
 }
 
-/// The successful feed attempt's pipeline-side numbers.
-struct AttemptStats {
-    total_events: u64,
-    epochs: usize,
-    unique_tuples: usize,
-    quarantined: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ingest_main(
+/// What every feed attempt of one driver shares.
+struct Driver {
     cfg: DriverConfig,
     feed: Feed,
     slot: Arc<SnapshotSlot>,
     metrics: Arc<Metrics>,
-    sink: Option<ArchiveSink>,
-    resume: Option<Arc<ServeSnapshot>>,
-    health: Option<Arc<HealthState>>,
-    stop: &AtomicBool,
-) -> Result<IngestReport, String> {
-    let sink = sink.map(Arc::new);
-    if let (Some(health), Some(sink)) = (&health, &sink) {
-        health.attach_sink(sink.status());
-    }
+    sink: Option<Arc<ArchiveSink>>,
+    stop: Arc<AtomicBool>,
+}
 
-    // The supervisor: run the feed under `catch_unwind`; a panicking
-    // attempt is respawned with a fresh pipeline, resuming past the
-    // snapshot the slot already serves (deterministic-replay backfill,
-    // same as the restart path). The fault injector's clock is shared
-    // across attempts, so an injected `panic@N` fires once ever.
-    let mut restarts = 0u64;
-    let mut resume = resume;
-    let stats = loop {
-        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_feed_once(
-                &cfg,
-                &feed,
-                &slot,
-                &metrics,
-                sink.as_ref(),
-                resume.clone(),
-                health.as_ref(),
-                stop,
-            )
-        }));
-        match attempt {
-            Ok(Ok(stats)) => break stats,
-            Ok(Err(e)) => {
-                if let Some(health) = &health {
-                    health.mark_ingest_failed();
-                }
-                return Err(e);
-            }
-            Err(_) => {
-                restarts += 1;
-                if let Some(health) = &health {
-                    health.note_restart();
-                }
-                if restarts > u64::from(cfg.restart_budget) {
-                    if let Some(health) = &health {
-                        health.mark_ingest_failed();
-                    }
-                    return Err(format!(
-                        "ingest driver panicked {restarts} time(s); restart budget ({}) exhausted",
-                        cfg.restart_budget
-                    ));
-                }
-                obs::error!(
-                    "serve",
-                    "ingest driver panicked; respawning ({restarts}/{} used)",
-                    cfg.restart_budget
-                );
-                if let Some(injector) = &cfg.fault {
-                    injector.reset_stream();
-                }
-                // Resume past whatever the crashed attempt already
-                // published so slot versions stay monotone.
-                if slot.version() > 0 {
-                    resume = Some(slot.load());
-                }
-            }
+impl Driver {
+    /// The supervisor: run the feed under `catch_unwind`; a panicking
+    /// attempt is respawned with a fresh pipeline, resuming past the
+    /// snapshot the slot already serves (deterministic-replay backfill,
+    /// same as the restart path). The fault injector's clock is shared
+    /// across attempts, so an injected `panic@N` fires once ever.
+    fn run(self, mut resume: Option<Arc<ServeSnapshot>>) -> Result<IngestReport, String> {
+        let health = &self.cfg.health;
+        if let Some(sink) = &self.sink {
+            health.attach_sink(sink.status());
         }
-    };
-    if let Some(health) = &health {
+        let mut restarts = 0u64;
+        let mut report = loop {
+            match std::panic::catch_unwind(AssertUnwindSafe(|| self.attempt(resume.clone()))) {
+                Ok(Ok(report)) => break report,
+                Ok(Err(e)) => {
+                    health.mark_ingest_failed();
+                    return Err(e);
+                }
+                Err(_) => {
+                    restarts += 1;
+                    health.note_restart();
+                    if restarts > u64::from(self.cfg.restart_budget) {
+                        health.mark_ingest_failed();
+                        return Err(format!(
+                            "ingest driver panicked {restarts} time(s); restart budget ({}) exhausted",
+                            self.cfg.restart_budget
+                        ));
+                    }
+                    obs::error!(
+                        "serve",
+                        "ingest driver panicked; respawning ({restarts}/{} used)",
+                        self.cfg.restart_budget
+                    );
+                    if let Some(injector) = &self.cfg.fault {
+                        injector.reset_stream();
+                    }
+                    // Resume past whatever the crashed attempt already
+                    // published so slot versions stay monotone.
+                    if self.slot.version() > 0 {
+                        resume = Some(self.slot.load());
+                    }
+                }
+            }
+        };
         health.mark_ingest_done();
-    }
+        report.restarts = restarts;
 
-    // Flush and join the archive sink before reporting: once `finish`
-    // returns, every committed epoch is durable (segment + manifest).
-    // Dropped epochs are NOT fatal to the run — each one was already
-    // logged and counted when it happened, the report carries the
-    // total, and `/healthz` stays degraded — but they do mean a restart
-    // must re-derive those epochs from the feed.
-    let (archived_epochs, archive_dropped) = match sink {
-        Some(sink) => {
+        // Flush and join the archive sink before reporting: once `finish`
+        // returns, every committed epoch is durable (segment + manifest).
+        // Dropped epochs are NOT fatal to the run — each one was already
+        // logged and counted when it happened, the report carries the
+        // total, and `/healthz` stays degraded — but they do mean a restart
+        // must re-derive those epochs from the feed.
+        if let Some(sink) = self.sink {
             let sink = Arc::try_unwrap(sink)
                 .map_err(|_| "archive sink still shared at shutdown".to_string())?;
             match sink.finish() {
-                Ok((_, report)) => (report.written, 0),
+                Ok((_, sunk)) => report.archived_epochs = sunk.written,
                 Err(err) => {
                     obs::error!("serve", "archive sink finished degraded: {err}");
-                    (err.report.written, err.report.dropped)
+                    report.archived_epochs = err.report.written;
+                    report.archive_dropped = err.report.dropped;
                 }
             }
         }
-        None => (0, 0),
-    };
+        Ok(report)
+    }
 
-    Ok(IngestReport {
-        total_events: stats.total_events,
-        epochs: stats.epochs,
-        unique_tuples: stats.unique_tuples,
-        archived_epochs,
-        archive_dropped,
-        quarantined: stats.quarantined,
-        restarts,
-    })
+    /// One feed attempt: a fresh pipeline + publisher are handed to a
+    /// dedicated **sealer worker** thread, and this (supervised) thread
+    /// becomes the **feed puller**, pushing quarantine-scrubbed event
+    /// batches over a bounded channel. Panics on either side propagate to
+    /// the supervisor in [`Driver::run`] — but only after the sealer has
+    /// been joined, so a respawned attempt can never race an old publisher
+    /// on the slot.
+    fn attempt(&self, resume: Option<Arc<ServeSnapshot>>) -> Result<IngestReport, String> {
+        let cfg = &self.cfg;
+        let pipeline = StreamPipeline::new(cfg.stream.clone());
+        let mut publisher = Publisher::new(Arc::clone(&self.slot), cfg.flip_log_cap)
+            .with_metrics(Arc::clone(&self.metrics));
+        if let Some(restored) = &resume {
+            publisher.resume_from(restored);
+        }
+        if let Some(sink) = &self.sink {
+            publisher = publisher.with_archive(Arc::clone(sink));
+        }
+        if let Some(traces) = &cfg.stream.trace {
+            publisher = publisher.with_traces(Arc::clone(traces));
+        }
+
+        let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
+        let depth = Arc::new(QueueDepth::new(obs::global().gauge(
+            "bgp_serve_seal_queue_depth",
+            "Event batches queued between the feed puller and the sealer worker",
+            &[],
+        )));
+        let sealer = {
+            let metrics = Arc::clone(&self.metrics);
+            let health = Arc::clone(&cfg.health);
+            let depth = Arc::clone(&depth);
+            std::thread::Builder::new()
+                .name("bgp-serve-sealer".to_string())
+                .spawn(move || sealer_main(pipeline, publisher, rx, &metrics, &health, &depth))
+                .expect("spawn sealer worker")
+        };
+
+        // Pull the feed under catch_unwind so the sealer is ALWAYS joined
+        // before a puller panic reaches the supervisor.
+        let mut puller = Puller {
+            cfg,
+            metrics: &self.metrics,
+            stop: &self.stop,
+            tx,
+            depth: &depth,
+            quarantined: 0,
+        };
+        let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| puller.pull(&self.feed)));
+        let quarantined = puller.quarantined;
+        drop(puller); // disconnect: the sealer drains, seals the trailing epoch, exits
+        let sealed = sealer.join();
+        depth.settle();
+        match pulled {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(Err(e)) => return Err(e),
+            Ok(Ok(())) => {}
+        }
+        let mut report = sealed.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        report.quarantined = quarantined;
+        Ok(report)
+    }
 }
 
 /// Bounded seal-queue depth, in batches. Small on purpose: it is the
@@ -372,209 +390,101 @@ impl QueueDepth {
     }
 }
 
-/// The sealer worker's share of [`AttemptStats`].
-struct SealerStats {
-    total_events: u64,
-    epochs: usize,
-    unique_tuples: usize,
+/// The feed-puller half of one attempt: the sending end of the seal
+/// queue, and the quarantine count across every source of the feed.
+struct Puller<'a> {
+    cfg: &'a DriverConfig,
+    metrics: &'a Metrics,
+    stop: &'a AtomicBool,
+    tx: SyncSender<EventBatch>,
+    depth: &'a QueueDepth,
+    /// Records quarantined so far this attempt, all sources together.
+    quarantined: u64,
 }
 
-/// One feed attempt: a fresh pipeline + publisher are handed to a
-/// dedicated **sealer worker** thread, and this (supervised) thread
-/// becomes the **feed puller**, pushing quarantine-scrubbed event
-/// batches over a bounded channel. Panics on either side propagate to
-/// the supervisor in [`ingest_main`] — but only after the sealer has
-/// been joined, so a respawned attempt can never race an old publisher
-/// on the slot.
-#[allow(clippy::too_many_arguments)]
-fn run_feed_once(
-    cfg: &DriverConfig,
-    feed: &Feed,
-    slot: &Arc<SnapshotSlot>,
-    metrics: &Arc<Metrics>,
-    sink: Option<&Arc<ArchiveSink>>,
-    resume: Option<Arc<ServeSnapshot>>,
-    health: Option<&Arc<HealthState>>,
-    stop: &AtomicBool,
-) -> Result<AttemptStats, String> {
-    let pipeline = StreamPipeline::new(cfg.stream.clone());
-    let mut publisher =
-        Publisher::new(Arc::clone(slot), cfg.flip_log_cap).with_metrics(Arc::clone(metrics));
-    if let Some(restored) = &resume {
-        publisher.resume_from(restored);
-    }
-    if let Some(sink) = sink {
-        publisher = publisher.with_archive(Arc::clone(sink));
-    }
-    if let Some(traces) = &cfg.stream.trace {
-        publisher = publisher.with_traces(Arc::clone(traces));
-    }
-
-    let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
-    let depth = Arc::new(QueueDepth::new(obs::global().gauge(
-        "bgp_serve_seal_queue_depth",
-        "Event batches queued between the feed puller and the sealer worker",
-        &[],
-    )));
-    let sealer = {
-        let metrics = Arc::clone(metrics);
-        let health = health.map(Arc::clone);
-        let depth = Arc::clone(&depth);
-        std::thread::Builder::new()
-            .name("bgp-serve-sealer".to_string())
-            .spawn(move || {
-                sealer_main(pipeline, publisher, rx, &metrics, health.as_deref(), &depth)
-            })
-            .expect("spawn sealer worker")
-    };
-
-    // Pull the feed under catch_unwind so the sealer is ALWAYS joined
-    // before a puller panic reaches the supervisor.
-    let health_ref = health.map(Arc::as_ref);
-    let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        pull_feed(cfg, feed, &tx, &depth, health_ref, stop)
-    }));
-    drop(tx); // disconnect: the sealer drains, seals the trailing epoch, exits
-    let sealed = sealer.join();
-    depth.settle();
-    let quarantined = match pulled {
-        Err(panic) => {
-            let _ = sealed;
-            std::panic::resume_unwind(panic);
-        }
-        Ok(Err(e)) => {
-            let _ = sealed;
-            return Err(e);
-        }
-        Ok(Ok(q)) => q,
-    };
-    match sealed {
-        Err(panic) => std::panic::resume_unwind(panic),
-        Ok(stats) => Ok(AttemptStats {
-            total_events: stats.total_events,
-            epochs: stats.epochs,
-            unique_tuples: stats.unique_tuples,
-            quarantined,
-        }),
-    }
-}
-
-/// Feed-puller half of an attempt: materialize each source, layer the
-/// resilience wrappers, and pump batches to the sealer. Returns the
-/// total quarantined count.
-fn pull_feed(
-    cfg: &DriverConfig,
-    feed: &Feed,
-    tx: &std::sync::mpsc::SyncSender<EventBatch>,
-    depth: &QueueDepth,
-    health: Option<&HealthState>,
-    stop: &AtomicBool,
-) -> Result<u64, String> {
-    let mut quarantined = 0u64;
-    match feed {
-        Feed::MrtFiles(files) => {
-            for file in files {
-                let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
-                let mut source = MrtSource::new(&bytes);
-                let (q, sealer_alive) = pump_guarded(cfg, tx, depth, health, &mut source, stop)
-                    .map_err(|e| format!("{file}: {e}"))?;
-                quarantined += q;
-                if !sealer_alive || stop.load(Ordering::Acquire) {
-                    break;
+impl Puller<'_> {
+    /// Materialize each source of `feed` in turn and pump it to the
+    /// sealer, until the feed ends, `stop` is raised, or the sealer dies.
+    fn pull(&mut self, feed: &Feed) -> Result<(), String> {
+        match feed {
+            Feed::MrtFiles(files) => {
+                for file in files {
+                    let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
+                    let sealer_alive = self
+                        .pump(&mut MrtSource::new(&bytes))
+                        .map_err(|e| format!("{file}: {e}"))?;
+                    if !sealer_alive || self.stop.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
             }
+            Feed::Sim {
+                scenario,
+                seed,
+                repeats,
+            } => {
+                // The churny resilience scenarios are overlays on the
+                // paper's pinned `random` world, not new entries in
+                // `Scenario::ALL`: they only ADD duplicate re-announcements,
+                // so the classification state they converge to is identical.
+                let (base, churn) = match scenario.as_str() {
+                    "flap-storm" => ("random", Churn::FlapStorm),
+                    "peer-reset" => ("random", Churn::PeerReset),
+                    other => (other, Churn::Steady),
+                };
+                let feed = UpdateFeed::simulated(base, *seed, *repeats, churn)
+                    .ok_or_else(|| format!("unknown scenario {base:?}"))?;
+                let events = feed.map(|(ts, tuple)| StreamEvent::new(ts, tuple));
+                self.pump(&mut IterSource::new(events))
+                    .map_err(|e| e.to_string())?;
+            }
+            Feed::Events(events) => {
+                self.pump(&mut IterSource::new(events.clone().into_iter()))
+                    .map_err(|e| e.to_string())?;
+            }
         }
-        Feed::Sim {
-            scenario,
-            seed,
-            repeats,
-        } => {
-            // The churny resilience scenarios are overlays on the
-            // paper's pinned `random` world, not new entries in
-            // `Scenario::ALL`: they only ADD duplicate re-announcements,
-            // so the classification state they converge to is identical.
-            let (base, churn) = match scenario.as_str() {
-                "flap-storm" => ("random", Churn::FlapStorm),
-                "peer-reset" => ("random", Churn::PeerReset),
-                other => (other, Churn::Steady),
-            };
-            let scenario = Scenario::ALL
-                .into_iter()
-                .find(|s| s.name() == base)
-                .ok_or_else(|| format!("unknown scenario {base:?}"))?;
-            let mut topo_cfg = TopologyConfig::small();
-            topo_cfg.collector_peers = 12;
-            let graph = topo_cfg.seed(*seed).build();
-            let paths = PathSubstrate::generate(&graph, 3).paths;
-            let ds = scenario.materialize(&graph, &paths, *seed);
-            let feed = UpdateFeed::churned(&ds, *seed, *repeats, churn);
-            let mut source = IterSource::new(feed.map(|(ts, tuple)| StreamEvent::new(ts, tuple)));
-            let (q, _) = pump_guarded(cfg, tx, depth, health, &mut source, stop)
-                .map_err(|e| e.to_string())?;
-            quarantined += q;
-        }
-        Feed::Events(events) => {
-            let mut source = IterSource::new(events.clone().into_iter());
-            let (q, _) = pump_guarded(cfg, tx, depth, health, &mut source, stop)
-                .map_err(|e| e.to_string())?;
-            quarantined += q;
-        }
+        Ok(())
     }
-    Ok(quarantined)
-}
 
-/// Pump one source with the resilience wrappers layered on: the
-/// optional fault injector underneath, the quarantine filter on top.
-/// Returns how many records the quarantine layer absorbed and whether
-/// the sealer was still accepting batches (false = it died; the caller
-/// discovers the panic at join time).
-fn pump_guarded(
-    cfg: &DriverConfig,
-    tx: &std::sync::mpsc::SyncSender<EventBatch>,
-    depth: &QueueDepth,
-    health: Option<&HealthState>,
-    source: &mut dyn TupleSource,
-    stop: &AtomicBool,
-) -> Result<(u64, bool), bgp_stream::ingest::IngestError> {
-    let batch = cfg.batch.max(1);
-    let (pumped, quarantined) = if let Some(injector) = &cfg.fault {
-        let mut faulty = FaultSource::new(injector, source);
-        let mut guarded = QuarantinedSource::new(&mut faulty, cfg.quarantine_abort);
-        let pumped = pump(&mut guarded, batch, tx, depth, stop);
-        (pumped, guarded.quarantined())
-    } else {
-        let mut guarded = QuarantinedSource::new(source, cfg.quarantine_abort);
-        let pumped = pump(&mut guarded, batch, tx, depth, stop);
-        (pumped, guarded.quarantined())
-    };
-    if let Some(health) = health {
-        health.note_quarantined(quarantined);
-    }
-    Ok((quarantined, pumped?))
-}
-
-/// Pull batches from `source` and send them to the sealer until the
-/// source drains, `stop` is raised, or the sealer hangs up.
-fn pump(
-    source: &mut dyn TupleSource,
-    batch: usize,
-    tx: &std::sync::mpsc::SyncSender<EventBatch>,
-    depth: &QueueDepth,
-    stop: &AtomicBool,
-) -> Result<bool, bgp_stream::ingest::IngestError> {
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(true);
-        }
-        let events = source.next_batch(batch)?;
-        if events.is_empty() {
-            return Ok(true);
-        }
-        depth.add(1);
-        if tx.send(events).is_err() {
-            // Receiver gone: the sealer panicked. Surface it via join.
-            depth.add(-1);
-            return Ok(false);
+    /// Pump one source, the optional fault injector underneath and the
+    /// quarantine filter on top, until it drains, `stop` is raised, or
+    /// the sealer hangs up. Each pull's quarantines are counted into the
+    /// attempt's running total and reported before the batch is sent.
+    /// Returns whether the sealer was still accepting batches (false = it
+    /// died; the caller discovers the panic at join time).
+    fn pump(&mut self, source: &mut dyn TupleSource) -> Result<bool, IngestError> {
+        let cfg = self.cfg;
+        let mut faulty;
+        let source: &mut dyn TupleSource = match &cfg.fault {
+            Some(injector) => {
+                faulty = FaultSource::new(injector, source);
+                &mut faulty
+            }
+            None => source,
+        };
+        let mut guarded =
+            QuarantinedSource::new(source, cfg.quarantine_abort).counted_from(self.quarantined);
+        loop {
+            if self.stop.load(Ordering::Acquire) {
+                return Ok(true);
+            }
+            let pulled = guarded.next_batch(cfg.batch.max(1));
+            let fresh = guarded.quarantined() - self.quarantined;
+            if fresh > 0 {
+                self.quarantined += fresh;
+                cfg.health.note_quarantined(fresh);
+                self.metrics.records_quarantined(fresh);
+            }
+            let events = pulled?;
+            if events.is_empty() {
+                return Ok(true);
+            }
+            self.depth.add(1);
+            if self.tx.send(events).is_err() {
+                // Receiver gone: the sealer panicked. Surface it via join.
+                self.depth.add(-1);
+                return Ok(false);
+            }
         }
     }
 }
@@ -582,15 +492,16 @@ fn pump(
 /// Sealer-worker main: owns the pipeline + publisher for one attempt.
 /// Pushes every received batch, seals/publishes when the epoch policy
 /// fires, and seals the trailing partial epoch once the feed hangs up,
-/// so the served snapshot always covers every ingested event.
+/// so the served snapshot always covers every ingested event. Reports
+/// the pipeline's share of the [`IngestReport`].
 fn sealer_main(
     mut pipeline: StreamPipeline,
     mut publisher: Publisher,
     rx: std::sync::mpsc::Receiver<EventBatch>,
     metrics: &Metrics,
-    health: Option<&HealthState>,
+    health: &HealthState,
     depth: &QueueDepth,
-) -> SealerStats {
+) -> IngestReport {
     let batch_hist = obs::global().histogram(
         "bgp_serve_ingest_batch_duration_seconds",
         "Wall time to push one ingest batch through the pipeline (including any seals)",
@@ -607,15 +518,10 @@ fn sealer_main(
         // then copy-on-writes, leaving the published snapshot intact).
         // A batch can seal several epochs.
         pipeline.push_events(&events, |pipeline| {
-            let published = publisher.sync(pipeline);
-            if let Some(health) = health {
-                health.note_publish(published as u64);
-            }
+            health.note_publish(publisher.sync(pipeline) as u64);
         });
         metrics.events_ingested(n);
-        if let Some(health) = health {
-            health.note_ingested(n);
-        }
+        health.note_ingested(n);
         let batch_nanos = t_batch.elapsed().as_nanos() as u64;
         batch_hist.record(batch_nanos);
         if let Some(traces) = &traces {
@@ -637,16 +543,14 @@ fn sealer_main(
     let sealed_events = pipeline.latest().map(|s| s.total_events);
     if sealed_events != Some(pipeline.total_events()) {
         pipeline.seal_epoch();
-        let published = publisher.sync(&pipeline);
-        if let Some(health) = health {
-            health.note_publish(published as u64);
-        }
+        health.note_publish(publisher.sync(&pipeline) as u64);
     }
 
-    SealerStats {
+    IngestReport {
         total_events: pipeline.total_events(),
         epochs: pipeline.snapshots().len(),
         unique_tuples: pipeline.stored_tuples(),
+        ..IngestReport::default()
     }
 }
 
@@ -679,9 +583,21 @@ mod tests {
         gauge.add(5);
         let depth = QueueDepth::new(Arc::clone(&gauge));
         let stop = AtomicBool::new(false);
+        let cfg = DriverConfig {
+            batch: 3,
+            ..Default::default()
+        };
         let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
+        let mut puller = Puller {
+            cfg: &cfg,
+            metrics: &Metrics::new(),
+            stop: &stop,
+            tx,
+            depth: &depth,
+            quarantined: 0,
+        };
         let mut source = IterSource::new(events(9).into_iter());
-        assert!(pump(&mut source, 3, &tx, &depth, &stop).unwrap());
+        assert!(puller.pump(&mut source).unwrap());
         assert_eq!(gauge.get(), 5 + 3);
         // The sealer takes one batch and dies with two queued.
         rx.recv().unwrap();
@@ -690,7 +606,7 @@ mod tests {
         assert_eq!(gauge.get(), 5 + 2);
         // A send that fails takes back its own count.
         let mut source = IterSource::new(events(3).into_iter());
-        assert!(!pump(&mut source, 3, &tx, &depth, &stop).unwrap());
+        assert!(!puller.pump(&mut source).unwrap());
         assert_eq!(gauge.get(), 5 + 2);
         // After the join the attempt's leftovers go, and only they.
         depth.settle();
@@ -713,11 +629,13 @@ mod tests {
             flip_log_cap: 1024,
             ..Default::default()
         };
-        let handle = spawn_ingest(
+        let handle = spawn_ingest_archived(
             cfg,
             Feed::Events(events(10)),
             Arc::clone(&slot),
             Arc::clone(&metrics),
+            None,
+            None,
         );
         let report = handle.join().expect("driver succeeds");
         assert_eq!(report.total_events, 10);
@@ -744,7 +662,7 @@ mod tests {
             seed: 7,
             repeats: 1,
         };
-        let report = spawn_ingest(cfg, feed, Arc::clone(&slot), metrics)
+        let report = spawn_ingest_archived(cfg, feed, Arc::clone(&slot), metrics, None, None)
             .join()
             .unwrap();
         assert!(report.total_events > 0);
@@ -757,11 +675,13 @@ mod tests {
     fn driver_stop_is_honored() {
         let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
         let metrics = Arc::new(Metrics::new());
-        let handle = spawn_ingest(
+        let handle = spawn_ingest_archived(
             DriverConfig::default(),
             Feed::Events(events(100_000)),
             slot,
             metrics,
+            None,
+            None,
         );
         handle.stop();
         // Must terminate promptly even with a large feed.
@@ -848,16 +768,16 @@ mod tests {
             batch: 3,
             fault: Some(Arc::clone(&injector)),
             restart_budget: 2,
+            health: Arc::clone(&health),
             ..Default::default()
         };
-        let report = spawn_supervised(
+        let report = spawn_ingest_archived(
             cfg,
             Feed::Events(events(10)),
             Arc::clone(&slot),
             Arc::new(Metrics::new()),
             None,
             None,
-            Some(Arc::clone(&health)),
         )
         .join()
         .expect("supervisor respawns past the panic");
@@ -886,16 +806,16 @@ mod tests {
         let cfg = DriverConfig {
             fault: Some(injector),
             restart_budget: 1,
+            health: Arc::clone(&health),
             ..Default::default()
         };
-        let err = spawn_supervised(
+        let err = spawn_ingest_archived(
             cfg,
             Feed::Events(events(10)),
             Arc::new(SnapshotSlot::new(Thresholds::default())),
             Arc::new(Metrics::new()),
             None,
             None,
-            Some(Arc::clone(&health)),
         )
         .join()
         .unwrap_err();
@@ -913,11 +833,13 @@ mod tests {
         feed.insert(4, fault::malformed_event());
         feed.insert(8, fault::malformed_event());
         let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-        let report = spawn_ingest(
+        let report = spawn_ingest_archived(
             DriverConfig::default(),
             Feed::Events(feed),
             Arc::clone(&slot),
             Arc::new(Metrics::new()),
+            None,
+            None,
         )
         .join()
         .unwrap();
@@ -934,11 +856,13 @@ mod tests {
                 seed: 7,
                 repeats: 0,
             };
-            let report = spawn_ingest(
+            let report = spawn_ingest_archived(
                 DriverConfig::default(),
                 feed,
                 Arc::clone(&slot),
                 Arc::new(Metrics::new()),
+                None,
+                None,
             )
             .join()
             .unwrap();
@@ -955,11 +879,13 @@ mod tests {
             seed: 1,
             repeats: 0,
         };
-        let err = spawn_ingest(
+        let err = spawn_ingest_archived(
             DriverConfig::default(),
             feed,
             slot,
             Arc::new(Metrics::new()),
+            None,
+            None,
         )
         .join()
         .unwrap_err();

@@ -19,15 +19,20 @@
 //!   restart budget was exhausted or the feed aborted. `/healthz`
 //!   answers 503 so load balancers eject the instance.
 //!
-//! Everything is atomics: the ingest driver, archive sink thread, and
-//! HTTP workers all touch the same `Arc<HealthState>` without locks.
+//! Everything is atomics: the ingest driver (which always reports into
+//! its [`DriverConfig::health`](crate::driver::DriverConfig::health)),
+//! archive sink thread, and HTTP workers all touch the same
+//! `Arc<HealthState>` without locks. The counters are this daemon's
+//! own: the state registers no `/metrics` family, since registry
+//! families are process-wide ([`Metrics`](crate::metrics::Metrics)
+//! carries the ingested and quarantined totals).
 //! Recovery is first-class — every degraded reason has a condition
 //! that clears it (a commit after drops, a publish after a restart,
 //! quarantine rate falling back under the threshold), which the soak
 //! test drives end to end.
 
 use bgp_archive::prelude::SinkStatus;
-use obs::{AlertState, Counter};
+use obs::AlertState;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -103,17 +108,11 @@ pub struct HealthState {
     ingest_failed: AtomicBool,
     sink: Mutex<Option<Arc<SinkStatus>>>,
     alerts: Mutex<Option<Arc<AlertState>>>,
-    /// Global-registry mirrors of the ingested/quarantined totals, so
-    /// `/metrics` and the `quarantine_rate` alert selector watch the
-    /// same numbers `evaluate` rates on.
-    ingested_total: Arc<Counter>,
-    quarantined_total: Arc<Counter>,
 }
 
 impl HealthState {
     /// Fresh state; the staleness grace period starts now.
     pub fn new(cfg: HealthConfig) -> HealthState {
-        let reg = obs::global();
         HealthState {
             cfg,
             created: Instant::now(),
@@ -127,16 +126,6 @@ impl HealthState {
             ingest_failed: AtomicBool::new(false),
             sink: Mutex::new(None),
             alerts: Mutex::new(None),
-            ingested_total: reg.counter(
-                "bgp_serve_ingested_total",
-                "Events delivered to the pipeline by the ingest driver",
-                &[],
-            ),
-            quarantined_total: reg.counter(
-                "bgp_serve_quarantined_total",
-                "Records/chunks quarantined by the ingest driver",
-                &[],
-            ),
         }
     }
 
@@ -171,15 +160,11 @@ impl HealthState {
     /// Record `n` events delivered to the pipeline.
     pub fn note_ingested(&self, n: u64) {
         self.ingested.fetch_add(n, Ordering::AcqRel);
-        self.ingested_total.add(n);
     }
 
     /// Record `n` quarantined records/chunks.
     pub fn note_quarantined(&self, n: u64) {
-        if n > 0 {
-            self.quarantined.fetch_add(n, Ordering::AcqRel);
-            self.quarantined_total.add(n);
-        }
+        self.quarantined.fetch_add(n, Ordering::AcqRel);
     }
 
     /// Record a supervised driver respawn after a panic.

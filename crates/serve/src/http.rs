@@ -812,6 +812,11 @@ impl Reactor {
             return;
         };
         if !sock.conn.wants_bytes(&self.cfg) {
+            // Registered for the hang-up alone (`Interest::Hangup`): a
+            // parked request is abandoned at EOF, unread bytes and all.
+            if sock.conn.is_parked() {
+                self.pump(token, Input::Eof, now);
+            }
             return;
         }
         // One read per readiness event: the epoll registration is
@@ -845,6 +850,7 @@ impl Reactor {
             };
             let want = match acts.interest {
                 Interest::Read => INTEREST_READ,
+                Interest::Hangup => sys::EPOLLRDHUP,
                 Interest::Write => match (&sock.stream).write(sock.conn.queued()) {
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => INTEREST_WRITE,
                     written => {

@@ -45,6 +45,9 @@ pub(super) enum Interest {
     Read,
     /// Room to write [`Conn::queued`].
     Write,
+    /// The peer's hang-up alone: a parked request holds a full read
+    /// buffer, so no byte is read until it is answered.
+    Hangup,
 }
 
 /// Which deadline a connection is under.
@@ -61,7 +64,8 @@ pub(super) enum DeadlineKind {
 /// What the driver applies after one transition.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) struct Actions {
-    /// Readiness to wait on next (`Write` exactly when bytes are queued).
+    /// Readiness to wait on next: `Write` exactly when bytes are queued,
+    /// else `Read` exactly when [`Conn::wants_bytes`].
     pub interest: Interest,
     /// Put a wheel hint at this instant.
     pub schedule: Option<Instant>,
@@ -230,7 +234,12 @@ impl Conn {
             match self.state {
                 // Responses are ordered: pipelined requests wait until the
                 // parked one is answered.
-                ConnState::Parked { .. } => return,
+                ConnState::Parked { .. } => {
+                    if !self.wants_bytes(limits) {
+                        acts.interest = Interest::Hangup;
+                    }
+                    return;
+                }
                 ConnState::Writing => self.state = ConnState::Idle { since: now },
                 _ => {}
             }
@@ -793,11 +802,14 @@ mod tests {
             if self.closed {
                 return;
             }
-            assert_eq!(
-                acts.interest == Interest::Write,
-                !self.conn.queued().is_empty(),
-                "{ctx}: interest"
-            );
+            let interest = if !self.conn.queued().is_empty() {
+                Interest::Write
+            } else if self.conn.wants_bytes(&limits()) {
+                Interest::Read
+            } else {
+                Interest::Hangup
+            };
+            assert_eq!(acts.interest, interest, "{ctx}: interest");
             if let Some((_, at)) = self.conn.deadline(&limits()) {
                 assert!(
                     self.hints.iter().any(|&h| h <= at),

@@ -53,7 +53,13 @@
 //!   `obs` registry that `/metrics` renders;
 //! * [`driver`] — the ingest pair: a feed-puller thread (MRT files,
 //!   simulated scenario feeds, or in-memory events) handing batches over
-//!   a bounded queue to a dedicated sealer/publisher worker;
+//!   a bounded queue to a dedicated sealer/publisher worker, started by
+//!   one function, [`driver::spawn_ingest_archived`], and always
+//!   reporting to the [`health`] state in its
+//!   [`DriverConfig`](driver::DriverConfig);
+//! * [`health`] — the degraded-mode `/healthz` state machine the driver
+//!   reports into (quarantines counted per feed as each batch is pulled,
+//!   respawns, archive sink trouble, staleness);
 //! * [`restore`] — rebuilding `ServeSnapshot`s from the durable epoch
 //!   archive (`bgp-served --archive`): instant restart without waiting
 //!   for the feed to replay;
@@ -102,8 +108,7 @@ pub mod snapshot;
 pub mod prelude {
     pub use crate::api::Api;
     pub use crate::driver::{
-        spawn_ingest, spawn_ingest_archived, spawn_supervised, DriverConfig, Feed, IngestHandle,
-        IngestReport,
+        spawn_ingest_archived, DriverConfig, Feed, IngestHandle, IngestReport,
     };
     pub use crate::health::{HealthConfig, HealthReport, HealthState, HealthStatus};
     pub use crate::history::HistoryStore;

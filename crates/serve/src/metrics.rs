@@ -107,6 +107,7 @@ pub struct Metrics {
     responses: [Arc<Counter>; RESPONSE_CLASSES.len()],
     epochs_published: Arc<Counter>,
     events_ingested: Arc<Counter>,
+    records_quarantined: Arc<Counter>,
     snapshot_version: Arc<Gauge>,
     snapshot_records: Arc<Gauge>,
     snapshot_total_events: Arc<Gauge>,
@@ -141,7 +142,6 @@ impl Metrics {
                 &[("class", class)],
             )
         });
-        let gauge = |family: &str, help: &str| obs.gauge(family, help, &[]);
         Metrics {
             requests,
             responses,
@@ -155,21 +155,30 @@ impl Metrics {
                 "Stream events pushed by the ingest driver.",
                 &[],
             ),
-            snapshot_version: gauge(
+            records_quarantined: obs.counter(
+                "bgp_serve_quarantined_total",
+                "Malformed records and chunks the ingest driver quarantined.",
+                &[],
+            ),
+            snapshot_version: obs.gauge(
                 "bgp_serve_snapshot_version",
                 "Version of the snapshot currently served.",
+                &[],
             ),
-            snapshot_records: gauge(
+            snapshot_records: obs.gauge(
                 "bgp_serve_snapshot_records",
                 "Classified AS records in the served snapshot.",
+                &[],
             ),
-            snapshot_total_events: gauge(
+            snapshot_total_events: obs.gauge(
                 "bgp_serve_snapshot_total_events",
                 "Stream events behind the served snapshot.",
+                &[],
             ),
-            snapshot_unique_tuples: gauge(
+            snapshot_unique_tuples: obs.gauge(
                 "bgp_serve_snapshot_unique_tuples",
                 "Unique tuples behind the served snapshot.",
+                &[],
             ),
             obs,
         }
@@ -201,6 +210,11 @@ impl Metrics {
     /// Count ingested events (driver batches).
     pub fn events_ingested(&self, n: u64) {
         self.events_ingested.add(n);
+    }
+
+    /// Count quarantined records/chunks (as each driver batch is pulled).
+    pub fn records_quarantined(&self, n: u64) {
+        self.records_quarantined.add(n);
     }
 
     /// Point the `bgp_serve_snapshot_*` gauges at `snapshot` (the one a

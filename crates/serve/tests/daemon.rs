@@ -9,6 +9,8 @@
 //!   health: ok`, both archives verify, equal last-epoch class tables.
 //! * An archive whose every write fails drops epochs loudly and ends
 //!   `degraded`.
+//! * A feed that quarantines past `--quarantine-abort` ends the daemon
+//!   with a non-zero exit and `final health: unhealthy`.
 //! * A rule on the archive write rate fires into `/healthz` and the
 //!   `bgp_alerts_firing` gauge while the feed archives, and clears once
 //!   it drains.
@@ -206,6 +208,26 @@ fn a_dead_archive_drops_loudly_and_degrades() {
     assert!(log.contains("archive dropped"), "{log}");
     assert!(log.contains("final health: degraded"), "{log}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_feed_past_its_quarantine_abort_exits_unhealthy() {
+    // One corrupt pull in five over ~110 pulls: about 24 quarantined,
+    // past the abort at 10.
+    let args = [
+        "--sim",
+        "random",
+        "-b",
+        "256",
+        "--fault-plan",
+        "feed:corrupt%0.2",
+        "--quarantine-abort",
+        "10",
+    ];
+    let (status, log) = Daemon::spawn(&args).wait();
+    assert!(!status.success(), "bgp-served {args:?} exited 0:\n{log}");
+    assert!(log.contains("quarantine threshold exceeded"), "{log}");
+    assert!(log.contains("final health: unhealthy"), "{log}");
 }
 
 #[test]

@@ -15,7 +15,7 @@
 
 use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
-use bgp_serve::driver::{spawn_ingest, spawn_supervised};
+use bgp_serve::driver::spawn_ingest_archived;
 use bgp_serve::prelude::*;
 use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::StreamConfig;
@@ -51,11 +51,13 @@ fn feed(scenario: &str) -> Feed {
 /// Run a scenario to completion and return its final snapshot + report.
 fn clean_run(scenario: &str) -> (Arc<ServeSnapshot>, IngestReport) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let report = spawn_ingest(
+    let report = spawn_ingest_archived(
         cfg(),
         feed(scenario),
         Arc::clone(&slot),
         Arc::new(Metrics::new()),
+        None,
+        None,
     )
     .join()
     .expect("clean run succeeds");
@@ -90,14 +92,14 @@ fn faulted_flap_storm_converges_to_the_clean_state() {
     let mut driver_cfg = cfg();
     driver_cfg.fault = Some(Arc::new(plan.feed_injector(SEED).unwrap()));
     driver_cfg.restart_budget = 2;
-    let report = spawn_supervised(
+    driver_cfg.health = Arc::clone(&health);
+    let report = spawn_ingest_archived(
         driver_cfg,
         feed("flap-storm"),
         Arc::clone(&slot),
         Arc::new(Metrics::new()),
         Some(sink),
         None,
-        Some(Arc::clone(&health)),
     )
     .join()
     .expect("faulted run survives");
@@ -183,14 +185,14 @@ fn peer_reset_survives_ingest_stall_and_archive_torn_write() {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let mut driver_cfg = cfg();
     driver_cfg.fault = Some(Arc::new(plan.feed_injector(SEED).unwrap()));
-    let report = spawn_supervised(
+    driver_cfg.health = Arc::clone(&health);
+    let report = spawn_ingest_archived(
         driver_cfg,
         feed("peer-reset"),
         Arc::clone(&slot),
         Arc::new(Metrics::new()),
         Some(sink),
         None,
-        Some(Arc::clone(&health)),
     )
     .join()
     .expect("faulted run survives");

@@ -4,7 +4,8 @@
 //! a permanently failing archive sink, a stalled feed, a dead ingest
 //! driver — and asserts the health endpoint reports it with the right
 //! JSON body, the right status code, and (where the fault clears) the
-//! transition back to `ok`.
+//! transition back to `ok`. Quarantine is counted across every source
+//! of a feed, and reaches health and `/metrics` as each batch is pulled.
 
 use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 mod support;
-use support::{tag_events, tmp_dir, Client};
+use support::{metric, tag_events, tmp_dir, Client};
 
 fn serve_with_health(health: Arc<HealthState>) -> (HttpServer, Client, Arc<SnapshotSlot>) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
@@ -78,7 +79,7 @@ fn sink_drops_degrade_healthz_and_stats() {
     }));
     let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
 
-    let report = bgp_serve::driver::spawn_supervised(
+    let report = spawn_ingest_archived(
         DriverConfig {
             stream: StreamConfig {
                 shards: 2,
@@ -86,6 +87,7 @@ fn sink_drops_degrade_healthz_and_stats() {
                 ..Default::default()
             },
             batch: 3,
+            health: Arc::clone(&health),
             ..Default::default()
         },
         Feed::Events(tag_events(10)),
@@ -93,7 +95,6 @@ fn sink_drops_degrade_healthz_and_stats() {
         Arc::new(Metrics::new()),
         Some(sink),
         None,
-        Some(Arc::clone(&health)),
     )
     .join()
     .expect("drops are not fatal to the run");
@@ -137,7 +138,7 @@ fn sink_retry_recovers_to_ok() {
     }));
     let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
 
-    let report = bgp_serve::driver::spawn_supervised(
+    let report = spawn_ingest_archived(
         DriverConfig {
             stream: StreamConfig {
                 shards: 2,
@@ -145,6 +146,7 @@ fn sink_retry_recovers_to_ok() {
                 ..Default::default()
             },
             batch: 3,
+            health: Arc::clone(&health),
             ..Default::default()
         },
         Feed::Events(tag_events(10)),
@@ -152,7 +154,6 @@ fn sink_retry_recovers_to_ok() {
         Arc::new(Metrics::new()),
         Some(sink),
         None,
-        Some(Arc::clone(&health)),
     )
     .join()
     .expect("retried run succeeds");
@@ -185,10 +186,11 @@ fn dead_ingest_is_unhealthy_503() {
         ..Default::default()
     }));
     let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
-    let err = bgp_serve::driver::spawn_supervised(
+    let err = spawn_ingest_archived(
         DriverConfig {
             fault: Some(Arc::new(plan.feed_injector(7).unwrap())),
             restart_budget: 1,
+            health: Arc::clone(&health),
             ..Default::default()
         },
         Feed::Events(tag_events(10)),
@@ -196,7 +198,6 @@ fn dead_ingest_is_unhealthy_503() {
         Arc::new(Metrics::new()),
         None,
         None,
-        Some(Arc::clone(&health)),
     )
     .join()
     .unwrap_err();
@@ -207,6 +208,84 @@ fn dead_ingest_is_unhealthy_503() {
     assert!(body.contains("\"status\":\"unhealthy\""), "{body}");
     assert!(body.contains("\"ingest_failed\""), "{body}");
     http.shutdown();
+}
+
+#[test]
+fn quarantine_abort_bounds_the_whole_feed() {
+    // Three files that each fail to decode: one quarantined chunk apiece,
+    // within a bound of 2 per file but past it across the feed.
+    let dir = tmp_dir("abort");
+    let files: Vec<String> = (0..3)
+        .map(|i| {
+            let file = dir.join(format!("{i}.mrt"));
+            std::fs::write(&file, b"not an MRT record").unwrap();
+            file.display().to_string()
+        })
+        .collect();
+    let health = Arc::new(HealthState::new(HealthConfig {
+        stale_after: Duration::from_secs(600),
+        ..Default::default()
+    }));
+    let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
+    let err = spawn_ingest_archived(
+        DriverConfig {
+            quarantine_abort: 2,
+            health: Arc::clone(&health),
+            ..Default::default()
+        },
+        Feed::MrtFiles(files),
+        slot,
+        Arc::new(Metrics::new()),
+        None,
+        None,
+    )
+    .join()
+    .unwrap_err();
+    assert!(err.contains("quarantine threshold exceeded"), "{err}");
+    assert_eq!(health.quarantined(), 3, "counted across the files");
+    assert_eq!(health.evaluate().reasons, vec!["ingest_failed"]);
+
+    let (status, body) = client.get("/healthz");
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("\"ingest_failed\""), "{body}");
+    http.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_quarantine_is_reported_before_its_source_drains() {
+    // A malformed record at the head of a 100-event source; the third
+    // pull panics and no respawn is allowed, so the source never drains.
+    let mut events = tag_events(100);
+    events.insert(0, fault::malformed_event());
+    let plan = FaultPlan::parse("feed:panic@3").unwrap();
+    let health = Arc::new(HealthState::default());
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let err = spawn_ingest_archived(
+        DriverConfig {
+            batch: 10,
+            fault: Some(Arc::new(plan.feed_injector(7).unwrap())),
+            restart_budget: 0,
+            health: Arc::clone(&health),
+            ..Default::default()
+        },
+        Feed::Events(events),
+        Arc::new(SnapshotSlot::new(Thresholds::default())),
+        Arc::new(Metrics::with_registry(Arc::clone(&obs))),
+        None,
+        None,
+    )
+    .join()
+    .unwrap_err();
+    assert!(err.contains("restart budget"), "{err}");
+    assert_eq!(health.quarantined(), 1, "reported as its batch was pulled");
+    let mut page = String::new();
+    obs.render_prometheus(&mut page);
+    assert_eq!(
+        metric(&page, "bgp_serve_quarantined_total"),
+        Some(1.0),
+        "{page}"
+    );
 }
 
 #[test]

@@ -90,7 +90,7 @@ fn oracle() -> Oracle {
 fn served() -> (HttpServer, Arc<SnapshotSlot>, Arc<Metrics>, IngestReport) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let metrics = Arc::new(Metrics::with_registry(Arc::new(obs::ObsRegistry::new())));
-    let report = spawn_ingest(
+    let report = spawn_ingest_archived(
         DriverConfig {
             stream: stream_config(),
             batch: 5,
@@ -100,6 +100,8 @@ fn served() -> (HttpServer, Arc<SnapshotSlot>, Arc<Metrics>, IngestReport) {
         Feed::Events(world_events()),
         Arc::clone(&slot),
         Arc::clone(&metrics),
+        None,
+        None,
     )
     .join()
     .expect("ingest succeeds");
@@ -480,7 +482,7 @@ fn concurrent_queries_stay_consistent_during_epoch_seals() {
         }
     }
     let total = events.len() as u64;
-    let ingest = spawn_ingest(
+    let ingest = spawn_ingest_archived(
         DriverConfig {
             stream: StreamConfig {
                 shards: 2,
@@ -494,6 +496,8 @@ fn concurrent_queries_stay_consistent_during_epoch_seals() {
         Feed::Events(events),
         Arc::clone(&slot),
         Arc::clone(&metrics),
+        None,
+        None,
     );
     let http = HttpServer::start(
         HttpConfig {

@@ -49,12 +49,11 @@ fn run(fault: Option<&str>) -> IngestReport {
         restart_budget: 2,
         ..Default::default()
     };
-    spawn_supervised(
+    spawn_ingest_archived(
         cfg,
         Feed::Events(events),
         Arc::new(SnapshotSlot::new(Thresholds::default())),
         Arc::new(Metrics::new()),
-        None,
         None,
         None,
     )

@@ -9,7 +9,8 @@
 //! deterministically per seed, so streaming runs are reproducible and
 //! comparable against the batch engine on the identical tuple set.
 
-use crate::scenario::GroundTruthDataset;
+use crate::scenario::{GroundTruthDataset, Scenario};
+use bgp_topology::prelude::*;
 use bgp_types::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,6 +52,21 @@ impl UpdateFeed {
     /// at pseudo-random offsets within the day, sorted by timestamp.
     pub fn new(ds: &GroundTruthDataset, seed: u64, extra_repeats: u32) -> Self {
         Self::from_tuples(&ds.tuples, seed, extra_repeats)
+    }
+
+    /// The simulated world behind `--sim` in both streaming front ends
+    /// (`bgp-stream-infer`, `bgp-served`): the scenario named `scenario`
+    /// ([`Scenario::name`]) materialized over the small topology with 12
+    /// collector peers, delivered as a feed with `churn` on top. `None`
+    /// when no scenario has that name.
+    pub fn simulated(scenario: &str, seed: u64, extra_repeats: u32, churn: Churn) -> Option<Self> {
+        let scenario = Scenario::ALL.into_iter().find(|s| s.name() == scenario)?;
+        let mut topology = TopologyConfig::small();
+        topology.collector_peers = 12;
+        let graph = topology.seed(seed).build();
+        let paths = PathSubstrate::generate(&graph, 3).paths;
+        let ds = scenario.materialize(&graph, &paths, seed);
+        Some(Self::churned(&ds, seed, extra_repeats, churn))
     }
 
     /// Like [`UpdateFeed::new`], with a [`Churn`] overlay on top.

@@ -29,7 +29,6 @@
 
 use bgp_sim::prelude::*;
 use bgp_stream::prelude::*;
-use bgp_topology::prelude::*;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -131,19 +130,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn scenario_by_name(name: &str) -> Option<Scenario> {
-    Scenario::ALL.into_iter().find(|s| s.name() == name)
-}
-
-fn epoch_policy(opts: &Options) -> EpochPolicy {
-    match (opts.epoch_events, opts.epoch_secs) {
-        (Some(e), Some(s)) => EpochPolicy::either(e, s),
-        (Some(e), None) => EpochPolicy::every_events(e),
-        (None, Some(s)) => EpochPolicy::every_span(s),
-        (None, None) => EpochPolicy::default(),
-    }
-}
-
 fn report_epoch(snap: &EpochSnapshot, print_flips: bool) {
     obs::info!(
         "stream",
@@ -188,7 +174,7 @@ fn run(opts: &Options) -> Result<(), String> {
     let thresholds = bgp_infer::counters::Thresholds::uniform(opts.threshold);
     let mut pipe = StreamPipeline::new(StreamConfig {
         shards: opts.shards,
-        epoch: epoch_policy(opts),
+        epoch: EpochPolicy::from_limits(opts.epoch_events, opts.epoch_secs),
         thresholds,
         // Long-running front end: epochs are reported as they seal, and
         // only the final db is exported, so historical counter stores
@@ -199,19 +185,9 @@ fn run(opts: &Options) -> Result<(), String> {
 
     let mut reported = 0usize;
     if let Some(name) = &opts.sim {
-        let scenario = scenario_by_name(name)
+        let feed = UpdateFeed::simulated(name, opts.seed, opts.repeats, Churn::Steady)
             .ok_or_else(|| format!("unknown scenario {name:?} (see --help)"))?;
-        let mut cfg = TopologyConfig::small();
-        cfg.collector_peers = 12;
-        let graph = cfg.seed(opts.seed).build();
-        let paths = PathSubstrate::generate(&graph, 3).paths;
-        let ds = scenario.materialize(&graph, &paths, opts.seed);
-        obs::info!(
-            "stream",
-            "simulated scenario {name}: {} tuples",
-            ds.tuples.len()
-        );
-        let feed = UpdateFeed::new(&ds, opts.seed, opts.repeats);
+        obs::info!("stream", "simulated scenario {name}: {} events", feed.len());
         let mut source = IterSource::new(feed.map(|(ts, tuple)| StreamEvent::new(ts, tuple)));
         drain(
             &mut pipe,

@@ -66,6 +66,18 @@ impl EpochPolicy {
         }
     }
 
+    /// The CLIs' `-e N` / `--epoch-secs S`: seal on whichever limit is
+    /// given (on the first to trip when both are), and on the default
+    /// policy when neither is.
+    pub fn from_limits(events: Option<u64>, secs: Option<u64>) -> Self {
+        match (events, secs) {
+            (Some(e), Some(s)) => EpochPolicy::either(e, s),
+            (Some(e), None) => EpochPolicy::every_events(e),
+            (None, Some(s)) => EpochPolicy::every_span(s),
+            (None, None) => EpochPolicy::default(),
+        }
+    }
+
     /// Never seal automatically (single epoch at `finish`).
     pub fn manual() -> Self {
         EpochPolicy {
@@ -221,5 +233,14 @@ mod tests {
         assert!(p.should_seal(0, 60));
         assert!(!p.should_seal(9, 59));
         assert!(!EpochPolicy::manual().should_seal(u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn policy_from_the_cli_limits() {
+        let from = EpochPolicy::from_limits;
+        assert_eq!(from(Some(10), Some(60)), EpochPolicy::either(10, 60));
+        assert_eq!(from(Some(10), None), EpochPolicy::every_events(10));
+        assert_eq!(from(None, Some(60)), EpochPolicy::every_span(60));
+        assert_eq!(from(None, None), EpochPolicy::default());
     }
 }

@@ -306,6 +306,13 @@ impl<'a> QuarantinedSource<'a> {
         }
     }
 
+    /// Continue a count that earlier sources of the same feed started:
+    /// the abort threshold then bounds the whole feed, not this source.
+    pub fn counted_from(mut self, quarantined: u64) -> Self {
+        self.quarantined = quarantined;
+        self
+    }
+
     /// Malformed records and failed chunks skipped so far.
     pub fn quarantined(&self) -> u64 {
         self.quarantined

@@ -350,20 +350,21 @@ impl ShardSet {
     pub fn new(n: usize, incremental: bool) -> Self {
         let n = n.max(1);
         let reg = obs::global();
-        let phase_hist = |family: &str, help: &str| {
-            [
-                reg.histogram(family, help, &[("phase", "tagging")]),
-                reg.histogram(family, help, &[("phase", "forwarding")]),
-            ]
-        };
-        let hist_count = phase_hist(
-            "bgp_stream_count_duration_seconds",
-            "Wall time of one shard's count of one (column, phase) step",
-        );
-        let hist_merge = phase_hist(
-            "bgp_stream_merge_duration_seconds",
-            "Wall time of the serial dense merge of one (column, phase) step",
-        );
+        let phases = ["tagging", "forwarding"];
+        let hist_count = phases.map(|phase| {
+            reg.histogram(
+                "bgp_stream_count_duration_seconds",
+                "Wall time of one shard's count of one (column, phase) step",
+                &[("phase", phase)],
+            )
+        });
+        let hist_merge = phases.map(|phase| {
+            reg.histogram(
+                "bgp_stream_merge_duration_seconds",
+                "Wall time of the serial dense merge of one (column, phase) step",
+                &[("phase", phase)],
+            )
+        });
         ShardSet {
             shards: (0..n).map(|_| Shard::new()).collect(),
             routed: Vec::new(),

@@ -53,9 +53,16 @@ fn main() {
         seed: 7,
         repeats: 2,
     };
-    let report = spawn_ingest(driver_cfg, feed, Arc::clone(&slot), Arc::clone(&metrics))
-        .join()
-        .expect("ingest runs to completion");
+    let report = spawn_ingest_archived(
+        driver_cfg,
+        feed,
+        Arc::clone(&slot),
+        Arc::clone(&metrics),
+        None,
+        None,
+    )
+    .join()
+    .expect("ingest runs to completion");
     println!(
         "ingested {} events into {} epochs ({} unique tuples)\n",
         report.total_events, report.epochs, report.unique_tuples

@@ -1,7 +1,8 @@
 //! CI and the tree agree: every crate with `#[ignore]`d tests is named by
 //! the release step that runs them; `unsafe` is confined to `bgp-serve`;
 //! the instrumented crates print diagnostics only through the `obs`
-//! logger; and `/metrics` has one renderer.
+//! logger; `/metrics` has one renderer; and the README's metric table
+//! names exactly the families the code registers.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -198,5 +199,92 @@ fn only_the_registry_writes_prometheus_exposition() {
         "Prometheus exposition text outside {} (register the metric on the ObsRegistry):\n{}",
         renderer.display(),
         hits.join("\n")
+    );
+}
+
+/// `(kind, family)` for every `.counter(` / `.gauge(` / `.histogram(`
+/// call in `src`'s non-test code. A family must be named by a string
+/// literal at the call, so the set is what the registry can hold.
+fn registered_families(src: &str, file: &str) -> BTreeSet<(String, String)> {
+    let code: String = non_test_lines(src)
+        .filter(|(_, line)| !is_comment(line))
+        .map(|(_, line)| format!("{line}\n"))
+        .collect();
+    let mut families = BTreeSet::new();
+    for kind in ["counter", "gauge", "histogram"] {
+        for (at, call) in code.match_indices(&format!(".{kind}(")) {
+            let arg = code[at + call.len()..].trim_start();
+            let name = arg
+                .strip_prefix('"')
+                .and_then(|rest| rest.split('"').next())
+                .unwrap_or_else(|| {
+                    panic!("{file}: a {kind} family named by no literal: {arg:.40}")
+                });
+            families.insert((kind.to_string(), name.to_string()));
+        }
+    }
+    families
+}
+
+/// A README family pattern: `{a,b}` groups expand, a trailing `{label}`
+/// (no comma) names the labels and is dropped.
+fn expand_family(pattern: &str) -> Vec<String> {
+    let Some(open) = pattern.find('{') else {
+        return vec![pattern.to_string()];
+    };
+    let close = open + pattern[open..].find('}').expect("closed brace");
+    let (head, group, tail) = (
+        &pattern[..open],
+        &pattern[open + 1..close],
+        &pattern[close + 1..],
+    );
+    if !group.contains(',') {
+        assert!(tail.is_empty(), "a label group ends the family: {pattern}");
+        return vec![head.to_string()];
+    }
+    group
+        .split(',')
+        .flat_map(|alt| expand_family(&format!("{head}{alt}{tail}")))
+        .collect()
+}
+
+#[test]
+fn the_readme_names_every_metric_family() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut in_code = BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let src_dir = krate.expect("dir entry").path().join("src");
+        if !src_dir.is_dir() {
+            continue;
+        }
+        for file in rust_files(&src_dir) {
+            let src = std::fs::read_to_string(&file).expect("read source");
+            let rel = file.strip_prefix(root).unwrap().display().to_string();
+            in_code.extend(registered_families(&src, &rel));
+        }
+    }
+
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("read README.md");
+    let mut in_readme = BTreeSet::new();
+    for kind in ["counter", "gauge", "histogram"] {
+        let row = readme
+            .lines()
+            .find(|l| l.starts_with(&format!("| {kind} |")))
+            .unwrap_or_else(|| panic!("README's /metrics table has no {kind} row"));
+        for (i, quoted) in row.split('`').enumerate() {
+            if i % 2 == 1 && quoted.starts_with("bgp_") {
+                for family in expand_family(quoted) {
+                    in_readme.insert((kind.to_string(), family));
+                }
+            }
+        }
+    }
+    assert!(in_code.len() > 20, "found only {in_code:?}");
+    let unlisted: Vec<_> = in_code.difference(&in_readme).collect();
+    let stale: Vec<_> = in_readme.difference(&in_code).collect();
+    assert!(
+        unlisted.is_empty() && stale.is_empty(),
+        "registered but missing from README's /metrics table: {unlisted:?}\n\
+         in the table but registered nowhere: {stale:?}"
     );
 }
