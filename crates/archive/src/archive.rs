@@ -323,17 +323,6 @@ impl Archive {
                         interner_len = Some(ep.interner_len());
                     }
                 }
-                if let Some(counters) = &ep.counters {
-                    if counters.len() != ep.interner_len() {
-                        report.problems.push(format!(
-                            "{}: epoch {} counter column {} != interner length {}",
-                            entry.file,
-                            ep.meta.epoch,
-                            counters.len(),
-                            ep.interner_len()
-                        ));
-                    }
-                }
             }
         }
         report

@@ -3,11 +3,14 @@
 //! The writer appends one segment per epoch (per run of epochs, when the
 //! sink works off a backlog), which is ideal for commit
 //! latency and terrible for a month-old archive: thousands of files,
-//! each repeating a full counter column. Compaction rewrites every
-//! segment wholly outside the retention window into a single merged
-//! segment that keeps what history queries need (epoch meta, interner
-//! deltas, class tables, ingest stats) and drops what they don't (the
-//! counter columns, and flip chunks beyond the window). The manifest
+//! each restarting its deltas from an empty base, so each repeats every
+//! non-zero counter row and every class of its first epoch. Compaction
+//! rewrites every segment wholly outside the retention window into a
+//! single merged segment that keeps what history queries need (epoch
+//! meta, interner deltas, class tables, ingest stats) and drops what they
+//! don't (the counter columns, and flip chunks beyond the window). The
+//! merged segment is one delta chain: after its first epoch, a class
+//! table costs only the rows that changed. The manifest
 //! rewrite is the commit point: a crash anywhere leaves either the old
 //! manifest (merged file is an inert orphan, never adopted because it
 //! does not chain onto the committed tail) or the new one (retired files

@@ -173,6 +173,21 @@ impl<'a> ByteReader<'a> {
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
+
+    /// Read a `u32` row count whose rows take at least `row_bytes` each,
+    /// and check that that many rows fit in what is left — so a count
+    /// sizes an allocation only as far as the payload backs it.
+    pub fn count(&mut self, row_bytes: usize) -> Result<usize> {
+        let at = self.pos;
+        let n = self.u32()? as usize;
+        if n > self.remaining() / row_bytes {
+            return Err(corrupt(format!(
+                "count {n} at offset {at} overruns the payload ({} bytes left, {row_bytes} a row)",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
 }
 
 /// Frame kind tags. A segment is `magic ++ version ++ frame*` where each
@@ -188,9 +203,11 @@ pub enum Kind {
     EpochMeta = 1,
     /// Interner delta: the ids this epoch added to the shared table.
     Interner = 2,
-    /// Dense per-id counter column.
+    /// Per-id counter column, as the rows that differ from the previous
+    /// epoch's in the same segment (see [`crate::segment`]).
     Counters = 3,
-    /// `(asn, class)` table, ascending by ASN.
+    /// `(asn, class)` table, as the rows upserted into and the ASNs
+    /// removed from the previous epoch's in the same segment.
     Classes = 4,
     /// Class flips sealed by this epoch.
     Flips = 5,
@@ -321,6 +338,17 @@ mod tests {
         let mut r = ByteReader::new(&[1, 2]);
         assert!(r.u32().is_err());
         assert_eq!(r.u8().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_count_is_bounded_by_the_payload() {
+        let mut out = Vec::new();
+        out.put_u32(2);
+        out.extend_from_slice(&[0; 12]);
+        assert_eq!(ByteReader::new(&out).count(6).unwrap(), 2);
+        assert!(ByteReader::new(&out).count(7).is_err());
+        out[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ByteReader::new(&out).count(1).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! ```text
 //! <dir>/
 //!   MANIFEST            committed segments + epoch ranges (commit point)
-//!   seg-00000000.bgpa   framed epochs: meta, interner Δ, counters,
-//!   seg-00000001.bgpa   classes, flips, ingest stats, FNV-64 trailer
+//!   seg-00000000.bgpa   framed epochs: meta, interner Δ, counters Δ,
+//!   seg-00000001.bgpa   classes Δ, flips, ingest stats, FNV-64 trailer
 //!   ...
 //! ```
 //!
@@ -18,6 +18,8 @@
 //!   `[kind][len][payload]` frame walker.
 //! * [`segment`] — epochs ⇄ frames; every decode verifies the trailer
 //!   checksum first, so truncation at any byte offset is detected.
+//!   Within a segment, counter columns and class tables are stored as
+//!   the rows that moved since the previous epoch, and decoded whole.
 //! * [`manifest`] — the `MANIFEST` text file and the temp+fsync+rename
 //!   atomic-write helper both commit paths share.
 //! * [`archive`] — opening a directory: sweeps temp files, pops torn

@@ -24,6 +24,28 @@
 //! so a long archive stores each AS once, not once per epoch. Replaying
 //! the deltas of epochs `0..=e` in order rebuilds the exact id space the
 //! epoch-`e` counter column is indexed by.
+//!
+//! The counter and class frames are **deltas within the segment**
+//! (format version 2): each holds only the rows that differ from the same
+//! frame of the epoch pushed before it into the same segment. The first
+//! epoch of a segment, or one whose predecessor has no such frame, is
+//! diffed against an empty base — an all-zero column, an empty table —
+//! so a segment's first counter frame holds its non-zero rows, and an
+//! epoch that moved nothing costs a few bytes. [`decode_segment`] folds
+//! the chain, so every decoded epoch still carries its full column and
+//! table, and every segment still decodes on its own.
+//!
+//! ```text
+//! counters := u32(len) u32(n) n × (u32(id) u64(t) u64(s) u64(f) u64(c))
+//! classes  := u32(n) n × (u32(asn) u8(tagging) u8(forwarding)) u32(m) m × u32(asn)
+//! ```
+//!
+//! A counter frame's `len` is the epoch's interner length, never below
+//! its predecessor's, and its rows ascend by id. A class frame's rows are
+//! the upserted `(asn, class)` pairs, ascending by ASN, then the ASNs
+//! removed from the previous table, ascending — exact even if an AS's
+//! counters ever return to zero. Version 1 (a full column and table in
+//! every epoch) is refused as unsupported.
 
 use crate::frame::{
     corrupt, put_frame, ByteReader, Fnv64, Frame, FrameWalker, Kind, PutBytes, Result,
@@ -37,7 +59,27 @@ use obs::trace::{EpochTrace, TraceStage};
 /// File magic: the first four bytes of every segment.
 pub const MAGIC: &[u8; 4] = b"BGPA";
 /// Format version this crate reads and writes.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+
+/// Bytes of one counter row: the id, then `t`, `s`, `f` and `c`.
+const COUNTER_ROW: usize = 4 + 4 * 8;
+/// Bytes of one upserted class row: the ASN, then the two class codes.
+const CLASS_ROW: usize = 4 + 2;
+/// Bytes of one ASN: an interner entry, a removed class row.
+const ASN_BYTES: usize = 4;
+/// Bytes of one flip: the ASN, then the codes of both classes.
+const FLIP_ROW: usize = 4 + 4;
+/// Bytes of one shard load.
+const SHARD_LOAD: usize = 8;
+/// Fewest bytes a trace stage takes: an empty name, offset, duration and
+/// an empty counter list.
+const TRACE_STAGE_MIN: usize = 4 + 8 + 8 + 4;
+/// Fewest bytes a trace counter takes: an empty name and its value.
+const TRACE_COUNTER_MIN: usize = 4 + 8;
+/// Most ids an interner may hold, far more ASes than the routing system
+/// has. A decoded counter column is this long at most, whatever a
+/// segment claims about the ids its earlier segments wrote.
+const MAX_IDS: usize = 1 << 22;
 
 /// The fixed per-epoch header fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,6 +262,12 @@ pub struct SegmentBuilder {
     buf: Vec<u8>,
     first_epoch: Option<u64>,
     last_epoch: u64,
+    /// The counter column of the epoch pushed last (empty when it had
+    /// none): what the next counter frame is a delta against.
+    counters: Vec<AsCounters>,
+    /// The class table of the epoch pushed last: what the next class
+    /// frame is a delta against.
+    classes: Vec<(Asn, Class)>,
 }
 
 impl Default for SegmentBuilder {
@@ -238,6 +286,8 @@ impl SegmentBuilder {
             buf,
             first_epoch: None,
             last_epoch: 0,
+            counters: Vec::new(),
+            classes: Vec::new(),
         }
     }
 
@@ -256,7 +306,13 @@ impl SegmentBuilder {
         self.buf.len()
     }
 
-    /// Append one epoch's frames.
+    /// Append one epoch's frames, its counter column and class table as
+    /// deltas against the epoch pushed before it.
+    ///
+    /// # Panics
+    ///
+    /// If the counter column is shorter than the previous epoch's (ids
+    /// only grow), or the class table does not strictly ascend by ASN.
     pub fn push_epoch(&mut self, ep: &EpochFrames<'_>) {
         self.first_epoch.get_or_insert(ep.meta.epoch);
         self.last_epoch = ep.meta.epoch;
@@ -285,27 +341,20 @@ impl SegmentBuilder {
         }
         put_frame(&mut self.buf, Kind::Interner, &p);
 
-        if let Some(counters) = ep.counters {
-            let mut p = Vec::with_capacity(4 + 32 * counters.len());
-            p.put_u32(u32::try_from(counters.len()).expect("counter column fits u32"));
-            for c in counters {
-                p.put_u64(c.t);
-                p.put_u64(c.s);
-                p.put_u64(c.f);
-                p.put_u64(c.c);
+        match ep.counters {
+            Some(column) => {
+                let p = counter_delta(&self.counters, column);
+                put_frame(&mut self.buf, Kind::Counters, &p);
+                self.counters.clear();
+                self.counters.extend_from_slice(column);
             }
-            put_frame(&mut self.buf, Kind::Counters, &p);
+            None => self.counters.clear(),
         }
 
-        let mut p = Vec::with_capacity(4 + 6 * ep.classes.len());
-        p.put_u32(u32::try_from(ep.classes.len()).expect("class table fits u32"));
-        for &(asn, class) in ep.classes {
-            p.put_u32(asn.0);
-            let [t, f] = class_codes(class);
-            p.put_u8(t);
-            p.put_u8(f);
-        }
+        let p = class_delta(&self.classes, ep.classes);
         put_frame(&mut self.buf, Kind::Classes, &p);
+        self.classes.clear();
+        self.classes.extend_from_slice(ep.classes);
 
         if let Some(flips) = ep.flips {
             let mut p = Vec::with_capacity(4 + 8 * flips.len());
@@ -363,6 +412,84 @@ impl SegmentBuilder {
     }
 }
 
+/// The counter frame of `column` against `base`: the column's length,
+/// then the rows that differ from `base`'s, ids past `base` differing from
+/// zero.
+fn counter_delta(base: &[AsCounters], column: &[AsCounters]) -> Vec<u8> {
+    assert!(
+        column.len() >= base.len(),
+        "a counter column of {} ids follows one of {}: ids only grow",
+        column.len(),
+        base.len()
+    );
+    let (kept, added) = column.split_at(base.len());
+    let zero = AsCounters::default();
+    let changed = kept
+        .iter()
+        .zip(base)
+        .enumerate()
+        .filter(|(_, (now, was))| now != was)
+        .map(|(id, (now, _))| (id, now))
+        .chain(
+            added
+                .iter()
+                .enumerate()
+                .filter(|(_, now)| **now != zero)
+                .map(|(i, now)| (base.len() + i, now)),
+        );
+    let mut p = Vec::with_capacity(256);
+    p.put_u32(u32::try_from(column.len()).expect("counter column fits u32"));
+    p.put_u32(0);
+    let mut rows = 0u32;
+    for (id, c) in changed {
+        p.put_u32(id as u32);
+        p.put_u64(c.t);
+        p.put_u64(c.s);
+        p.put_u64(c.f);
+        p.put_u64(c.c);
+        rows += 1;
+    }
+    p[4..8].copy_from_slice(&rows.to_le_bytes());
+    p
+}
+
+/// The class frame of `table` against `base` (both ascending by ASN): the
+/// rows that are new or changed, then the ASNs `table` no longer holds.
+fn class_delta(base: &[(Asn, Class)], table: &[(Asn, Class)]) -> Vec<u8> {
+    assert!(
+        table.windows(2).all(|w| w[0].0 < w[1].0),
+        "a class table strictly ascends by ASN"
+    );
+    let mut p = Vec::with_capacity(64);
+    p.put_u32(0);
+    let mut upserts = 0u32;
+    let mut removed: Vec<Asn> = Vec::new();
+    let mut old = base.iter().peekable();
+    for &(asn, class) in table {
+        while let Some(&(gone, _)) = old.next_if(|&&(a, _)| a < asn) {
+            removed.push(gone);
+        }
+        if old
+            .next_if(|&&(a, _)| a == asn)
+            .is_some_and(|&(_, was)| was == class)
+        {
+            continue;
+        }
+        p.put_u32(asn.0);
+        let [t, f] = class_codes(class);
+        p.put_u8(t);
+        p.put_u8(f);
+        upserts += 1;
+    }
+    removed.extend(old.map(|&(asn, _)| asn));
+    p[..4].copy_from_slice(&upserts.to_le_bytes());
+    p.put_u32(u32::try_from(removed.len()).expect("class table fits u32"));
+    for asn in removed {
+        p.put_u32(asn.0);
+    }
+    p
+}
+
 fn parse_meta(payload: &[u8]) -> Result<EpochMeta> {
     let mut r = ByteReader::new(payload);
     let meta = EpochMeta {
@@ -390,45 +517,117 @@ fn parse_meta(payload: &[u8]) -> Result<EpochMeta> {
 fn parse_interner(payload: &[u8]) -> Result<(u32, Vec<Asn>)> {
     let mut r = ByteReader::new(payload);
     let base = r.u32()?;
-    let n = r.u32()? as usize;
+    let n = r.count(ASN_BYTES)?;
+    if base as usize + n > MAX_IDS {
+        return Err(corrupt(format!(
+            "interner of {base} + {n} ids is past the {MAX_IDS} an archive holds"
+        )));
+    }
     let mut delta = Vec::with_capacity(n);
     for _ in 0..n {
         delta.push(Asn(r.u32()?));
     }
+    if !r.is_empty() {
+        return Err(corrupt("trailing bytes in interner frame"));
+    }
     Ok((base, delta))
 }
 
-fn parse_counters(payload: &[u8]) -> Result<Vec<AsCounters>> {
+/// Fold a counter frame onto `base`, the previous epoch's column (empty
+/// when it had none), into the epoch's full column of `len` ids.
+fn fold_counters(payload: &[u8], base: &[AsCounters], len: usize) -> Result<Vec<AsCounters>> {
     let mut r = ByteReader::new(payload);
-    let n = r.u32()? as usize;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        counters.push(AsCounters {
+    let claimed = r.u32()? as usize;
+    if claimed != len {
+        return Err(corrupt(format!(
+            "counter column of {claimed} ids for an interner of {len}"
+        )));
+    }
+    if len < base.len() {
+        return Err(corrupt(format!(
+            "counter column of {len} ids follows one of {}",
+            base.len()
+        )));
+    }
+    let rows = r.count(COUNTER_ROW)?;
+    let mut column = Vec::with_capacity(len);
+    column.extend_from_slice(base);
+    column.resize(len, AsCounters::default());
+    let mut next = 0;
+    for _ in 0..rows {
+        let id = r.u32()? as usize;
+        if id < next || id >= len {
+            return Err(corrupt(format!(
+                "counter row id {id} repeats, descends, or is past {len} ids"
+            )));
+        }
+        column[id] = AsCounters {
             t: r.u64()?,
             s: r.u64()?,
             f: r.u64()?,
             c: r.u64()?,
-        });
+        };
+        next = id + 1;
     }
-    Ok(counters)
+    if !r.is_empty() {
+        return Err(corrupt("trailing bytes in counter frame"));
+    }
+    Ok(column)
 }
 
-fn parse_classes(payload: &[u8]) -> Result<Vec<(Asn, Class)>> {
+/// Fold a class frame onto `base`, the previous epoch's table (empty when
+/// it had none), into the epoch's full table. Each upsert and removal
+/// must ascend, and a removal must name an ASN `base` holds and no upsert
+/// touches.
+fn fold_classes(payload: &[u8], base: &[(Asn, Class)]) -> Result<Vec<(Asn, Class)>> {
     let mut r = ByteReader::new(payload);
-    let n = r.u32()? as usize;
-    let mut classes = Vec::with_capacity(n);
+    let n = r.count(CLASS_ROW)?;
+    let mut upserts = Vec::with_capacity(n);
     for _ in 0..n {
         let asn = Asn(r.u32()?);
-        let t = r.u8()?;
-        let f = r.u8()?;
-        classes.push((asn, class_from_codes(t, f)?));
+        upserts.push((asn, class_from_codes(r.u8()?, r.u8()?)?));
     }
-    Ok(classes)
+    let m = r.count(ASN_BYTES)?;
+    let mut removed = Vec::with_capacity(m);
+    for _ in 0..m {
+        removed.push(Asn(r.u32()?));
+    }
+    if !r.is_empty() {
+        return Err(corrupt("trailing bytes in class frame"));
+    }
+    if !upserts.windows(2).all(|w| w[0].0 < w[1].0) || !removed.windows(2).all(|w| w[0] < w[1]) {
+        return Err(corrupt("class rows do not ascend by ASN"));
+    }
+    let absent = |asn: Asn| corrupt(format!("class frame removes {asn}, which it does not hold"));
+    let mut table = Vec::with_capacity(base.len() + n);
+    let mut up = upserts.into_iter().peekable();
+    let mut gone = removed.into_iter().peekable();
+    for &(asn, class) in base {
+        if let Some(missing) = gone.next_if(|&a| a < asn) {
+            return Err(absent(missing));
+        }
+        table.extend(std::iter::from_fn(|| up.next_if(|&(a, _)| a < asn)));
+        let replaced = up.next_if(|&(a, _)| a == asn);
+        if gone.next_if(|&a| a == asn).is_some() {
+            if replaced.is_some() {
+                return Err(corrupt(format!(
+                    "class frame both upserts and removes {asn}"
+                )));
+            }
+            continue;
+        }
+        table.push(replaced.unwrap_or((asn, class)));
+    }
+    table.extend(up);
+    match gone.next() {
+        Some(missing) => Err(absent(missing)),
+        None => Ok(table),
+    }
 }
 
 fn parse_flips(payload: &[u8]) -> Result<Vec<ClassFlip>> {
     let mut r = ByteReader::new(payload);
-    let n = r.u32()? as usize;
+    let n = r.count(FLIP_ROW)?;
     let mut flips = Vec::with_capacity(n);
     for _ in 0..n {
         let asn = Asn(r.u32()?);
@@ -454,13 +653,13 @@ fn read_str(r: &mut ByteReader<'_>) -> Result<String> {
 /// Parse a trace frame's stages; the epoch id comes from the meta frame.
 fn parse_trace(payload: &[u8], epoch: u64) -> Result<EpochTrace> {
     let mut r = ByteReader::new(payload);
-    let n = r.u32()? as usize;
+    let n = r.count(TRACE_STAGE_MIN)?;
     let mut stages = Vec::with_capacity(n);
     for _ in 0..n {
         let stage = read_str(&mut r)?;
         let start_offset_nanos = r.u64()?;
         let duration_nanos = r.u64()?;
-        let counter_count = r.u32()? as usize;
+        let counter_count = r.count(TRACE_COUNTER_MIN)?;
         let mut counters = Vec::with_capacity(counter_count);
         for _ in 0..counter_count {
             let k = read_str(&mut r)?;
@@ -489,7 +688,7 @@ fn parse_stats(payload: &[u8]) -> Result<SegmentStats> {
         total_steps: r.u64()?,
         shard_loads: Vec::new(),
     };
-    let n = r.u32()? as usize;
+    let n = r.count(SHARD_LOAD)?;
     stats.shard_loads.reserve(n);
     for _ in 0..n {
         stats.shard_loads.push(r.u64()?);
@@ -560,8 +759,10 @@ pub fn decode_segment(bytes: &[u8], filter: DecodeFilter) -> Result<Vec<Archived
         )));
     }
 
-    // Second pass: group frames into epochs.
+    // Second pass: group frames into epochs. The counter and class frames
+    // are deltas, folded below once every epoch's interner is known.
     let mut epochs: Vec<ArchivedEpoch> = Vec::new();
+    let mut deltas: Vec<Deltas<'_>> = Vec::new();
     for frame in frames {
         if frame.kind == Kind::EpochMeta {
             epochs.push(ArchivedEpoch {
@@ -577,9 +778,10 @@ pub fn decode_segment(bytes: &[u8], filter: DecodeFilter) -> Result<Vec<Archived
                 has_trace: false,
                 trace: None,
             });
+            deltas.push(Deltas::default());
             continue;
         }
-        let Some(epoch) = epochs.last_mut() else {
+        let (Some(epoch), Some(delta)) = (epochs.last_mut(), deltas.last_mut()) else {
             return Err(corrupt(format!(
                 "{:?} frame before any epoch meta",
                 frame.kind
@@ -593,15 +795,9 @@ pub fn decode_segment(bytes: &[u8], filter: DecodeFilter) -> Result<Vec<Archived
             }
             Kind::Counters => {
                 epoch.has_counters = true;
-                if filter.counters {
-                    epoch.counters = Some(parse_counters(frame.payload)?);
-                }
+                once(&mut delta.counters, frame)?;
             }
-            Kind::Classes => {
-                if filter.classes {
-                    epoch.classes = parse_classes(frame.payload)?;
-                }
-            }
+            Kind::Classes => once(&mut delta.classes, frame)?,
             Kind::Flips => {
                 epoch.has_flips = true;
                 if filter.flips {
@@ -618,7 +814,38 @@ pub fn decode_segment(bytes: &[u8], filter: DecodeFilter) -> Result<Vec<Archived
             Kind::EpochMeta | Kind::End => unreachable!("handled above"),
         }
     }
+
+    // Third pass: fold each delta onto the previous epoch's column and
+    // table, or onto an empty base where that epoch had no such frame.
+    for (i, delta) in deltas.iter().enumerate() {
+        let (done, rest) = epochs.split_at_mut(i);
+        let (prev, epoch) = (done.last(), &mut rest[0]);
+        if let (true, Some(payload)) = (filter.counters, delta.counters) {
+            let base = prev.and_then(|p| p.counters.as_deref()).unwrap_or_default();
+            epoch.counters = Some(fold_counters(payload, base, epoch.interner_len())?);
+        }
+        if let (true, Some(payload)) = (filter.classes, delta.classes) {
+            let base = prev.map_or(&[][..], |p| &p.classes);
+            epoch.classes = fold_classes(payload, base)?;
+        }
+    }
     Ok(epochs)
+}
+
+/// One epoch's delta frames, held until the whole segment is grouped.
+#[derive(Default)]
+struct Deltas<'a> {
+    counters: Option<&'a [u8]>,
+    classes: Option<&'a [u8]>,
+}
+
+/// Hold a frame's payload, refusing a second frame of its kind in the
+/// same epoch.
+fn once<'a>(slot: &mut Option<&'a [u8]>, frame: Frame<'a>) -> Result<()> {
+    if slot.replace(frame.payload).is_some() {
+        return Err(corrupt(format!("two {:?} frames in one epoch", frame.kind)));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -791,6 +1018,79 @@ mod tests {
             );
         }
         assert!(decode_segment(&bytes, DecodeFilter::all()).is_ok());
+    }
+
+    /// Payload sizes of the `kind` frames of a finished segment, in order.
+    fn payload_sizes(bytes: &[u8], kind: Kind) -> Vec<usize> {
+        let mut walker = FrameWalker::new(bytes, 8);
+        let mut sizes = Vec::new();
+        while let Some(frame) = walker.next_frame().unwrap() {
+            if frame.kind == kind {
+                sizes.push(frame.payload.len());
+            }
+        }
+        sizes
+    }
+
+    /// A run of `epochs` over one `ids`-long column and `ids / 4`-row
+    /// class table, each epoch after the first changing `k` counter rows
+    /// and `k` class rows; the finished segment.
+    fn moving_run(epochs: u64, ids: u32, k: u32) -> Vec<u8> {
+        let mut column: Vec<AsCounters> = (0..ids)
+            .map(|i| AsCounters {
+                t: i as u64,
+                s: 1,
+                f: 0,
+                c: 2,
+            })
+            .collect();
+        let (tf, un): (Class, Class) = ("tf".parse().unwrap(), "un".parse().unwrap());
+        let mut table: Vec<(Asn, Class)> = (0..ids / 4).map(|i| (Asn(10 * i), tf)).collect();
+        let delta: Vec<Asn> = (0..ids).map(Asn).collect();
+        let mut b = SegmentBuilder::new();
+        for e in 0..epochs {
+            for j in 0..k * (e > 0) as u32 {
+                let id = (e as u32 * 131 + j * 977) % ids;
+                column[id as usize].t += 1;
+                let row = &mut table[(id % (ids / 4)) as usize].1;
+                *row = if *row == tf { un } else { tf };
+            }
+            let (meta, _, _) = sample_epoch(e, 0);
+            b.push_epoch(&EpochFrames {
+                meta,
+                interner_base: if e == 0 { 0 } else { ids },
+                interner_delta: if e == 0 { &delta } else { &[] },
+                counters: Some(&column),
+                classes: &table,
+                flips: None,
+                stats: &SegmentStats::default(),
+                trace: None,
+            });
+        }
+        b.finish().0
+    }
+
+    #[test]
+    fn bytes_follow_what_moved() {
+        // A 16-epoch run costs its first epoch plus what each later one
+        // moved: k rows of each frame and a small constant (the meta,
+        // interner and stats frames, the two delta headers).
+        const SMALL: usize = 192;
+        let (ids, k) = (4_000, 7);
+        let first = moving_run(1, ids, k).len();
+        let run = moving_run(16, ids, k).len();
+        let per_epoch = k as usize * (COUNTER_ROW + CLASS_ROW) + SMALL;
+        assert!(
+            run <= first + 15 * per_epoch,
+            "16 epochs took {run} bytes, the first {first}"
+        );
+        // An epoch that moves nothing adds its two delta headers, whatever
+        // the column and table hold.
+        for ids in [8, 4_000] {
+            let idle = moving_run(2, ids, 0);
+            assert_eq!(payload_sizes(&idle, Kind::Counters)[1], 8, "{ids} ids");
+            assert_eq!(payload_sizes(&idle, Kind::Classes)[1], 8, "{ids} ids");
+        }
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! End-to-end archive coverage: pipeline epochs → segments on disk →
 //! recovered reads, with every crash shape the commit protocol claims to
 //! survive exercised for real (exhaustive truncation, orphan adoption,
-//! compaction).
+//! compaction), the delta chain within a segment held as a property, and
+//! hand-written hostile segments refused as corrupt.
 
+use bgp_archive::frame::{put_frame, Fnv64, Kind, PutBytes};
 use bgp_archive::prelude::*;
-use bgp_archive::segment::DecodeFilter;
+use bgp_archive::segment::{decode_segment, DecodeFilter, MAGIC, VERSION};
+use bgp_infer::classify::Class;
+use bgp_infer::compiled::DenseOutcome;
+use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_stream::prelude::*;
 use bgp_types::prelude::*;
+use proptest::TestRng;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -443,6 +449,27 @@ fn an_asn_table_that_is_not_one_to_one_is_corrupt() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn a_class_table_out_of_asn_order_is_corrupt() {
+    // Class frames are deltas merged by ASN: a table out of order could
+    // not read back as itself, so the writer refuses it and writes nothing.
+    let out = build_world(1, 16);
+    let mut snap = EpochSnapshot::clone(&out.snapshots[0]);
+    let mut classes = snap.classes.as_ref().clone();
+    assert!(classes.len() >= 2);
+    classes.swap(0, 1);
+    snap.classes = Arc::new(classes);
+    let dir = tmp_dir("class-order");
+    let mut writer = ArchiveWriter::open(&dir).unwrap();
+    let err = writer
+        .append_epoch(&snap, &SegmentStats::default())
+        .unwrap_err();
+    assert!(matches!(err, ArchiveError::Corrupt(_)), "{err}");
+    assert!(err.to_string().contains("class table"), "{err}");
+    assert!(dir_snapshot(&dir).is_empty(), "a rejected epoch left files");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A disk whose first write blocks until the test lets it through, so
 /// what queues up behind it is the test's to decide; it dies after
 /// `writes_left` writes.
@@ -624,5 +651,503 @@ fn a_run_is_retried_and_dropped_as_one() {
         (1, 7, 2)
     );
     assert_eq!(epoch_ranges(&dir), [(0, 0)]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn truncating_a_multi_epoch_delta_segment_recovers_to_the_run_before() {
+    // The tail segment is a run of five epochs, so its counter and class
+    // frames after the first are deltas: a cut anywhere in it must still
+    // pop the whole run, never fold a partial chain.
+    let dir = tmp_dir("truncate-run");
+    let out = build_world(8, 16);
+    let snaps = &out.snapshots[..8];
+    let mut writer = ArchiveWriter::open(&dir).unwrap();
+    assert_eq!(writer.append_epochs(&run_of(&snaps[..3])).unwrap(), 3);
+    assert_eq!(writer.append_epochs(&run_of(&snaps[3..])).unwrap(), 5);
+    drop(writer);
+    let pristine = dir_snapshot(&dir);
+    let tail = Manifest::load(&dir)
+        .unwrap()
+        .entries
+        .last()
+        .unwrap()
+        .clone();
+    let tail_bytes = fs::read(dir.join(&tail.file)).unwrap();
+    assert_eq!((tail.first_epoch, tail.last_epoch), (3, 7));
+
+    let stride = (tail_bytes.len() / 256).max(1);
+    let mut cuts: Vec<usize> = (0..tail_bytes.len()).step_by(stride).collect();
+    cuts.push(tail_bytes.len() - 1);
+    for cut in cuts {
+        dir_restore(&dir, &pristine);
+        fs::write(dir.join(&tail.file), &tail_bytes[..cut]).unwrap();
+        let archive = Archive::open(&dir).unwrap();
+        assert_eq!(
+            archive.manifest().last_epoch(),
+            Some(2),
+            "cut at byte {cut}"
+        );
+        let report = archive.verify();
+        assert!(report.is_ok(), "cut {cut}: {:?}", report.problems);
+
+        let mut writer = ArchiveWriter::open(&dir).unwrap();
+        assert_eq!(writer.append_epochs(&run_of(&snaps[3..])).unwrap(), 5);
+    }
+    // The re-appended run is the same bytes under the same name.
+    assert_eq!(dir_snapshot(&dir), pristine);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One generated epoch: what its counter column and class table hold.
+struct GenEpoch {
+    column: Vec<AsCounters>,
+    classes: Vec<(Asn, Class)>,
+}
+
+/// The ASNs generated class tables draw from, 16- and 32-bit.
+const CLASS_POOL: [u32; 10] = [
+    1,
+    2,
+    3,
+    100,
+    64_512,
+    65_535,
+    65_536,
+    70_000,
+    4_200_000_000,
+    u32::MAX,
+];
+
+const CLASSES: [&str; 6] = ["tf", "tc", "sf", "un", "nu", "uu"];
+
+/// A generated epoch sequence: a column that only grows, random rows
+/// changed (id 0 and the last id often, a row now and then back to zero),
+/// epochs that change nothing, class rows added, changed and removed.
+fn generate_epochs(rng: &mut TestRng) -> Vec<GenEpoch> {
+    let epochs = rng.random_range(1..24usize);
+    let mut column = vec![AsCounters::default(); rng.random_range(0..40usize)];
+    let mut classes: std::collections::BTreeMap<Asn, Class> = Default::default();
+    let mut out = Vec::with_capacity(epochs);
+    for _ in 0..epochs {
+        if rng.random_range(0..4u32) != 0 {
+            let grown = column.len() + rng.random_range(0..6usize);
+            column.resize(grown, AsCounters::default());
+            for _ in 0..rng.random_range(0..8usize) {
+                if column.is_empty() {
+                    break;
+                }
+                let id = match rng.random_range(0..4u32) {
+                    0 => 0,
+                    1 => column.len() - 1,
+                    _ => rng.random_range(0..column.len()),
+                };
+                column[id] = if rng.random_range(0..8u32) == 0 {
+                    AsCounters::default()
+                } else {
+                    AsCounters {
+                        t: column[id].t + rng.random_range(0..3u64),
+                        s: rng.random_range(0..5u64),
+                        f: rng.random_range(0..5u64),
+                        c: rng.next_u64(),
+                    }
+                };
+            }
+            for _ in 0..rng.random_range(0..6usize) {
+                let asn = Asn(CLASS_POOL[rng.random_range(0..CLASS_POOL.len())]);
+                if rng.random_range(0..3u32) == 0 {
+                    classes.remove(&asn);
+                } else {
+                    let class = CLASSES[rng.random_range(0..CLASSES.len())];
+                    classes.insert(asn, class.parse().unwrap());
+                }
+            }
+        }
+        out.push(GenEpoch {
+            column: column.clone(),
+            classes: classes.iter().map(|(&asn, &class)| (asn, class)).collect(),
+        });
+    }
+    out
+}
+
+/// A sealed epoch holding `gen`: id `i` is AS `1000 + i`.
+fn generated_snapshot(epoch: u64, gen: &GenEpoch) -> Arc<EpochSnapshot> {
+    let ids = gen.column.len() as u32;
+    Arc::new(EpochSnapshot {
+        epoch,
+        version: epoch + 1,
+        sealed_at: 10 * epoch,
+        events: 1,
+        total_events: epoch + 1,
+        unique_tuples: ids as usize,
+        dense: Some(DenseOutcome {
+            counters: Arc::new(gen.column.clone()),
+            by_asn: Arc::new((0..ids).map(|id| (Asn(1_000 + id), id)).collect()),
+            thresholds: Thresholds::default(),
+            deepest_active_index: 0,
+        }),
+        classes: Arc::new(gen.classes.clone()),
+        flips: Arc::new(Vec::new()),
+        seal_nanos: 0,
+        count_nanos: 0,
+    })
+}
+
+/// Every epoch of `dir` decodes to what was generated for it: the full
+/// column (none for the first `slim` epochs, which compaction merged),
+/// the full class table, and every pooled ASN's trajectory.
+fn check_generated(dir: &Path, gens: &[GenEpoch], slim: u64, ctx: &str) {
+    let archive = Archive::open(dir).unwrap();
+    let report = archive.verify();
+    assert!(report.is_ok(), "{ctx}: {:?}", report.problems);
+    for (e, gen) in gens.iter().enumerate() {
+        let ep = archive.load_epoch(e as u64, DecodeFilter::all()).unwrap();
+        assert_eq!(ep.interner_len(), gen.column.len(), "{ctx} epoch {e}");
+        if (e as u64) < slim {
+            assert!(!ep.has_counters && ep.counters.is_none(), "{ctx} epoch {e}");
+        } else {
+            assert_eq!(
+                ep.counters.as_deref(),
+                Some(&gen.column[..]),
+                "{ctx} epoch {e}"
+            );
+        }
+        assert_eq!(ep.classes, gen.classes, "{ctx} epoch {e}");
+    }
+    for asn in CLASS_POOL.map(Asn) {
+        let expect: Vec<(u64, Option<Class>)> = gens
+            .iter()
+            .enumerate()
+            .map(|(e, gen)| {
+                let class = gen
+                    .classes
+                    .iter()
+                    .find(|&&(a, _)| a == asn)
+                    .map(|&(_, c)| c);
+                (e as u64, class)
+            })
+            .collect();
+        assert_eq!(
+            archive.class_trajectory(asn).unwrap(),
+            expect,
+            "{ctx} {asn}"
+        );
+    }
+}
+
+/// One generated sequence, appended under random run splits, read back,
+/// compacted with a random `keep`, and read back again.
+fn check_delta_chain(case: u32) {
+    let mut rng = TestRng::for_case("delta_chain", case);
+    let gens = generate_epochs(&mut rng);
+    let snaps: Vec<Arc<EpochSnapshot>> = gens
+        .iter()
+        .enumerate()
+        .map(|(e, gen)| generated_snapshot(e as u64, gen))
+        .collect();
+    let dir = tmp_dir("delta-chain");
+    let mut writer = ArchiveWriter::open(&dir).unwrap();
+    let mut at = 0;
+    while at < snaps.len() {
+        let n = rng.random_range(1..7usize).min(snaps.len() - at);
+        assert_eq!(
+            writer.append_epochs(&run_of(&snaps[at..at + n])).unwrap(),
+            n
+        );
+        at += n;
+    }
+    drop(writer);
+    check_generated(&dir, &gens, 0, &format!("case {case}"));
+
+    let keep = rng.random_range(0..gens.len() as u64 + 2);
+    let merged = compact(&dir, keep)
+        .unwrap()
+        .map_or(0, |report| report.epochs_merged);
+    check_generated(&dir, &gens, merged, &format!("case {case} keep {keep}"));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn delta_chains_fold_back_to_every_epoch() {
+    for case in 0..48 {
+        check_delta_chain(case);
+    }
+}
+
+#[test]
+#[ignore = "long: run with --release -- --ignored"]
+fn delta_chains_fold_back_to_every_epoch_at_length() {
+    for case in 0..1_000 {
+        check_delta_chain(case);
+    }
+}
+
+/// Hand-written frames: kind and payload.
+type Frames = Vec<(Kind, Vec<u8>)>;
+
+/// A segment of `frames` under `version`, with a correct checksum trailer,
+/// so only its content can be refused.
+fn sealed(version: u32, frames: &[(Kind, Vec<u8>)]) -> Vec<u8> {
+    let mut seg = MAGIC.to_vec();
+    seg.put_u32(version);
+    for (kind, payload) in frames {
+        put_frame(&mut seg, *kind, payload);
+    }
+    let digest = Fnv64::of(&seg);
+    put_frame(&mut seg, Kind::End, &digest.to_le_bytes());
+    seg
+}
+
+fn meta_frame(epoch: u64) -> (Kind, Vec<u8>) {
+    let mut p = Vec::new();
+    p.put_u64(epoch);
+    for _ in 0..11 {
+        p.put_u64(0);
+    }
+    (Kind::EpochMeta, p)
+}
+
+fn interner_frame(base: u32, ids: u32) -> (Kind, Vec<u8>) {
+    let mut p = Vec::new();
+    p.put_u32(base);
+    p.put_u32(ids);
+    for i in 0..ids {
+        p.put_u32(1_000 + base + i);
+    }
+    (Kind::Interner, p)
+}
+
+/// A counter frame of a `len`-id column claiming `claimed` rows, with
+/// one row (all counters 1) for each of `ids`.
+fn counter_frame(len: u32, claimed: u32, ids: &[u32]) -> (Kind, Vec<u8>) {
+    let mut p = Vec::new();
+    p.put_u32(len);
+    p.put_u32(claimed);
+    for &id in ids {
+        p.put_u32(id);
+        for _ in 0..4 {
+            p.put_u64(1);
+        }
+    }
+    (Kind::Counters, p)
+}
+
+/// A counter frame of [`epoch_of`]'s three-id column, one row for each of
+/// `ids`.
+fn rows(ids: &[u32]) -> (Kind, Vec<u8>) {
+    counter_frame(3, ids.len() as u32, ids)
+}
+
+/// A class frame upserting `upserts` (as `tf`) and removing `removed`.
+fn class_frame(upserts: &[u32], removed: &[u32]) -> (Kind, Vec<u8>) {
+    let mut p = Vec::new();
+    p.put_u32(upserts.len() as u32);
+    for &asn in upserts {
+        p.put_u32(asn);
+        p.extend_from_slice(b"tf");
+    }
+    p.put_u32(removed.len() as u32);
+    for &asn in removed {
+        p.put_u32(asn);
+    }
+    (Kind::Classes, p)
+}
+
+/// A frame of `kind` whose payload is `prefix` then a count of `u32::MAX`
+/// rows and nothing else.
+fn max_count(kind: Kind, prefix: &[u8]) -> (Kind, Vec<u8>) {
+    let mut p = prefix.to_vec();
+    p.put_u32(u32::MAX);
+    (kind, p)
+}
+
+/// Epoch `epoch` of a hand-written segment: three ids, all interned by
+/// epoch 0, then `rest`.
+fn epoch_of(epoch: u64, rest: Frames) -> Frames {
+    let (base, ids) = if epoch == 0 { (0, 3) } else { (3, 0) };
+    [meta_frame(epoch), interner_frame(base, ids)]
+        .into_iter()
+        .chain(rest)
+        .collect()
+}
+
+#[test]
+fn hand_written_delta_segments_fold_or_are_corrupt() {
+    // The control: two epochs whose deltas fold as the format says.
+    let good = sealed(
+        VERSION,
+        &[
+            meta_frame(0),
+            interner_frame(0, 3),
+            counter_frame(3, 2, &[0, 2]),
+            class_frame(&[1, 2], &[]),
+            meta_frame(1),
+            interner_frame(3, 1),
+            counter_frame(4, 1, &[3]),
+            class_frame(&[3], &[1]),
+        ],
+    );
+    let epochs = decode_segment(&good, DecodeFilter::all()).unwrap();
+    let one = AsCounters {
+        t: 1,
+        s: 1,
+        f: 1,
+        c: 1,
+    };
+    let zero = AsCounters::default();
+    assert_eq!(epochs[0].counters.as_deref(), Some(&[one, zero, one][..]));
+    assert_eq!(
+        epochs[1].counters.as_deref(),
+        Some(&[one, zero, one, one][..])
+    );
+    let tf: Class = "tf".parse().unwrap();
+    assert_eq!(epochs[0].classes, [(Asn(1), tf), (Asn(2), tf)]);
+    assert_eq!(epochs[1].classes, [(Asn(2), tf), (Asn(3), tf)]);
+
+    let mut stats = Vec::new();
+    for _ in 0..5 {
+        stats.put_u64(0);
+    }
+    let mut stage = Vec::new();
+    stage.put_u32(0);
+    stage.put_u64(0);
+    stage.put_u64(0);
+    let hostile: Vec<(&str, Frames)> = vec![
+        ("a row id past the column", epoch_of(0, vec![rows(&[3])])),
+        ("a repeated row id", epoch_of(0, vec![rows(&[1, 1])])),
+        ("descending row ids", epoch_of(0, vec![rows(&[2, 1])])),
+        (
+            "a row count past the payload",
+            epoch_of(0, vec![counter_frame(3, 2, &[0])]),
+        ),
+        (
+            "a column longer than the interner",
+            epoch_of(0, vec![counter_frame(4, 0, &[])]),
+        ),
+        (
+            "a column shorter than its predecessor",
+            [
+                epoch_of(0, vec![rows(&[])]),
+                vec![
+                    meta_frame(1),
+                    interner_frame(0, 2),
+                    counter_frame(2, 0, &[]),
+                ],
+            ]
+            .concat(),
+        ),
+        (
+            "two counter frames in one epoch",
+            epoch_of(0, vec![rows(&[]), rows(&[])]),
+        ),
+        (
+            "descending class rows",
+            epoch_of(0, vec![class_frame(&[2, 1], &[])]),
+        ),
+        (
+            "a removal of an absent AS",
+            epoch_of(0, vec![class_frame(&[], &[5])]),
+        ),
+        (
+            "a repeated removal",
+            [
+                epoch_of(0, vec![class_frame(&[1, 2], &[])]),
+                epoch_of(1, vec![class_frame(&[], &[1, 1])]),
+            ]
+            .concat(),
+        ),
+        (
+            "an AS upserted and removed",
+            [
+                epoch_of(0, vec![class_frame(&[1], &[])]),
+                epoch_of(1, vec![class_frame(&[1], &[1])]),
+            ]
+            .concat(),
+        ),
+        // Counts that would size an allocation the payload cannot back.
+        (
+            "an interner of u32::MAX ids",
+            vec![meta_frame(0), max_count(Kind::Interner, &[0; 4])],
+        ),
+        (
+            "an interner starting past every id an archive holds",
+            vec![
+                meta_frame(0),
+                interner_frame(u32::MAX, 0),
+                counter_frame(u32::MAX, 0, &[]),
+            ],
+        ),
+        (
+            "u32::MAX counter rows",
+            epoch_of(0, vec![max_count(Kind::Counters, &3u32.to_le_bytes())]),
+        ),
+        (
+            "u32::MAX upserted class rows",
+            epoch_of(0, vec![max_count(Kind::Classes, &[])]),
+        ),
+        (
+            "u32::MAX removed class rows",
+            epoch_of(0, vec![max_count(Kind::Classes, &[0; 4])]),
+        ),
+        (
+            "u32::MAX flips",
+            epoch_of(0, vec![max_count(Kind::Flips, &[])]),
+        ),
+        (
+            "u32::MAX shard loads",
+            epoch_of(0, vec![max_count(Kind::Stats, &stats)]),
+        ),
+        (
+            "u32::MAX trace stages",
+            epoch_of(0, vec![max_count(Kind::Trace, &[])]),
+        ),
+        (
+            "u32::MAX trace counters",
+            epoch_of(
+                0,
+                vec![max_count(
+                    Kind::Trace,
+                    &[&1u32.to_le_bytes()[..], &stage].concat(),
+                )],
+            ),
+        ),
+    ];
+    for (what, frames) in hostile {
+        let seg = sealed(VERSION, &frames);
+        match decode_segment(&seg, DecodeFilter::all()) {
+            Err(ArchiveError::Corrupt(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    // Version 1 held full columns and tables; it is refused, not misread.
+    let err = decode_segment(&sealed(1, &[meta_frame(0)]), DecodeFilter::all()).unwrap_err();
+    assert!(
+        err.to_string().contains("unsupported segment version 1"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_hostile_orphan_is_left_alone_at_open() {
+    // `Archive::open` decodes every orphan it finds: one whose counts
+    // overrun its payload must be skipped, not take the process down.
+    let dir = tmp_dir("hostile-orphan");
+    let out = build_world(2, 16);
+    archive_outcome(&dir, &out);
+    let last = Manifest::load(&dir).unwrap().last_epoch().unwrap();
+    let orphan = sealed(
+        VERSION,
+        &[
+            meta_frame(last + 1),
+            interner_frame(0, 3),
+            max_count(Kind::Counters, &3u32.to_le_bytes()),
+        ],
+    );
+    fs::write(dir.join("seg-00000099.bgpa"), orphan).unwrap();
+    let archive = Archive::open(&dir).unwrap();
+    assert_eq!(archive.manifest().last_epoch(), Some(last));
+    assert!(archive.verify().is_ok());
     fs::remove_dir_all(&dir).unwrap();
 }

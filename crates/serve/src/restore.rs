@@ -179,8 +179,10 @@ mod tests {
         assert_eq!(intact.len(), 3, "{intact:?}");
         let mut missing = intact.clone();
         missing.remove(1);
+        // Renamed in place of the highest ASN, so the table stays in the
+        // ASN order the writer requires of it.
         let mut renamed = intact.clone();
-        renamed[1].0 = Asn(64_000);
+        renamed[2].0 = Asn(64_000);
         let mut extra = intact.clone();
         extra.push((Asn(64_001), Class::NONE));
         for (tag, classes) in [

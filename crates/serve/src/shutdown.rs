@@ -24,15 +24,31 @@ extern "C" fn on_signal(_signum: i32) {
 
 /// Install the SIGINT/SIGTERM handler. Idempotent; safe to call from
 /// any thread before the daemon's main loop starts polling.
+///
+/// # Panics
+///
+/// If `signal(2)` refuses either handler: a daemon that cannot be told
+/// to stop cleanly must not start.
 pub fn install() {
     #[cfg(unix)]
     {
         extern "C" {
             fn signal(signum: i32, handler: usize) -> usize;
         }
-        unsafe {
-            signal(SIGINT, on_signal as *const () as usize);
-            signal(SIGTERM, on_signal as *const () as usize);
+        /// `signal(2)`'s `SIG_ERR`: `(sighandler_t) -1`.
+        const SIG_ERR: usize = usize::MAX;
+        for (signum, name) in [(SIGINT, "SIGINT"), (SIGTERM, "SIGTERM")] {
+            // SAFETY: `signal(2)` takes a signal number and a handler
+            // address; `on_signal` is an `extern "C" fn(i32)` that lives for
+            // the whole program and does only an atomic store, which is
+            // async-signal-safe.
+            let previous = unsafe { signal(signum, on_signal as *const () as usize) };
+            if previous == SIG_ERR {
+                panic!(
+                    "installing the {name} handler failed: {}",
+                    std::io::Error::last_os_error()
+                );
+            }
         }
     }
     #[cfg(not(unix))]
