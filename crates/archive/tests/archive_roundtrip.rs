@@ -784,6 +784,10 @@ fn generated_snapshot(epoch: u64, gen: &GenEpoch) -> Arc<EpochSnapshot> {
         dense: Some(DenseOutcome {
             counters: Arc::new(gen.column.clone()),
             by_asn: Arc::new((0..ids).map(|id| (Asn(1_000 + id), id)).collect()),
+            // The archive writes the column and the class table; it never
+            // reads the record table (and these classes are not the
+            // column's).
+            records: Arc::new(Vec::new()),
             thresholds: Thresholds::default(),
             deepest_active_index: 0,
         }),

@@ -62,12 +62,11 @@
 //!   time, never by a push).
 //!   [`affected_clean_words`](CompiledTuples::affected_clean_words) turns
 //!   a few ids into the sealed words one step can read them in, and
-//!   [`count_clean_words`](CompiledTuples::count_clean_words) runs the
-//!   same per-word kernel over just those words under whatever
-//!   predicates it is handed. A step's delta is a sum over tuples, so
-//!   evaluating the words that hold a moved predicate under the old and
-//!   the new bits gives exactly what a recount of the step would change
-//!   — the stream layer's cached-step correction (see
+//!   [`correct_words`](CompiledTuples::correct_words) runs the same
+//!   per-word kernel over just those words' rows that read a moved bit,
+//!   under the old and the new predicates. A step's delta is a sum over
+//!   tuples, so the difference is exactly what a recount of the step
+//!   would change — the stream layer's cached-step correction (see
 //!   `bgp_stream::shard`, *Incremental recounts*). The batch path
 //!   ([`run`](CompiledTuples::run)) builds and reads none of it.
 //!
@@ -110,16 +109,7 @@ impl IdBitSet {
         }
     }
 
-    /// Grow (zero-filled) so ids `< bits` are addressable.
-    pub fn ensure(&mut self, bits: usize) {
-        let words = bits.div_ceil(64);
-        if words > self.words.len() {
-            self.words.resize(words, 0);
-        }
-    }
-
-    /// Set the bit of `id` (the set must cover `id`; see
-    /// [`ensure`](IdBitSet::ensure)).
+    /// Set the bit of `id` (the set must cover `id`).
     #[inline]
     pub fn set(&mut self, id: AsnId) {
         self.words[(id / 64) as usize] |= 1u64 << (id % 64);
@@ -149,6 +139,19 @@ impl IdBitSet {
     /// The raw bit words (64 ids per word, id order).
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Empty the set, calling `f` on each of its ids that `mask` also
+    /// holds, ascending — a word of ids at a time.
+    pub fn drain_masked(&mut self, mask: &IdBitSet, mut f: impl FnMut(AsnId)) {
+        for (wi, (word, &m)) in self.words.iter_mut().zip(&mask.words).enumerate() {
+            let mut hit = *word & m;
+            while hit != 0 {
+                f((wi * 64) as AsnId + hit.trailing_zeros());
+                hit &= hit - 1;
+            }
+        }
+        self.words.fill(0);
     }
 }
 
@@ -210,15 +213,45 @@ impl PhasePredicates {
     }
 
     /// Re-evaluate both predicate bits of one id from its actual
-    /// counters (the trajectory-replay overlay patch). Returns whether
-    /// either bit changed.
-    pub fn refresh_both(&mut self, id: AsnId, c: &AsCounters, th: &Thresholds) -> bool {
-        let fwd = c.fwd_share().is_some_and(|x| x >= th.forward);
-        let tag = c.tag_share().is_some_and(|x| x >= th.tagger);
-        let changed = self.forward.get(id) != fwd || self.tagger.get(id) != tag;
-        self.forward.assign(id, fwd);
-        self.tagger.assign(id, tag);
-        changed
+    /// counters (the bits a trajectory-replay overlay id carries).
+    pub fn refresh_both(&mut self, id: AsnId, c: &AsCounters, th: &Thresholds) {
+        self.forward
+            .assign(id, c.fwd_share().is_some_and(|x| x >= th.forward));
+        self.tagger
+            .assign(id, c.tag_share().is_some_and(|x| x >= th.tagger));
+    }
+
+    /// [`load_words`](Self::load_words), then take the bits of the ids in
+    /// `overlay` from `own` instead, a word at a time: the trajectory
+    /// replay's entering state. Every overlay id whose bits differ from
+    /// the raw words (`(own ^ raw) & overlay`) is pushed onto `diverged`,
+    /// ascending. `own` and `overlay` must cover `n_ids`.
+    pub fn load_patched(
+        &mut self,
+        forward: &[u64],
+        tagger: &[u64],
+        n_ids: usize,
+        own: &PhasePredicates,
+        overlay: &IdBitSet,
+        diverged: &mut Vec<AsnId>,
+    ) {
+        self.load_words(forward, tagger, n_ids);
+        let words = self.forward.words.len().min(overlay.words.len());
+        for wi in 0..words {
+            let mask = overlay.words[wi];
+            if mask == 0 {
+                continue;
+            }
+            let fwd = (own.forward.words[wi] ^ self.forward.words[wi]) & mask;
+            let tag = (own.tagger.words[wi] ^ self.tagger.words[wi]) & mask;
+            self.forward.words[wi] ^= fwd;
+            self.tagger.words[wi] ^= tag;
+            let mut diff = fwd | tag;
+            while diff != 0 {
+                diverged.push((wi * 64) as AsnId + diff.trailing_zeros());
+                diff &= diff - 1;
+            }
+        }
     }
 
     /// Evaluate both predicates for every id of `counters` from scratch
@@ -365,20 +398,54 @@ impl DeltaStore {
         self.touched().map(|id| (id, self.get(id)))
     }
 
+    /// Iterate the touched `(id, counters)` pairs in ascending id order,
+    /// zeroing each as it goes: [`iter`](Self::iter) and
+    /// [`clear`](Self::clear) in one pass over the bitmap.
+    pub fn drain(&mut self) -> Drain<'_> {
+        Drain {
+            counts: &mut self.counts,
+            words: self.touched.iter_mut().enumerate(),
+            word: 0,
+            base: 0,
+        }
+    }
+
     /// Zero the touched slots and the bitmap — O(ids/64 + touched).
     pub fn clear(&mut self) {
-        for wi in 0..self.touched.len() {
-            let mut w = self.touched[wi];
-            if w == 0 {
-                continue;
-            }
-            while w != 0 {
-                let id = wi * 64 + w.trailing_zeros() as usize;
-                self.counts[id] = AsCounters::default();
-                w &= w - 1;
-            }
-            self.touched[wi] = 0;
+        self.drain().for_each(drop);
+    }
+}
+
+/// The iterator of [`DeltaStore::drain`]. Dropped early, it zeroes the
+/// rest, so the delta is always left empty.
+#[derive(Debug)]
+pub struct Drain<'a> {
+    counts: &'a mut [AsCounters],
+    words: std::iter::Enumerate<std::slice::IterMut<'a, u64>>,
+    /// The current bitmap word's bits not yet yielded, and its first id.
+    word: u64,
+    base: usize,
+}
+
+impl Iterator for Drain<'_> {
+    type Item = (AsnId, AsCounters);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.word == 0 {
+            let (wi, word) = self.words.next()?;
+            self.word = std::mem::take(word);
+            self.base = wi * 64;
         }
+        let id = self.base + self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some((id as AsnId, std::mem::take(&mut self.counts[id])))
+    }
+}
+
+impl Drop for Drain<'_> {
+    fn drop(&mut self) {
+        self.by_ref().for_each(drop);
     }
 }
 
@@ -479,20 +546,24 @@ impl DenseCounterStore {
     }
 
     /// Accumulate a sparse cached delta without predicate maintenance
-    /// (see [`merge_counts`](DenseCounterStore::merge_counts)).
-    pub fn merge_sparse_counts(&mut self, entries: &[(AsnId, AsCounters)]) {
+    /// (see [`merge_counts`](DenseCounterStore::merge_counts)), handing
+    /// each id it moves to `moved`.
+    pub fn merge_sparse_counts(
+        &mut self,
+        entries: &[(AsnId, AsCounters)],
+        mut moved: impl FnMut(AsnId),
+    ) {
         for &(id, d) in entries {
             self.counts[id as usize].accumulate(&d);
+            moved(id);
         }
     }
 }
 
-/// One sealed epoch's dense classification state: the counter column and
-/// the Asn-sorted id permutation that gives its ids meaning. Both are
-/// `Arc`'d, so an epoch with no new evidence republishes as two pointer
-/// copies. Its record table is
-/// [`db::slice_records`](crate::db::slice_records) over `by_asn`,
-/// `counters` and the epoch's class table; there is no sparse form.
+/// One sealed epoch's dense classification state: the counter column,
+/// the Asn-sorted id permutation that gives its ids meaning, and the
+/// record table. All are `Arc`'d, so an epoch with no new evidence
+/// republishes as pointer copies. There is no sparse form.
 #[derive(Debug, Clone)]
 pub struct DenseOutcome {
     /// Final counters, indexed by id; covers ids `< counters.len()`.
@@ -500,6 +571,12 @@ pub struct DenseOutcome {
     /// `(asn, id)` pairs sorted by ASN — the publication order. Names
     /// every id `< counters.len()` exactly once.
     pub by_asn: Arc<Vec<(Asn, AsnId)>>,
+    /// The record table, sorted by ASN: every id whose counters are not
+    /// all zero, with its seal-time class — what
+    /// [`db::slice_records`](crate::db::slice_records) makes of the
+    /// columns above and the epoch's class table. A stream seal patches
+    /// its predecessor's table at the ids that moved instead.
+    pub records: Arc<Vec<crate::db::DbRecord>>,
     /// Thresholds the epoch was counted under.
     pub thresholds: Thresholds,
     /// Deepest path index at which any counter was incremented.
@@ -828,50 +905,90 @@ impl CompiledTuples {
         out.dedup();
     }
 
-    /// Count one (column, phase) over just `words` — keys from
+    /// Correct one (column, phase) step over `words` — keys from
     /// [`affected_clean_words`](CompiledTuples::affected_clean_words) for
-    /// the same step — under `preds`, clean-prefix tuples only: the rows
-    /// of a boundary word appended since the last
-    /// [`commit_clean`](CompiledTuples::commit_clean) are masked off.
-    /// This is [`compute_clean`](CompiledTuples::compute_clean) +
-    /// [`count_phase_dense`](CompiledTuples::count_phase_dense) restricted
-    /// to those words — same kernel, so what it adds to `delta` is exactly
-    /// those tuples' share of a full count under `preds` — and it leaves
-    /// their `clean` scratch words computed under `preds`.
+    /// the same step — from the `recorded` predicates to the `entering`
+    /// ones. A tuple's share of a step reads the `is_forward` bits of the
+    /// positions before the counted one (Cond1) and, in a forwarding step,
+    /// both bits of the positions after it (the Cond2 walk); a row none of
+    /// whose read ids changed a bit contributes the same under both
+    /// states. So each word is cut to its sealed rows that read a changed
+    /// bit (rows appended since the last
+    /// [`commit_clean`](CompiledTuples::commit_clean) are masked off), a
+    /// word with none is skipped, and those rows are counted with the
+    /// per-word kernel of [`count_phase_dense`](CompiledTuples::count_phase_dense)
+    /// under `recorded` into `old` and under `entering` into `new`:
+    /// `new − old` is what a recount of the step would change. Every word
+    /// it counts is left with its `clean` scratch computed under
+    /// `entering`.
     #[allow(clippy::too_many_arguments)]
-    pub fn count_clean_words(
+    pub fn correct_words(
         &mut self,
-        preds: &PhasePredicates,
+        recorded: &PhasePredicates,
+        entering: &PhasePredicates,
         x: usize,
         phase: CountPhase,
         enforce_cond1: bool,
         enforce_cond2: bool,
         words: &[u32],
-        delta: &mut DeltaStore,
+        old: &mut DeltaStore,
+        new: &mut DeltaStore,
     ) {
+        debug_assert_eq!(recorded.forward.words.len(), entering.forward.words.len());
+        // The ids whose bits differ: in `is_forward` (all Cond1 reads),
+        // and in either bit (what the Cond2 walk reads).
+        let xor = |a: &IdBitSet, b: &IdBitSet| -> Vec<u64> {
+            a.words.iter().zip(&b.words).map(|(a, b)| a ^ b).collect()
+        };
+        let forward = IdBitSet {
+            words: xor(&recorded.forward, &entering.forward),
+        };
+        let mut either = IdBitSet {
+            words: xor(&recorded.tagger, &entering.tagger),
+        };
+        for (e, f) in either.words.iter_mut().zip(&forward.words) {
+            *e |= f;
+        }
         for &key in words {
             let (blen, w) = self.occurrences.words[key as usize];
             let (blen, w) = (blen as usize, w as usize);
-            let b = &mut self.buckets[blen];
-            debug_assert!(blen >= shortest_counted(x, phase) && w * 64 < b.clean_k);
-            if b.clean.len() <= w {
-                b.clean.resize(b.words(), 0);
-            }
-            b.clean[w] = clean_word(b, preds, x, enforce_cond1, w);
-            let sealed_mask = low_rows(b.clean_k - w * 64);
             let b = &self.buckets[blen];
-            self.count_bucket_words(
-                b,
-                blen,
-                preds,
-                x,
-                phase,
-                enforce_cond2,
-                w,
-                w + 1,
-                sealed_mask,
-                delta,
-            );
+            debug_assert!(blen >= shortest_counted(x, phase) && w * 64 < b.clean_k);
+            let base = w * 64;
+            let rows = base..base + (b.slots() - base).min(64);
+            let mut reads = 0;
+            for col in &b.cols[..x - 1] {
+                reads |= gather_bits(&forward, &col[rows.clone()]);
+            }
+            if phase == CountPhase::Forwarding {
+                for col in &b.cols[x..] {
+                    reads |= gather_bits(&either, &col[rows.clone()]);
+                }
+            }
+            let mask = reads & low_rows(b.clean_k - base);
+            if mask == 0 {
+                continue;
+            }
+            for (preds, delta) in [(recorded, &mut *old), (entering, &mut *new)] {
+                let b = &mut self.buckets[blen];
+                if b.clean.len() <= w {
+                    b.clean.resize(b.words(), 0);
+                }
+                b.clean[w] = clean_word(b, preds, x, enforce_cond1, w);
+                let b = &self.buckets[blen];
+                self.count_bucket_words(
+                    b,
+                    blen,
+                    preds,
+                    x,
+                    phase,
+                    enforce_cond2,
+                    w,
+                    w + 1,
+                    mask,
+                    delta,
+                );
+            }
         }
     }
 
@@ -1281,15 +1398,19 @@ mod tests {
     }
 
     #[test]
-    fn words_of_an_id_sum_to_the_whole_store() {
-        // The word-restricted evaluation against `count_phase_dense`: ask
-        // the occurrence index for the words of *every* id and the two
-        // must agree on every step — both phases, Cond1/Cond2 on and off,
-        // predicates with bits of every kind set. 150 three-hop tuples
-        // leave that bucket's last word partial (22 rows); a second,
-        // longer bucket and a dirty suffix sharing its boundary word
-        // with sealed rows check the row mask. Pushed the way a stream
-        // shard pushes, through an interner the store does not own.
+    fn corrected_words_change_what_a_recount_would() {
+        // The word-restricted correction against `count_phase_dense`: ask
+        // the occurrence index for the words of *every* id, correct them
+        // from one predicate state to another, and `new − old` must be
+        // the difference of two counts of the sealed tuples — every
+        // step, both phases, Cond1/Cond2 on and off, from all-false
+        // predicates (every read bit moved) and from a state three ids
+        // away (most words skipped, the rest cut to a few rows). 150
+        // three-hop tuples leave that bucket's last word partial (22
+        // rows); a second, longer bucket and a dirty suffix sharing its
+        // boundary word with sealed rows check the row mask. Pushed the
+        // way a stream shard pushes, through an interner the store does
+        // not own.
         let mut interner = AsnInterner::new();
         let mut store = CompiledTuples::new();
         let mut buf = TupleBuf::new();
@@ -1319,45 +1440,60 @@ mod tests {
         }
         store.prepare(interner.len());
         let n = interner.len();
-        let mut preds = PhasePredicates::empty(n);
+        let mut entering = PhasePredicates::empty(n);
         for id in 0..n as AsnId {
-            preds.forward.assign(id, id % 3 != 1);
-            preds.tagger.assign(id, id % 4 == 0);
+            entering.forward.assign(id, id % 3 != 1);
+            entering.tagger.assign(id, id % 4 == 0);
+        }
+        let mut near = PhasePredicates::empty(n);
+        near.load_words(entering.forward_words(), entering.tagger_words(), n);
+        for asn in [12, 45, 73] {
+            let id = interner.get(Asn(asn)).expect("interned");
+            near.forward.assign(id, !near.is_forward(id));
+            near.tagger.assign(id, !near.is_tagger(id));
         }
         let every_id: Vec<AsnId> = (0..n as AsnId).collect();
         let mut words = Vec::new();
-        let (mut by_word, mut whole, mut suffix) = (
-            DeltaStore::zeroed(n),
-            DeltaStore::zeroed(n),
-            DeltaStore::zeroed(n),
-        );
-        for (cond1, cond2) in [(true, true), (true, false), (false, true), (false, false)] {
-            for x in 1..=4 {
-                for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
-                    store.affected_clean_words(&every_id, x, phase, &mut words);
-                    assert!(words.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
-                    store.count_clean_words(&preds, x, phase, cond1, cond2, &words, &mut by_word);
-                    // Sealed tuples = everything minus the dirty suffix.
-                    store.compute_clean(&preds, x, cond1, false);
-                    store.count_phase_dense(&preds, x, phase, cond2, false, &mut whole);
-                    store.count_phase_dense(&preds, x, phase, cond2, true, &mut suffix);
-                    let ctx = format!("x={x} {phase:?} cond1={cond1} cond2={cond2}");
-                    for id in every_id.iter().copied() {
-                        let mut want = whole.get(id);
-                        want.retract(&suffix.get(id));
-                        assert_eq!(by_word.get(id), want, "{ctx}: id {id}");
+        let [mut old, mut new, mut whole, mut suffix] = [(); 4].map(|_| DeltaStore::zeroed(n));
+        // What the sealed tuples count under `preds`.
+        let mut sealed = |store: &mut CompiledTuples, preds, x, phase, cond1, cond2| {
+            store.compute_clean(preds, x, cond1, false);
+            store.count_phase_dense(preds, x, phase, cond2, false, &mut whole);
+            store.count_phase_dense(preds, x, phase, cond2, true, &mut suffix);
+            let counts: Vec<AsCounters> = every_id
+                .iter()
+                .map(|&id| {
+                    let mut c = whole.get(id);
+                    c.retract(&suffix.get(id));
+                    c
+                })
+                .collect();
+            whole.clear();
+            suffix.clear();
+            counts
+        };
+        for recorded in [&PhasePredicates::empty(n), &near] {
+            for (cond1, cond2) in [(true, true), (true, false), (false, true), (false, false)] {
+                for x in 1..=4 {
+                    for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
+                        store.affected_clean_words(&every_id, x, phase, &mut words);
+                        assert!(words.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+                        store.correct_words(
+                            recorded, &entering, x, phase, cond1, cond2, &words, &mut old, &mut new,
+                        );
+                        let was = sealed(&mut store, recorded, x, phase, cond1, cond2);
+                        let is = sealed(&mut store, &entering, x, phase, cond1, cond2);
+                        let ctx = format!("x={x} {phase:?} cond1={cond1} cond2={cond2}");
+                        for &id in &every_id {
+                            // new − old = is − was, without going negative.
+                            let (mut lhs, mut rhs) = (new.get(id), old.get(id));
+                            lhs.accumulate(&was[id as usize]);
+                            rhs.accumulate(&is[id as usize]);
+                            assert_eq!(lhs, rhs, "{ctx}: id {id}");
+                        }
+                        old.clear();
+                        new.clear();
                     }
-                    assert_eq!(
-                        by_word.touched().collect::<Vec<_>>(),
-                        whole
-                            .touched()
-                            .filter(|&id| whole.get(id) != suffix.get(id))
-                            .collect::<Vec<_>>(),
-                        "{ctx}: touched ids"
-                    );
-                    by_word.clear();
-                    whole.clear();
-                    suffix.clear();
                 }
             }
         }

@@ -465,7 +465,12 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 const INTEREST_READ: u32 = sys::EPOLLIN | sys::EPOLLRDHUP;
-const INTEREST_WRITE: u32 = sys::EPOLLOUT | sys::EPOLLRDHUP;
+/// Room to write, alone. A peer's half-close is not news to a writing
+/// connection — it reads EOF once the answer is out — and epoll is level-
+/// triggered, so `EPOLLRDHUP` here would wake the reactor every iteration
+/// until the write drains. A peer that goes away entirely still shows as
+/// `EPOLLERR` / `EPOLLHUP`, which epoll always reports.
+const INTEREST_WRITE: u32 = sys::EPOLLOUT;
 
 /// Budget for flushing every in-flight and parked answer at shutdown,
 /// shared by all of one reactor's connections so a stalled reader

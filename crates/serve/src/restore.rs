@@ -8,11 +8,12 @@
 //! rebuild serves time-travel queries: any retained epoch can be
 //! materialized on demand (see [`crate::history`]).
 //!
-//! Fidelity is the contract here. The record table is sliced by the
-//! *same* conversion the live publisher uses,
-//! [`bgp_infer::db::slice_records`], from the archived counter column and
+//! Fidelity is the contract here. The record table is sliced by
+//! [`bgp_infer::db::slice_records`] from the archived counter column and
 //! class table through the archived ASN table ([`Archive::interner_upto`])
-//! sorted into `(asn, id)` pairs, and the flip log is replayed through the
+//! sorted into `(asn, id)` pairs — the table the live seal patched at its
+//! moved ids must equal it, which the restore tests check — and the
+//! flip log is replayed through the
 //! same append-and-trim step — a restarted daemon answers every endpoint
 //! byte-identically to one that never went down. Nothing is re-interned:
 //! the restored [`EpochSnapshot`] has `dense: None` and carries the

@@ -14,10 +14,9 @@
 //! path takes no lock at all between epoch seals, which at production
 //! epoch policies (thousands of events per seal) is effectively always.
 //!
-//! Publishing is cheap by construction: the record table is sliced out
-//! of the epoch's dense counter columns through the Asn-sorted id
-//! permutation ([`EpochSnapshot::records`], which is
-//! [`bgp_infer::db::slice_records`]: no map, no sort), and the
+//! Publishing is cheap by construction: the record table is a copy of
+//! the one the seal patched at the ids that moved
+//! ([`EpochSnapshot::records`]: no map, no sort, no per-AS work), and the
 //! cumulative flip log is a [`FlipLog`] of per-epoch `Arc`'d chunks
 //! shared by every snapshot that retains them — per publish the log
 //! costs one chunk pointer per retained epoch, not a deep copy of every
@@ -182,8 +181,8 @@ pub struct ServeSnapshot {
     /// The sealed stream epoch behind this view; `None` before the first
     /// seal (the "version 0" boot snapshot serves empty answers).
     pub epoch: Option<Arc<EpochSnapshot>>,
-    /// Per-AS records, sorted by ASN (the `db::records` table), sliced
-    /// from the epoch's dense counter columns at publish time.
+    /// Per-AS records, sorted by ASN (the `db::records` table), copied
+    /// at publish time from the record table the seal patched.
     pub records: Vec<DbRecord>,
     /// Thresholds the records were classified under.
     pub thresholds: Thresholds,

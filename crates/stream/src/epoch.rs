@@ -9,13 +9,15 @@
 //! stream instead of diffing full databases.
 //!
 //! A snapshot's state is **dense**: a [`DenseOutcome`] holding the
-//! `Arc`'d counter column over the shards' one id space plus the
-//! Asn-sorted id permutation, beside the seal-time class table. Classes
-//! and flips are `Arc`'d too, so an epoch that sealed without new
-//! evidence shares every component of its predecessor at pointer-copy
-//! cost. A reader gets the epoch's record table,
-//! [`EpochSnapshot::records`] ([`bgp_infer::db::slice_records`] over
-//! those columns); there is no sparse view, lazy or otherwise.
+//! `Arc`'d counter column over the shards' one id space, the Asn-sorted
+//! id permutation and the record table, beside the seal-time class
+//! table. Classes and flips are `Arc`'d too, so an epoch that sealed
+//! without new evidence shares every component of its predecessor at
+//! pointer-copy cost. The seal builds the class and record tables by
+//! patching its predecessor's at the ids that moved (see
+//! `StreamPipeline::seal_epoch`); a reader copies the record table out
+//! with [`EpochSnapshot::records`]. There is no sparse view, lazy or
+//! otherwise.
 //!
 //! `dense` is `None` in two cases. A **compacted** epoch (see
 //! `StreamConfig::compact_history`) is a pipeline history entry whose
@@ -186,15 +188,11 @@ impl EpochSnapshot {
         }
     }
 
-    /// This epoch's per-AS record table, sorted by ASN: the counter
-    /// column sliced through the Asn-sorted permutation beside the class
-    /// table ([`bgp_infer::db::slice_records`]). `None` when the snapshot
-    /// carries no counters (compacted or restored).
+    /// A copy of this epoch's per-AS record table, sorted by ASN
+    /// ([`DenseOutcome::records`], which the seal patched). `None` when
+    /// the snapshot carries no counters (compacted or restored).
     pub fn records(&self) -> Option<Vec<DbRecord>> {
-        let dense = self.dense.as_ref()?;
-        let records = bgp_infer::db::slice_records(&dense.by_asn, &dense.counters, &self.classes)
-            .expect("a seal classes exactly its counted ids");
-        Some(records)
+        Some(self.dense.as_ref()?.records.to_vec())
     }
 
     /// Classification of one AS in this snapshot ([`Class::NONE`] for an

@@ -25,8 +25,8 @@
 //!            └──────────────────────────────────────┘
 //!                              │
 //!                              ▼
-//!            StreamOutcome: the last epoch's record table
-//!            (db::slice_records) → class_of / reclassify / db export
+//!            StreamOutcome: the last epoch's record table (patched
+//!            at the moved ids) → class_of / reclassify / db export
 //! ```
 //!
 //! ## Exactness
@@ -83,6 +83,102 @@ pub mod shard;
 /// What the crate's generated-input tests share.
 #[cfg(test)]
 mod testing {
+    use bgp_infer::counters::Thresholds;
+    use bgp_types::prelude::*;
+
+    /// A tuple over `p` tagged by exactly the ASes in `uppers`.
+    pub(crate) fn tag_tuple(p: &[u32], uppers: &[u32]) -> PathCommTuple {
+        PathCommTuple::new(
+            path(p),
+            CommunitySet::from_iter(uppers.iter().map(|&u| AnyCommunity::tag_for(Asn(u), 100))),
+        )
+    }
+
+    /// A generated [`followed_feed`]: its tuples epoch by epoch, and the
+    /// thresholds and conditions to count them under.
+    pub(crate) struct FollowedFeed {
+        pub(crate) th: Thresholds,
+        pub(crate) cond1: bool,
+        pub(crate) cond2: bool,
+        pub(crate) epochs: Vec<Vec<PathCommTuple>>,
+    }
+
+    /// One world shaped like a followed feed — a handful of core ASes at
+    /// every position (collector peers included, which is what lets the
+    /// column loop get past column 1), a long tail of ASes seen one to
+    /// three times, per-AS tagging habits that are constant, mixed, or
+    /// change partway, a cleaner on some paths, paths that get longer
+    /// epoch by epoch, thresholds that small shares land on exactly.
+    pub(crate) fn followed_feed(seed: u64) -> FollowedFeed {
+        let mut rng = Rng(seed);
+        let th = Thresholds::uniform([0.99, 0.5, 0.75, 2.0 / 3.0][rng.below(4) as usize]);
+        let (cond1, cond2) = match rng.below(8) {
+            0 => (false, true),
+            1 => (true, false),
+            _ => (true, true),
+        };
+        let epochs = 3 + rng.below(6);
+        let core = 4 + rng.below(8);
+        let mut feed: Vec<Vec<PathCommTuple>> = Vec::new();
+        let mut tail_next = 1_000;
+        let mut tail: Vec<u32> = Vec::new();
+        let mut longest = 3 + rng.below(2);
+        for epoch in 0..epochs {
+            // A store first, then a trickle onto it; now and then a
+            // longer path than any before.
+            let tuples = if epoch == 0 {
+                300 + rng.below(1_500)
+            } else {
+                longest = (longest + (rng.below(3) == 0) as u32).min(7);
+                5 + rng.below(120)
+            };
+            let mut batch = Vec::new();
+            for _ in 0..tuples {
+                let len = 1 + rng.below(longest) as usize;
+                let mut hops: Vec<u32> = Vec::with_capacity(len);
+                while hops.len() < len {
+                    let asn = if hops.is_empty() || rng.below(2) == 0 {
+                        10 + rng.below(core)
+                    } else if tail.is_empty() || rng.below(3) == 0 {
+                        // A new tail AS: seen again twice at most.
+                        tail_next += 1;
+                        tail.extend([tail_next; 2]);
+                        tail_next
+                    } else {
+                        tail.swap_remove(rng.below(tail.len() as u32) as usize)
+                    };
+                    if !hops.contains(&asn) {
+                        hops.push(asn);
+                    }
+                }
+                // Habits hang off the AS number so they hold across tuples.
+                let cleaner_at = (rng.below(4) == 0).then(|| rng.below(len as u32) as usize);
+                let uppers: Vec<u32> = hops
+                    .iter()
+                    .enumerate()
+                    .filter(|&(p, &asn)| {
+                        let tags = match (asn ^ seed as u32) % 5 {
+                            0 | 1 => true,
+                            2 => false,
+                            3 => epoch < epochs / 2,
+                            _ => rng.below(2) == 0,
+                        };
+                        tags && cleaner_at.is_none_or(|c| p <= c)
+                    })
+                    .map(|(_, &asn)| asn)
+                    .collect();
+                batch.push(tag_tuple(&hops, &uppers));
+            }
+            feed.push(batch);
+        }
+        FollowedFeed {
+            th,
+            cond1,
+            cond2,
+            epochs: feed,
+        }
+    }
+
     /// SplitMix64 — a generated input is a pure function of its seed.
     pub(crate) struct Rng(pub(crate) u64);
 

@@ -1,7 +1,7 @@
 //! Query/export layer: the finished stream's answer surface, which is the
-//! record table of its last epoch ([`EpochSnapshot::records`], built once
+//! record table of its last epoch ([`EpochSnapshot::records`], copied once
 //! by [`finish`](crate::pipeline::StreamPipeline::finish)). A historical
-//! epoch's export slices that epoch's columns the same way.
+//! epoch's export copies that epoch's table the same way.
 
 use crate::epoch::{ClassFlip, EpochSnapshot};
 use bgp_infer::classify::Class;

@@ -10,10 +10,11 @@
 use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot};
 use crate::ingest::{EventBatch, IngestError, StreamEvent, TupleSource};
 use crate::outcome::StreamOutcome;
-use crate::shard::ShardSet;
+use crate::shard::{Recount, ShardSet};
 use bgp_infer::classify::Class;
 use bgp_infer::compiled::DenseOutcome;
-use bgp_infer::counters::Thresholds;
+use bgp_infer::counters::{AsCounters, Thresholds};
+use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
 use obs::trace::TraceStore;
 use obs::Histogram;
@@ -94,8 +95,8 @@ pub struct StreamPipeline {
     cfg: StreamConfig,
     shards: ShardSet,
     snapshots: Vec<Arc<EpochSnapshot>>,
-    /// Classification as of the previous seal, indexed by interned id —
-    /// the dense diff source for flip computation.
+    /// The last class each id was given, indexed by interned id: where
+    /// a flip's `from` comes from.
     prev_classes: Vec<Class>,
     /// `(asn, id)` pairs sorted by ASN, covering ids `< perm_len`;
     /// extended by merge whenever the shards' interner grew.
@@ -357,17 +358,22 @@ impl StreamPipeline {
     }
 
     /// Force-seal the running epoch: recount everything stored (cached
-    /// steps replayed where valid, shards counted in turn), classify over
-    /// the dense columns, and diff against the previous snapshot by
-    /// interned id. When nothing was stored since the previous seal the
-    /// new snapshot shares its predecessor's dense state wholesale —
-    /// an O(1) re-seal. Idempotent on an empty epoch only in the sense
-    /// that it still produces a (possibly flip-free) snapshot.
+    /// steps replayed where valid, shards counted in turn), then classify
+    /// only the ids the recount says moved and patch the previous seal's
+    /// class and record tables at them in one sorted walk; the flips are
+    /// the moved ids whose class changed. An id outside the moved set kept
+    /// its counters, so it keeps its class and record. A first seal (and
+    /// every seal with `incremental_seal` off) moves every id, so
+    /// patching an empty table is the full build. When nothing was stored
+    /// since the previous seal the new snapshot shares its predecessor's
+    /// dense state wholesale — an O(1) re-seal. Idempotent on an empty
+    /// epoch only in the sense that it still produces a (possibly
+    /// flip-free) snapshot.
     pub fn seal_epoch(&mut self) -> &Arc<EpochSnapshot> {
         let t_seal = Instant::now();
         let epoch = self.snapshots.len() as u64;
         let zero_delta = self.shards.unchanged_since_seal();
-        let (dense, classes, flips, count_nanos) = if zero_delta {
+        let (dense, classes, flips, count_nanos, moved) = if zero_delta {
             // O(1) fast path: identical tuple set => identical counters,
             // classes, and (empty) flip set. Share every component.
             self.shards.clear_replay_stats();
@@ -376,10 +382,14 @@ impl StreamPipeline {
                 .dense
                 .clone()
                 .expect("latest snapshot is never compacted");
-            (dense, Arc::clone(&prev.classes), Vec::new(), 0)
+            (dense, Arc::clone(&prev.classes), Vec::new(), 0, 0)
         } else {
             let t_count = Instant::now();
-            let (counters, deepest_active_index) = self.shards.recount(
+            let Recount {
+                counters,
+                deepest_active,
+                moved,
+            } = self.shards.recount(
                 &self.cfg.thresholds,
                 self.cfg.max_index,
                 self.cfg.enforce_cond1,
@@ -390,33 +400,38 @@ impl StreamPipeline {
             self.refresh_by_asn();
             let counters = Arc::new(counters.into_counts());
             let th = self.cfg.thresholds;
+            let asns = self.shards.interner().asns();
+            let mut upserts: Vec<(Asn, AsnId)> =
+                moved.iter().map(|&id| (asns[id as usize], id)).collect();
+            upserts.sort_unstable_by_key(|&(asn, _)| asn);
             self.prev_classes.resize(self.perm_len, Class::NONE);
-            let mut classes = Vec::new();
-            let mut flips = Vec::new();
-            for &(asn, id) in self.by_asn.iter() {
-                let c = counters[id as usize];
-                if c.is_zero() {
-                    continue;
-                }
-                let class = c.classify(&th);
-                let prev = self.prev_classes[id as usize];
-                if prev != class {
-                    flips.push(ClassFlip {
-                        asn,
-                        from: prev,
-                        to: class,
-                    });
-                    self.prev_classes[id as usize] = class;
-                }
-                classes.push((asn, class));
-            }
+            let (old_classes, old_records) = match self.snapshots.last() {
+                Some(prev) => (
+                    prev.classes.as_slice(),
+                    prev.dense
+                        .as_ref()
+                        .expect("latest snapshot is never compacted")
+                        .records
+                        .as_slice(),
+                ),
+                None => (&[][..], &[][..]),
+            };
+            let (classes, records, flips) = patch_tables(
+                &upserts,
+                &counters,
+                &th,
+                &mut self.prev_classes,
+                old_classes,
+                old_records,
+            );
             let dense = DenseOutcome {
                 counters,
                 by_asn: Arc::clone(&self.by_asn),
+                records: Arc::new(records),
                 thresholds: th,
-                deepest_active_index,
+                deepest_active_index: deepest_active,
             };
-            (dense, Arc::new(classes), flips, count_nanos)
+            (dense, Arc::new(classes), flips, count_nanos, moved.len())
         };
         let mut snapshot = EpochSnapshot {
             epoch,
@@ -455,7 +470,7 @@ impl StreamPipeline {
         self.seal_hists[kind].record(snapshot.seal_nanos);
         obs::debug!(
             "stream",
-            "sealed epoch {epoch} kind={} events={} tuples={} flips={} replayed={replayed}/{total} corrected={corrected} corrected_words={corrected_words} seal_nanos={} count_nanos={}",
+            "sealed epoch {epoch} kind={} events={} tuples={} flips={} moved={moved} replayed={replayed}/{total} corrected={corrected} corrected_words={corrected_words} seal_nanos={} count_nanos={}",
             SEAL_KINDS[kind],
             snapshot.events,
             snapshot.unique_tuples,
@@ -476,7 +491,8 @@ impl StreamPipeline {
             // `kind` indexes `SEAL_KINDS`; `replayed` counts the units
             // answered from their cache, `corrected` those of them whose
             // cache was first corrected over `corrected_words` words;
-            // `visited_tuples` is what all of it read, step by step.
+            // `visited_tuples` is what all of it read, step by step;
+            // `moved` counts the ids classified and patched.
             trace.record(
                 epoch,
                 "seal",
@@ -489,6 +505,7 @@ impl StreamPipeline {
                     ("corrected_words", corrected_words as u64),
                     ("total_steps", total as u64),
                     ("visited_tuples", self.shards.last_visits() as u64),
+                    ("moved", moved as u64),
                     ("kind", kind as u64),
                 ],
             );
@@ -517,19 +534,68 @@ impl StreamPipeline {
     }
 }
 
+/// The sorted merge-walk of one seal: `upserts` are the moved ids,
+/// sorted by ASN, and `old_classes` / `old_records` the previous seal's
+/// tables (index-aligned: both list exactly the ids whose counters were
+/// not all zero, by ASN). Runs between moved ASNs are copied whole; each
+/// moved id is classified from `counters` and written in place of its old
+/// row, or dropped if its counters are zero. A class that differs from
+/// `prev_classes` (the last class the id was given, by id) is a flip.
+/// Returns the new class table, record table and flips, all by ASN.
+fn patch_tables(
+    upserts: &[(Asn, AsnId)],
+    counters: &[AsCounters],
+    th: &Thresholds,
+    prev_classes: &mut [Class],
+    old_classes: &[(Asn, Class)],
+    old_records: &[DbRecord],
+) -> (Vec<(Asn, Class)>, Vec<DbRecord>, Vec<ClassFlip>) {
+    debug_assert_eq!(old_classes.len(), old_records.len());
+    let mut classes = Vec::with_capacity(old_classes.len() + upserts.len());
+    let mut records = Vec::with_capacity(old_records.len() + upserts.len());
+    let mut flips = Vec::new();
+    let mut at = 0;
+    for &(asn, id) in upserts {
+        let mut run = at;
+        while old_classes.get(run).is_some_and(|&(a, _)| a < asn) {
+            run += 1;
+        }
+        classes.extend_from_slice(&old_classes[at..run]);
+        records.extend_from_slice(&old_records[at..run]);
+        at = run + old_classes.get(run).is_some_and(|&(a, _)| a == asn) as usize;
+        let c = counters[id as usize];
+        if c.is_zero() {
+            continue;
+        }
+        let class = c.classify(th);
+        let prev = &mut prev_classes[id as usize];
+        if *prev != class {
+            flips.push(ClassFlip {
+                asn,
+                from: *prev,
+                to: class,
+            });
+            *prev = class;
+        }
+        classes.push((asn, class));
+        records.push(DbRecord {
+            asn,
+            class,
+            counters: c,
+        });
+    }
+    classes.extend_from_slice(&old_classes[at..]);
+    records.extend_from_slice(&old_records[at..]);
+    (classes, records, flips)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ingest::StreamEvent;
-    use crate::testing::Rng;
+    use crate::testing::{followed_feed, tag_tuple, FollowedFeed, Rng};
     use bgp_infer::classify::TaggingClass;
-
-    fn tag_tuple(p: &[u32], uppers: &[u32]) -> PathCommTuple {
-        PathCommTuple::new(
-            path(p),
-            CommunitySet::from_iter(uppers.iter().map(|&u| AnyCommunity::tag_for(Asn(u), 100))),
-        )
-    }
+    use obs::trace::TraceStore;
 
     #[test]
     fn epochs_seal_by_event_count() {
@@ -882,6 +948,185 @@ mod tests {
         for seed in 64..4_096 {
             check_batches_against_single_events(seed);
         }
+    }
+
+    /// The full classify loop, the oracle of [`patch_tables`]: classify
+    /// every counted id of the epoch's permutation from its dense
+    /// counters, flip where the class differs from the last one the id
+    /// was given (`given`, by id), and slice the record table out of the
+    /// columns.
+    fn classify_every_id(
+        dense: &DenseOutcome,
+        given: &mut Vec<Class>,
+    ) -> (Vec<(Asn, Class)>, Vec<ClassFlip>, Vec<DbRecord>) {
+        given.resize(dense.counters.len(), Class::NONE);
+        let (mut classes, mut flips) = (Vec::new(), Vec::new());
+        for &(asn, id) in dense.by_asn.iter() {
+            let c = dense.counters[id as usize];
+            if c.is_zero() {
+                continue;
+            }
+            let class = c.classify(&dense.thresholds);
+            let was = &mut given[id as usize];
+            if *was != class {
+                flips.push(ClassFlip {
+                    asn,
+                    from: *was,
+                    to: class,
+                });
+                *was = class;
+            }
+            classes.push((asn, class));
+        }
+        let records = bgp_infer::db::slice_records(&dense.by_asn, &dense.counters, &classes)
+            .expect("the loop classes exactly the counted ids");
+        (classes, flips, records)
+    }
+
+    /// The `moved` counter of one epoch's `seal` trace row.
+    fn moved_of(trace: &TraceStore, epoch: u64) -> u64 {
+        let seal = trace.get(epoch).expect("traced epoch");
+        let row = seal
+            .stages
+            .iter()
+            .find(|s| s.stage == "seal")
+            .expect("seal row");
+        row.counters
+            .iter()
+            .find(|(name, _)| name == "moved")
+            .expect("moved counter")
+            .1
+    }
+
+    /// What the moved-set seals of the generated worlds exercised, so a
+    /// generator that stopped reaching a path fails rather than passes.
+    #[derive(Debug, Default)]
+    struct MovedReached {
+        /// Incremental seals that moved some ids but not all of them.
+        partial: usize,
+        /// Incremental seals whose paths outgrew the previous deepest
+        /// column (direct-mode steps past the trajectory).
+        outgrown: usize,
+        /// Incremental seals that corrected a cached step.
+        corrected: usize,
+        flips: usize,
+    }
+
+    /// One [`followed_feed`] sealed epoch by epoch through pipelines of
+    /// 1, 2 and 4 shards, incremental seals on and off. After every seal
+    /// the class table, flips and record table the seal patched at its
+    /// moved ids must be the full loop's over the same dense counters.
+    fn check_moved_set_seals(seed: u64, reached: &mut MovedReached) {
+        let FollowedFeed {
+            th,
+            cond1,
+            cond2,
+            epochs,
+        } = followed_feed(seed);
+        for shards in [1usize, 2, 4] {
+            for incremental_seal in [true, false] {
+                let ctx = format!("seed {seed}, {shards} shards, incremental {incremental_seal}");
+                let trace = Arc::new(TraceStore::new(16));
+                let mut pipe = StreamPipeline::new(StreamConfig {
+                    shards,
+                    epoch: EpochPolicy::manual(),
+                    thresholds: th,
+                    enforce_cond1: cond1,
+                    enforce_cond2: cond2,
+                    incremental_seal,
+                    trace: Some(Arc::clone(&trace)),
+                    ..Default::default()
+                });
+                let mut given = Vec::new();
+                let mut longest = 0;
+                for (epoch, batch) in epochs.iter().enumerate() {
+                    let ctx = format!("{ctx}, epoch {epoch}");
+                    pipe.push_batch(batch.iter().map(|t| StreamEvent::new(0, t.clone())));
+                    let sealed = Arc::clone(pipe.seal_epoch());
+                    let dense = sealed.dense.as_ref().expect("latest keeps its columns");
+                    let (classes, flips, records) = classify_every_id(dense, &mut given);
+                    assert_eq!(*sealed.classes, classes, "{ctx}: classes");
+                    assert_eq!(*sealed.flips, flips, "{ctx}: flips");
+                    assert_eq!(*dense.records, records, "{ctx}: records");
+                    let moved = moved_of(&trace, epoch as u64) as usize;
+                    let ids = pipe.interned_asns();
+                    if !incremental_seal || epoch == 0 {
+                        assert_eq!(moved, ids, "{ctx}: a full seal moves every id");
+                    } else {
+                        reached.partial += (0 < moved && moved < ids) as usize;
+                        reached.outgrown += (pipe.shards.max_path_len() > longest) as usize;
+                        reached.corrected += (pipe.shards.last_corrected().0 > 0) as usize;
+                    }
+                    reached.flips += flips.len();
+                    longest = pipe.shards.max_path_len();
+                }
+            }
+        }
+    }
+
+    fn check_moved_set_worlds(seeds: std::ops::Range<u64>) {
+        let mut reached = MovedReached::default();
+        for seed in seeds {
+            check_moved_set_seals(seed, &mut reached);
+        }
+        assert!(
+            reached.partial > 0
+                && reached.outgrown > 0
+                && reached.corrected > 0
+                && reached.flips > 0,
+            "{reached:?}"
+        );
+    }
+
+    #[test]
+    fn moved_set_seals_match_the_full_loop() {
+        check_moved_set_worlds(0..64);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn moved_set_seals_match_the_full_loop_at_length() {
+        check_moved_set_worlds(64..2_064);
+    }
+
+    #[test]
+    fn a_trickle_seal_moves_a_few_ids_not_the_id_space() {
+        // A 50 k-tuple store over ~50 k ASes (six peers, 400 mids and an
+        // origin a tuple), then one 256-tuple seal: new origins behind
+        // known peers and mids. What moves is the new origins and the
+        // few known ids whose counters their tuples change. A seal that
+        // went back to classifying every id would report ~50 k.
+        let peers = |i: u32| (10 + i % 6, 10 + (i + 1 + i / 6 % 5) % 6);
+        let tuple = |i: u32, origin: u32| {
+            let (p, q) = peers(i);
+            if i.is_multiple_of(3) {
+                tag_tuple(&[p, q, origin], &[p, q])
+            } else {
+                let mid = 1_000 + i % 400;
+                tag_tuple(&[p, q, mid, origin], &[p, q, mid])
+            }
+        };
+        let trace = Arc::new(TraceStore::new(4));
+        let mut pipe = StreamPipeline::new(StreamConfig {
+            shards: 2,
+            epoch: EpochPolicy::manual(),
+            trace: Some(Arc::clone(&trace)),
+            ..Default::default()
+        });
+        pipe.push_batch((0..50_000).map(|i| StreamEvent::new(u64::from(i), tuple(i, 200_000 + i))));
+        pipe.seal_epoch();
+        assert_eq!(moved_of(&trace, 0) as usize, pipe.interned_asns());
+        pipe.push_batch((0..256).map(|i| StreamEvent::new(50_000, tuple(i * 7, 400_000 + i))));
+        pipe.seal_epoch();
+        let (moved, ids) = (moved_of(&trace, 1), pipe.interned_asns());
+        assert!(ids > 50_000, "{ids} ids");
+        // 262 when this was written: the 256 new origins and six more.
+        assert!((256..=300).contains(&moved), "{moved} of {ids} ids moved");
+        assert_eq!(
+            pipe.last_replay().0,
+            pipe.last_replay().1,
+            "every unit replayed"
+        );
     }
 
     #[test]

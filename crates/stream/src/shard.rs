@@ -68,15 +68,17 @@
 //!   instead of discarding it. The compiled store keeps an occurrence
 //!   index — per id, the 64-tuple words whose tuples contain it
 //!   ([`CompiledTuples::affected_clean_words`]) — so the shard gathers
-//!   the sealed words that hold a diverged id, runs the ordinary word
+//!   the sealed words that hold a diverged id and runs the ordinary word
 //!   kernel over just those words twice
-//!   ([`CompiledTuples::count_clean_words`], rows newer than the last
-//!   seal masked off): once under the *recorded* trajectory, which gives
-//!   `old`, what those words put into the cache, and once under the
-//!   entering predicates, which gives `new`, what they contribute now.
-//!   `cache + new − old`, entries that reach zero dropped, is then merged
-//!   as a replayed step, and every id either pass touched joins the
-//!   overlay.
+//!   ([`CompiledTuples::correct_words`]), each word cut to its sealed
+//!   rows that read a diverged bit — a row that reads none contributes
+//!   the same under both states, and a word without such rows (the id
+//!   sits only where this step does not look) is skipped: once under the
+//!   *recorded* trajectory, which gives `old`, what those rows put into
+//!   the cache, and once under the entering predicates, which gives
+//!   `new`, what they contribute now. `cache + new − old`, entries that
+//!   reach zero dropped, is then merged as a replayed step, and every id
+//!   either pass touched joins the overlay.
 //!
 //! A followed feed is where this matters: an AS with one or two counted
 //! occurrences crosses a threshold on its first count, its bit then
@@ -98,11 +100,12 @@
 //! inputs over an identical tuple prefix. Corrected steps are by the same
 //! argument applied word by word: a step's delta is a sum over tuples of
 //! integer increments, each a function of the predicate bits of the ids
-//! on that tuple alone. A sealed tuple outside the gathered words holds
-//! no diverged id, so its increments are the same under both predicate
-//! states and stay in the cache; for the tuples inside them, `old` is
-//! precisely what the cache holds on their behalf and `new` what a
-//! recount would add, and since counters are integer sums the order of
+//! on that tuple alone — and only of those the step reads. A sealed
+//! tuple outside the counted rows reads no diverged bit, so its
+//! increments are the same under both predicate states and stay in the
+//! cache; for the counted rows, `old` is precisely what the cache holds
+//! on their behalf and `new` what a recount would add, and since
+//! counters are integer sums the order of
 //! the additions and the subtraction is immaterial. The corrected cache
 //! is therefore entry for entry what refilling it after a full
 //! recount would hold — which is what the generated-world test in this
@@ -111,6 +114,31 @@
 //! identical to the batch engine's reference path, pinned by
 //! `tests/stream_parity.rs` across epochs, shard counts, and incremental
 //! on/off; `incremental: false` stays the oracle.
+//!
+//! ## What moved
+//!
+//! A recount also returns the **moved set** ([`Recount::moved`]): every
+//! id whose final counters may differ from the previous seal's. In
+//! trajectory mode it is the overlay — the ids a fresh suffix delta, a
+//! retracted correction or a recounted step touched — plus every id a
+//! direct-mode step past the previous seal's deepest column merged. An
+//! id outside it had every contribution replayed, so its counters, and
+//! with them its class and record, are the previous seal's. A first seal,
+//! and every seal of an `incremental: false` set, moves every id. The
+//! pipeline classifies the moved ids alone and patches the previous
+//! seal's class and record tables at them, so what a seal does after
+//! counting costs O(moved ids), not O(id space).
+//!
+//! The overlay keeps its own predicate bits beside the trajectory. A
+//! member is re-evaluated only after it joins or a merge moves its
+//! counters (a merge marks every id it moves in a bitmap, which is
+//! cheaper than asking whether it is a member), and a step's entering
+//! words and diverged ids come a word of ids at a time,
+//! `(bits ^ trajectory) & overlay`
+//! ([`PhasePredicates::load_patched`]). A replayed step absorbs its fresh
+//! suffix in place: 95 % of a trickle pass's fresh entries hit an id the
+//! cached step already holds, so the entries move only when a new id
+//! arrives.
 //!
 //! What it costs to keep: the occurrence index is one 8-byte node per
 //! distinct (id, word) — 164 k nodes, 1.3 MB, for a shard of 61 k tuples
@@ -174,26 +202,43 @@ impl CachedStep {
     }
 
     /// Fold a fresh dirty-suffix delta into the cache (the suffix becomes
-    /// part of the clean prefix at the next seal): a sorted merge into
-    /// `scratch`, which then trades places with the entries — the
-    /// shard-owned buffer keeps a replayed step allocation-free.
-    fn absorb(&mut self, delta: &DeltaStore, scratch: &mut Vec<(AsnId, AsCounters)>) {
-        if delta.is_empty() {
+    /// part of the clean prefix at the next seal). `delta` comes
+    /// ascending by id; an id the cache holds accumulates in place, found
+    /// by walking on from the previous one. The ids it lacks gather in
+    /// `fresh` (a shard-owned buffer, so a replayed step stays
+    /// allocation-free) and are merged in from the back, so the entries
+    /// move only when a new id arrives.
+    fn absorb(
+        &mut self,
+        delta: impl Iterator<Item = (AsnId, AsCounters)>,
+        fresh: &mut Vec<(AsnId, AsCounters)>,
+    ) {
+        fresh.clear();
+        let mut at = 0;
+        for (id, c) in delta {
+            while self.entries.get(at).is_some_and(|&(e, _)| e < id) {
+                at += 1;
+            }
+            match self.entries.get_mut(at) {
+                Some((e, prev)) if *e == id => prev.accumulate(&c),
+                _ => fresh.push((id, c)),
+            }
+        }
+        if fresh.is_empty() {
             return;
         }
-        scratch.clear();
-        let mut old = self.entries.iter().copied().peekable();
-        for (id, mut c) in delta.iter() {
-            while let Some(e) = old.next_if(|&(oid, _)| oid < id) {
-                scratch.push(e);
+        let mut old = self.entries.len();
+        self.entries.resize(old + fresh.len(), Default::default());
+        for slot in (0..self.entries.len()).rev() {
+            let Some(&new) = fresh.last() else { break };
+            if old > 0 && self.entries[old - 1].0 > new.0 {
+                old -= 1;
+                self.entries[slot] = self.entries[old];
+            } else {
+                self.entries[slot] = new;
+                fresh.pop();
             }
-            if let Some((_, prev)) = old.next_if(|&(oid, _)| oid == id) {
-                c.accumulate(&prev);
-            }
-            scratch.push((id, c));
         }
-        scratch.extend(old);
-        std::mem::swap(&mut self.entries, scratch);
     }
 
     /// Take `old` — the share of this cache that some of its tuples
@@ -209,6 +254,68 @@ impl CachedStep {
             !c.is_zero()
         });
         debug_assert!(old.next().is_none(), "retracted an id the cache lacks");
+    }
+}
+
+/// What a recount hands the seal.
+#[derive(Debug)]
+pub struct Recount {
+    /// The final dense counters over the shared id space.
+    pub counters: DenseCounterStore,
+    /// The deepest column where anything counted.
+    pub deepest_active: usize,
+    /// The **moved set**: every id whose final counters may differ from
+    /// the previous seal's, once each, in no particular order. Every id
+    /// when there was nothing to replay (a first seal, or `incremental`
+    /// off); none on a seal that stored nothing new.
+    pub moved: Vec<AsnId>,
+}
+
+/// The trajectory replay's overlay: the ids whose counters moved off the
+/// previous seal's this seal, each with its own predicate bits. An id
+/// outside it had every contribution replayed, so its bits at every step
+/// are the trajectory's; a member's bits are re-evaluated only after it
+/// joins or a merge moves its counters.
+#[derive(Debug)]
+struct Overlay {
+    /// Members in the order they joined.
+    ids: Vec<AsnId>,
+    member: IdBitSet,
+    /// Both predicate bits of every member, from its counters when it was
+    /// last refreshed.
+    bits: PhasePredicates,
+    /// Ids whose counters a merge moved (or that joined) since the last
+    /// refresh, members or not: setting a bit is cheaper than asking.
+    touched: IdBitSet,
+}
+
+impl Overlay {
+    fn new(n_ids: usize) -> Self {
+        Overlay {
+            ids: Vec::new(),
+            member: IdBitSet::with_capacity(n_ids),
+            bits: PhasePredicates::empty(n_ids),
+            touched: IdBitSet::with_capacity(n_ids),
+        }
+    }
+
+    /// `id` left the replayed trajectory, or moved again: it is (now) a
+    /// member, and its bits are stale.
+    #[inline]
+    fn join(&mut self, id: AsnId) {
+        if !self.member.get(id) {
+            self.member.set(id);
+            self.ids.push(id);
+        }
+        self.touched.set(id);
+    }
+
+    /// Re-evaluate the bits of the members that moved since the last
+    /// refresh, a word of ids at a time.
+    fn refresh(&mut self, counters: &DenseCounterStore, th: &Thresholds) {
+        self.touched.drain_masked(&self.member, |id| {
+            self.bits.refresh_both(id, counters.get(id), th)
+        });
     }
 }
 
@@ -243,8 +350,8 @@ struct Shard {
     delta: DeltaStore,
     /// `cache[x-1][phase]` — previous seal's step deltas.
     cache: Vec<[CachedStep; 2]>,
-    /// Reused merge buffer of [`CachedStep::absorb`].
-    absorb_scratch: Vec<(AsnId, AsCounters)>,
+    /// The ids new to a cached step, gathered by [`CachedStep::absorb`].
+    absorb_fresh: Vec<(AsnId, AsCounters)>,
     /// A corrected step's words (occurrence-index keys) holding a
     /// diverged id, and what they contributed under the recorded
     /// trajectory — read only during a [`StepPlan::Correct`] step.
@@ -259,7 +366,7 @@ impl Shard {
             compiled: CompiledTuples::new(),
             delta: DeltaStore::default(),
             cache: Vec::new(),
-            absorb_scratch: Vec::new(),
+            absorb_fresh: Vec::new(),
             affected: Vec::new(),
             retracted: DeltaStore::default(),
         }
@@ -577,15 +684,15 @@ impl ShardSet {
     /// loop of the batch engine (tagging phase, merge, forwarding phase,
     /// merge, next column), each step counted shard by shard with
     /// cached-step reuse where the incremental invariants hold. Returns
-    /// the final dense counters over the shared id space and the deepest
-    /// column where anything counted.
+    /// the final dense counters over the shared id space, the deepest
+    /// column where anything counted, and the ids that moved.
     pub fn recount(
         &mut self,
         th: &Thresholds,
         max_index: Option<usize>,
         enforce_cond1: bool,
         enforce_cond2: bool,
-    ) -> (DenseCounterStore, usize) {
+    ) -> Recount {
         let n_ids = self.interner.len();
         let max_len = self.max_path_len();
         let deepest = max_index.unwrap_or(max_len).min(max_len);
@@ -602,23 +709,16 @@ impl ShardSet {
             self.trajectory.resize(deepest, Default::default());
         }
         // Replay requires caches + a trajectory from a previous seal;
-        // storing starts on the first seal so the second can replay. In
-        // trajectory mode, predicates are bulk-loaded from the recorded
-        // per-step words and corrected only at the *overlay* — the ids
-        // whose counters actually moved this seal (suffix contributions,
-        // corrections and fresh recounts) — so a replayed step costs
-        // accumulate-only merges plus O(overlay) float work instead of
-        // O(touched ids).
-        let mut direct_mode = !(self.incremental && self.sealed_once);
-        let mut overlay: Vec<AsnId> = Vec::new();
-        let mut overlay_set = IdBitSet::with_capacity(n_ids);
-        let grow_overlay = |overlay: &mut Vec<AsnId>, overlay_set: &mut IdBitSet, id: AsnId| {
-            if !overlay_set.get(id) {
-                overlay_set.ensure(id as usize + 1);
-                overlay_set.set(id);
-                overlay.push(id);
-            }
-        };
+        // storing starts on the first seal so the second can replay.
+        // Without them every id moves. In trajectory mode, predicates are
+        // bulk-loaded from the recorded per-step words and patched at the
+        // overlay — the ids whose counters actually moved this seal
+        // (suffix contributions, corrections and fresh recounts) — so a
+        // replayed step costs accumulate-only merges, a word-by-word
+        // patch and a re-evaluation of the overlay ids a merge moved.
+        let every_id_moves = !(self.incremental && self.sealed_once);
+        let mut direct_mode = every_id_moves;
+        let mut overlay = Overlay::new(n_ids);
         // The overlay ids whose entering bits left the trajectory at the
         // current step, and the trajectory's own words for the shards
         // that correct a cached step against them.
@@ -641,19 +741,22 @@ impl ShardSet {
                     direct_mode = true;
                 }
                 if !direct_mode {
-                    // Entering state = recorded trajectory, patched at
-                    // the overlay; the patch also yields the diverged
-                    // ids the plans need. Ids outside the overlay had
-                    // every contribution replayed, so their bits match
-                    // the trajectory by construction.
+                    // Entering state = recorded trajectory, with the
+                    // overlay's own bits word by word; the patch also
+                    // yields the diverged ids the plans need. Ids outside
+                    // the overlay had every contribution replayed, so
+                    // their bits match the trajectory by construction.
+                    overlay.refresh(&counters, th);
                     let traj = &self.trajectory[x - 1][pi];
-                    preds.load_words(&traj.forward, &traj.tagger, n_ids);
                     diverged.clear();
-                    for &id in &overlay {
-                        if preds.refresh_both(id, counters.get(id), th) {
-                            diverged.push(id);
-                        }
-                    }
+                    preds.load_patched(
+                        &traj.forward,
+                        &traj.tagger,
+                        n_ids,
+                        &overlay.bits,
+                        &overlay.member,
+                        &mut diverged,
+                    );
                     for (p, s) in plan.iter_mut().zip(&mut self.shards) {
                         *p = StepPlan::Replay;
                         if diverged.is_empty() {
@@ -719,19 +822,17 @@ impl ShardSet {
                         self.last_corrected.0 += 1;
                         self.last_corrected.1 += s.affected.len();
                         self.last_visits += VISITS_PER_CORRECTED_WORD * s.affected.len();
-                        for (under, delta) in
-                            [(&recorded, &mut s.retracted), (&preds, &mut s.delta)]
-                        {
-                            s.compiled.count_clean_words(
-                                under,
-                                x,
-                                phase,
-                                enforce_cond1,
-                                enforce_cond2,
-                                &s.affected,
-                                delta,
-                            );
-                        }
+                        s.compiled.correct_words(
+                            &recorded,
+                            &preds,
+                            x,
+                            phase,
+                            enforce_cond1,
+                            enforce_cond2,
+                            &s.affected,
+                            &mut s.retracted,
+                            &mut s.delta,
+                        );
                     }
                     s.compiled.count_phase_dense(
                         &preds,
@@ -749,7 +850,9 @@ impl ShardSet {
                 // Serial merge in shard order. In trajectory mode the
                 // merges are accumulate-only — the predicate evolution is
                 // already known — and every id whose counters moved off
-                // the replayed trajectory joins the overlay.
+                // the replayed trajectory joins the overlay; an overlay
+                // id a merge moves has its bits re-evaluated before the
+                // next step.
                 let t_merge = Instant::now();
                 for (s, &p) in self.shards.iter_mut().zip(&plan) {
                     if p != StepPlan::Recount {
@@ -759,26 +862,35 @@ impl ShardSet {
                         // freshly counted dirty suffix folded in — it is
                         // clean-prefix material at the next seal.
                         let step = &mut s.cache[x - 1][pi];
-                        for id in s.delta.touched().chain(s.retracted.touched()) {
-                            grow_overlay(&mut overlay, &mut overlay_set, id);
-                        }
-                        step.absorb(&s.delta, &mut s.absorb_scratch);
+                        let fresh = s.delta.drain().inspect(|&(id, _)| overlay.join(id));
+                        step.absorb(fresh, &mut s.absorb_fresh);
                         if p == StepPlan::Correct {
+                            for id in s.retracted.touched() {
+                                overlay.join(id);
+                            }
                             step.retract(&s.retracted);
                             s.retracted.clear();
                         }
                         if !step.entries.is_empty() {
                             col_active = true;
                         }
-                        counters.merge_sparse_counts(&step.entries);
+                        counters.merge_sparse_counts(&step.entries, |id| overlay.touched.set(id));
                     } else if direct_mode {
                         if !s.delta.is_empty() {
                             col_active = true;
                         }
                         counters.merge_update(&s.delta, &mut preds, th, phase);
+                        if !every_id_moves {
+                            // Past the previous seal's deepest column:
+                            // nothing here was counted before.
+                            for id in s.delta.touched() {
+                                overlay.join(id);
+                            }
+                        }
                         if self.incremental {
                             s.cache[x - 1][pi].refill(&s.delta);
                         }
+                        s.delta.clear();
                     } else {
                         // Trajectory mode, fresh recount of this shard's
                         // step: both the old cached contribution and the
@@ -787,15 +899,15 @@ impl ShardSet {
                             col_active = true;
                         }
                         for &(id, _) in &s.cache[x - 1][pi].entries {
-                            grow_overlay(&mut overlay, &mut overlay_set, id);
+                            overlay.join(id);
                         }
                         counters.merge_counts(&s.delta);
                         for id in s.delta.touched() {
-                            grow_overlay(&mut overlay, &mut overlay_set, id);
+                            overlay.join(id);
                         }
                         s.cache[x - 1][pi].refill(&s.delta);
+                        s.delta.clear();
                     }
-                    s.delta.clear();
                 }
                 let merge_elapsed = t_merge.elapsed().as_nanos() as u64;
                 self.hist_merge[pi].record(merge_elapsed);
@@ -810,24 +922,26 @@ impl ShardSet {
         }
         self.prev_deepest = deepest;
         self.sealed_once = true;
-        (counters, deepest_active)
+        let moved = if every_id_moves {
+            (0..n_ids as AsnId).collect()
+        } else {
+            overlay.ids
+        };
+        Recount {
+            counters,
+            deepest_active,
+            moved,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::Rng;
+    use crate::testing::{followed_feed, tag_tuple as tup, FollowedFeed};
     use bgp_infer::classify::{Class, TaggingClass};
     use bgp_infer::counters::CounterStore;
     use bgp_infer::engine::{InferenceConfig, InferenceEngine};
-
-    fn tup(p: &[u32], uppers: &[u32]) -> PathCommTuple {
-        PathCommTuple::new(
-            path(p),
-            CommunitySet::from_iter(uppers.iter().map(|&u| AnyCommunity::tag_for(Asn(u), 100))),
-        )
-    }
 
     fn corpus() -> Vec<PathCommTuple> {
         corpus_of(500)
@@ -979,7 +1093,11 @@ mod tests {
                 for t in &tuples {
                     push(&mut set, t);
                 }
-                let (counters, deepest) = set.recount(&batch.thresholds, None, true, true);
+                let Recount {
+                    counters,
+                    deepest_active: deepest,
+                    ..
+                } = set.recount(&batch.thresholds, None, true, true);
                 assert_eq!(deepest, batch.deepest_active_index, "{shards} shards");
                 let mut got: Vec<(Asn, AsCounters)> = sparse(&set, &counters).iter().collect();
                 let mut want: Vec<(Asn, AsCounters)> = batch.counters.iter().collect();
@@ -1072,78 +1190,17 @@ mod tests {
         deepest_active: usize,
     }
 
-    /// One world shaped like a followed feed — a handful of core ASes at
-    /// every position (collector peers included, which is what lets the
-    /// column loop get past column 1), a long tail of ASes seen one to
-    /// three times, per-AS tagging habits that are constant, mixed, or
-    /// change partway, a cleaner on some paths, paths that get longer
-    /// epoch by epoch, thresholds that small shares land on exactly —
-    /// sealed epoch by epoch at 1, 2, 4 and 7 shards. After every seal
-    /// the incremental set must agree with an `incremental: false` set
-    /// over the same tuples on counters, deepest active index and
-    /// classes, and hold caches a fresh refill would.
+    /// One [`followed_feed`] sealed epoch by epoch at 1, 2, 4 and 7
+    /// shards. After every seal the incremental set must agree with an
+    /// `incremental: false` set over the same tuples on counters, deepest
+    /// active index and classes, and hold caches a fresh refill would.
     fn check_generated_world(seed: u64, reached: &mut Reached) {
-        let mut rng = Rng(seed);
-        let th = Thresholds::uniform([0.99, 0.5, 0.75, 2.0 / 3.0][rng.below(4) as usize]);
-        let (cond1, cond2) = match rng.below(8) {
-            0 => (false, true),
-            1 => (true, false),
-            _ => (true, true),
-        };
-        let epochs = 3 + rng.below(6);
-        let core = 4 + rng.below(8);
-        let mut feed: Vec<Vec<PathCommTuple>> = Vec::new();
-        let mut tail_next = 1_000;
-        let mut tail: Vec<u32> = Vec::new();
-        let mut longest = 3 + rng.below(2);
-        for epoch in 0..epochs {
-            // A store first, then a trickle onto it; now and then a
-            // longer path than any before.
-            let tuples = if epoch == 0 {
-                300 + rng.below(1_500)
-            } else {
-                longest = (longest + (rng.below(3) == 0) as u32).min(7);
-                5 + rng.below(120)
-            };
-            let mut batch = Vec::new();
-            for _ in 0..tuples {
-                let len = 1 + rng.below(longest) as usize;
-                let mut hops: Vec<u32> = Vec::with_capacity(len);
-                while hops.len() < len {
-                    let asn = if hops.is_empty() || rng.below(2) == 0 {
-                        10 + rng.below(core)
-                    } else if tail.is_empty() || rng.below(3) == 0 {
-                        // A new tail AS: seen again twice at most.
-                        tail_next += 1;
-                        tail.extend([tail_next; 2]);
-                        tail_next
-                    } else {
-                        tail.swap_remove(rng.below(tail.len() as u32) as usize)
-                    };
-                    if !hops.contains(&asn) {
-                        hops.push(asn);
-                    }
-                }
-                // Habits hang off the AS number so they hold across tuples.
-                let cleaner_at = (rng.below(4) == 0).then(|| rng.below(len as u32) as usize);
-                let uppers: Vec<u32> = hops
-                    .iter()
-                    .enumerate()
-                    .filter(|&(p, &asn)| {
-                        let tags = match (asn ^ seed as u32) % 5 {
-                            0 | 1 => true,
-                            2 => false,
-                            3 => epoch < epochs / 2,
-                            _ => rng.below(2) == 0,
-                        };
-                        tags && cleaner_at.is_none_or(|c| p <= c)
-                    })
-                    .map(|(_, &asn)| asn)
-                    .collect();
-                batch.push(tup(&hops, &uppers));
-            }
-            feed.push(batch);
-        }
+        let FollowedFeed {
+            th,
+            cond1,
+            cond2,
+            epochs: feed,
+        } = followed_feed(seed);
         let tagger_codes = |set: &ShardSet, counters: &DenseCounterStore| {
             let mut classes: Vec<(Asn, Class)> = sparse(set, counters)
                 .iter()
@@ -1163,8 +1220,16 @@ mod tests {
                     push(&mut inc, t);
                     push(&mut full, t);
                 }
-                let (got, got_deepest) = inc.recount(&th, None, cond1, cond2);
-                let (want, want_deepest) = full.recount(&th, None, cond1, cond2);
+                let Recount {
+                    counters: got,
+                    deepest_active: got_deepest,
+                    ..
+                } = inc.recount(&th, None, cond1, cond2);
+                let Recount {
+                    counters: want,
+                    deepest_active: want_deepest,
+                    ..
+                } = full.recount(&th, None, cond1, cond2);
                 assert_eq!(got_deepest, want_deepest, "{ctx}: deepest active index");
                 let mut got_rows: Vec<_> = sparse(&inc, &got).iter().collect();
                 let mut want_rows: Vec<_> = sparse(&full, &want).iter().collect();
@@ -1247,13 +1312,21 @@ mod tests {
         for t in rest {
             push(&mut warm, t);
         }
-        let (inc, inc_deepest) = warm.recount(&th, None, true, true);
+        let Recount {
+            counters: inc,
+            deepest_active: inc_deepest,
+            ..
+        } = warm.recount(&th, None, true, true);
 
         let mut cold = ShardSet::new(3, false);
         for t in &tuples {
             push(&mut cold, t);
         }
-        let (full, full_deepest) = cold.recount(&th, None, true, true);
+        let Recount {
+            counters: full,
+            deepest_active: full_deepest,
+            ..
+        } = cold.recount(&th, None, true, true);
 
         assert_eq!(inc_deepest, full_deepest);
         let mut got: Vec<(Asn, AsCounters)> = sparse(&warm, &inc).iter().collect();
@@ -1271,10 +1344,18 @@ mod tests {
         }
         assert!(!set.unchanged_since_seal(), "never sealed yet");
         let th = Thresholds::default();
-        let (a, da) = set.recount(&th, None, true, true);
+        let Recount {
+            counters: a,
+            deepest_active: da,
+            ..
+        } = set.recount(&th, None, true, true);
         assert!(set.unchanged_since_seal());
         // A recount with zero dirty tuples replays every step.
-        let (b, db) = set.recount(&th, None, true, true);
+        let Recount {
+            counters: b,
+            deepest_active: db,
+            ..
+        } = set.recount(&th, None, true, true);
         assert_eq!(da, db);
         assert_eq!(a.counts(), b.counts());
         // A dedup hit adds no tuple, so the set stays unchanged.
