@@ -55,20 +55,23 @@
 //!   [`count_phase_dense`](CompiledTuples::count_phase_dense) can then
 //!   count only the tuples appended since (`dirty_only`), which is what
 //!   makes the stream layer's incremental epoch recounts (see
-//!   `bgp_stream::shard`) scale with the delta instead of the store.
-//! * **Occurrence index and word-restricted counting** — a stream
+//!   `bgp_stream::shard`) scale with the delta instead of the store. The
+//!   word the suffix starts in gathers only its rows from the boundary
+//!   on, shifted into place.
+//! * **Occurrence index and row-restricted counting** — a stream
 //!   shard's store also keeps, per id, the 64-tuple words whose tuples
-//!   contain it (appended by [`prepare`](CompiledTuples::prepare) at seal
-//!   time, never by a push).
+//!   contain it and, per such word, the mask of the rows that hold it
+//!   (appended by [`prepare`](CompiledTuples::prepare) at seal time,
+//!   never by a push).
 //!   [`affected_clean_words`](CompiledTuples::affected_clean_words) turns
-//!   a few ids into the sealed words one step can read them in, and
-//!   [`correct_words`](CompiledTuples::correct_words) runs the same
-//!   per-word kernel over just those words' rows that read a moved bit,
-//!   under the old and the new predicates. A step's delta is a sum over
-//!   tuples, so the difference is exactly what a recount of the step
-//!   would change — the stream layer's cached-step correction (see
-//!   `bgp_stream::shard`, *Incremental recounts*). The batch path
-//!   ([`run`](CompiledTuples::run)) builds and reads none of it.
+//!   a few ids into the sealed rows one step can read them in, and
+//!   [`correct_words`](CompiledTuples::correct_words) evaluates just those
+//!   rows, one at a time, under the old and the new predicates. A step's
+//!   delta is a sum over tuples, so the difference is exactly what a
+//!   recount of the step would change — the stream layer's cached-step
+//!   correction (see `bgp_stream::shard`, *Incremental recounts*). The
+//!   batch path ([`run`](CompiledTuples::run)) builds and reads none of
+//!   it.
 //!
 //! ## Parity guarantee
 //!
@@ -309,24 +312,207 @@ fn low_rows(n: usize) -> u64 {
     }
 }
 
-/// The Cond1 `clean` word of column `x` for bucket word `w`: per
-/// upstream position, the `is_forward` bits of the word's ids gathered
-/// into a `u64`, ANDed together (early exit once all-dirty); all rows
-/// set when `x == 1` or Cond1 is ablated.
+/// The Cond1 `clean` word of column `x` for bucket word `w`, over its
+/// rows from `first` on (the rows below it read as dirty and are not
+/// gathered): per upstream position, the `is_forward` bits of those
+/// rows' ids gathered into a `u64`, ANDed together (early exit once
+/// all-dirty); every such row set when `x == 1` or Cond1 is ablated.
 #[inline]
-fn clean_word(b: &Bucket, preds: &PhasePredicates, x: usize, enforce_cond1: bool, w: usize) -> u64 {
+fn clean_word(
+    b: &Bucket,
+    preds: &PhasePredicates,
+    x: usize,
+    enforce_cond1: bool,
+    w: usize,
+    first: usize,
+) -> u64 {
     let base = w * 64;
     let n = (b.slots() - base).min(64);
-    let mut acc = low_rows(n);
+    let mut acc = low_rows(n) & !low_rows(first);
     if enforce_cond1 {
         for p in 0..x - 1 {
-            acc &= gather_bits(&preds.forward, &b.cols[p][base..base + n]);
+            acc &= gather_bits(&preds.forward, &b.cols[p][base + first..base + n]) << first;
             if acc == 0 {
                 break;
             }
         }
     }
     acc
+}
+
+/// One sealed row's share of a (column, phase) step, evaluated on its
+/// own: Cond1 is the AND of `is_forward` over the positions before the
+/// counted one; a tagging step then adds `t` or `s` by the row's tag bit
+/// at the counted position, and a forwarding step walks Cond2
+/// downstream — the nearest tagger, through forwarding intermediates,
+/// decides `f` or `c` by its tag bit (with Cond2 ablated, the adjacent
+/// AS decides). Row `k` of `b` contributes exactly this to what
+/// [`CompiledTuples::count_phase_dense`] counts over it.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn count_row(
+    b: &Bucket,
+    preds: &PhasePredicates,
+    x: usize,
+    phase: CountPhase,
+    enforce_cond1: bool,
+    enforce_cond2: bool,
+    k: usize,
+    delta: &mut DeltaStore,
+) {
+    if enforce_cond1 && !b.cols[..x - 1].iter().all(|col| preds.is_forward(col[k])) {
+        return;
+    }
+    let tagged = |p: usize| (b.tag_cols[p][k / 64] >> (k % 64)) & 1 != 0;
+    let at = b.cols[x - 1][k];
+    match phase {
+        CountPhase::Tagging => {
+            let e = delta.entry(at);
+            if tagged(x - 1) {
+                e.t += 1;
+            } else {
+                e.s += 1;
+            }
+        }
+        CountPhase::Forwarding => {
+            for p in x..b.cols.len() {
+                let id = b.cols[p][k];
+                if !enforce_cond2 || preds.is_tagger(id) {
+                    let e = delta.entry(at);
+                    if tagged(p) {
+                        e.f += 1;
+                    } else {
+                        e.c += 1;
+                    }
+                    return;
+                }
+                // Intermediates must forward for deeper taggers.
+                if !preds.is_forward(id) {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The innermost loop: one (column, phase) over one bucket's rows from
+/// `first` on (0, or a dirty suffix's start), a 64-row word at a time.
+#[allow(clippy::needless_range_loop)]
+fn count_bucket_words(
+    b: &Bucket,
+    preds: &PhasePredicates,
+    x: usize,
+    phase: CountPhase,
+    enforce_cond2: bool,
+    first: usize,
+    delta: &mut DeltaStore,
+) -> bool {
+    debug_assert!(b.cols.len() >= x);
+    let (w_lo, w_hi) = (first / 64, b.words());
+    let mut touched = false;
+    match phase {
+        CountPhase::Tagging => {
+            let axids = &b.cols[x - 1];
+            let tags = &b.tag_cols[x - 1];
+            for w in w_lo..w_hi {
+                let mut cl = b.clean[w];
+                if w == w_lo {
+                    cl &= !low_rows(first % 64);
+                }
+                if cl == 0 {
+                    continue;
+                }
+                // Every clean active tuple increments exactly one of
+                // t/s at its position-x AS: split the word once.
+                touched = true;
+                let tg = tags[w];
+                let mut m = cl & tg;
+                while m != 0 {
+                    let k = (w << 6) + m.trailing_zeros() as usize;
+                    delta.entry(axids[k]).t += 1;
+                    m &= m - 1;
+                }
+                let mut m = cl & !tg;
+                while m != 0 {
+                    let k = (w << 6) + m.trailing_zeros() as usize;
+                    delta.entry(axids[k]).s += 1;
+                    m &= m - 1;
+                }
+            }
+        }
+        CountPhase::Forwarding => {
+            debug_assert!(b.cols.len() > x);
+            // The boundary word gathers only its rows from `first` on;
+            // every later word is whole.
+            if w_lo < w_hi {
+                touched |= forward_word(b, preds, x, enforce_cond2, w_lo, first % 64, delta);
+            }
+            for w in w_lo + 1..w_hi {
+                touched |= forward_word(b, preds, x, enforce_cond2, w, 0, delta);
+            }
+        }
+    }
+    touched
+}
+
+/// One word of a forwarding step over its rows from `from` on: layered
+/// word-parallel Cond2. Walk the downstream positions once per *word*,
+/// peeling off the tuples whose nearest tagger sits at position `p` and
+/// keeping the rest alive while position `p` forwards. With Cond2
+/// ablated every tuple takes the adjacent AS (`p = x`) unconditionally.
+#[inline(always)]
+fn forward_word(
+    b: &Bucket,
+    preds: &PhasePredicates,
+    x: usize,
+    enforce_cond2: bool,
+    w: usize,
+    from: usize,
+    delta: &mut DeltaStore,
+) -> bool {
+    let mut undecided = b.clean[w] & !low_rows(from);
+    if undecided == 0 {
+        return false;
+    }
+    let blen = b.cols.len();
+    let axids = &b.cols[x - 1];
+    let lo = w * 64;
+    let rows = lo + from..lo + (b.slots() - lo).min(64);
+    let mut touched = false;
+    for p in x..blen {
+        let local = &b.cols[p][rows.clone()];
+        let found = if enforce_cond2 {
+            undecided & gather_bits(&preds.tagger, local) << from
+        } else {
+            undecided
+        };
+        if found != 0 {
+            touched = true;
+            let tg = b.tag_cols[p][w];
+            let mut m = found & tg;
+            while m != 0 {
+                let k = lo + m.trailing_zeros() as usize;
+                delta.entry(axids[k]).f += 1;
+                m &= m - 1;
+            }
+            let mut m = found & !tg;
+            while m != 0 {
+                let k = lo + m.trailing_zeros() as usize;
+                delta.entry(axids[k]).c += 1;
+                m &= m - 1;
+            }
+        }
+        undecided &= !found;
+        if undecided == 0 || p + 1 == blen {
+            break;
+        }
+        // Intermediates must forward for deeper taggers.
+        undecided &= gather_bits(&preds.forward, local) << from;
+        if undecided == 0 {
+            break;
+        }
+    }
+    touched
 }
 
 /// A phase delta over the dense id space: flat counters plus a touched
@@ -619,18 +805,20 @@ impl Bucket {
 /// "No entry" in the occurrence index's links and heads.
 const NO_OCCURRENCE: u32 = u32::MAX;
 
-/// Per interned id, the 64-tuple words whose tuples contain it — what
-/// lets the stream layer re-evaluate a step over just the words a
-/// diverged predicate can reach instead of recounting the store.
+/// Per interned id, the 64-tuple words whose tuples contain it and the
+/// rows of each that do — what lets the stream layer re-evaluate a step
+/// over just the rows a diverged predicate can reach instead of
+/// recounting the store.
 ///
 /// A word is named by a store-wide key (`words[key]` = its bucket and
 /// its index there; keys are handed out as words are first indexed, so
 /// no path length or bucket size limits them). An id's words form a
 /// chain through `nodes`, newest first: appending is two flat pushes
 /// whatever the id, and a store of mostly one-occurrence ASes pays one
-/// 8-byte node each. `prepare` walks word by word, so `last_key` keeps a
-/// word from being chained twice for one id within a walk; a word that
-/// fills over two walks can be, which readers absorb by deduplicating
+/// 16-byte node each. `prepare` walks word by word, so `last_key` finds
+/// the node of a word already chained for the id within a walk, and a
+/// repeat ORs its row into that node; a word that fills over two walks
+/// can be chained twice, which readers absorb by merging rows per word
 /// (they merge the chains of several ids anyway).
 #[derive(Debug, Default)]
 struct OccurrenceIndex {
@@ -638,8 +826,18 @@ struct OccurrenceIndex {
     words: Vec<(u32, u32)>,
     /// `id -> (last_key, newest node)`, [`NO_OCCURRENCE`] when absent.
     heads: Vec<(u32, u32)>,
-    /// `(key, next older node of the same id)`.
-    nodes: Vec<(u32, u32)>,
+    nodes: Vec<Occurrence>,
+}
+
+/// One link of an id's chain in the [`OccurrenceIndex`].
+#[derive(Debug, Clone, Copy)]
+struct Occurrence {
+    /// Bit `r`: row `r` of the word holds the id (at any position).
+    rows: u64,
+    /// The word's key.
+    key: u32,
+    /// The next older node of the same id.
+    older: u32,
 }
 
 /// The columnar tuple store the compiled engine runs over. The columns
@@ -854,12 +1052,20 @@ impl CompiledTuples {
                     occ.words.push((index_u32(blen), index_u32(w)));
                 }
                 let key = b.word_keys[w];
-                let rows = (w * 64).max(b.mat_k)..((w + 1) * 64).min(nk);
+                let base = w * 64;
+                let rows = base.max(b.mat_k)..(base + 64).min(nk);
                 for col in &b.cols {
-                    for &id in &col[rows.clone()] {
+                    for (k, &id) in rows.clone().zip(&col[rows.clone()]) {
+                        let row = 1u64 << (k - base);
                         let head = &mut occ.heads[id as usize];
-                        if head.0 != key {
-                            occ.nodes.push((key, head.1));
+                        if head.0 == key {
+                            occ.nodes[head.1 as usize].rows |= row;
+                        } else {
+                            occ.nodes.push(Occurrence {
+                                rows: row,
+                                key,
+                                older: head.1,
+                            });
                             *head = (key, index_u32(occ.nodes.len() - 1));
                         }
                     }
@@ -869,125 +1075,88 @@ impl CompiledTuples {
         }
     }
 
-    /// Collect into `out`, sorted and without repeats, the keys of the
+    /// Collect into `out`, sorted by key and one entry a word, the
     /// clean-prefix words that one (column, phase) step reads and that
-    /// hold any of `ids`: words of buckets long enough for the step (see
-    /// [`step_visits`](CompiledTuples::step_visits)) with at least one
-    /// tuple sealed by the last
-    /// [`commit_clean`](CompiledTuples::commit_clean). Those are all the
-    /// sealed tuples whose contribution to the step can depend on a
-    /// predicate bit of `ids`. Current as of the last
-    /// [`prepare`](CompiledTuples::prepare).
+    /// hold any of `ids`, each with the mask of its sealed rows that hold
+    /// one: words of buckets long enough for the step (see
+    /// [`step_visits`](CompiledTuples::step_visits)), rows sealed by the
+    /// last [`commit_clean`](CompiledTuples::commit_clean). Those are all
+    /// the sealed tuples whose contribution to the step can depend on a
+    /// predicate bit of `ids`. Returns the number of rows collected.
+    /// Current as of the last [`prepare`](CompiledTuples::prepare).
     pub fn affected_clean_words(
         &self,
         ids: &[AsnId],
         x: usize,
         phase: CountPhase,
-        out: &mut Vec<u32>,
-    ) {
+        out: &mut Vec<(u32, u64)>,
+    ) -> usize {
         out.clear();
         let occ = &self.occurrences;
         let shortest = shortest_counted(x, phase);
         for &id in ids {
             let mut node = occ.heads.get(id as usize).map_or(NO_OCCURRENCE, |h| h.1);
             while node != NO_OCCURRENCE {
-                let (key, older) = occ.nodes[node as usize];
+                let Occurrence { rows, key, older } = occ.nodes[node as usize];
                 let (blen, w) = occ.words[key as usize];
-                if blen as usize >= shortest
-                    && (w as usize) * 64 < self.buckets[blen as usize].clean_k
-                {
-                    out.push(key);
+                let base = w as usize * 64;
+                let clean_k = self.buckets[blen as usize].clean_k;
+                if blen as usize >= shortest && base < clean_k {
+                    let sealed = rows & low_rows(clean_k - base);
+                    if sealed != 0 {
+                        out.push((key, sealed));
+                    }
                 }
                 node = older;
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        out.sort_unstable_by_key(|&(key, _)| key);
+        out.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 |= later.1;
+            }
+            same
+        });
+        out.iter()
+            .map(|&(_, rows)| rows.count_ones() as usize)
+            .sum()
     }
 
-    /// Correct one (column, phase) step over `words` — keys from
+    /// Correct one (column, phase) step over `words` — from
     /// [`affected_clean_words`](CompiledTuples::affected_clean_words) for
     /// the same step — from the `recorded` predicates to the `entering`
-    /// ones. A tuple's share of a step reads the `is_forward` bits of the
-    /// positions before the counted one (Cond1) and, in a forwarding step,
-    /// both bits of the positions after it (the Cond2 walk); a row none of
-    /// whose read ids changed a bit contributes the same under both
-    /// states. So each word is cut to its sealed rows that read a changed
-    /// bit (rows appended since the last
-    /// [`commit_clean`](CompiledTuples::commit_clean) are masked off), a
-    /// word with none is skipped, and those rows are counted with the
-    /// per-word kernel of [`count_phase_dense`](CompiledTuples::count_phase_dense)
-    /// under `recorded` into `old` and under `entering` into `new`:
-    /// `new − old` is what a recount of the step would change. Every word
-    /// it counts is left with its `clean` scratch computed under
-    /// `entering`.
+    /// ones. Each masked row is evaluated on its own, under `recorded`
+    /// into `old` and under `entering` into `new`, exactly as
+    /// [`count_phase_dense`](CompiledTuples::count_phase_dense) counts it:
+    /// `new − old` is what a recount of the step would change. A row
+    /// whose read ids kept their bits gives `new = old`, so rows that
+    /// hold a moved id where the step does not look cost time, not
+    /// exactness; no 64-row word is gathered.
     #[allow(clippy::too_many_arguments)]
     pub fn correct_words(
-        &mut self,
+        &self,
         recorded: &PhasePredicates,
         entering: &PhasePredicates,
         x: usize,
         phase: CountPhase,
         enforce_cond1: bool,
         enforce_cond2: bool,
-        words: &[u32],
+        words: &[(u32, u64)],
         old: &mut DeltaStore,
         new: &mut DeltaStore,
     ) {
-        debug_assert_eq!(recorded.forward.words.len(), entering.forward.words.len());
-        // The ids whose bits differ: in `is_forward` (all Cond1 reads),
-        // and in either bit (what the Cond2 walk reads).
-        let xor = |a: &IdBitSet, b: &IdBitSet| -> Vec<u64> {
-            a.words.iter().zip(&b.words).map(|(a, b)| a ^ b).collect()
-        };
-        let forward = IdBitSet {
-            words: xor(&recorded.forward, &entering.forward),
-        };
-        let mut either = IdBitSet {
-            words: xor(&recorded.tagger, &entering.tagger),
-        };
-        for (e, f) in either.words.iter_mut().zip(&forward.words) {
-            *e |= f;
-        }
-        for &key in words {
+        for &(key, rows) in words {
             let (blen, w) = self.occurrences.words[key as usize];
-            let (blen, w) = (blen as usize, w as usize);
-            let b = &self.buckets[blen];
-            debug_assert!(blen >= shortest_counted(x, phase) && w * 64 < b.clean_k);
-            let base = w * 64;
-            let rows = base..base + (b.slots() - base).min(64);
-            let mut reads = 0;
-            for col in &b.cols[..x - 1] {
-                reads |= gather_bits(&forward, &col[rows.clone()]);
-            }
-            if phase == CountPhase::Forwarding {
-                for col in &b.cols[x..] {
-                    reads |= gather_bits(&either, &col[rows.clone()]);
-                }
-            }
-            let mask = reads & low_rows(b.clean_k - base);
-            if mask == 0 {
-                continue;
-            }
-            for (preds, delta) in [(recorded, &mut *old), (entering, &mut *new)] {
-                let b = &mut self.buckets[blen];
-                if b.clean.len() <= w {
-                    b.clean.resize(b.words(), 0);
-                }
-                b.clean[w] = clean_word(b, preds, x, enforce_cond1, w);
-                let b = &self.buckets[blen];
-                self.count_bucket_words(
-                    b,
-                    blen,
-                    preds,
-                    x,
-                    phase,
-                    enforce_cond2,
-                    w,
-                    w + 1,
-                    mask,
-                    delta,
-                );
+            let (b, base) = (&self.buckets[blen as usize], w as usize * 64);
+            debug_assert!(blen as usize >= shortest_counted(x, phase));
+            debug_assert_eq!(rows & !low_rows(b.clean_k.saturating_sub(base)), 0);
+            let mut m = rows;
+            while m != 0 {
+                let k = base + m.trailing_zeros() as usize;
+                m &= m - 1;
+                count_row(b, recorded, x, phase, enforce_cond1, enforce_cond2, k, old);
+                count_row(b, entering, x, phase, enforce_cond1, enforce_cond2, k, new);
             }
         }
     }
@@ -998,9 +1167,10 @@ impl CompiledTuples {
     /// (early-exiting once a word is all-dirty); all-ones when `x == 1`
     /// (no upstream) or Cond1 is ablated. Valid for both of the column's
     /// phases — the tagging merge moves only `t`/`s` counters, which
-    /// `is_forward` never reads. With `dirty_only`, only the words
-    /// covering the dirty suffix are computed (enough for a replayed
-    /// step's suffix counting).
+    /// `is_forward` never reads. With `dirty_only`, only the dirty suffix
+    /// is computed (enough for a replayed step's suffix counting): the
+    /// words covering it, the boundary word from its first dirty row,
+    /// its sealed rows left unset.
     pub fn compute_clean(
         &mut self,
         preds: &PhasePredicates,
@@ -1020,12 +1190,14 @@ impl CompiledTuples {
                 if b.clean_k >= nk {
                     continue;
                 }
-                b.clean_k / 64
+                let w = b.clean_k / 64;
+                b.clean[w] = clean_word(b, preds, x, enforce_cond1, w, b.clean_k % 64);
+                w + 1
             } else {
                 0
             };
             for w in w_lo..words {
-                b.clean[w] = clean_word(b, preds, x, enforce_cond1, w);
+                b.clean[w] = clean_word(b, preds, x, enforce_cond1, w, 0);
             }
         }
     }
@@ -1052,133 +1224,15 @@ impl CompiledTuples {
             if nk == 0 {
                 continue;
             }
-            let (w_lo, lo_mask) = if dirty_only {
+            let first = if dirty_only {
                 if b.clean_k >= nk {
                     continue;
                 }
-                (b.clean_k / 64, !0u64 << (b.clean_k % 64))
+                b.clean_k
             } else {
-                (0, !0u64)
+                0
             };
-            touched |= self.count_bucket_words(
-                b,
-                blen,
-                preds,
-                x,
-                phase,
-                enforce_cond2,
-                w_lo,
-                b.words(),
-                lo_mask,
-                delta,
-            );
-        }
-        touched
-    }
-
-    /// The innermost loop: one (column, phase) over one bucket's word
-    /// range. `lo_mask` filters the first word (dirty-suffix boundaries).
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-    fn count_bucket_words(
-        &self,
-        b: &Bucket,
-        blen: usize,
-        preds: &PhasePredicates,
-        x: usize,
-        phase: CountPhase,
-        enforce_cond2: bool,
-        w_lo: usize,
-        w_hi: usize,
-        lo_mask: u64,
-        delta: &mut DeltaStore,
-    ) -> bool {
-        debug_assert!(blen >= x);
-        let p = x - 1;
-        let axids = &b.cols[p];
-        let mut touched = false;
-        match phase {
-            CountPhase::Tagging => {
-                let tags = &b.tag_cols[p];
-                for w in w_lo..w_hi {
-                    let mut cl = b.clean[w];
-                    if w == w_lo {
-                        cl &= lo_mask;
-                    }
-                    if cl == 0 {
-                        continue;
-                    }
-                    // Every clean active tuple increments exactly one of
-                    // t/s at its position-x AS: split the word once.
-                    touched = true;
-                    let tg = tags[w];
-                    let mut m = cl & tg;
-                    while m != 0 {
-                        let k = (w << 6) + m.trailing_zeros() as usize;
-                        delta.entry(axids[k]).t += 1;
-                        m &= m - 1;
-                    }
-                    let mut m = cl & !tg;
-                    while m != 0 {
-                        let k = (w << 6) + m.trailing_zeros() as usize;
-                        delta.entry(axids[k]).s += 1;
-                        m &= m - 1;
-                    }
-                }
-            }
-            CountPhase::Forwarding => {
-                debug_assert!(blen > x);
-                for w in w_lo..w_hi {
-                    let mut cl = b.clean[w];
-                    if w == w_lo {
-                        cl &= lo_mask;
-                    }
-                    if cl == 0 {
-                        continue;
-                    }
-                    let lo = w * 64;
-                    let wn = (b.slots() - lo).min(64);
-                    // Layered word-parallel Cond2: walk the downstream
-                    // positions once per *word*, peeling off the tuples
-                    // whose nearest tagger sits at position `p` and
-                    // keeping the rest alive while position `p`
-                    // forwards. With Cond2 ablated every tuple takes the
-                    // adjacent AS (`p = x`) unconditionally.
-                    let mut undecided = cl;
-                    for p in x..blen {
-                        let local = &b.cols[p][lo..lo + wn];
-                        let found = if enforce_cond2 {
-                            undecided & gather_bits(&preds.tagger, local)
-                        } else {
-                            undecided
-                        };
-                        if found != 0 {
-                            touched = true;
-                            let tg = b.tag_cols[p][w];
-                            let mut m = found & tg;
-                            while m != 0 {
-                                let k = lo + m.trailing_zeros() as usize;
-                                delta.entry(axids[k]).f += 1;
-                                m &= m - 1;
-                            }
-                            let mut m = found & !tg;
-                            while m != 0 {
-                                let k = lo + m.trailing_zeros() as usize;
-                                delta.entry(axids[k]).c += 1;
-                                m &= m - 1;
-                            }
-                        }
-                        undecided &= !found;
-                        if undecided == 0 || p + 1 == blen {
-                            break;
-                        }
-                        // Intermediates must forward for deeper taggers.
-                        undecided &= gather_bits(&preds.forward, local);
-                        if undecided == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
+            touched |= count_bucket_words(b, preds, x, phase, enforce_cond2, first, delta);
         }
         touched
     }
@@ -1399,13 +1453,14 @@ mod tests {
 
     #[test]
     fn corrected_words_change_what_a_recount_would() {
-        // The word-restricted correction against `count_phase_dense`: ask
-        // the occurrence index for the words of *every* id, correct them
-        // from one predicate state to another, and `new − old` must be
-        // the difference of two counts of the sealed tuples — every
-        // step, both phases, Cond1/Cond2 on and off, from all-false
-        // predicates (every read bit moved) and from a state three ids
-        // away (most words skipped, the rest cut to a few rows). 150
+        // The row-restricted correction against `count_phase_dense`: ask
+        // the occurrence index for the rows of the ids whose bits moved,
+        // correct them from one predicate state to another, and
+        // `new − old` must be the difference of two counts of the sealed
+        // tuples — every step, both phases, Cond1/Cond2 on and off, from
+        // all-false predicates (nearly every id moved) and from a state
+        // three ids away (a few rows a word, found through repeats of an
+        // id within one word). 150
         // three-hop tuples leave that bucket's last word partial (22
         // rows); a second, longer bucket and a dirty suffix sharing its
         // boundary word with sealed rows check the row mask. Pushed the
@@ -1473,11 +1528,26 @@ mod tests {
             counts
         };
         for recorded in [&PhasePredicates::empty(n), &near] {
+            // The ids whose bits differ, as a shard asks with them.
+            let moved: Vec<AsnId> = every_id
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    recorded.is_forward(id) != entering.is_forward(id)
+                        || recorded.is_tagger(id) != entering.is_tagger(id)
+                })
+                .collect();
             for (cond1, cond2) in [(true, true), (true, false), (false, true), (false, false)] {
                 for x in 1..=4 {
                     for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
-                        store.affected_clean_words(&every_id, x, phase, &mut words);
-                        assert!(words.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+                        let rows = store.affected_clean_words(&moved, x, phase, &mut words);
+                        assert!(
+                            words.windows(2).all(|w| w[0].0 < w[1].0),
+                            "sorted, no repeats"
+                        );
+                        assert!(words.iter().all(|&(_, r)| r != 0), "no empty word");
+                        let masked: u32 = words.iter().map(|&(_, r)| r.count_ones()).sum();
+                        assert_eq!(rows, masked as usize);
                         store.correct_words(
                             recorded, &entering, x, phase, cond1, cond2, &words, &mut old, &mut new,
                         );
@@ -1497,14 +1567,123 @@ mod tests {
                 }
             }
         }
-        // One id's words are a strict subset: the origin of one sealed
-        // tuple lives in exactly one word.
+        // One id's rows are a strict subset: the origin of one sealed
+        // tuple lives in exactly one row.
         let origin = interner.get(Asn(9_001)).expect("interned");
-        store.affected_clean_words(&[origin], 1, CountPhase::Tagging, &mut words);
-        assert_eq!(words.len(), 1);
-        // Its path is three hops long: no column-4 step reads that word.
-        store.affected_clean_words(&[origin], 4, CountPhase::Tagging, &mut words);
-        assert!(words.is_empty());
+        let rows = store.affected_clean_words(&[origin], 1, CountPhase::Tagging, &mut words);
+        assert_eq!((words.len(), rows), (1, 1));
+        // Its path is three hops long: no column-4 step reads that row.
+        let rows = store.affected_clean_words(&[origin], 4, CountPhase::Tagging, &mut words);
+        assert!(words.is_empty() && rows == 0);
+        // AS 10 is the peer of every seventh tuple: its rows in the
+        // three-hop bucket's first word (the first key handed out) are
+        // exactly the rows of those tuples, each found once.
+        let peer = interner.get(Asn(10)).expect("interned");
+        store.affected_clean_words(&[peer], 1, CountPhase::Tagging, &mut words);
+        let peer_rows = (0..200u32)
+            .filter(|i| !i.is_multiple_of(4))
+            .take(64)
+            .enumerate()
+            .filter(|(_, i)| i.is_multiple_of(7))
+            .fold(0u64, |m, (r, _)| m | 1 << r);
+        assert_eq!(words[0], (0, peer_rows));
+    }
+
+    /// A generated store for the row-kernel check: up to 300 tuples of
+    /// 1 to 8 hops over a few dozen ASes, each hop tagged at random, and
+    /// how many of them were sealed (by `commit_clean`) before the rest.
+    fn generated_store(rng: &mut rand::rngs::StdRng) -> (CompiledTuples, usize) {
+        use rand::RngExt;
+        let mut store = CompiledTuples::new();
+        let tuples = rng.random_range(1..300usize);
+        let sealed = rng.random_range(0..=tuples);
+        let ases = rng.random_range(3..60u32);
+        for i in 0..tuples {
+            if i == sealed {
+                store.commit_clean();
+            }
+            let mut hops = vec![rng.random_range(1..=ases)];
+            for _ in 1..rng.random_range(1..=8usize) {
+                let hop = rng.random_range(1..=ases);
+                if hops.last() != Some(&hop) {
+                    hops.push(hop);
+                }
+            }
+            let uppers: Vec<u32> = hops
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(0.5))
+                .collect();
+            store.push(&tup(&hops, &uppers));
+        }
+        if sealed == tuples {
+            store.commit_clean();
+        }
+        (store, sealed)
+    }
+
+    /// The row kernel (`count_row`) summed over a step's rows equals the
+    /// word kernel's count of them, over the whole store and over its
+    /// dirty suffix (whose boundary word gathers only its dirty rows):
+    /// every (x, phase), Cond1/Cond2 on and off, random predicate states.
+    fn check_row_kernel(seeds: std::ops::Range<u64>) {
+        use rand::{RngExt, SeedableRng};
+        let mut partial_boundaries = 0;
+        for seed in seeds {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut store, sealed) = generated_store(&mut rng);
+            partial_boundaries += (sealed % 64 != 0 && sealed < store.len()) as usize;
+            let n = store.interner.len();
+            let [mut words, mut rows] = [(); 2].map(|_| DeltaStore::zeroed(n));
+            for _ in 0..3 {
+                let (fwd, tag) = (rng.random_range(0..=10u32), rng.random_range(0..=10u32));
+                let mut preds = PhasePredicates::empty(n);
+                for id in 0..n as AsnId {
+                    preds.forward.assign(id, rng.random_ratio(fwd, 10));
+                    preds.tagger.assign(id, rng.random_ratio(tag, 10));
+                }
+                for (cond1, cond2) in [(true, true), (true, false), (false, true), (false, false)] {
+                    for x in 1..=store.max_path_len() {
+                        for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
+                            for dirty_only in [false, true] {
+                                store.compute_clean(&preds, x, cond1, dirty_only);
+                                store.count_phase_dense(
+                                    &preds, x, phase, cond2, dirty_only, &mut words,
+                                );
+                                for b in &store.buckets
+                                    [shortest_counted(x, phase).min(store.buckets.len())..]
+                                {
+                                    let first = if dirty_only { b.clean_k } else { 0 };
+                                    for k in first..b.slots() {
+                                        count_row(b, &preds, x, phase, cond1, cond2, k, &mut rows);
+                                    }
+                                }
+                                let ctx = format!(
+                                    "seed {seed}, x={x} {phase:?} cond1={cond1} cond2={cond2} dirty_only={dirty_only}"
+                                );
+                                for id in 0..n as AsnId {
+                                    assert_eq!(words.get(id), rows.get(id), "{ctx}: id {id}");
+                                }
+                                words.clear();
+                                rows.clear();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(partial_boundaries > 0, "no seed sealed mid-word");
+    }
+
+    #[test]
+    fn the_row_kernel_counts_what_the_word_kernel_does() {
+        check_row_kernel(0..64);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn the_row_kernel_counts_what_the_word_kernel_does_at_length() {
+        check_row_kernel(64..2_064);
     }
 
     #[test]

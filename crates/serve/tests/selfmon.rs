@@ -103,10 +103,11 @@ fn epoch_trace_is_identical_across_restart() {
             "missing {stage}: {live_body}"
         );
     }
-    // The seal row says how many tuples its steps visited and how many
-    // ids moved; both reach the archive copy through the tail comparison
-    // below.
+    // The seal row says how many tuples its steps visited, how many rows
+    // its corrections re-evaluated and how many ids moved; all reach the
+    // archive copy through the tail comparison below.
     assert!(live_body.contains("\"visited_tuples\":"), "{live_body}");
+    assert!(live_body.contains("\"corrected_rows\":"), "{live_body}");
     assert!(live_body.contains("\"moved\":"), "{live_body}");
     live.shutdown();
 

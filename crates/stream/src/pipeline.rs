@@ -459,7 +459,7 @@ impl StreamPipeline {
         }
         snapshot.seal_nanos = t_seal.elapsed().as_nanos() as u64;
         let (replayed, total) = self.shards.last_replay();
-        let (corrected, corrected_words) = self.shards.last_corrected();
+        let (corrected, corrected_words, corrected_rows) = self.shards.last_corrected();
         let kind = if zero_delta {
             0
         } else if replayed > 0 {
@@ -470,7 +470,7 @@ impl StreamPipeline {
         self.seal_hists[kind].record(snapshot.seal_nanos);
         obs::debug!(
             "stream",
-            "sealed epoch {epoch} kind={} events={} tuples={} flips={} moved={moved} replayed={replayed}/{total} corrected={corrected} corrected_words={corrected_words} seal_nanos={} count_nanos={}",
+            "sealed epoch {epoch} kind={} events={} tuples={} flips={} moved={moved} replayed={replayed}/{total} corrected={corrected} corrected_words={corrected_words} corrected_rows={corrected_rows} seal_nanos={} count_nanos={}",
             SEAL_KINDS[kind],
             snapshot.events,
             snapshot.unique_tuples,
@@ -490,7 +490,8 @@ impl StreamPipeline {
             }
             // `kind` indexes `SEAL_KINDS`; `replayed` counts the units
             // answered from their cache, `corrected` those of them whose
-            // cache was first corrected over `corrected_words` words;
+            // cache was first corrected, re-evaluating `corrected_rows`
+            // rows of `corrected_words` words;
             // `visited_tuples` is what all of it read, step by step;
             // `moved` counts the ids classified and patched.
             trace.record(
@@ -503,6 +504,7 @@ impl StreamPipeline {
                     ("replayed", replayed as u64),
                     ("corrected", corrected as u64),
                     ("corrected_words", corrected_words as u64),
+                    ("corrected_rows", corrected_rows as u64),
                     ("total_steps", total as u64),
                     ("visited_tuples", self.shards.last_visits() as u64),
                     ("moved", moved as u64),
@@ -721,7 +723,7 @@ mod tests {
         // column 3. That flips `is_tagger(77)` entering step 3.forwarding,
         // where the sealed tuple now counts 6000 as forwarding 77's tag;
         // 6000 turns `is_forward`, and column 4 counts 77 on the sealed
-        // tuple too. Three ids move, one sealed word is re-read: every
+        // tuple too. Three ids move, a few sealed rows are re-read: every
         // unit must come from its cache, for a few hundred tuple visits
         // against the ~130 k of a recount — and the snapshots must be the
         // ones full recounts give.
@@ -757,11 +759,12 @@ mod tests {
         let (replayed, units) = corrected.last_replay();
         assert_eq!(replayed, units, "no unit recounts");
         assert_eq!(units, 2 * 2 * 4, "two shards, four columns");
-        let (corrected_units, words) = corrected.shards.last_corrected();
+        let (corrected_units, words, rows) = corrected.shards.last_corrected();
         assert!((1..=3).contains(&corrected_units), "{corrected_units}");
         assert_eq!(words, corrected_units, "one sealed word each");
+        assert!(words <= rows && rows <= 64 * words, "{rows} rows");
         let visits = corrected.shards.last_visits();
-        assert!(visits <= 2 * 64 * words + 8, "{visits} tuple visits");
+        assert!(visits <= 2 * rows + 8, "{visits} tuple visits");
         assert!(recounted.shards.last_visits() > 100_000);
         assert_eq!(recounted.last_replay(), (0, units));
         for (a, b) in corrected.snapshots().iter().zip(recounted.snapshots()) {

@@ -1,28 +1,30 @@
 //! Shard layer: partitioned tuple ownership, dense phase counting over
 //! one shared id space, and incremental epoch recounts.
 //!
-//! Incoming tuples arrive as borrowed records ([`TupleRef`]) and are
-//! routed onto `N` shards by an FNV-1a hash of their on-path ASNs, so an
-//! identical tuple always lands on the same shard — which makes per-shard
-//! deduplication equivalent to global deduplication. A shard recognises a
-//! tuple it has seen in its [`TupleTable`] (a hash, a probe and a compare
-//! against the table's record arena; nothing is allocated or freed for a
-//! duplicate) and stores a new one exactly once: its record in that
-//! arena, its columns in the compiled store.
+//! Incoming tuples arrive as borrowed records ([`TupleRef`]). The shard
+//! set recognises a tuple it has seen in its one [`TupleTable`] (a hash, a
+//! probe and a compare against the table's record arena; nothing is
+//! allocated or freed for a duplicate) and stores a new one exactly once:
+//! its record in that arena, its columns in the compiled store of one of
+//! `N` shards, chosen by an FNV-1a hash of its on-path ASNs.
 //!
 //! ## One pass a record
 //!
 //! Records come in runs ([`ShardSet::push_records`]; a lone record is a
-//! run of one), and a run is taken in two passes. The **hash pass** reads
-//! each record once: [`TupleTable::tag_with`] walks its words for the
-//! table's seeded tag and hands each hop to the route, so the two hashes
-//! are independent lanes of one loop. It writes each record with its
-//! `(shard, tag)` into a reused scratch buffer, so the run is read once.
-//! The **probe pass** then walks that buffer and inserts in arrival order
-//! through [`TupleTable::insert_tagged`]; with no hashing or parsing
-//! between them, the slot and arena misses of neighbouring records
-//! overlap instead of queuing. The route is unseeded FNV-1a over
-//! the hop bytes and must stay so: shard loads are archived and compared
+//! run of one), and a run is taken in two passes. The **hash pass**
+//! computes each record's seeded table tag ([`TupleTable::tag`]) and
+//! writes the record with it into a reused scratch buffer. The **probe
+//! pass** then walks that buffer and inserts in arrival order through
+//! [`TupleTable::insert_tagged`]; with no hashing or parsing between
+//! them, the slot and arena misses of neighbouring records overlap
+//! instead of queuing. Only a record the table stores is routed and
+//! appended to its shard's compiled store, so a duplicate — most of a
+//! followed feed — costs a tag and a probe, nothing more.
+//!
+//! A record's shard is a function of its hops alone, and an identical
+//! record is stored once, so the shard loads are what they would be if
+//! every shard kept its own table. The route is unseeded FNV-1a over the
+//! hop bytes and must stay so: shard loads are archived and compared
 //! across restarts (the routing test pins it by value).
 //!
 //! ## The compiled partitions
@@ -66,39 +68,44 @@
 //!   its dirty suffix fresh and folds that into the cache;
 //! * a shard that does hold a diverged id **corrects** its cached delta
 //!   instead of discarding it. The compiled store keeps an occurrence
-//!   index — per id, the 64-tuple words whose tuples contain it
+//!   index — per id, the 64-tuple words whose tuples contain it and, in
+//!   each, the mask of the rows that do
 //!   ([`CompiledTuples::affected_clean_words`]) — so the shard gathers
-//!   the sealed words that hold a diverged id and runs the ordinary word
-//!   kernel over just those words twice
-//!   ([`CompiledTuples::correct_words`]), each word cut to its sealed
-//!   rows that read a diverged bit — a row that reads none contributes
-//!   the same under both states, and a word without such rows (the id
-//!   sits only where this step does not look) is skipped: once under the
-//!   *recorded* trajectory, which gives `old`, what those rows put into
-//!   the cache, and once under the entering predicates, which gives
-//!   `new`, what they contribute now. `cache + new − old`, entries that
-//!   reach zero dropped, is then merged as a replayed step, and every id
-//!   either pass touched joins the overlay.
+//!   the sealed rows that hold a diverged id and evaluates each of them
+//!   on its own, twice ([`CompiledTuples::correct_words`]): once under
+//!   the *recorded* trajectory, which gives `old`, what those rows put
+//!   into the cache, and once under the entering predicates, which gives
+//!   `new`, what they contribute now. A row is gathered wherever in it
+//!   the id sits; where the step does not read that position, the two
+//!   evaluations agree. `cache + new − old`, entries that reach zero
+//!   dropped, is then merged as a replayed step, and every id either pass
+//!   touched joins the overlay.
+//!
+//! Which diverged ids a step asks for follows from what it reads: a
+//! forwarding step under Cond2 reads both bits downstream of the counted
+//! position, so every diverged id; any other step reads only `is_forward`
+//! upstream of it (Cond1), so only the ids whose `is_forward` moved, and
+//! none at column 1 or with Cond1 off.
 //!
 //! A followed feed is where this matters: an AS with one or two counted
 //! occurrences crosses a threshold on its first count, its bit then
 //! differs from the trajectory at every later step of that seal, and the
-//! correction re-reads one or two words a step where a recount read the
+//! correction re-reads one or two rows a step where a recount read the
 //! shard's every tuple — and put the whole cached step into the overlay.
 //!
 //! **The fallback** is the full recount of the step, and it is kept for
 //! exactly three cases: the first seal (nothing cached), steps past the
 //! previous seal's deepest column (no cache and no trajectory for them),
-//! and a step whose affected words reach half of what recounting it
-//! would visit — a corrected word is evaluated twice, so that is the
+//! and a step whose affected rows reach half of what recounting it would
+//! visit — a corrected row is evaluated twice, so that is the
 //! break-even, read off two counts the plan already has (the gathered
-//! words and [`CompiledTuples::step_visits`]); it is not a tunable. A
-//! collector peer's flip lands there: it sits in nearly every word.
+//! rows and [`CompiledTuples::step_visits`]); it is not a tunable. A
+//! collector peer's flip lands there: it sits in nearly every row.
 //!
 //! Replayed steps are byte-identical to recounting by the purity argument
 //! above — the cached delta was computed under bit-identical predicate
 //! inputs over an identical tuple prefix. Corrected steps are by the same
-//! argument applied word by word: a step's delta is a sum over tuples of
+//! argument applied row by row: a step's delta is a sum over tuples of
 //! integer increments, each a function of the predicate bits of the ids
 //! on that tuple alone — and only of those the step reads. A sealed
 //! tuple outside the counted rows reads no diverged bit, so its
@@ -140,15 +147,19 @@
 //! cached step already holds, so the entries move only when a new id
 //! arrives.
 //!
-//! What it costs to keep: the occurrence index is one 8-byte node per
-//! distinct (id, word) — 164 k nodes, 1.3 MB, for a shard of 61 k tuples
-//! (291 k hops) on the ledger's trickle feed, about what its id columns
+//! What it costs to keep: the occurrence index is one 16-byte node per
+//! distinct (id, word), its row mask included — 164 k nodes, 2.65 MB with
+//! the heads and word table, for a shard of 61 k tuples (291 k hops) on
+//! the ledger's seed-7 trickle feed, about twice what its id columns
 //! take — appended at seal time by the walk over new hops that
-//! [`CompiledTuples::prepare`] makes; a push does not touch it.
-//! On a *small* store the bookkeeping still loses to recounting: with
-//! most ASes a handful of occurrences old, every 256-tuple delta flips
-//! many of them and an incremental seal of a 10 k-tuple store costs 2.7×
-//! a full one (1.4× *faster* at 50 k, 3× at 100 k; CHANGES PR 24).
+//! [`CompiledTuples::prepare`] makes (a repeat of an id within a word
+//! sets its row in the node it already has); a push does not touch it.
+//! On a *small* store of barely-seen ASes the bookkeeping still loses to
+//! recounting: on a generated world of 8,192 ASes at 4 shards, where
+//! every 256-tuple delta flips many of them, an incremental seal of a
+//! 10 k-tuple store costs 1.3× a full one (2.0× *faster* at 50 k, 3.0× at
+//! 100 k). On the trickle feed itself the incremental seal is 4× faster
+//! already at 10 k tuples (both measured on a 2-vCPU guest).
 //!
 //! ## Who counts
 //!
@@ -319,10 +330,6 @@ impl Overlay {
     }
 }
 
-/// Tuple visits a corrected word costs: 64 rows, evaluated under the
-/// recorded trajectory and again under the entering predicates.
-const VISITS_PER_CORRECTED_WORD: usize = 2 * 64;
-
 /// How one shard answers one (column, phase) step of a recount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepPlan {
@@ -330,20 +337,17 @@ enum StepPlan {
     Recount,
     /// Merge the cached step as it stands; count only the dirty suffix.
     Replay,
-    /// As `Replay`, after re-evaluating the cached step's words that
-    /// hold a diverged id (`Shard::affected`).
+    /// As `Replay`, after re-evaluating the cached step's sealed rows
+    /// that hold a diverged id (`Shard::affected`).
     Correct,
 }
 
 /// One worker shard: a privately owned, incrementally compiled tuple
-/// partition plus its per-seal scratch and the cached step deltas.
-/// `seen` provides exact membership and is never iterated (counting
-/// order is irrelevant — phases are order-free); the compiled store holds
-/// the columns of every stored tuple.
+/// partition plus its per-seal scratch and the cached step deltas. The
+/// compiled store holds the columns of every tuple routed here; which
+/// tuples are new is the shard set's one table's to say.
 #[derive(Debug)]
 struct Shard {
-    /// The records stored so far.
-    seen: TupleTable,
     compiled: CompiledTuples,
     /// Reused per-phase dense delta (touched-id tracked, O(touched) to
     /// clear).
@@ -352,22 +356,24 @@ struct Shard {
     cache: Vec<[CachedStep; 2]>,
     /// The ids new to a cached step, gathered by [`CachedStep::absorb`].
     absorb_fresh: Vec<(AsnId, AsCounters)>,
-    /// A corrected step's words (occurrence-index keys) holding a
-    /// diverged id, and what they contributed under the recorded
-    /// trajectory — read only during a [`StepPlan::Correct`] step.
-    affected: Vec<u32>,
+    /// A corrected step's words (occurrence-index keys) with the mask of
+    /// their sealed rows that hold a diverged id, how many rows that is,
+    /// and what those rows contributed under the recorded trajectory —
+    /// read only during a [`StepPlan::Correct`] step.
+    affected: Vec<(u32, u64)>,
+    affected_rows: usize,
     retracted: DeltaStore,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
-            seen: TupleTable::new(),
             compiled: CompiledTuples::new(),
             delta: DeltaStore::default(),
             cache: Vec::new(),
             absorb_fresh: Vec::new(),
             affected: Vec::new(),
+            affected_rows: 0,
             retracted: DeltaStore::default(),
         }
     }
@@ -382,7 +388,6 @@ impl Shard {
 #[derive(Debug, Clone, Copy)]
 struct Routed<'a> {
     t: TupleRef<'a>,
-    shard: u32,
     tag: u32,
 }
 
@@ -400,19 +405,26 @@ fn recycle<'b>(mut v: Vec<Routed<'_>>) -> Vec<Routed<'b>> {
 /// FNV-1a's offset basis: the route of a path before its first hop.
 const ROUTE_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Stable tuple→shard routing, one hop at a time: FNV-1a over the hop's
-/// little-endian bytes. Shard loads are archived and compared across
-/// restarts, so this is not the seeded hash the dedup table uses.
+/// Stable tuple→shard routing: FNV-1a over the little-endian bytes of
+/// the hops. Shard loads are archived and compared across restarts, so
+/// this is not the seeded hash the dedup table uses.
 #[inline]
-fn route_step(h: u64, hop: u32) -> u64 {
-    hop.to_le_bytes()
-        .into_iter()
-        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+fn route_hash(t: TupleRef<'_>) -> u64 {
+    let mut h = ROUTE_BASIS;
+    for hop in t.hops() {
+        for b in hop.0.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// `N` shards plus the coordinator-side counting entry points.
 #[derive(Debug)]
 pub struct ShardSet {
+    /// Every record stored, whichever shard it routed to: one dedup
+    /// table for the set.
+    seen: TupleTable,
     shards: Vec<Shard>,
     /// The hash pass's output, kept empty between runs so its buffer is
     /// reused (see [`recycle`]).
@@ -431,9 +443,10 @@ pub struct ShardSet {
     /// `(replayed, total)` (shard, step) counting units of the last
     /// recount — incremental-seal observability.
     last_replay: (usize, usize),
-    /// `(units, words)` of the last recount: replayed units whose cached
-    /// step was corrected first, and the words re-evaluated for them.
-    last_corrected: (usize, usize),
+    /// `(units, words, rows)` of the last recount: replayed units whose
+    /// cached step was corrected first, and the words and rows
+    /// re-evaluated for them.
+    last_corrected: (usize, usize, usize),
     /// Tuple visits of the last recount, summed over its steps.
     last_visits: usize,
     /// Per-phase stage histograms (`[tagging, forwarding]`), resolved
@@ -473,6 +486,7 @@ impl ShardSet {
             )
         });
         ShardSet {
+            seen: TupleTable::new(),
             shards: (0..n).map(|_| Shard::new()).collect(),
             routed: Vec::new(),
             interner: AsnInterner::new(),
@@ -483,7 +497,7 @@ impl ShardSet {
             sealed_once: false,
             trajectory: Vec::new(),
             last_replay: (0, 0),
-            last_corrected: (0, 0),
+            last_corrected: (0, 0, 0),
             last_visits: 0,
             hist_count,
             hist_merge,
@@ -499,16 +513,17 @@ impl ShardSet {
         self.last_replay
     }
 
-    /// `(units, words)` of the last recount: the replayed units whose
-    /// cached step was corrected for diverged predicates before it was
-    /// merged, and the 64-tuple words re-evaluated (twice each) to do it.
-    pub(crate) fn last_corrected(&self) -> (usize, usize) {
+    /// `(units, words, rows)` of the last recount: the replayed units
+    /// whose cached step was corrected for diverged predicates before it
+    /// was merged, the 64-tuple words that held the rows re-evaluated to
+    /// do it, and those rows (each evaluated twice).
+    pub(crate) fn last_corrected(&self) -> (usize, usize, usize) {
         self.last_corrected
     }
 
     /// Tuples the last recount visited, summed over its steps: whole
     /// buckets where a shard recounted, dirty suffixes where it replayed,
-    /// plus two visits per tuple of every corrected word.
+    /// plus two visits per corrected row.
     pub(crate) fn last_visits(&self) -> usize {
         self.last_visits
     }
@@ -518,7 +533,7 @@ impl ShardSet {
     /// entirely (no counting units ran).
     pub(crate) fn clear_replay_stats(&mut self) {
         self.last_replay = (0, 0);
-        self.last_corrected = (0, 0);
+        self.last_corrected = (0, 0, 0);
         self.last_visits = 0;
         self.count_nanos = 0;
         self.merge_nanos = 0;
@@ -549,31 +564,15 @@ impl ShardSet {
 
     /// The shard a tuple routes to.
     pub fn route(&self, t: TupleRef<'_>) -> usize {
-        self.hash_pass(t).shard as usize
-    }
-
-    /// One record's hash pass: its shard and its table tag, in one loop
-    /// over its words. Every table hashes from the process seed, so shard
-    /// 0's tag is the one the routed shard's table expects.
-    #[inline]
-    fn hash_pass<'a>(&self, t: TupleRef<'a>) -> Routed<'a> {
-        let mut route = ROUTE_BASIS;
-        let tag = self.shards[0]
-            .seen
-            .tag_with(t, |hop| route = route_step(route, hop));
         // A power-of-two count, the usual one, takes the same remainder
-        // as a mask: a division a record was a tenth of the hash pass.
-        let n = self.shards.len() as u64;
+        // as a mask, without a division.
+        let (route, n) = (route_hash(t), self.shards.len() as u64);
         let shard = if n.is_power_of_two() {
             route & (n - 1)
         } else {
             route % n
         };
-        Routed {
-            t,
-            shard: shard as u32,
-            tag,
-        }
+        shard as usize
     }
 
     /// Offer a run of records, in arrival order: the hash pass over all
@@ -581,12 +580,17 @@ impl ShardSet {
     /// Returns how many were stored; the rest were dedup hits.
     pub fn push_records<'a>(&mut self, records: impl IntoIterator<Item = TupleRef<'a>>) -> usize {
         let mut routed = recycle(std::mem::take(&mut self.routed));
-        routed.extend(records.into_iter().map(|t| self.hash_pass(t)));
+        routed.extend(records.into_iter().map(|t| Routed {
+            t,
+            tag: self.seen.tag(t),
+        }));
         let mut stored = 0;
-        for &Routed { t, shard, tag } in &routed {
-            let s = &mut self.shards[shard as usize];
-            if s.seen.insert_tagged(tag, t) {
-                s.compiled.push_ref_with(&mut self.interner, t);
+        for &Routed { t, tag } in &routed {
+            if self.seen.insert_tagged(tag, t) {
+                let shard = self.route(t);
+                self.shards[shard]
+                    .compiled
+                    .push_ref_with(&mut self.interner, t);
                 stored += 1;
             }
         }
@@ -757,24 +761,39 @@ impl ShardSet {
                         &overlay.member,
                         &mut diverged,
                     );
+                    // Keep the ids whose moved bit this step reads: a
+                    // forwarding step under Cond2 reads both bits
+                    // downstream; otherwise a step reads only `is_forward`
+                    // upstream of the counted position (Cond1), which
+                    // column 1 does not have.
+                    if phase == CountPhase::Tagging || !enforce_cond2 {
+                        let cond1_reads = enforce_cond1 && x > 1;
+                        let was_forward = |id: AsnId| {
+                            traj.forward
+                                .get(id as usize / 64)
+                                .is_some_and(|w| (w >> (id % 64)) & 1 != 0)
+                        };
+                        diverged
+                            .retain(|&id| cond1_reads && was_forward(id) != preds.is_forward(id));
+                    }
                     for (p, s) in plan.iter_mut().zip(&mut self.shards) {
                         *p = StepPlan::Replay;
                         if diverged.is_empty() {
                             continue;
                         }
-                        // Only sealed tuples in a word that holds a
-                        // diverged id can have contributed differently
-                        // (ids interned since the last seal sit in dirty
-                        // rows and move freely). Each such word is
-                        // evaluated twice, so correcting pays while they
-                        // are under half of what a recount would visit.
-                        s.compiled
-                            .affected_clean_words(&diverged, x, phase, &mut s.affected);
-                        if s.affected.is_empty() {
+                        // Only sealed rows that hold a diverged id can
+                        // have contributed differently (ids interned since
+                        // the last seal sit in dirty rows and move
+                        // freely). Each such row is evaluated twice, so
+                        // correcting pays while they are under half of
+                        // what a recount would visit.
+                        s.affected_rows =
+                            s.compiled
+                                .affected_clean_words(&diverged, x, phase, &mut s.affected);
+                        if s.affected_rows == 0 {
                             continue;
                         }
-                        let correction = VISITS_PER_CORRECTED_WORD * s.affected.len();
-                        if correction < s.compiled.step_visits(x, phase, false) {
+                        if 2 * s.affected_rows < s.compiled.step_visits(x, phase, false) {
                             *p = StepPlan::Correct;
                             s.retracted.resize(n_ids);
                         } else {
@@ -799,9 +818,8 @@ impl ShardSet {
                 // tagging phase (they serve both) and only over the dirty
                 // suffix when that phase replays; a forwarding phase that
                 // stops replaying recomputes them in full. A correction
-                // evaluates its words under the recorded trajectory first
-                // and the entering predicates second, which leaves their
-                // `clean` words as the suffix needs.
+                // evaluates its rows one at a time and reads no `clean`
+                // word.
                 for (s, (&p, clean_full)) in self
                     .shards
                     .iter_mut()
@@ -821,7 +839,8 @@ impl ShardSet {
                     if p == StepPlan::Correct {
                         self.last_corrected.0 += 1;
                         self.last_corrected.1 += s.affected.len();
-                        self.last_visits += VISITS_PER_CORRECTED_WORD * s.affected.len();
+                        self.last_corrected.2 += s.affected_rows;
+                        self.last_visits += 2 * s.affected_rows;
                         s.compiled.correct_words(
                             &recorded,
                             &preds,
@@ -856,7 +875,7 @@ impl ShardSet {
                 let t_merge = Instant::now();
                 for (s, &p) in self.shards.iter_mut().zip(&plan) {
                     if p != StepPlan::Recount {
-                        // The cached step, with what its affected words
+                        // The cached step, with what its affected rows
                         // contributed under the recorded trajectory
                         // swapped for what they contribute now, and the
                         // freshly counted dirty suffix folded in — it is
@@ -1138,7 +1157,7 @@ mod tests {
                     set.recount(&th, None, true, true);
                     set.assert_caches_fresh(true, true, &ctx);
                     let (replayed, units) = set.last_replay();
-                    let (corrected, words) = set.last_corrected();
+                    let (corrected, words, rows) = set.last_corrected();
                     let visits = set.last_visits();
                     let fresh = 5 * batch.len();
                     assert_eq!(units, 6 * shards, "{ctx}");
@@ -1153,11 +1172,11 @@ mod tests {
                         }
                         _ => {
                             assert!(
-                                corrected <= words,
-                                "{ctx}: {corrected} units, {words} words"
+                                corrected <= words && words <= rows,
+                                "{ctx}: {corrected} units, {words} words, {rows} rows"
                             );
                             assert!(corrected < replayed, "{ctx}: {corrected}/{replayed}");
-                            let corrections = fresh + VISITS_PER_CORRECTED_WORD * words;
+                            let corrections = fresh + 2 * rows;
                             if recounts_nothing {
                                 assert_eq!(replayed, units, "{ctx}");
                                 assert!(corrected > 0, "{ctx}");
@@ -1241,8 +1260,12 @@ mod tests {
                 inc.assert_caches_fresh(cond1, cond2, &ctx);
 
                 let (replayed, units) = inc.last_replay();
-                let (corrected, words) = inc.last_corrected();
+                let (corrected, words, rows) = inc.last_corrected();
                 assert!(corrected <= replayed && replayed <= units, "{ctx}");
+                assert!(
+                    corrected <= words && words <= rows && rows <= 64 * words,
+                    "{ctx}"
+                );
                 reached.seals += 1;
                 reached.corrected_units += corrected;
                 reached.corrected_words += words;

@@ -54,13 +54,13 @@ fn driving_a_feed_allocates_by_the_batch_and_the_doubling_not_by_the_event() {
     let small = allocations_to_drive(8 * 1024);
     let large = allocations_to_drive(32 * 1024);
     // A batch is one buffer (the first of a source grows to size); the
-    // rest is growth by doubling — four dedup tables' arenas and indexes,
-    // the compiled stores' columns, the interner — so four times the feed
-    // costs 24 more batches and two more doublings of each, nowhere near
-    // four times the allocations, and an event costs none. (367 and 475:
-    // one of them the shard set's `(shard, tag)` scratch, sized once by
-    // the first batch and reused; owned events cost two each, 16,384 and
-    // up.)
+    // rest is growth by doubling — the shard set's one dedup table's arena
+    // and index, the compiled stores' columns, the interner — so four
+    // times the feed costs 24 more batches and two more doublings of
+    // each, nowhere near four times the allocations, and an event costs
+    // none. (314 and 410: one of them the shard set's `(record, tag)`
+    // scratch, sized once by the first batch and reused; owned events
+    // cost two each, 16,384 and up.)
     assert!(
         small <= 8 * 1024 / 16,
         "{small} allocations for 8,192 events"

@@ -29,7 +29,7 @@
 //! # One table
 //!
 //! [`TupleTable`] is the dedup table of both data planes ([`TupleSet`]
-//! here, each stream shard in `bgp_stream`): the records themselves, back
+//! here, the shard set in `bgp_stream`): the records themselves, back
 //! to back in insertion order in one `Vec<u32>` arena, plus an
 //! open-addressed index of `(32-bit tag, word offset)` slots kept at most
 //! ~0.6 full. The hash is the process-seeded [`AsnBuildHasher`], one
@@ -39,21 +39,19 @@
 //! compare against the arena — no allocation, no free; a new tuple is an
 //! `extend_from_slice`; dropping the table is two frees.
 //!
-//! Who computes the tag is the caller's choice. [`TupleTable::insert`]
+//! When the tag is computed is the caller's choice. [`TupleTable::insert`]
 //! hashes the record itself, which is all [`TupleSet`] needs. A caller
-//! that reads the record anyway computes it beside its own work and hands
-//! it over: [`TupleTable::tag_with`] passes each hop word to a closure in
-//! the same loop, and [`TupleTable::insert_tagged`] takes the result. The
-//! stream shards route on that closure, and tag a whole batch before
-//! probing any of it, so the slot misses of neighbouring records overlap.
-//! Every table in a process hashes from one seed, so any table's tag is
-//! every table's.
+//! can also tag first ([`TupleTable::tag`]) and insert later
+//! ([`TupleTable::insert_tagged`]): the stream's shard set tags a whole
+//! batch before probing any of it, so the slot misses of neighbouring
+//! records overlap. Every table in a process hashes from one seed, so any
+//! table's tag is every table's.
 //!
 //! **Limit:** offsets are `u32` word offsets, so one table holds at most
 //! `u32::MAX` words (16 GiB) of records — some 250 million tuples of the
-//! sizes a collector day produces, per [`TupleSet`] and per stream shard.
-//! Past it [`TupleTable::insert`] panics with a message naming the limit;
-//! it never wraps an offset.
+//! sizes a collector day produces, per [`TupleSet`] and per stream shard
+//! set (its shards share one table). Past it [`TupleTable::insert`]
+//! panics with a message naming the limit; it never wraps an offset.
 //!
 //! Order is not stored; the [`TupleSet`] readers that promise sorted
 //! output ([`TupleSet::iter`], [`TupleSet::to_vec`],
@@ -316,26 +314,10 @@ impl TupleTable {
 
     /// The tag of a record: the high half of the seeded hash of its
     /// words. Its low bits pick the home slot.
-    pub fn tag(&self, t: TupleRef<'_>) -> u32 {
-        self.tag_with(t, |_| {})
-    }
-
-    /// [`tag`](Self::tag), handing each hop word to `hop` as the loop
-    /// passes it: a caller's own hash of the path runs as a second,
-    /// independent lane of the same pass over the record.
     #[inline]
-    pub fn tag_with(&self, t: TupleRef<'_>, mut hop: impl FnMut(u32)) -> u32 {
-        let (header, rest) = t.words.split_at(HEADER_WORDS);
-        let (hops, comms) = rest.split_at(t.path_len());
+    pub fn tag(&self, t: TupleRef<'_>) -> u32 {
         let mut h = self.build.build_hasher();
-        for &w in header {
-            h.write_u32(w);
-        }
-        for &w in hops {
-            h.write_u32(w);
-            hop(w);
-        }
-        for &w in comms {
+        for &w in t.words {
             h.write_u32(w);
         }
         (h.finish() >> 32) as u32
@@ -374,8 +356,8 @@ impl TupleTable {
         self.insert_tagged(self.tag(t), t)
     }
 
-    /// [`insert`](Self::insert) with `t`'s tag already computed
-    /// ([`tag`](Self::tag) or [`tag_with`](Self::tag_with)). Any other
+    /// [`insert`](Self::insert) with `t`'s tag already computed by
+    /// [`tag`](Self::tag). Any other
     /// value breaks membership: an equal record would be looked for in
     /// the wrong run of slots and stored twice.
     ///
