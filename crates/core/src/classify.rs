@@ -115,15 +115,21 @@ impl Class {
         matches!(self.tagging, TaggingClass::Tagger | TaggingClass::Silent) && !self.is_full()
     }
 
-    /// The two-character string, e.g. `"tf"`, `"nu"`.
-    pub fn as_str(&self) -> String {
-        format!("{}{}", self.tagging.code(), self.forwarding.code())
+    /// The two-character string, e.g. `"tf"`, `"nu"`: the tagging code
+    /// then the forwarding code, read from a table (no allocation).
+    pub fn as_str(&self) -> &'static str {
+        // Row: tagging, column: forwarding, both in declaration order.
+        const CODES: [&str; 16] = [
+            "tf", "tc", "tu", "tn", "sf", "sc", "su", "sn", "uf", "uc", "uu", "un", "nf", "nc",
+            "nu", "nn",
+        ];
+        CODES[self.tagging as usize * 4 + self.forwarding as usize]
     }
 }
 
 impl fmt::Display for Class {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.tagging.code(), self.forwarding.code())
+        f.write_str(self.as_str())
     }
 }
 
@@ -206,6 +212,9 @@ mod tests {
                     forwarding: f,
                 };
                 assert_eq!(class.as_str().parse::<Class>().unwrap(), class);
+                let codes: String = [t.code(), f.code()].into_iter().collect();
+                assert_eq!(class.as_str(), codes);
+                assert_eq!(class.to_string(), codes);
             }
         }
         assert!(TaggingClass::from_code('x').is_none());

@@ -62,10 +62,7 @@ pub fn run(world: &World, days: usize, seed: u64) -> Fig3 {
             FULL_CLASSES.iter().map(|&c| (c, HashSet::new())).collect();
         for (asn, class) in outcome.classes() {
             if class.is_full() {
-                members
-                    .get_mut(class.as_str().as_str())
-                    .unwrap()
-                    .insert(asn);
+                members.get_mut(class.as_str()).unwrap().insert(asn);
             }
         }
         for (ci, &cname) in FULL_CLASSES.iter().enumerate() {

@@ -50,7 +50,7 @@ pub fn run(tuples: &[PathCommTuple]) -> Fig5 {
             let class = outcome.class_of(asn);
             class.is_full().then(|| PeerTypeCounts {
                 asn,
-                class: class.as_str(),
+                class: class.as_str().to_string(),
                 counts,
             })
         })

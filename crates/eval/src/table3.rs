@@ -62,7 +62,7 @@ pub fn classify_dataset(name: &str, tuples: &[PathCommTuple]) -> ClassCounts {
             ForwardingClass::None => 3,
         };
         out.forwarding[fi] += 1;
-        match class.as_str().as_str() {
+        match class.as_str() {
             "tf" => out.full[0] += 1,
             "tc" => out.full[1] += 1,
             "sf" => out.full[2] += 1,

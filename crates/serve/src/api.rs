@@ -42,11 +42,9 @@
 use crate::health::{HealthState, HealthStatus};
 use crate::history::HistoryStore;
 use crate::http::{Dispatch, Handler, Request, Response};
-use crate::json::JsonWriter;
+use crate::json::{push_u64, JsonWriter};
 use crate::metrics::{Endpoint, Metrics};
-use crate::snapshot::{
-    write_record, write_record_field, ServeSnapshot, SnapshotReader, SnapshotSlot,
-};
+use crate::snapshot::{write_record, ServeSnapshot, SnapshotReader, SnapshotSlot};
 use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
@@ -310,7 +308,7 @@ impl Api {
             w.begin_obj();
             w.field_u64("epoch", *epoch);
             match class {
-                Some(c) => w.field_str("class", &c.as_str()),
+                Some(c) => w.field_str("class", c.as_str()),
                 None => w.field_null("class"),
             }
             w.end_obj();
@@ -432,13 +430,14 @@ fn class_endpoint(snap: &ServeSnapshot, raw_asn: &str) -> Response {
         return Response::error(404, "asn not in the classification database");
     };
     let mut w = begin_envelope(snap);
-    write_record_field(&mut w, "record", record);
+    write_record(&mut w, Some("record"), record);
     w.end_obj();
     Response::json(w.finish())
 }
 
-/// Conjunctive record filter from `class` / `tagging` / `forwarding`.
-fn record_filter(request: &Request) -> Result<impl Fn(&DbRecord) -> bool, Response> {
+/// Conjunctive record filter from `class` / `tagging` / `forwarding`;
+/// `None` when none of the three is given.
+fn record_filter(request: &Request) -> Result<Option<impl Fn(&DbRecord) -> bool>, Response> {
     let class: Option<Class> = match request.param("class") {
         Some(raw) => Some(
             raw.parse()
@@ -476,11 +475,14 @@ fn record_filter(request: &Request) -> Result<impl Fn(&DbRecord) -> bool, Respon
         }
         None => None,
     };
-    Ok(move |r: &DbRecord| {
+    if class.is_none() && tagging.is_none() && forwarding.is_none() {
+        return Ok(None);
+    }
+    Ok(Some(move |r: &DbRecord| {
         class.is_none_or(|c| r.class == c)
             && tagging.is_none_or(|t| r.class.tagging == t)
             && forwarding.is_none_or(|f| r.class.forwarding == f)
-    })
+    }))
 }
 
 fn parse_usize(request: &Request, name: &str, default: usize) -> Result<usize, Response> {
@@ -506,25 +508,53 @@ fn classes_endpoint(snap: &ServeSnapshot, request: &Request) -> Response {
         Err(resp) => return resp,
     };
 
-    let mut total = 0usize;
     let mut w = begin_envelope(snap);
     w.field_u64("offset", offset as u64);
-    let mut page = Vec::new();
-    for record in snap.records.iter().filter(|r| filter(r)) {
-        if total >= offset && page.len() < limit {
-            page.push(record);
+    match filter {
+        // Unfiltered: the page is a slice of the table.
+        None => {
+            let total = snap.records.len();
+            let page = &snap.records[offset.min(total)..offset.saturating_add(limit).min(total)];
+            write_page(&mut w, total, page.iter());
         }
-        total += 1;
+        // Filtered: `total` counts every match, so the scan is whole.
+        Some(filter) => {
+            let mut total = 0usize;
+            let mut page = Vec::new();
+            for record in snap.records.iter().filter(|r| filter(r)) {
+                if total >= offset && page.len() < limit {
+                    page.push(record);
+                }
+                total += 1;
+            }
+            write_page(&mut w, total, page.into_iter());
+        }
     }
-    w.field_u64("total", total as u64);
-    w.field_u64("count", page.len() as u64);
-    w.begin_arr_field("records");
-    for record in page {
-        write_record(&mut w, record);
-    }
-    w.end_arr();
     w.end_obj();
     Response::json(w.finish())
+}
+
+/// About the bytes one record takes on the wire, to size a page's body
+/// before writing it.
+const RECORD_BYTES: usize = 80;
+
+/// The same for one flip.
+const FLIP_BYTES: usize = 48;
+
+/// `"total":T,"count":N,"records":[...]` for one page.
+fn write_page<'a>(
+    w: &mut JsonWriter,
+    total: usize,
+    page: impl ExactSizeIterator<Item = &'a DbRecord>,
+) {
+    w.field_u64("total", total as u64);
+    w.field_u64("count", page.len() as u64);
+    w.reserve(page.len() * RECORD_BYTES);
+    w.begin_arr_field("records");
+    for record in page {
+        write_record(w, None, record);
+    }
+    w.end_arr();
 }
 
 fn parse_community(raw: &str) -> Option<AnyCommunity> {
@@ -560,7 +590,7 @@ fn community_endpoint(snap: &ServeSnapshot, raw: &str) -> Response {
         None => w.field_null("well_known"),
     }
     match owner_record {
-        Some(record) => write_record_field(&mut w, "owner_record", record),
+        Some(record) => write_record(&mut w, Some("owner_record"), record),
         None => w.field_null("owner_record"),
     }
     w.end_obj();
@@ -584,18 +614,25 @@ fn flips_endpoint(snap: &ServeSnapshot, request: &Request) -> Response {
         return Response::error(400, "wait_ms must be an unsigned integer");
     }
     let (flips, complete) = snap.flips_since(since);
+    let count = snap.flip_log.count_since(since);
     let mut w = begin_envelope(snap);
     w.field_u64("since_epoch", since);
     w.field_bool("complete", complete);
-    w.field_u64("count", snap.flip_log.count_since(since) as u64);
+    w.field_u64("count", count as u64);
+    w.reserve(count * FLIP_BYTES);
     w.begin_arr_field("flips");
     for (epoch, flip) in flips {
-        w.begin_obj();
-        w.field_u64("epoch", epoch);
-        w.field_u64("asn", flip.asn.0 as u64);
-        w.field_str("from", &flip.from.as_str());
-        w.field_str("to", &flip.to.as_str());
-        w.end_obj();
+        // `{"epoch":E,"asn":A,"from":"xy","to":"xy"}` in one pass.
+        let out = w.value(None);
+        out.push_str("{\"epoch\":");
+        push_u64(out, epoch);
+        out.push_str(",\"asn\":");
+        push_u64(out, flip.asn.0 as u64);
+        out.push_str(",\"from\":\"");
+        out.push_str(flip.from.as_str());
+        out.push_str("\",\"to\":\"");
+        out.push_str(flip.to.as_str());
+        out.push_str("\"}");
     }
     w.end_arr();
     w.end_obj();
@@ -657,7 +694,7 @@ fn reclassify_endpoint(snap: &ServeSnapshot, request: &Request) -> Response {
         .param("full")
         .is_some_and(|v| v == "1" || v == "true");
 
-    let mut histogram: BTreeMap<String, u64> = BTreeMap::new();
+    let mut histogram: BTreeMap<&str, u64> = BTreeMap::new();
     let mut changed: Vec<(&DbRecord, Class)> = Vec::new();
     for (record, new_class) in snap.reclassify(&th) {
         *histogram.entry(new_class.as_str()).or_insert(0) += 1;
@@ -685,8 +722,8 @@ fn reclassify_endpoint(snap: &ServeSnapshot, request: &Request) -> Response {
         for (record, new_class) in &changed {
             w.begin_obj();
             w.field_u64("asn", record.asn.0 as u64);
-            w.field_str("from", &record.class.as_str());
-            w.field_str("to", &new_class.as_str());
+            w.field_str("from", record.class.as_str());
+            w.field_str("to", new_class.as_str());
             w.end_obj();
         }
         w.end_arr();

@@ -7,6 +7,7 @@
 #![forbid(unsafe_code)]
 
 use super::{Dispatch, Handler, HttpConfig, Request, Response};
+use crate::json::u64_digits;
 use std::time::{Duration, Instant};
 
 /// Timer-wheel tick. Deadlines fire within one tick of their nominal
@@ -508,17 +509,22 @@ pub(super) fn encode_response(
     head_only: bool,
     close: bool,
 ) {
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-            response.status,
-            status_reason(response.status),
-            response.content_type,
-            response.body.len(),
-            if close { "close" } else { "keep-alive" },
-        )
-        .as_bytes(),
-    );
+    // One reservation for the head (about 100 bytes) and the body.
+    out.reserve(128 + response.body.len());
+    let mut digits = [0; 20];
+    out.extend_from_slice(b"HTTP/1.1 ");
+    out.extend_from_slice(u64_digits(response.status.into(), &mut digits));
+    out.push(b' ');
+    out.extend_from_slice(status_reason(response.status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(response.content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    out.extend_from_slice(u64_digits(response.body.len() as u64, &mut digits));
+    out.extend_from_slice(if close {
+        b"\r\nConnection: close\r\n\r\n".as_slice()
+    } else {
+        b"\r\nConnection: keep-alive\r\n\r\n".as_slice()
+    });
     if !head_only {
         out.extend_from_slice(response.body.as_bytes());
     }

@@ -22,7 +22,7 @@
 //! costs one chunk pointer per retained epoch, not a deep copy of every
 //! entry.
 
-use crate::json::JsonWriter;
+use crate::json::{push_u64, JsonWriter};
 use bgp_archive::prelude::{ArchiveSink, SegmentStats};
 use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
@@ -261,31 +261,25 @@ pub(crate) fn zeroed_records(classes: &[(bgp_types::asn::Asn, Class)]) -> Vec<Db
         .collect()
 }
 
-/// The record fields, written into an already-open object — the single
-/// definition of the wire shape every endpoint shares.
-fn write_record_fields(w: &mut JsonWriter, r: &DbRecord) {
-    w.field_u64("asn", r.asn.0 as u64);
-    w.field_str("class", &r.class.as_str());
-    w.begin_obj_field("counters");
-    w.field_u64("t", r.counters.t);
-    w.field_u64("s", r.counters.s);
-    w.field_u64("f", r.counters.f);
-    w.field_u64("c", r.counters.c);
-    w.end_obj();
-}
-
-/// Append one record as a JSON array element.
-pub fn write_record(w: &mut JsonWriter, r: &DbRecord) {
-    w.begin_obj();
-    write_record_fields(w, r);
-    w.end_obj();
-}
-
-/// Append one record as a named object field (`"name":{...}`).
-pub fn write_record_field(w: &mut JsonWriter, name: &str, r: &DbRecord) {
-    w.begin_obj_field(name);
-    write_record_fields(w, r);
-    w.end_obj();
+/// Append one record, as an array element (`key` `None`) or as the
+/// field `"key":{...}`. The single definition of the wire shape every
+/// endpoint shares, written in one pass as literal pieces and digits:
+/// `{"asn":…,"class":"xy","counters":{"t":…,"s":…,"f":…,"c":…}}`.
+pub(crate) fn write_record(w: &mut JsonWriter, key: Option<&str>, r: &DbRecord) {
+    let out = w.value(key);
+    out.push_str("{\"asn\":");
+    push_u64(out, r.asn.0 as u64);
+    out.push_str(",\"class\":\"");
+    out.push_str(r.class.as_str());
+    out.push_str("\",\"counters\":{\"t\":");
+    push_u64(out, r.counters.t);
+    out.push_str(",\"s\":");
+    push_u64(out, r.counters.s);
+    out.push_str(",\"f\":");
+    push_u64(out, r.counters.f);
+    out.push_str(",\"c\":");
+    push_u64(out, r.counters.c);
+    out.push_str("}}");
 }
 
 /// The atomic publication slot: one writer, any number of readers.

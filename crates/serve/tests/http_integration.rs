@@ -177,7 +177,11 @@ fn every_endpoint_matches_the_records_oracle() {
     );
 
     // /v1/classes?class=: filtered per distinct class in the world.
-    let mut classes: Vec<String> = oracle.records.iter().map(|r| r.class.as_str()).collect();
+    let mut classes: Vec<String> = oracle
+        .records
+        .iter()
+        .map(|r| r.class.as_str().to_string())
+        .collect();
     classes.sort();
     classes.dedup();
     assert!(
@@ -276,7 +280,7 @@ fn every_endpoint_matches_the_records_oracle() {
     let mut changed: Vec<String> = Vec::new();
     for r in &oracle.records {
         let new_class = r.counters.classify(&relaxed);
-        *histogram.entry(new_class.as_str()).or_insert(0) += 1;
+        *histogram.entry(new_class.as_str().to_string()).or_insert(0) += 1;
         if new_class != r.class {
             changed.push(format!(
                 "{{\"asn\":{},\"from\":\"{}\",\"to\":\"{}\"}}",
@@ -376,6 +380,83 @@ fn every_endpoint_matches_the_records_oracle() {
 
     // Close the keep-alive connection before shutdown, or the worker
     // parked in read() on it would only notice at its read timeout.
+    drop(client);
+    http.shutdown();
+}
+
+#[test]
+fn every_page_is_filter_then_skip_then_take() {
+    use bgp_serve::api::MAX_PAGE;
+
+    let oracle = oracle();
+    let (http, _slot, _metrics, _report) = served();
+    let mut client = Client::connect(http.local_addr());
+    let env = envelope(&oracle);
+
+    // No filter, then one filter of each kind, each matching some but
+    // not all of the world.
+    let tagger = oracle
+        .records
+        .iter()
+        .find(|r| r.class.tagging == bgp_infer::classify::TaggingClass::Tagger)
+        .expect("world has a tagger")
+        .class;
+    type Keep = Box<dyn Fn(&DbRecord) -> bool>;
+    let filters: [(String, Keep); 4] = [
+        (String::new(), Box::new(|_| true)),
+        (
+            format!("&class={tagger}"),
+            Box::new(move |r| r.class == tagger),
+        ),
+        (
+            format!("&tagging={}", tagger.tagging.code()),
+            Box::new(move |r| r.class.tagging == tagger.tagging),
+        ),
+        (
+            format!("&forwarding={}", tagger.forwarding.code()),
+            Box::new(move |r| r.class.forwarding == tagger.forwarding),
+        ),
+    ];
+    for (filter, keep) in &filters {
+        let matching: Vec<&DbRecord> = oracle.records.iter().filter(|r| keep(r)).collect();
+        let total = matching.len();
+        assert!(total > 0, "{filter:?} matches nothing");
+        let offsets = [0, 1, total - 1, total, total + 1, usize::MAX];
+        let limits = [
+            None,
+            Some(0),
+            Some(1),
+            Some(100),
+            Some(MAX_PAGE),
+            Some(MAX_PAGE + 1),
+        ];
+        for offset in offsets {
+            for limit in limits {
+                let mut target = format!("/v1/classes?offset={offset}{filter}");
+                if let Some(limit) = limit {
+                    let _ = write!(target, "&limit={limit}");
+                }
+                let page: Vec<String> = matching
+                    .iter()
+                    .skip(offset)
+                    .take(limit.unwrap_or(MAX_PAGE).min(MAX_PAGE))
+                    .map(|r| record_json(r))
+                    .collect();
+                let (status, body) = client.get(&target);
+                assert_eq!(status, 200, "{target}");
+                assert_eq!(
+                    body,
+                    format!(
+                        "{env},\"offset\":{offset},\"total\":{total},\"count\":{},\
+                         \"records\":[{}]}}",
+                        page.len(),
+                        page.join(","),
+                    ),
+                    "{target}"
+                );
+            }
+        }
+    }
     drop(client);
     http.shutdown();
 }
