@@ -49,7 +49,7 @@ use bgp_infer::compiled::DenseOutcome;
 use bgp_stream::epoch::EpochSnapshot;
 use bgp_types::asn::Asn;
 use obs::trace::TraceStore;
-use obs::{Counter, Gauge};
+use obs::{Counter, Gauge, ObsRegistry};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,8 +71,11 @@ pub struct ArchiveWriter {
     /// Durable-write backend; [`RealIo`] in production, a fault shim in
     /// soak tests.
     io: Box<dyn IoShim>,
-    /// Global-registry instruments, resolved once at open: committed
-    /// segment count and payload bytes (both paths, sync and sink).
+    /// Where this writer and its sink record (see
+    /// [`registry`](ArchiveWriter::registry)).
+    obs: Arc<ObsRegistry>,
+    /// Instruments resolved once at open: committed segment count and
+    /// payload bytes (both paths, sync and sink).
     segments_appended: Arc<Counter>,
     bytes_written: Arc<Counter>,
     /// Provenance store to record the `archive` stage into (and whose
@@ -102,34 +105,40 @@ fn interner_written_of(archive: &Archive) -> Result<u32> {
 }
 
 impl ArchiveWriter {
-    /// Open `dir` for appending, running full crash recovery first.
+    /// Open `dir` for appending, running full crash recovery first. The
+    /// writer (and a sink spawned on it) records on a private registry.
     pub fn open(dir: impl Into<PathBuf>) -> Result<ArchiveWriter> {
-        ArchiveWriter::open_with_io(dir, Box::new(RealIo))
+        ArchiveWriter::open_with_io(dir, Box::new(RealIo), Arc::default())
     }
 
     /// Like [`open`](ArchiveWriter::open), but with an explicit
-    /// [`IoShim`] through which all of this writer's durable writes go.
-    /// Recovery itself (orphan adoption, tmp sweeps) always uses real
-    /// I/O — the shim models append-path faults, not a broken disk.
-    pub fn open_with_io(dir: impl Into<PathBuf>, io: Box<dyn IoShim>) -> Result<ArchiveWriter> {
+    /// [`IoShim`] through which all of this writer's durable writes go,
+    /// and the registry it and its sink record on. Recovery itself
+    /// (orphan adoption, tmp sweeps) always uses real I/O — the shim
+    /// models append-path faults, not a broken disk.
+    pub fn open_with_io(
+        dir: impl Into<PathBuf>,
+        io: Box<dyn IoShim>,
+        obs: Arc<ObsRegistry>,
+    ) -> Result<ArchiveWriter> {
         let archive = Archive::open(dir)?;
         let interner_written = interner_written_of(&archive)?;
-        let reg = obs::global();
         Ok(ArchiveWriter {
             dir: archive.dir().to_path_buf(),
             manifest: archive.manifest().clone(),
             interner_written,
             io,
-            segments_appended: reg.counter(
+            segments_appended: obs.counter(
                 "bgp_archive_segments_appended_total",
                 "Segment files committed to the archive",
                 &[],
             ),
-            bytes_written: reg.counter(
+            bytes_written: obs.counter(
                 "bgp_archive_bytes_written_total",
                 "Segment payload bytes committed to the archive",
                 &[],
             ),
+            obs,
             trace: None,
             last_attempt: (u64::MAX, 0),
         })
@@ -140,6 +149,12 @@ impl ArchiveWriter {
     pub fn with_traces(mut self, store: Arc<TraceStore>) -> ArchiveWriter {
         self.trace = Some(store);
         self
+    }
+
+    /// The registry this writer records on, and an [`ArchiveSink`]
+    /// spawned on it too.
+    pub fn registry(&self) -> &Arc<ObsRegistry> {
+        &self.obs
     }
 
     /// The archive directory.
@@ -379,8 +394,8 @@ impl Default for SinkConfig {
 
 /// Live sink state, shared with the serving layer's health machine.
 /// All fields are monotone counters or last-event markers; `op`
-/// ordinals (one per processed submission) order drops against commits
-/// without wall clocks.
+/// ordinals (one per submission, stamped under the queue lock) order
+/// drops against commits without wall clocks.
 #[derive(Debug, Default)]
 pub struct SinkStatus {
     retrying: AtomicBool,
@@ -413,9 +428,10 @@ impl SinkStatus {
         self.committed.load(Ordering::Acquire)
     }
 
-    /// Whether the most recent outcome was a drop — i.e. the archive
-    /// has lost at least one epoch and has not committed since. This is
-    /// the "archive degraded until restart backfill" signal.
+    /// Whether the archive has lost an epoch and committed none submitted
+    /// after it — an eviction from a full queue counts at once, and the
+    /// in-flight commit of an earlier submission does not clear it. This
+    /// is the "archive degraded until restart backfill" signal.
     pub fn in_drop_state(&self) -> bool {
         let drops = self.dropped.load(Ordering::Acquire);
         drops > 0
@@ -460,23 +476,24 @@ impl std::fmt::Display for SinkError {
 
 impl std::error::Error for SinkError {}
 
-/// One submitted epoch.
-type Queued = (Arc<EpochSnapshot>, SegmentStats);
+/// One submitted epoch and its submission ordinal.
+type Queued = (Arc<EpochSnapshot>, SegmentStats, u64);
 
 #[derive(Debug)]
 struct SinkQueue {
     queue: VecDeque<Queued>,
     closed: bool,
+    /// Submissions so far: the ordinal of the last one.
+    submitted: u64,
 }
 
 /// Counters a sink exposes to its owner across threads.
 #[derive(Debug)]
 struct SinkShared {
     error: Mutex<Option<ArchiveError>>,
-    /// Epochs submitted but not yet appended (global-registry gauge).
+    /// Epochs submitted but not yet appended.
     queue_depth: Arc<Gauge>,
-    /// 1 while the sink is degraded: at least one epoch was dropped and
-    /// none committed since. 0 while healthy.
+    /// [`SinkStatus::in_drop_state`] as 1 or 0, set under the queue lock.
     failed: Arc<Gauge>,
     /// 1 while an append is inside its retry/backoff cycle.
     retrying_gauge: Arc<Gauge>,
@@ -486,9 +503,8 @@ struct SinkShared {
     dropped_total: Arc<Counter>,
 }
 
-impl Default for SinkShared {
-    fn default() -> Self {
-        let reg = obs::global();
+impl SinkShared {
+    fn new(reg: &ObsRegistry) -> Self {
         SinkShared {
             error: Mutex::new(None),
             queue_depth: reg.gauge(
@@ -518,6 +534,12 @@ impl Default for SinkShared {
             ),
         }
     }
+
+    /// Set the `failed` gauge from `status`. Called with the queue lock
+    /// held, so the sink thread and `submit` cannot set it out of order.
+    fn settle_failed(&self, status: &SinkStatus) {
+        self.failed.set(i64::from(status.in_drop_state()));
+    }
 }
 
 /// A supervised background archiving thread: epochs go in via a
@@ -538,6 +560,7 @@ pub struct ArchiveSink {
 
 impl ArchiveSink {
     /// Spawn the archiving thread around `writer` with default policy.
+    /// The sink records on the writer's registry.
     pub fn spawn(writer: ArchiveWriter) -> ArchiveSink {
         ArchiveSink::spawn_with(writer, SinkConfig::default())
     }
@@ -548,15 +571,16 @@ impl ArchiveSink {
             Mutex::new(SinkQueue {
                 queue: VecDeque::new(),
                 closed: false,
+                submitted: 0,
             }),
             Condvar::new(),
         ));
-        let shared = Arc::new(SinkShared::default());
+        let shared = Arc::new(SinkShared::new(writer.registry()));
         let status = Arc::new(SinkStatus::default());
         let thread_queue = Arc::clone(&queue);
         let thread_shared = Arc::clone(&shared);
         let thread_status = Arc::clone(&status);
-        let append_hist = obs::global().histogram(
+        let append_hist = writer.registry().histogram(
             "bgp_archive_append_duration_seconds",
             "Wall time of one sink append (segment + manifest commit; an epoch or a queued run)",
             &[],
@@ -571,9 +595,6 @@ impl ArchiveSink {
                     dropped: 0,
                     retries: 0,
                 };
-                // Monotone ordinal per processed submission; orders the
-                // last drop against the last commit for health checks.
-                let mut op = 0u64;
                 loop {
                     let (lock, cvar) = &*thread_queue;
                     let mut guard = lock
@@ -592,10 +613,9 @@ impl ArchiveSink {
                     }
                     let run = take_run(&mut guard.queue);
                     drop(guard);
-                    if run.is_empty() {
+                    let Some(&(_, _, op)) = run.last() else {
                         break; // closed and drained
-                    }
-                    op += run.len() as u64;
+                    };
                     let t_append = Instant::now();
                     let outcome =
                         append_supervised(&mut writer, &run, &cfg, &thread_shared, &thread_status);
@@ -607,17 +627,13 @@ impl ArchiveSink {
                         Appended::Committed(epochs) => {
                             report.written += epochs;
                             thread_status.committed.fetch_add(epochs, Ordering::AcqRel);
-                            thread_status.last_commit_op.store(op, Ordering::Release);
-                            if !thread_status.in_drop_state() {
-                                thread_shared.failed.set(0);
-                            }
+                            thread_status.last_commit_op.fetch_max(op, Ordering::AcqRel);
                         }
                         Appended::Dropped(epochs, e) => {
                             report.dropped += epochs;
                             thread_status.dropped.fetch_add(epochs, Ordering::AcqRel);
-                            thread_status.last_drop_op.store(op, Ordering::Release);
+                            thread_status.last_drop_op.fetch_max(op, Ordering::AcqRel);
                             thread_shared.dropped_total.add(epochs);
-                            thread_shared.failed.set(1);
                             obs::error!(
                                 "archive",
                                 "sink dropped {} after exhausting retries: {e}",
@@ -629,6 +645,10 @@ impl ArchiveSink {
                                 .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
                         }
                     }
+                    let _queue = lock
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    thread_shared.settle_failed(&thread_status);
                 }
                 report.retries = thread_status.retries.load(Ordering::Acquire);
                 (writer, report)
@@ -660,20 +680,23 @@ impl ArchiveSink {
             return;
         }
         while guard.queue.len() >= self.queue_cap.max(1) {
-            let Some((old, _)) = guard.queue.pop_front() else {
+            let Some((old, _, op)) = guard.queue.pop_front() else {
                 break;
             };
             self.shared.queue_depth.add(-1);
             self.shared.dropped_total.inc();
             self.status.dropped.fetch_add(1, Ordering::AcqRel);
-            self.shared.failed.set(1);
+            self.status.last_drop_op.fetch_max(op, Ordering::AcqRel);
+            self.shared.settle_failed(&self.status);
             obs::error!(
                 "archive",
                 "sink queue full: evicted oldest queued epoch {}",
                 old.epoch
             );
         }
-        guard.queue.push_back((snap, stats));
+        guard.submitted += 1;
+        let op = guard.submitted;
+        guard.queue.push_back((snap, stats, op));
         self.shared.queue_depth.add(1);
         cvar.notify_one();
     }
@@ -777,7 +800,7 @@ fn take_run(queue: &mut VecDeque<Queued>) -> Vec<Queued> {
         let chains = match (run.last(), queue.front()) {
             (_, None) => false,
             (None, Some(_)) => true,
-            (Some((prev, _)), Some((next, _))) => next.epoch == prev.epoch + 1,
+            (Some((prev, ..)), Some((next, ..))) => next.epoch == prev.epoch + 1,
         };
         if !chains {
             break;
@@ -790,8 +813,8 @@ fn take_run(queue: &mut VecDeque<Queued>) -> Vec<Queued> {
 /// `epoch=N` or `epochs=N..=M`: what the log calls a run.
 fn run_label(run: &[Queued]) -> String {
     match run {
-        [(only, _)] => format!("epoch={}", only.epoch),
-        [(first, _), .., (last, _)] => format!("epochs={}..={}", first.epoch, last.epoch),
+        [(only, ..)] => format!("epoch={}", only.epoch),
+        [(first, ..), .., (last, ..)] => format!("epochs={}..={}", first.epoch, last.epoch),
         [] => String::new(),
     }
 }
@@ -814,8 +837,10 @@ fn append_supervised(
     shared: &SinkShared,
     status: &SinkStatus,
 ) -> Appended {
-    let borrowed: Vec<(&EpochSnapshot, &SegmentStats)> =
-        run.iter().map(|(snap, stats)| (&**snap, stats)).collect();
+    let borrowed: Vec<(&EpochSnapshot, &SegmentStats)> = run
+        .iter()
+        .map(|(snap, stats, _)| (&**snap, stats))
+        .collect();
     // What the archive does not hold yet is what this append commits or
     // loses, however many attempts it takes.
     let fresh = fresh_of(writer, run).len() as u64;
@@ -880,7 +905,7 @@ fn append_supervised(
 fn fresh_of<'a>(writer: &ArchiveWriter, run: &'a [Queued]) -> &'a [Queued] {
     let held = run
         .iter()
-        .take_while(|(snap, _)| writer.last_epoch().is_some_and(|last| snap.epoch <= last))
+        .take_while(|(snap, ..)| writer.last_epoch().is_some_and(|last| snap.epoch <= last))
         .count();
     &run[held..]
 }
@@ -891,7 +916,7 @@ fn is_chain_gap(writer: &ArchiveWriter, run: &[Queued]) -> bool {
     let expected = writer.last_epoch().map_or(0, |last| last + 1);
     fresh_of(writer, run)
         .first()
-        .is_some_and(|(next, _)| next.epoch != expected)
+        .is_some_and(|(next, ..)| next.epoch != expected)
 }
 
 /// Exponential backoff for the `attempt`-th retry (1-based), capped.

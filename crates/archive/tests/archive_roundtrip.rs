@@ -470,19 +470,22 @@ fn a_class_table_out_of_asn_order_is_corrupt() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A disk whose first write blocks until the test lets it through, so
-/// what queues up behind it is the test's to decide; it dies after
-/// `writes_left` writes.
+/// A disk whose write after the first `ungated` blocks until the test
+/// lets it through, so what queues up behind it is the test's to decide;
+/// it dies after `writes_left` writes.
 #[derive(Debug)]
 struct GatedIo {
     entered: std::sync::mpsc::Sender<()>,
     release: Option<std::sync::mpsc::Receiver<()>>,
+    ungated: usize,
     writes_left: usize,
 }
 
 impl IoShim for GatedIo {
     fn write_atomic(&mut self, dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
-        if let Some(release) = self.release.take() {
+        if self.ungated > 0 {
+            self.ungated -= 1;
+        } else if let Some(release) = self.release.take() {
             self.entered.send(()).unwrap();
             release.recv().unwrap();
         }
@@ -506,9 +509,10 @@ fn gated_sink(
     let io = GatedIo {
         entered,
         release: Some(release),
+        ungated: 0,
         writes_left,
     };
-    let writer = ArchiveWriter::open_with_io(dir, Box::new(io)).unwrap();
+    let writer = ArchiveWriter::open_with_io(dir, Box::new(io), Arc::default()).unwrap();
     let sink = ArchiveSink::spawn_with(
         writer,
         SinkConfig {
@@ -651,6 +655,61 @@ fn a_run_is_retried_and_dropped_as_one() {
         (1, 7, 2)
     );
     assert_eq!(epoch_ranges(&dir), [(0, 0)]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_queue_eviction_degrades_the_sink_at_once() {
+    let out = build_world(5, 16);
+    let snaps = &out.snapshots[..5];
+    let dir = tmp_dir("evict");
+    // Epoch 0 commits (segment + manifest); epoch 1's write is held.
+    let (entered, has_entered) = std::sync::mpsc::channel();
+    let (open, release) = std::sync::mpsc::channel();
+    let io = GatedIo {
+        entered,
+        release: Some(release),
+        ungated: 2,
+        writes_left: usize::MAX,
+    };
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let writer = ArchiveWriter::open_with_io(&dir, Box::new(io), Arc::clone(&obs)).unwrap();
+    let sink = ArchiveSink::spawn_with(
+        writer,
+        SinkConfig {
+            queue_cap: 2,
+            ..Default::default()
+        },
+    );
+    // Declared after the sink, so a failing assertion opens the gate
+    // before the sink's drop joins its thread.
+    let open = open;
+    let failed = || obs.gauge("bgp_archive_sink_failed", "", &[]).get();
+    let status = sink.status();
+    sink.submit(Arc::clone(&snaps[0]), SegmentStats::default());
+    while status.committed() < 1 {
+        std::thread::yield_now();
+    }
+    sink.submit(Arc::clone(&snaps[1]), SegmentStats::default());
+    has_entered.recv().unwrap();
+
+    // 2 and 3 fill the queue; 4 evicts 2, while epoch 1 is still on its
+    // way to the disk.
+    for snap in &snaps[2..] {
+        sink.submit(Arc::clone(snap), SegmentStats::default());
+    }
+    assert_eq!(status.dropped(), 1);
+    assert!(status.in_drop_state(), "an eviction is a drop at once");
+    assert_eq!(failed(), 1);
+
+    // Epoch 1's commit was submitted before the eviction and does not
+    // clear it; 3 and 4 no longer chain and are dropped too.
+    open.send(()).unwrap();
+    let err = sink.finish().unwrap_err();
+    assert_eq!((err.report.written, err.report.dropped), (2, 3));
+    assert!(status.in_drop_state());
+    assert_eq!(failed(), 1);
+    assert_eq!(epoch_ranges(&dir), [(0, 0), (1, 1)]);
     fs::remove_dir_all(&dir).unwrap();
 }
 

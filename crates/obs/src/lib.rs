@@ -30,11 +30,12 @@
 //! that `/metrics` already exposes.
 //!
 //! Counters, gauges and histograms are keyed by (family, labels) in an
-//! [`ObsRegistry`]: one [`global()`] registry for the process,
-//! `Arc`-cloned into whoever records into or renders it (`bgp-serve`'s
-//! `Metrics` is a set of handles on it, and `/metrics` is its one
-//! renderer). Unit tests build private registries with
-//! [`ObsRegistry::new`] instead.
+//! [`ObsRegistry`]. There is no process-wide one: `bgp-served` builds a
+//! registry and `Arc`-clones it into every layer that records into or
+//! renders it (`bgp-serve`'s `Metrics` is a set of handles on it, and
+//! `/metrics` is its one renderer). A constructor handed no registry
+//! records on a fresh private one, and each test builds its own with
+//! [`ObsRegistry::new`].
 //!
 //! Histogram semantics: bucket upper bounds are powers of two from
 //! 256 ns to ~137 s (factor-2 resolution); quantiles are reported as
@@ -56,5 +57,5 @@ pub use alerts::{
 };
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use logger::{Level, LogConfig};
-pub use registry::{global, Counter, Gauge, ObsRegistry};
+pub use registry::{Counter, Gauge, ObsRegistry};
 pub use trace::{EpochTrace, TraceStage, TraceStore};

@@ -1,13 +1,13 @@
-//! The process-wide metric registry.
+//! The metric registry.
 //!
 //! An [`ObsRegistry`] owns counters, gauges, and histograms keyed by
 //! `(family, labels)`. Handles come back as
 //! `Arc`s so hot paths resolve their instrument once (at construction
 //! time) and record with pure atomics afterwards — the get-or-create
 //! lookup itself takes a mutex and is meant for setup, not per-event
-//! use. One [`global()`] registry serves the whole process (`bgp-serve`'s
-//! `Metrics` is a set of handles on it); tests that need isolation build
-//! their own with [`ObsRegistry::new`].
+//! use. There is no process-wide registry: a daemon builds one and
+//! hands it to every layer it starts (`bgp-serve`'s `Metrics` is a set
+//! of handles on it), and each test builds its own.
 //!
 //! [`render_prometheus`](ObsRegistry::render_prometheus) emits
 //! text-format v0.0.4: one `# HELP`/`# TYPE` preamble per family, then
@@ -17,7 +17,7 @@
 use crate::hist::{write_seconds, Histogram, HistogramSnapshot, BUCKET_COUNT};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -296,13 +296,6 @@ fn write_series<T>(out: &mut String, e: &MetricEntry<T>, suffix: &str, le: Optio
         }
     }
     out.push('}');
-}
-
-static GLOBAL: OnceLock<Arc<ObsRegistry>> = OnceLock::new();
-
-/// The process-wide registry every instrumented layer records into.
-pub fn global() -> Arc<ObsRegistry> {
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(ObsRegistry::new())))
 }
 
 #[cfg(test)]

@@ -771,8 +771,9 @@ fn write_trace_stages(w: &mut JsonWriter, trace: &EpochTrace) {
 /// `/v1/stats` — the served snapshot's ingest statistics and its own
 /// epoch's seal / count durations (deterministic: identical across a
 /// restart from the archive), plus the request count, uptime and — with
-/// a health state attached — the supervision counters. The process-wide
-/// latency distributions are `/v1/debug/timings`.
+/// a health state attached — the supervision counters, read off the same
+/// registry counters `/metrics` renders. The daemon's latency
+/// distributions are `/v1/debug/timings`.
 fn stats_endpoint(
     snap: &ServeSnapshot,
     requests_total: u64,

@@ -73,7 +73,7 @@
 //! The API surface is documented in `bgp_serve::api`; try
 //! `curl http://127.0.0.1:7179/v1/stats` once it is up.
 
-use bgp_archive::prelude::{Archive, ArchiveSink, ArchiveWriter};
+use bgp_archive::prelude::{Archive, ArchiveSink, ArchiveWriter, IoShim, RealIo};
 use bgp_serve::prelude::*;
 use bgp_serve::shutdown;
 use bgp_stream::epoch::EpochPolicy;
@@ -255,8 +255,14 @@ fn run(opts: Options) -> Result<(), String> {
     shutdown::install();
     let thresholds = bgp_infer::counters::Thresholds::uniform(opts.threshold);
     let slot = Arc::new(SnapshotSlot::new(thresholds));
-    let metrics = Arc::new(Metrics::new());
-    let health = Arc::new(HealthState::default());
+    // The daemon's one registry: every layer below records on it, and
+    // /metrics, /healthz and the alert rules read it.
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let metrics = Arc::new(Metrics::with_registry(Arc::clone(&obs)));
+    let health = Arc::new(HealthState::new(
+        HealthConfig::default(),
+        Arc::clone(&metrics),
+    ));
     // Per-epoch provenance traces: threaded through the pipeline, the
     // publisher, and the archive writer; served live (or from the
     // archive after a restart) at /v1/debug/epoch/{N}/trace.
@@ -269,7 +275,7 @@ fn run(opts: Options) -> Result<(), String> {
         None => Vec::new(),
     };
     let sampler = (!alert_rules.is_empty()).then(|| {
-        let alerts = Arc::new(AlertState::new(alert_rules, Arc::clone(metrics.registry())));
+        let alerts = Arc::new(AlertState::new(alert_rules, Arc::clone(&obs)));
         health.attach_alerts(Arc::clone(&alerts));
         obs::spawn_sampler(
             alerts,
@@ -337,14 +343,15 @@ fn run(opts: Options) -> Result<(), String> {
             }
             None => obs::info!("serve", "archive {dir} is empty; starting fresh"),
         }
-        let writer = match fault_plan
+        let io: Box<dyn IoShim> = match fault_plan
             .as_ref()
             .and_then(|p| p.archive_io(opts.fault_seed))
         {
-            Some(io) => ArchiveWriter::open_with_io(dir, Box::new(io)),
-            None => ArchiveWriter::open(dir),
-        }
-        .map_err(|e| format!("archive {dir}: {e}"))?;
+            Some(io) => Box::new(io),
+            None => Box::new(RealIo),
+        };
+        let writer = ArchiveWriter::open_with_io(dir, io, Arc::clone(&obs))
+            .map_err(|e| format!("archive {dir}: {e}"))?;
         let writer = writer.with_traces(Arc::clone(&traces));
         sink = Some(ArchiveSink::spawn(writer));
         history = Some(Arc::new(
@@ -367,6 +374,7 @@ fn run(opts: Options) -> Result<(), String> {
         addr: opts.listen.clone(),
         workers: opts.workers,
         max_connections: opts.max_conns,
+        registry: Arc::clone(&obs),
         ..Default::default()
     };
     let http = HttpServer::start(http_cfg, Arc::new(api))

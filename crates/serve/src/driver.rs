@@ -26,11 +26,17 @@
 //! before probing any of them, publishes from its per-seal callback, and
 //! copies out of the buffer only a tuple no shard has seen.
 //!
+//! Every instrument the driver builds records on the registry of the
+//! [`Metrics`] it is handed: the pipeline and its shards
+//! ([`StreamPipeline::with_registry`]), the publisher, the batch
+//! histogram and the seal-queue gauge. A daemon therefore hands down its
+//! one registry through `metrics` alone, and [`DriverConfig`] carries
+//! none.
+//!
 //! `bgp_serve_seal_queue_depth` counts a batch in before the puller
 //! sends it and out after the sealer receives it; whatever an attempt
 //! leaves queued (its sealer died) is taken back after the join, so the
-//! process-global gauge neither dips below zero nor drifts up across
-//! respawns.
+//! gauge neither dips below zero nor drifts up across respawns.
 //!
 //! A panic on either side is contained: the puller always joins the
 //! sealer before propagating, so the supervisor never respawns while an
@@ -47,8 +53,9 @@
 //! underneath for resilience soaks. An attempt keeps one quarantine
 //! count across all of its sources: it bounds
 //! [`DriverConfig::quarantine_abort`] feed-wide, and each pulled batch's
-//! quarantines reach [`DriverConfig::health`] and
-//! `bgp_serve_quarantined_total` at once.
+//! quarantines reach `bgp_serve_quarantined_total` at once — the counter
+//! [`DriverConfig::health`] judges, when it is built on the same
+//! [`Metrics`].
 
 use crate::health::HealthState;
 use crate::metrics::Metrics;
@@ -104,9 +111,10 @@ pub struct DriverConfig {
     /// fault clock survives driver respawns — a `panic@N` fires once
     /// ever, not once per attempt).
     pub fault: Option<Arc<FeedInjector>>,
-    /// Where the driver reports every supervision event (publish,
-    /// quarantine, respawn, fatal failure). A daemon that serves
-    /// `/healthz` hands the same state to
+    /// Where the driver reports the supervision events no counter holds
+    /// (publish instant, respawn, drain, fatal failure). A daemon that
+    /// serves `/healthz` builds it on the [`Metrics`] it hands the driver
+    /// and hands the same state to
     /// [`Api::with_health`](crate::api::Api::with_health); the default is
     /// a fresh state nobody reads.
     pub health: Arc<HealthState>,
@@ -299,7 +307,7 @@ impl Driver {
     /// on the slot.
     fn attempt(&self, resume: Option<Arc<ServeSnapshot>>) -> Result<IngestReport, String> {
         let cfg = &self.cfg;
-        let pipeline = StreamPipeline::new(cfg.stream.clone());
+        let pipeline = StreamPipeline::with_registry(cfg.stream.clone(), self.metrics.registry());
         let mut publisher = Publisher::new(Arc::clone(&self.slot), cfg.flip_log_cap)
             .with_metrics(Arc::clone(&self.metrics));
         if let Some(restored) = &resume {
@@ -313,11 +321,7 @@ impl Driver {
         }
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
-        let depth = Arc::new(QueueDepth::new(obs::global().gauge(
-            "bgp_serve_seal_queue_depth",
-            "Event batches queued between the feed puller and the sealer worker",
-            &[],
-        )));
+        let depth = Arc::new(QueueDepth::new(Arc::clone(&self.metrics.seal_queue_depth)));
         let sealer = {
             let metrics = Arc::clone(&self.metrics);
             let health = Arc::clone(&cfg.health);
@@ -359,11 +363,11 @@ impl Driver {
 /// seal, shallow enough that a stuck sealer applies backpressure fast.
 const SEAL_QUEUE_BATCHES: usize = 4;
 
-/// One attempt's share of `bgp_serve_seal_queue_depth`, a process-global
-/// gauge other drivers add to as well. The puller counts a batch in
-/// before it sends it and the sealer counts it out after it receives it,
-/// so the share never reads below zero; what a dead sealer leaves queued
-/// is taken back once both threads have joined.
+/// One attempt's share of `bgp_serve_seal_queue_depth`, a gauge other
+/// drivers on the same [`Metrics`] add to as well. The puller counts a
+/// batch in before it sends it and the sealer counts it out after it
+/// receives it, so the share never reads below zero; what a dead sealer
+/// leaves queued is taken back once both threads have joined.
 struct QueueDepth {
     gauge: Arc<obs::Gauge>,
     /// Sent minus received, this attempt only.
@@ -472,8 +476,7 @@ impl Puller<'_> {
             let fresh = guarded.quarantined() - self.quarantined;
             if fresh > 0 {
                 self.quarantined += fresh;
-                cfg.health.note_quarantined(fresh);
-                self.metrics.records_quarantined(fresh);
+                self.metrics.records_quarantined.add(fresh);
             }
             let events = pulled?;
             if events.is_empty() {
@@ -502,11 +505,6 @@ fn sealer_main(
     health: &HealthState,
     depth: &QueueDepth,
 ) -> IngestReport {
-    let batch_hist = obs::global().histogram(
-        "bgp_serve_ingest_batch_duration_seconds",
-        "Wall time to push one ingest batch through the pipeline (including any seals)",
-        &[],
-    );
     let traces = pipeline.config().trace.clone();
     while let Ok(events) = rx.recv() {
         depth.add(-1);
@@ -520,10 +518,9 @@ fn sealer_main(
         pipeline.push_events(&events, |pipeline| {
             health.note_publish(publisher.sync(pipeline) as u64);
         });
-        metrics.events_ingested(n);
-        health.note_ingested(n);
+        metrics.events_ingested.add(n);
         let batch_nanos = t_batch.elapsed().as_nanos() as u64;
-        batch_hist.record(batch_nanos);
+        metrics.ingest_batch.record(batch_nanos);
         if let Some(traces) = &traces {
             // Accumulated into whichever epoch is open when the batch
             // ends — a batch that straddles a seal attributes its tail
@@ -758,7 +755,11 @@ mod tests {
         let plan = FaultPlan::parse("feed:panic@2").unwrap();
         let injector = Arc::new(plan.feed_injector(7).unwrap());
         let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-        let health = Arc::new(crate::health::HealthState::default());
+        let metrics = Arc::new(Metrics::new());
+        let health = Arc::new(crate::health::HealthState::new(
+            Default::default(),
+            Arc::clone(&metrics),
+        ));
         let cfg = DriverConfig {
             stream: StreamConfig {
                 shards: 2,
@@ -775,7 +776,7 @@ mod tests {
             cfg,
             Feed::Events(events(10)),
             Arc::clone(&slot),
-            Arc::new(Metrics::new()),
+            metrics,
             None,
             None,
         )

@@ -19,18 +19,21 @@
 //!   restart budget was exhausted or the feed aborted. `/healthz`
 //!   answers 503 so load balancers eject the instance.
 //!
-//! Everything is atomics: the ingest driver (which always reports into
-//! its [`DriverConfig::health`](crate::driver::DriverConfig::health)),
-//! archive sink thread, and HTTP workers all touch the same
-//! `Arc<HealthState>` without locks. The counters are this daemon's
-//! own: the state registers no `/metrics` family, since registry
-//! families are process-wide ([`Metrics`](crate::metrics::Metrics)
-//! carries the ingested and quarantined totals).
+//! The state is built on the daemon's [`Metrics`] and counts nothing
+//! twice: the published, ingested and quarantined totals it judges are
+//! the counters `/metrics` renders. It keeps only what no family holds —
+//! the last publish's instant, the restart count and the publish count
+//! at the last restart, the done / failed flags, and the attached sink
+//! and alerts. The ingest driver (which always reports into its
+//! [`DriverConfig::health`](crate::driver::DriverConfig::health)), the
+//! archive sink thread and the HTTP workers all touch the same
+//! `Arc<HealthState>` without locks on the hot path.
 //! Recovery is first-class — every degraded reason has a condition
 //! that clears it (a commit after drops, a publish after a restart,
 //! quarantine rate falling back under the threshold), which the soak
 //! test drives end to end.
 
+use crate::metrics::Metrics;
 use bgp_archive::prelude::SinkStatus;
 use obs::AlertState;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,17 +96,16 @@ pub struct HealthReport {
 #[derive(Debug)]
 pub struct HealthState {
     cfg: HealthConfig,
+    /// The counters the verdict reads.
+    metrics: Arc<Metrics>,
     created: Instant,
     /// Nanos since `created` of the last snapshot publication (0 =
     /// never published).
     last_publish_nanos: AtomicU64,
-    publishes: AtomicU64,
     restarts: AtomicU64,
-    /// `publishes` observed at the most recent restart — the
+    /// Epochs published at the most recent restart — the
     /// `driver_restarted` reason clears once a publish lands after it.
     publishes_at_restart: AtomicU64,
-    quarantined: AtomicU64,
-    ingested: AtomicU64,
     ingest_done: AtomicBool,
     ingest_failed: AtomicBool,
     sink: Mutex<Option<Arc<SinkStatus>>>,
@@ -111,17 +113,16 @@ pub struct HealthState {
 }
 
 impl HealthState {
-    /// Fresh state; the staleness grace period starts now.
-    pub fn new(cfg: HealthConfig) -> HealthState {
+    /// Fresh state judging the counters on `metrics`; the staleness
+    /// grace period starts now.
+    pub fn new(cfg: HealthConfig, metrics: Arc<Metrics>) -> HealthState {
         HealthState {
             cfg,
+            metrics,
             created: Instant::now(),
             last_publish_nanos: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             publishes_at_restart: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            ingested: AtomicU64::new(0),
             ingest_done: AtomicBool::new(false),
             ingest_failed: AtomicBool::new(false),
             sink: Mutex::new(None),
@@ -146,31 +147,21 @@ impl HealthState {
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(alerts);
     }
 
-    /// Record `n` snapshot publications (fresh epochs served).
+    /// Note that `n` snapshots were just published (the metrics count
+    /// them): the staleness clock restarts when `n > 0`.
     pub fn note_publish(&self, n: u64) {
         if n == 0 {
             return;
         }
-        self.publishes.fetch_add(n, Ordering::AcqRel);
         let nanos = self.created.elapsed().as_nanos() as u64;
         self.last_publish_nanos
             .store(nanos.max(1), Ordering::Release);
     }
 
-    /// Record `n` events delivered to the pipeline.
-    pub fn note_ingested(&self, n: u64) {
-        self.ingested.fetch_add(n, Ordering::AcqRel);
-    }
-
-    /// Record `n` quarantined records/chunks.
-    pub fn note_quarantined(&self, n: u64) {
-        self.quarantined.fetch_add(n, Ordering::AcqRel);
-    }
-
     /// Record a supervised driver respawn after a panic.
     pub fn note_restart(&self) {
         self.publishes_at_restart
-            .store(self.publishes.load(Ordering::Acquire), Ordering::Release);
+            .store(self.metrics.epochs_published.get(), Ordering::Release);
         self.restarts.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -189,9 +180,9 @@ impl HealthState {
         self.restarts.load(Ordering::Acquire)
     }
 
-    /// Quarantined records/chunks so far.
+    /// Quarantined records/chunks so far (`bgp_serve_quarantined_total`).
     pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Acquire)
+        self.metrics.records_quarantined.get()
     }
 
     /// The watched sink's live status, if one is attached.
@@ -205,8 +196,8 @@ impl HealthState {
     /// Quarantined share of the feed seen so far (0.0 when nothing was
     /// ingested yet).
     pub fn quarantine_ratio(&self) -> f64 {
-        let q = self.quarantined.load(Ordering::Acquire);
-        let i = self.ingested.load(Ordering::Acquire);
+        let q = self.quarantined();
+        let i = self.metrics.events_ingested.get();
         if q == 0 {
             return 0.0;
         }
@@ -244,7 +235,7 @@ impl HealthState {
         // itself with a publish (or drains the feed completely).
         if self.restarts.load(Ordering::Acquire) > 0
             && !self.ingest_done.load(Ordering::Acquire)
-            && self.publishes.load(Ordering::Acquire)
+            && self.metrics.epochs_published.get()
                 == self.publishes_at_restart.load(Ordering::Acquire)
         {
             reasons.push("driver_restarted".to_string());
@@ -273,8 +264,9 @@ impl HealthState {
 }
 
 impl Default for HealthState {
+    /// Default thresholds on a fresh [`Metrics`] nothing else records to.
     fn default() -> Self {
-        HealthState::new(HealthConfig::default())
+        HealthState::new(HealthConfig::default(), Arc::default())
     }
 }
 
@@ -282,9 +274,15 @@ impl Default for HealthState {
 mod tests {
     use super::*;
 
+    /// A state on metrics of its own, which the test records to.
+    fn health(cfg: HealthConfig) -> (HealthState, Arc<Metrics>) {
+        let metrics = Arc::new(Metrics::new());
+        (HealthState::new(cfg, Arc::clone(&metrics)), metrics)
+    }
+
     #[test]
     fn starts_ok_within_grace() {
-        let h = HealthState::new(HealthConfig {
+        let (h, _) = health(HealthConfig {
             stale_after: Duration::from_secs(60),
             ..Default::default()
         });
@@ -294,7 +292,7 @@ mod tests {
 
     #[test]
     fn staleness_degrades_then_publish_recovers() {
-        let h = HealthState::new(HealthConfig {
+        let (h, _) = health(HealthConfig {
             stale_after: Duration::from_millis(1),
             ..Default::default()
         });
@@ -313,35 +311,36 @@ mod tests {
 
     #[test]
     fn quarantine_rate_thresholds() {
-        let h = HealthState::new(HealthConfig {
+        let (h, m) = health(HealthConfig {
             stale_after: Duration::from_secs(60),
             quarantine_max_ratio: 0.10,
         });
-        h.note_ingested(99);
-        h.note_quarantined(1);
+        m.events_ingested.add(99);
+        m.records_quarantined.add(1);
         assert_eq!(h.evaluate().status, HealthStatus::Ok, "1% is fine");
-        h.note_quarantined(20);
+        m.records_quarantined.add(20);
+        assert_eq!(h.quarantined(), 21);
         let report = h.evaluate();
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons, vec!["quarantine_rate"]);
         // Rate recovers as clean events keep flowing.
-        h.note_ingested(10_000);
+        m.events_ingested.add(10_000);
         assert_eq!(h.evaluate().status, HealthStatus::Ok);
     }
 
     #[test]
     fn restart_visible_until_next_publish() {
-        let h = HealthState::new(HealthConfig {
+        let (h, m) = health(HealthConfig {
             stale_after: Duration::from_secs(60),
             ..Default::default()
         });
-        h.note_publish(1);
+        m.epochs_published.inc();
         h.note_restart();
         let report = h.evaluate();
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons, vec!["driver_restarted"]);
         assert_eq!(h.restarts(), 1);
-        h.note_publish(1);
+        m.epochs_published.inc();
         assert_eq!(h.evaluate().status, HealthStatus::Ok);
     }
 

@@ -35,6 +35,7 @@
 //!   [`HttpConfig::max_request_bytes`] (431 beyond that), bodies
 //!   rejected (the API is read-only).
 
+use obs::ObsRegistry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -223,6 +224,9 @@ pub struct HttpConfig {
     /// header bytes (slowloris) is answered `408` and closed when the
     /// head has been incomplete for this long.
     pub head_deadline: Duration,
+    /// Where the reactors record their connection gauges and counters:
+    /// the daemon's registry. The default is a fresh private one.
+    pub registry: Arc<ObsRegistry>,
 }
 
 impl Default for HttpConfig {
@@ -235,6 +239,7 @@ impl Default for HttpConfig {
             read_timeout: Duration::from_secs(30),
             max_connections: 16_384,
             head_deadline: Duration::from_secs(10),
+            registry: Arc::default(),
         }
     }
 }
@@ -529,9 +534,9 @@ struct Socket {
     conn: Conn,
 }
 
-/// Instruments shared by all reactors (process-global families; the
-/// gauges are moved by deltas so several servers in one process — the
-/// test suites — still sum to the true totals).
+/// Instruments shared by all reactors, on [`HttpConfig::registry`] (the
+/// gauges are moved by deltas, so the reactors' shares sum to the
+/// server's totals).
 struct Gauges {
     open: Arc<obs::Gauge>,
     parked: Arc<obs::Gauge>,
@@ -544,8 +549,7 @@ struct Gauges {
 }
 
 impl Gauges {
-    fn new() -> Gauges {
-        let reg = obs::global();
+    fn new(reg: &ObsRegistry) -> Gauges {
         Gauges {
             open: reg.gauge(
                 "bgp_http_open_connections",
@@ -620,6 +624,7 @@ impl Reactor {
             sys::EPOLLIN | sys::EPOLLEXCLUSIVE,
         )?;
         epoll.add(wake_rx.as_raw_fd(), TOKEN_WAKE, sys::EPOLLIN)?;
+        let gauges = Gauges::new(&cfg.registry);
         Ok(Reactor {
             epoll,
             listener,
@@ -632,7 +637,7 @@ impl Reactor {
                 free: Vec::new(),
             },
             wheel: Wheel::new(Instant::now()),
-            gauges: Gauges::new(),
+            gauges,
             resume_accept_at: None,
         })
     }

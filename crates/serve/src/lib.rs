@@ -50,16 +50,18 @@
 //!   JSON backend);
 //! * [`api`] — routes, parameter parsing, response shapes;
 //! * [`metrics`] — the serving layer's instruments, as handles on the
-//!   `obs` registry that `/metrics` renders;
+//!   daemon's one `obs` registry, which every layer records on and
+//!   `/metrics` renders;
 //! * [`driver`] — the ingest pair: a feed-puller thread (MRT files,
 //!   simulated scenario feeds, or in-memory events) handing batches over
 //!   a bounded queue to a dedicated sealer/publisher worker, started by
 //!   one function, [`driver::spawn_ingest_archived`], and always
 //!   reporting to the [`health`] state in its
 //!   [`DriverConfig`](driver::DriverConfig);
-//! * [`health`] — the degraded-mode `/healthz` state machine the driver
-//!   reports into (quarantines counted per feed as each batch is pulled,
-//!   respawns, archive sink trouble, staleness);
+//! * [`health`] — the degraded-mode `/healthz` state machine, judging
+//!   the counters on [`metrics`] (quarantines counted per feed as each
+//!   batch is pulled) plus what the driver reports into it (respawns,
+//!   staleness) and archive sink trouble;
 //! * [`restore`] — rebuilding `ServeSnapshot`s from the durable epoch
 //!   archive (`bgp-served --archive`): instant restart without waiting
 //!   for the feed to replay;

@@ -2,12 +2,13 @@
 //! [`ObsRegistry`].
 //!
 //! One [`Metrics`] instance is shared between the API handler, the
-//! publisher and the ingest driver. It stores nothing itself: every
-//! field is an `Arc` handle resolved once on the registry (the
-//! process-global one unless a test injects its own), so recording is
-//! pure atomics and `/metrics`, `/v1/debug/timings` and the alert rules
-//! all read the same store. The registry is the only Prometheus
-//! renderer; this module has none.
+//! publisher, the ingest driver and the health state. It stores nothing
+//! itself: every field is an `Arc` handle resolved once on the registry
+//! (the daemon's one registry, which it also hands to every other layer
+//! it starts), so recording is pure atomics and `/metrics`,
+//! `/v1/debug/timings`, `/healthz` and the alert rules all read the same
+//! store. The registry is the only Prometheus renderer; this module has
+//! none.
 
 use crate::snapshot::ServeSnapshot;
 use obs::{Counter, Gauge, Histogram, ObsRegistry};
@@ -105,9 +106,20 @@ pub struct Metrics {
     /// `bgp_serve_http_responses_total{class=…}`, in
     /// [`RESPONSE_CLASSES`] order.
     responses: [Arc<Counter>; RESPONSE_CLASSES.len()],
-    epochs_published: Arc<Counter>,
-    events_ingested: Arc<Counter>,
-    records_quarantined: Arc<Counter>,
+    /// The ingest side's handles, which the publisher, the driver and
+    /// the health state move and read in place:
+    /// `bgp_serve_epochs_published_total`,
+    pub(crate) epochs_published: Arc<Counter>,
+    /// `bgp_serve_events_ingested_total`,
+    pub(crate) events_ingested: Arc<Counter>,
+    /// `bgp_serve_quarantined_total` (as each driver batch is pulled),
+    pub(crate) records_quarantined: Arc<Counter>,
+    /// `bgp_serve_publish_duration_seconds`,
+    pub(crate) publish: Arc<Histogram>,
+    /// `bgp_serve_ingest_batch_duration_seconds`,
+    pub(crate) ingest_batch: Arc<Histogram>,
+    /// `bgp_serve_seal_queue_depth`.
+    pub(crate) seal_queue_depth: Arc<Gauge>,
     snapshot_version: Arc<Gauge>,
     snapshot_records: Arc<Gauge>,
     snapshot_total_events: Arc<Gauge>,
@@ -121,12 +133,12 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Handles on the process-global registry.
+    /// Handles on a fresh private registry.
     pub fn new() -> Self {
-        Metrics::with_registry(obs::global())
+        Metrics::with_registry(Arc::default())
     }
 
-    /// Handles on an explicit registry (tests that assert exact counts).
+    /// Handles on `obs`, the registry the daemon renders.
     pub fn with_registry(obs: Arc<ObsRegistry>) -> Self {
         let requests = Endpoint::ALL.map(|e| {
             obs.histogram(
@@ -158,6 +170,21 @@ impl Metrics {
             records_quarantined: obs.counter(
                 "bgp_serve_quarantined_total",
                 "Malformed records and chunks the ingest driver quarantined.",
+                &[],
+            ),
+            publish: obs.histogram(
+                "bgp_serve_publish_duration_seconds",
+                "Wall time to build and publish one ServeSnapshot",
+                &[],
+            ),
+            ingest_batch: obs.histogram(
+                "bgp_serve_ingest_batch_duration_seconds",
+                "Wall time to push one ingest batch through the pipeline (including any seals)",
+                &[],
+            ),
+            seal_queue_depth: obs.gauge(
+                "bgp_serve_seal_queue_depth",
+                "Event batches queued between the feed puller and the sealer worker",
                 &[],
             ),
             snapshot_version: obs.gauge(
@@ -200,21 +227,6 @@ impl Metrics {
             _ => 2,
         };
         self.responses[class].inc();
-    }
-
-    /// Count one published epoch.
-    pub fn epoch_published(&self) {
-        self.epochs_published.inc();
-    }
-
-    /// Count ingested events (driver batches).
-    pub fn events_ingested(&self, n: u64) {
-        self.events_ingested.add(n);
-    }
-
-    /// Count quarantined records/chunks (as each driver batch is pulled).
-    pub fn records_quarantined(&self, n: u64) {
-        self.records_quarantined.add(n);
     }
 
     /// Point the `bgp_serve_snapshot_*` gauges at `snapshot` (the one a
@@ -264,8 +276,8 @@ mod tests {
         m.observe(Endpoint::Class, 200, 1_000);
         m.observe(Endpoint::Class, 404, 1_000);
         m.observe(Endpoint::Health, 503, 1_000);
-        m.epoch_published();
-        m.events_ingested(42);
+        m.epochs_published.inc();
+        m.events_ingested.add(42);
         m.observe_snapshot(&ServeSnapshot::empty(Thresholds::default()));
         assert_eq!(m.total_requests(), 3);
         assert_eq!(m.requests_for(Endpoint::Class), 2);

@@ -30,7 +30,6 @@ use bgp_infer::db::DbRecord;
 use bgp_stream::epoch::{ClassFlip, EpochSnapshot};
 use bgp_stream::pipeline::StreamPipeline;
 use obs::trace::TraceStore;
-use obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -422,9 +421,10 @@ pub struct Publisher {
     /// Retain at most this many flip entries (oldest epochs trimmed
     /// first, whole).
     flip_log_cap: usize,
-    /// Counts each published epoch
-    /// (`bgp_serve_epochs_published_total`).
-    metrics: Option<Arc<crate::metrics::Metrics>>,
+    /// Counts and times each published epoch
+    /// (`bgp_serve_epochs_published_total`,
+    /// `bgp_serve_publish_duration_seconds`).
+    metrics: Arc<crate::metrics::Metrics>,
     /// Durable epoch tap: every newly published epoch is also queued
     /// here (one `Arc` clone + one queue push — the disk write happens
     /// on the sink's own thread). Shared (`Arc`) so a supervised driver
@@ -436,36 +436,30 @@ pub struct Publisher {
     /// backwards), the flip log (already seeded), or the sink (already
     /// committed).
     resume_skip: Option<u64>,
-    /// Publish-stage histogram, resolved once from the global registry.
-    publish_hist: Arc<Histogram>,
     /// Per-epoch provenance traces: each publication appends a
     /// `"publish"` stage to its epoch's timeline.
     traces: Option<Arc<TraceStore>>,
 }
 
 impl Publisher {
-    /// A publisher feeding `slot`, retaining at most `flip_log_cap` flips.
+    /// A publisher feeding `slot`, retaining at most `flip_log_cap` flips,
+    /// counting on a fresh private [`Metrics`](crate::metrics::Metrics).
     pub fn new(slot: Arc<SnapshotSlot>, flip_log_cap: usize) -> Self {
         Publisher {
             slot,
             published: 0,
             log: FlipLog::default(),
             flip_log_cap,
-            metrics: None,
+            metrics: Arc::default(),
             archive: None,
             resume_skip: None,
-            publish_hist: obs::global().histogram(
-                "bgp_serve_publish_duration_seconds",
-                "Wall time to build and publish one ServeSnapshot",
-                &[],
-            ),
             traces: None,
         }
     }
 
-    /// Count each published epoch on `metrics`.
+    /// Count and time each published epoch on `metrics`.
     pub fn with_metrics(mut self, metrics: Arc<crate::metrics::Metrics>) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 
@@ -576,10 +570,9 @@ impl Publisher {
                 },
             );
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.epoch_published();
-        }
-        self.publish_hist
+        self.metrics.epochs_published.inc();
+        self.metrics
+            .publish
             .record(t_publish.elapsed().as_nanos() as u64);
         true
     }

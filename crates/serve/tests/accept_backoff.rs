@@ -1,7 +1,8 @@
 //! An accept error pauses the listener until the next timer tick: a
 //! connection pending while the process is out of file descriptors
 //! (`EMFILE`) must not spin the reactor. The test re-runs itself under
-//! `ulimit -n 64` so only that child process runs short of descriptors.
+//! `ulimit -n 64` so only that child process runs short of descriptors;
+//! the child's server records on a registry of its own.
 
 use bgp_serve::prelude::*;
 use std::fs::File;
@@ -38,20 +39,21 @@ fn an_accept_error_backs_off_until_the_next_tick() {
     );
 }
 
-/// Busy event-loop iterations so far, process-wide.
-fn loop_iterations() -> u64 {
-    obs::global()
-        .histogram_families()
+/// Busy event-loop iterations so far on `obs`.
+fn loop_iterations(obs: &obs::ObsRegistry) -> u64 {
+    obs.histogram_families()
         .into_iter()
         .find(|(name, _)| name == "bgp_http_event_loop_duration_seconds")
         .map_or(0, |(_, snap)| snap.count)
 }
 
 fn child() {
+    let obs = Arc::new(obs::ObsRegistry::new());
     let http = HttpServer::start(
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
+            registry: Arc::clone(&obs),
             ..Default::default()
         },
         Arc::new(|_: &Request| Response::text("ok".to_string())),
@@ -72,9 +74,9 @@ fn child() {
     }
     held.pop();
     let client = TcpStream::connect(http.local_addr()).expect("connect");
-    let before = loop_iterations();
+    let before = loop_iterations(&obs);
     std::thread::sleep(Duration::from_millis(500));
-    let spins = loop_iterations() - before;
+    let spins = loop_iterations(&obs) - before;
     drop(held);
     drop(client);
     drop(warm);

@@ -16,6 +16,8 @@
 //!   it drains.
 //! * SIGTERM answers a parked long-poller with a 200 and a clean close,
 //!   and the daemon exits 0.
+//! * With an archive and alert rules, `/metrics` carries every family
+//!   README's table names: each layer records on the daemon's registry.
 
 use bgp_archive::prelude::*;
 use bgp_infer::classify::Class;
@@ -29,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 mod support;
-use support::{metric, tmp_dir, Client};
+use support::{metric, readme_metric_families, tmp_dir, Client};
 
 const SEED: &str = "11";
 
@@ -325,4 +327,39 @@ fn sigterm_answers_a_parked_long_poller_and_exits_zero() {
     let (exit, log) = daemon.wait();
     assert!(exit.success(), "exit {exit}:\n{log}");
     assert!(log.contains("shutdown signal"), "{log}");
+}
+
+#[test]
+fn every_family_in_the_readme_is_on_the_daemons_page() {
+    let dir = tmp_dir("daemon-families");
+    let mut daemon = Daemon::spawn(&[
+        "--sim",
+        "random",
+        "--seed",
+        SEED,
+        "-e",
+        "2048",
+        "--archive",
+        dir.to_str().unwrap(),
+        "--linger",
+        "--alert-rules",
+        "seal_p99>10s@3",
+    ]);
+    let mut client = Client::connect(daemon.addr());
+    daemon.poll("the feed to drain", |d| d.logged("ingest done:"));
+    let (status, page) = client.get("/metrics");
+    assert_eq!(status, 200);
+    let families = readme_metric_families();
+    assert!(families.len() > 20, "{families:?}");
+    let missing: Vec<&String> = families
+        .iter()
+        .filter(|family| !page.contains(&format!("# TYPE {family} ")))
+        .collect();
+    assert!(missing.is_empty(), "not on /metrics: {missing:?}\n{page}");
+
+    drop(client);
+    daemon.terminate();
+    let (status, log) = daemon.wait();
+    assert!(status.success(), "exit {status}:\n{log}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

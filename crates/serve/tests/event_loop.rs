@@ -391,6 +391,7 @@ fn ten_thousand_keepalive_connections_on_reactor_threads() {
         .map(|n| n.get())
         .unwrap_or(1);
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
+    let metrics = Arc::new(Metrics::new());
     let http = HttpServer::start(
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -398,9 +399,10 @@ fn ten_thousand_keepalive_connections_on_reactor_threads() {
             // more reactor threads than cores.
             workers: cores,
             max_connections: TARGET + 64,
+            registry: Arc::clone(metrics.registry()),
             ..Default::default()
         },
-        Arc::new(Api::new(Arc::clone(&slot), Arc::new(Metrics::new()))),
+        Arc::new(Api::new(Arc::clone(&slot), metrics)),
     )
     .expect("bind loopback");
     let mut publisher = Publisher::new(Arc::clone(&slot), 1024);
@@ -464,13 +466,23 @@ fn ten_thousand_keepalive_connections_on_reactor_threads() {
     let (status, body) = get(&mut direct, "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
-    // The operator sees them too. The gauge is process-global and moved
-    // by deltas, so servers of other tests in this binary cannot pull it
-    // under this one's count.
+    // The operator sees them too, on the server's own registry: the
+    // flood's connections and this one, once the probe's has closed.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while http.open_connections() != TARGET + 1 {
+        assert!(
+            Instant::now() < deadline,
+            "{} open connections, want {}",
+            http.open_connections(),
+            TARGET + 1
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let (status, page) = get(&mut direct, "/metrics");
     assert_eq!(status, 200);
     let open = support::metric(&page, "bgp_http_open_connections").expect("open-connections gauge");
     assert!(open >= TARGET as f64, "bgp_http_open_connections {open}");
+    assert_eq!(open, (TARGET + 1) as f64, "bgp_http_open_connections");
 
     flood.kill().ok();
     flood.wait().ok();

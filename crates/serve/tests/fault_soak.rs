@@ -75,7 +75,9 @@ fn faulted_flap_storm_converges_to_the_clean_state() {
     // third durable write fails (retry + reopen salvages it).
     let dir = tmp_dir("flap");
     let plan = FaultPlan::parse("feed:truncate@4,panic@8,corrupt%0.05;archive:fail@3").unwrap();
-    let writer = ArchiveWriter::open_with_io(&dir, Box::new(plan.archive_io(SEED).unwrap()))
+    let metrics = Arc::new(Metrics::new());
+    let io = Box::new(plan.archive_io(SEED).unwrap());
+    let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry()))
         .expect("open faulted archive");
     let sink = ArchiveSink::spawn_with(
         writer,
@@ -84,10 +86,13 @@ fn faulted_flap_storm_converges_to_the_clean_state() {
             ..Default::default()
         },
     );
-    let health = Arc::new(HealthState::new(HealthConfig {
-        stale_after: Duration::from_secs(600),
-        ..Default::default()
-    }));
+    let health = Arc::new(HealthState::new(
+        HealthConfig {
+            stale_after: Duration::from_secs(600),
+            ..Default::default()
+        },
+        Arc::clone(&metrics),
+    ));
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let mut driver_cfg = cfg();
     driver_cfg.fault = Some(Arc::new(plan.feed_injector(SEED).unwrap()));
@@ -97,7 +102,7 @@ fn faulted_flap_storm_converges_to_the_clean_state() {
         driver_cfg,
         feed("flap-storm"),
         Arc::clone(&slot),
-        Arc::new(Metrics::new()),
+        metrics,
         Some(sink),
         None,
     )
@@ -172,7 +177,9 @@ fn peer_reset_survives_ingest_stall_and_archive_torn_write() {
 
     let dir = tmp_dir("reset");
     let plan = FaultPlan::parse("feed:stall@3;archive:torn@2").unwrap();
-    let writer = ArchiveWriter::open_with_io(&dir, Box::new(plan.archive_io(SEED).unwrap()))
+    let metrics = Arc::new(Metrics::new());
+    let io = Box::new(plan.archive_io(SEED).unwrap());
+    let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry()))
         .expect("open faulted archive");
     let sink = ArchiveSink::spawn_with(
         writer,
@@ -181,7 +188,10 @@ fn peer_reset_survives_ingest_stall_and_archive_torn_write() {
             ..Default::default()
         },
     );
-    let health = Arc::new(HealthState::default());
+    let health = Arc::new(HealthState::new(
+        HealthConfig::default(),
+        Arc::clone(&metrics),
+    ));
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let mut driver_cfg = cfg();
     driver_cfg.fault = Some(Arc::new(plan.feed_injector(SEED).unwrap()));
@@ -190,7 +200,7 @@ fn peer_reset_survives_ingest_stall_and_archive_torn_write() {
         driver_cfg,
         feed("peer-reset"),
         Arc::clone(&slot),
-        Arc::new(Metrics::new()),
+        metrics,
         Some(sink),
         None,
     )

@@ -2,8 +2,8 @@
 //! side waits for room to write, not on the hang-up it has already seen:
 //! write interest is `EPOLLOUT` alone, so the level-triggered reactor does
 //! not wake on the peer's FIN every iteration while the socket buffer is
-//! full. This file is its own test binary holding one test, so the
-//! process-wide event-loop histogram counts this server's iterations only.
+//! full. The server records on a registry of its own, so its event-loop
+//! histogram counts this server's iterations only.
 
 use bgp_serve::prelude::*;
 use std::io::{Read, Write};
@@ -15,10 +15,9 @@ use std::time::Duration;
 /// still being written when the peer stops reading.
 const BODY_BYTES: usize = 32 << 20;
 
-/// Busy event-loop iterations so far, process-wide.
-fn loop_iterations() -> u64 {
-    obs::global()
-        .histogram_families()
+/// Busy event-loop iterations so far on `obs`.
+fn loop_iterations(obs: &obs::ObsRegistry) -> u64 {
+    obs.histogram_families()
         .into_iter()
         .find(|(name, _)| name == "bgp_http_event_loop_duration_seconds")
         .map_or(0, |(_, snap)| snap.count)
@@ -26,10 +25,12 @@ fn loop_iterations() -> u64 {
 
 #[test]
 fn a_writer_whose_peer_half_closed_does_not_spin() {
+    let obs = Arc::new(obs::ObsRegistry::new());
     let http = HttpServer::start(
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
+            registry: Arc::clone(&obs),
             ..Default::default()
         },
         Arc::new(|_: &Request| Response::text("x".repeat(BODY_BYTES))),
@@ -44,9 +45,9 @@ fn a_writer_whose_peer_half_closed_does_not_spin() {
     std::thread::sleep(Duration::from_millis(100));
 
     // The answer fills the socket buffers and nobody reads for 500 ms.
-    let before = loop_iterations();
+    let before = loop_iterations(&obs);
     std::thread::sleep(Duration::from_millis(500));
-    let spins = loop_iterations() - before;
+    let spins = loop_iterations(&obs) - before;
 
     // Then the peer reads, and gets every byte before the close.
     let mut got = Vec::new();

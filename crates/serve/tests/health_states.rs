@@ -6,6 +6,8 @@
 //! JSON body, the right status code, and (where the fault clears) the
 //! transition back to `ok`. Quarantine is counted across every source
 //! of a feed, and reaches health and `/metrics` as each batch is pulled.
+//! Each test's serving half is a daemon's: one registry under its
+//! metrics, its health state, its API and its driver.
 
 use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
@@ -19,29 +21,59 @@ use std::time::Duration;
 mod support;
 use support::{metric, tag_events, tmp_dir, Client};
 
-fn serve_with_health(health: Arc<HealthState>) -> (HttpServer, Client, Arc<SnapshotSlot>) {
+/// A daemon's serving half, every part on one fresh registry.
+struct Served {
+    http: HttpServer,
+    client: Client,
+    slot: Arc<SnapshotSlot>,
+    metrics: Arc<Metrics>,
+    health: Arc<HealthState>,
+}
+
+fn serve_with_health(cfg: HealthConfig) -> Served {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let api = Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_health(health);
+    let metrics = Arc::new(Metrics::new());
+    let health = Arc::new(HealthState::new(cfg, Arc::clone(&metrics)));
+    let api = Api::new(Arc::clone(&slot), Arc::clone(&metrics)).with_health(Arc::clone(&health));
     let http = HttpServer::start(
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
+            registry: Arc::clone(metrics.registry()),
             ..Default::default()
         },
         Arc::new(api),
     )
     .expect("bind loopback");
     let client = Client::connect(http.local_addr());
-    (http, client, slot)
+    Served {
+        http,
+        client,
+        slot,
+        metrics,
+        health,
+    }
+}
+
+/// No staleness within a test's lifetime.
+fn patient() -> HealthConfig {
+    HealthConfig {
+        stale_after: Duration::from_secs(600),
+        ..Default::default()
+    }
 }
 
 #[test]
 fn stalled_feed_degrades_then_publish_recovers() {
-    let health = Arc::new(HealthState::new(HealthConfig {
+    let Served {
+        http,
+        mut client,
+        health,
+        ..
+    } = serve_with_health(HealthConfig {
         stale_after: Duration::from_millis(5),
         ..Default::default()
-    }));
-    let (http, mut client, _slot) = serve_with_health(Arc::clone(&health));
+    });
 
     std::thread::sleep(Duration::from_millis(20));
     let (status, body) = client.get("/healthz");
@@ -64,7 +96,15 @@ fn sink_drops_degrade_healthz_and_stats() {
     // epoch exhausts its retries and is dropped.
     let dir = tmp_dir("drops");
     let plan = FaultPlan::parse("archive:fail%1.0").unwrap();
-    let writer = ArchiveWriter::open_with_io(&dir, Box::new(plan.archive_io(7).unwrap())).unwrap();
+    let Served {
+        http,
+        mut client,
+        slot,
+        metrics,
+        health,
+    } = serve_with_health(patient());
+    let io = Box::new(plan.archive_io(7).unwrap());
+    let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry())).unwrap();
     let sink = ArchiveSink::spawn_with(
         writer,
         SinkConfig {
@@ -73,11 +113,6 @@ fn sink_drops_degrade_healthz_and_stats() {
             ..Default::default()
         },
     );
-    let health = Arc::new(HealthState::new(HealthConfig {
-        stale_after: Duration::from_secs(600),
-        ..Default::default()
-    }));
-    let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
 
     let report = spawn_ingest_archived(
         DriverConfig {
@@ -92,7 +127,7 @@ fn sink_drops_degrade_healthz_and_stats() {
         },
         Feed::Events(tag_events(10)),
         Arc::clone(&slot),
-        Arc::new(Metrics::new()),
+        metrics,
         Some(sink),
         None,
     )
@@ -124,7 +159,15 @@ fn sink_retry_recovers_to_ok() {
     // the sink reports retries but zero drops, and health ends ok.
     let dir = tmp_dir("retry");
     let plan = FaultPlan::parse("archive:fail@1").unwrap();
-    let writer = ArchiveWriter::open_with_io(&dir, Box::new(plan.archive_io(7).unwrap())).unwrap();
+    let Served {
+        http,
+        mut client,
+        slot,
+        metrics,
+        health,
+    } = serve_with_health(patient());
+    let io = Box::new(plan.archive_io(7).unwrap());
+    let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry())).unwrap();
     let sink = ArchiveSink::spawn_with(
         writer,
         SinkConfig {
@@ -132,11 +175,6 @@ fn sink_retry_recovers_to_ok() {
             ..Default::default()
         },
     );
-    let health = Arc::new(HealthState::new(HealthConfig {
-        stale_after: Duration::from_secs(600),
-        ..Default::default()
-    }));
-    let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
 
     let report = spawn_ingest_archived(
         DriverConfig {
@@ -151,7 +189,7 @@ fn sink_retry_recovers_to_ok() {
         },
         Feed::Events(tag_events(10)),
         Arc::clone(&slot),
-        Arc::new(Metrics::new()),
+        metrics,
         Some(sink),
         None,
     )
@@ -181,11 +219,13 @@ fn dead_ingest_is_unhealthy_503() {
     // Every feed attempt panics; the restart budget exhausts and the
     // daemon reports itself unhealthy so load balancers eject it.
     let plan = FaultPlan::parse("feed:panic%1.0").unwrap();
-    let health = Arc::new(HealthState::new(HealthConfig {
-        stale_after: Duration::from_secs(600),
-        ..Default::default()
-    }));
-    let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
+    let Served {
+        http,
+        mut client,
+        slot,
+        metrics,
+        health,
+    } = serve_with_health(patient());
     let err = spawn_ingest_archived(
         DriverConfig {
             fault: Some(Arc::new(plan.feed_injector(7).unwrap())),
@@ -195,7 +235,7 @@ fn dead_ingest_is_unhealthy_503() {
         },
         Feed::Events(tag_events(10)),
         slot,
-        Arc::new(Metrics::new()),
+        metrics,
         None,
         None,
     )
@@ -222,11 +262,13 @@ fn quarantine_abort_bounds_the_whole_feed() {
             file.display().to_string()
         })
         .collect();
-    let health = Arc::new(HealthState::new(HealthConfig {
-        stale_after: Duration::from_secs(600),
-        ..Default::default()
-    }));
-    let (http, mut client, slot) = serve_with_health(Arc::clone(&health));
+    let Served {
+        http,
+        mut client,
+        slot,
+        metrics,
+        health,
+    } = serve_with_health(patient());
     let err = spawn_ingest_archived(
         DriverConfig {
             quarantine_abort: 2,
@@ -235,7 +277,7 @@ fn quarantine_abort_bounds_the_whole_feed() {
         },
         Feed::MrtFiles(files),
         slot,
-        Arc::new(Metrics::new()),
+        metrics,
         None,
         None,
     )
@@ -259,8 +301,11 @@ fn a_quarantine_is_reported_before_its_source_drains() {
     let mut events = tag_events(100);
     events.insert(0, fault::malformed_event());
     let plan = FaultPlan::parse("feed:panic@3").unwrap();
-    let health = Arc::new(HealthState::default());
-    let obs = Arc::new(obs::ObsRegistry::new());
+    let metrics = Arc::new(Metrics::new());
+    let health = Arc::new(HealthState::new(
+        HealthConfig::default(),
+        Arc::clone(&metrics),
+    ));
     let err = spawn_ingest_archived(
         DriverConfig {
             batch: 10,
@@ -271,7 +316,7 @@ fn a_quarantine_is_reported_before_its_source_drains() {
         },
         Feed::Events(events),
         Arc::new(SnapshotSlot::new(Thresholds::default())),
-        Arc::new(Metrics::with_registry(Arc::clone(&obs))),
+        Arc::clone(&metrics),
         None,
         None,
     )
@@ -280,12 +325,57 @@ fn a_quarantine_is_reported_before_its_source_drains() {
     assert!(err.contains("restart budget"), "{err}");
     assert_eq!(health.quarantined(), 1, "reported as its batch was pulled");
     let mut page = String::new();
-    obs.render_prometheus(&mut page);
+    metrics.registry().render_prometheus(&mut page);
     assert_eq!(
         metric(&page, "bgp_serve_quarantined_total"),
         Some(1.0),
         "{page}"
     );
+}
+
+#[test]
+fn two_daemons_in_one_process_each_count_their_own_quarantines() {
+    // 40 clean events each, with 1 and with 5 malformed records among
+    // them: 2.4 % and 11.1 % of the feed, against the 5 % threshold.
+    let daemons = [1u64, 5].map(|malformed| {
+        let served = serve_with_health(patient());
+        let mut events = tag_events(40);
+        for i in 0..malformed {
+            events.insert(usize::try_from(i * 9).unwrap(), fault::malformed_event());
+        }
+        let driver = spawn_ingest_archived(
+            DriverConfig {
+                batch: 8,
+                health: Arc::clone(&served.health),
+                ..Default::default()
+            },
+            Feed::Events(events),
+            Arc::clone(&served.slot),
+            Arc::clone(&served.metrics),
+            None,
+            None,
+        );
+        (served, driver, malformed)
+    });
+    for (mut served, driver, malformed) in daemons {
+        let report = driver.join().expect("the feed drains");
+        assert_eq!((report.total_events, report.quarantined), (40, malformed));
+        let field = format!("\"quarantined\":{malformed}");
+        let (_, healthz) = served.client.get("/healthz");
+        assert!(healthz.contains(&field), "{healthz}");
+        let (_, stats) = served.client.get("/v1/stats");
+        assert!(stats.contains(&field), "{stats}");
+        let (_, page) = served.client.get("/metrics");
+        assert_eq!(
+            metric(&page, "bgp_serve_quarantined_total"),
+            Some(malformed as f64)
+        );
+        assert_eq!(metric(&page, "bgp_serve_events_ingested_total"), Some(40.0));
+        let over = malformed as f64 / (malformed + 40) as f64 > 0.05;
+        assert_eq!(healthz.contains("\"quarantine_rate\""), over, "{healthz}");
+        assert_eq!(healthz.contains("\"status\":\"ok\""), !over, "{healthz}");
+        served.http.shutdown();
+    }
 }
 
 #[test]

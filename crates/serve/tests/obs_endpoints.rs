@@ -55,13 +55,16 @@ fn world_events() -> Vec<StreamEvent> {
 }
 
 /// Run the full observable stack — archived ingest to completion, then
-/// a live HTTP server — and return it, a connected client and the
-/// ingest report (which accounts for this world's own archive sink).
+/// a live HTTP server — every layer on one registry, as the daemon
+/// builds it, and return it, a connected client and the ingest report.
 fn served() -> (HttpServer, Client, IngestReport) {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let metrics = Arc::new(Metrics::new());
+    let obs = Arc::clone(metrics.registry());
     let dir = tmp_dir("obs");
-    let sink = ArchiveSink::spawn(ArchiveWriter::open(&dir).expect("open archive"));
+    let writer = ArchiveWriter::open_with_io(&dir, Box::new(RealIo), Arc::clone(&obs))
+        .expect("open archive");
+    let sink = ArchiveSink::spawn(writer);
     let report = spawn_ingest_archived(
         DriverConfig {
             stream: StreamConfig {
@@ -85,6 +88,7 @@ fn served() -> (HttpServer, Client, IngestReport) {
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
+            registry: obs,
             ..Default::default()
         },
         Arc::new(Api::new(slot, metrics)),
@@ -315,12 +319,18 @@ fn metrics_exposition_parses_back_and_is_live() {
     }
     let appended = families["bgp_archive_segments_appended_total"].samples[0].1;
     assert!(appended >= 1.0, "no segments appended during the run");
-    // The sink gauges are process-wide and the sibling tests' sinks run
-    // beside this one, so whether *this* sink drained clean is read off
-    // its own report: every sealed epoch committed, none dropped.
+    // This world's sink drained clean: every sealed epoch committed,
+    // none dropped, and its own gauges say so.
     assert!(report.epochs > 1, "{report:?}");
     assert_eq!(report.archived_epochs, report.epochs as u64, "{report:?}");
     assert_eq!(report.archive_dropped, 0, "{report:?}");
+    for line in [
+        "bgp_archive_sink_queue_depth 0",
+        "bgp_archive_sink_failed 0",
+        "bgp_archive_epochs_dropped_total 0",
+    ] {
+        assert!(text.lines().any(|l| l == line), "missing {line:?}");
+    }
 
     http.shutdown();
 }

@@ -1,8 +1,8 @@
 //! A parked long-poll whose read buffer is full waits on its peer's
 //! hang-up alone: the pipelined bytes behind it stay in the kernel, and
-//! the level-triggered reactor does not spin on them. This file is its
-//! own test binary holding one test, so the process-wide event-loop
-//! histogram counts this server's iterations only.
+//! the level-triggered reactor does not spin on them. The server records
+//! on a registry of its own, so its event-loop histogram counts this
+//! server's iterations only.
 
 use bgp_serve::prelude::*;
 use std::io::Write;
@@ -23,10 +23,9 @@ impl Handler for Parks {
     }
 }
 
-/// Busy event-loop iterations so far, process-wide.
-fn loop_iterations() -> u64 {
-    obs::global()
-        .histogram_families()
+/// Busy event-loop iterations so far on `obs`.
+fn loop_iterations(obs: &obs::ObsRegistry) -> u64 {
+    obs.histogram_families()
         .into_iter()
         .find(|(name, _)| name == "bgp_http_event_loop_duration_seconds")
         .map_or(0, |(_, snap)| snap.count)
@@ -34,10 +33,12 @@ fn loop_iterations() -> u64 {
 
 #[test]
 fn a_parked_connection_with_a_full_buffer_does_not_spin() {
+    let obs = Arc::new(obs::ObsRegistry::new());
     let http = HttpServer::start(
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
+            registry: Arc::clone(&obs),
             ..Default::default()
         },
         Arc::new(Parks),
@@ -54,9 +55,9 @@ fn a_parked_connection_with_a_full_buffer_does_not_spin() {
         .expect("write the pipelined requests");
     std::thread::sleep(Duration::from_millis(100));
 
-    let before = loop_iterations();
+    let before = loop_iterations(&obs);
     std::thread::sleep(Duration::from_millis(500));
-    let spins = loop_iterations() - before;
+    let spins = loop_iterations(&obs) - before;
     assert!(
         spins <= 50,
         "{spins} busy reactor iterations in 500 ms with a full parked connection"

@@ -1,8 +1,5 @@
-//! `bgp_serve_seal_queue_depth` after a driver finishes.
-//!
-//! The gauge is process-global and every driver in the process adds to
-//! it, so this file is its own test binary holding one test: nothing
-//! else runs a driver while it reads the gauge.
+//! `bgp_serve_seal_queue_depth` after a driver finishes, read on the
+//! registry of the `Metrics` the driver was handed.
 
 use bgp_infer::counters::Thresholds;
 use bgp_serve::prelude::*;
@@ -13,8 +10,9 @@ use bgp_types::prelude::*;
 use fault::FaultPlan;
 use std::sync::Arc;
 
-fn depth() -> i64 {
-    obs::global()
+fn depth(metrics: &Metrics) -> i64 {
+    metrics
+        .registry()
         .gauge(
             "bgp_serve_seal_queue_depth",
             "Event batches queued between the feed puller and the sealer worker",
@@ -25,7 +23,7 @@ fn depth() -> i64 {
 
 /// A 2,000-event feed in 3-event batches: hundreds of sends, so a
 /// count lost or doubled anywhere shows.
-fn run(fault: Option<&str>) -> IngestReport {
+fn run(metrics: &Arc<Metrics>, fault: Option<&str>) -> IngestReport {
     let events = (0..2_000u64)
         .map(|i| {
             let tag = 2 + (i % 97) as u32;
@@ -53,7 +51,7 @@ fn run(fault: Option<&str>) -> IngestReport {
         cfg,
         Feed::Events(events),
         Arc::new(SnapshotSlot::new(Thresholds::default())),
-        Arc::new(Metrics::new()),
+        Arc::clone(metrics),
         None,
         None,
     )
@@ -63,11 +61,12 @@ fn run(fault: Option<&str>) -> IngestReport {
 
 #[test]
 fn the_seal_queue_reads_empty_after_a_clean_run_and_after_a_respawn() {
-    assert_eq!(depth(), 0, "before any driver");
-    let clean = run(None);
+    let metrics = Arc::new(Metrics::new());
+    assert_eq!(depth(&metrics), 0, "before any driver");
+    let clean = run(&metrics, None);
     assert_eq!((clean.total_events, clean.restarts), (2_000, 0));
-    assert_eq!(depth(), 0, "after a clean run");
-    let respawned = run(Some("feed:panic@2"));
+    assert_eq!(depth(&metrics), 0, "after a clean run");
+    let respawned = run(&metrics, Some("feed:panic@2"));
     assert_eq!((respawned.total_events, respawned.restarts), (2_000, 1));
-    assert_eq!(depth(), 0, "after a respawn");
+    assert_eq!(depth(&metrics), 0, "after a respawn");
 }

@@ -148,17 +148,22 @@ fn alert_fires_into_healthz_and_clears() {
     // Rule over a test-owned counter family: `_rate` selects its
     // per-second delta over the window since the last evaluation.
     let rules = obs::parse_alert_rules("bgp_selfmon_alert_total_rate>5@2").unwrap();
-    let alerts = Arc::new(AlertState::new(rules, obs::global()));
-    let health = Arc::new(HealthState::default());
+    let metrics = Arc::new(Metrics::new());
+    let alerts = Arc::new(AlertState::new(rules, Arc::clone(metrics.registry())));
+    let health = Arc::new(HealthState::new(
+        HealthConfig::default(),
+        Arc::clone(&metrics),
+    ));
     health.attach_alerts(Arc::clone(&alerts));
 
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let api =
-        Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_health(Arc::clone(&health));
+    let counter =
+        metrics
+            .registry()
+            .counter("bgp_selfmon_alert_total", "Alert-rule test traffic", &[]);
+    let api = Api::new(Arc::clone(&slot), metrics).with_health(Arc::clone(&health));
     let http = serve(api);
     let addr = http.local_addr();
-
-    let counter = obs::global().counter("bgp_selfmon_alert_total", "Alert-rule test traffic", &[]);
     // Baseline evaluation so the family has a previous value to delta from.
     alerts.evaluate();
 

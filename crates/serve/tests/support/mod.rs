@@ -1,7 +1,8 @@
 //! What the `bgp-serve` integration suites share (each pulls it in with
 //! `mod support;`): one keep-alive HTTP/1.1 client that checks the
 //! responses as bytes on the wire, a fresh scratch directory, the small
-//! tag-event feed, and a `/metrics` sample reader.
+//! tag-event feed, a `/metrics` sample reader, and the families README's
+//! `/metrics` table names.
 
 #![allow(dead_code)]
 
@@ -129,4 +130,43 @@ pub fn metric(page: &str, name: &str) -> Option<f64> {
         let (sample, value) = line.split_once(' ')?;
         (sample == name).then(|| value.trim().parse().ok())?
     })
+}
+
+/// Every family README's `/metrics` table names: `{a,b}` groups
+/// expanded, a trailing `{label}` dropped.
+pub fn readme_metric_families() -> Vec<String> {
+    fn expand(pattern: &str) -> Vec<String> {
+        let Some(open) = pattern.find('{') else {
+            return vec![pattern.to_string()];
+        };
+        let close = open + pattern[open..].find('}').expect("closed brace");
+        let (head, group, tail) = (
+            &pattern[..open],
+            &pattern[open + 1..close],
+            &pattern[close + 1..],
+        );
+        if !group.contains(',') {
+            return vec![head.to_string()];
+        }
+        group
+            .split(',')
+            .flat_map(|alt| expand(&format!("{head}{alt}{tail}")))
+            .collect()
+    }
+    let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(readme).expect("read README.md");
+    let rows = readme.lines().filter(|l| {
+        ["counter", "gauge", "histogram"]
+            .iter()
+            .any(|k| l.starts_with(&format!("| {k} |")))
+    });
+    let mut families = Vec::new();
+    for row in rows {
+        for (i, quoted) in row.split('`').enumerate() {
+            if i % 2 == 1 && quoted.starts_with("bgp_") {
+                families.extend(expand(quoted));
+            }
+        }
+    }
+    families
 }

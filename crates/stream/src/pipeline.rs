@@ -17,7 +17,7 @@ use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
 use obs::trace::TraceStore;
-use obs::Histogram;
+use obs::{Histogram, ObsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,8 +107,8 @@ pub struct StreamPipeline {
     epoch_start_ts: Option<u64>,
     last_ts: u64,
     /// Seal-stage histograms by kind (one per [`SEAL_KINDS`] entry) plus
-    /// the whole-recount histogram, resolved once from the global
-    /// registry so sealing records with pure atomics.
+    /// the whole-recount histogram, resolved once on the registry so
+    /// sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
     recount_hist: Arc<Histogram>,
     /// What [`push_batch`](Self::push_batch) encodes owned events into.
@@ -116,10 +116,16 @@ pub struct StreamPipeline {
 }
 
 impl StreamPipeline {
-    /// New pipeline.
+    /// New pipeline, recording its stage histograms on a private
+    /// registry.
     pub fn new(cfg: StreamConfig) -> Self {
-        let shards = ShardSet::new(cfg.shards, cfg.incremental_seal);
-        let reg = obs::global();
+        StreamPipeline::with_registry(cfg, &ObsRegistry::new())
+    }
+
+    /// New pipeline whose seal, recount, count and merge histograms
+    /// resolve on `reg` (a daemon's one registry).
+    pub fn with_registry(cfg: StreamConfig, reg: &ObsRegistry) -> Self {
+        let shards = ShardSet::with_registry(cfg.shards, cfg.incremental_seal, reg);
         let seal_help = "Wall time of one epoch seal";
         let seal_hists = SEAL_KINDS.map(|kind| {
             reg.histogram(

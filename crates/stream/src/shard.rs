@@ -175,7 +175,7 @@ use bgp_infer::compiled::{
 use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::engine::CountPhase;
 use bgp_types::prelude::*;
-use obs::Histogram;
+use obs::{Histogram, ObsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -450,7 +450,7 @@ pub struct ShardSet {
     /// Tuple visits of the last recount, summed over its steps.
     last_visits: usize,
     /// Per-phase stage histograms (`[tagging, forwarding]`), resolved
-    /// once from the global registry so the recount loop records with
+    /// once on the registry so the recount loop records with
     /// pure atomics: one observation per (shard, column, phase) count
     /// and one per (column, phase) merge.
     hist_count: [Arc<Histogram>; 2],
@@ -466,10 +466,16 @@ impl ShardSet {
     /// `n` empty shards (`n >= 1`) interning into one fresh id space.
     /// Repeated identical tuples are counted once, as the paper's
     /// `TupleSet` pipeline does. With `incremental`, epoch recounts reuse
-    /// the previous seal's step deltas where valid.
+    /// the previous seal's step deltas where valid. The count and merge
+    /// histograms go on a private registry.
     pub fn new(n: usize, incremental: bool) -> Self {
+        ShardSet::with_registry(n, incremental, &ObsRegistry::new())
+    }
+
+    /// [`new`](ShardSet::new), with the count and merge histograms on
+    /// `reg` (a daemon's one registry).
+    pub fn with_registry(n: usize, incremental: bool, reg: &ObsRegistry) -> Self {
         let n = n.max(1);
-        let reg = obs::global();
         let phases = ["tagging", "forwarding"];
         let hist_count = phases.map(|phase| {
             reg.histogram(
