@@ -15,7 +15,9 @@
 //! * **one I/O-free connection state machine** — `conn::Conn` (idle /
 //!   reading-head / writing / parked long-poll) moves by one transition
 //!   that the epoll driver in this file feeds and applies; pipelined
-//!   requests are answered in order from the residual read buffer;
+//!   requests are answered in order from the residual read buffer and
+//!   leave in one write (a batch stops at an answer that closes, at a
+//!   request that parks, and once 64 KiB are queued);
 //! * **budgets and backpressure** — a global connection budget
 //!   ([`HttpConfig::max_connections`]); at budget the overflow
 //!   connection is shed with a `503` and the listener is paused until

@@ -18,6 +18,11 @@ const WHEEL_SLOTS: usize = 64;
 /// Cap on `Dispatch::Park` so a buggy `wait_ms` cannot park forever.
 const MAX_PARK_MS: u64 = 600_000;
 
+/// A batch of pipelined answers stops growing once this many bytes are
+/// queued (about one socket send buffer), so a read buffer of tiny
+/// requests for large answers queues at most this plus one answer.
+const MAX_BATCH_BYTES: usize = 64 * 1024;
+
 /// What happened to a connection since its last transition.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Input<'a> {
@@ -91,7 +96,8 @@ enum ConnState {
     Head {
         since: Instant,
     },
-    /// A response is queued in `out` and not fully written.
+    /// The answers of one batch are queued in `out` and not fully
+    /// written.
     Writing,
     /// A long-poll request awaiting a publish or its deadline.
     Parked {
@@ -107,14 +113,24 @@ enum ConnState {
 #[derive(Debug)]
 pub(super) struct Conn {
     state: ConnState,
-    /// Inbound bytes not yet consumed (may hold pipelined requests).
+    /// Inbound bytes; `buf[start..]` is not yet consumed (it may hold
+    /// pipelined requests). Consumed heads are dropped once per step.
     buf: Vec<u8>,
+    start: usize,
+    /// The first `scanned` bytes of `buf[start..]` hold no head end, so
+    /// the next search resumes there.
+    scanned: usize,
+    /// Bytes the head search has examined, for the trickle test.
+    #[cfg(test)]
+    head_scan_bytes: usize,
     /// Outbound bytes; `out[out_pos..]` is not yet written.
     out: Vec<u8>,
     out_pos: usize,
     served: usize,
     close_after_write: bool,
-    /// The peer sent FIN: answer complete buffered requests, then close.
+    /// The peer sent FIN: answer complete buffered requests, then close;
+    /// a parked request is abandoned once the answers before it are
+    /// written.
     eof: bool,
 }
 
@@ -124,6 +140,10 @@ impl Conn {
         Conn {
             state: ConnState::Idle { since: now },
             buf: Vec::with_capacity(1024),
+            start: 0,
+            scanned: 0,
+            #[cfg(test)]
+            head_scan_bytes: 0,
             out: Vec::new(),
             out_pos: 0,
             served: 0,
@@ -146,7 +166,7 @@ impl Conn {
     /// buffer past `max_request_bytes` (natural backpressure).
     pub fn wants_bytes(&self, limits: &HttpConfig) -> bool {
         matches!(self.state, ConnState::Idle { .. } | ConnState::Head { .. })
-            || self.buf.len() < limits.max_request_bytes
+            || self.buf.len() - self.start < limits.max_request_bytes
     }
 
     /// The connection's authoritative deadline: the wheel only holds
@@ -176,10 +196,10 @@ impl Conn {
         let before = self.deadline(limits).map(|(_, at)| at);
         match input {
             Input::Bytes(bytes) => self.buf.extend_from_slice(bytes),
-            // A parked request is abandoned at EOF, a partial head in `advance`.
-            Input::Eof if !self.is_parked() => self.eof = true,
+            // A parked request and a partial head are abandoned in `advance`.
+            Input::Eof => self.eof = true,
             Input::Wrote(n) => self.out_pos = (self.out_pos + n).min(self.out.len()),
-            Input::Eof | Input::PeerReset => {
+            Input::PeerReset => {
                 self.close(&mut acts);
                 return acts;
             }
@@ -205,6 +225,8 @@ impl Conn {
             }
         }
         self.advance(now, handler, limits, &mut acts);
+        self.buf.drain(..self.start);
+        self.start = 0;
         let after = self.deadline(limits).map(|(_, at)| at);
         if after != before {
             acts.schedule = after;
@@ -213,7 +235,9 @@ impl Conn {
     }
 
     /// Serve buffered requests until the connection blocks on a write or
-    /// a read, parks, or closes.
+    /// a read, parks, or closes. The answers of one batch — every
+    /// complete request already buffered, up to one whose answer closes,
+    /// one that parks, or `MAX_BATCH_BYTES` queued — go out in one write.
     fn advance(
         &mut self,
         now: Instant,
@@ -221,32 +245,53 @@ impl Conn {
         limits: &HttpConfig,
         acts: &mut Actions,
     ) {
+        // `out` holds only answers this pass gave from the read buffer, so
+        // the next buffered request may join them. An answer to a parked
+        // request starts no batch: the request behind it waits for the
+        // write, as it would have waited for the park.
+        let mut batching = false;
         loop {
-            if !self.queued().is_empty() {
-                acts.interest = Interest::Write;
-                return;
-            }
-            self.out.clear();
-            self.out_pos = 0;
-            if self.close_after_write {
-                // The final response is fully written.
-                return self.close(acts);
-            }
-            match self.state {
-                // Responses are ordered: pipelined requests wait until the
-                // parked one is answered.
-                ConnState::Parked { .. } => {
-                    if !self.wants_bytes(limits) {
-                        acts.interest = Interest::Hangup;
-                    }
+            let queued = self.queued().len();
+            if queued > 0 {
+                let joins = batching
+                    && !self.close_after_write
+                    && matches!(self.state, ConnState::Writing)
+                    && queued < MAX_BATCH_BYTES;
+                if !joins {
+                    acts.interest = Interest::Write;
                     return;
                 }
-                ConnState::Writing => self.state = ConnState::Idle { since: now },
-                _ => {}
+            } else {
+                self.out.clear();
+                self.out_pos = 0;
+                if self.close_after_write {
+                    // The final response is fully written.
+                    return self.close(acts);
+                }
+                match self.state {
+                    // Responses are ordered: pipelined requests wait until
+                    // the parked one is answered. At EOF it is abandoned,
+                    // once the answers before it are written.
+                    ConnState::Parked { .. } => {
+                        if self.eof {
+                            return self.close(acts);
+                        }
+                        if !self.wants_bytes(limits) {
+                            acts.interest = Interest::Hangup;
+                        }
+                        return;
+                    }
+                    ConnState::Writing => self.state = ConnState::Idle { since: now },
+                    _ => {}
+                }
             }
-            let head_end = find_head_end(&self.buf).filter(|&end| end <= limits.max_request_bytes);
-            let Some(head_end) = head_end else {
-                if self.buf.len() >= limits.max_request_bytes {
+            let Some(head_end) = self.head_end(limits) else {
+                if queued > 0 {
+                    // No complete request is left: the batch is whole.
+                    acts.interest = Interest::Write;
+                    return;
+                }
+                if self.buf.len() - self.start >= limits.max_request_bytes {
                     self.refuse(431, "request head too large");
                     continue;
                 }
@@ -254,16 +299,17 @@ impl Conn {
                     // The peer FIN'd and no complete request remains.
                     return self.close(acts);
                 }
-                if !self.buf.is_empty() && matches!(self.state, ConnState::Idle { .. }) {
+                if self.start < self.buf.len() && matches!(self.state, ConnState::Idle { .. }) {
                     self.state = ConnState::Head { since: now };
                 }
                 return;
             };
-            let rest = self.buf.split_off(head_end);
-            let head = std::mem::replace(&mut self.buf, rest);
+            let parsed = parse_head(&self.buf[self.start..self.start + head_end]);
+            self.start += head_end;
+            self.scanned = 0;
             self.served += 1;
             let last_budgeted = self.served >= limits.max_keepalive_requests.max(1);
-            match parse_head(&head) {
+            match parsed {
                 Err(msg) => self.refuse(400, msg),
                 Ok(parsed) if parsed.has_body => {
                     self.refuse(400, "request bodies are not accepted")
@@ -287,6 +333,27 @@ impl Conn {
                         }
                     }
                 }
+            }
+            batching = true;
+        }
+    }
+
+    /// Where the first buffered request head ends, if it is complete
+    /// within `max_request_bytes`. The search resumes where the last one
+    /// stopped, so a head trickled in a byte at a time is scanned once.
+    fn head_end(&mut self, limits: &HttpConfig) -> Option<usize> {
+        let pending = &self.buf[self.start..];
+        // A terminator may straddle the bytes already scanned.
+        let from = self.scanned.saturating_sub(3);
+        #[cfg(test)]
+        {
+            self.head_scan_bytes += pending.len() - from;
+        }
+        match find_head_end(&pending[from..]) {
+            Some(end) => Some(from + end).filter(|&end| end <= limits.max_request_bytes),
+            None => {
+                self.scanned = pending.len();
+                None
             }
         }
     }
@@ -842,8 +909,29 @@ mod tests {
                 _ => left,
             };
             let chunk = self.wire[self.sent..self.sent + len].to_vec();
+            // The batch rule: a read that finds nothing queued or parked
+            // queues the answer of every complete request now buffered,
+            // unless one of them parks or closes.
+            let batch = (self.conn.queued().is_empty() && !self.conn.is_parked()).then(|| {
+                let mut pending = self.conn.buf[self.conn.start..].to_vec();
+                pending.extend_from_slice(&chunk);
+                (self.check_output(ctx), complete_heads(&pending))
+            });
             self.sent += len;
             self.step(Input::Bytes(&chunk), now, handler, ctx);
+            if let Some((answered, complete)) = batch {
+                if !self.closed && !self.conn.is_parked() && !self.conn.close_after_write {
+                    let want: Vec<u8> = self.expect[answered..answered + complete]
+                        .iter()
+                        .flat_map(|e| e.wire.iter().copied())
+                        .collect();
+                    assert_eq!(
+                        self.conn.queued(),
+                        want,
+                        "{ctx}: {complete} buffered requests, not all answered in one batch"
+                    );
+                }
+            }
             true
         }
 
@@ -907,6 +995,16 @@ mod tests {
             );
             answered
         }
+    }
+
+    /// How many complete request heads `bytes` holds.
+    fn complete_heads(mut bytes: &[u8]) -> usize {
+        let mut n = 0;
+        while let Some(end) = find_head_end(bytes) {
+            bytes = &bytes[end..];
+            n += 1;
+        }
+        n
     }
 
     fn arb_script(rng: &mut TestRng) -> Vec<Req> {
@@ -1075,5 +1173,125 @@ mod tests {
     #[ignore = "long: run with --release -- --ignored"]
     fn the_core_matches_the_sequential_model_at_length() {
         check_cases(2_000);
+    }
+
+    // ---- the batch rule, case by case ----------------------------------
+
+    /// A pipelined `GET` that `Scripted` answers with its path, or parks
+    /// once when `parks` is 1.
+    fn get(path: &str, parks: u32, close: bool) -> String {
+        let close = if close { "Connection: close\r\n" } else { "" };
+        format!("GET {path}?parks={parks} HTTP/1.1\r\nHost: t\r\n{close}\r\n")
+    }
+
+    #[test]
+    fn a_pipelined_batch_leaves_in_one_write() {
+        let (handler, limits, t0) = (Scripted::default(), HttpConfig::default(), Instant::now());
+        let mut conn = Conn::open(t0);
+        let paths: Vec<String> = (0..16).map(|i| format!("/p{i}")).collect();
+        let wire: String = paths.iter().map(|p| get(p, 0, false)).collect();
+        let acts = conn.step(Input::Bytes(wire.as_bytes()), t0, &handler, &limits);
+        assert_eq!(acts.interest, Interest::Write);
+        let want: Vec<u8> = paths
+            .iter()
+            .flat_map(|p| encoded(&Response::text(p.clone()), false, false))
+            .collect();
+        assert_eq!(
+            String::from_utf8_lossy(conn.queued()),
+            String::from_utf8_lossy(&want)
+        );
+        let acts = conn.step(Input::Wrote(want.len()), t0, &handler, &limits);
+        assert_eq!(acts.interest, Interest::Read);
+        assert!(conn.queued().is_empty());
+    }
+
+    #[test]
+    fn a_batch_stops_at_its_byte_bound() {
+        const BODY: usize = 40 * 1024;
+        let handler = |_: &Request| Response::text("x".repeat(BODY));
+        let (limits, t0) = (HttpConfig::default(), Instant::now());
+        let answer = encoded(&Response::text("x".repeat(BODY)), false, false);
+        let mut conn = Conn::open(t0);
+        let wire: String = (0..8).map(|i| get(&format!("/{i}"), 0, false)).collect();
+        let mut input = Input::Bytes(wire.as_bytes());
+        let (mut got, mut writes) = (0, 0);
+        loop {
+            conn.step(input, t0, &handler, &limits);
+            let n = conn.queued().len();
+            if n == 0 {
+                break;
+            }
+            assert!(n <= MAX_BATCH_BYTES + answer.len(), "{n} bytes queued");
+            assert!(conn.queued().chunks(answer.len()).all(|a| a == answer));
+            got += n;
+            writes += 1;
+            input = Input::Wrote(n);
+        }
+        assert_eq!(got, 8 * answer.len());
+        // Two 40 KiB answers reach the bound: four writes, not eight or one.
+        assert_eq!(writes, 4);
+    }
+
+    #[test]
+    fn a_closing_answer_ends_the_batch() {
+        let (handler, limits, t0) = (Scripted::default(), HttpConfig::default(), Instant::now());
+        let mut conn = Conn::open(t0);
+        let wire: String = (0..5).map(|i| get(&format!("/{i}"), 0, i == 2)).collect();
+        let acts = conn.step(Input::Bytes(wire.as_bytes()), t0, &handler, &limits);
+        assert_eq!(acts.interest, Interest::Write);
+        let want: Vec<u8> = (0..3)
+            .flat_map(|i| encoded(&Response::text(format!("/{i}")), false, i == 2))
+            .collect();
+        assert_eq!(conn.queued(), want);
+        let acts = conn.step(Input::Wrote(want.len()), t0, &handler, &limits);
+        assert!(acts.close);
+    }
+
+    #[test]
+    fn eof_behind_queued_answers_flushes_them_before_abandoning_a_park() {
+        let (handler, limits, t0) = (Scripted::default(), HttpConfig::default(), Instant::now());
+        let mut conn = Conn::open(t0);
+        let wire = get("/ready", 0, false) + &get("/parks", 1, false);
+        let acts = conn.step(Input::Bytes(wire.as_bytes()), t0, &handler, &limits);
+        assert_eq!((acts.interest, acts.parked_delta), (Interest::Write, 1));
+        assert!(conn.is_parked());
+        let want = encoded(&Response::text("/ready".into()), false, false);
+        assert_eq!(conn.queued(), want);
+
+        let acts = conn.step(Input::Eof, t0, &handler, &limits);
+        assert!(!acts.close, "closed with an answer still queued");
+        assert_eq!(acts.interest, Interest::Write);
+        let mut got = Vec::new();
+        for n in [want.len() / 2, want.len() - want.len() / 2] {
+            got.extend_from_slice(&conn.queued()[..n]);
+            let acts = conn.step(Input::Wrote(n), t0, &handler, &limits);
+            assert_eq!(acts.close, got.len() == want.len());
+            assert_eq!(acts.parked_delta, if acts.close { -1 } else { 0 });
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_trickled_head_is_scanned_once() {
+        let handler = |_: &Request| Response::text("ok".into());
+        let (limits, t0) = (HttpConfig::default(), Instant::now());
+        let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(8187 - 4, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let mut conn = Conn::open(t0);
+        for byte in head.chunks(1) {
+            assert!(conn.queued().is_empty(), "answered before the head ended");
+            conn.step(Input::Bytes(byte), t0, &handler, &limits);
+        }
+        assert_eq!(
+            conn.queued(),
+            encoded(&Response::text("ok".into()), false, false)
+        );
+        assert!(
+            conn.head_scan_bytes <= 4 * head.len(),
+            "{} bytes examined for a {}-byte head",
+            conn.head_scan_bytes,
+            head.len()
+        );
     }
 }

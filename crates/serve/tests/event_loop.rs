@@ -355,6 +355,118 @@ fn shutdown_drains_a_parked_long_poller_with_a_clean_close() {
     assert!(clean, "parked poller closed uncleanly at shutdown");
 }
 
+/// Read one response off `r` as its raw bytes, head and body.
+fn read_raw(r: &mut impl BufRead, head_only: bool) -> Vec<u8> {
+    let mut raw = Vec::new();
+    while !raw.ends_with(b"\r\n\r\n") {
+        let n = r.read_until(b'\n', &mut raw).expect("read head");
+        assert!(n > 0, "EOF mid-head: {:?}", String::from_utf8_lossy(&raw));
+    }
+    let length: usize = String::from_utf8_lossy(&raw)
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("Content-Length: ")
+                .map(|v| v.parse().unwrap())
+        })
+        .expect("Content-Length");
+    if !head_only {
+        let start = raw.len();
+        raw.resize(start + length, 0);
+        r.read_exact(&mut raw[start..]).expect("read body");
+    }
+    raw
+}
+
+fn request(method: &str, path: &str, close: bool) -> String {
+    let close = if close { "Connection: close\r\n" } else { "" };
+    format!("{method} {path} HTTP/1.1\r\nHost: t\r\n{close}\r\n")
+}
+
+#[test]
+fn a_pipelined_batch_past_the_batch_bound_answers_each_request_as_if_alone() {
+    let (http, _slot, mut publisher, mut pipe) = api_server();
+    // 150 taggers: a 100-record classes page and the flips list are
+    // about 6 KB each, so the answers to one 4 KiB read of pipelined
+    // requests run past the 64 KiB a batch may queue.
+    for asn in 2..152u32 {
+        pipe.push(StreamEvent::new(
+            u64::from(asn),
+            PathCommTuple::new(
+                path(&[asn, 9]),
+                CommunitySet::from_iter([AnyCommunity::tag_for(Asn(asn), 100)]),
+            ),
+        ));
+    }
+    pipe.seal_epoch();
+    publisher.sync(&pipe);
+    let requests: Vec<(&str, String)> = (0..200)
+        .map(|i| match i % 4 {
+            _ if i == 101 => ("HEAD", "/v1/classes?limit=100".to_string()),
+            0 => ("GET", "/v1/classes?limit=100".to_string()),
+            1 => ("GET", "/v1/flips?since_epoch=0".to_string()),
+            _ => ("GET", format!("/v1/class/{}", 2 + i % 150)),
+        })
+        .collect();
+    let connect = || {
+        let s = TcpStream::connect(http.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        s
+    };
+    // Each request alone, one at a time on one keep-alive connection;
+    // the last says `Connection: close` when `close_last`.
+    let alone = |reqs: &[(&str, String)], close_last: bool| -> Vec<Vec<u8>> {
+        let mut s = connect();
+        let mut r = BufReader::new(s.try_clone().unwrap());
+        reqs.iter()
+            .enumerate()
+            .map(|(i, (method, path))| {
+                let close = close_last && i + 1 == reqs.len();
+                s.write_all(request(method, path, close).as_bytes())
+                    .unwrap();
+                read_raw(&mut r, *method == "HEAD")
+            })
+            .collect()
+    };
+    let want = alone(&requests, false);
+
+    // All 200 in one write; the client reads nothing for 300 ms.
+    let mut s = connect();
+    let wire: String = requests.iter().map(|(m, p)| request(m, p, false)).collect();
+    s.write_all(wire.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    let mut r = BufReader::new(s.try_clone().unwrap());
+    for (i, ((method, path), want)) in requests.iter().zip(&want).enumerate() {
+        let got = read_raw(&mut r, *method == "HEAD");
+        assert!(
+            got == *want,
+            "answer {i} to {method} {path} differs from its answer alone"
+        );
+    }
+
+    // A second batch with `Connection: close` tenth of twenty: answers
+    // stop after it and the server closes.
+    let second = &requests[..20];
+    let want = alone(&second[..10], true);
+    let wire: String = second
+        .iter()
+        .enumerate()
+        .map(|(i, (m, p))| request(m, p, i == 9))
+        .collect();
+    s.write_all(wire.as_bytes()).unwrap();
+    for (i, ((method, _), want)) in second.iter().zip(&want).enumerate() {
+        assert!(read_raw(&mut r, *method == "HEAD") == *want, "answer {i}");
+    }
+    let mut tail = Vec::new();
+    r.read_to_end(&mut tail)
+        .expect("EOF after the closing answer");
+    assert!(
+        tail.is_empty(),
+        "{} bytes after the closing answer",
+        tail.len()
+    );
+    http.shutdown();
+}
+
 #[test]
 fn shutdown_flushes_an_in_flight_response() {
     // An 8 MiB body outgrows the socket buffers, so the response is still
