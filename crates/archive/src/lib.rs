@@ -25,13 +25,14 @@
 //! * [`archive`] — opening a directory: sweeps temp files, pops torn
 //!   tail segments, adopts fully-written orphans, then serves reads
 //!   (per-epoch load, class trajectories, flip chunks).
-//! * [`writer`] — appending: segment first, manifest second, and an
-//!   [`ArchiveSink`](writer::ArchiveSink) background thread so the
-//!   ingest hot path pays one `Arc` clone per epoch, never a disk wait.
-//!   The sink group-commits: epochs that queued up while a commit was in
-//!   flight go out as one segment under one manifest write, so a slow
-//!   disk costs a backlog its `fsync`s once per run, not once per epoch;
-//!   a sink that is behind waits (briefly) for a full run.
+//! * [`writer`] — appending: segment first, manifest second.
+//! * [`sink`] — an [`ArchiveSink`](sink::ArchiveSink) background thread
+//!   so the ingest hot path pays one `Arc` clone per epoch, never a disk
+//!   wait. The sink group-commits: epochs that queued up while a commit
+//!   was in flight go out as one segment under one manifest write, so a
+//!   slow disk costs a backlog its `fsync`s once per run, not once per
+//!   epoch; a sink that is behind waits (briefly) for a full run. Its
+//!   policy is one pure transition on a caller-supplied clock.
 //! * [`compact`] — merge aged segments, dropping counter columns and
 //!   flip chunks outside the retention window.
 //!
@@ -75,6 +76,7 @@ pub mod compact;
 pub mod frame;
 pub mod manifest;
 pub mod segment;
+pub mod sink;
 pub mod writer;
 
 #[cfg(doc)]
@@ -87,7 +89,6 @@ pub mod prelude {
     pub use crate::frame::{ArchiveError, Result};
     pub use crate::manifest::{IoShim, Manifest, ManifestEntry, RealIo};
     pub use crate::segment::{ArchivedEpoch, DecodeFilter, EpochMeta, SegmentStats};
-    pub use crate::writer::{
-        ArchiveSink, ArchiveWriter, SinkConfig, SinkError, SinkReport, SinkStatus,
-    };
+    pub use crate::sink::{ArchiveSink, SinkError, SinkReport, SinkStatus};
+    pub use crate::writer::ArchiveWriter;
 }

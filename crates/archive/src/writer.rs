@@ -1,60 +1,30 @@
-//! Appending epochs to an archive, synchronously ([`ArchiveWriter`]) or
-//! off the ingest thread ([`ArchiveSink`]).
+//! Appending epochs to an archive, one segment per append.
 //!
 //! The writer's commit protocol is the inverse of the reader's recovery:
 //! segment bytes first (temp + fsync + rename), manifest second (same
 //! dance). A crash between the two leaves an orphan segment the next
 //! [`Archive::open`](crate::archive::Archive::open) adopts; a crash
-//! during either write leaves a `*.tmp` that is swept.
+//! during either write leaves a `*.tmp` that is swept. An append of a run
+//! of epochs is one segment under one manifest commit; the
+//! [`ArchiveSink`](crate::sink::ArchiveSink) uses it to group-commit a
+//! backlog off the ingest thread.
 //!
-//! [`ArchiveSink`] wraps a writer in a background thread fed by a
-//! bounded queue of `Arc<EpochSnapshot>`s, so the publishing path pays
-//! one `Arc` clone and one mutex push per epoch — a slow disk backs up
-//! the sink's queue, never the feed. The sink **group-commits**: each
-//! turn it takes the head of the queue *and the consecutive epochs
-//! already waiting behind it* (at most `GROUP_COMMIT_EPOCHS`) and
-//! appends them as one segment under one manifest commit. A sink that
-//! keeps up therefore writes one segment per epoch, exactly as the
-//! synchronous writer does; one that falls behind pays the disk's four
-//! `fsync`s once per run instead of once per epoch, so how long a feed
-//! takes to become durable follows the feed, not the latency of the
-//! disk under it. A run also costs fewer bytes than its epochs written
-//! alone: within a segment each epoch's counter column and class table
-//! are the rows that moved since the epoch before it (see
-//! [`crate::segment`]), so only the run's first epoch writes every
-//! non-zero row. A sink that finds epochs waiting when a commit returns
-//! *is* behind, and holds its next commit until a full run is queued
-//! (for at most `GROUP_LINGER`, or until `finish`): a feed that outruns
-//! the disk is then cut into full runs, not into however many epochs
-//! each `fsync` happened to let through. The sink is *supervised*, not
-//! sticky: a failed append is retried with exponential backoff and a
-//! writer reopen between attempts (so orphan adoption repairs a
-//! segment-committed/manifest-failed split), and only after the retry
-//! budget is exhausted is the epoch dropped — loudly, with an error
-//! log line and a counter, never silently. A run is retried and dropped
-//! as the unit it is committed as. A dropped epoch leaves a chain
-//! gap, so subsequent epochs are fast-dropped until a restart backfill
-//! (which replays the feed from epoch 0 and dedups) heals the archive.
-//!
-//! The sink thread reads only what a sealed snapshot holds, immutable
-//! columns behind `Arc`s: the archived ASN table comes from the epoch's
-//! own Asn-sorted `(asn, id)` table, not from the pipeline's interner, so
+//! The writer reads only what a sealed snapshot holds, immutable columns
+//! behind `Arc`s: the archived ASN table comes from the epoch's own
+//! Asn-sorted `(asn, id)` table, not from the pipeline's interner, so
 //! nothing the pipeline interns after the seal can reach a segment.
 
 use crate::archive::Archive;
-use crate::frame::{corrupt, ArchiveError, Result};
+use crate::frame::{corrupt, Result};
 use crate::manifest::{segment_file_name, IoShim, Manifest, ManifestEntry, RealIo, MANIFEST_FILE};
 use crate::segment::{DecodeFilter, EpochFrames, EpochMeta, SegmentBuilder, SegmentStats};
 use bgp_infer::compiled::DenseOutcome;
 use bgp_stream::epoch::EpochSnapshot;
 use bgp_types::asn::Asn;
 use obs::trace::TraceStore;
-use obs::{Counter, Gauge, ObsRegistry};
-use std::collections::VecDeque;
+use obs::{Counter, ObsRegistry};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Synchronous epoch appender. One segment file per append — one epoch
 /// ([`append_epoch`](ArchiveWriter::append_epoch)) or a run of them
@@ -151,8 +121,8 @@ impl ArchiveWriter {
         self
     }
 
-    /// The registry this writer records on, and an [`ArchiveSink`]
-    /// spawned on it too.
+    /// The registry this writer records on, and an
+    /// [`ArchiveSink`](crate::sink::ArchiveSink) spawned on it too.
     pub fn registry(&self) -> &Arc<ObsRegistry> {
         &self.obs
     }
@@ -365,577 +335,4 @@ fn asns_by_id(snap: &EpochSnapshot) -> Result<Vec<Asn>> {
         }
     }
     Ok(by_id.into_iter().flatten().collect())
-}
-
-/// Retry/queue policy for an [`ArchiveSink`].
-#[derive(Debug, Clone)]
-pub struct SinkConfig {
-    /// Maximum epochs queued; submitting past this drops the *oldest*
-    /// queued epoch (newest data wins — readers care about now).
-    pub queue_cap: usize,
-    /// Append retries per epoch before it is dropped.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_cap: Duration,
-}
-
-impl Default for SinkConfig {
-    fn default() -> Self {
-        SinkConfig {
-            queue_cap: 1024,
-            max_retries: 6,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(2),
-        }
-    }
-}
-
-/// Live sink state, shared with the serving layer's health machine.
-/// All fields are monotone counters or last-event markers; `op`
-/// ordinals (one per submission, stamped under the queue lock) order
-/// drops against commits without wall clocks.
-#[derive(Debug, Default)]
-pub struct SinkStatus {
-    retrying: AtomicBool,
-    retries: AtomicU64,
-    dropped: AtomicU64,
-    committed: AtomicU64,
-    last_commit_op: AtomicU64,
-    last_drop_op: AtomicU64,
-}
-
-impl SinkStatus {
-    /// Whether the sink is currently inside a retry/backoff cycle.
-    pub fn retrying(&self) -> bool {
-        self.retrying.load(Ordering::Acquire)
-    }
-
-    /// Total append retries across all epochs.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Acquire)
-    }
-
-    /// Epochs dropped (retry budget exhausted, chain gap, or queue
-    /// overflow).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Acquire)
-    }
-
-    /// Epochs durably committed by this sink.
-    pub fn committed(&self) -> u64 {
-        self.committed.load(Ordering::Acquire)
-    }
-
-    /// Whether the archive has lost an epoch and committed none submitted
-    /// after it — an eviction from a full queue counts at once, and the
-    /// in-flight commit of an earlier submission does not clear it. This
-    /// is the "archive degraded until restart backfill" signal.
-    pub fn in_drop_state(&self) -> bool {
-        let drops = self.dropped.load(Ordering::Acquire);
-        drops > 0
-            && self.last_drop_op.load(Ordering::Acquire)
-                >= self.last_commit_op.load(Ordering::Acquire)
-    }
-}
-
-/// What an [`ArchiveSink`] did over its lifetime, returned by
-/// [`finish`](ArchiveSink::finish).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SinkReport {
-    /// Epochs durably committed (including ones that landed via orphan
-    /// adoption during a retry reopen).
-    pub written: u64,
-    /// Epochs dropped after exhausting retries, fast-dropped onto a
-    /// chain gap, or evicted from a full queue.
-    pub dropped: u64,
-    /// Total append retries performed.
-    pub retries: u64,
-}
-
-/// Terminal sink failure: at least one epoch was dropped. Carries the
-/// full [`SinkReport`] plus the last underlying write error.
-#[derive(Debug)]
-pub struct SinkError {
-    /// Lifetime accounting, including the dropped-epoch count.
-    pub report: SinkReport,
-    /// The last write error observed before an epoch was dropped.
-    pub error: ArchiveError,
-}
-
-impl std::fmt::Display for SinkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "archive sink dropped {} epoch(s) ({} committed, {} retries); last error: {}",
-            self.report.dropped, self.report.written, self.report.retries, self.error
-        )
-    }
-}
-
-impl std::error::Error for SinkError {}
-
-/// One submitted epoch and its submission ordinal.
-type Queued = (Arc<EpochSnapshot>, SegmentStats, u64);
-
-#[derive(Debug)]
-struct SinkQueue {
-    queue: VecDeque<Queued>,
-    closed: bool,
-    /// Submissions so far: the ordinal of the last one.
-    submitted: u64,
-}
-
-/// Counters a sink exposes to its owner across threads.
-#[derive(Debug)]
-struct SinkShared {
-    error: Mutex<Option<ArchiveError>>,
-    /// Epochs submitted but not yet appended.
-    queue_depth: Arc<Gauge>,
-    /// [`SinkStatus::in_drop_state`] as 1 or 0, set under the queue lock.
-    failed: Arc<Gauge>,
-    /// 1 while an append is inside its retry/backoff cycle.
-    retrying_gauge: Arc<Gauge>,
-    /// Append retries, total.
-    retries_total: Arc<Counter>,
-    /// Epochs dropped, total.
-    dropped_total: Arc<Counter>,
-}
-
-impl SinkShared {
-    fn new(reg: &ObsRegistry) -> Self {
-        SinkShared {
-            error: Mutex::new(None),
-            queue_depth: reg.gauge(
-                "bgp_archive_sink_queue_depth",
-                "Epochs submitted to the archive sink and not yet appended",
-                &[],
-            ),
-            failed: reg.gauge(
-                "bgp_archive_sink_failed",
-                "1 while the archive sink has dropped an epoch without a later commit",
-                &[],
-            ),
-            retrying_gauge: reg.gauge(
-                "bgp_archive_sink_retrying",
-                "1 while an archive append is inside its retry/backoff cycle",
-                &[],
-            ),
-            retries_total: reg.counter(
-                "bgp_archive_sink_retries_total",
-                "Archive append retries after transient write failures",
-                &[],
-            ),
-            dropped_total: reg.counter(
-                "bgp_archive_epochs_dropped_total",
-                "Epochs the archive sink dropped (retries exhausted, chain gap, or queue overflow)",
-                &[],
-            ),
-        }
-    }
-
-    /// Set the `failed` gauge from `status`. Called with the queue lock
-    /// held, so the sink thread and `submit` cannot set it out of order.
-    fn settle_failed(&self, status: &SinkStatus) {
-        self.failed.set(i64::from(status.in_drop_state()));
-    }
-}
-
-/// A supervised background archiving thread: epochs go in via a
-/// non-blocking bounded-queue push, segment + manifest writes happen
-/// off the caller's thread. Failed appends are retried with exponential
-/// backoff and a writer reopen between attempts; an epoch is dropped
-/// only once its retry budget is exhausted, and every retry and drop is
-/// logged and counted. [`finish`](ArchiveSink::finish) surfaces the
-/// drop count and last error.
-#[derive(Debug)]
-pub struct ArchiveSink {
-    queue: Arc<(Mutex<SinkQueue>, Condvar)>,
-    thread: Option<std::thread::JoinHandle<(ArchiveWriter, SinkReport)>>,
-    shared: Arc<SinkShared>,
-    status: Arc<SinkStatus>,
-    queue_cap: usize,
-}
-
-impl ArchiveSink {
-    /// Spawn the archiving thread around `writer` with default policy.
-    /// The sink records on the writer's registry.
-    pub fn spawn(writer: ArchiveWriter) -> ArchiveSink {
-        ArchiveSink::spawn_with(writer, SinkConfig::default())
-    }
-
-    /// Spawn the archiving thread with an explicit retry/queue policy.
-    pub fn spawn_with(writer: ArchiveWriter, cfg: SinkConfig) -> ArchiveSink {
-        let queue = Arc::new((
-            Mutex::new(SinkQueue {
-                queue: VecDeque::new(),
-                closed: false,
-                submitted: 0,
-            }),
-            Condvar::new(),
-        ));
-        let shared = Arc::new(SinkShared::new(writer.registry()));
-        let status = Arc::new(SinkStatus::default());
-        let thread_queue = Arc::clone(&queue);
-        let thread_shared = Arc::clone(&shared);
-        let thread_status = Arc::clone(&status);
-        let append_hist = writer.registry().histogram(
-            "bgp_archive_append_duration_seconds",
-            "Wall time of one sink append (segment + manifest commit; an epoch or a queued run)",
-            &[],
-        );
-        let queue_cap = cfg.queue_cap;
-        let thread = std::thread::Builder::new()
-            .name("bgp-archive-sink".into())
-            .spawn(move || {
-                let mut writer = writer;
-                let mut report = SinkReport {
-                    written: 0,
-                    dropped: 0,
-                    retries: 0,
-                };
-                loop {
-                    let (lock, cvar) = &*thread_queue;
-                    let mut guard = lock
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // Epochs that arrived while the last run was being
-                    // written: the feed outruns one commit per epoch.
-                    let behind = !guard.queue.is_empty();
-                    while guard.queue.is_empty() && !guard.closed {
-                        guard = cvar
-                            .wait(guard)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    if behind {
-                        guard = linger_for_full_run(cvar, guard);
-                    }
-                    let run = take_run(&mut guard.queue);
-                    drop(guard);
-                    let Some(&(_, _, op)) = run.last() else {
-                        break; // closed and drained
-                    };
-                    let t_append = Instant::now();
-                    let outcome =
-                        append_supervised(&mut writer, &run, &cfg, &thread_shared, &thread_status);
-                    append_hist.record(t_append.elapsed().as_nanos() as u64);
-                    thread_shared.queue_depth.add(-(run.len() as i64));
-                    match outcome {
-                        // Dedup: the archive already held the whole run.
-                        Appended::Committed(0) => {}
-                        Appended::Committed(epochs) => {
-                            report.written += epochs;
-                            thread_status.committed.fetch_add(epochs, Ordering::AcqRel);
-                            thread_status.last_commit_op.fetch_max(op, Ordering::AcqRel);
-                        }
-                        Appended::Dropped(epochs, e) => {
-                            report.dropped += epochs;
-                            thread_status.dropped.fetch_add(epochs, Ordering::AcqRel);
-                            thread_status.last_drop_op.fetch_max(op, Ordering::AcqRel);
-                            thread_shared.dropped_total.add(epochs);
-                            obs::error!(
-                                "archive",
-                                "sink dropped {} after exhausting retries: {e}",
-                                run_label(&run)
-                            );
-                            *thread_shared
-                                .error
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-                        }
-                    }
-                    let _queue = lock
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    thread_shared.settle_failed(&thread_status);
-                }
-                report.retries = thread_status.retries.load(Ordering::Acquire);
-                (writer, report)
-            })
-            .expect("spawn archive sink thread");
-        ArchiveSink {
-            queue,
-            thread: Some(thread),
-            shared,
-            status,
-            queue_cap,
-        }
-    }
-
-    /// Live retry/drop counters, shareable with a health state machine.
-    pub fn status(&self) -> Arc<SinkStatus> {
-        Arc::clone(&self.status)
-    }
-
-    /// Queue one epoch for archiving. Never blocks on disk; when the
-    /// queue is full the *oldest* queued epoch is dropped (counted and
-    /// logged) so the newest data keeps flowing.
-    pub fn submit(&self, snap: Arc<EpochSnapshot>, stats: SegmentStats) {
-        let (lock, cvar) = &*self.queue;
-        let mut guard = lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if guard.closed {
-            return;
-        }
-        while guard.queue.len() >= self.queue_cap.max(1) {
-            let Some((old, _, op)) = guard.queue.pop_front() else {
-                break;
-            };
-            self.shared.queue_depth.add(-1);
-            self.shared.dropped_total.inc();
-            self.status.dropped.fetch_add(1, Ordering::AcqRel);
-            self.status.last_drop_op.fetch_max(op, Ordering::AcqRel);
-            self.shared.settle_failed(&self.status);
-            obs::error!(
-                "archive",
-                "sink queue full: evicted oldest queued epoch {}",
-                old.epoch
-            );
-        }
-        guard.submitted += 1;
-        let op = guard.submitted;
-        guard.queue.push_back((snap, stats, op));
-        self.shared.queue_depth.add(1);
-        cvar.notify_one();
-    }
-
-    /// Whether the sink has dropped at least one epoch.
-    pub fn is_failed(&self) -> bool {
-        self.status.dropped() > 0
-    }
-
-    /// Close the queue, drain everything already submitted, and join
-    /// the thread. Returns the writer (for reuse or inspection) and the
-    /// lifetime [`SinkReport`]; if any epoch was dropped the report
-    /// comes wrapped in a [`SinkError`] together with the last write
-    /// error.
-    pub fn finish(mut self) -> std::result::Result<(ArchiveWriter, SinkReport), SinkError> {
-        let thread = {
-            let (lock, cvar) = &*self.queue;
-            let mut guard = lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.closed = true;
-            cvar.notify_all();
-            drop(guard);
-            self.thread.take().expect("sink joined twice")
-        };
-        let (writer, mut report) = match thread.join() {
-            Ok(pair) => pair,
-            Err(_) => {
-                return Err(SinkError {
-                    report: SinkReport {
-                        written: self.status.committed(),
-                        dropped: self.status.dropped().max(1),
-                        retries: self.status.retries(),
-                    },
-                    error: corrupt("archive sink thread panicked"),
-                })
-            }
-        };
-        // Queue-overflow evictions happen on the submit side and never
-        // reach the thread's report; fold them in from the status.
-        report.dropped = self.status.dropped();
-        if report.dropped > 0 {
-            let error = self
-                .shared
-                .error
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-                .unwrap_or_else(|| corrupt("epochs evicted from a full sink queue"));
-            return Err(SinkError { report, error });
-        }
-        Ok((writer, report))
-    }
-}
-
-/// Most epochs one group commit folds into a segment: enough that a
-/// backlog costs a sixteenth of the durable writes, small enough that
-/// reading one epoch back never decodes more than a few megabytes.
-const GROUP_COMMIT_EPOCHS: usize = 16;
-
-/// Longest a sink that has fallen behind waits for a full run before it
-/// commits a shorter one. A feed that outruns the disk fills a run in a
-/// few milliseconds, so this only ever elapses on a feed that slowed down
-/// again; [`finish`](ArchiveSink::finish) cuts it short.
-const GROUP_LINGER: Duration = Duration::from_millis(100);
-
-/// Hold the queue until it has a full run, the sink is closed, or
-/// [`GROUP_LINGER`] is over. Only a sink that is behind waits here: how
-/// many commits a backlog costs is then decided by the backlog (a full
-/// run each), not by how long each `fsync` happened to take. Committing
-/// whatever is waiting the moment the disk answers cuts the same feed
-/// differently on every pass over a disk whose latency wanders, and each
-/// commit is work the feed's own threads wait behind on a small box.
-fn linger_for_full_run<'a>(
-    cvar: &Condvar,
-    mut guard: std::sync::MutexGuard<'a, SinkQueue>,
-) -> std::sync::MutexGuard<'a, SinkQueue> {
-    let deadline = Instant::now() + GROUP_LINGER;
-    while guard.queue.len() < GROUP_COMMIT_EPOCHS && !guard.closed {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
-        }
-        guard = cvar
-            .wait_timeout(guard, left)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0;
-    }
-    guard
-}
-
-/// Pop the next group commit off the queue: the head and whatever
-/// consecutive epochs are already waiting behind it. A sink that keeps up
-/// finds one epoch and commits it as before; one that has fallen behind a
-/// slow disk finds several and pays that disk once for all of them, so the
-/// backlog shrinks instead of growing. A restart backfill re-submits from
-/// epoch 0, which ends the run it lands behind.
-fn take_run(queue: &mut VecDeque<Queued>) -> Vec<Queued> {
-    let mut run: Vec<Queued> = Vec::new();
-    while run.len() < GROUP_COMMIT_EPOCHS {
-        let chains = match (run.last(), queue.front()) {
-            (_, None) => false,
-            (None, Some(_)) => true,
-            (Some((prev, ..)), Some((next, ..))) => next.epoch == prev.epoch + 1,
-        };
-        if !chains {
-            break;
-        }
-        run.extend(queue.pop_front());
-    }
-    run
-}
-
-/// `epoch=N` or `epochs=N..=M`: what the log calls a run.
-fn run_label(run: &[Queued]) -> String {
-    match run {
-        [(only, ..)] => format!("epoch={}", only.epoch),
-        [(first, ..), .., (last, ..)] => format!("epochs={}..={}", first.epoch, last.epoch),
-        [] => String::new(),
-    }
-}
-
-enum Appended {
-    /// This many epochs of the run became durable through this sink
-    /// (fresh commit, or adopted as an orphan during a retry reopen); the
-    /// archive held the others before the append.
-    Committed(u64),
-    /// Retry budget exhausted (or unrecoverable chain gap): this many
-    /// epochs are lost.
-    Dropped(u64, ArchiveError),
-}
-
-/// One run through the retry/backoff/reopen cycle.
-fn append_supervised(
-    writer: &mut ArchiveWriter,
-    run: &[Queued],
-    cfg: &SinkConfig,
-    shared: &SinkShared,
-    status: &SinkStatus,
-) -> Appended {
-    let borrowed: Vec<(&EpochSnapshot, &SegmentStats)> = run
-        .iter()
-        .map(|(snap, stats, _)| (&**snap, stats))
-        .collect();
-    // What the archive does not hold yet is what this append commits or
-    // loses, however many attempts it takes.
-    let fresh = fresh_of(writer, run).len() as u64;
-    match writer.append_epochs(&borrowed) {
-        Ok(_) => Appended::Committed(fresh),
-        Err(first) => {
-            // A chain gap is permanent until a restart backfill: no
-            // amount of retrying lets epoch N+2 append over a missing
-            // N+1. Fast-drop instead of burning the retry budget.
-            if is_chain_gap(writer, run) {
-                return Appended::Dropped(fresh, first);
-            }
-            let label = run_label(run);
-            let mut last_err = first;
-            let mut committed = false;
-            status.retrying.store(true, Ordering::Release);
-            shared.retrying_gauge.set(1);
-            for attempt in 1..=cfg.max_retries {
-                let backoff = backoff_for(cfg, attempt);
-                obs::warn!(
-                    "archive",
-                    "retrying {label} attempt={attempt} backoff_ms={} error={last_err}",
-                    backoff.as_millis()
-                );
-                shared.retries_total.inc();
-                status.retries.fetch_add(1, Ordering::AcqRel);
-                std::thread::sleep(backoff);
-                // Reopen re-runs recovery: if the segment committed but
-                // the manifest write failed, the orphan is adopted and
-                // the retry below finds the run already held — durable,
-                // so it counts as written.
-                if let Err(e) = writer.reopen() {
-                    last_err = e;
-                    continue;
-                }
-                match writer.append_epochs(&borrowed) {
-                    Ok(_) => {
-                        committed = true;
-                        break;
-                    }
-                    Err(e) => {
-                        if is_chain_gap(writer, run) {
-                            break;
-                        }
-                        last_err = e;
-                    }
-                }
-            }
-            status.retrying.store(false, Ordering::Release);
-            shared.retrying_gauge.set(0);
-            if committed {
-                Appended::Committed(fresh)
-            } else {
-                Appended::Dropped(fresh, last_err)
-            }
-        }
-    }
-}
-
-/// The epochs of `run` the archive does not hold yet: all but a leading
-/// stretch, since a run ascends.
-fn fresh_of<'a>(writer: &ArchiveWriter, run: &'a [Queued]) -> &'a [Queued] {
-    let held = run
-        .iter()
-        .take_while(|(snap, ..)| writer.last_epoch().is_some_and(|last| snap.epoch <= last))
-        .count();
-    &run[held..]
-}
-
-/// Whether `run` can never chain onto the writer's committed range (an
-/// earlier epoch was dropped, leaving a permanent gap).
-fn is_chain_gap(writer: &ArchiveWriter, run: &[Queued]) -> bool {
-    let expected = writer.last_epoch().map_or(0, |last| last + 1);
-    fresh_of(writer, run)
-        .first()
-        .is_some_and(|(next, ..)| next.epoch != expected)
-}
-
-/// Exponential backoff for the `attempt`-th retry (1-based), capped.
-fn backoff_for(cfg: &SinkConfig, attempt: u32) -> Duration {
-    let factor = 1u32 << (attempt - 1).min(16);
-    cfg.backoff_base
-        .checked_mul(factor)
-        .map_or(cfg.backoff_cap, |d| d.min(cfg.backoff_cap))
-}
-
-impl Drop for ArchiveSink {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.queue;
-        if let Ok(mut guard) = lock.lock() {
-            guard.closed = true;
-        }
-        cvar.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }

@@ -7,6 +7,7 @@
 use bgp_archive::frame::{put_frame, Fnv64, Kind, PutBytes};
 use bgp_archive::prelude::*;
 use bgp_archive::segment::{decode_segment, DecodeFilter, MAGIC, VERSION};
+use bgp_archive::sink::{MAX_RETRIES, QUEUE_CAP};
 use bgp_infer::classify::Class;
 use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::counters::{AsCounters, Thresholds};
@@ -320,7 +321,7 @@ fn sink_archives_off_thread_and_reports_counts() {
     for snap in &out.snapshots {
         sink.submit(Arc::clone(snap), SegmentStats::default());
     }
-    assert!(!sink.is_failed());
+    assert_eq!(sink.status().dropped(), 0);
     let (writer, report) = sink.finish().unwrap();
     assert_eq!(report.written, out.snapshots.len() as u64);
     assert_eq!(report.dropped, 0);
@@ -513,14 +514,7 @@ fn gated_sink(
         writes_left,
     };
     let writer = ArchiveWriter::open_with_io(dir, Box::new(io), Arc::default()).unwrap();
-    let sink = ArchiveSink::spawn_with(
-        writer,
-        SinkConfig {
-            max_retries: 2,
-            backoff_base: std::time::Duration::from_millis(1),
-            ..Default::default()
-        },
-    );
+    let sink = ArchiveSink::spawn(writer);
     sink.submit(Arc::clone(first), SegmentStats::default());
     has_entered.recv().unwrap();
     (sink, move || open.send(()).unwrap())
@@ -645,23 +639,27 @@ fn a_run_is_retried_and_dropped_as_one() {
     }
     // 1..=4 went down together after one retry budget; what follows no
     // longer chains and is dropped without one.
-    assert_eq!((status.dropped(), status.retries()), (4, 2));
+    let retries = u64::from(MAX_RETRIES);
+    assert_eq!((status.dropped(), status.retries()), (4, retries));
     for snap in &snaps[5..] {
         sink.submit(Arc::clone(snap), SegmentStats::default());
     }
     let err = sink.finish().unwrap_err();
     assert_eq!(
         (err.report.written, err.report.dropped, err.report.retries),
-        (1, 7, 2)
+        (1, 7, retries)
     );
+    // The error reported is the write error that opened the gap, not the
+    // chain check of the epochs dropped onto it.
+    assert!(err.error.to_string().contains("dead disk"), "{}", err.error);
     assert_eq!(epoch_ranges(&dir), [(0, 0)]);
     fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn a_queue_eviction_degrades_the_sink_at_once() {
-    let out = build_world(5, 16);
-    let snaps = &out.snapshots[..5];
+    let out = build_world(QUEUE_CAP as u64 + 3, 16);
+    let snaps = &out.snapshots[..QUEUE_CAP + 3];
     let dir = tmp_dir("evict");
     // Epoch 0 commits (segment + manifest); epoch 1's write is held.
     let (entered, has_entered) = std::sync::mpsc::channel();
@@ -674,13 +672,7 @@ fn a_queue_eviction_degrades_the_sink_at_once() {
     };
     let obs = Arc::new(obs::ObsRegistry::new());
     let writer = ArchiveWriter::open_with_io(&dir, Box::new(io), Arc::clone(&obs)).unwrap();
-    let sink = ArchiveSink::spawn_with(
-        writer,
-        SinkConfig {
-            queue_cap: 2,
-            ..Default::default()
-        },
-    );
+    let sink = ArchiveSink::spawn(writer);
     // Declared after the sink, so a failing assertion opens the gate
     // before the sink's drop joins its thread.
     let open = open;
@@ -693,8 +685,8 @@ fn a_queue_eviction_degrades_the_sink_at_once() {
     sink.submit(Arc::clone(&snaps[1]), SegmentStats::default());
     has_entered.recv().unwrap();
 
-    // 2 and 3 fill the queue; 4 evicts 2, while epoch 1 is still on its
-    // way to the disk.
+    // 2 up to QUEUE_CAP + 1 fill the queue; the last evicts 2, while
+    // epoch 1 is still on its way to the disk.
     for snap in &snaps[2..] {
         sink.submit(Arc::clone(snap), SegmentStats::default());
     }
@@ -703,13 +695,48 @@ fn a_queue_eviction_degrades_the_sink_at_once() {
     assert_eq!(failed(), 1);
 
     // Epoch 1's commit was submitted before the eviction and does not
-    // clear it; 3 and 4 no longer chain and are dropped too.
+    // clear it; the rest no longer chain and are dropped too.
     open.send(()).unwrap();
     let err = sink.finish().unwrap_err();
-    assert_eq!((err.report.written, err.report.dropped), (2, 3));
+    assert_eq!(
+        (err.report.written, err.report.dropped),
+        (2, QUEUE_CAP as u64 + 1)
+    );
     assert!(status.in_drop_state());
     assert_eq!(failed(), 1);
     assert_eq!(epoch_ranges(&dir), [(0, 0), (1, 1)]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A disk whose first write fails and whose others go through.
+#[derive(Debug)]
+struct FailsOnce(bool);
+
+impl IoShim for FailsOnce {
+    fn write_atomic(&mut self, dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
+        if std::mem::take(&mut self.0) {
+            return Err(std::io::Error::other("flaky disk").into());
+        }
+        RealIo.write_atomic(dir, name, bytes)
+    }
+}
+
+#[test]
+fn each_append_attempt_is_one_duration_sample() {
+    // The append histogram times the segment + manifest commit: a run
+    // that fails once and commits on its retry is two samples, one per
+    // attempt, not one sample spanning the backoff between them.
+    let out = build_world(1, 16);
+    let dir = tmp_dir("append-hist");
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let io = Box::new(FailsOnce(true));
+    let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(&obs)).unwrap();
+    let sink = ArchiveSink::spawn(writer);
+    sink.submit(Arc::clone(&out.snapshots[0]), SegmentStats::default());
+    let (_, report) = sink.finish().unwrap();
+    assert_eq!((report.written, report.dropped, report.retries), (1, 0, 1));
+    let hist = obs.histogram("bgp_archive_append_duration_seconds", "", &[]);
+    assert_eq!(hist.count(), 2);
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for resilience soaks.
 //!
 //! The supervision layers in `bgp-archive` (retrying
-//! [`ArchiveSink`](bgp_archive::writer::ArchiveSink))
+//! [`ArchiveSink`](bgp_archive::sink::ArchiveSink))
 //! and `bgp-serve` (quarantining ingest, respawning driver, degraded
 //! health) are only trustworthy if they are *exercised* — so this crate
 //! turns "the disk failed" and "the feed went bad" into seeded,

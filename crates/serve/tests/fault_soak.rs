@@ -79,13 +79,7 @@ fn faulted_flap_storm_converges_to_the_clean_state() {
     let io = Box::new(plan.archive_io(SEED).unwrap());
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry()))
         .expect("open faulted archive");
-    let sink = ArchiveSink::spawn_with(
-        writer,
-        SinkConfig {
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        },
-    );
+    let sink = ArchiveSink::spawn(writer);
     let health = Arc::new(HealthState::new(
         HealthConfig {
             stale_after: Duration::from_secs(600),
@@ -181,13 +175,7 @@ fn peer_reset_survives_ingest_stall_and_archive_torn_write() {
     let io = Box::new(plan.archive_io(SEED).unwrap());
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry()))
         .expect("open faulted archive");
-    let sink = ArchiveSink::spawn_with(
-        writer,
-        SinkConfig {
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        },
-    );
+    let sink = ArchiveSink::spawn(writer);
     let health = Arc::new(HealthState::new(
         HealthConfig::default(),
         Arc::clone(&metrics),

@@ -105,14 +105,7 @@ fn sink_drops_degrade_healthz_and_stats() {
     } = serve_with_health(patient());
     let io = Box::new(plan.archive_io(7).unwrap());
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry())).unwrap();
-    let sink = ArchiveSink::spawn_with(
-        writer,
-        SinkConfig {
-            max_retries: 1,
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        },
-    );
+    let sink = ArchiveSink::spawn(writer);
 
     let report = spawn_ingest_archived(
         DriverConfig {
@@ -168,13 +161,7 @@ fn sink_retry_recovers_to_ok() {
     } = serve_with_health(patient());
     let io = Box::new(plan.archive_io(7).unwrap());
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry())).unwrap();
-    let sink = ArchiveSink::spawn_with(
-        writer,
-        SinkConfig {
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        },
-    );
+    let sink = ArchiveSink::spawn(writer);
 
     let report = spawn_ingest_archived(
         DriverConfig {
