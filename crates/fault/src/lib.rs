@@ -39,7 +39,16 @@
 //! faults are additive — real events are never consumed, reordered, or
 //! silently dropped — so a supervised pipeline must converge to the
 //! exact classification state of a fault-free run. That invariant is
-//! what the end-to-end soak asserts.
+//! checked two ways:
+//!
+//! * the feed rules `corrupt`, `truncate` and `panic` by a seeded
+//!   simulation of the supervised driver (`bgp-serve`'s `driver` tests):
+//!   one thread, one synthetic clock, every published version compared
+//!   with the fault-free run's after every step, and a failing case
+//!   replays from its number;
+//! * the archive rules, and `stall` and `slow`, which only cost wall
+//!   time, by the threaded end-to-end soaks (`bgp-serve`'s
+//!   `fault_soak` and `daemon` tests), which sleep and do not replay.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -10,13 +10,18 @@
 //! long-running daemon's tail is visible, not drowned by its history).
 //! Firing and clearing log on target `"alert"`, move the
 //! `bgp_alerts_firing` gauge, and surface as ordered `alert:{name}`
-//! reasons in `/healthz`'s degraded state. [`spawn_sampler`] runs the
-//! evaluation on a fixed interval (`--sample-interval` in `bgp-served`,
-//! started only when `--alert-rules` is given).
+//! reasons in `/healthz`'s degraded state.
+//!
+//! Time is an input: a window opens at the instant [`AlertState::new`]
+//! is given and closes at the one [`evaluate`](AlertState::evaluate) is
+//! given, so a rate is the counter's move over exactly that span. Only
+//! [`spawn_sampler`]'s thread reads the clock: it runs the evaluation on
+//! a fixed interval (`--sample-interval` in `bgp-served`, started only
+//! when `--alert-rules` is given).
 
 use crate::hist::HistogramSnapshot;
 use crate::registry::{Gauge, ObsRegistry};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -33,10 +38,18 @@ pub enum MetricSelector {
     P50(String),
     /// The family's window p99 in nanoseconds.
     P99(String),
-    /// The quarantined share of the feed,
-    /// `quarantined / (quarantined + ingested)`, from the serve-side
-    /// `bgp_serve_quarantined_total` and `bgp_serve_events_ingested_total`.
+    /// The quarantined share of the feed ([`quarantine_ratio`]) from the
+    /// serve-side `bgp_serve_quarantined_total` and
+    /// `bgp_serve_events_ingested_total`.
     QuarantineRatio,
+}
+
+/// The quarantined share of a feed, `quarantined / (quarantined +
+/// ingested)`, 0 when nothing was quarantined: what the
+/// `quarantine_rate` selector and the daemon's `quarantine_rate` health
+/// reason both judge.
+pub fn quarantine_ratio(quarantined: u64, ingested: u64) -> f64 {
+    quarantined as f64 / (quarantined + ingested).max(1) as f64
 }
 
 /// One parsed alert rule: fire once the selected signal exceeds
@@ -176,8 +189,8 @@ pub struct AlertState {
 
 impl AlertState {
     /// State over `rules`, reading `obs` and registering the
-    /// `bgp_alerts_firing` gauge on it. The first window opens now.
-    pub fn new(rules: Vec<AlertRule>, obs: Arc<ObsRegistry>) -> AlertState {
+    /// `bgp_alerts_firing` gauge on it. The first window opens at `now`.
+    pub fn new(rules: Vec<AlertRule>, obs: Arc<ObsRegistry>, now: Instant) -> AlertState {
         let gauge = obs.gauge(
             "bgp_alerts_firing",
             "Alert rules currently over threshold",
@@ -185,7 +198,7 @@ impl AlertState {
         );
         AlertState {
             prev: Mutex::new(Window {
-                at: Instant::now(),
+                at: now,
                 counters: Vec::new(),
                 gauges: Vec::new(),
                 hists: Vec::new(),
@@ -224,18 +237,17 @@ impl AlertState {
         self.window().evaluations
     }
 
-    /// Close the window opened by the previous call: read the registry,
-    /// judge every rule against what moved since, and keep the new
-    /// totals for the next call. A family that is not registered reads
-    /// as under threshold.
-    pub fn evaluate(&self) {
-        let now = Instant::now();
+    /// Close the window the previous call opened, at `now`: read the
+    /// registry, judge every rule against what moved since, and keep the
+    /// new totals for the next call. A family that is not registered
+    /// reads as under threshold.
+    pub fn evaluate(&self, now: Instant) {
         let counters = self.obs.counter_families();
         let gauges = self.obs.gauge_families();
         let hists = self.obs.histogram_families();
         let mut prev = self.window();
-        // Guard against a zero-length window (back-to-back test calls):
-        // rates divide by at least 1 µs.
+        // Guard against a zero-length window (two calls given one
+        // instant): rates divide by at least 1 µs.
         let elapsed = now
             .saturating_duration_since(prev.at)
             .as_secs_f64()
@@ -274,11 +286,10 @@ impl AlertState {
                 }
                 MetricSelector::P50(f) => window_of(f).map(|w| w.quantile_nanos(0.5) as f64),
                 MetricSelector::P99(f) => window_of(f).map(|w| w.quantile_nanos(0.99) as f64),
-                MetricSelector::QuarantineRatio => {
-                    let q = counter("bgp_serve_quarantined_total").unwrap_or(0) as f64;
-                    let i = counter("bgp_serve_events_ingested_total").unwrap_or(0) as f64;
-                    Some(if q == 0.0 { 0.0 } else { q / (q + i) })
-                }
+                MetricSelector::QuarantineRatio => Some(quarantine_ratio(
+                    counter("bgp_serve_quarantined_total").unwrap_or(0),
+                    counter("bgp_serve_events_ingested_total").unwrap_or(0),
+                )),
             }
         };
         let over: Vec<bool> = self
@@ -321,56 +332,47 @@ impl AlertState {
 /// A running evaluation thread; stop + join on shutdown.
 #[derive(Debug)]
 pub struct SamplerHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    /// Hanging up wakes the thread, which then ends.
+    stop: Sender<()>,
+    thread: std::thread::JoinHandle<()>,
 }
 
 impl SamplerHandle {
     /// Stop after the evaluation in flight and wait for the thread.
-    pub fn join(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn join(self) {
+        drop(self.stop);
+        let _ = self.thread.join();
     }
 }
 
 /// Spawn the background thread: one [`AlertState::evaluate`] every
-/// `interval` until stopped. Sleeps in small slices so shutdown is
-/// prompt even with long intervals.
+/// `interval`, at the instant it wakes, until stopped. It waits on the
+/// handle's channel, so shutdown is prompt even with long intervals.
 pub fn spawn_sampler(alerts: Arc<AlertState>, interval: Duration) -> SamplerHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
+    let (stop, stopped) = std::sync::mpsc::channel();
     let thread = std::thread::Builder::new()
         .name("bgp-obs-sampler".to_string())
         .spawn(move || {
-            let slice = Duration::from_millis(25);
-            'outer: loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if stop_flag.load(Ordering::Acquire) {
-                        break 'outer;
-                    }
-                    let nap = slice.min(interval - slept);
-                    std::thread::sleep(nap);
-                    slept += nap;
-                }
-                alerts.evaluate();
+            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                alerts.evaluate(Instant::now());
             }
         })
         .expect("spawn obs sampler");
-    SamplerHandle {
-        stop,
-        thread: Some(thread),
-    }
+    SamplerHandle { stop, thread }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn state(obs: &Arc<ObsRegistry>, spec: &str) -> AlertState {
-        AlertState::new(parse_alert_rules(spec).unwrap(), Arc::clone(obs))
+    /// A state over `spec` whose first window opens at `t0`.
+    fn state(obs: &Arc<ObsRegistry>, spec: &str, t0: Instant) -> AlertState {
+        AlertState::new(parse_alert_rules(spec).unwrap(), Arc::clone(obs), t0)
+    }
+
+    /// `n` one-second windows after `t0`.
+    fn secs(t0: Instant, n: u64) -> Instant {
+        t0 + Duration::from_secs(n)
     }
 
     #[test]
@@ -427,20 +429,21 @@ mod tests {
         let obs = Arc::new(ObsRegistry::new());
         let g = obs.gauge("depth", "h", &[]);
         let c = obs.counter("x_total", "h", &[]);
-        let alerts = state(&obs, "depth>5@3;x_total_rate>0@1;x_total>39@1");
+        let t0 = Instant::now();
+        let alerts = state(&obs, "depth>5@3;x_total_rate>0@1;x_total>39@1", t0);
         let firing_gauge = obs.gauge("bgp_alerts_firing", "", &[]);
 
         g.set(10);
         c.add(10);
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 1));
         // The first window rates from zero; the total is still under 39.
         assert_eq!(alerts.firing(), ["x_total_rate"]);
         c.add(30);
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 2));
         assert_eq!(alerts.firing(), ["x_total_rate", "x_total"]);
         assert_eq!(firing_gauge.get(), 2, "two windows is not three");
         // The counter stands still: its rate clears, its value does not.
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 3));
         assert_eq!(alerts.firing(), ["depth", "x_total"]);
         assert_eq!(firing_gauge.get(), 2);
         assert_eq!(alerts.evaluations(), 3);
@@ -448,16 +451,41 @@ mod tests {
         // A single under-threshold window clears the alert and resets
         // the streak.
         g.set(0);
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 4));
         assert_eq!(alerts.firing(), ["x_total"]);
         assert_eq!(firing_gauge.get(), 1);
         g.set(10);
-        alerts.evaluate();
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 5));
+        alerts.evaluate(secs(t0, 6));
         assert_eq!(alerts.firing(), ["x_total"], "streak restarted from zero");
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 7));
         assert_eq!(alerts.firing(), ["depth", "x_total"]);
         assert_eq!(firing_gauge.get(), 2);
+    }
+
+    #[test]
+    fn a_rate_is_the_move_over_the_given_window() {
+        let obs = Arc::new(ObsRegistry::new());
+        let c = obs.counter("x_total", "h", &[]);
+        let t0 = Instant::now();
+        let over = state(&obs, "x_total_rate>4.9@1", t0);
+        let under = state(&obs, "x_total_rate>5.1@1", t0);
+        for alerts in [&over, &under] {
+            alerts.evaluate(secs(t0, 1));
+        }
+        for _ in 0..10 {
+            c.inc();
+        }
+        // Ten increments over a two-second window: 5/s.
+        for alerts in [&over, &under] {
+            alerts.evaluate(secs(t0, 3));
+        }
+        assert_eq!(over.firing(), ["x_total_rate"]);
+        assert!(under.firing().is_empty(), "5/s is not over 5.1/s");
+        // Ten more over one second: 10/s.
+        c.add(10);
+        under.evaluate(secs(t0, 4));
+        assert_eq!(under.firing(), ["x_total_rate"]);
     }
 
     #[test]
@@ -465,28 +493,30 @@ mod tests {
         let obs = Arc::new(ObsRegistry::new());
         let h = obs.histogram("y_duration_seconds", "h", &[("kind", "a")]);
         let slow = obs.histogram("y_duration_seconds", "h", &[("kind", "b")]);
+        let t0 = Instant::now();
         let alerts = state(
             &obs,
             "y_duration_seconds_p99>500us@1;y_duration_seconds_p50>500us@1;absent_p99>0@1",
+            t0,
         );
         for _ in 0..100 {
             h.record(300);
         }
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 1));
         assert!(alerts.firing().is_empty(), "a fast window is under 500 µs");
         // Second window: only slow observations — its quantiles must
         // reflect them, not the 100 fast ones already drained.
         for _ in 0..10 {
             slow.record(1_000_000);
         }
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 2));
         assert_eq!(
             alerts.firing(),
             ["y_duration_seconds_p99", "y_duration_seconds_p50"]
         );
         // Third window: nothing observed, so no quantile at all — under
         // threshold, although the lifetime p99 is still 1 ms.
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 3));
         assert!(alerts.firing().is_empty());
     }
 
@@ -495,17 +525,18 @@ mod tests {
         let obs = Arc::new(ObsRegistry::new());
         let ingested = obs.counter("bgp_serve_events_ingested_total", "h", &[]);
         let quarantined = obs.counter("bgp_serve_quarantined_total", "h", &[]);
-        let alerts = state(&obs, "quarantine_rate>0.10@1");
+        let t0 = Instant::now();
+        let alerts = state(&obs, "quarantine_rate>0.10@1", t0);
 
         ingested.add(99);
         quarantined.add(1);
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 1));
         assert!(alerts.firing().is_empty(), "1% is under the 10% threshold");
         quarantined.add(20);
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 2));
         assert_eq!(alerts.firing(), ["quarantine_rate"]);
         ingested.add(10_000);
-        alerts.evaluate();
+        alerts.evaluate(secs(t0, 3));
         assert!(alerts.firing().is_empty(), "rate recovered");
     }
 
@@ -513,7 +544,7 @@ mod tests {
     fn sampler_thread_ticks_and_stops() {
         let obs = Arc::new(ObsRegistry::new());
         obs.counter("w_total", "h", &[]).inc();
-        let alerts = Arc::new(state(&obs, "w_total>0@2"));
+        let alerts = Arc::new(state(&obs, "w_total>0@2", Instant::now()));
         let handle = spawn_sampler(Arc::clone(&alerts), Duration::from_millis(10));
         let deadline = Instant::now() + Duration::from_secs(5);
         while alerts.evaluations() < 2 && Instant::now() < deadline {

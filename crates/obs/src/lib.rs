@@ -53,7 +53,8 @@ pub mod registry;
 pub mod trace;
 
 pub use alerts::{
-    parse_alert_rules, spawn_sampler, AlertRule, AlertState, MetricSelector, SamplerHandle,
+    parse_alert_rules, quarantine_ratio, spawn_sampler, AlertRule, AlertState, MetricSelector,
+    SamplerHandle,
 };
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use logger::{Level, LogConfig};

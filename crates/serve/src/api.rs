@@ -386,7 +386,7 @@ fn health_endpoint(snap: &ServeSnapshot, health: Option<&HealthState>) -> Respon
         w.end_obj();
         return Response::json(w.finish());
     };
-    let report = health.evaluate();
+    let report = health.evaluate(Instant::now());
     w.field_str("status", report.status.as_str());
     w.begin_arr_field("reasons");
     for reason in &report.reasons {
@@ -811,7 +811,7 @@ fn stats_endpoint(
     w.field_u64("requests_total", requests_total);
     w.field_u64("uptime_seconds", uptime_seconds);
     if let Some(health) = health {
-        let report = health.evaluate();
+        let report = health.evaluate(Instant::now());
         w.field_str("health", report.status.as_str());
         w.begin_arr_field("health_reasons");
         for reason in &report.reasons {

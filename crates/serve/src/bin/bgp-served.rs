@@ -82,6 +82,7 @@ use obs::AlertState;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 struct Options {
     listen: String,
@@ -259,10 +260,7 @@ fn run(opts: Options) -> Result<(), String> {
     // /metrics, /healthz and the alert rules read it.
     let obs = Arc::new(obs::ObsRegistry::new());
     let metrics = Arc::new(Metrics::with_registry(Arc::clone(&obs)));
-    let health = Arc::new(HealthState::new(
-        HealthConfig::default(),
-        Arc::clone(&metrics),
-    ));
+    let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));
     // Per-epoch provenance traces: threaded through the pipeline, the
     // publisher, and the archive writer; served live (or from the
     // archive after a restart) at /v1/debug/epoch/{N}/trace.
@@ -275,7 +273,11 @@ fn run(opts: Options) -> Result<(), String> {
         None => Vec::new(),
     };
     let sampler = (!alert_rules.is_empty()).then(|| {
-        let alerts = Arc::new(AlertState::new(alert_rules, Arc::clone(&obs)));
+        let alerts = Arc::new(AlertState::new(
+            alert_rules,
+            Arc::clone(&obs),
+            Instant::now(),
+        ));
         health.attach_alerts(Arc::clone(&alerts));
         obs::spawn_sampler(
             alerts,
@@ -325,7 +327,7 @@ fn run(opts: Options) -> Result<(), String> {
     let mut sink: Option<ArchiveSink> = None;
     let mut history: Option<Arc<HistoryStore>> = None;
     if let Some(dir) = &opts.archive {
-        let boot = std::time::Instant::now();
+        let boot = Instant::now();
         let archive = Archive::open(dir).map_err(|e| format!("archive {dir}: {e}"))?;
         restored = restore_latest(&archive, driver_cfg.flip_log_cap)
             .map_err(|e| format!("archive {dir}: restore: {e}"))?;
@@ -446,7 +448,7 @@ fn run(opts: Options) -> Result<(), String> {
             obs::info!(
                 "serve",
                 "final health: {}",
-                health.evaluate().status.as_str()
+                health.evaluate(Instant::now()).status.as_str()
             );
             http.shutdown();
             return Err(e);
@@ -492,7 +494,7 @@ fn run(opts: Options) -> Result<(), String> {
     obs::info!(
         "serve",
         "final health: {}",
-        health.evaluate().status.as_str()
+        health.evaluate(Instant::now()).status.as_str()
     );
     if let Some(sampler) = sampler {
         sampler.join();

@@ -42,12 +42,27 @@
 //! sealer before propagating, so the supervisor never respawns while an
 //! old publisher could still touch the slot.
 //!
+//! Each half is a step that is handed the time and reads no clock: the
+//! puller's `pump` hands each batch to a `send` callback, the sealer is
+//! `take(&batch, now)` plus `finish(now, …)`, and how an attempt ended
+//! and what the supervisor does next (report, fail, or respawn past the
+//! slot's version within the restart budget) are pure functions. The
+//! supervisor and the attempt are thread shells around them: they move
+//! batches, join, settle the queue gauge and read the clock. The test
+//! module's simulation drives the same steps on one thread and one
+//! seeded clock, with [`HealthState`] and an alert state judged at
+//! simulated instants, and replays a failing seed.
+//!
 //! The driver is *supervised*: each feed attempt runs under
 //! `catch_unwind`, and a panicking attempt is respawned (up to
 //! [`DriverConfig::restart_budget`] times) with the pipeline rebuilt
 //! and the feed replayed from the start — the same deterministic-replay
 //! backfill the restart path uses, resuming past whatever the slot
-//! already serves so versions stay monotone. Every source is wrapped in
+//! already serves so versions stay monotone. Only a feed that ended
+//! whole seals its trailing partial epoch: a panicked or failed attempt
+//! leaves it open, since the replay seals that epoch number over the
+//! whole feed and the slot must serve each version as a never-faulted
+//! run would. Every source is wrapped in
 //! a [`QuarantinedSource`], so malformed records are skipped instead of
 //! poisoning the feed, and an optional [`fault::FeedInjector`] slots in
 //! underneath for resilience soaks. An attempt keeps one quarantine
@@ -72,6 +87,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// What the driver feeds the pipeline with.
 #[derive(Debug, Clone)]
@@ -129,7 +145,7 @@ impl Default for DriverConfig {
             restart_budget: 2,
             quarantine_abort: 0,
             fault: None,
-            health: Arc::default(),
+            health: Arc::new(HealthState::new(Arc::default(), Instant::now())),
         }
     }
 }
@@ -230,52 +246,44 @@ struct Driver {
 }
 
 impl Driver {
-    /// The supervisor: run the feed under `catch_unwind`; a panicking
-    /// attempt is respawned with a fresh pipeline, resuming past the
-    /// snapshot the slot already serves (deterministic-replay backfill,
-    /// same as the restart path). The fault injector's clock is shared
-    /// across attempts, so an injected `panic@N` fires once ever.
+    /// The supervisor shell: run each attempt under `catch_unwind`,
+    /// count a panic as a restart, and apply what [`next`] decides. A
+    /// respawn replays the feed on a fresh pipeline; the fault
+    /// injector's clock is shared across attempts, so an injected
+    /// `panic@N` fires once ever.
     fn run(self, mut resume: Option<Arc<ServeSnapshot>>) -> Result<IngestReport, String> {
         let health = &self.cfg.health;
         if let Some(sink) = &self.sink {
             health.attach_sink(sink.status());
         }
+        let budget = self.cfg.restart_budget;
         let mut restarts = 0u64;
         let mut report = loop {
-            match std::panic::catch_unwind(AssertUnwindSafe(|| self.attempt(resume.clone()))) {
-                Ok(Ok(report)) => break report,
-                Ok(Err(e)) => {
+            let ended = std::panic::catch_unwind(AssertUnwindSafe(|| self.attempt(resume.clone())))
+                .and_then(|ended| ended);
+            if ended.is_err() {
+                restarts += 1;
+                health.note_restart();
+            }
+            match next(ended, restarts, budget, resume, &self.slot) {
+                Next::Done(report) => break report,
+                Next::Fail(e) => {
                     health.mark_ingest_failed();
                     return Err(e);
                 }
-                Err(_) => {
-                    restarts += 1;
-                    health.note_restart();
-                    if restarts > u64::from(self.cfg.restart_budget) {
-                        health.mark_ingest_failed();
-                        return Err(format!(
-                            "ingest driver panicked {restarts} time(s); restart budget ({}) exhausted",
-                            self.cfg.restart_budget
-                        ));
-                    }
+                Next::Respawn(from) => {
                     obs::error!(
                         "serve",
-                        "ingest driver panicked; respawning ({restarts}/{} used)",
-                        self.cfg.restart_budget
+                        "ingest driver panicked; respawning ({restarts}/{budget} used)"
                     );
                     if let Some(injector) = &self.cfg.fault {
                         injector.reset_stream();
                     }
-                    // Resume past whatever the crashed attempt already
-                    // published so slot versions stay monotone.
-                    if self.slot.version() > 0 {
-                        resume = Some(self.slot.load());
-                    }
+                    resume = from;
                 }
             }
         };
         health.mark_ingest_done();
-        report.restarts = restarts;
 
         // Flush and join the archive sink before reporting: once `finish`
         // returns, every committed epoch is durable (segment + manifest).
@@ -298,14 +306,51 @@ impl Driver {
         Ok(report)
     }
 
-    /// One feed attempt: a fresh pipeline + publisher are handed to a
-    /// dedicated **sealer worker** thread, and this (supervised) thread
-    /// becomes the **feed puller**, pushing quarantine-scrubbed event
-    /// batches over a bounded channel. Panics on either side propagate to
-    /// the supervisor in [`Driver::run`] — but only after the sealer has
-    /// been joined, so a respawned attempt can never race an old publisher
-    /// on the slot.
-    fn attempt(&self, resume: Option<Arc<ServeSnapshot>>) -> Result<IngestReport, String> {
+    /// One feed attempt's thread shell: this (supervised) thread becomes
+    /// the **feed puller** and a dedicated **sealer worker** takes each
+    /// batch it sends over a bounded channel. Once the puller returns,
+    /// the sealer takes what is still queued and comes back through its
+    /// join; only then does a feed that ended whole seal its trailing
+    /// epoch, or a panic on either side propagate to [`Driver::run`] — so
+    /// a respawned attempt can never race an old publisher on the slot.
+    fn attempt(&self, resume: Option<Arc<ServeSnapshot>>) -> Ended {
+        let mut sealer = self.sealer(resume);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
+        let depth = Arc::new(QueueDepth::new(Arc::clone(&self.metrics.seal_queue_depth)));
+        let worker = {
+            let depth = Arc::clone(&depth);
+            std::thread::Builder::new()
+                .name("bgp-serve-sealer".to_string())
+                .spawn(move || {
+                    while let Ok(batch) = rx.recv() {
+                        depth.add(-1);
+                        let started = Instant::now();
+                        sealer.take(&batch, started);
+                        sealer.timed(batch.len() as u64, started.elapsed());
+                    }
+                    sealer
+                })
+                .expect("spawn sealer worker")
+        };
+
+        // Pull the feed under catch_unwind so the sealer is ALWAYS joined
+        // before a puller panic reaches the supervisor.
+        let mut puller = Puller {
+            driver: self,
+            quarantined: 0,
+        };
+        let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            puller.pull(&self.feed, &mut |batch| depth.send(&tx, batch))
+        }));
+        drop(tx); // disconnect: the sealer takes what is queued and exits
+        let joined = worker.join();
+        depth.settle();
+        ended(pulled, joined, Instant::now())
+    }
+
+    /// A fresh pipeline and publisher for one attempt, resuming past
+    /// `resume`.
+    fn sealer(&self, resume: Option<Arc<ServeSnapshot>>) -> Sealer {
         let cfg = &self.cfg;
         let pipeline = StreamPipeline::with_registry(cfg.stream.clone(), self.metrics.registry());
         let mut publisher = Publisher::new(Arc::clone(&self.slot), cfg.flip_log_cap)
@@ -319,42 +364,66 @@ impl Driver {
         if let Some(traces) = &cfg.stream.trace {
             publisher = publisher.with_traces(Arc::clone(traces));
         }
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
-        let depth = Arc::new(QueueDepth::new(Arc::clone(&self.metrics.seal_queue_depth)));
-        let sealer = {
-            let metrics = Arc::clone(&self.metrics);
-            let health = Arc::clone(&cfg.health);
-            let depth = Arc::clone(&depth);
-            std::thread::Builder::new()
-                .name("bgp-serve-sealer".to_string())
-                .spawn(move || sealer_main(pipeline, publisher, rx, &metrics, &health, &depth))
-                .expect("spawn sealer worker")
-        };
-
-        // Pull the feed under catch_unwind so the sealer is ALWAYS joined
-        // before a puller panic reaches the supervisor.
-        let mut puller = Puller {
-            cfg,
-            metrics: &self.metrics,
-            stop: &self.stop,
-            tx,
-            depth: &depth,
-            quarantined: 0,
-        };
-        let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| puller.pull(&self.feed)));
-        let quarantined = puller.quarantined;
-        drop(puller); // disconnect: the sealer drains, seals the trailing epoch, exits
-        let sealed = sealer.join();
-        depth.settle();
-        match pulled {
-            Err(panic) => std::panic::resume_unwind(panic),
-            Ok(Err(e)) => return Err(e),
-            Ok(Ok(())) => {}
+        Sealer {
+            pipeline,
+            publisher,
+            metrics: Arc::clone(&self.metrics),
+            health: Arc::clone(&cfg.health),
         }
-        let mut report = sealed.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        report.quarantined = quarantined;
-        Ok(report)
+    }
+}
+
+/// How one attempt ended: its report or fatal error, or its panic.
+type Ended = std::thread::Result<Result<IngestReport, String>>;
+
+/// How one attempt ended, once its sealer came back through its join: a
+/// feed that ended whole seals its trailing epoch as of `now` and
+/// reports; a feed error or a panic on either side leaves that epoch
+/// open, for a replay to seal over the whole feed.
+fn ended(
+    pulled: std::thread::Result<Result<u64, String>>,
+    joined: std::thread::Result<Sealer>,
+    now: Instant,
+) -> Ended {
+    match (pulled, joined) {
+        (Err(panic), _) | (Ok(Ok(_)), Err(panic)) => Err(panic),
+        (Ok(Err(e)), _) => Ok(Err(e)),
+        (Ok(Ok(quarantined)), Ok(sealer)) => Ok(Ok(sealer.finish(now, quarantined))),
+    }
+}
+
+/// What the supervisor does once an attempt ended.
+enum Next {
+    /// The feed ended (drained, or `stop` honored): report.
+    Done(IngestReport),
+    /// Ingest is gone for good: a fatal feed error, or a panic past the
+    /// restart budget.
+    Fail(String),
+    /// Replay the feed on a fresh pipeline, resuming past this snapshot.
+    Respawn(Option<Arc<ServeSnapshot>>),
+}
+
+/// The supervisor's decision: how an attempt `ended`, given the panics
+/// so far (`restarts`, this one included), the restart `budget`, the
+/// snapshot the attempt resumed past, and the `slot` — read here, once
+/// the attempt has ended, so nothing of it can publish any more.
+fn next(
+    ended: Ended,
+    restarts: u64,
+    budget: u32,
+    resume: Option<Arc<ServeSnapshot>>,
+    slot: &SnapshotSlot,
+) -> Next {
+    match ended {
+        Ok(Ok(report)) => Next::Done(IngestReport { restarts, ..report }),
+        Ok(Err(e)) => Next::Fail(e),
+        Err(_) if restarts > u64::from(budget) => Next::Fail(format!(
+            "ingest driver panicked {restarts} time(s); restart budget ({budget}) exhausted"
+        )),
+        // Resume past whatever the crashed attempt already published so
+        // slot versions stay monotone.
+        Err(_) if slot.version() > 0 => Next::Respawn(Some(slot.load())),
+        Err(_) => Next::Respawn(resume),
     }
 }
 
@@ -387,6 +456,13 @@ impl QueueDepth {
         self.gauge.add(d);
     }
 
+    /// Count `batch` in and send it; a send the sealer is no longer there
+    /// to receive (it panicked) takes its count back. Whether it was sent.
+    fn send(&self, tx: &SyncSender<EventBatch>, batch: EventBatch) -> bool {
+        self.add(1);
+        tx.send(batch).inspect_err(|_| self.add(-1)).is_ok()
+    }
+
     /// Take back whatever the attempt left queued. Call after both
     /// threads joined; never `set(0)`: the gauge is not this attempt's.
     fn settle(&self) {
@@ -394,30 +470,31 @@ impl QueueDepth {
     }
 }
 
-/// The feed-puller half of one attempt: the sending end of the seal
-/// queue, and the quarantine count across every source of the feed.
+/// The feed-puller half of one attempt: it hands each clean batch to a
+/// `send` callback, and keeps the quarantine count across every source
+/// of the feed.
 struct Puller<'a> {
-    cfg: &'a DriverConfig,
-    metrics: &'a Metrics,
-    stop: &'a AtomicBool,
-    tx: SyncSender<EventBatch>,
-    depth: &'a QueueDepth,
+    driver: &'a Driver,
     /// Records quarantined so far this attempt, all sources together.
     quarantined: u64,
 }
 
+/// Where the puller hands each batch; `false` = the sealer is gone.
+type SendBatch<'s> = dyn FnMut(EventBatch) -> bool + 's;
+
 impl Puller<'_> {
-    /// Materialize each source of `feed` in turn and pump it to the
-    /// sealer, until the feed ends, `stop` is raised, or the sealer dies.
-    fn pull(&mut self, feed: &Feed) -> Result<(), String> {
+    /// Materialize each source of `feed` in turn and pump it to `send`,
+    /// until the feed ends, `stop` is raised, or the sealer is gone.
+    /// Returns how many records the feed quarantined.
+    fn pull(&mut self, feed: &Feed, send: &mut SendBatch<'_>) -> Result<u64, String> {
         match feed {
             Feed::MrtFiles(files) => {
                 for file in files {
                     let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
                     let sealer_alive = self
-                        .pump(&mut MrtSource::new(&bytes))
+                        .pump(&mut MrtSource::new(&bytes), send)
                         .map_err(|e| format!("{file}: {e}"))?;
-                    if !sealer_alive || self.stop.load(Ordering::Acquire) {
+                    if !sealer_alive || self.driver.stop.load(Ordering::Acquire) {
                         break;
                     }
                 }
@@ -439,25 +516,29 @@ impl Puller<'_> {
                 let feed = UpdateFeed::simulated(base, *seed, *repeats, churn)
                     .ok_or_else(|| format!("unknown scenario {base:?}"))?;
                 let events = feed.map(|(ts, tuple)| StreamEvent::new(ts, tuple));
-                self.pump(&mut IterSource::new(events))
+                self.pump(&mut IterSource::new(events), send)
                     .map_err(|e| e.to_string())?;
             }
             Feed::Events(events) => {
-                self.pump(&mut IterSource::new(events.clone().into_iter()))
+                self.pump(&mut IterSource::new(events.clone().into_iter()), send)
                     .map_err(|e| e.to_string())?;
             }
         }
-        Ok(())
+        Ok(self.quarantined)
     }
 
     /// Pump one source, the optional fault injector underneath and the
     /// quarantine filter on top, until it drains, `stop` is raised, or
-    /// the sealer hangs up. Each pull's quarantines are counted into the
-    /// attempt's running total and reported before the batch is sent.
-    /// Returns whether the sealer was still accepting batches (false = it
-    /// died; the caller discovers the panic at join time).
-    fn pump(&mut self, source: &mut dyn TupleSource) -> Result<bool, IngestError> {
-        let cfg = self.cfg;
+    /// `send` refuses a batch. Each pull's quarantines are counted into
+    /// the attempt's running total and reported before the batch is
+    /// sent. Returns whether the sealer was still taking batches (false
+    /// = it died; the shell discovers the panic at join time).
+    fn pump(
+        &mut self,
+        source: &mut dyn TupleSource,
+        send: &mut SendBatch<'_>,
+    ) -> Result<bool, IngestError> {
+        let cfg = &self.driver.cfg;
         let mut faulty;
         let source: &mut dyn TupleSource = match &cfg.fault {
             Some(injector) => {
@@ -469,91 +550,96 @@ impl Puller<'_> {
         let mut guarded =
             QuarantinedSource::new(source, cfg.quarantine_abort).counted_from(self.quarantined);
         loop {
-            if self.stop.load(Ordering::Acquire) {
+            if self.driver.stop.load(Ordering::Acquire) {
                 return Ok(true);
             }
-            let pulled = guarded.next_batch(cfg.batch.max(1));
+            // A pull that panics (an injected panic) still reports what
+            // it quarantined before the panic goes on.
+            let pulled =
+                std::panic::catch_unwind(AssertUnwindSafe(|| guarded.next_batch(cfg.batch.max(1))));
             let fresh = guarded.quarantined() - self.quarantined;
             if fresh > 0 {
                 self.quarantined += fresh;
-                self.metrics.records_quarantined.add(fresh);
+                self.driver.metrics.records_quarantined.add(fresh);
             }
-            let events = pulled?;
+            let events = pulled.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
             if events.is_empty() {
                 return Ok(true);
             }
-            self.depth.add(1);
-            if self.tx.send(events).is_err() {
-                // Receiver gone: the sealer panicked. Surface it via join.
-                self.depth.add(-1);
+            if !send(events) {
                 return Ok(false);
             }
         }
     }
 }
 
-/// Sealer-worker main: owns the pipeline + publisher for one attempt.
-/// Pushes every received batch, seals/publishes when the epoch policy
-/// fires, and seals the trailing partial epoch once the feed hangs up,
-/// so the served snapshot always covers every ingested event. Reports
-/// the pipeline's share of the [`IngestReport`].
-fn sealer_main(
-    mut pipeline: StreamPipeline,
-    mut publisher: Publisher,
-    rx: std::sync::mpsc::Receiver<EventBatch>,
-    metrics: &Metrics,
-    health: &HealthState,
-    depth: &QueueDepth,
-) -> IngestReport {
-    let traces = pipeline.config().trace.clone();
-    while let Ok(events) = rx.recv() {
-        depth.add(-1);
-        let t_batch = std::time::Instant::now();
-        let n = events.len() as u64;
+/// The sealer half of one attempt: the pipeline and its publisher,
+/// stepped a batch at a time at the instant each step is handed.
+struct Sealer {
+    pipeline: StreamPipeline,
+    publisher: Publisher,
+    metrics: Arc<Metrics>,
+    health: Arc<HealthState>,
+}
+
+impl Sealer {
+    /// Push one batch, publishing every epoch it seals as of `now`.
+    fn take(&mut self, batch: &EventBatch, now: Instant) {
+        let (pipeline, publisher, health) = (&mut self.pipeline, &mut self.publisher, &self.health);
         // Publish per seal, not per batch: with `compact_history` the
         // NEXT seal strips the previous epoch's counter store, so the
         // publisher must clone the Arc before that happens (compaction
         // then copy-on-writes, leaving the published snapshot intact).
         // A batch can seal several epochs.
-        pipeline.push_events(&events, |pipeline| {
-            health.note_publish(publisher.sync(pipeline) as u64);
+        pipeline.push_events(batch, |pipeline| {
+            health.note_publish(publisher.sync(pipeline) as u64, now);
         });
-        metrics.events_ingested.add(n);
-        let batch_nanos = t_batch.elapsed().as_nanos() as u64;
-        metrics.ingest_batch.record(batch_nanos);
-        if let Some(traces) = &traces {
+        self.metrics.events_ingested.add(batch.len() as u64);
+    }
+
+    /// Record that taking a batch of `events` took `took`.
+    fn timed(&self, events: u64, took: Duration) {
+        let nanos = took.as_nanos() as u64;
+        self.metrics.ingest_batch.record(nanos);
+        if let Some(traces) = &self.pipeline.config().trace {
             // Accumulated into whichever epoch is open when the batch
             // ends — a batch that straddles a seal attributes its tail
             // to the next epoch, which is close enough for provenance.
             traces.accumulate(
                 traces.active(),
                 "ingest",
-                batch_nanos,
-                &[("batches", 1), ("events", n)],
+                nanos,
+                &[("batches", 1), ("events", events)],
             );
         }
     }
 
-    // Seal whatever the last epoch policy window left open so queries
-    // reflect the complete feed (idempotent when nothing is pending and
-    // at least one epoch already sealed).
-    let sealed_events = pipeline.latest().map(|s| s.total_events);
-    if sealed_events != Some(pipeline.total_events()) {
-        pipeline.seal_epoch();
-        health.note_publish(publisher.sync(&pipeline) as u64);
-    }
-
-    IngestReport {
-        total_events: pipeline.total_events(),
-        epochs: pipeline.snapshots().len(),
-        unique_tuples: pipeline.stored_tuples(),
-        ..IngestReport::default()
+    /// The feed ended whole: seal whatever the last epoch policy window
+    /// left open, publishing it as of `now`, so queries reflect the
+    /// complete feed (idempotent when nothing is pending and at least
+    /// one epoch already sealed). Reports the pipeline's share of the
+    /// [`IngestReport`] and the feed's `quarantined` count.
+    fn finish(mut self, now: Instant, quarantined: u64) -> IngestReport {
+        let pipeline = &mut self.pipeline;
+        if pipeline.latest().map(|s| s.total_events) != Some(pipeline.total_events()) {
+            pipeline.seal_epoch();
+            let published = self.publisher.sync(pipeline) as u64;
+            self.health.note_publish(published, now);
+        }
+        IngestReport {
+            total_events: pipeline.total_events(),
+            epochs: pipeline.snapshots().len(),
+            unique_tuples: pipeline.stored_tuples(),
+            quarantined,
+            ..IngestReport::default()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::HealthStatus;
     use bgp_infer::counters::Thresholds;
     use bgp_stream::epoch::EpochPolicy;
     use bgp_types::prelude::*;
@@ -573,28 +659,37 @@ mod tests {
             .collect()
     }
 
+    /// A driver over an empty event feed and a fresh slot, for tests that
+    /// step its halves themselves.
+    fn driver(cfg: DriverConfig) -> Driver {
+        Driver {
+            cfg,
+            feed: Feed::Events(Vec::new()),
+            slot: Arc::new(SnapshotSlot::new(Thresholds::default())),
+            metrics: Arc::new(Metrics::new()),
+            sink: None,
+            stop: Arc::default(),
+        }
+    }
+
     #[test]
     fn the_queue_depth_never_counts_a_batch_it_did_not_queue() {
         // A private gauge, already carrying another driver's share.
         let gauge = obs::ObsRegistry::new().gauge("depth", "", &[]);
         gauge.add(5);
         let depth = QueueDepth::new(Arc::clone(&gauge));
-        let stop = AtomicBool::new(false);
-        let cfg = DriverConfig {
+        let driver = driver(DriverConfig {
             batch: 3,
             ..Default::default()
-        };
+        });
         let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(SEAL_QUEUE_BATCHES);
+        let mut send = |batch| depth.send(&tx, batch);
         let mut puller = Puller {
-            cfg: &cfg,
-            metrics: &Metrics::new(),
-            stop: &stop,
-            tx,
-            depth: &depth,
+            driver: &driver,
             quarantined: 0,
         };
         let mut source = IterSource::new(events(9).into_iter());
-        assert!(puller.pump(&mut source).unwrap());
+        assert!(puller.pump(&mut source, &mut send).unwrap());
         assert_eq!(gauge.get(), 5 + 3);
         // The sealer takes one batch and dies with two queued.
         rx.recv().unwrap();
@@ -603,7 +698,7 @@ mod tests {
         assert_eq!(gauge.get(), 5 + 2);
         // A send that fails takes back its own count.
         let mut source = IterSource::new(events(3).into_iter());
-        assert!(!puller.pump(&mut source).unwrap());
+        assert!(!puller.pump(&mut source, &mut send).unwrap());
         assert_eq!(gauge.get(), 5 + 2);
         // After the join the attempt's leftovers go, and only they.
         depth.settle();
@@ -756,10 +851,7 @@ mod tests {
         let injector = Arc::new(plan.feed_injector(7).unwrap());
         let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
         let metrics = Arc::new(Metrics::new());
-        let health = Arc::new(crate::health::HealthState::new(
-            Default::default(),
-            Arc::clone(&metrics),
-        ));
+        let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));
         let cfg = DriverConfig {
             stream: StreamConfig {
                 shards: 2,
@@ -787,12 +879,8 @@ mod tests {
         assert_eq!(health.restarts(), 1);
         // The respawned attempt published, so the restart reason cleared
         // and the drained feed leaves the daemon healthy again.
-        assert_eq!(
-            health.evaluate().status,
-            crate::health::HealthStatus::Ok,
-            "reasons: {:?}",
-            health.evaluate().reasons
-        );
+        let verdict = health.evaluate(Instant::now());
+        assert_eq!(verdict.status, HealthStatus::Ok, "{:?}", verdict.reasons);
         assert_eq!(slot.load().ingest.total_events, 10);
     }
 
@@ -803,7 +891,7 @@ mod tests {
         // Probability-1 panics: every attempt dies on its first pull.
         let plan = FaultPlan::parse("feed:panic%1.0").unwrap();
         let injector = Arc::new(plan.feed_injector(7).unwrap());
-        let health = Arc::new(crate::health::HealthState::default());
+        let health = Arc::new(HealthState::new(Arc::default(), Instant::now()));
         let cfg = DriverConfig {
             fault: Some(injector),
             restart_budget: 1,
@@ -821,11 +909,9 @@ mod tests {
         .join()
         .unwrap_err();
         assert!(err.contains("restart budget"), "{err}");
-        assert_eq!(
-            health.evaluate().status,
-            crate::health::HealthStatus::Unhealthy
-        );
-        assert_eq!(health.evaluate().reasons, vec!["ingest_failed"]);
+        let verdict = health.evaluate(Instant::now());
+        assert_eq!(verdict.status, HealthStatus::Unhealthy);
+        assert_eq!(verdict.reasons, vec!["ingest_failed"]);
     }
 
     #[test]
@@ -891,5 +977,534 @@ mod tests {
         .join()
         .unwrap_err();
         assert!(err.contains("unknown scenario"), "{err}");
+    }
+
+    // ---- The supervised driver, simulated --------------------------------
+    //
+    // One thread, one seeded clock: the puller's pump over a fault-injected
+    // feed, the sealer's steps into a slot, the respawn decision, the health
+    // state and an alert state, interleaved by a seeded scheduler and
+    // checked after every step against a never-faulted run and against a
+    // model of `/healthz` and of the alert rules. The channel is a queue of
+    // `SEAL_QUEUE_BATCHES` the scheduler fills and drains; the thread shells
+    // (`Driver::run`, `Driver::attempt`) are what the threaded tests above
+    // and the soaks drive. A failing case replays from its number: the
+    // method of FoundationDB's simulation testing (Zhou et al., SIGMOD '21).
+
+    use crate::health::{QUARANTINE_MAX_RATIO, STALE_AFTER};
+    use bgp_infer::db::DbRecord;
+    use fault::{FaultKind, FaultRule, Trigger};
+    use obs::AlertState;
+    use proptest::TestRng;
+    use std::collections::{BTreeMap, VecDeque};
+    use std::sync::Mutex;
+
+    /// Every path a run of the simulation must reach, or it checks nothing.
+    const PATHS: [&str; 15] = [
+        "quarantined",
+        "queue full",
+        "respawn",
+        "respawn past a publish",
+        "taken after a panic",
+        "backfill skipped",
+        "budget exhausted",
+        "drained",
+        "stale",
+        "stale at exactly STALE_AFTER",
+        "restart reason",
+        "quarantine rate",
+        "alert under its window count",
+        "alert fired",
+        "alert cleared",
+    ];
+
+    /// Every snapshot `slot` publishes from now on, in order.
+    fn watch(slot: &Arc<SnapshotSlot>) -> Arc<Mutex<Vec<Arc<ServeSnapshot>>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (seen, weak) = (Arc::clone(&log), Arc::downgrade(slot));
+        slot.register_waker(Arc::new(move || {
+            if let Some(slot) = weak.upgrade() {
+                seen.lock().unwrap().push(slot.load());
+            }
+        }));
+        log
+    }
+
+    /// A feed over a few dozen ASes: most tuples new, some repeated, so
+    /// every epoch's record table differs from its neighbours'.
+    fn arb_feed(rng: &mut TestRng) -> Vec<StreamEvent> {
+        (0..rng.random_range(20..120u64))
+            .map(|i| {
+                let (near, far) = (rng.random_range(2..24u32), rng.random_range(24..32u32));
+                let tagger = if rng.random_range(0..3u32) == 0 {
+                    far
+                } else {
+                    near
+                };
+                let tag = AnyCommunity::tag_for(Asn(tagger), rng.random_range(100..103u32));
+                StreamEvent::new(
+                    i,
+                    PathCommTuple::new(path(&[near, far]), CommunitySet::from_iter([tag])),
+                )
+            })
+            .collect()
+    }
+
+    /// What an alert rule judges, computed from the simulation's state.
+    #[derive(Clone, Copy)]
+    enum Signal {
+        QuarantineRatio,
+        IngestRate,
+    }
+
+    struct ModelRule {
+        name: &'static str,
+        signal: Signal,
+        threshold: f64,
+        windows: u32,
+        streak: u32,
+        firing: bool,
+    }
+
+    /// The simulation's state beside the driver's: the clock, the model
+    /// of what `/healthz` and the alerts must say, and the paths reached.
+    struct World {
+        rng: TestRng,
+        now: Instant,
+        slot: Arc<SnapshotSlot>,
+        metrics: Arc<Metrics>,
+        health: Arc<HealthState>,
+        alerts: Arc<AlertState>,
+        injector: Arc<FeedInjector>,
+        /// The never-faulted run's record table of each version.
+        clean: Vec<Vec<DbRecord>>,
+        published: Arc<Mutex<Vec<Arc<ServeSnapshot>>>>,
+        /// The highest version published so far.
+        version: u64,
+        last_publish: Instant,
+        ingested: u64,
+        panics: u64,
+        /// Records quarantined as of the last check.
+        checked_quarantined: u64,
+        restart_pending: bool,
+        done: bool,
+        failed: bool,
+        rules: Vec<ModelRule>,
+        window_at: Instant,
+        window_ingested: u64,
+        seen: BTreeMap<&'static str, u64>,
+    }
+
+    impl World {
+        fn saw(&mut self, path: &'static str) {
+            *self.seen.entry(path).or_default() += 1;
+        }
+
+        /// Records quarantined so far: one per injected `corrupt` or
+        /// `truncate`, the faults that are not panics.
+        fn quarantined(&self) -> u64 {
+            self.injector.fired() - self.panics
+        }
+
+        /// Check every snapshot published since the last call against
+        /// the never-faulted run; how many there were.
+        fn publishes(&mut self, ctx: &str) -> usize {
+            let fresh: Vec<_> = std::mem::take(&mut *self.published.lock().unwrap());
+            for snap in &fresh {
+                let v = snap.version();
+                assert!(
+                    v > self.version,
+                    "{ctx}: version {v} after {}",
+                    self.version
+                );
+                let clean = &self.clean[usize::try_from(v).unwrap() - 1];
+                assert!(snap.records == *clean, "{ctx}: version {v} diverged");
+                self.version = v;
+            }
+            if !fresh.is_empty() {
+                self.last_publish = self.now;
+                self.restart_pending = false;
+            }
+            fresh.len()
+        }
+
+        /// The sealer takes one batch at the simulated instant.
+        fn take(&mut self, sealer: &mut Sealer, batch: &EventBatch, ctx: &str) {
+            let sealed = sealer.pipeline.snapshots().len();
+            sealer.take(batch, self.now);
+            self.ingested += batch.len() as u64;
+            let published = self.publishes(ctx);
+            if sealer.pipeline.snapshots().len() - sealed > published {
+                self.saw("backfill skipped");
+            }
+        }
+
+        /// A step that is neither a pull nor a take: the clock moves
+        /// (sometimes to just at or past the staleness bound), or the
+        /// alert rules are judged.
+        fn elsewhere(&mut self, ctx: &str) {
+            match self.rng.random_range(0..6u32) {
+                0 | 1 => self.now += Duration::from_millis(self.rng.random_range(0..=2_000u64)),
+                2 => {
+                    let past = [0, 1, self.rng.random_range(2..1_000_000_000u64)];
+                    let to = self.last_publish
+                        + STALE_AFTER
+                        + Duration::from_nanos(past[self.rng.random_range(0..3usize)]);
+                    self.now = self.now.max(to);
+                }
+                3 | 4 => self.judge_alerts(ctx),
+                _ => {}
+            }
+            self.check(ctx);
+        }
+
+        /// Judge the alert rules at `now`, the model beside them.
+        fn judge_alerts(&mut self, ctx: &str) {
+            self.alerts.evaluate(self.now);
+            let (q, i) = (self.quarantined(), self.ingested);
+            let secs = self
+                .now
+                .saturating_duration_since(self.window_at)
+                .as_secs_f64()
+                .max(1e-6);
+            let rate = (i - self.window_ingested) as f64 / secs;
+            let mut seen = Vec::new();
+            for rule in &mut self.rules {
+                let value = match rule.signal {
+                    Signal::QuarantineRatio => q as f64 / (q + i).max(1) as f64,
+                    Signal::IngestRate => rate,
+                };
+                if value > rule.threshold {
+                    rule.streak += 1;
+                    if rule.streak == rule.windows {
+                        rule.firing = true;
+                        seen.push("alert fired");
+                    } else if !rule.firing {
+                        seen.push("alert under its window count");
+                    }
+                } else {
+                    rule.streak = 0;
+                    if std::mem::take(&mut rule.firing) {
+                        seen.push("alert cleared");
+                    }
+                }
+            }
+            seen.into_iter().for_each(|path| self.saw(path));
+            (self.window_at, self.window_ingested) = (self.now, i);
+            let firing: Vec<&str> = self
+                .rules
+                .iter()
+                .filter(|r| r.firing)
+                .map(|r| r.name)
+                .collect();
+            assert_eq!(self.alerts.firing(), firing, "{ctx}: firing rules");
+        }
+
+        /// `/healthz` and the counters against the model.
+        fn check(&mut self, ctx: &str) {
+            assert_eq!(self.slot.version(), self.version, "{ctx}: slot version");
+            let (q, i) = (self.quarantined(), self.ingested);
+            assert_eq!(
+                self.metrics.records_quarantined.get(),
+                q,
+                "{ctx}: quarantined"
+            );
+            if q > std::mem::replace(&mut self.checked_quarantined, q) {
+                self.saw("quarantined");
+            }
+            assert_eq!(self.metrics.events_ingested.get(), i, "{ctx}: ingested");
+            let mut reasons = Vec::new();
+            if self.failed {
+                reasons.push("ingest_failed".to_string());
+            } else {
+                let idle = self.now.saturating_duration_since(self.last_publish);
+                if !self.done && idle > STALE_AFTER {
+                    reasons.push("epochs_stale".to_string());
+                    self.saw("stale");
+                } else if !self.done && idle == STALE_AFTER {
+                    self.saw("stale at exactly STALE_AFTER");
+                }
+                if q > 0 && q as f64 / (q + i) as f64 > QUARANTINE_MAX_RATIO {
+                    reasons.push("quarantine_rate".to_string());
+                    self.saw("quarantine rate");
+                }
+                if self.restart_pending && !self.done {
+                    reasons.push("driver_restarted".to_string());
+                    self.saw("restart reason");
+                }
+                let firing = self.rules.iter().filter(|r| r.firing);
+                reasons.extend(firing.map(|r| format!("alert:{}", r.name)));
+            }
+            let status = match (self.failed, reasons.is_empty()) {
+                (true, _) => HealthStatus::Unhealthy,
+                (false, true) => HealthStatus::Ok,
+                (false, false) => HealthStatus::Degraded,
+            };
+            let report = self.health.evaluate(self.now);
+            assert_eq!((report.status, report.reasons), (status, reasons), "{ctx}");
+        }
+    }
+
+    /// The injected panic's message, as `FaultSource` raises it.
+    fn injected(panic: &(dyn std::any::Any + Send)) -> bool {
+        panic
+            .downcast_ref::<&str>()
+            .is_some_and(|m| m.starts_with("injected ingest panic"))
+    }
+
+    fn simulate(case: u32) -> BTreeMap<&'static str, u64> {
+        let mut rng = TestRng::for_case("driver_simulation", case);
+        let events = arb_feed(&mut rng);
+        let total = events.len() as u64;
+        let stream = StreamConfig {
+            shards: rng.random_range(1..=2usize),
+            epoch: EpochPolicy::every_events(rng.random_range(3..=12u64)),
+            ..Default::default()
+        };
+        let batch = rng.random_range(1..=6usize);
+        let budget = rng.random_range(0..=3u32);
+        let t0 = Instant::now();
+
+        // The never-faulted run: the same steps, no faults, one attempt.
+        let clean_driver = Driver {
+            feed: Feed::Events(events.clone()),
+            ..driver(DriverConfig {
+                stream: stream.clone(),
+                batch,
+                ..Default::default()
+            })
+        };
+        let published = watch(&clean_driver.slot);
+        let mut sealer = clean_driver.sealer(None);
+        let mut puller = Puller {
+            driver: &clean_driver,
+            quarantined: 0,
+        };
+        let mut send = |batch: EventBatch| {
+            sealer.take(&batch, t0);
+            true
+        };
+        puller.pull(&clean_driver.feed, &mut send).unwrap();
+        sealer.finish(t0, 0);
+        let clean: Vec<Vec<DbRecord>> = published
+            .lock()
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(at, snap)| {
+                assert_eq!(snap.version(), at as u64 + 1);
+                snap.records.clone()
+            })
+            .collect();
+
+        // The faulted run. One roll a pull picks the fault: the panic
+        // rule is listed first, so it owns the lowest band.
+        let (p_panic, p_truncate, p_corrupt) = match rng.random_range(0..4u32) {
+            0 => (0.0, 0.0, 0.0),
+            _ => (
+                rng.random_range(0..60u32) as f64 / 1000.0,
+                rng.random_range(0..150u32) as f64 / 1000.0,
+                rng.random_range(0..250u32) as f64 / 1000.0,
+            ),
+        };
+        let panic_at = match rng.random_range(0..2u32) {
+            0 => Trigger::Prob(p_panic),
+            _ => Trigger::At(rng.random_range(1..40u64)),
+        };
+        let rule = |kind, trigger| FaultRule { kind, trigger };
+        let injector = Arc::new(FeedInjector::new(
+            vec![
+                rule(FaultKind::Panic, panic_at),
+                rule(FaultKind::Truncate, Trigger::Prob(p_panic + p_truncate)),
+                rule(
+                    FaultKind::Corrupt,
+                    Trigger::Prob(p_panic + p_truncate + p_corrupt),
+                ),
+            ],
+            rng.next_u64(),
+        ));
+        let metrics = Arc::new(Metrics::new());
+        let health = Arc::new(HealthState::new(Arc::clone(&metrics), t0));
+        let driver = Driver {
+            feed: Feed::Events(events),
+            metrics: Arc::clone(&metrics),
+            ..driver(DriverConfig {
+                stream,
+                batch,
+                restart_budget: budget,
+                fault: Some(Arc::clone(&injector)),
+                health: Arc::clone(&health),
+                ..Default::default()
+            })
+        };
+        let rules = vec![
+            ModelRule {
+                name: "quarantine_rate",
+                signal: Signal::QuarantineRatio,
+                threshold: rng.random_range(1..10u32) as f64 / 100.0,
+                windows: rng.random_range(1..=3u32),
+                streak: 0,
+                firing: false,
+            },
+            ModelRule {
+                name: "bgp_serve_events_ingested_total_rate",
+                signal: Signal::IngestRate,
+                threshold: [0.5, 2.0, 10.0][rng.random_range(0..3usize)],
+                windows: rng.random_range(1..=3u32),
+                streak: 0,
+                firing: false,
+            },
+        ];
+        let spec: Vec<String> = rules
+            .iter()
+            .map(|r| format!("{}>{}@{}", r.name, r.threshold, r.windows))
+            .collect();
+        let alert_rules = obs::parse_alert_rules(&spec.join(";")).unwrap();
+        let alerts = Arc::new(AlertState::new(
+            alert_rules,
+            Arc::clone(metrics.registry()),
+            t0,
+        ));
+        health.attach_alerts(Arc::clone(&alerts));
+        let mut w = World {
+            rng,
+            now: t0,
+            slot: Arc::clone(&driver.slot),
+            published: watch(&driver.slot),
+            metrics,
+            health,
+            alerts,
+            injector,
+            clean,
+            version: 0,
+            last_publish: t0,
+            ingested: 0,
+            panics: 0,
+            checked_quarantined: 0,
+            restart_pending: false,
+            done: false,
+            failed: false,
+            rules,
+            window_at: t0,
+            window_ingested: 0,
+            seen: BTreeMap::new(),
+        };
+
+        let (mut resume, mut restarts) = (None, 0u64);
+        for attempt in 0.. {
+            let ctx = format!("case {case} attempt {attempt}");
+            let mut sealer = driver.sealer(resume.clone());
+            let mut queue = VecDeque::new();
+            let mut puller = Puller {
+                driver: &driver,
+                quarantined: 0,
+            };
+            let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                puller.pull(&driver.feed, &mut |batch| {
+                    w.check(&ctx);
+                    loop {
+                        match w.rng.random_range(0..10u32) {
+                            0..=3 if queue.len() < SEAL_QUEUE_BATCHES => {
+                                queue.push_back(batch);
+                                return true;
+                            }
+                            0..=3 => w.saw("queue full"),
+                            4..=6 => match queue.pop_front() {
+                                Some(taken) => w.take(&mut sealer, &taken, &ctx),
+                                None => continue,
+                            },
+                            _ => w.elsewhere(&ctx),
+                        }
+                        w.check(&ctx);
+                    }
+                })
+            }));
+            match &pulled {
+                Ok(Ok(_)) => {}
+                Ok(Err(e)) => panic!("{ctx}: the feed failed: {e}"),
+                Err(panic) if injected(&**panic) => w.panics += 1,
+                Err(_) => std::panic::resume_unwind(pulled.unwrap_err()),
+            }
+            w.check(&ctx);
+            // The puller is gone; the sealer takes what is queued before
+            // its join hands it back.
+            if pulled.is_err() && !queue.is_empty() {
+                w.saw("taken after a panic");
+            }
+            while let Some(taken) = queue.pop_front() {
+                while w.rng.random_range(0..2u32) == 0 {
+                    w.elsewhere(&ctx);
+                }
+                w.take(&mut sealer, &taken, &ctx);
+                w.check(&ctx);
+            }
+            let ended = ended(pulled, Ok(sealer), w.now);
+            w.publishes(&ctx);
+            if ended.is_err() {
+                restarts += 1;
+                w.health.note_restart();
+                w.restart_pending = true;
+            }
+            w.check(&ctx);
+            match next(ended, restarts, budget, resume.clone(), &w.slot) {
+                Next::Done(report) => {
+                    w.health.mark_ingest_done();
+                    w.done = true;
+                    w.saw("drained");
+                    assert_eq!(report.restarts, restarts, "{ctx}");
+                    assert_eq!(report.total_events, total, "{ctx}");
+                    assert_eq!(report.epochs, w.clean.len(), "{ctx}");
+                    assert_eq!(w.version as usize, w.clean.len(), "{ctx}");
+                    break;
+                }
+                Next::Fail(e) => {
+                    assert!(restarts > u64::from(budget), "{ctx}: {e}");
+                    w.health.mark_ingest_failed();
+                    w.failed = true;
+                    w.saw("budget exhausted");
+                    break;
+                }
+                Next::Respawn(from) => {
+                    assert!(restarts <= u64::from(budget), "{ctx}");
+                    w.saw("respawn");
+                    if let Some(from) = &from {
+                        assert_eq!(from.version(), w.version, "{ctx}: resumed past");
+                        w.saw("respawn past a publish");
+                    }
+                    w.injector.reset_stream();
+                    resume = from;
+                }
+            }
+            w.check(&ctx);
+        }
+        // Time goes on after the driver: drained is never stale, failed
+        // stays failed.
+        for step in 0..8 {
+            w.elsewhere(&format!("case {case} after the driver, step {step}"));
+        }
+        w.seen
+    }
+
+    fn simulate_cases(cases: u32) {
+        let mut seen: BTreeMap<&str, u64> = BTreeMap::new();
+        for case in 0..cases {
+            for (path, n) in simulate(case) {
+                *seen.entry(path).or_default() += n;
+            }
+        }
+        for path in PATHS {
+            assert!(seen.contains_key(path), "no case reached {path}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn the_supervised_driver_matches_its_model_on_a_seeded_clock() {
+        simulate_cases(64);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn the_supervised_driver_matches_its_model_on_a_seeded_clock_at_length() {
+        simulate_cases(2_000);
     }
 }

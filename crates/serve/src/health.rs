@@ -27,7 +27,15 @@
 //! and alerts. The ingest driver (which always reports into its
 //! [`DriverConfig::health`](crate::driver::DriverConfig::health)), the
 //! archive sink thread and the HTTP workers all touch the same
-//! `Arc<HealthState>` without locks on the hot path.
+//! `Arc<HealthState>`; only a publish and an evaluation take its one
+//! lock, around the last publish's instant.
+//!
+//! Time is an input: the state reads no clock. It keeps the instants it
+//! is handed — one at construction, one per publish — and
+//! [`evaluate`](HealthState::evaluate) judges them at the instant it is
+//! given, so a test (or the driver's simulation) steps a synthetic
+//! clock past [`STALE_AFTER`] instead of sleeping.
+//!
 //! Recovery is first-class — every degraded reason has a condition
 //! that clears it (a commit after drops, a publish after a restart,
 //! quarantine rate falling back under the threshold), which the soak
@@ -37,29 +45,17 @@ use crate::metrics::Metrics;
 use bgp_archive::prelude::SinkStatus;
 use obs::AlertState;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Thresholds for the degraded conditions.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// How long the live snapshot may go without a new epoch before the
-    /// daemon reports `epochs_stale` (only while ingest is running —
-    /// a drained feed is done, not stale).
-    pub stale_after: Duration,
-    /// Quarantined share of the feed (`quarantined / (quarantined +
-    /// ingested)`) above which the daemon reports `quarantine_rate`.
-    pub quarantine_max_ratio: f64,
-}
+/// How long the live snapshot may go without a new epoch before the
+/// daemon reports `epochs_stale` (only while ingest is running — a
+/// drained feed is done, not stale). Exactly this long is not stale yet.
+pub const STALE_AFTER: Duration = Duration::from_secs(30);
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            stale_after: Duration::from_secs(30),
-            quarantine_max_ratio: 0.05,
-        }
-    }
-}
+/// Quarantined share of the feed ([`obs::quarantine_ratio`]) above which
+/// the daemon reports `quarantine_rate`.
+pub const QUARANTINE_MAX_RATIO: f64 = 0.05;
 
 /// The health verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,70 +88,65 @@ pub struct HealthReport {
     pub reasons: Vec<String>,
 }
 
-/// Shared, lock-free-readable health state (see module docs).
+/// Shared health state (see module docs).
 #[derive(Debug)]
 pub struct HealthState {
-    cfg: HealthConfig,
     /// The counters the verdict reads.
     metrics: Arc<Metrics>,
-    created: Instant,
-    /// Nanos since `created` of the last snapshot publication (0 =
-    /// never published).
-    last_publish_nanos: AtomicU64,
+    /// The latest instant handed to [`new`](Self::new) or to a
+    /// [`note_publish`](Self::note_publish) that published something.
+    last_publish: Mutex<Instant>,
     restarts: AtomicU64,
     /// Epochs published at the most recent restart — the
     /// `driver_restarted` reason clears once a publish lands after it.
     publishes_at_restart: AtomicU64,
     ingest_done: AtomicBool,
     ingest_failed: AtomicBool,
-    sink: Mutex<Option<Arc<SinkStatus>>>,
-    alerts: Mutex<Option<Arc<AlertState>>>,
+    sink: OnceLock<Arc<SinkStatus>>,
+    alerts: OnceLock<Arc<AlertState>>,
 }
 
 impl HealthState {
     /// Fresh state judging the counters on `metrics`; the staleness
-    /// grace period starts now.
-    pub fn new(cfg: HealthConfig, metrics: Arc<Metrics>) -> HealthState {
+    /// grace period starts at `now`.
+    pub fn new(metrics: Arc<Metrics>, now: Instant) -> HealthState {
         HealthState {
-            cfg,
             metrics,
-            created: Instant::now(),
-            last_publish_nanos: AtomicU64::new(0),
+            last_publish: Mutex::new(now),
             restarts: AtomicU64::new(0),
             publishes_at_restart: AtomicU64::new(0),
             ingest_done: AtomicBool::new(false),
             ingest_failed: AtomicBool::new(false),
-            sink: Mutex::new(None),
-            alerts: Mutex::new(None),
+            sink: OnceLock::new(),
+            alerts: OnceLock::new(),
         }
     }
 
-    /// Watch an archive sink's retry/drop state.
+    /// Watch an archive sink's retry/drop state (the first one attached).
     pub fn attach_sink(&self, status: Arc<SinkStatus>) {
-        *self
-            .sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(status);
+        let _ = self.sink.set(status);
     }
 
     /// Surface an alert engine's firing rules as `alert:{name}`
-    /// degraded reasons.
+    /// degraded reasons (the first engine attached).
     pub fn attach_alerts(&self, alerts: Arc<AlertState>) {
-        *self
-            .alerts
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(alerts);
+        let _ = self.alerts.set(alerts);
     }
 
-    /// Note that `n` snapshots were just published (the metrics count
-    /// them): the staleness clock restarts when `n > 0`.
-    pub fn note_publish(&self, n: u64) {
-        if n == 0 {
-            return;
+    fn last_publish(&self) -> std::sync::MutexGuard<'_, Instant> {
+        self.last_publish
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Note that `n` snapshots were published at `now` (the metrics
+    /// count them): the staleness clock restarts when `n > 0`. An
+    /// instant older than one already noted changes nothing.
+    pub fn note_publish(&self, n: u64, now: Instant) {
+        if n > 0 {
+            let mut last = self.last_publish();
+            *last = (*last).max(now);
         }
-        let nanos = self.created.elapsed().as_nanos() as u64;
-        self.last_publish_nanos
-            .store(nanos.max(1), Ordering::Release);
     }
 
     /// Record a supervised driver respawn after a panic.
@@ -187,31 +178,18 @@ impl HealthState {
 
     /// The watched sink's live status, if one is attached.
     pub fn sink(&self) -> Option<Arc<SinkStatus>> {
-        self.sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        self.sink.get().cloned()
     }
 
-    /// Quarantined share of the feed seen so far (0.0 when nothing was
-    /// ingested yet).
-    pub fn quarantine_ratio(&self) -> f64 {
-        let q = self.quarantined();
-        let i = self.metrics.events_ingested.get();
-        if q == 0 {
-            return 0.0;
-        }
-        q as f64 / (q + i) as f64
-    }
-
-    /// Evaluate the state machine now.
-    pub fn evaluate(&self) -> HealthReport {
+    /// Judge the state machine at `now`.
+    pub fn evaluate(&self, now: Instant) -> HealthReport {
         if self.ingest_failed.load(Ordering::Acquire) {
             return HealthReport {
                 status: HealthStatus::Unhealthy,
                 reasons: vec!["ingest_failed".to_string()],
             };
         }
+        let done = self.ingest_done.load(Ordering::Acquire);
         let mut reasons = Vec::new();
         if let Some(sink) = self.sink() {
             if sink.retrying() {
@@ -221,20 +199,17 @@ impl HealthState {
                 reasons.push("archive_epochs_dropped".to_string());
             }
         }
-        if !self.ingest_done.load(Ordering::Acquire) {
-            let last = self.last_publish_nanos.load(Ordering::Acquire);
-            let since = self.created.elapsed().as_nanos() as u64 - last;
-            if since > self.cfg.stale_after.as_nanos() as u64 {
-                reasons.push("epochs_stale".to_string());
-            }
+        if !done && now.saturating_duration_since(*self.last_publish()) > STALE_AFTER {
+            reasons.push("epochs_stale".to_string());
         }
-        if self.quarantine_ratio() > self.cfg.quarantine_max_ratio {
+        let ingested = self.metrics.events_ingested.get();
+        if obs::quarantine_ratio(self.quarantined(), ingested) > QUARANTINE_MAX_RATIO {
             reasons.push("quarantine_rate".to_string());
         }
         // A restart stays visible until the respawned driver proves
         // itself with a publish (or drains the feed completely).
-        if self.restarts.load(Ordering::Acquire) > 0
-            && !self.ingest_done.load(Ordering::Acquire)
+        if self.restarts() > 0
+            && !done
             && self.metrics.epochs_published.get()
                 == self.publishes_at_restart.load(Ordering::Acquire)
         {
@@ -242,12 +217,7 @@ impl HealthState {
         }
         // Alert-rule reasons come last: operator-defined conditions
         // annotate, never mask, the built-in supervision signals.
-        if let Some(alerts) = self
-            .alerts
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-        {
+        if let Some(alerts) = self.alerts.get() {
             for name in alerts.firing() {
                 reasons.push(format!("alert:{name}"));
             }
@@ -263,92 +233,93 @@ impl HealthState {
     }
 }
 
-impl Default for HealthState {
-    /// Default thresholds on a fresh [`Metrics`] nothing else records to.
-    fn default() -> Self {
-        HealthState::new(HealthConfig::default(), Arc::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A state on metrics of its own, which the test records to.
-    fn health(cfg: HealthConfig) -> (HealthState, Arc<Metrics>) {
+    /// A state on metrics of its own, which the test records to, born
+    /// at the returned instant.
+    fn health() -> (HealthState, Arc<Metrics>, Instant) {
         let metrics = Arc::new(Metrics::new());
-        (HealthState::new(cfg, Arc::clone(&metrics)), metrics)
+        let born = Instant::now();
+        (HealthState::new(Arc::clone(&metrics), born), metrics, born)
     }
 
     #[test]
     fn starts_ok_within_grace() {
-        let (h, _) = health(HealthConfig {
-            stale_after: Duration::from_secs(60),
-            ..Default::default()
-        });
-        assert_eq!(h.evaluate().status, HealthStatus::Ok);
-        assert!(h.evaluate().reasons.is_empty());
+        let (h, _, born) = health();
+        assert_eq!(h.evaluate(born).status, HealthStatus::Ok);
+        assert!(h.evaluate(born + STALE_AFTER).reasons.is_empty());
     }
 
     #[test]
-    fn staleness_degrades_then_publish_recovers() {
-        let (h, _) = health(HealthConfig {
-            stale_after: Duration::from_millis(1),
-            ..Default::default()
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let report = h.evaluate();
+    fn staleness_is_judged_at_the_given_instant() {
+        let (h, _, born) = health();
+        let ns = Duration::from_nanos(1);
+        assert!(h.evaluate(born + STALE_AFTER).reasons.is_empty());
+        let report = h.evaluate(born + STALE_AFTER + ns);
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons, vec!["epochs_stale"]);
-        h.note_publish(1);
-        assert_eq!(h.evaluate().status, HealthStatus::Ok);
-        // A drained feed is done, not stale.
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(h.evaluate().status, HealthStatus::Degraded);
+
+        // A publish clears it, and the grace period restarts there.
+        let published = born + STALE_AFTER * 2;
+        h.note_publish(1, published);
+        assert_eq!(h.evaluate(published).status, HealthStatus::Ok);
+        assert_eq!(h.evaluate(published + STALE_AFTER).status, HealthStatus::Ok);
+        // Nothing published, or an older instant, moves nothing.
+        h.note_publish(0, published + STALE_AFTER);
+        h.note_publish(1, born);
+        assert_eq!(
+            h.evaluate(published + STALE_AFTER + ns).reasons,
+            vec!["epochs_stale"]
+        );
+
+        // A drained feed is done, not stale, however long it idles.
         h.mark_ingest_done();
-        assert_eq!(h.evaluate().status, HealthStatus::Ok);
+        assert_eq!(
+            h.evaluate(published + STALE_AFTER + ns).status,
+            HealthStatus::Ok
+        );
+        assert_eq!(
+            h.evaluate(published + STALE_AFTER * 1000).status,
+            HealthStatus::Ok
+        );
     }
 
     #[test]
     fn quarantine_rate_thresholds() {
-        let (h, m) = health(HealthConfig {
-            stale_after: Duration::from_secs(60),
-            quarantine_max_ratio: 0.10,
-        });
-        m.events_ingested.add(99);
-        m.records_quarantined.add(1);
-        assert_eq!(h.evaluate().status, HealthStatus::Ok, "1% is fine");
-        m.records_quarantined.add(20);
+        let (h, m, born) = health();
+        m.events_ingested.add(95);
+        m.records_quarantined.add(5);
+        assert_eq!(h.evaluate(born).status, HealthStatus::Ok, "5% is not over");
+        m.records_quarantined.add(16);
         assert_eq!(h.quarantined(), 21);
-        let report = h.evaluate();
+        let report = h.evaluate(born);
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons, vec!["quarantine_rate"]);
         // Rate recovers as clean events keep flowing.
         m.events_ingested.add(10_000);
-        assert_eq!(h.evaluate().status, HealthStatus::Ok);
+        assert_eq!(h.evaluate(born).status, HealthStatus::Ok);
     }
 
     #[test]
     fn restart_visible_until_next_publish() {
-        let (h, m) = health(HealthConfig {
-            stale_after: Duration::from_secs(60),
-            ..Default::default()
-        });
+        let (h, m, born) = health();
         m.epochs_published.inc();
         h.note_restart();
-        let report = h.evaluate();
+        let report = h.evaluate(born);
         assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.reasons, vec!["driver_restarted"]);
         assert_eq!(h.restarts(), 1);
         m.epochs_published.inc();
-        assert_eq!(h.evaluate().status, HealthStatus::Ok);
+        assert_eq!(h.evaluate(born).status, HealthStatus::Ok);
     }
 
     #[test]
     fn ingest_failure_is_unhealthy() {
-        let h = HealthState::default();
+        let (h, _, born) = health();
         h.mark_ingest_failed();
-        let report = h.evaluate();
+        let report = h.evaluate(born);
         assert_eq!(report.status, HealthStatus::Unhealthy);
         assert_eq!(report.reasons, vec!["ingest_failed"]);
     }

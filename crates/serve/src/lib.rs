@@ -112,7 +112,7 @@ pub mod prelude {
     pub use crate::driver::{
         spawn_ingest_archived, DriverConfig, Feed, IngestHandle, IngestReport,
     };
-    pub use crate::health::{HealthConfig, HealthReport, HealthState, HealthStatus};
+    pub use crate::health::{HealthReport, HealthState, HealthStatus};
     pub use crate::history::HistoryStore;
     pub use crate::http::{
         Dispatch, Handler, HttpConfig, HttpServer, Request, Response, TransportWaker,

@@ -21,7 +21,7 @@ use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::StreamConfig;
 use fault::FaultPlan;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 mod support;
 use support::tmp_dir;
@@ -80,13 +80,7 @@ fn faulted_flap_storm_converges_to_the_clean_state() {
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry()))
         .expect("open faulted archive");
     let sink = ArchiveSink::spawn(writer);
-    let health = Arc::new(HealthState::new(
-        HealthConfig {
-            stale_after: Duration::from_secs(600),
-            ..Default::default()
-        },
-        Arc::clone(&metrics),
-    ));
+    let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let mut driver_cfg = cfg();
     driver_cfg.fault = Some(Arc::new(plan.feed_injector(SEED).unwrap()));
@@ -129,7 +123,7 @@ fn faulted_flap_storm_converges_to_the_clean_state() {
 
     // And the survivor reports itself healthy: restart reason cleared
     // by the respawned attempt's publishes, sink quiet, feed drained.
-    let verdict = health.evaluate();
+    let verdict = health.evaluate(Instant::now());
     assert_eq!(
         verdict.status,
         HealthStatus::Ok,
@@ -176,10 +170,7 @@ fn peer_reset_survives_ingest_stall_and_archive_torn_write() {
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry()))
         .expect("open faulted archive");
     let sink = ArchiveSink::spawn(writer);
-    let health = Arc::new(HealthState::new(
-        HealthConfig::default(),
-        Arc::clone(&metrics),
-    ));
+    let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let mut driver_cfg = cfg();
     driver_cfg.fault = Some(Arc::new(plan.feed_injector(SEED).unwrap()));
@@ -207,6 +198,6 @@ fn peer_reset_survives_ingest_stall_and_archive_torn_write() {
     let verify = Archive::open(&dir).unwrap().verify();
     assert!(verify.is_ok(), "{:?}", verify.problems);
     assert_eq!(report.archived_epochs, report.epochs as u64);
-    assert_eq!(health.evaluate().status, HealthStatus::Ok);
+    assert_eq!(health.evaluate(Instant::now()).status, HealthStatus::Ok);
     let _ = std::fs::remove_dir_all(&dir);
 }

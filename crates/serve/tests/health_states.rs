@@ -11,12 +11,13 @@
 
 use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
+use bgp_serve::health::STALE_AFTER;
 use bgp_serve::prelude::*;
 use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::StreamConfig;
 use fault::FaultPlan;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod support;
 use support::{metric, tag_events, tmp_dir, Client};
@@ -30,10 +31,11 @@ struct Served {
     health: Arc<HealthState>,
 }
 
-fn serve_with_health(cfg: HealthConfig) -> Served {
+/// A daemon's serving half whose health state was born at `born`.
+fn serve_with_health(born: Instant) -> Served {
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
     let metrics = Arc::new(Metrics::new());
-    let health = Arc::new(HealthState::new(cfg, Arc::clone(&metrics)));
+    let health = Arc::new(HealthState::new(Arc::clone(&metrics), born));
     let api = Api::new(Arc::clone(&slot), Arc::clone(&metrics)).with_health(Arc::clone(&health));
     let http = HttpServer::start(
         HttpConfig {
@@ -55,12 +57,12 @@ fn serve_with_health(cfg: HealthConfig) -> Served {
     }
 }
 
-/// No staleness within a test's lifetime.
-fn patient() -> HealthConfig {
-    HealthConfig {
-        stale_after: Duration::from_secs(600),
-        ..Default::default()
-    }
+/// An instant the `/healthz` handler's clock is already past
+/// [`STALE_AFTER`] from: a state born then is stale at once, no sleep.
+fn long_ago() -> Instant {
+    Instant::now()
+        .checked_sub(STALE_AFTER + Duration::from_secs(1))
+        .expect("the monotonic clock has run past STALE_AFTER")
 }
 
 #[test]
@@ -70,19 +72,15 @@ fn stalled_feed_degrades_then_publish_recovers() {
         mut client,
         health,
         ..
-    } = serve_with_health(HealthConfig {
-        stale_after: Duration::from_millis(5),
-        ..Default::default()
-    });
+    } = serve_with_health(long_ago());
 
-    std::thread::sleep(Duration::from_millis(20));
     let (status, body) = client.get("/healthz");
     assert_eq!(status, 200, "degraded still serves traffic");
     assert!(body.contains("\"status\":\"degraded\""), "{body}");
     assert!(body.contains("\"epochs_stale\""), "{body}");
 
     // A publish clears the staleness; /healthz transitions back to ok.
-    health.note_publish(1);
+    health.note_publish(1, Instant::now());
     let (status, body) = client.get("/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
@@ -102,7 +100,7 @@ fn sink_drops_degrade_healthz_and_stats() {
         slot,
         metrics,
         health,
-    } = serve_with_health(patient());
+    } = serve_with_health(Instant::now());
     let io = Box::new(plan.archive_io(7).unwrap());
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry())).unwrap();
     let sink = ArchiveSink::spawn(writer);
@@ -158,7 +156,7 @@ fn sink_retry_recovers_to_ok() {
         slot,
         metrics,
         health,
-    } = serve_with_health(patient());
+    } = serve_with_health(Instant::now());
     let io = Box::new(plan.archive_io(7).unwrap());
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(metrics.registry())).unwrap();
     let sink = ArchiveSink::spawn(writer);
@@ -212,7 +210,7 @@ fn dead_ingest_is_unhealthy_503() {
         slot,
         metrics,
         health,
-    } = serve_with_health(patient());
+    } = serve_with_health(Instant::now());
     let err = spawn_ingest_archived(
         DriverConfig {
             fault: Some(Arc::new(plan.feed_injector(7).unwrap())),
@@ -255,7 +253,7 @@ fn quarantine_abort_bounds_the_whole_feed() {
         slot,
         metrics,
         health,
-    } = serve_with_health(patient());
+    } = serve_with_health(Instant::now());
     let err = spawn_ingest_archived(
         DriverConfig {
             quarantine_abort: 2,
@@ -272,7 +270,10 @@ fn quarantine_abort_bounds_the_whole_feed() {
     .unwrap_err();
     assert!(err.contains("quarantine threshold exceeded"), "{err}");
     assert_eq!(health.quarantined(), 3, "counted across the files");
-    assert_eq!(health.evaluate().reasons, vec!["ingest_failed"]);
+    assert_eq!(
+        health.evaluate(Instant::now()).reasons,
+        vec!["ingest_failed"]
+    );
 
     let (status, body) = client.get("/healthz");
     assert_eq!(status, 503, "{body}");
@@ -289,10 +290,7 @@ fn a_quarantine_is_reported_before_its_source_drains() {
     events.insert(0, fault::malformed_event());
     let plan = FaultPlan::parse("feed:panic@3").unwrap();
     let metrics = Arc::new(Metrics::new());
-    let health = Arc::new(HealthState::new(
-        HealthConfig::default(),
-        Arc::clone(&metrics),
-    ));
+    let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));
     let err = spawn_ingest_archived(
         DriverConfig {
             batch: 10,
@@ -325,7 +323,7 @@ fn two_daemons_in_one_process_each_count_their_own_quarantines() {
     // 40 clean events each, with 1 and with 5 malformed records among
     // them: 2.4 % and 11.1 % of the feed, against the 5 % threshold.
     let daemons = [1u64, 5].map(|malformed| {
-        let served = serve_with_health(patient());
+        let served = serve_with_health(Instant::now());
         let mut events = tag_events(40);
         for i in 0..malformed {
             events.insert(usize::try_from(i * 9).unwrap(), fault::malformed_event());

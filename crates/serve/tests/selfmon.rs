@@ -19,7 +19,7 @@ use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
 use obs::trace::TraceStore;
 use obs::AlertState;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod support;
 use support::{tag_events, tmp_dir, Client};
@@ -46,7 +46,8 @@ fn a_rule_on_the_serve_response_counter_fires() {
         Arc::new(Metrics::with_registry(Arc::clone(&obs))),
     );
     let rules = obs::parse_alert_rules("bgp_serve_http_responses_total>1@1").unwrap();
-    let alerts = AlertState::new(rules, obs);
+    let t0 = Instant::now();
+    let alerts = AlertState::new(rules, obs, t0);
     let get = |path: &str| {
         api.handle(&Request {
             method: "GET".to_string(),
@@ -55,11 +56,11 @@ fn a_rule_on_the_serve_response_counter_fires() {
         })
     };
     assert_eq!(get("/healthz").status, 200);
-    alerts.evaluate();
+    alerts.evaluate(t0 + Duration::from_secs(1));
     assert!(alerts.firing().is_empty(), "one response is not over 1");
     // The family's label sets are summed: a 2xx and a 4xx make two.
     assert_eq!(get("/nope").status, 404);
-    alerts.evaluate();
+    alerts.evaluate(t0 + Duration::from_secs(2));
     assert_eq!(alerts.firing(), ["bgp_serve_http_responses_total"]);
 }
 
@@ -149,11 +150,10 @@ fn alert_fires_into_healthz_and_clears() {
     // per-second delta over the window since the last evaluation.
     let rules = obs::parse_alert_rules("bgp_selfmon_alert_total_rate>5@2").unwrap();
     let metrics = Arc::new(Metrics::new());
-    let alerts = Arc::new(AlertState::new(rules, Arc::clone(metrics.registry())));
-    let health = Arc::new(HealthState::new(
-        HealthConfig::default(),
-        Arc::clone(&metrics),
-    ));
+    let t0 = Instant::now();
+    let window = |n: u32| t0 + Duration::from_secs(1) * n;
+    let alerts = Arc::new(AlertState::new(rules, Arc::clone(metrics.registry()), t0));
+    let health = Arc::new(HealthState::new(Arc::clone(&metrics), t0));
     health.attach_alerts(Arc::clone(&alerts));
 
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
@@ -165,13 +165,12 @@ fn alert_fires_into_healthz_and_clears() {
     let http = serve(api);
     let addr = http.local_addr();
     // Baseline evaluation so the family has a previous value to delta from.
-    alerts.evaluate();
+    alerts.evaluate(window(1));
 
     // Two consecutive over-threshold windows: the streak requirement.
-    for _ in 0..2 {
+    for n in 2..4 {
         counter.add(10_000);
-        std::thread::sleep(Duration::from_millis(2));
-        alerts.evaluate();
+        alerts.evaluate(window(n));
     }
     assert_eq!(alerts.firing(), vec!["bgp_selfmon_alert_total_rate"]);
     let (status, body) = Client::connect(addr).get("/healthz");
@@ -183,9 +182,8 @@ fn alert_fires_into_healthz_and_clears() {
     assert!(body.contains("\"status\":\"degraded\""), "{body}");
 
     // Quiet windows: the rule clears and /healthz drops the reason.
-    for _ in 0..2 {
-        std::thread::sleep(Duration::from_millis(2));
-        alerts.evaluate();
+    for n in 4..6 {
+        alerts.evaluate(window(n));
     }
     assert!(alerts.firing().is_empty());
     let (status, body) = Client::connect(addr).get("/healthz");
