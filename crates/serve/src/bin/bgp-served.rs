@@ -66,9 +66,11 @@
 //! ```
 //!
 //! SIGINT/SIGTERM shut the daemon down gracefully: ingest stops after
-//! the batch in flight, the trailing epoch is sealed and published, and
-//! the archive sink (when `--archive` is on) is flushed and joined
-//! before the process exits — a `kill` never loses a sealed epoch.
+//! the batch in flight, and the archive sink (when `--archive` is on) is
+//! flushed and joined before the process exits — a `kill` never loses a
+//! sealed epoch. The trailing partial epoch is left open: the next run
+//! restores the last archived epoch and its backfill over the same feed
+//! seals that epoch number as a never-stopped run would.
 //!
 //! The API surface is documented in `bgp_serve::api`; try
 //! `curl http://127.0.0.1:7179/v1/stats` once it is up.
@@ -307,7 +309,6 @@ fn run(opts: Options) -> Result<(), String> {
             // stores would grow without bound on a long-lived feed.
             compact_history: true,
             trace: Some(Arc::clone(&traces)),
-            ..Default::default()
         },
         batch: opts.batch,
         restart_budget: opts.restart_budget,
@@ -412,8 +413,8 @@ fn run(opts: Options) -> Result<(), String> {
 
     // Report progress until the feed drains, polling for shutdown
     // signals: a SIGINT/SIGTERM stops ingest after the batch in flight,
-    // and the driver then seals, publishes, and archives the trailing
-    // epoch before its thread exits.
+    // and the driver's thread exits once the archive sink has flushed
+    // what sealed, leaving the trailing partial epoch open.
     let mut last_version = 0;
     let mut stop_sent = false;
     while !ingest.is_finished() {
@@ -421,7 +422,7 @@ fn run(opts: Options) -> Result<(), String> {
         if shutdown::requested() && !stop_sent {
             obs::info!(
                 "serve",
-                "shutdown signal: sealing and flushing the trailing epoch"
+                "shutdown signal: stopping ingest; the trailing partial epoch stays open"
             );
             ingest.stop();
             stop_sent = true;

@@ -58,11 +58,12 @@
 //! [`DriverConfig::restart_budget`] times) with the pipeline rebuilt
 //! and the feed replayed from the start — the same deterministic-replay
 //! backfill the restart path uses, resuming past whatever the slot
-//! already serves so versions stay monotone. Only a feed that ended
-//! whole seals its trailing partial epoch: a panicked or failed attempt
-//! leaves it open, since the replay seals that epoch number over the
-//! whole feed and the slot must serve each version as a never-faulted
-//! run would. Every source is wrapped in
+//! already serves so versions stay monotone. Only a feed that drained
+//! seals its trailing partial epoch: a stopped, panicked or failed
+//! attempt leaves it open, since a replay (the respawn's, or the next
+//! run's backfill) seals that epoch number over the whole feed and the
+//! slot and the archive must hold each version as a never-faulted run
+//! would. Every source is wrapped in
 //! a [`QuarantinedSource`], so malformed records are skipped instead of
 //! poisoning the feed, and an optional [`fault::FeedInjector`] slots in
 //! underneath for resilience soaks. An attempt keeps one quarantine
@@ -180,7 +181,10 @@ pub struct IngestHandle {
 }
 
 impl IngestHandle {
-    /// Ask the driver to stop after the batch in flight.
+    /// Ask the driver to stop after the batch in flight. The epochs the
+    /// policy sealed so far are published (and archived); the trailing
+    /// partial epoch is not sealed, so the next run's backfill over the
+    /// same feed seals that epoch number as a never-stopped run would.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
     }
@@ -201,9 +205,10 @@ impl IngestHandle {
 
 /// Spawn the ingest driver: drives `feed` through a fresh pipeline,
 /// publishing every sealed epoch to `slot` and reporting every
-/// supervision event to [`DriverConfig::health`]. A trailing partial
-/// epoch is sealed (and published) when the feed ends, so the served
-/// snapshot always covers every ingested event once the driver finishes.
+/// supervision event to [`DriverConfig::health`]. When the feed drains,
+/// a trailing partial epoch is sealed (and published), so the served
+/// snapshot covers every ingested event once the driver finishes; after
+/// a [`stop`](IngestHandle::stop) it stays open.
 ///
 /// With a `sink`, every newly sealed epoch is queued into it (committed
 /// off this thread), and `resume` — the snapshot the restore path
@@ -310,7 +315,7 @@ impl Driver {
     /// the **feed puller** and a dedicated **sealer worker** takes each
     /// batch it sends over a bounded channel. Once the puller returns,
     /// the sealer takes what is still queued and comes back through its
-    /// join; only then does a feed that ended whole seal its trailing
+    /// join; only then does a feed that drained seal its trailing
     /// epoch, or a panic on either side propagate to [`Driver::run`] — so
     /// a respawned attempt can never race an old publisher on the slot.
     fn attempt(&self, resume: Option<Arc<ServeSnapshot>>) -> Ended {
@@ -377,18 +382,19 @@ impl Driver {
 type Ended = std::thread::Result<Result<IngestReport, String>>;
 
 /// How one attempt ended, once its sealer came back through its join: a
-/// feed that ended whole seals its trailing epoch as of `now` and
-/// reports; a feed error or a panic on either side leaves that epoch
-/// open, for a replay to seal over the whole feed.
+/// feed that drained seals its trailing epoch as of `now` and reports; a
+/// stopped feed reports without sealing; a feed error or a panic on
+/// either side leaves that epoch open too. A replay seals it over the
+/// whole feed.
 fn ended(
-    pulled: std::thread::Result<Result<u64, String>>,
+    pulled: std::thread::Result<Result<Pulled, String>>,
     joined: std::thread::Result<Sealer>,
     now: Instant,
 ) -> Ended {
     match (pulled, joined) {
         (Err(panic), _) | (Ok(Ok(_)), Err(panic)) => Err(panic),
         (Ok(Err(e)), _) => Ok(Err(e)),
-        (Ok(Ok(quarantined)), Ok(sealer)) => Ok(Ok(sealer.finish(now, quarantined))),
+        (Ok(Ok(pulled)), Ok(sealer)) => Ok(Ok(sealer.finish(now, pulled))),
     }
 }
 
@@ -482,22 +488,33 @@ struct Puller<'a> {
 /// Where the puller hands each batch; `false` = the sealer is gone.
 type SendBatch<'s> = dyn FnMut(EventBatch) -> bool + 's;
 
+/// How a pull that raised no error ended.
+#[derive(Debug)]
+struct Pulled {
+    /// Records the feed quarantined.
+    quarantined: u64,
+    /// Whether every source ran dry; `false` when `stop` was raised or
+    /// the sealer was gone first.
+    drained: bool,
+}
+
 impl Puller<'_> {
     /// Materialize each source of `feed` in turn and pump it to `send`,
-    /// until the feed ends, `stop` is raised, or the sealer is gone.
-    /// Returns how many records the feed quarantined.
-    fn pull(&mut self, feed: &Feed, send: &mut SendBatch<'_>) -> Result<u64, String> {
-        match feed {
+    /// until the feed drains, `stop` is raised, or the sealer is gone.
+    fn pull(&mut self, feed: &Feed, send: &mut SendBatch<'_>) -> Result<Pulled, String> {
+        let drained = match feed {
             Feed::MrtFiles(files) => {
+                let mut drained = true;
                 for file in files {
                     let bytes = std::fs::read(file).map_err(|e| format!("read {file}: {e}"))?;
-                    let sealer_alive = self
+                    drained = self
                         .pump(&mut MrtSource::new(&bytes), send)
                         .map_err(|e| format!("{file}: {e}"))?;
-                    if !sealer_alive || self.driver.stop.load(Ordering::Acquire) {
+                    if !drained {
                         break;
                     }
                 }
+                drained
             }
             Feed::Sim {
                 scenario,
@@ -517,22 +534,25 @@ impl Puller<'_> {
                     .ok_or_else(|| format!("unknown scenario {base:?}"))?;
                 let events = feed.map(|(ts, tuple)| StreamEvent::new(ts, tuple));
                 self.pump(&mut IterSource::new(events), send)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(|e| e.to_string())?
             }
-            Feed::Events(events) => {
-                self.pump(&mut IterSource::new(events.clone().into_iter()), send)
-                    .map_err(|e| e.to_string())?;
-            }
-        }
-        Ok(self.quarantined)
+            Feed::Events(events) => self
+                .pump(&mut IterSource::new(events.clone().into_iter()), send)
+                .map_err(|e| e.to_string())?,
+        };
+        Ok(Pulled {
+            quarantined: self.quarantined,
+            drained,
+        })
     }
 
     /// Pump one source, the optional fault injector underneath and the
     /// quarantine filter on top, until it drains, `stop` is raised, or
     /// `send` refuses a batch. Each pull's quarantines are counted into
     /// the attempt's running total and reported before the batch is
-    /// sent. Returns whether the sealer was still taking batches (false
-    /// = it died; the shell discovers the panic at join time).
+    /// sent. Returns whether the source drained: `false` after a stop,
+    /// or when the sealer died (the shell discovers its panic at join
+    /// time).
     fn pump(
         &mut self,
         source: &mut dyn TupleSource,
@@ -551,7 +571,7 @@ impl Puller<'_> {
             QuarantinedSource::new(source, cfg.quarantine_abort).counted_from(self.quarantined);
         loop {
             if self.driver.stop.load(Ordering::Acquire) {
-                return Ok(true);
+                return Ok(false);
             }
             // A pull that panics (an injected panic) still reports what
             // it quarantined before the panic goes on.
@@ -614,14 +634,16 @@ impl Sealer {
         }
     }
 
-    /// The feed ended whole: seal whatever the last epoch policy window
-    /// left open, publishing it as of `now`, so queries reflect the
-    /// complete feed (idempotent when nothing is pending and at least
-    /// one epoch already sealed). Reports the pipeline's share of the
-    /// [`IngestReport`] and the feed's `quarantined` count.
-    fn finish(mut self, now: Instant, quarantined: u64) -> IngestReport {
+    /// The pull ended without an error. If the feed drained, seal
+    /// whatever the last epoch policy window left open, publishing it as
+    /// of `now`, so queries reflect the complete feed (idempotent when
+    /// nothing is pending and at least one epoch already sealed); a
+    /// stopped feed seals nothing more. Reports the pipeline's share of
+    /// the [`IngestReport`] and the feed's quarantined count.
+    fn finish(mut self, now: Instant, pulled: Pulled) -> IngestReport {
         let pipeline = &mut self.pipeline;
-        if pipeline.latest().map(|s| s.total_events) != Some(pipeline.total_events()) {
+        let open = pipeline.latest().map(|s| s.total_events) != Some(pipeline.total_events());
+        if pulled.drained && open {
             pipeline.seal_epoch();
             let published = self.publisher.sync(pipeline) as u64;
             self.health.note_publish(published, now);
@@ -630,7 +652,7 @@ impl Sealer {
             total_events: pipeline.total_events(),
             epochs: pipeline.snapshots().len(),
             unique_tuples: pipeline.stored_tuples(),
-            quarantined,
+            quarantined: pulled.quarantined,
             ..IngestReport::default()
         }
     }
@@ -689,7 +711,7 @@ mod tests {
             quarantined: 0,
         };
         let mut source = IterSource::new(events(9).into_iter());
-        assert!(puller.pump(&mut source, &mut send).unwrap());
+        assert!(puller.pump(&mut source, &mut send).unwrap(), "drained");
         assert_eq!(gauge.get(), 5 + 3);
         // The sealer takes one batch and dies with two queued.
         rx.recv().unwrap();
@@ -698,7 +720,7 @@ mod tests {
         assert_eq!(gauge.get(), 5 + 2);
         // A send that fails takes back its own count.
         let mut source = IterSource::new(events(3).into_iter());
-        assert!(!puller.pump(&mut source, &mut send).unwrap());
+        assert!(!puller.pump(&mut source, &mut send).unwrap(), "not drained");
         assert_eq!(gauge.get(), 5 + 2);
         // After the join the attempt's leftovers go, and only they.
         depth.settle();
@@ -1000,7 +1022,7 @@ mod tests {
     use std::sync::Mutex;
 
     /// Every path a run of the simulation must reach, or it checks nothing.
-    const PATHS: [&str; 15] = [
+    const PATHS: [&str; 17] = [
         "quarantined",
         "queue full",
         "respawn",
@@ -1009,6 +1031,8 @@ mod tests {
         "backfill skipped",
         "budget exhausted",
         "drained",
+        "stopped",
+        "stopped with an epoch open",
         "stale",
         "stale at exactly STALE_AFTER",
         "restart reason",
@@ -1284,8 +1308,8 @@ mod tests {
             sealer.take(&batch, t0);
             true
         };
-        puller.pull(&clean_driver.feed, &mut send).unwrap();
-        sealer.finish(t0, 0);
+        let pulled = puller.pull(&clean_driver.feed, &mut send).unwrap();
+        sealer.finish(t0, pulled);
         let clean: Vec<Vec<DbRecord>> = published
             .lock()
             .unwrap()
@@ -1390,7 +1414,7 @@ mod tests {
             seen: BTreeMap::new(),
         };
 
-        let (mut resume, mut restarts) = (None, 0u64);
+        let (mut resume, mut restarts, mut stopped) = (None, 0u64, false);
         for attempt in 0.. {
             let ctx = format!("case {case} attempt {attempt}");
             let mut sealer = driver.sealer(resume.clone());
@@ -1402,6 +1426,12 @@ mod tests {
             let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 puller.pull(&driver.feed, &mut |batch| {
                     w.check(&ctx);
+                    // Now and then, once a case, an operator stops the
+                    // daemon: the pull ends after this batch.
+                    if !stopped && w.rng.random_range(0..32u32) == 0 {
+                        driver.stop.store(true, Ordering::Release);
+                        stopped = true;
+                    }
                     loop {
                         match w.rng.random_range(0..10u32) {
                             0..=3 if queue.len() < SEAL_QUEUE_BATCHES => {
@@ -1438,6 +1468,8 @@ mod tests {
                 w.take(&mut sealer, &taken, &ctx);
                 w.check(&ctx);
             }
+            let open = sealer.pipeline.latest().map(|s| s.total_events)
+                != Some(sealer.pipeline.total_events());
             let ended = ended(pulled, Ok(sealer), w.now);
             w.publishes(&ctx);
             if ended.is_err() {
@@ -1446,7 +1478,24 @@ mod tests {
                 w.restart_pending = true;
             }
             w.check(&ctx);
+            let stop = driver.stop.swap(false, Ordering::AcqRel);
             match next(ended, restarts, budget, resume.clone(), &w.slot) {
+                Next::Done(report) if stop => {
+                    // Stopped: what sealed is published, the trailing
+                    // epoch stays open. The daemon's next run restores
+                    // the last published snapshot and replays the whole
+                    // feed, sealing that epoch as a never-stopped run.
+                    w.saw("stopped");
+                    if open {
+                        w.saw("stopped with an epoch open");
+                    }
+                    assert!(report.total_events <= total, "{ctx}");
+                    assert!(w.version as usize <= w.clean.len(), "{ctx}");
+                    if w.slot.version() > 0 {
+                        resume = Some(w.slot.load());
+                    }
+                    w.injector.reset_stream();
+                }
                 Next::Done(report) => {
                     w.health.mark_ingest_done();
                     w.done = true;

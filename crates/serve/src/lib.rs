@@ -68,8 +68,9 @@
 //! * [`history`] — lazily cached historical epochs for time-travel
 //!   queries (`/v1/epochs`, `/v1/class/{asn}?epoch=N`,
 //!   `/v1/history/{asn}`);
-//! * [`shutdown`] — SIGINT/SIGTERM flag so the daemon seals and
-//!   archives the trailing epoch before exiting;
+//! * [`shutdown`] — SIGINT/SIGTERM flag so the daemon stops ingest and
+//!   flushes the archive before exiting, leaving the trailing partial
+//!   epoch for the next run's backfill;
 //! * two binaries: `bgp-served` (the daemon) and `bgp-flood` (its
 //!   connection-flood load generator).
 //!

@@ -4,8 +4,8 @@
 //! The workspace is offline (no `signal-hook`, no `ctrlc`), so this
 //! binds libc's `signal(2)` directly. The handler does the only thing
 //! that is async-signal-safe here — a relaxed atomic store — and the
-//! daemon does the actual work (stop ingest, seal the trailing epoch,
-//! flush the archive sink, join) from its ordinary control flow.
+//! daemon does the actual work (stop ingest, flush the archive sink,
+//! join) from its ordinary control flow.
 //!
 //! On non-Unix targets installation is a no-op and the flag stays clear.
 

@@ -54,8 +54,9 @@ pub struct FlipChunk {
 #[derive(Debug, Clone, Default)]
 pub struct FlipLog {
     chunks: Vec<FlipChunk>,
-    /// Epoch id of the oldest epoch whose flips are fully retained
-    /// (earlier epochs were trimmed by the cap).
+    /// Epoch id of the oldest epoch whose flips are fully retained: the
+    /// one after the last trimmed chunk's (epochs between it and the
+    /// first retained chunk flipped nothing, so they are complete too).
     start_epoch: u64,
     /// Total retained entries across chunks.
     len: usize,
@@ -94,8 +95,8 @@ impl FlipLog {
             dropped += 1;
         }
         if dropped > 0 {
+            self.start_epoch = self.chunks[dropped - 1].epoch + 1;
             self.chunks.drain(..dropped);
-            self.start_epoch = self.chunks.first().map_or(epoch + 1, |c| c.epoch);
         }
     }
 
@@ -742,6 +743,28 @@ mod tests {
         assert_eq!(iter.count(), 4);
         let (_, complete) = log.flips_since(0);
         assert!(!complete, "epoch 0 was trimmed");
+    }
+
+    #[test]
+    fn epochs_without_flips_after_a_trim_are_complete() {
+        // Epochs 1–4 flipped nothing; trimming epoch 0 leaves them
+        // complete, so the log starts at 1, not at the next chunk (5).
+        let chunks = [(0, chunk(&[1, 2])), (5, chunk(&[3, 4]))];
+        let restored = FlipLog::from_chunks(0, chunks.clone(), 2);
+        let mut live = FlipLog::default();
+        for (e, flips) in &chunks {
+            live.push_epoch(*e, flips, 2);
+        }
+        for log in [restored, live] {
+            assert_eq!((log.start_epoch(), log.len()), (1, 2));
+            for since in [1, 3, 5] {
+                let (iter, complete) = log.flips_since(since);
+                assert!(complete, "since={since}");
+                assert_eq!(iter.count(), 2, "since={since}");
+            }
+            let (_, complete) = log.flips_since(0);
+            assert!(!complete, "epoch 0 was trimmed");
+        }
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! then probe pass), and seals at the cut. The other entry points are its
 //! special cases: `push_ref` a run of one, `push` and `push_batch` owned
 //! events encoded into a reused batch, `drive` a source's batches in turn.
+//!
+//! A seal has one path: [`ShardSet::recount`] under Cond1 and Cond2,
+//! replaying the previous seal's step caches where they hold, then a
+//! classify of the moved ids alone, patched into the previous seal's
+//! class and record tables. A first seal has nothing to replay, so its
+//! moved set is every id it counted and it patches empty tables. That
+//! makes a fresh pipeline fed the same cumulative events and sealed once
+//! the oracle of every seal, and the tests hold each seal's tables to it.
 
 use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot};
 use crate::ingest::{EventBatch, IngestError, StreamEvent, TupleSource};
@@ -21,7 +29,11 @@ use obs::{Histogram, ObsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of a streaming inference run.
+/// Configuration of a streaming inference run. What a seal does is not
+/// configured: it always enforces Cond1 and Cond2 over every path column
+/// and reuses the previous seal's step caches where they hold (see
+/// [`crate::shard`]). The batch engine's `InferenceConfig` keeps the
+/// ablation switches and the column cap.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Shards: how tuples are partitioned for deduplication, step
@@ -33,12 +45,6 @@ pub struct StreamConfig {
     pub epoch: EpochPolicy,
     /// Classification thresholds (shared with the batch engine).
     pub thresholds: Thresholds,
-    /// Optional cap on the deepest path column processed.
-    pub max_index: Option<usize>,
-    /// Enforce Cond1 (clean upstream) — see `InferenceConfig`.
-    pub enforce_cond1: bool,
-    /// Enforce Cond2 (visible downstream tagger) — see `InferenceConfig`.
-    pub enforce_cond2: bool,
     /// Keep only the latest snapshot's full counter state, dropping the
     /// dense outcome of older epochs as new ones seal. Classes and flips
     /// are kept for every epoch either way; what compaction costs is
@@ -47,12 +53,6 @@ pub struct StreamConfig {
     /// otherwise grow by a full per-AS counter column every epoch,
     /// without bound.
     pub compact_history: bool,
-    /// Reuse the previous seal's per-(shard, column, phase) deltas when
-    /// recounting an epoch, so seal cost scales with the tuples added
-    /// since the last seal instead of the whole store (byte-identical to
-    /// a full recount; see `crate::shard`). Disable to force full
-    /// recounts.
-    pub incremental_seal: bool,
     /// Provenance store to record per-epoch stage timelines into
     /// (shard counting, merge, seal; owners of the pipeline add ingest,
     /// publish, and archive stages around it). `None` disables tracing.
@@ -65,11 +65,7 @@ impl Default for StreamConfig {
             shards: 4,
             epoch: EpochPolicy::default(),
             thresholds: Thresholds::default(),
-            max_index: None,
-            enforce_cond1: true,
-            enforce_cond2: true,
             compact_history: false,
-            incremental_seal: true,
             trace: None,
         }
     }
@@ -125,7 +121,7 @@ impl StreamPipeline {
     /// New pipeline whose seal, recount, count and merge histograms
     /// resolve on `reg` (a daemon's one registry).
     pub fn with_registry(cfg: StreamConfig, reg: &ObsRegistry) -> Self {
-        let shards = ShardSet::with_registry(cfg.shards, cfg.incremental_seal, reg);
+        let shards = ShardSet::with_registry(cfg.shards, reg);
         let seal_help = "Wall time of one epoch seal";
         let seal_hists = SEAL_KINDS.map(|kind| {
             reg.histogram(
@@ -368,9 +364,9 @@ impl StreamPipeline {
     /// only the ids the recount says moved and patch the previous seal's
     /// class and record tables at them in one sorted walk; the flips are
     /// the moved ids whose class changed. An id outside the moved set kept
-    /// its counters, so it keeps its class and record. A first seal (and
-    /// every seal with `incremental_seal` off) moves every id, so
-    /// patching an empty table is the full build. When nothing was stored
+    /// its counters, so it keeps its class and record. A first seal moves
+    /// every id it counted, so patching empty tables is the full build.
+    /// When nothing was stored
     /// since the previous seal the new snapshot shares its predecessor's
     /// dense state wholesale — an O(1) re-seal. Idempotent on an empty
     /// epoch only in the sense that it still produces a (possibly
@@ -395,12 +391,7 @@ impl StreamPipeline {
                 counters,
                 deepest_active,
                 moved,
-            } = self.shards.recount(
-                &self.cfg.thresholds,
-                self.cfg.max_index,
-                self.cfg.enforce_cond1,
-                self.cfg.enforce_cond2,
-            );
+            } = self.shards.recount(&self.cfg.thresholds);
             let count_nanos = t_count.elapsed().as_nanos() as u64;
             self.recount_hist.record(count_nanos);
             self.refresh_by_asn();
@@ -731,8 +722,8 @@ mod tests {
         // 6000 turns `is_forward`, and column 4 counts 77 on the sealed
         // tuple too. Three ids move, a few sealed rows are re-read: every
         // unit must come from its cache, for a few hundred tuple visits
-        // against the ~130 k of a recount — and the snapshots must be the
-        // ones full recounts give.
+        // against the ~130 k of a recount — and each snapshot must be the
+        // oracle's: a fresh pipeline fed the same events and sealed once.
         let peers = |i: u32| (10 + i % 6, 10 + (i + 1 + i / 6 % 5) % 6);
         let base = (0..20_000u32).map(|i| {
             let (p, q) = peers(i);
@@ -747,21 +738,26 @@ mod tests {
         let lone = StreamEvent::new(20_000, tag_tuple(&[10, 11, 6_000, 77], &[10, 11, 77]));
         let first_count =
             StreamEvent::new(20_001, tag_tuple(&[12, 13, 77, 300_000], &[12, 13, 77]));
-        let run = |incremental_seal: bool| {
-            let mut pipe = StreamPipeline::new(StreamConfig {
+        let pipe = || {
+            StreamPipeline::new(StreamConfig {
                 shards: 2,
                 epoch: EpochPolicy::manual(),
-                incremental_seal,
                 ..Default::default()
-            });
-            pipe.push_batch(base.clone().chain([lone.clone()]));
-            pipe.seal_epoch();
-            pipe.push(first_count.clone());
-            pipe.seal_epoch();
-            pipe
+            })
         };
-        let corrected = run(true);
-        let recounted = run(false);
+        let mut corrected = pipe();
+        let mut oracles = [pipe(), pipe()];
+        corrected.push_batch(base.clone().chain([lone.clone()]));
+        corrected.seal_epoch();
+        corrected.push(first_count.clone());
+        corrected.seal_epoch();
+        for (seals, oracle) in oracles.iter_mut().enumerate() {
+            oracle.push_batch(base.clone().chain([lone.clone()]));
+            if seals > 0 {
+                oracle.push(first_count.clone());
+            }
+            oracle.seal_epoch();
+        }
         let (replayed, units) = corrected.last_replay();
         assert_eq!(replayed, units, "no unit recounts");
         assert_eq!(units, 2 * 2 * 4, "two shards, four columns");
@@ -771,15 +767,20 @@ mod tests {
         assert!(words <= rows && rows <= 64 * words, "{rows} rows");
         let visits = corrected.shards.last_visits();
         assert!(visits <= 2 * rows + 8, "{visits} tuple visits");
+        let recounted = &oracles[1];
         assert!(recounted.shards.last_visits() > 100_000);
         assert_eq!(recounted.last_replay(), (0, units));
-        for (a, b) in corrected.snapshots().iter().zip(recounted.snapshots()) {
+        for (a, oracle) in corrected.snapshots().iter().zip(&oracles) {
+            let b = oracle.latest().unwrap();
             assert_eq!(a.classes, b.classes, "epoch {}", a.epoch);
-            assert_eq!(a.flips, b.flips, "epoch {}", a.epoch);
+            assert_eq!(a.records(), b.records(), "epoch {}", a.epoch);
             let (a, b) = (a.dense.as_ref().unwrap(), b.dense.as_ref().unwrap());
-            assert_eq!(a.counters, b.counters);
             assert_eq!(a.deepest_active_index, b.deepest_active_index);
         }
+        assert_eq!(
+            corrected.snapshots()[0].flips,
+            oracles[0].latest().unwrap().flips
+        );
         // The flip did what the comment says it does.
         let last = corrected.latest().unwrap();
         assert_eq!(last.class_of(Asn(77)).tagging, TaggingClass::Tagger);
@@ -1011,64 +1012,88 @@ mod tests {
     /// generator that stopped reaching a path fails rather than passes.
     #[derive(Debug, Default)]
     struct MovedReached {
-        /// Incremental seals that moved some ids but not all of them.
+        /// Later seals that moved some ids but not all of them.
         partial: usize,
-        /// Incremental seals whose paths outgrew the previous deepest
-        /// column (direct-mode steps past the trajectory).
+        /// Later seals whose paths outgrew the previous deepest column
+        /// (direct-mode steps past the trajectory).
         outgrown: usize,
-        /// Incremental seals that corrected a cached step.
+        /// Later seals that corrected a cached step.
         corrected: usize,
         flips: usize,
     }
 
+    /// A manually sealed pipeline of `shards` over `th`, tracing into a
+    /// store of its own.
+    fn traced(shards: usize, th: Thresholds) -> (StreamPipeline, Arc<TraceStore>) {
+        let trace = Arc::new(TraceStore::new(16));
+        let pipe = StreamPipeline::new(StreamConfig {
+            shards,
+            epoch: EpochPolicy::manual(),
+            thresholds: th,
+            trace: Some(Arc::clone(&trace)),
+            ..Default::default()
+        });
+        (pipe, trace)
+    }
+
+    /// Seal `pipe`'s epoch and check the class table, flips and record
+    /// table it patched at its moved ids against the full loop over the
+    /// same dense counters. Returns the sealed snapshot and how many ids
+    /// it moved.
+    fn seal_checked(
+        pipe: &mut StreamPipeline,
+        trace: &TraceStore,
+        given: &mut Vec<Class>,
+        ctx: &str,
+    ) -> (Arc<EpochSnapshot>, usize) {
+        let sealed = Arc::clone(pipe.seal_epoch());
+        let dense = sealed.dense.as_ref().expect("latest keeps its columns");
+        let (classes, flips, records) = classify_every_id(dense, given);
+        assert_eq!(*sealed.classes, classes, "{ctx}: classes");
+        assert_eq!(*sealed.flips, flips, "{ctx}: flips");
+        assert_eq!(*dense.records, records, "{ctx}: records");
+        let moved = moved_of(trace, sealed.epoch) as usize;
+        if sealed.epoch == 0 {
+            assert_eq!(
+                moved,
+                classes.len(),
+                "{ctx}: a first seal moves what it counted"
+            );
+        }
+        (sealed, moved)
+    }
+
     /// One [`followed_feed`] sealed epoch by epoch through pipelines of
-    /// 1, 2 and 4 shards, incremental seals on and off. After every seal
-    /// the class table, flips and record table the seal patched at its
-    /// moved ids must be the full loop's over the same dense counters.
+    /// 1, 2 and 4 shards. After every seal the class table, flips and
+    /// record table each seal patched at its moved ids must be the full
+    /// loop's over the same dense counters, and its classes and records
+    /// those of the oracle: a fresh pipeline fed every tuple so far and
+    /// sealed once, itself held to the full loop.
     fn check_moved_set_seals(seed: u64, reached: &mut MovedReached) {
-        let FollowedFeed {
-            th,
-            cond1,
-            cond2,
-            epochs,
-        } = followed_feed(seed);
-        for shards in [1usize, 2, 4] {
-            for incremental_seal in [true, false] {
-                let ctx = format!("seed {seed}, {shards} shards, incremental {incremental_seal}");
-                let trace = Arc::new(TraceStore::new(16));
-                let mut pipe = StreamPipeline::new(StreamConfig {
-                    shards,
-                    epoch: EpochPolicy::manual(),
-                    thresholds: th,
-                    enforce_cond1: cond1,
-                    enforce_cond2: cond2,
-                    incremental_seal,
-                    trace: Some(Arc::clone(&trace)),
-                    ..Default::default()
-                });
-                let mut given = Vec::new();
-                let mut longest = 0;
-                for (epoch, batch) in epochs.iter().enumerate() {
-                    let ctx = format!("{ctx}, epoch {epoch}");
-                    pipe.push_batch(batch.iter().map(|t| StreamEvent::new(0, t.clone())));
-                    let sealed = Arc::clone(pipe.seal_epoch());
-                    let dense = sealed.dense.as_ref().expect("latest keeps its columns");
-                    let (classes, flips, records) = classify_every_id(dense, &mut given);
-                    assert_eq!(*sealed.classes, classes, "{ctx}: classes");
-                    assert_eq!(*sealed.flips, flips, "{ctx}: flips");
-                    assert_eq!(*dense.records, records, "{ctx}: records");
-                    let moved = moved_of(&trace, epoch as u64) as usize;
+        let FollowedFeed { th, epochs } = followed_feed(seed);
+        let mut pipes: Vec<_> = [1usize, 2, 4]
+            .map(|shards| (traced(shards, th), Vec::new(), 0))
+            .into();
+        for (epoch, batch) in epochs.iter().enumerate() {
+            let event = |t: &PathCommTuple| StreamEvent::new(0, t.clone());
+            let (mut fresh, fresh_trace) = traced(1, th);
+            fresh.push_batch(epochs[..=epoch].iter().flatten().map(event));
+            let ctx = format!("seed {seed}, epoch {epoch}");
+            let (want, ..) = seal_checked(&mut fresh, &fresh_trace, &mut Vec::new(), &ctx);
+            for ((pipe, trace), given, longest) in &mut pipes {
+                let ctx = format!("{ctx}, {} shards", pipe.shards.shard_count());
+                pipe.push_batch(batch.iter().map(event));
+                let (sealed, moved) = seal_checked(pipe, trace, given, &ctx);
+                assert_eq!(sealed.classes, want.classes, "{ctx}: oracle classes");
+                assert_eq!(sealed.records(), want.records(), "{ctx}: oracle records");
+                if epoch > 0 {
                     let ids = pipe.interned_asns();
-                    if !incremental_seal || epoch == 0 {
-                        assert_eq!(moved, ids, "{ctx}: a full seal moves every id");
-                    } else {
-                        reached.partial += (0 < moved && moved < ids) as usize;
-                        reached.outgrown += (pipe.shards.max_path_len() > longest) as usize;
-                        reached.corrected += (pipe.shards.last_corrected().0 > 0) as usize;
-                    }
-                    reached.flips += flips.len();
-                    longest = pipe.shards.max_path_len();
+                    reached.partial += (0 < moved && moved < ids) as usize;
+                    reached.outgrown += (pipe.shards.max_path_len() > *longest) as usize;
+                    reached.corrected += (pipe.shards.last_corrected().0 > 0) as usize;
                 }
+                reached.flips += sealed.flips.len();
+                *longest = pipe.shards.max_path_len();
             }
         }
     }
@@ -1123,8 +1148,10 @@ mod tests {
             ..Default::default()
         });
         pipe.push_batch((0..50_000).map(|i| StreamEvent::new(u64::from(i), tuple(i, 200_000 + i))));
-        pipe.seal_epoch();
-        assert_eq!(moved_of(&trace, 0) as usize, pipe.interned_asns());
+        let counted = pipe.seal_epoch().classes.len();
+        // A first seal moves the ids it counted, not every interned one.
+        assert_eq!(moved_of(&trace, 0) as usize, counted);
+        assert!(counted < pipe.interned_asns(), "{counted} counted");
         pipe.push_batch((0..256).map(|i| StreamEvent::new(50_000, tuple(i * 7, 400_000 + i))));
         pipe.seal_epoch();
         let (moved, ids) = (moved_of(&trace, 1), pipe.interned_asns());

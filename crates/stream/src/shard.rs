@@ -82,10 +82,11 @@
 //!   touched joins the overlay.
 //!
 //! Which diverged ids a step asks for follows from what it reads: a
-//! forwarding step under Cond2 reads both bits downstream of the counted
-//! position, so every diverged id; any other step reads only `is_forward`
+//! forwarding step reads both bits downstream of the counted position
+//! (Cond2), so every diverged id; a tagging step reads only `is_forward`
 //! upstream of it (Cond1), so only the ids whose `is_forward` moved, and
-//! none at column 1 or with Cond1 off.
+//! none at column 1. A seal always enforces both conditions; the
+//! kernels' switches for them are the batch engine's ablation.
 //!
 //! A followed feed is where this matters: an AS with one or two counted
 //! occurrences crosses a threshold on its first count, its bit then
@@ -94,9 +95,10 @@
 //! shard's every tuple — and put the whole cached step into the overlay.
 //!
 //! **The fallback** is the full recount of the step, and it is kept for
-//! exactly three cases: the first seal (nothing cached), steps past the
-//! previous seal's deepest column (no cache and no trajectory for them),
-//! and a step whose affected rows reach half of what recounting it would
+//! exactly two cases: steps past the previous seal's deepest column (no
+//! cache and no trajectory for them; a first seal is the case whose
+//! previous deepest column is 0), and a step whose affected rows reach
+//! half of what recounting it would
 //! visit — a corrected row is evaluated twice, so that is the
 //! break-even, read off two counts the plan already has (the gathered
 //! rows and [`CompiledTuples::step_visits`]); it is not a tunable. A
@@ -119,8 +121,10 @@
 //! module checks after every seal, beside the counters. So the merged
 //! result is identical for every shard count and cache state, and
 //! identical to the batch engine's reference path, pinned by
-//! `tests/stream_parity.rs` across epochs, shard counts, and incremental
-//! on/off; `incremental: false` stays the oracle.
+//! `tests/stream_parity.rs` across epochs and shard counts. The oracle
+//! of every seal is a **fresh set** fed the same cumulative tuples and
+//! sealed once: a first seal has no cache to reuse, so it counts every
+//! step in full.
 //!
 //! ## What moved
 //!
@@ -130,8 +134,10 @@
 //! retracted correction or a recounted step touched — plus every id a
 //! direct-mode step past the previous seal's deepest column merged. An
 //! id outside it had every contribution replayed, so its counters, and
-//! with them its class and record, are the previous seal's. A first seal,
-//! and every seal of an `incremental: false` set, moves every id. The
+//! with them its class and record, are the previous seal's. A first seal
+//! runs every step past a deepest column of 0, so its moved set is the
+//! ids it counted; an id interned but never counted has zero counters
+//! and no row in either table. The
 //! pipeline classifies the moved ids alone and patches the previous
 //! seal's class and record tables at them, so what a seal does after
 //! counting costs O(moved ids), not O(id space).
@@ -159,7 +165,8 @@
 //! every 256-tuple delta flips many of them, an incremental seal of a
 //! 10 k-tuple store costs 1.3× a full one (2.0× *faster* at 50 k, 3.0× at
 //! 100 k). On the trickle feed itself the incremental seal is 4× faster
-//! already at 10 k tuples (both measured on a 2-vCPU guest).
+//! already at 10 k tuples (both measured on a 2-vCPU guest). The
+//! small-store cost is accepted, not selectable: a seal has one path.
 //!
 //! ## Who counts
 //!
@@ -276,9 +283,8 @@ pub struct Recount {
     /// The deepest column where anything counted.
     pub deepest_active: usize,
     /// The **moved set**: every id whose final counters may differ from
-    /// the previous seal's, once each, in no particular order. Every id
-    /// when there was nothing to replay (a first seal, or `incremental`
-    /// off); none on a seal that stored nothing new.
+    /// the previous seal's, once each, in no particular order. On a first
+    /// seal, the ids it counted; none on a seal that stored nothing new.
     pub moved: Vec<AsnId>,
 }
 
@@ -431,7 +437,6 @@ pub struct ShardSet {
     routed: Vec<Routed<'static>>,
     /// The one id space of every shard's compiled store.
     interner: AsnInterner,
-    incremental: bool,
     unique: usize,
     duplicates: u64,
     /// Columns covered by the step caches of the previous seal.
@@ -465,16 +470,15 @@ pub struct ShardSet {
 impl ShardSet {
     /// `n` empty shards (`n >= 1`) interning into one fresh id space.
     /// Repeated identical tuples are counted once, as the paper's
-    /// `TupleSet` pipeline does. With `incremental`, epoch recounts reuse
-    /// the previous seal's step deltas where valid. The count and merge
-    /// histograms go on a private registry.
-    pub fn new(n: usize, incremental: bool) -> Self {
-        ShardSet::with_registry(n, incremental, &ObsRegistry::new())
+    /// `TupleSet` pipeline does. The count and merge histograms go on a
+    /// private registry.
+    pub fn new(n: usize) -> Self {
+        ShardSet::with_registry(n, &ObsRegistry::new())
     }
 
     /// [`new`](ShardSet::new), with the count and merge histograms on
     /// `reg` (a daemon's one registry).
-    pub fn with_registry(n: usize, incremental: bool, reg: &ObsRegistry) -> Self {
+    pub fn with_registry(n: usize, reg: &ObsRegistry) -> Self {
         let n = n.max(1);
         let phases = ["tagging", "forwarding"];
         let hist_count = phases.map(|phase| {
@@ -496,7 +500,6 @@ impl ShardSet {
             shards: (0..n).map(|_| Shard::new()).collect(),
             routed: Vec::new(),
             interner: AsnInterner::new(),
-            incremental,
             unique: 0,
             duplicates: 0,
             prev_deepest: 0,
@@ -658,7 +661,7 @@ impl ShardSet {
     /// would hold after counting the step over all of the shard's tuples
     /// under the trajectory recorded for it.
     #[cfg(test)]
-    fn assert_caches_fresh(&mut self, enforce_cond1: bool, enforce_cond2: bool, ctx: &str) {
+    fn assert_caches_fresh(&mut self, ctx: &str) {
         let n_ids = self.interner.len();
         let mut preds = PhasePredicates::empty(0);
         let mut delta = DeltaStore::zeroed(n_ids);
@@ -670,15 +673,9 @@ impl ShardSet {
                 {
                     let traj = &self.trajectory[x - 1][pi];
                     preds.load_words(&traj.forward, &traj.tagger, n_ids);
-                    s.compiled.compute_clean(&preds, x, enforce_cond1, false);
-                    s.compiled.count_phase_dense(
-                        &preds,
-                        x,
-                        phase,
-                        enforce_cond2,
-                        false,
-                        &mut delta,
-                    );
+                    s.compiled.compute_clean(&preds, x, true, false);
+                    s.compiled
+                        .count_phase_dense(&preds, x, phase, true, false, &mut delta);
                     assert_eq!(
                         s.cache[x - 1][pi].entries,
                         delta.iter().collect::<Vec<_>>(),
@@ -692,42 +689,34 @@ impl ShardSet {
 
     /// Full recount over everything currently stored: the exact column
     /// loop of the batch engine (tagging phase, merge, forwarding phase,
-    /// merge, next column), each step counted shard by shard with
-    /// cached-step reuse where the incremental invariants hold. Returns
-    /// the final dense counters over the shared id space, the deepest
-    /// column where anything counted, and the ids that moved.
-    pub fn recount(
-        &mut self,
-        th: &Thresholds,
-        max_index: Option<usize>,
-        enforce_cond1: bool,
-        enforce_cond2: bool,
-    ) -> Recount {
+    /// merge, next column) under Cond1 and Cond2, each step counted shard
+    /// by shard with cached-step reuse where the incremental invariants
+    /// hold. Returns the final dense counters over the shared id space,
+    /// the deepest column where anything counted, and the ids that moved.
+    pub fn recount(&mut self, th: &Thresholds) -> Recount {
         let n_ids = self.interner.len();
-        let max_len = self.max_path_len();
-        let deepest = max_index.unwrap_or(max_len).min(max_len);
+        let deepest = self.max_path_len();
         let mut counters = DenseCounterStore::zeroed(n_ids);
         let mut preds = PhasePredicates::empty(n_ids);
         for s in &mut self.shards {
             s.compiled.prepare(n_ids);
             s.delta.resize(n_ids);
-            if self.incremental && s.cache.len() < deepest {
+            if s.cache.len() < deepest {
                 s.cache.resize(deepest, Default::default());
             }
         }
-        if self.incremental && self.trajectory.len() < deepest {
+        if self.trajectory.len() < deepest {
             self.trajectory.resize(deepest, Default::default());
         }
-        // Replay requires caches + a trajectory from a previous seal;
-        // storing starts on the first seal so the second can replay.
-        // Without them every id moves. In trajectory mode, predicates are
+        // Replay requires caches + a trajectory from a previous seal, so
+        // columns past its deepest (every column, on a first seal) are
+        // counted in direct mode. In trajectory mode, predicates are
         // bulk-loaded from the recorded per-step words and patched at the
         // overlay — the ids whose counters actually moved this seal
         // (suffix contributions, corrections and fresh recounts) — so a
         // replayed step costs accumulate-only merges, a word-by-word
         // patch and a re-evaluation of the overlay ids a merge moved.
-        let every_id_moves = !(self.incremental && self.sealed_once);
-        let mut direct_mode = every_id_moves;
+        let mut direct_mode = false;
         let mut overlay = Overlay::new(n_ids);
         // The overlay ids whose entering bits left the trajectory at the
         // current step, and the trajectory's own words for the shards
@@ -744,9 +733,9 @@ impl ShardSet {
                 let pi = (phase == CountPhase::Forwarding) as usize;
                 if !direct_mode && x > self.prev_deepest {
                     // Ran past the recorded trajectory (longer paths
-                    // arrived): reconstruct full predicates from the
-                    // actual counters and maintain them directly from
-                    // here on.
+                    // arrived, or a first seal has none): reconstruct
+                    // full predicates from the actual counters and
+                    // maintain them directly from here on.
                     preds.snapshot_from(&counters, th);
                     direct_mode = true;
                 }
@@ -768,19 +757,17 @@ impl ShardSet {
                         &mut diverged,
                     );
                     // Keep the ids whose moved bit this step reads: a
-                    // forwarding step under Cond2 reads both bits
-                    // downstream; otherwise a step reads only `is_forward`
-                    // upstream of the counted position (Cond1), which
-                    // column 1 does not have.
-                    if phase == CountPhase::Tagging || !enforce_cond2 {
-                        let cond1_reads = enforce_cond1 && x > 1;
+                    // forwarding step reads both bits downstream (Cond2);
+                    // a tagging step reads only `is_forward` upstream of
+                    // the counted position (Cond1), which column 1 does
+                    // not have.
+                    if phase == CountPhase::Tagging {
                         let was_forward = |id: AsnId| {
                             traj.forward
                                 .get(id as usize / 64)
                                 .is_some_and(|w| (w >> (id % 64)) & 1 != 0)
                         };
-                        diverged
-                            .retain(|&id| cond1_reads && was_forward(id) != preds.is_forward(id));
+                        diverged.retain(|&id| x > 1 && was_forward(id) != preds.is_forward(id));
                     }
                     for (p, s) in plan.iter_mut().zip(&mut self.shards) {
                         *p = StepPlan::Replay;
@@ -815,9 +802,7 @@ impl ShardSet {
                 }
                 // Record this step's entering predicates as the new
                 // trajectory for the next seal.
-                if self.incremental {
-                    self.trajectory[x - 1][pi].record(&preds);
-                }
+                self.trajectory[x - 1][pi].record(&preds);
                 // Counting, shard by shard: each fills its private delta
                 // — only the dirty suffix when its cached step will be
                 // replayed. The Cond1 `clean` words are computed at the
@@ -836,10 +821,10 @@ impl ShardSet {
                     self.last_visits += s.compiled.step_visits(x, phase, cached);
                     let t_count = Instant::now();
                     if phase == CountPhase::Tagging {
-                        s.compiled.compute_clean(&preds, x, enforce_cond1, cached);
+                        s.compiled.compute_clean(&preds, x, true, cached);
                         *clean_full = !cached;
                     } else if !cached && !*clean_full {
-                        s.compiled.compute_clean(&preds, x, enforce_cond1, false);
+                        s.compiled.compute_clean(&preds, x, true, false);
                         *clean_full = true;
                     }
                     if p == StepPlan::Correct {
@@ -852,21 +837,15 @@ impl ShardSet {
                             &preds,
                             x,
                             phase,
-                            enforce_cond1,
-                            enforce_cond2,
+                            true,
+                            true,
                             &s.affected,
                             &mut s.retracted,
                             &mut s.delta,
                         );
                     }
-                    s.compiled.count_phase_dense(
-                        &preds,
-                        x,
-                        phase,
-                        enforce_cond2,
-                        cached,
-                        &mut s.delta,
-                    );
+                    s.compiled
+                        .count_phase_dense(&preds, x, phase, true, cached, &mut s.delta);
                     let nanos = t_count.elapsed().as_nanos() as u64;
                     self.hist_count[pi].record(nanos);
                     self.count_nanos += nanos;
@@ -905,16 +884,12 @@ impl ShardSet {
                             col_active = true;
                         }
                         counters.merge_update(&s.delta, &mut preds, th, phase);
-                        if !every_id_moves {
-                            // Past the previous seal's deepest column:
-                            // nothing here was counted before.
-                            for id in s.delta.touched() {
-                                overlay.join(id);
-                            }
+                        // Past the previous seal's deepest column:
+                        // nothing here was counted before.
+                        for id in s.delta.touched() {
+                            overlay.join(id);
                         }
-                        if self.incremental {
-                            s.cache[x - 1][pi].refill(&s.delta);
-                        }
+                        s.cache[x - 1][pi].refill(&s.delta);
                         s.delta.clear();
                     } else {
                         // Trajectory mode, fresh recount of this shard's
@@ -947,15 +922,10 @@ impl ShardSet {
         }
         self.prev_deepest = deepest;
         self.sealed_once = true;
-        let moved = if every_id_moves {
-            (0..n_ids as AsnId).collect()
-        } else {
-            overlay.ids
-        };
         Recount {
             counters,
             deepest_active,
-            moved,
+            moved: overlay.ids,
         }
     }
 }
@@ -965,7 +935,6 @@ mod tests {
     use super::*;
     use crate::testing::{followed_feed, tag_tuple as tup, FollowedFeed};
     use bgp_infer::classify::{Class, TaggingClass};
-    use bgp_infer::counters::CounterStore;
     use bgp_infer::engine::{InferenceConfig, InferenceEngine};
 
     fn corpus() -> Vec<PathCommTuple> {
@@ -989,19 +958,22 @@ mod tests {
         set.push_records(std::iter::once(TupleBuf::new().encode_tuple(t))) == 1
     }
 
-    fn sparse(set: &ShardSet, counters: &DenseCounterStore) -> CounterStore {
-        let mut store = CounterStore::new();
-        for (id, c) in counters.counts().iter().enumerate() {
-            if !c.is_zero() {
-                *store.entry(set.interner().resolve(id as AsnId)) = *c;
-            }
-        }
-        store
+    /// The counted ASes and their counters, sorted by ASN.
+    fn counted(set: &ShardSet, counters: &DenseCounterStore) -> Vec<(Asn, AsCounters)> {
+        let mut rows: Vec<(Asn, AsCounters)> = counters
+            .counts()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.is_zero())
+            .map(|(id, &c)| (set.interner().resolve(id as AsnId), c))
+            .collect();
+        rows.sort_by_key(|&(asn, _)| asn);
+        rows
     }
 
     #[test]
     fn routing_is_stable_and_total() {
-        let set = ShardSet::new(4, true);
+        let set = ShardSet::new(4);
         let mut buf = TupleBuf::new();
         for t in corpus() {
             let a = set.route(buf.encode_tuple(&t));
@@ -1029,7 +1001,7 @@ mod tests {
                 })
             })
         }
-        let mut set = ShardSet::new(3, true);
+        let mut set = ShardSet::new(3);
         assert_eq!(set.push_records(records(&words)), 500);
         assert_eq!(set.duplicates(), 500);
         let (at, capacity) = (set.routed.as_ptr(), set.routed.capacity());
@@ -1073,7 +1045,7 @@ mod tests {
         ]);
         let mut buf = TupleBuf::new();
         for (n, want) in expected {
-            let mut set = ShardSet::new(n, true);
+            let mut set = ShardSet::new(n);
             for (p, &shard) in paths.iter().zip(&want) {
                 for comm in [CommunitySet::new(), comm.clone()] {
                     let t = PathCommTuple::new(path(p), comm);
@@ -1092,7 +1064,7 @@ mod tests {
 
     #[test]
     fn dedup_is_global_across_shards() {
-        let mut set = ShardSet::new(4, true);
+        let mut set = ShardSet::new(4);
         for t in corpus() {
             push(&mut set, &t);
         }
@@ -1113,23 +1085,23 @@ mod tests {
         })
         .run(&tuples);
         for shards in [1usize, 2, 4, 7] {
-            for incremental in [false, true] {
-                let mut set = ShardSet::new(shards, incremental);
-                for t in &tuples {
-                    push(&mut set, t);
-                }
-                let Recount {
-                    counters,
-                    deepest_active: deepest,
-                    ..
-                } = set.recount(&batch.thresholds, None, true, true);
-                assert_eq!(deepest, batch.deepest_active_index, "{shards} shards");
-                let mut got: Vec<(Asn, AsCounters)> = sparse(&set, &counters).iter().collect();
-                let mut want: Vec<(Asn, AsCounters)> = batch.counters.iter().collect();
-                got.sort_by_key(|&(a, _)| a);
-                want.sort_by_key(|&(a, _)| a);
-                assert_eq!(got, want, "{shards} shards diverged from batch");
+            let mut set = ShardSet::new(shards);
+            for t in &tuples {
+                push(&mut set, t);
             }
+            let Recount {
+                counters,
+                deepest_active: deepest,
+                ..
+            } = set.recount(&batch.thresholds);
+            assert_eq!(deepest, batch.deepest_active_index, "{shards} shards");
+            let mut want: Vec<(Asn, AsCounters)> = batch.counters.iter().collect();
+            want.sort_by_key(|&(a, _)| a);
+            assert_eq!(
+                counted(&set, &counters),
+                want,
+                "{shards} shards diverged from batch"
+            );
         }
     }
 
@@ -1154,14 +1126,14 @@ mod tests {
                 .map(|i| tup(&[99, 600 + i, 30_000 + i], &[]))
                 .collect();
             for shards in [1usize, 2, 4, 7] {
-                let mut set = ShardSet::new(shards, true);
+                let mut set = ShardSet::new(shards);
                 for (seal, batch) in [&base, &second, &flip].into_iter().enumerate() {
                     let ctx = format!("{tuples} tuples, {shards} shards, seal {seal}");
                     for t in batch {
                         push(&mut set, t);
                     }
-                    set.recount(&th, None, true, true);
-                    set.assert_caches_fresh(true, true, &ctx);
+                    set.recount(&th);
+                    set.assert_caches_fresh(&ctx);
                     let (replayed, units) = set.last_replay();
                     let (corrected, words, rows) = set.last_corrected();
                     let visits = set.last_visits();
@@ -1216,57 +1188,51 @@ mod tests {
     }
 
     /// One [`followed_feed`] sealed epoch by epoch at 1, 2, 4 and 7
-    /// shards. After every seal the incremental set must agree with an
-    /// `incremental: false` set over the same tuples on counters, deepest
-    /// active index and classes, and hold caches a fresh refill would.
+    /// shards. After every seal each set must agree with the oracle — a
+    /// fresh set fed every tuple so far and sealed once, built once an
+    /// epoch since its counters do not depend on the shard count — on
+    /// counters, deepest active index and classes, and hold caches a
+    /// fresh refill would.
     fn check_generated_world(seed: u64, reached: &mut Reached) {
-        let FollowedFeed {
-            th,
-            cond1,
-            cond2,
-            epochs: feed,
-        } = followed_feed(seed);
-        let tagger_codes = |set: &ShardSet, counters: &DenseCounterStore| {
-            let mut classes: Vec<(Asn, Class)> = sparse(set, counters)
-                .iter()
-                .map(|(asn, c)| (asn, c.classify(&th)))
-                .collect();
-            classes.sort_by_key(|&(asn, _)| asn);
-            classes
+        let FollowedFeed { th, epochs: feed } = followed_feed(seed);
+        let tagger_codes = |rows: &[(Asn, AsCounters)]| -> Vec<(Asn, Class)> {
+            rows.iter()
+                .map(|&(asn, c)| (asn, c.classify(&th)))
+                .collect()
         };
-        for shards in [1usize, 2, 4, 7] {
-            let mut inc = ShardSet::new(shards, true);
-            let mut full = ShardSet::new(shards, false);
-            let mut prev_classes: Vec<(Asn, Class)> = Vec::new();
-            for (epoch, batch) in feed.iter().enumerate() {
-                let ctx = format!("seed {seed}, {shards} shards, epoch {epoch}");
-                let longest_before = inc.max_path_len();
+        let mut sets: Vec<ShardSet> = [1, 2, 4, 7].map(ShardSet::new).into();
+        let mut prev_classes: Vec<(Asn, Class)> = Vec::new();
+        for (epoch, batch) in feed.iter().enumerate() {
+            let mut fresh = ShardSet::new(1);
+            for t in feed[..=epoch].iter().flatten() {
+                push(&mut fresh, t);
+            }
+            let Recount {
+                counters: want,
+                deepest_active: want_deepest,
+                ..
+            } = fresh.recount(&th);
+            let want_rows = counted(&fresh, &want);
+            let classes = tagger_codes(&want_rows);
+            for set in &mut sets {
+                let ctx = format!("seed {seed}, {} shards, epoch {epoch}", set.shard_count());
+                let longest_before = set.max_path_len();
                 for t in batch {
-                    push(&mut inc, t);
-                    push(&mut full, t);
+                    push(set, t);
                 }
                 let Recount {
                     counters: got,
                     deepest_active: got_deepest,
                     ..
-                } = inc.recount(&th, None, cond1, cond2);
-                let Recount {
-                    counters: want,
-                    deepest_active: want_deepest,
-                    ..
-                } = full.recount(&th, None, cond1, cond2);
+                } = set.recount(&th);
                 assert_eq!(got_deepest, want_deepest, "{ctx}: deepest active index");
-                let mut got_rows: Vec<_> = sparse(&inc, &got).iter().collect();
-                let mut want_rows: Vec<_> = sparse(&full, &want).iter().collect();
-                got_rows.sort_by_key(|&(asn, _)| asn);
-                want_rows.sort_by_key(|&(asn, _)| asn);
+                let got_rows = counted(set, &got);
                 assert_eq!(got_rows, want_rows, "{ctx}: counters");
-                let classes = tagger_codes(&inc, &got);
-                assert_eq!(classes, tagger_codes(&full, &want), "{ctx}: classes");
-                inc.assert_caches_fresh(cond1, cond2, &ctx);
+                assert_eq!(tagger_codes(&got_rows), classes, "{ctx}: classes");
+                set.assert_caches_fresh(&ctx);
 
-                let (replayed, units) = inc.last_replay();
-                let (corrected, words, rows) = inc.last_corrected();
+                let (replayed, units) = set.last_replay();
+                let (corrected, words, rows) = set.last_corrected();
                 assert!(corrected <= replayed && replayed <= units, "{ctx}");
                 assert!(
                     corrected <= words && words <= rows && rows <= 64 * words,
@@ -1275,22 +1241,22 @@ mod tests {
                 reached.seals += 1;
                 reached.corrected_units += corrected;
                 reached.corrected_words += words;
-                if epoch > 0 && inc.max_path_len() == longest_before {
+                if epoch > 0 && set.max_path_len() == longest_before {
                     reached.fallback_units += units - replayed;
                 } else if epoch > 0 {
                     reached.outgrown += 1;
                 }
-                reached.deepest_active = reached.deepest_active.max(got_deepest);
-                for &(asn, class) in &classes {
-                    let was = prev_classes
-                        .binary_search_by_key(&asn, |&(a, _)| a)
-                        .map_or(TaggingClass::None, |i| prev_classes[i].1.tagging);
-                    let is = class.tagging;
-                    reached.became_tagger += (was != is && is == TaggingClass::Tagger) as usize;
-                    reached.stopped_tagging += (was != is && was == TaggingClass::Tagger) as usize;
-                }
-                prev_classes = classes;
             }
+            reached.deepest_active = reached.deepest_active.max(want_deepest);
+            for &(asn, class) in &classes {
+                let was = prev_classes
+                    .binary_search_by_key(&asn, |&(a, _)| a)
+                    .map_or(TaggingClass::None, |i| prev_classes[i].1.tagging);
+                let is = class.tagging;
+                reached.became_tagger += (was != is && is == TaggingClass::Tagger) as usize;
+                reached.stopped_tagging += (was != is && was == TaggingClass::Tagger) as usize;
+            }
+            prev_classes = classes;
         }
     }
 
@@ -1328,16 +1294,17 @@ mod tests {
     #[test]
     fn incremental_reseal_matches_full_recount() {
         // Seal, add tuples, seal again (replayed steps + dirty suffixes),
-        // and compare against a from-scratch shard set over the union.
+        // and compare against the oracle: a fresh shard set over the
+        // union, sealed once.
         let tuples = corpus();
         let th = Thresholds::default();
         let (first, rest) = tuples.split_at(300);
 
-        let mut warm = ShardSet::new(3, true);
+        let mut warm = ShardSet::new(3);
         for t in first {
             push(&mut warm, t);
         }
-        warm.recount(&th, None, true, true);
+        warm.recount(&th);
         for t in rest {
             push(&mut warm, t);
         }
@@ -1345,9 +1312,9 @@ mod tests {
             counters: inc,
             deepest_active: inc_deepest,
             ..
-        } = warm.recount(&th, None, true, true);
+        } = warm.recount(&th);
 
-        let mut cold = ShardSet::new(3, false);
+        let mut cold = ShardSet::new(3);
         for t in &tuples {
             push(&mut cold, t);
         }
@@ -1355,19 +1322,19 @@ mod tests {
             counters: full,
             deepest_active: full_deepest,
             ..
-        } = cold.recount(&th, None, true, true);
+        } = cold.recount(&th);
 
         assert_eq!(inc_deepest, full_deepest);
-        let mut got: Vec<(Asn, AsCounters)> = sparse(&warm, &inc).iter().collect();
-        let mut want: Vec<(Asn, AsCounters)> = sparse(&cold, &full).iter().collect();
-        got.sort_by_key(|&(a, _)| a);
-        want.sort_by_key(|&(a, _)| a);
-        assert_eq!(got, want, "incremental reseal diverged");
+        assert_eq!(
+            counted(&warm, &inc),
+            counted(&cold, &full),
+            "incremental reseal diverged"
+        );
     }
 
     #[test]
     fn unchanged_reseal_is_detected_and_stable() {
-        let mut set = ShardSet::new(2, true);
+        let mut set = ShardSet::new(2);
         for t in corpus() {
             push(&mut set, &t);
         }
@@ -1377,14 +1344,14 @@ mod tests {
             counters: a,
             deepest_active: da,
             ..
-        } = set.recount(&th, None, true, true);
+        } = set.recount(&th);
         assert!(set.unchanged_since_seal());
         // A recount with zero dirty tuples replays every step.
         let Recount {
             counters: b,
             deepest_active: db,
             ..
-        } = set.recount(&th, None, true, true);
+        } = set.recount(&th);
         assert_eq!(da, db);
         assert_eq!(a.counts(), b.counts());
         // A dedup hit adds no tuple, so the set stays unchanged.
@@ -1394,7 +1361,7 @@ mod tests {
 
     #[test]
     fn load_spreads_across_shards() {
-        let mut set = ShardSet::new(4, true);
+        let mut set = ShardSet::new(4);
         for t in corpus() {
             push(&mut set, &t);
         }
