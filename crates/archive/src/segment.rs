@@ -104,24 +104,11 @@ pub struct EpochMeta {
     pub thresholds: Thresholds,
 }
 
-/// Ingest-side statistics frozen when the epoch was archived — what the
-/// serve layer's `IngestStats` needs to come back byte-identical after a
-/// restart.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SegmentStats {
-    /// Dedup hits observed.
-    pub duplicates: u64,
-    /// Distinct ASNs in the shards' interner.
-    pub interned_asns: u64,
-    /// Total path positions in the shard id arenas.
-    pub arena_hops: u64,
-    /// Replayed (shard, step) counting units of the sealing recount.
-    pub replayed_steps: u64,
-    /// Total (shard, step) counting units of the sealing recount.
-    pub total_steps: u64,
-    /// Stored-tuple count per shard.
-    pub shard_loads: Vec<u64>,
-}
+/// The stats frame: what the epoch's seal measured of the stream
+/// ([`EpochSnapshot::ingest`](bgp_stream::epoch::EpochSnapshot::ingest)),
+/// captured at the seal and written as the epoch carries it, so a
+/// restored epoch serves the numbers it sealed with.
+pub use bgp_stream::epoch::IngestStats as SegmentStats;
 
 /// One decoded epoch, owned. `counters`/`flips` are `None` either when
 /// the frame was dropped by compaction or when the decode filter skipped

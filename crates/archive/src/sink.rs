@@ -50,7 +50,6 @@
 //!   does not clear it.
 
 use crate::frame::{corrupt, ArchiveError};
-use crate::segment::SegmentStats;
 use crate::writer::ArchiveWriter;
 use bgp_stream::epoch::EpochSnapshot;
 use obs::{Counter, Gauge, Histogram, ObsRegistry};
@@ -340,8 +339,9 @@ fn run_label<T>(run: &[Queued<T>]) -> String {
     }
 }
 
-/// What the thread appends for one submission.
-type Pending = (Arc<EpochSnapshot>, SegmentStats);
+/// What the thread appends for one submission: the epoch, with the
+/// stats its seal captured.
+type Pending = Arc<EpochSnapshot>;
 
 /// Live sink state, shared with the serving layer's health machine: each
 /// read takes the sink's lock and reads its core.
@@ -543,12 +543,12 @@ impl ArchiveSink {
 
     /// Queue one epoch for archiving. Never blocks on disk; when the
     /// queue is full the *oldest* queued epoch is dropped (counted and
-    /// logged) so the newest data keeps flowing.
-    pub fn submit(&self, snap: Arc<EpochSnapshot>, stats: SegmentStats) {
+    /// logged) so the newest data keeps flowing. The epoch is archived
+    /// with the stats its seal captured ([`EpochSnapshot::ingest`]).
+    pub fn submit(&self, snap: Arc<EpochSnapshot>) {
         let epoch = snap.epoch;
         // An evicted epoch is let go of after the lock.
-        let _evicted =
-            (self.obs).step(&mut self.status.lock(), Input::Submit((snap, stats), epoch));
+        let _evicted = (self.obs).step(&mut self.status.lock(), Input::Submit(snap, epoch));
         self.status.wake.notify_one();
     }
 
@@ -620,7 +620,7 @@ fn run(mut writer: ArchiveWriter, status: &SinkStatus, obs: &Instruments) -> Arc
             Action::Done => return writer,
             Action::Append(run) => {
                 drop(core);
-                let run: Vec<_> = run.iter().map(|(snap, stats)| (&**snap, stats)).collect();
+                let run: Vec<_> = run.iter().map(|snap| (&**snap, &snap.ingest)).collect();
                 let started = Instant::now();
                 let result = writer.append_epochs(&run).map(|_| true);
                 obs.append.record(started.elapsed().as_nanos() as u64);

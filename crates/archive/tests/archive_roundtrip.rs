@@ -68,7 +68,7 @@ fn build_world(epochs: u64, events_per_epoch: u64) -> StreamOutcome {
 fn archive_outcome(dir: &Path, out: &StreamOutcome) -> ArchiveWriter {
     let mut writer = ArchiveWriter::open(dir).unwrap();
     for snap in &out.snapshots {
-        assert!(writer.append_epoch(snap, &SegmentStats::default()).unwrap());
+        assert!(writer.append_epoch(snap, &snap.ingest).unwrap());
     }
     writer
 }
@@ -319,7 +319,7 @@ fn sink_archives_off_thread_and_reports_counts() {
     let writer = ArchiveWriter::open(&dir).unwrap();
     let sink = ArchiveSink::spawn(writer);
     for snap in &out.snapshots {
-        sink.submit(Arc::clone(snap), SegmentStats::default());
+        sink.submit(Arc::clone(snap));
     }
     assert_eq!(sink.status().dropped(), 0);
     let (writer, report) = sink.finish().unwrap();
@@ -336,9 +336,7 @@ fn sink_archives_off_thread_and_reports_counts() {
 }
 
 fn run_of(snaps: &[Arc<EpochSnapshot>]) -> Vec<(&EpochSnapshot, &SegmentStats)> {
-    static STATS: std::sync::OnceLock<SegmentStats> = std::sync::OnceLock::new();
-    let stats = STATS.get_or_init(SegmentStats::default);
-    snaps.iter().map(|snap| (&**snap, stats)).collect()
+    snaps.iter().map(|snap| (&**snap, &snap.ingest)).collect()
 }
 
 /// Every epoch of `dir`, decoded, as text (`ArchivedEpoch` has no `Eq`).
@@ -515,7 +513,7 @@ fn gated_sink(
     };
     let writer = ArchiveWriter::open_with_io(dir, Box::new(io), Arc::default()).unwrap();
     let sink = ArchiveSink::spawn(writer);
-    sink.submit(Arc::clone(first), SegmentStats::default());
+    sink.submit(Arc::clone(first));
     has_entered.recv().unwrap();
     (sink, move || open.send(()).unwrap())
 }
@@ -532,7 +530,7 @@ fn sink_commits_a_backlog_in_runs() {
     let dir = tmp_dir("backlog");
     let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
     for snap in &snaps[1..] {
-        sink.submit(Arc::clone(snap), SegmentStats::default());
+        sink.submit(Arc::clone(snap));
     }
     open();
     let (writer, report) = sink.finish().unwrap();
@@ -555,7 +553,7 @@ fn a_sink_that_is_behind_waits_for_a_full_run() {
     // Epoch 1 arrives while epoch 0 is being written: the sink is behind
     // when that write returns, with one epoch to show for it.
     let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
-    sink.submit(Arc::clone(&snaps[1]), SegmentStats::default());
+    sink.submit(Arc::clone(&snaps[1]));
     open();
     let status = sink.status();
     while status.committed() < 1 {
@@ -564,13 +562,13 @@ fn a_sink_that_is_behind_waits_for_a_full_run() {
     // The rest come one at a time, as a feed's do. The sixteenth queued
     // epoch wakes the sink; nothing else has to.
     for snap in &snaps[2..17] {
-        sink.submit(Arc::clone(snap), SegmentStats::default());
+        sink.submit(Arc::clone(snap));
     }
     while status.committed() < 17 {
         std::thread::yield_now();
     }
     // Having caught up, it takes the next epoch as it comes.
-    sink.submit(Arc::clone(&snaps[17]), SegmentStats::default());
+    sink.submit(Arc::clone(&snaps[17]));
     while status.committed() < 18 {
         std::thread::yield_now();
     }
@@ -587,7 +585,7 @@ fn a_lingering_sink_settles_for_a_short_run() {
     let snaps = &out.snapshots[..2];
     let dir = tmp_dir("linger-short");
     let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
-    sink.submit(Arc::clone(&snaps[1]), SegmentStats::default());
+    sink.submit(Arc::clone(&snaps[1]));
     let opened = std::time::Instant::now();
     open();
     // Behind, and the feed has gone quiet: epoch 1 is committed anyway,
@@ -612,7 +610,7 @@ fn a_restart_backfill_ends_the_run_it_lands_behind() {
     let (sink, open) = gated_sink(&dir, &snaps[0], usize::MAX);
     // 1..=3 queue up, then a respawned driver replays the feed from 0.
     for snap in snaps[1..4].iter().chain(snaps) {
-        sink.submit(Arc::clone(snap), SegmentStats::default());
+        sink.submit(Arc::clone(snap));
     }
     open();
     let (_, report) = sink.finish().unwrap();
@@ -630,7 +628,7 @@ fn a_run_is_retried_and_dropped_as_one() {
     // The disk takes epoch 0 (segment + manifest) and then dies.
     let (sink, open) = gated_sink(&dir, &snaps[0], 2);
     for snap in &snaps[1..5] {
-        sink.submit(Arc::clone(snap), SegmentStats::default());
+        sink.submit(Arc::clone(snap));
     }
     open();
     let status = sink.status();
@@ -642,7 +640,7 @@ fn a_run_is_retried_and_dropped_as_one() {
     let retries = u64::from(MAX_RETRIES);
     assert_eq!((status.dropped(), status.retries()), (4, retries));
     for snap in &snaps[5..] {
-        sink.submit(Arc::clone(snap), SegmentStats::default());
+        sink.submit(Arc::clone(snap));
     }
     let err = sink.finish().unwrap_err();
     assert_eq!(
@@ -678,17 +676,17 @@ fn a_queue_eviction_degrades_the_sink_at_once() {
     let open = open;
     let failed = || obs.gauge("bgp_archive_sink_failed", "", &[]).get();
     let status = sink.status();
-    sink.submit(Arc::clone(&snaps[0]), SegmentStats::default());
+    sink.submit(Arc::clone(&snaps[0]));
     while status.committed() < 1 {
         std::thread::yield_now();
     }
-    sink.submit(Arc::clone(&snaps[1]), SegmentStats::default());
+    sink.submit(Arc::clone(&snaps[1]));
     has_entered.recv().unwrap();
 
     // 2 up to QUEUE_CAP + 1 fill the queue; the last evicts 2, while
     // epoch 1 is still on its way to the disk.
     for snap in &snaps[2..] {
-        sink.submit(Arc::clone(snap), SegmentStats::default());
+        sink.submit(Arc::clone(snap));
     }
     assert_eq!(status.dropped(), 1);
     assert!(status.in_drop_state(), "an eviction is a drop at once");
@@ -732,7 +730,7 @@ fn each_append_attempt_is_one_duration_sample() {
     let io = Box::new(FailsOnce(true));
     let writer = ArchiveWriter::open_with_io(&dir, io, Arc::clone(&obs)).unwrap();
     let sink = ArchiveSink::spawn(writer);
-    sink.submit(Arc::clone(&out.snapshots[0]), SegmentStats::default());
+    sink.submit(Arc::clone(&out.snapshots[0]));
     let (_, report) = sink.finish().unwrap();
     assert_eq!((report.written, report.dropped, report.retries), (1, 0, 1));
     let hist = obs.histogram("bgp_archive_append_duration_seconds", "", &[]);
@@ -881,6 +879,8 @@ fn generated_snapshot(epoch: u64, gen: &GenEpoch) -> Arc<EpochSnapshot> {
         flips: Arc::new(Vec::new()),
         seal_nanos: 0,
         count_nanos: 0,
+        ingest: Default::default(),
+        seal: Default::default(),
     })
 }
 

@@ -89,8 +89,7 @@
 //! set exactly. `InferenceEngine::run_reference` is kept as the oracle,
 //! and the property tests in this crate plus `tests/stream_parity.rs`
 //! pin classes *and* raw counters equal across random worlds, thread
-//! counts, `max_index` caps, ablation flags, shard counts, and epoch
-//! slicings.
+//! counts, ablation flags, shard counts, and epoch slicings.
 
 use crate::counters::{AsCounters, CounterStore, Thresholds};
 use crate::engine::{CountPhase, InferenceConfig, InferenceOutcome};
@@ -1249,13 +1248,12 @@ impl CompiledTuples {
     /// entry point a stream seal counts its shards with.
     pub fn run(&mut self, config: &InferenceConfig) -> InferenceOutcome {
         let th = config.thresholds;
-        let deepest = config.max_index.unwrap_or(self.max_len).min(self.max_len);
         let n_ids = self.interner.len();
         let mut counters = DenseCounterStore::zeroed(n_ids);
         let mut preds = PhasePredicates::empty(n_ids);
         let mut delta = DeltaStore::zeroed(n_ids);
         let mut deepest_active = 0;
-        for x in 1..=deepest {
+        for x in 1..=self.max_len {
             self.compute_clean(&preds, x, config.enforce_cond1, false);
             let mut col_active = false;
             for phase in [CountPhase::Tagging, CountPhase::Forwarding] {

@@ -40,10 +40,6 @@ pub struct InferenceConfig {
     /// ([`InferenceEngine::run`]) ignores it and counts on the calling
     /// thread.
     pub threads: usize,
-    /// Optional cap on the deepest path index to process; `None` runs to
-    /// the longest path. (The paper observes counting dies out around
-    /// index 7 naturally.)
-    pub max_index: Option<usize>,
     /// Ablation switch: enforce Cond1 (clean upstream). Disabling it makes
     /// the engine count tagging/forwarding behind cleaners — the
     /// misclassification mode §5.2 warns about. Production default: true.
@@ -59,7 +55,6 @@ impl Default for InferenceConfig {
         InferenceConfig {
             thresholds: Thresholds::default(),
             threads: 4,
-            max_index: None,
             enforce_cond1: true,
             enforce_cond2: true,
         }
@@ -224,12 +219,11 @@ impl InferenceEngine {
         let th = self.config.thresholds;
         let mut counters = CounterStore::new();
         let max_len = tuples.iter().map(|t| t.path.len()).max().unwrap_or(0);
-        let deepest = self.config.max_index.unwrap_or(max_len).min(max_len);
         let mut deepest_active = 0;
 
         let enforce1 = self.config.enforce_cond1;
         let enforce2 = self.config.enforce_cond2;
-        for x in 1..=deepest {
+        for x in 1..=max_len {
             // PHASE 1: count tagging at index x.
             let delta = self.parallel_count(tuples, |t, delta| {
                 count_tuple_at(
@@ -454,20 +448,6 @@ mod tests {
         let out = engine().run(&tuples);
         assert!(out.deepest_active_index >= 1);
         assert!(out.deepest_active_index <= 3);
-    }
-
-    #[test]
-    fn max_index_caps_work() {
-        let tuples = vec![tup(&[1, 2, 3, 4, 5], &[1, 2, 3, 4, 5])];
-        let cfg = InferenceConfig {
-            max_index: Some(1),
-            threads: 1,
-            ..Default::default()
-        };
-        let out = InferenceEngine::new(cfg).run(&tuples);
-        // Only index 1 counted.
-        assert!(out.counters.get(Asn(2)).t + out.counters.get(Asn(2)).s == 0);
-        assert!(out.counters.get(Asn(1)).t > 0);
     }
 
     #[test]

@@ -190,19 +190,17 @@ mod proptests {
         /// byte-identical to the reference `count_tuple_at` path
         /// (`run_reference`) — classes, raw counters, and the deepest
         /// active index — across random worlds, the reference's thread
-        /// counts, `max_index` caps, and both ablation switches.
+        /// counts and both ablation switches.
         #[test]
         fn compiled_engine_matches_reference(
             seed in 0u64..400,
             threads in 1usize..8,
-            max_index in (0usize..11).prop_map(|v| v.checked_sub(1)),
             enforce_cond1 in any::<bool>(),
             enforce_cond2 in any::<bool>(),
         ) {
             let tuples = messy_world(seed, 250);
             let cfg = InferenceConfig {
                 threads,
-                max_index,
                 enforce_cond1,
                 enforce_cond2,
                 ..Default::default()
@@ -213,7 +211,7 @@ mod proptests {
                 &compiled,
                 &reference,
                 &format!("seed={seed} threads={threads} \
-                          max_index={max_index:?} c1={enforce_cond1} c2={enforce_cond2}"),
+                          c1={enforce_cond1} c2={enforce_cond2}"),
             );
         }
 

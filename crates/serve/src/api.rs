@@ -786,26 +786,28 @@ fn stats_endpoint(
         w.field_u64("epoch_events", epoch.events);
         w.field_u64("seal_nanos", epoch.seal_nanos);
         w.field_u64("count_nanos", epoch.count_nanos);
+        w.field_u64("total_events", epoch.total_events);
+        w.field_u64("unique_tuples", epoch.unique_tuples as u64);
     } else {
         w.field_null("sealed_at");
         w.field_u64("epoch_events", 0);
         w.field_u64("seal_nanos", 0);
         w.field_u64("count_nanos", 0);
+        w.field_u64("total_events", 0);
+        w.field_u64("unique_tuples", 0);
     }
-    w.field_u64("total_events", snap.ingest.total_events);
-    w.field_u64("unique_tuples", snap.ingest.unique_tuples as u64);
     w.field_u64("duplicates", snap.ingest.duplicates);
     w.field_u64("classified", snap.records.len() as u64);
     w.field_u64("flips_logged", snap.flip_log.len() as u64);
-    w.field_u64("interned_asns", snap.ingest.interned_asns as u64);
-    w.field_u64("arena_hops", snap.ingest.arena_hops as u64);
+    w.field_u64("interned_asns", snap.ingest.interned_asns);
+    w.field_u64("arena_hops", snap.ingest.arena_hops);
     w.begin_obj_field("last_replay");
     w.field_u64("replayed", snap.ingest.replayed_steps);
     w.field_u64("total", snap.ingest.total_steps);
     w.end_obj();
     w.begin_arr_field("shard_loads");
     for &load in &snap.ingest.shard_loads {
-        w.elem_u64(load as u64);
+        w.elem_u64(load);
     }
     w.end_arr();
     w.field_u64("requests_total", requests_total);
@@ -1037,7 +1039,7 @@ mod tests {
         for snap in pipe.snapshots() {
             writer.append_epoch(snap, &SegmentStats::default()).unwrap();
         }
-        let history = Arc::new(crate::history::HistoryStore::open(&dir, 4, 1024).unwrap());
+        let history = Arc::new(crate::history::HistoryStore::open(&dir, 1024).unwrap());
         let api = Api::new(slot, Arc::new(Metrics::new())).with_history(history);
 
         let epochs = api.handle(&request("/v1/epochs", &[]));

@@ -340,7 +340,7 @@ fn run(opts: Options) -> Result<(), String> {
                     "restored epoch {} ({} classified, {} events) from {dir} in {:.1} ms; feed replay backfills",
                     snap.epoch_id().unwrap_or(0),
                     snap.records.len(),
-                    snap.ingest.total_events,
+                    snap.epoch.as_ref().map_or(0, |e| e.total_events),
                     boot.elapsed().as_secs_f64() * 1e3,
                 );
             }
@@ -358,12 +358,8 @@ fn run(opts: Options) -> Result<(), String> {
         let writer = writer.with_traces(Arc::clone(&traces));
         sink = Some(ArchiveSink::spawn(writer));
         history = Some(Arc::new(
-            HistoryStore::open(
-                Path::new(dir),
-                bgp_serve::history::DEFAULT_CACHE_CAPACITY,
-                driver_cfg.flip_log_cap,
-            )
-            .map_err(|e| format!("archive {dir}: history: {e}"))?,
+            HistoryStore::open(Path::new(dir), driver_cfg.flip_log_cap)
+                .map_err(|e| format!("archive {dir}: history: {e}"))?,
         ));
     }
 
@@ -434,7 +430,7 @@ fn run(opts: Options) -> Result<(), String> {
                 "serve",
                 "serving v{version}: {} classified, {} events, {} requests answered",
                 snap.records.len(),
-                snap.ingest.total_events,
+                snap.epoch.as_ref().map_or(0, |e| e.total_events),
                 metrics.total_requests(),
             );
             last_version = version;

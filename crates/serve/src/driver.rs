@@ -756,7 +756,7 @@ mod tests {
         assert_eq!(report.epochs, 3, "two full epochs + trailing partial");
         let snap = slot.load();
         assert_eq!(snap.version(), 3);
-        assert_eq!(snap.ingest.total_events, 10);
+        assert_eq!(snap.epoch.as_ref().unwrap().total_events, 10);
     }
 
     #[test]
@@ -782,7 +782,10 @@ mod tests {
         assert!(report.total_events > 0);
         let snap = slot.load();
         assert!(!snap.records.is_empty());
-        assert_eq!(snap.ingest.total_events, report.total_events);
+        assert_eq!(
+            snap.epoch.as_ref().unwrap().total_events,
+            report.total_events
+        );
     }
 
     #[test]
@@ -903,7 +906,7 @@ mod tests {
         // and the drained feed leaves the daemon healthy again.
         let verdict = health.evaluate(Instant::now());
         assert_eq!(verdict.status, HealthStatus::Ok, "{:?}", verdict.reasons);
-        assert_eq!(slot.load().ingest.total_events, 10);
+        assert_eq!(slot.load().epoch.as_ref().unwrap().total_events, 10);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use bgp_types::asn::Asn;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// How many rebuilt historical snapshots to retain.
+/// How many rebuilt historical snapshots a [`HistoryStore`] retains.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8;
 
 struct HistoryInner {
@@ -36,29 +36,28 @@ struct HistoryInner {
 /// Concurrent, lazily-caching reader over the epoch archive.
 pub struct HistoryStore {
     inner: Mutex<HistoryInner>,
-    capacity: usize,
     flip_log_cap: usize,
 }
 
 impl std::fmt::Debug for HistoryStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistoryStore")
-            .field("capacity", &self.capacity)
+            .field("flip_log_cap", &self.flip_log_cap)
             .finish_non_exhaustive()
     }
 }
 
 impl HistoryStore {
-    /// Open the archive at `dir` for historical reads. `flip_log_cap`
-    /// should match the daemon's live cap so rebuilt snapshots carry
-    /// the log a live publisher would have held.
-    pub fn open(dir: &Path, capacity: usize, flip_log_cap: usize) -> Result<HistoryStore> {
+    /// Open the archive at `dir` for historical reads, caching up to
+    /// [`DEFAULT_CACHE_CAPACITY`] rebuilt epochs. `flip_log_cap` should
+    /// match the daemon's live cap so rebuilt snapshots carry the log a
+    /// live publisher would have held.
+    pub fn open(dir: &Path, flip_log_cap: usize) -> Result<HistoryStore> {
         Ok(HistoryStore {
             inner: Mutex::new(HistoryInner {
                 archive: Archive::open(dir)?,
                 cache: Vec::new(),
             }),
-            capacity: capacity.max(1),
             flip_log_cap,
         })
     }
@@ -100,7 +99,7 @@ impl HistoryStore {
         }
         let snap = Arc::new(rebuild_snapshot(&inner.archive, epoch, self.flip_log_cap)?);
         inner.cache.push((epoch, Arc::clone(&snap)));
-        while inner.cache.len() > self.capacity {
+        while inner.cache.len() > DEFAULT_CACHE_CAPACITY {
             inner.cache.remove(0);
         }
         Ok(Some(snap))
@@ -175,9 +174,11 @@ mod tests {
     #[test]
     fn snapshot_at_matches_live_epochs_and_caches() {
         let dir = tmp_dir("at");
-        let snaps = archived_world(&dir, 4);
-        let store = HistoryStore::open(&dir, 2, 1024).unwrap();
+        // More epochs than the cache holds, so reading them all evicts.
+        let snaps = archived_world(&dir, DEFAULT_CACHE_CAPACITY as u64 + 2);
+        let store = HistoryStore::open(&dir, 1024).unwrap();
         assert_eq!(store.epochs().unwrap().len(), snaps.len());
+        let first = store.snapshot_at(0).unwrap().unwrap();
         for live in &snaps {
             let hist = store.snapshot_at(live.epoch).unwrap().unwrap();
             assert_eq!(hist.epoch_id(), Some(live.epoch));
@@ -191,6 +192,10 @@ mod tests {
         let a = store.snapshot_at(last).unwrap().unwrap();
         let b = store.snapshot_at(last).unwrap().unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        // The least recently used epoch was evicted and is rebuilt.
+        let again = store.snapshot_at(0).unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(again.records, first.records);
         // Beyond the archive: None, not an error.
         assert!(store.snapshot_at(last + 10).unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -200,7 +205,7 @@ mod tests {
     fn trajectory_matches_per_epoch_classes() {
         let dir = tmp_dir("traj");
         let snaps = archived_world(&dir, 3);
-        let store = HistoryStore::open(&dir, 2, 1024).unwrap();
+        let store = HistoryStore::open(&dir, 1024).unwrap();
         let asn = Asn(7);
         let traj = store.trajectory(asn).unwrap();
         assert_eq!(traj.len(), snaps.len());
@@ -219,7 +224,7 @@ mod tests {
     fn refresh_sees_epochs_committed_after_open() {
         let dir = tmp_dir("refresh");
         let first = archived_world(&dir, 2);
-        let store = HistoryStore::open(&dir, 2, 1024).unwrap();
+        let store = HistoryStore::open(&dir, 1024).unwrap();
         let last = first.last().unwrap().epoch;
         assert!(store.snapshot_at(last).unwrap().is_some());
 

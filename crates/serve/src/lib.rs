@@ -121,7 +121,5 @@ pub mod prelude {
     pub use crate::json::JsonWriter;
     pub use crate::metrics::{Endpoint, Metrics};
     pub use crate::restore::{rebuild_snapshot, restore_latest};
-    pub use crate::snapshot::{
-        IngestStats, Publisher, ServeSnapshot, SnapshotReader, SnapshotSlot,
-    };
+    pub use crate::snapshot::{Publisher, ServeSnapshot, SnapshotReader, SnapshotSlot};
 }

@@ -235,11 +235,12 @@ impl Metrics {
         let set = |gauge: &Gauge, v: u64| gauge.set(i64::try_from(v).unwrap_or(i64::MAX));
         set(&self.snapshot_version, snapshot.version());
         set(&self.snapshot_records, snapshot.records.len() as u64);
-        set(&self.snapshot_total_events, snapshot.ingest.total_events);
-        set(
-            &self.snapshot_unique_tuples,
-            snapshot.ingest.unique_tuples as u64,
-        );
+        let (events, tuples) = snapshot
+            .epoch
+            .as_deref()
+            .map_or((0, 0), |e| (e.total_events, e.unique_tuples as u64));
+        set(&self.snapshot_total_events, events);
+        set(&self.snapshot_unique_tuples, tuples);
     }
 
     /// Total requests across all endpoints.

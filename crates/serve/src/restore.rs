@@ -25,7 +25,7 @@
 //! holds two ids, and the class table pairs with the counted ids one for
 //! one, ASN for ASN.
 
-use crate::snapshot::{zeroed_records, FlipLog, IngestStats, ServeSnapshot};
+use crate::snapshot::{zeroed_records, FlipLog, ServeSnapshot};
 use bgp_archive::prelude::*;
 use bgp_infer::db::{slice_records, DbRecord};
 use bgp_stream::epoch::EpochSnapshot;
@@ -105,16 +105,6 @@ pub fn rebuild_snapshot(
     let records = epoch_records(archive, &ep)?;
     let flip_log = rebuild_flip_log(archive, epoch, flip_log_cap)?;
     let thresholds = ep.meta.thresholds;
-    let ingest = IngestStats {
-        total_events: ep.meta.total_events,
-        unique_tuples: ep.meta.unique_tuples as usize,
-        duplicates: ep.stats.duplicates,
-        shard_loads: ep.stats.shard_loads.iter().map(|&n| n as usize).collect(),
-        interned_asns: ep.stats.interned_asns as usize,
-        arena_hops: ep.stats.arena_hops as usize,
-        replayed_steps: ep.stats.replayed_steps,
-        total_steps: ep.stats.total_steps,
-    };
     let snapshot = EpochSnapshot::restored(
         ep.meta.epoch,
         ep.meta.sealed_at,
@@ -125,13 +115,14 @@ pub fn rebuild_snapshot(
         Arc::new(ep.flips.unwrap_or_default()),
         ep.meta.seal_nanos,
         ep.meta.count_nanos,
+        ep.stats,
     );
     Ok(ServeSnapshot {
+        ingest: snapshot.ingest.clone(),
         epoch: Some(Arc::new(snapshot)),
         records,
         thresholds,
         flip_log,
-        ingest,
     })
 }
 

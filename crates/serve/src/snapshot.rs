@@ -23,11 +23,11 @@
 //! entry.
 
 use crate::json::{push_u64, JsonWriter};
-use bgp_archive::prelude::{ArchiveSink, SegmentStats};
+use bgp_archive::prelude::ArchiveSink;
 use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
-use bgp_stream::epoch::{ClassFlip, EpochSnapshot};
+use bgp_stream::epoch::{ClassFlip, EpochSnapshot, IngestStats};
 use bgp_stream::pipeline::StreamPipeline;
 use obs::trace::TraceStore;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,29 +148,6 @@ impl FlipLog {
     }
 }
 
-/// Ingest-side counters frozen into a snapshot at publish time.
-#[derive(Debug, Clone, Default)]
-pub struct IngestStats {
-    /// Events ingested since the stream began.
-    pub total_events: u64,
-    /// Unique tuples stored across all shards.
-    pub unique_tuples: usize,
-    /// Dedup hits observed.
-    pub duplicates: u64,
-    /// Stored-tuple count per shard.
-    pub shard_loads: Vec<usize>,
-    /// Distinct ASNs in the shards' interner (one id space for all
-    /// shards).
-    pub interned_asns: usize,
-    /// Total path positions in the shard id arenas.
-    pub arena_hops: usize,
-    /// Steps of the latest seal's recount that were replayed
-    /// incrementally (vs recounted from scratch).
-    pub replayed_steps: u64,
-    /// Total recount steps of the latest seal.
-    pub total_steps: u64,
-}
-
 /// One immutable, queryable view of the classification database.
 ///
 /// Everything a query needs is precomputed at publish time (sorted record
@@ -189,7 +166,8 @@ pub struct ServeSnapshot {
     /// Cumulative flip log: `Arc`'d per-epoch chunks shared across
     /// snapshots.
     pub flip_log: FlipLog,
-    /// Ingest statistics at publish time.
+    /// A copy of the epoch's [`EpochSnapshot::ingest`], captured at its
+    /// seal (the default before the first seal).
     pub ingest: IngestStats,
 }
 
@@ -498,9 +476,10 @@ impl Publisher {
     pub fn sync(&mut self, pipeline: &StreamPipeline) -> usize {
         let snapshots = pipeline.snapshots();
         let new = &snapshots[self.published.min(snapshots.len())..];
+        let thresholds = pipeline.config().thresholds;
         let mut count = 0;
         for sealed in new {
-            if self.publish_epoch(pipeline, Arc::clone(sealed)) {
+            if self.publish_epoch(thresholds, Arc::clone(sealed)) {
                 count += 1;
             }
         }
@@ -508,7 +487,9 @@ impl Publisher {
         count
     }
 
-    fn publish_epoch(&mut self, pipeline: &StreamPipeline, sealed: Arc<EpochSnapshot>) -> bool {
+    /// Publish one sealed epoch with the numbers it sealed with: nothing
+    /// here reads the pipeline's state at publish time.
+    fn publish_epoch(&mut self, thresholds: Thresholds, sealed: Arc<EpochSnapshot>) -> bool {
         if self.resume_skip.is_some_and(|skip| sealed.epoch <= skip) {
             return false;
         }
@@ -520,21 +501,11 @@ impl Publisher {
         let records = sealed
             .records()
             .unwrap_or_else(|| zeroed_records(&sealed.classes));
-        let (replayed_steps, total_steps) = pipeline.last_replay();
         let snapshot = ServeSnapshot {
             records,
-            thresholds: pipeline.config().thresholds,
+            thresholds,
             flip_log: self.log.clone(),
-            ingest: IngestStats {
-                total_events: sealed.total_events,
-                unique_tuples: sealed.unique_tuples,
-                duplicates: pipeline.duplicates(),
-                shard_loads: pipeline.shard_loads(),
-                interned_asns: pipeline.interned_asns(),
-                arena_hops: pipeline.arena_hops(),
-                replayed_steps: replayed_steps as u64,
-                total_steps: total_steps as u64,
-            },
+            ingest: sealed.ingest.clone(),
             epoch: Some(Arc::clone(&sealed)),
         };
         let snapshot = Arc::new(snapshot);
@@ -554,22 +525,7 @@ impl Publisher {
             );
         }
         if let Some(sink) = &self.archive {
-            sink.submit(
-                sealed,
-                SegmentStats {
-                    duplicates: snapshot.ingest.duplicates,
-                    interned_asns: snapshot.ingest.interned_asns as u64,
-                    arena_hops: snapshot.ingest.arena_hops as u64,
-                    replayed_steps: snapshot.ingest.replayed_steps,
-                    total_steps: snapshot.ingest.total_steps,
-                    shard_loads: snapshot
-                        .ingest
-                        .shard_loads
-                        .iter()
-                        .map(|&n| n as u64)
-                        .collect(),
-                },
-            );
+            sink.submit(sealed);
         }
         self.metrics.epochs_published.inc();
         self.metrics
@@ -634,6 +590,69 @@ mod tests {
         assert_eq!(snap.records, bgp_infer::db::records(&batch(&[1, 9], &[1])));
         // Nothing new -> no publish.
         assert_eq!(publisher.sync(&pipe), 0);
+    }
+
+    /// Six distinct tuples, one push at a time, sealed every two events
+    /// and published with an archive sink attached: `sync_every` calls
+    /// `sync` after each push, else once at the end. Returns every
+    /// publish, as a slot waker saw it, and each archived epoch's stats.
+    fn published_and_archived(sync_every: bool) -> (Vec<Arc<ServeSnapshot>>, Vec<IngestStats>) {
+        use bgp_archive::prelude::{Archive, ArchiveSink, ArchiveWriter, DecodeFilter};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "bgp-snapshot-catch-up-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (weak, into) = (Arc::downgrade(&slot), Arc::clone(&seen));
+        slot.register_waker(Arc::new(move || {
+            let slot = weak.upgrade().expect("the slot publishes");
+            into.lock().unwrap().push(slot.load());
+        }));
+        let sink = Arc::new(ArchiveSink::spawn(ArchiveWriter::open(&dir).unwrap()));
+        let mut publisher = Publisher::new(Arc::clone(&slot), 1024).with_archive(Arc::clone(&sink));
+        let mut pipe = pipeline(2);
+        for i in 0..6u32 {
+            pipe.push(StreamEvent::new(
+                u64::from(i),
+                tag_tuple(&[10 + i, 5, 9], &[5]),
+            ));
+            if sync_every {
+                publisher.sync(&pipe);
+            }
+        }
+        assert_eq!(publisher.sync(&pipe), if sync_every { 0 } else { 3 });
+        drop(publisher);
+        let sink = Arc::try_unwrap(sink).expect("the publisher is gone");
+        assert_eq!(sink.finish().unwrap().1.written, 3);
+        let archived = Archive::open(&dir)
+            .unwrap()
+            .read_all(DecodeFilter::all())
+            .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let published = seen.lock().unwrap().clone();
+        (published, archived.into_iter().map(|ep| ep.stats).collect())
+    }
+
+    #[test]
+    fn a_catch_up_sync_publishes_and_archives_each_epoch_as_sealed() {
+        let (published, archived) = published_and_archived(false);
+        assert_eq!(published.len(), 3);
+        for snap in &published {
+            let epoch = snap.epoch.as_ref().unwrap();
+            let stored: u64 = snap.ingest.shard_loads.iter().sum();
+            assert_eq!(stored, epoch.unique_tuples as u64, "epoch {}", epoch.epoch);
+            assert_eq!(snap.ingest, epoch.ingest, "epoch {}", epoch.epoch);
+        }
+        assert_eq!(
+            published[0].ingest.replayed_steps, 0,
+            "a first seal replays nothing"
+        );
+        let (_, per_seal) = published_and_archived(true);
+        assert_eq!(archived, per_seal);
     }
 
     #[test]

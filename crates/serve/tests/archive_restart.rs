@@ -164,7 +164,7 @@ fn run_archived(
 }
 
 fn api_with_history(dir: &Path, slot: &Arc<SnapshotSlot>, metrics: &Arc<Metrics>) -> Api {
-    let history = HistoryStore::open(dir, 8, cfg().flip_log_cap).unwrap();
+    let history = HistoryStore::open(dir, cfg().flip_log_cap).unwrap();
     Api::new(Arc::clone(slot), Arc::clone(metrics)).with_history(Arc::new(history))
 }
 

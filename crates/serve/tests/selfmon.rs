@@ -114,7 +114,7 @@ fn epoch_trace_is_identical_across_restart() {
 
     // "Restart": a fresh server with no live TraceStore answers the same
     // epoch from the archive's persisted trace frame.
-    let history = Arc::new(HistoryStore::open(&dir, 4, 4096).unwrap());
+    let history = Arc::new(HistoryStore::open(&dir, 4096).unwrap());
     let restarted_api = Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_history(history);
     let restarted = serve(restarted_api);
     let (status, archived_body) =

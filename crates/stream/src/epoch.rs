@@ -19,6 +19,15 @@
 //! with [`EpochSnapshot::records`]. There is no sparse view, lazy or
 //! otherwise.
 //!
+//! What the seal measured is part of the epoch too: its
+//! [`IngestStats`] (dedup hits, interned ASNs, arena hops, replayed and
+//! total recount units, shard loads — the counts the archive keeps) and
+//! its [`SealStats`] (seal kind, corrections, tuple visits, moved ids,
+//! count and merge time — not archived) are captured at the seal and
+//! read from the epoch by whoever publishes, archives or traces it, so
+//! an epoch published late still reports its own numbers, never those
+//! of a later seal.
+//!
 //! `dense` is `None` in two cases. A **compacted** epoch (see
 //! `StreamConfig::compact_history`) is a pipeline history entry whose
 //! counters were dropped once a later epoch sealed; it keeps classes and
@@ -119,6 +128,77 @@ impl std::fmt::Display for ClassFlip {
     }
 }
 
+/// What a seal measured of the stream behind it, captured at the seal:
+/// the counts an epoch is archived with (`bgp_archive`'s `SegmentStats`
+/// is this type) and served with (`/v1/stats`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IngestStats {
+    /// Dedup hits observed since the stream began.
+    pub duplicates: u64,
+    /// Distinct ASNs in the shards' one interner.
+    pub interned_asns: u64,
+    /// Total path positions in the shard id arenas.
+    pub arena_hops: u64,
+    /// (shard, step) counting units of the seal's recount served from
+    /// their cached step.
+    pub replayed_steps: u64,
+    /// (shard, step) counting units of the seal's recount (0 when the
+    /// seal recounted nothing).
+    pub total_steps: u64,
+    /// Stored-tuple count per shard.
+    pub shard_loads: Vec<u64>,
+}
+
+/// How a seal counted: the `kind` label of
+/// `bgp_stream_seal_duration_seconds`, and (as its index in
+/// [`SealKind::ALL`]) the `seal` trace row's `kind` counter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SealKind {
+    /// Nothing was stored since the previous seal: its state is shared
+    /// whole and nothing is counted.
+    #[default]
+    ZeroDelta,
+    /// Some (shard, step) units were served from their cached step.
+    Incremental,
+    /// Every unit was recounted: a first seal, or nothing replayed.
+    Full,
+}
+
+impl SealKind {
+    /// Every kind, in label-index order.
+    pub const ALL: [SealKind; 3] = [SealKind::ZeroDelta, SealKind::Incremental, SealKind::Full];
+
+    /// The metric label.
+    pub fn label(self) -> &'static str {
+        ["zero_delta", "incremental", "full"][self as usize]
+    }
+}
+
+/// What a seal's recount did besides the [`IngestStats`] counts: not
+/// archived. The default is what a zero-delta seal measures (nothing);
+/// a restored epoch carries it too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SealStats {
+    /// How the seal counted.
+    pub kind: SealKind,
+    /// Replayed units whose cached step was corrected first.
+    pub corrected: u64,
+    /// The 64-tuple words holding the rows re-evaluated to correct them.
+    pub corrected_words: u64,
+    /// Those rows (each evaluated twice).
+    pub corrected_rows: u64,
+    /// Tuples the recount visited, summed over its steps: whole buckets
+    /// where a shard recounted, dirty suffixes where it replayed, two
+    /// visits per corrected row.
+    pub visited_tuples: u64,
+    /// Ids the seal classified and patched (the recount's moved set).
+    pub moved: u64,
+    /// Shard-counting nanoseconds, summed across shards and steps.
+    pub shard_count_nanos: u64,
+    /// Dense-merge nanoseconds, summed across steps.
+    pub merge_nanos: u64,
+}
+
 /// The published state of one sealed epoch.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
@@ -154,13 +234,18 @@ pub struct EpochSnapshot {
     /// Wall-clock nanoseconds of the counting (recount) portion alone;
     /// 0 when the seal reused the previous epoch wholesale.
     pub count_nanos: u64,
+    /// The stream's counts at this seal (archived with the epoch).
+    pub ingest: IngestStats,
+    /// The rest of what this seal measured (not archived).
+    pub seal: SealStats,
 }
 
 impl EpochSnapshot {
     /// Rebuild a snapshot's header from durable state — the archive
-    /// restore path. It takes the persisted timing fields verbatim and
-    /// carries no counter columns (`dense` is `None`): whoever restores
-    /// an epoch builds its record table from the archive itself.
+    /// restore path. It takes the persisted timing fields and ingest
+    /// stats verbatim, carries the default [`SealStats`] (they are not
+    /// archived) and no counter columns (`dense` is `None`): whoever
+    /// restores an epoch builds its record table from the archive itself.
     #[allow(clippy::too_many_arguments)]
     pub fn restored(
         epoch: u64,
@@ -172,6 +257,7 @@ impl EpochSnapshot {
         flips: Arc<Vec<ClassFlip>>,
         seal_nanos: u64,
         count_nanos: u64,
+        ingest: IngestStats,
     ) -> Self {
         EpochSnapshot {
             epoch,
@@ -185,6 +271,8 @@ impl EpochSnapshot {
             flips,
             seal_nanos,
             count_nanos,
+            ingest,
+            seal: SealStats::default(),
         }
     }
 

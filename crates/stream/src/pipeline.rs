@@ -14,8 +14,16 @@
 //! moved set is every id it counted and it patches empty tables. That
 //! makes a fresh pipeline fed the same cumulative events and sealed once
 //! the oracle of every seal, and the tests hold each seal's tables to it.
+//!
+//! What a seal measured goes into the epoch it seals: the recount's
+//! counts come back in its [`Recount`], the shard set's dedup, interner,
+//! arena and load counts are read at the cut, and both land in the
+//! snapshot's [`IngestStats`] and [`SealStats`]. The seal's histogram,
+//! debug line and trace rows read them there, and so does everyone
+//! downstream — a publisher that catches up on several epochs at once
+//! publishes and archives each with its own numbers.
 
-use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot};
+use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot, IngestStats, SealKind, SealStats};
 use crate::ingest::{EventBatch, IngestError, StreamEvent, TupleSource};
 use crate::outcome::StreamOutcome;
 use crate::shard::{Recount, ShardSet};
@@ -71,11 +79,6 @@ impl Default for StreamConfig {
     }
 }
 
-/// The kinds of seal, as `bgp_stream_seal_duration_seconds{kind=…}`
-/// labels them; an index into this table is what the `seal` trace row
-/// carries as its `kind` counter and the `stream` debug line spells out.
-const SEAL_KINDS: [&str; 3] = ["zero_delta", "incremental", "full"];
-
 /// Push-driven streaming inference.
 ///
 /// Feed an [`EventBatch`] with [`push_events`](StreamPipeline::push_events),
@@ -102,7 +105,7 @@ pub struct StreamPipeline {
     total_events: u64,
     epoch_start_ts: Option<u64>,
     last_ts: u64,
-    /// Seal-stage histograms by kind (one per [`SEAL_KINDS`] entry) plus
+    /// Seal-stage histograms by kind (one per [`SealKind::ALL`] entry) plus
     /// the whole-recount histogram, resolved once on the registry so
     /// sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
@@ -123,11 +126,11 @@ impl StreamPipeline {
     pub fn with_registry(cfg: StreamConfig, reg: &ObsRegistry) -> Self {
         let shards = ShardSet::with_registry(cfg.shards, reg);
         let seal_help = "Wall time of one epoch seal";
-        let seal_hists = SEAL_KINDS.map(|kind| {
+        let seal_hists = SealKind::ALL.map(|kind| {
             reg.histogram(
                 "bgp_stream_seal_duration_seconds",
                 seal_help,
-                &[("kind", kind)],
+                &[("kind", kind.label())],
             )
         });
         let recount_hist = reg.histogram(
@@ -191,11 +194,17 @@ impl StreamPipeline {
         self.shards.shard_loads()
     }
 
-    /// `(replayed, total)` (shard, step) counting units of the last
-    /// epoch recount — how much of the seal was served from cached step
-    /// deltas (`(0, 0)` before any seal or after an O(1) re-seal).
+    /// `(replayed, total)` (shard, step) counting units of the latest
+    /// seal's recount, read from its [`IngestStats`] — how much of the
+    /// seal was served from cached step deltas (`(0, 0)` before any seal
+    /// or after an O(1) re-seal).
     pub fn last_replay(&self) -> (usize, usize) {
-        self.shards.last_replay()
+        self.latest().map_or((0, 0), |s| {
+            (
+                s.ingest.replayed_steps as usize,
+                s.ingest.total_steps as usize,
+            )
+        })
     }
 
     /// Sealed snapshots so far. Snapshots are reference-counted so a
@@ -375,25 +384,42 @@ impl StreamPipeline {
         let t_seal = Instant::now();
         let epoch = self.snapshots.len() as u64;
         let zero_delta = self.shards.unchanged_since_seal();
-        let (dense, classes, flips, count_nanos, moved) = if zero_delta {
+        let mut ingest = IngestStats {
+            duplicates: self.shards.duplicates(),
+            interned_asns: self.shards.interned_asns() as u64,
+            arena_hops: self.shards.arena_hops() as u64,
+            shard_loads: self
+                .shards
+                .shard_loads()
+                .into_iter()
+                .map(|n| n as u64)
+                .collect(),
+            ..Default::default()
+        };
+        let mut seal = SealStats::default();
+        let (dense, classes, flips, count_nanos) = if zero_delta {
             // O(1) fast path: identical tuple set => identical counters,
             // classes, and (empty) flip set. Share every component.
-            self.shards.clear_replay_stats();
             let prev = self.snapshots.last().expect("unchanged implies a seal");
             let dense = prev
                 .dense
                 .clone()
                 .expect("latest snapshot is never compacted");
-            (dense, Arc::clone(&prev.classes), Vec::new(), 0, 0)
+            (dense, Arc::clone(&prev.classes), Vec::new(), 0)
         } else {
             let t_count = Instant::now();
             let Recount {
                 counters,
                 deepest_active,
                 moved,
+                replayed_steps,
+                total_steps,
+                stats,
             } = self.shards.recount(&self.cfg.thresholds);
             let count_nanos = t_count.elapsed().as_nanos() as u64;
             self.recount_hist.record(count_nanos);
+            (ingest.replayed_steps, ingest.total_steps) = (replayed_steps, total_steps);
+            seal = stats;
             self.refresh_by_asn();
             let counters = Arc::new(counters.into_counts());
             let th = self.cfg.thresholds;
@@ -428,7 +454,7 @@ impl StreamPipeline {
                 thresholds: th,
                 deepest_active_index: deepest_active,
             };
-            (dense, Arc::new(classes), flips, count_nanos, moved.len())
+            (dense, Arc::new(classes), flips, count_nanos)
         };
         let mut snapshot = EpochSnapshot {
             epoch,
@@ -442,6 +468,8 @@ impl StreamPipeline {
             flips: Arc::new(flips),
             seal_nanos: 0,
             count_nanos,
+            ingest,
+            seal,
         };
         self.events_in_epoch = 0;
         self.epoch_start_ts = None;
@@ -455,23 +483,21 @@ impl StreamPipeline {
             }
         }
         snapshot.seal_nanos = t_seal.elapsed().as_nanos() as u64;
-        let (replayed, total) = self.shards.last_replay();
-        let (corrected, corrected_words, corrected_rows) = self.shards.last_corrected();
-        let kind = if zero_delta {
-            0
-        } else if replayed > 0 {
-            1
-        } else {
-            2
-        };
-        self.seal_hists[kind].record(snapshot.seal_nanos);
+        self.seal_hists[seal.kind as usize].record(snapshot.seal_nanos);
+        let EpochSnapshot { ingest, seal, .. } = &snapshot;
         obs::debug!(
             "stream",
-            "sealed epoch {epoch} kind={} events={} tuples={} flips={} moved={moved} replayed={replayed}/{total} corrected={corrected} corrected_words={corrected_words} corrected_rows={corrected_rows} seal_nanos={} count_nanos={}",
-            SEAL_KINDS[kind],
+            "sealed epoch {epoch} kind={} events={} tuples={} flips={} moved={} replayed={}/{} corrected={} corrected_words={} corrected_rows={} seal_nanos={} count_nanos={}",
+            seal.kind.label(),
             snapshot.events,
             snapshot.unique_tuples,
             snapshot.flips.len(),
+            seal.moved,
+            ingest.replayed_steps,
+            ingest.total_steps,
+            seal.corrected,
+            seal.corrected_words,
+            seal.corrected_rows,
             snapshot.seal_nanos,
             snapshot.count_nanos
         );
@@ -480,12 +506,12 @@ impl StreamPipeline {
                 trace.record(
                     epoch,
                     "shard_count",
-                    self.shards.last_count_nanos(),
-                    &[("steps", total as u64)],
+                    seal.shard_count_nanos,
+                    &[("steps", ingest.total_steps)],
                 );
-                trace.record(epoch, "shard_merge", self.shards.last_merge_nanos(), &[]);
+                trace.record(epoch, "shard_merge", seal.merge_nanos, &[]);
             }
-            // `kind` indexes `SEAL_KINDS`; `replayed` counts the units
+            // `kind` indexes `SealKind::ALL`; `replayed` counts the units
             // answered from their cache, `corrected` those of them whose
             // cache was first corrected, re-evaluating `corrected_rows`
             // rows of `corrected_words` words;
@@ -498,14 +524,14 @@ impl StreamPipeline {
                 &[
                     ("events", snapshot.events),
                     ("tuples", snapshot.unique_tuples as u64),
-                    ("replayed", replayed as u64),
-                    ("corrected", corrected as u64),
-                    ("corrected_words", corrected_words as u64),
-                    ("corrected_rows", corrected_rows as u64),
-                    ("total_steps", total as u64),
-                    ("visited_tuples", self.shards.last_visits() as u64),
-                    ("moved", moved as u64),
-                    ("kind", kind as u64),
+                    ("replayed", ingest.replayed_steps),
+                    ("corrected", seal.corrected),
+                    ("corrected_words", seal.corrected_words),
+                    ("corrected_rows", seal.corrected_rows),
+                    ("total_steps", ingest.total_steps),
+                    ("visited_tuples", seal.visited_tuples),
+                    ("moved", seal.moved),
+                    ("kind", seal.kind as u64),
                 ],
             );
             // Later batches belong to the next epoch's timeline.
@@ -672,6 +698,16 @@ mod tests {
             &second.dense.as_ref().unwrap().counters
         ));
         assert_eq!(second.count_nanos, 0, "no recount ran");
+        assert_eq!(second.seal, SealStats::default(), "nothing counted");
+        assert_eq!(first.seal.kind, SealKind::Full);
+        // The epoch keeps the counts of its own seal: the first recounted
+        // every unit, the second none, and only the second saw dedup hits.
+        let steps = |s: &EpochSnapshot| (s.ingest.replayed_steps, s.ingest.total_steps);
+        assert_eq!(steps(&first), (0, first.ingest.total_steps));
+        assert!(first.ingest.total_steps > 0);
+        assert_eq!(steps(&second), (0, 0));
+        assert_eq!((first.ingest.duplicates, second.ingest.duplicates), (0, 2));
+        assert_eq!(first.ingest.shard_loads, second.ingest.shard_loads);
         // And the duplicate events are still accounted for.
         assert_eq!(second.total_events, 4);
         assert_eq!(second.events, 2);
@@ -761,14 +797,16 @@ mod tests {
         let (replayed, units) = corrected.last_replay();
         assert_eq!(replayed, units, "no unit recounts");
         assert_eq!(units, 2 * 2 * 4, "two shards, four columns");
-        let (corrected_units, words, rows) = corrected.shards.last_corrected();
+        let seal = corrected.latest().unwrap().seal;
+        let (corrected_units, words, rows) =
+            (seal.corrected, seal.corrected_words, seal.corrected_rows);
         assert!((1..=3).contains(&corrected_units), "{corrected_units}");
         assert_eq!(words, corrected_units, "one sealed word each");
         assert!(words <= rows && rows <= 64 * words, "{rows} rows");
-        let visits = corrected.shards.last_visits();
+        let visits = seal.visited_tuples;
         assert!(visits <= 2 * rows + 8, "{visits} tuple visits");
         let recounted = &oracles[1];
-        assert!(recounted.shards.last_visits() > 100_000);
+        assert!(recounted.latest().unwrap().seal.visited_tuples > 100_000);
         assert_eq!(recounted.last_replay(), (0, units));
         for (a, oracle) in corrected.snapshots().iter().zip(&oracles) {
             let b = oracle.latest().unwrap();
@@ -1090,7 +1128,7 @@ mod tests {
                     let ids = pipe.interned_asns();
                     reached.partial += (0 < moved && moved < ids) as usize;
                     reached.outgrown += (pipe.shards.max_path_len() > *longest) as usize;
-                    reached.corrected += (pipe.shards.last_corrected().0 > 0) as usize;
+                    reached.corrected += (sealed.seal.corrected > 0) as usize;
                 }
                 reached.flips += sealed.flips.len();
                 *longest = pipe.shards.max_path_len();

@@ -168,6 +168,11 @@
 //! already at 10 k tuples (both measured on a 2-vCPU guest). The
 //! small-store cost is accepted, not selectable: a seal has one path.
 //!
+//! What a recount took — replayed and total (shard, step) units,
+//! corrections, tuple visits, count and merge time — it returns in its
+//! [`Recount`] for the seal to keep with the epoch; the shard set keeps
+//! no per-seal statistics of its own.
+//!
 //! ## Who counts
 //!
 //! A seal counts its shards in turn, on the sealing thread, each with
@@ -176,6 +181,7 @@
 //! store's tuples, and a trickle seal a few thousand of them, so no
 //! workload has a step large enough to pay for a thread spawn.
 
+use crate::epoch::{SealKind, SealStats};
 use bgp_infer::compiled::{
     CompiledTuples, DeltaStore, DenseCounterStore, IdBitSet, PhasePredicates,
 };
@@ -275,7 +281,10 @@ impl CachedStep {
     }
 }
 
-/// What a recount hands the seal.
+/// What a recount hands the seal: the counters, and what counting them
+/// took. The seal copies the counts into the epoch it seals (its
+/// [`IngestStats`](crate::epoch::IngestStats) and [`SealStats`]); the
+/// shard set keeps none of them.
 #[derive(Debug)]
 pub struct Recount {
     /// The final dense counters over the shared id space.
@@ -286,6 +295,14 @@ pub struct Recount {
     /// the previous seal's, once each, in no particular order. On a first
     /// seal, the ids it counted; none on a seal that stored nothing new.
     pub moved: Vec<AsnId>,
+    /// (shard, step) counting units served from their cached step,
+    /// corrected or as it stood; the rest were recounted in full.
+    pub replayed_steps: u64,
+    /// (shard, step) counting units, replayed or not.
+    pub total_steps: u64,
+    /// The seal's kind (incremental or full), corrections, tuple visits,
+    /// moved ids and count / merge nanoseconds.
+    pub stats: SealStats,
 }
 
 /// The trajectory replay's overlay: the ids whose counters moved off the
@@ -445,26 +462,12 @@ pub struct ShardSet {
     /// `trajectory[x-1][phase]` — predicate words entering each step at
     /// the previous seal.
     trajectory: Vec<[StepTrajectory; 2]>,
-    /// `(replayed, total)` (shard, step) counting units of the last
-    /// recount — incremental-seal observability.
-    last_replay: (usize, usize),
-    /// `(units, words, rows)` of the last recount: replayed units whose
-    /// cached step was corrected first, and the words and rows
-    /// re-evaluated for them.
-    last_corrected: (usize, usize, usize),
-    /// Tuple visits of the last recount, summed over its steps.
-    last_visits: usize,
     /// Per-phase stage histograms (`[tagging, forwarding]`), resolved
     /// once on the registry so the recount loop records with
     /// pure atomics: one observation per (shard, column, phase) count
     /// and one per (column, phase) merge.
     hist_count: [Arc<Histogram>; 2],
     hist_merge: [Arc<Histogram>; 2],
-    /// Counting / merge nanoseconds accumulated by the last recount,
-    /// summed across shards and steps — the provenance-trace inputs
-    /// mirroring the per-step histograms.
-    count_nanos: u64,
-    merge_nanos: u64,
 }
 
 impl ShardSet {
@@ -505,59 +508,9 @@ impl ShardSet {
             prev_deepest: 0,
             sealed_once: false,
             trajectory: Vec::new(),
-            last_replay: (0, 0),
-            last_corrected: (0, 0, 0),
-            last_visits: 0,
             hist_count,
             hist_merge,
-            count_nanos: 0,
-            merge_nanos: 0,
         }
-    }
-
-    /// `(replayed, total)` (shard, step) units of the last recount — how
-    /// much of the seal was served from cached step deltas, corrected or
-    /// as they stood; the rest were recounted in full.
-    pub fn last_replay(&self) -> (usize, usize) {
-        self.last_replay
-    }
-
-    /// `(units, words, rows)` of the last recount: the replayed units
-    /// whose cached step was corrected for diverged predicates before it
-    /// was merged, the 64-tuple words that held the rows re-evaluated to
-    /// do it, and those rows (each evaluated twice).
-    pub(crate) fn last_corrected(&self) -> (usize, usize, usize) {
-        self.last_corrected
-    }
-
-    /// Tuples the last recount visited, summed over its steps: whole
-    /// buckets where a shard recounted, dirty suffixes where it replayed,
-    /// plus two visits per corrected row.
-    pub(crate) fn last_visits(&self) -> usize {
-        self.last_visits
-    }
-
-    /// Reset the per-recount stats: at the start of every recount, and
-    /// by the pipeline's O(1) re-seal fast path, which skips the recount
-    /// entirely (no counting units ran).
-    pub(crate) fn clear_replay_stats(&mut self) {
-        self.last_replay = (0, 0);
-        self.last_corrected = (0, 0, 0);
-        self.last_visits = 0;
-        self.count_nanos = 0;
-        self.merge_nanos = 0;
-    }
-
-    /// Shard-counting nanoseconds of the last recount, summed across
-    /// shards and (column, phase) steps.
-    pub fn last_count_nanos(&self) -> u64 {
-        self.count_nanos
-    }
-
-    /// Dense-merge nanoseconds of the last recount, summed across
-    /// (column, phase) steps.
-    pub fn last_merge_nanos(&self) -> u64 {
-        self.merge_nanos
     }
 
     /// The interner all shards intern through: ids `0..len()` are the
@@ -726,7 +679,8 @@ impl ShardSet {
         let mut deepest_active = 0;
         let mut plan = vec![StepPlan::Recount; self.shards.len()];
         let mut clean_full = vec![false; self.shards.len()];
-        self.clear_replay_stats();
+        let (mut replayed_steps, mut total_steps) = (0, 0);
+        let mut stats = SealStats::default();
         for x in 1..=deepest {
             let mut col_active = false;
             for phase in [CountPhase::Tagging, CountPhase::Forwarding] {
@@ -817,8 +771,8 @@ impl ShardSet {
                     .zip(plan.iter().zip(clean_full.iter_mut()))
                 {
                     let cached = p != StepPlan::Recount;
-                    self.last_replay.0 += cached as usize;
-                    self.last_visits += s.compiled.step_visits(x, phase, cached);
+                    replayed_steps += cached as u64;
+                    stats.visited_tuples += s.compiled.step_visits(x, phase, cached) as u64;
                     let t_count = Instant::now();
                     if phase == CountPhase::Tagging {
                         s.compiled.compute_clean(&preds, x, true, cached);
@@ -828,10 +782,10 @@ impl ShardSet {
                         *clean_full = true;
                     }
                     if p == StepPlan::Correct {
-                        self.last_corrected.0 += 1;
-                        self.last_corrected.1 += s.affected.len();
-                        self.last_corrected.2 += s.affected_rows;
-                        self.last_visits += 2 * s.affected_rows;
+                        stats.corrected += 1;
+                        stats.corrected_words += s.affected.len() as u64;
+                        stats.corrected_rows += s.affected_rows as u64;
+                        stats.visited_tuples += 2 * s.affected_rows as u64;
                         s.compiled.correct_words(
                             &recorded,
                             &preds,
@@ -848,9 +802,9 @@ impl ShardSet {
                         .count_phase_dense(&preds, x, phase, true, cached, &mut s.delta);
                     let nanos = t_count.elapsed().as_nanos() as u64;
                     self.hist_count[pi].record(nanos);
-                    self.count_nanos += nanos;
+                    stats.shard_count_nanos += nanos;
                 }
-                self.last_replay.1 += plan.len();
+                total_steps += plan.len() as u64;
                 // Serial merge in shard order. In trajectory mode the
                 // merges are accumulate-only — the predicate evolution is
                 // already known — and every id whose counters moved off
@@ -911,7 +865,7 @@ impl ShardSet {
                 }
                 let merge_elapsed = t_merge.elapsed().as_nanos() as u64;
                 self.hist_merge[pi].record(merge_elapsed);
-                self.merge_nanos += merge_elapsed;
+                stats.merge_nanos += merge_elapsed;
             }
             if col_active {
                 deepest_active = x;
@@ -922,10 +876,19 @@ impl ShardSet {
         }
         self.prev_deepest = deepest;
         self.sealed_once = true;
+        stats.kind = if replayed_steps > 0 {
+            SealKind::Incremental
+        } else {
+            SealKind::Full
+        };
+        stats.moved = overlay.ids.len() as u64;
         Recount {
             counters,
             deepest_active,
             moved: overlay.ids,
+            replayed_steps,
+            total_steps,
+            stats,
         }
     }
 }
@@ -933,6 +896,18 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A recount's `(replayed, total)` units, `(corrected, words, rows)`
+    /// and tuple visits.
+    fn counts(r: &Recount) -> ((usize, usize), (usize, usize, usize), usize) {
+        let n = |v: u64| v as usize;
+        let s = &r.stats;
+        (
+            (n(r.replayed_steps), n(r.total_steps)),
+            (n(s.corrected), n(s.corrected_words), n(s.corrected_rows)),
+            n(s.visited_tuples),
+        )
+    }
     use crate::testing::{followed_feed, tag_tuple as tup, FollowedFeed};
     use bgp_infer::classify::{Class, TaggingClass};
     use bgp_infer::engine::{InferenceConfig, InferenceEngine};
@@ -1132,11 +1107,9 @@ mod tests {
                     for t in batch {
                         push(&mut set, t);
                     }
-                    set.recount(&th);
+                    let ((replayed, units), (corrected, words, rows), visits) =
+                        counts(&set.recount(&th));
                     set.assert_caches_fresh(&ctx);
-                    let (replayed, units) = set.last_replay();
-                    let (corrected, words, rows) = set.last_corrected();
-                    let visits = set.last_visits();
                     let fresh = 5 * batch.len();
                     assert_eq!(units, 6 * shards, "{ctx}");
                     match seal {
@@ -1220,19 +1193,19 @@ mod tests {
                 for t in batch {
                     push(set, t);
                 }
+                let recount = set.recount(&th);
+                let ((replayed, units), (corrected, words, rows), _) = counts(&recount);
                 let Recount {
                     counters: got,
                     deepest_active: got_deepest,
                     ..
-                } = set.recount(&th);
+                } = recount;
                 assert_eq!(got_deepest, want_deepest, "{ctx}: deepest active index");
                 let got_rows = counted(set, &got);
                 assert_eq!(got_rows, want_rows, "{ctx}: counters");
                 assert_eq!(tagger_codes(&got_rows), classes, "{ctx}: classes");
                 set.assert_caches_fresh(&ctx);
 
-                let (replayed, units) = set.last_replay();
-                let (corrected, words, rows) = set.last_corrected();
                 assert!(corrected <= replayed && replayed <= units, "{ctx}");
                 assert!(
                     corrected <= words && words <= rows && rows <= 64 * words,
