@@ -13,6 +13,12 @@
 //! behind `Arc`s: the archived ASN table comes from the epoch's own
 //! Asn-sorted `(asn, id)` table, not from the pipeline's interner, so
 //! nothing the pipeline interns after the seal can reach a segment.
+//!
+//! An epoch's provenance timeline is persisted as a Trace frame when the
+//! trace store of the writer's registry holds one for it: the writer
+//! closes it with the `archive` row and writes what the store then
+//! serves. A writer on a registry that traced nothing (a private one,
+//! or one no pipeline records on) writes no Trace frame.
 
 use crate::archive::Archive;
 use crate::frame::{corrupt, Result};
@@ -21,10 +27,10 @@ use crate::segment::{DecodeFilter, EpochFrames, EpochMeta, SegmentBuilder, Segme
 use bgp_infer::compiled::DenseOutcome;
 use bgp_stream::epoch::EpochSnapshot;
 use bgp_types::asn::Asn;
-use obs::trace::TraceStore;
 use obs::{Counter, ObsRegistry};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Synchronous epoch appender. One segment file per append — one epoch
 /// ([`append_epoch`](ArchiveWriter::append_epoch)) or a run of them
@@ -42,16 +48,13 @@ pub struct ArchiveWriter {
     /// soak tests.
     io: Box<dyn IoShim>,
     /// Where this writer and its sink record (see
-    /// [`registry`](ArchiveWriter::registry)).
+    /// [`registry`](ArchiveWriter::registry)), and whose trace store
+    /// holds the timelines its epochs persist.
     obs: Arc<ObsRegistry>,
     /// Instruments resolved once at open: committed segment count and
     /// payload bytes (both paths, sync and sink).
     segments_appended: Arc<Counter>,
     bytes_written: Arc<Counter>,
-    /// Provenance store to record the `archive` stage into (and whose
-    /// timeline each epoch persists as a Trace frame). `None` keeps the
-    /// writer trace-free.
-    trace: Option<Arc<TraceStore>>,
     /// `(last epoch, attempts)` of the most recent append, so a sink
     /// retry re-records the archive stage with a bumped attempt count.
     last_attempt: (u64, u64),
@@ -109,16 +112,8 @@ impl ArchiveWriter {
                 &[],
             ),
             obs,
-            trace: None,
             last_attempt: (u64::MAX, 0),
         })
-    }
-
-    /// Record archive stages into `store` and persist each epoch's
-    /// timeline as a Trace frame alongside its data frames.
-    pub fn with_traces(mut self, store: Arc<TraceStore>) -> ArchiveWriter {
-        self.trace = Some(store);
-        self
     }
 
     /// The registry this writer records on, and an
@@ -204,6 +199,7 @@ impl ArchiveWriter {
         let asns = asns_by_id(last)?;
         let mut builder = SegmentBuilder::new();
         let mut interner_written = self.interner_written;
+        let attempted = Instant::now();
         for (i, &(snap, stats)) in run.iter().enumerate() {
             if snap.epoch != first.epoch + i as u64 {
                 return Err(corrupt(format!(
@@ -253,14 +249,17 @@ impl ArchiveWriter {
                 deepest_active_index: dense.deepest_active_index as u64,
                 thresholds: dense.thresholds,
             };
-            // Close the epoch's provenance timeline: the archive stage spans
-            // from the end of the last pipeline stage to this commit attempt,
-            // and a retry replaces the row with a bumped attempt count — so
-            // the persisted frame always equals what the store serves live.
-            let trace = self.trace.as_ref().and_then(|store| {
-                store.record_since_last(snap.epoch, "archive", &[("attempt", attempts)]);
-                store.get(snap.epoch)
-            });
+            // Close the epoch's provenance timeline, if one was traced: the
+            // archive stage spans from the end of the last pipeline stage to
+            // this commit attempt, and a retry replaces the row with a bumped
+            // attempt count — so the persisted frame always equals what the
+            // store serves live.
+            let trace = self.obs.traces().record_since_last(
+                snap.epoch,
+                "archive",
+                attempted,
+                &[("attempt", attempts)],
+            );
             builder.push_epoch(&EpochFrames {
                 meta,
                 interner_base: interner_written,
@@ -273,9 +272,7 @@ impl ArchiveWriter {
             });
             interner_written = seal_len;
         }
-        if self.trace.is_some() {
-            self.last_attempt = (last_epoch, attempts);
-        }
+        self.last_attempt = (last_epoch, attempts);
         let (bytes, checksum) = builder.finish();
 
         let file = segment_file_name(self.manifest.next_seq());

@@ -706,6 +706,35 @@ fn a_queue_eviction_degrades_the_sink_at_once() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A Trace frame is what the writer's registry traced: the world's
+/// pipeline recorded on a registry of its own, so a writer on a fresh
+/// one writes none, except for the epoch traced on its registry, whose
+/// timeline it closes with the `archive` row and persists.
+#[test]
+fn only_an_epoch_traced_on_the_writers_registry_persists_a_trace() {
+    let out = build_world(3, 16);
+    let dir = tmp_dir("untraced");
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let mut writer = ArchiveWriter::open_with_io(&dir, Box::new(RealIo), Arc::clone(&obs)).unwrap();
+    writer.append_epochs(&run_of(&out.snapshots[..2])).unwrap();
+    obs.traces()
+        .record(2, "seal", std::time::Instant::now(), 10, &[]);
+    writer.append_epochs(&run_of(&out.snapshots[2..])).unwrap();
+    assert_eq!(obs.traces().epochs(), [2], "no timeline for 0 and 1");
+
+    let archived = Archive::open(&dir)
+        .unwrap()
+        .read_all(DecodeFilter::all())
+        .unwrap();
+    let traced: Vec<bool> = archived.iter().map(|e| e.has_trace).collect();
+    assert_eq!(traced, [false, false, true]);
+    let trace = archived[2].trace.as_ref().expect("decoded trace");
+    assert_eq!(Some(trace), obs.traces().get(2).as_ref());
+    let stages: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
+    assert_eq!(stages, ["seal", "archive"]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A disk whose first write fails and whose others go through.
 #[derive(Debug)]
 struct FailsOnce(bool);

@@ -17,7 +17,9 @@
 //!   concurrently-read discipline `SnapshotSlot` uses for snapshots.
 //!   "How long does this stage take" is read here.
 //! - **Per-epoch traces** ([`TraceStore`]): one timeline of named stages
-//!   per sealed epoch, persisted with the epoch in the archive. "Where
+//!   per sealed epoch, persisted with the epoch in the archive. Each
+//!   registry owns one store of the last 256 epochs, and the store reads
+//!   no clock: every row is handed the instant its stage ran. "Where
 //!   did epoch N's time go" is read here.
 //! - **Alert rules** ([`AlertState`]): `name>threshold@N` over any
 //!   registry family, evaluated against the window since the last
@@ -30,12 +32,13 @@
 //! that `/metrics` already exposes.
 //!
 //! Counters, gauges and histograms are keyed by (family, labels) in an
-//! [`ObsRegistry`]. There is no process-wide one: `bgp-served` builds a
-//! registry and `Arc`-clones it into every layer that records into or
-//! renders it (`bgp-serve`'s `Metrics` is a set of handles on it, and
-//! `/metrics` is its one renderer). A constructor handed no registry
-//! records on a fresh private one, and each test builds its own with
-//! [`ObsRegistry::new`].
+//! [`ObsRegistry`], beside its trace store. There is no process-wide
+//! one: `bgp-served` builds a registry and `Arc`-clones it into every
+//! layer that records into or renders it (`bgp-serve`'s `Metrics` is a
+//! set of handles on it, `/metrics` is its one renderer, and
+//! `/v1/debug/epoch/{N}/trace` reads its store). A constructor handed no
+//! registry records on a fresh private one, and each test builds its
+//! own with [`ObsRegistry::new`].
 //!
 //! Histogram semantics: bucket upper bounds are powers of two from
 //! 256 ns to ~137 s (factor-2 resolution); quantiles are reported as

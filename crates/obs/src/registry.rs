@@ -1,13 +1,17 @@
 //! The metric registry.
 //!
 //! An [`ObsRegistry`] owns counters, gauges, and histograms keyed by
-//! `(family, labels)`. Handles come back as
+//! `(family, labels)`, and one [`TraceStore`] of per-epoch timelines.
+//! Handles come back as
 //! `Arc`s so hot paths resolve their instrument once (at construction
 //! time) and record with pure atomics afterwards — the get-or-create
 //! lookup itself takes a mutex and is meant for setup, not per-event
 //! use. There is no process-wide registry: a daemon builds one and
 //! hands it to every layer it starts (`bgp-serve`'s `Metrics` is a set
-//! of handles on it), and each test builds its own.
+//! of handles on it), and each test builds its own. A layer traces
+//! into the store of the registry it records on, so the pipeline's,
+//! publisher's and archive writer's rows of one epoch meet in one
+//! timeline exactly when the daemon hands them one registry.
 //!
 //! [`render_prometheus`](ObsRegistry::render_prometheus) emits
 //! text-format v0.0.4: one `# HELP`/`# TYPE` preamble per family, then
@@ -15,6 +19,7 @@
 //! lines (seconds) plus `_sum`/`_count`.
 
 use crate::hist::{write_seconds, Histogram, HistogramSnapshot, BUCKET_COUNT};
+use crate::trace::TraceStore;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -123,12 +128,13 @@ pub struct HistogramEntrySnapshot {
     pub snap: HistogramSnapshot,
 }
 
-/// Counters + gauges + histograms.
+/// Counters + gauges + histograms, and the per-epoch trace store.
 #[derive(Debug, Default)]
 pub struct ObsRegistry {
     counters: Mutex<Vec<MetricEntry<Counter>>>,
     gauges: Mutex<Vec<MetricEntry<Gauge>>>,
     hists: Mutex<Vec<MetricEntry<Histogram>>>,
+    traces: Arc<TraceStore>,
 }
 
 impl ObsRegistry {
@@ -150,6 +156,11 @@ impl ObsRegistry {
     /// Get or create the histogram `family{labels}`.
     pub fn histogram(&self, family: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         find_or_insert(&self.hists, family, help, labels)
+    }
+
+    /// The per-epoch provenance timelines recorded on this registry.
+    pub fn traces(&self) -> &Arc<TraceStore> {
+        &self.traces
     }
 
     /// Point-in-time state of every histogram series, sorted by

@@ -10,16 +10,24 @@
 //! what did it cost" survives a restart and time-travels with the rest
 //! of the archive.
 //!
+//! Each [`ObsRegistry`](crate::ObsRegistry) owns one store, so every
+//! layer records on the store of the registry it already records its
+//! histograms on. The store reads no clock: each row is handed the
+//! instant its stage started (or, for the archive row, ended), so a row
+//! is dated where its stage ran, not where it was written down.
+//!
 //! Concurrency follows the workspace's writer-owned discipline: the
 //! single ingest/seal thread records, readers clone finished timelines
 //! out from under a short mutex. The store is bounded — old epochs are
-//! evicted front-first once `capacity` is exceeded (the archive frame
-//! is the durable copy).
+//! evicted front-first past [`CAPACITY`] (the archive frame is the
+//! durable copy).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// Epochs a store retains.
+pub const CAPACITY: usize = 256;
 
 /// One stage of an epoch's timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,45 +45,58 @@ pub struct TraceStage {
     pub counters: Vec<(String, u64)>,
 }
 
+impl TraceStage {
+    fn new(
+        stage: &str,
+        start_offset_nanos: u64,
+        duration_nanos: u64,
+        counters: &[(&str, u64)],
+    ) -> Self {
+        TraceStage {
+            stage: stage.to_string(),
+            start_offset_nanos,
+            duration_nanos,
+            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
+}
+
 /// A finished (or in-flight) epoch timeline: every recorded stage in
-/// the order it first started.
+/// the order it was recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochTrace {
     /// The epoch this timeline belongs to.
     pub epoch: u64,
-    /// Stages, ordered by first start.
+    /// Stages, in the order they were recorded.
     pub stages: Vec<TraceStage>,
 }
 
 /// One epoch's in-flight trace plus the instant offsets anchor to.
 #[derive(Debug)]
 struct TraceEntry {
-    epoch: u64,
     /// The instant of the first recorded stage's start; later stages
     /// measure their offset against it.
     base: Instant,
-    stages: Vec<TraceStage>,
+    trace: EpochTrace,
+}
+
+impl TraceEntry {
+    /// Nanoseconds from `base` to `at` (0 for an instant before it).
+    fn offset(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.base).as_nanos() as u64
+    }
 }
 
 /// Bounded store of per-epoch provenance timelines.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceStore {
-    /// The epoch currently being assembled by the ingest side — batch
-    /// accumulation attributes to it without plumbing an epoch id
-    /// through every source.
-    active: AtomicU64,
     entries: Mutex<VecDeque<TraceEntry>>,
-    capacity: usize,
 }
 
 impl TraceStore {
-    /// A store retaining the last `capacity` epochs (minimum 1).
-    pub fn new(capacity: usize) -> TraceStore {
-        TraceStore {
-            active: AtomicU64::new(0),
-            entries: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-        }
+    /// A store retaining the last [`CAPACITY`] epochs.
+    pub fn new() -> TraceStore {
+        TraceStore::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceEntry>> {
@@ -84,55 +105,19 @@ impl TraceStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Mark `epoch` as the one ingest is currently filling.
-    pub fn set_active(&self, epoch: u64) {
-        self.active.store(epoch, Ordering::Release);
-    }
-
-    /// The epoch ingest is currently filling.
-    pub fn active(&self) -> u64 {
-        self.active.load(Ordering::Acquire)
-    }
-
-    /// Find-or-create the entry for `epoch`, evicting the oldest when
-    /// over capacity. `now` anchors a fresh entry's offset base.
-    fn entry_mut(
-        entries: &mut VecDeque<TraceEntry>,
+    /// Record one completed stage that began at `started` and took
+    /// `duration_nanos`. The first stage recorded for an epoch anchors
+    /// the timeline (its start is offset 0); later stages are offset
+    /// against it. A stage name recorded twice appends a second row.
+    pub fn record(
+        &self,
         epoch: u64,
-        base_if_new: Instant,
-        capacity: usize,
-    ) -> &mut TraceEntry {
-        if let Some(pos) = entries.iter().position(|e| e.epoch == epoch) {
-            return &mut entries[pos];
-        }
-        entries.push_back(TraceEntry {
-            epoch,
-            base: base_if_new,
-            stages: Vec::new(),
-        });
-        while entries.len() > capacity {
-            entries.pop_front();
-        }
-        let last = entries.len() - 1;
-        &mut entries[last]
-    }
-
-    /// Record one completed stage of `duration_nanos` that ended now.
-    /// The first stage recorded for an epoch anchors the timeline (its
-    /// start is offset 0); later stages are offset against it. A stage
-    /// name recorded twice appends a second timeline row.
-    pub fn record(&self, epoch: u64, stage: &str, duration_nanos: u64, counters: &[(&str, u64)]) {
-        let now = Instant::now();
-        let started = now - std::time::Duration::from_nanos(duration_nanos);
-        let mut entries = self.lock();
-        let entry = Self::entry_mut(&mut entries, epoch, started, self.capacity);
-        let start_offset_nanos = started.saturating_duration_since(entry.base).as_nanos() as u64;
-        entry.stages.push(TraceStage {
-            stage: stage.to_string(),
-            start_offset_nanos,
-            duration_nanos,
-            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        });
+        stage: &str,
+        started: Instant,
+        duration_nanos: u64,
+        counters: &[(&str, u64)],
+    ) {
+        self.push(epoch, stage, started, duration_nanos, counters, false);
     }
 
     /// Like [`record`](Self::record), but a repeated stage name merges
@@ -143,14 +128,45 @@ impl TraceStore {
         &self,
         epoch: u64,
         stage: &str,
+        started: Instant,
         duration_nanos: u64,
         counters: &[(&str, u64)],
     ) {
-        let now = Instant::now();
-        let started = now - std::time::Duration::from_nanos(duration_nanos);
+        self.push(epoch, stage, started, duration_nanos, counters, true);
+    }
+
+    /// Find-or-create `epoch`'s entry (a new one anchored at `started`,
+    /// evicting the oldest past [`CAPACITY`]) and add the row, merged
+    /// into a same-named one when `merge`.
+    fn push(
+        &self,
+        epoch: u64,
+        stage: &str,
+        started: Instant,
+        duration_nanos: u64,
+        counters: &[(&str, u64)],
+        merge: bool,
+    ) {
         let mut entries = self.lock();
-        let entry = Self::entry_mut(&mut entries, epoch, started, self.capacity);
-        if let Some(existing) = entry.stages.iter_mut().find(|s| s.stage == stage) {
+        let at = match entries.iter().rposition(|e| e.trace.epoch == epoch) {
+            Some(at) => at,
+            None => {
+                entries.push_back(TraceEntry {
+                    base: started,
+                    trace: EpochTrace {
+                        epoch,
+                        stages: Vec::new(),
+                    },
+                });
+                if entries.len() > CAPACITY {
+                    entries.pop_front();
+                }
+                entries.len() - 1
+            }
+        };
+        let entry = &mut entries[at];
+        let stages = &mut entry.trace.stages;
+        if let Some(existing) = stages.iter_mut().find(|s| merge && s.stage == stage) {
             existing.duration_nanos += duration_nanos;
             for &(k, v) in counters {
                 match existing.counters.iter_mut().find(|(ek, _)| ek == k) {
@@ -160,91 +176,105 @@ impl TraceStore {
             }
             return;
         }
-        let start_offset_nanos = started.saturating_duration_since(entry.base).as_nanos() as u64;
-        entry.stages.push(TraceStage {
-            stage: stage.to_string(),
-            start_offset_nanos,
-            duration_nanos,
-            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        });
+        let row = TraceStage::new(stage, entry.offset(started), duration_nanos, counters);
+        entry.trace.stages.push(row);
     }
 
-    /// Record `stage` as spanning from the end of the last recorded
-    /// stage to now, replacing any existing row with the same name.
-    /// Used for the archive append, whose duration includes queueing
-    /// and retries and is only known at commit time — a sink retry
-    /// re-records the stage with the final attempt count.
-    pub fn record_since_last(&self, epoch: u64, stage: &str, counters: &[(&str, u64)]) {
-        let now = Instant::now();
+    /// Close `epoch`'s timeline with `stage`, spanning from the end of
+    /// the last other stage to `ended` and replacing any row of the same
+    /// name, and return the timeline. Used for the archive append, whose
+    /// duration includes queueing and retries and is only known at
+    /// commit time — a sink retry re-records the stage with the final
+    /// attempt count. Records nothing and returns `None` when the store
+    /// holds no timeline for `epoch`.
+    pub fn record_since_last(
+        &self,
+        epoch: u64,
+        stage: &str,
+        ended: Instant,
+        counters: &[(&str, u64)],
+    ) -> Option<EpochTrace> {
         let mut entries = self.lock();
-        let entry = Self::entry_mut(&mut entries, epoch, now, self.capacity);
-        let now_offset = now.saturating_duration_since(entry.base).as_nanos() as u64;
-        let last_end = entry
-            .stages
+        let entry = entries.iter_mut().rfind(|e| e.trace.epoch == epoch)?;
+        let end = entry.offset(ended);
+        let stages = &mut entry.trace.stages;
+        let last_end = stages
             .iter()
             .filter(|s| s.stage != stage)
             .map(|s| s.start_offset_nanos + s.duration_nanos)
             .max()
             .unwrap_or(0)
-            .min(now_offset);
-        let row = TraceStage {
-            stage: stage.to_string(),
-            start_offset_nanos: last_end,
-            duration_nanos: now_offset - last_end,
-            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        };
-        match entry.stages.iter_mut().find(|s| s.stage == stage) {
+            .min(end);
+        let row = TraceStage::new(stage, last_end, end - last_end, counters);
+        match stages.iter_mut().find(|s| s.stage == stage) {
             Some(existing) => *existing = row,
-            None => entry.stages.push(row),
+            None => stages.push(row),
         }
+        Some(entry.trace.clone())
     }
 
     /// The timeline recorded for `epoch`, if still retained.
     pub fn get(&self, epoch: u64) -> Option<EpochTrace> {
         let entries = self.lock();
-        entries
-            .iter()
-            .find(|e| e.epoch == epoch)
-            .map(|e| EpochTrace {
-                epoch: e.epoch,
-                stages: e.stages.clone(),
-            })
+        let entry = entries.iter().rfind(|e| e.trace.epoch == epoch)?;
+        Some(entry.trace.clone())
     }
 
     /// Epochs currently retained, oldest first.
     pub fn epochs(&self) -> Vec<u64> {
-        self.lock().iter().map(|e| e.epoch).collect()
+        self.lock().iter().map(|e| e.trace.epoch).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn ns(n: u64) -> Duration {
+        Duration::from_nanos(n)
+    }
 
     #[test]
     fn record_orders_stages_and_offsets() {
-        let t = TraceStore::new(8);
-        t.record(3, "seal", 1_000, &[("events", 10)]);
-        t.record(3, "publish", 500, &[("records", 4)]);
+        let (t, t0) = (TraceStore::new(), Instant::now());
+        t.record(3, "seal", t0, 1_000, &[("events", 10)]);
+        t.record(3, "publish", t0 + ns(1_200), 500, &[("records", 4)]);
+        // A row dated before the anchor clamps to offset 0.
+        t.record(3, "early", t0 - ns(50), 10, &[]);
         let trace = t.get(3).unwrap();
         assert_eq!(trace.epoch, 3);
-        assert_eq!(trace.stages.len(), 2);
-        assert_eq!(trace.stages[0].stage, "seal");
-        assert_eq!(trace.stages[0].start_offset_nanos, 0);
-        assert_eq!(trace.stages[0].duration_nanos, 1_000);
+        let rows: Vec<_> = trace
+            .stages
+            .iter()
+            .map(|s| (s.stage.as_str(), s.start_offset_nanos, s.duration_nanos))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("seal", 0, 1_000),
+                ("publish", 1_200, 500),
+                ("early", 0, 10)
+            ]
+        );
         assert_eq!(trace.stages[0].counters, vec![("events".to_string(), 10)]);
-        assert_eq!(trace.stages[1].stage, "publish");
-        assert!(trace.stages[1].start_offset_nanos >= 500);
         assert!(t.get(99).is_none());
     }
 
     #[test]
     fn accumulate_merges_batches() {
-        let t = TraceStore::new(8);
-        t.accumulate(0, "ingest", 100, &[("batches", 1), ("events", 32)]);
-        t.accumulate(0, "ingest", 200, &[("batches", 1), ("events", 32)]);
+        let (t, t0) = (TraceStore::new(), Instant::now());
+        t.accumulate(0, "ingest", t0, 100, &[("batches", 1), ("events", 32)]);
+        t.accumulate(
+            0,
+            "ingest",
+            t0 + ns(400),
+            200,
+            &[("batches", 1), ("events", 32)],
+        );
         let trace = t.get(0).unwrap();
         assert_eq!(trace.stages.len(), 1);
+        assert_eq!(trace.stages[0].start_offset_nanos, 0);
         assert_eq!(trace.stages[0].duration_nanos, 300);
         assert_eq!(
             trace.stages[0].counters,
@@ -254,38 +284,41 @@ mod tests {
 
     #[test]
     fn record_since_last_replaces_and_spans_tail() {
-        let t = TraceStore::new(8);
-        t.record(1, "seal", 1_000, &[]);
-        t.record_since_last(1, "archive", &[("attempt", 1)]);
-        let first = t.get(1).unwrap();
+        let (t, t0) = (TraceStore::new(), Instant::now());
+        // No timeline for the epoch: nothing is recorded.
+        assert!(t.record_since_last(1, "archive", t0, &[]).is_none());
+        assert!(t.epochs().is_empty());
+
+        t.record(1, "seal", t0, 1_000, &[]);
+        let first = t
+            .record_since_last(1, "archive", t0 + ns(1_500), &[("attempt", 1)])
+            .unwrap();
+        assert_eq!(first, t.get(1).unwrap());
         assert_eq!(first.stages.len(), 2);
         let archive = &first.stages[1];
         assert_eq!(archive.stage, "archive");
-        assert!(archive.start_offset_nanos >= 1_000);
+        assert_eq!(
+            (archive.start_offset_nanos, archive.duration_nanos),
+            (1_000, 500)
+        );
         // A retry re-records the same row instead of appending.
-        t.record_since_last(1, "archive", &[("attempt", 2)]);
-        let second = t.get(1).unwrap();
+        let second = t
+            .record_since_last(1, "archive", t0 + ns(2_000), &[("attempt", 2)])
+            .unwrap();
         assert_eq!(second.stages.len(), 2);
         assert_eq!(second.stages[1].counters, vec![("attempt".to_string(), 2)]);
-        assert!(second.stages[1].duration_nanos >= archive.duration_nanos);
+        assert_eq!(second.stages[1].duration_nanos, 1_000);
     }
 
     #[test]
     fn bounded_eviction_drops_oldest() {
-        let t = TraceStore::new(2);
-        for epoch in 0..5u64 {
-            t.record(epoch, "seal", 10, &[]);
+        let (t, t0) = (TraceStore::new(), Instant::now());
+        let epochs = CAPACITY as u64 + 3;
+        for epoch in 0..epochs {
+            t.record(epoch, "seal", t0, 10, &[]);
         }
-        assert_eq!(t.epochs(), vec![3, 4]);
-        assert!(t.get(0).is_none());
-        assert!(t.get(4).is_some());
-    }
-
-    #[test]
-    fn active_epoch_round_trips() {
-        let t = TraceStore::new(2);
-        assert_eq!(t.active(), 0);
-        t.set_active(7);
-        assert_eq!(t.active(), 7);
+        assert_eq!(t.epochs(), (3..epochs).collect::<Vec<_>>());
+        assert!(t.get(2).is_none());
+        assert!(t.get(epochs - 1).is_some());
     }
 }

@@ -49,7 +49,7 @@ use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
-use obs::trace::{EpochTrace, TraceStore};
+use obs::trace::EpochTrace;
 use obs::ObsRegistry;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -69,9 +69,6 @@ pub struct Api {
     /// Degraded-mode health state; when attached, `/healthz` answers
     /// from the state machine instead of liveness alone.
     health: Option<Arc<HealthState>>,
-    /// Live per-epoch provenance traces for `/v1/debug/epoch/{N}/trace`
-    /// (evicted epochs fall back to the archive through `history`).
-    traces: Option<Arc<TraceStore>>,
     /// Process start, for `/v1/version` and `/v1/stats` uptime.
     start: Instant,
 }
@@ -91,7 +88,6 @@ impl Api {
             metrics,
             history: None,
             health: None,
-            traces: None,
             start: Instant::now(),
         }
     }
@@ -108,13 +104,6 @@ impl Api {
     /// alone.
     pub fn with_health(mut self, health: Arc<HealthState>) -> Self {
         self.health = Some(health);
-        self
-    }
-
-    /// Serve `/v1/debug/epoch/{N}/trace` from `traces` (live epochs),
-    /// falling back to the archive when one is attached.
-    pub fn with_traces(mut self, traces: Arc<TraceStore>) -> Self {
-        self.traces = Some(traces);
         self
     }
 
@@ -257,13 +246,14 @@ impl Api {
     }
 
     /// `/v1/debug/epoch/{N}/trace` — the epoch's provenance timeline:
-    /// the live store first, then the archive's persisted Trace frame
-    /// (same shape either way, so restarts answer identically).
+    /// the trace store of the metrics' registry first, then the
+    /// archive's persisted Trace frame (same shape either way, so
+    /// restarts and evicted epochs answer identically).
     fn epoch_trace_endpoint(&self, snap: &ServeSnapshot, raw_epoch: &str) -> Response {
         let Ok(epoch) = raw_epoch.parse::<u64>() else {
             return Response::error(400, "epoch must be an unsigned integer");
         };
-        let mut trace = self.traces.as_ref().and_then(|t| t.get(epoch));
+        let mut trace = self.metrics.registry().traces().get(epoch);
         let mut source = "live";
         if trace.is_none() {
             if let Some(history) = &self.history {

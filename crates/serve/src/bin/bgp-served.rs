@@ -258,15 +258,12 @@ fn run(opts: Options) -> Result<(), String> {
     shutdown::install();
     let thresholds = bgp_infer::counters::Thresholds::uniform(opts.threshold);
     let slot = Arc::new(SnapshotSlot::new(thresholds));
-    // The daemon's one registry: every layer below records on it, and
-    // /metrics, /healthz and the alert rules read it.
+    // The daemon's one registry: every layer below records on it and
+    // traces into its store, and /metrics, /healthz, the alert rules
+    // and /v1/debug/epoch/{N}/trace read it.
     let obs = Arc::new(obs::ObsRegistry::new());
     let metrics = Arc::new(Metrics::with_registry(Arc::clone(&obs)));
     let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));
-    // Per-epoch provenance traces: threaded through the pipeline, the
-    // publisher, and the archive writer; served live (or from the
-    // archive after a restart) at /v1/debug/epoch/{N}/trace.
-    let traces = Arc::new(obs::trace::TraceStore::new(256));
 
     // Alert rules: judged every --sample-interval on a thread of their
     // own, which exists only when there is a rule to judge.
@@ -308,7 +305,6 @@ fn run(opts: Options) -> Result<(), String> {
             // The daemon serves the latest snapshot; historical counter
             // stores would grow without bound on a long-lived feed.
             compact_history: true,
-            trace: Some(Arc::clone(&traces)),
         },
         batch: opts.batch,
         restart_budget: opts.restart_budget,
@@ -355,7 +351,6 @@ fn run(opts: Options) -> Result<(), String> {
         };
         let writer = ArchiveWriter::open_with_io(dir, io, Arc::clone(&obs))
             .map_err(|e| format!("archive {dir}: {e}"))?;
-        let writer = writer.with_traces(Arc::clone(&traces));
         sink = Some(ArchiveSink::spawn(writer));
         history = Some(Arc::new(
             HistoryStore::open(Path::new(dir), driver_cfg.flip_log_cap)
@@ -363,9 +358,8 @@ fn run(opts: Options) -> Result<(), String> {
         ));
     }
 
-    let mut api = Api::new(Arc::clone(&slot), Arc::clone(&metrics))
-        .with_health(Arc::clone(&health))
-        .with_traces(Arc::clone(&traces));
+    let mut api =
+        Api::new(Arc::clone(&slot), Arc::clone(&metrics)).with_health(Arc::clone(&health));
     if let Some(history) = &history {
         api = api.with_history(Arc::clone(history));
     }

@@ -29,9 +29,11 @@
 //! Every instrument the driver builds records on the registry of the
 //! [`Metrics`] it is handed: the pipeline and its shards
 //! ([`StreamPipeline::with_registry`]), the publisher, the batch
-//! histogram and the seal-queue gauge. A daemon therefore hands down its
-//! one registry through `metrics` alone, and [`DriverConfig`] carries
-//! none.
+//! histogram and the seal-queue gauge. So does every trace row: the
+//! sealer accumulates each batch's `ingest` row into the epoch the
+//! pipeline has open, and the pipeline and publisher add theirs, all in
+//! that registry's store. A daemon therefore hands down its one registry
+//! through `metrics` alone, and [`DriverConfig`] carries none.
 //!
 //! `bgp_serve_seal_queue_depth` counts a batch in before the puller
 //! sends it and out after the sealer receives it; whatever an attempt
@@ -331,7 +333,7 @@ impl Driver {
                         depth.add(-1);
                         let started = Instant::now();
                         sealer.take(&batch, started);
-                        sealer.timed(batch.len() as u64, started.elapsed());
+                        sealer.timed(batch.len() as u64, started, started.elapsed());
                     }
                     sealer
                 })
@@ -365,9 +367,6 @@ impl Driver {
         }
         if let Some(sink) = &self.sink {
             publisher = publisher.with_archive(Arc::clone(sink));
-        }
-        if let Some(traces) = &cfg.stream.trace {
-            publisher = publisher.with_traces(Arc::clone(traces));
         }
         Sealer {
             pipeline,
@@ -617,21 +616,21 @@ impl Sealer {
         self.metrics.events_ingested.add(batch.len() as u64);
     }
 
-    /// Record that taking a batch of `events` took `took`.
-    fn timed(&self, events: u64, took: Duration) {
+    /// Record that taking a batch of `events` from `started` took `took`.
+    fn timed(&self, events: u64, started: Instant, took: Duration) {
         let nanos = took.as_nanos() as u64;
         self.metrics.ingest_batch.record(nanos);
-        if let Some(traces) = &self.pipeline.config().trace {
-            // Accumulated into whichever epoch is open when the batch
-            // ends — a batch that straddles a seal attributes its tail
-            // to the next epoch, which is close enough for provenance.
-            traces.accumulate(
-                traces.active(),
-                "ingest",
-                nanos,
-                &[("batches", 1), ("events", events)],
-            );
-        }
+        // Accumulated into whichever epoch is open when the batch ends
+        // (as many as have sealed) — a batch that straddles a seal
+        // attributes its tail to the next epoch, which is close enough
+        // for provenance.
+        self.metrics.registry().traces().accumulate(
+            self.pipeline.snapshots().len() as u64,
+            "ingest",
+            started,
+            nanos,
+            &[("batches", 1), ("events", events)],
+        );
     }
 
     /// The pull ended without an error. If the feed drained, seal

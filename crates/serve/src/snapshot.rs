@@ -29,7 +29,6 @@ use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_stream::epoch::{ClassFlip, EpochSnapshot, IngestStats};
 use bgp_stream::pipeline::StreamPipeline;
-use obs::trace::TraceStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -415,9 +414,6 @@ pub struct Publisher {
     /// backwards), the flip log (already seeded), or the sink (already
     /// committed).
     resume_skip: Option<u64>,
-    /// Per-epoch provenance traces: each publication appends a
-    /// `"publish"` stage to its epoch's timeline.
-    traces: Option<Arc<TraceStore>>,
 }
 
 impl Publisher {
@@ -432,11 +428,11 @@ impl Publisher {
             metrics: Arc::default(),
             archive: None,
             resume_skip: None,
-            traces: None,
         }
     }
 
-    /// Count and time each published epoch on `metrics`.
+    /// Count and time each published epoch on `metrics`, and trace its
+    /// `"publish"` stage into the store of their registry.
     pub fn with_metrics(mut self, metrics: Arc<crate::metrics::Metrics>) -> Self {
         self.metrics = metrics;
         self
@@ -445,12 +441,6 @@ impl Publisher {
     /// Tap every newly published epoch into `sink` for durable archiving.
     pub fn with_archive(mut self, sink: Arc<ArchiveSink>) -> Self {
         self.archive = Some(sink);
-        self
-    }
-
-    /// Record each epoch's `"publish"` stage into `traces`.
-    pub fn with_traces(mut self, traces: Arc<TraceStore>) -> Self {
-        self.traces = Some(traces);
         self
     }
 
@@ -513,17 +503,16 @@ impl Publisher {
         // Trace the publish before handing the epoch to the archive
         // sink: the sink's thread encodes the trace frame, so the
         // `"publish"` stage must already be in the store by then.
-        if let Some(traces) = &self.traces {
-            traces.record(
-                sealed.epoch,
-                "publish",
-                t_publish.elapsed().as_nanos() as u64,
-                &[
-                    ("records", snapshot.records.len() as u64),
-                    ("version", snapshot.version()),
-                ],
-            );
-        }
+        self.metrics.registry().traces().record(
+            sealed.epoch,
+            "publish",
+            t_publish,
+            t_publish.elapsed().as_nanos() as u64,
+            &[
+                ("records", snapshot.records.len() as u64),
+                ("version", snapshot.version()),
+            ],
+        );
         if let Some(sink) = &self.archive {
             sink.submit(sealed);
         }

@@ -312,7 +312,7 @@ fn every_endpoint_matches_the_records_oracle() {
     let last = oracle.outcome.snapshots.last().unwrap();
     let shard_loads: Vec<String> = oracle
         .outcome
-        .shard_loads
+        .shard_loads()
         .iter()
         .map(|l| l.to_string())
         .collect();
@@ -346,7 +346,7 @@ fn every_endpoint_matches_the_records_oracle() {
             served_epoch.count_nanos,
             last.total_events,
             last.unique_tuples,
-            oracle.outcome.duplicates,
+            oracle.outcome.duplicates(),
             oracle.records.len(),
             flip_count,
             served.ingest.interned_asns,
@@ -371,11 +371,11 @@ fn every_endpoint_matches_the_records_oracle() {
     )));
     assert!(body.contains(&format!(
         "bgp_serve_snapshot_unique_tuples {}",
-        oracle.outcome.unique_tuples
+        oracle.outcome.unique_tuples()
     )));
     assert!(body.contains(&format!(
         "bgp_serve_events_ingested_total {}",
-        oracle.outcome.total_events
+        oracle.outcome.total_events()
     )));
 
     // Close the keep-alive connection before shutdown, or the worker

@@ -3,20 +3,20 @@
 //!
 //! Two proofs:
 //! 1. An epoch's provenance trace is byte-identical whether served live
-//!    (from the in-memory `TraceStore`) or from the archive's persisted
-//!    trace frame after a "restart" (a fresh server with no live store).
+//!    (from the trace store of the registry every layer records on) or
+//!    from the archive's persisted trace frame after a "restart" (a
+//!    fresh server on a fresh registry).
 //! 2. An alert rule fires into `/healthz` reasons after its consecutive
 //!    over-threshold windows, and clears once the signal drops.
 //!
 //! Plus, in process: a rule can name what the serving layer itself
 //! counts, because `Metrics` records into the registry rules read.
 
-use bgp_archive::prelude::{ArchiveWriter, SegmentStats};
+use bgp_archive::prelude::{ArchiveWriter, RealIo, SegmentStats};
 use bgp_infer::counters::Thresholds;
 use bgp_serve::prelude::*;
 use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
-use obs::trace::TraceStore;
 use obs::AlertState;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,70 +68,75 @@ fn a_rule_on_the_serve_response_counter_fires() {
 fn epoch_trace_is_identical_across_restart() {
     let dir = tmp_dir("trace");
 
-    // "First boot": pipeline + publisher + archive writer all threaded
-    // with one TraceStore, exactly like the daemon wires them.
-    let traces = Arc::new(TraceStore::new(64));
-    let mut pipe = StreamPipeline::new(StreamConfig {
+    // "First boot": pipeline, publisher, archive writer and API all on
+    // one registry, exactly like the daemon wires them.
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let metrics = Arc::new(Metrics::with_registry(Arc::clone(&obs)));
+    let cfg = StreamConfig {
         shards: 2,
         epoch: EpochPolicy::every_events(6),
-        trace: Some(Arc::clone(&traces)),
         ..Default::default()
-    });
+    };
+    let mut pipe = StreamPipeline::with_registry(cfg, &obs);
     let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let mut publisher = Publisher::new(Arc::clone(&slot), 4096).with_traces(Arc::clone(&traces));
+    let mut publisher = Publisher::new(Arc::clone(&slot), 4096).with_metrics(Arc::clone(&metrics));
     for ev in tag_events(18) {
         if pipe.push(ev).is_some() {
             publisher.sync(&pipe);
         }
     }
-    let mut writer = ArchiveWriter::open(&dir)
-        .unwrap()
-        .with_traces(Arc::clone(&traces));
+    let mut writer = ArchiveWriter::open_with_io(&dir, Box::new(RealIo), Arc::clone(&obs)).unwrap();
     for snap in pipe.snapshots() {
         writer.append_epoch(snap, &SegmentStats::default()).unwrap();
     }
     drop(writer);
 
-    let live_api =
-        Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_traces(Arc::clone(&traces));
-    let live = serve(live_api);
-    let (status, live_body) = Client::connect(live.local_addr()).get("/v1/debug/epoch/1/trace");
-    assert_eq!(status, 200, "{live_body}");
-    assert!(live_body.contains("\"source\":\"live\""), "{live_body}");
-    for stage in ["seal", "publish", "archive"] {
-        assert!(
-            live_body.contains(&format!("\"stage\":\"{stage}\"")),
-            "missing {stage}: {live_body}"
-        );
-    }
-    // The seal row says how many tuples its steps visited, how many rows
-    // its corrections re-evaluated and how many ids moved; all reach the
-    // archive copy through the tail comparison below.
-    assert!(live_body.contains("\"visited_tuples\":"), "{live_body}");
-    assert!(live_body.contains("\"corrected_rows\":"), "{live_body}");
-    assert!(live_body.contains("\"moved\":"), "{live_body}");
-    live.shutdown();
-
-    // "Restart": a fresh server with no live TraceStore answers the same
-    // epoch from the archive's persisted trace frame.
+    let live = serve(Api::new(Arc::clone(&slot), metrics));
+    // "Restart": a fresh server on a fresh registry, whose store traced
+    // nothing, answers the same epochs from the archive's trace frames.
     let history = Arc::new(HistoryStore::open(&dir, 4096).unwrap());
     let restarted_api = Api::new(Arc::clone(&slot), Arc::new(Metrics::new())).with_history(history);
     let restarted = serve(restarted_api);
-    let (status, archived_body) =
-        Client::connect(restarted.local_addr()).get("/v1/debug/epoch/1/trace");
-    assert_eq!(status, 200, "{archived_body}");
-    assert!(
-        archived_body.contains("\"source\":\"archive\""),
-        "{archived_body}"
-    );
-
-    // Everything from the stage timeline on is byte-identical; only the
-    // source marker (live vs archive) may differ.
-    let tail = |body: &str| {
-        let at = body.find("\"stage_count\":").expect("stage timeline");
-        body[at..].to_string()
+    let trace = |server: &HttpServer, epoch: u64, source: &str| {
+        let path = format!("/v1/debug/epoch/{epoch}/trace");
+        let (status, body) = Client::connect(server.local_addr()).get(&path);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(&format!("\"source\":\"{source}\"")), "{body}");
+        body
     };
-    assert_eq!(tail(&live_body), tail(&archived_body));
+    // Epoch 0 counted its tuples; epoch 1 saw only duplicates, so its
+    // zero-delta seal has no count or merge row.
+    for (epoch, stages) in [
+        (
+            0,
+            &["seal", "shard_count", "shard_merge", "publish", "archive"][..],
+        ),
+        (1, &["seal", "publish", "archive"][..]),
+    ] {
+        let live_body = trace(&live, epoch, "live");
+        let at = live_body.find("\"stages\":").expect("stage timeline");
+        let names: Vec<&str> = live_body[at..]
+            .split("\"stage\":\"")
+            .skip(1)
+            .map(|row| &row[..row.find('"').unwrap()])
+            .collect();
+        assert_eq!(names, stages, "{live_body}");
+        // The seal row says how many tuples its steps visited, how many
+        // rows its corrections re-evaluated and how many ids moved; all
+        // reach the archive copy through the tail comparison below.
+        for counter in ["visited_tuples", "corrected_rows", "moved"] {
+            assert!(
+                live_body.contains(&format!("\"{counter}\":")),
+                "{live_body}"
+            );
+        }
+        // Everything from the stage timeline on is byte-identical; only
+        // the source marker (live vs archive) may differ.
+        let archived_body = trace(&restarted, epoch, "archive");
+        let tail = |body: &str| body[body.find("\"stage_count\":").unwrap()..].to_string();
+        assert_eq!(tail(&live_body), tail(&archived_body));
+    }
+    live.shutdown();
 
     // An epoch nobody recorded: 404, not an empty trace.
     assert_eq!(

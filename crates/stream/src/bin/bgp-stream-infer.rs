@@ -180,7 +180,6 @@ fn run(opts: &Options) -> Result<(), String> {
         // only the final db is exported, so historical counter stores
         // would be dead weight.
         compact_history: true,
-        ..Default::default()
     });
 
     let mut reported = 0usize;
@@ -229,11 +228,11 @@ fn run(opts: &Options) -> Result<(), String> {
     obs::info!(
         "stream",
         "stream done: {} events, {} unique tuples ({} dups), {} epochs, shard loads {:?}",
-        out.total_events,
-        out.unique_tuples,
-        out.duplicates,
+        out.total_events(),
+        out.unique_tuples(),
+        out.duplicates(),
         out.epochs(),
-        out.shard_loads,
+        out.shard_loads(),
     );
     obs::info!(
         "stream",

@@ -1,10 +1,12 @@
-//! Query/export layer: the finished stream's answer surface, which is the
-//! record table of its last epoch ([`EpochSnapshot::records`], copied once
-//! by [`finish`](crate::pipeline::StreamPipeline::finish)). A historical
-//! epoch's export copies that epoch's table the same way.
+//! Query/export layer: the finished stream's answer surface, which is its
+//! last epoch. The run's counts are that epoch's header and
+//! [`IngestStats`](crate::epoch::IngestStats), and its answers are that
+//! epoch's record table, which the latest snapshot always keeps. A
+//! historical epoch's export copies that epoch's table.
 
 use crate::epoch::{ClassFlip, EpochSnapshot};
 use bgp_infer::classify::Class;
+use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
@@ -20,47 +22,67 @@ use std::sync::Arc;
 /// streaming deployment publishes byte-compatible databases.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
-    /// Every sealed epoch, in order. Never empty. Snapshots are shared
-    /// ([`Arc`]) with any serving layer that retained them mid-stream.
+    /// Every sealed epoch, in order. Never empty, and the last one keeps
+    /// its counters. Snapshots are shared ([`Arc`]) with any serving
+    /// layer that retained them mid-stream.
     pub snapshots: Vec<Arc<EpochSnapshot>>,
-    /// Total events ingested.
-    pub total_events: u64,
-    /// Unique tuples stored.
-    pub unique_tuples: usize,
-    /// Dedup hits observed.
-    pub duplicates: u64,
-    /// Stored-tuple count per shard (load-balance introspection).
-    pub shard_loads: Vec<usize>,
-    /// The last epoch's record table.
-    pub(crate) records: Vec<DbRecord>,
-    /// Thresholds the run counted and classified under.
-    pub(crate) thresholds: Thresholds,
 }
 
 impl StreamOutcome {
+    /// The last sealed epoch: the state the run finished in.
+    fn last(&self) -> &EpochSnapshot {
+        self.snapshots
+            .last()
+            .expect("a finished run sealed an epoch")
+    }
+
+    /// The last epoch's dense state.
+    fn dense(&self) -> &DenseOutcome {
+        let dense = self.last().dense.as_ref();
+        dense.expect("latest snapshot is never compacted")
+    }
+
+    /// Total events ingested.
+    pub fn total_events(&self) -> u64 {
+        self.last().total_events
+    }
+
+    /// Unique tuples stored.
+    pub fn unique_tuples(&self) -> usize {
+        self.last().unique_tuples
+    }
+
+    /// Dedup hits observed.
+    pub fn duplicates(&self) -> u64 {
+        self.last().ingest.duplicates
+    }
+
+    /// Stored-tuple count per shard (load-balance introspection).
+    pub fn shard_loads(&self) -> &[u64] {
+        &self.last().ingest.shard_loads
+    }
+
     /// Final per-AS records (ASN, class, counters), sorted by ASN — the
     /// rows of [`export_db`](StreamOutcome::export_db).
     pub fn records(&self) -> &[DbRecord] {
-        &self.records
+        &self.dense().records
     }
 
     /// Final classification of one AS ([`Class::NONE`] when never
     /// counted).
     pub fn class_of(&self, asn: Asn) -> Class {
-        self.records
-            .binary_search_by_key(&asn, |r| r.asn)
-            .map_or(Class::NONE, |i| self.records[i].class)
+        self.last().class_of(asn)
     }
 
     /// Final classification of every counted AS, sorted by ASN.
     pub fn classes(&self) -> Vec<(Asn, Class)> {
-        self.records.iter().map(|r| (r.asn, r.class)).collect()
+        self.last().classes.to_vec()
     }
 
     /// Re-classify every counted AS under different thresholds without
     /// re-counting (same approximation the batch engine documents).
     pub fn reclassify(&self, thresholds: Thresholds) -> Vec<(Asn, Class)> {
-        self.records
+        self.records()
             .iter()
             .map(|r| (r.asn, r.counters.classify(&thresholds)))
             .collect()
@@ -80,16 +102,19 @@ impl StreamOutcome {
 
     /// Export the final state in the paper's release db format.
     pub fn export_db(&self) -> String {
-        bgp_infer::db::export_records(&self.thresholds, &self.records)
+        let dense = self.dense();
+        bgp_infer::db::export_records(&dense.thresholds, &dense.records)
     }
 
     /// Export one historical epoch in the release db format. `None` for
     /// an out-of-range epoch or one compacted away by
     /// `StreamConfig::compact_history`.
     pub fn export_epoch_db(&self, epoch: usize) -> Option<String> {
-        let snap = self.snapshots.get(epoch)?;
-        let records = snap.records()?;
-        Some(bgp_infer::db::export_records(&self.thresholds, &records))
+        let dense = self.snapshots.get(epoch)?.dense.as_ref()?;
+        Some(bgp_infer::db::export_records(
+            &dense.thresholds,
+            &dense.records,
+        ))
     }
 }
 

@@ -22,6 +22,12 @@
 //! debug line and trace rows read them there, and so does everyone
 //! downstream — a publisher that catches up on several epochs at once
 //! publishes and archives each with its own numbers.
+//!
+//! The trace rows go to the store of the registry the pipeline records
+//! on ([`ObsRegistry::traces`]), each dated where it ran: the `seal` row
+//! from the seal's start, the `shard_count` and `shard_merge` rows from
+//! the recount's start. Those two are sums over the recount's
+//! interleaved steps, so they start where the span they sum over starts.
 
 use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot, IngestStats, SealKind, SealStats};
 use crate::ingest::{EventBatch, IngestError, StreamEvent, TupleSource};
@@ -41,7 +47,9 @@ use std::time::Instant;
 /// configured: it always enforces Cond1 and Cond2 over every path column
 /// and reuses the previous seal's step caches where they hold (see
 /// [`crate::shard`]). The batch engine's `InferenceConfig` keeps the
-/// ablation switches and the column cap.
+/// ablation switches and the column cap. Nor is tracing: every seal
+/// traces into the store of the registry the pipeline records on (see
+/// [`StreamPipeline::with_registry`]).
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Shards: how tuples are partitioned for deduplication, step
@@ -61,10 +69,6 @@ pub struct StreamConfig {
     /// otherwise grow by a full per-AS counter column every epoch,
     /// without bound.
     pub compact_history: bool,
-    /// Provenance store to record per-epoch stage timelines into
-    /// (shard counting, merge, seal; owners of the pipeline add ingest,
-    /// publish, and archive stages around it). `None` disables tracing.
-    pub trace: Option<Arc<TraceStore>>,
 }
 
 impl Default for StreamConfig {
@@ -74,7 +78,6 @@ impl Default for StreamConfig {
             epoch: EpochPolicy::default(),
             thresholds: Thresholds::default(),
             compact_history: false,
-            trace: None,
         }
     }
 }
@@ -110,6 +113,8 @@ pub struct StreamPipeline {
     /// sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
     recount_hist: Arc<Histogram>,
+    /// The registry's trace store, where each seal's rows go.
+    traces: Arc<TraceStore>,
     /// What [`push_batch`](Self::push_batch) encodes owned events into.
     owned: EventBatch,
 }
@@ -122,7 +127,8 @@ impl StreamPipeline {
     }
 
     /// New pipeline whose seal, recount, count and merge histograms
-    /// resolve on `reg` (a daemon's one registry).
+    /// resolve on `reg` (a daemon's one registry), and whose seals trace
+    /// into `reg`'s store.
     pub fn with_registry(cfg: StreamConfig, reg: &ObsRegistry) -> Self {
         let shards = ShardSet::with_registry(cfg.shards, reg);
         let seal_help = "Wall time of one epoch seal";
@@ -138,9 +144,6 @@ impl StreamPipeline {
             "Wall time of the whole recount of one sealed epoch",
             &[],
         );
-        if let Some(trace) = &cfg.trace {
-            trace.set_active(0);
-        }
         StreamPipeline {
             cfg,
             shards,
@@ -154,6 +157,7 @@ impl StreamPipeline {
             last_ts: 0,
             seal_hists,
             recount_hist,
+            traces: Arc::clone(reg.traces()),
             owned: EventBatch::new(),
         }
     }
@@ -383,7 +387,6 @@ impl StreamPipeline {
     pub fn seal_epoch(&mut self) -> &Arc<EpochSnapshot> {
         let t_seal = Instant::now();
         let epoch = self.snapshots.len() as u64;
-        let zero_delta = self.shards.unchanged_since_seal();
         let mut ingest = IngestStats {
             duplicates: self.shards.duplicates(),
             interned_asns: self.shards.interned_asns() as u64,
@@ -397,7 +400,7 @@ impl StreamPipeline {
             ..Default::default()
         };
         let mut seal = SealStats::default();
-        let (dense, classes, flips, count_nanos) = if zero_delta {
+        let (dense, classes, flips, count_nanos, t_count) = if self.shards.unchanged_since_seal() {
             // O(1) fast path: identical tuple set => identical counters,
             // classes, and (empty) flip set. Share every component.
             let prev = self.snapshots.last().expect("unchanged implies a seal");
@@ -405,7 +408,7 @@ impl StreamPipeline {
                 .dense
                 .clone()
                 .expect("latest snapshot is never compacted");
-            (dense, Arc::clone(&prev.classes), Vec::new(), 0)
+            (dense, Arc::clone(&prev.classes), Vec::new(), 0, None)
         } else {
             let t_count = Instant::now();
             let Recount {
@@ -454,7 +457,7 @@ impl StreamPipeline {
                 thresholds: th,
                 deepest_active_index: deepest_active,
             };
-            (dense, Arc::new(classes), flips, count_nanos)
+            (dense, Arc::new(classes), flips, count_nanos, Some(t_count))
         };
         let mut snapshot = EpochSnapshot {
             epoch,
@@ -501,41 +504,40 @@ impl StreamPipeline {
             snapshot.seal_nanos,
             snapshot.count_nanos
         );
-        if let Some(trace) = &self.cfg.trace {
-            if !zero_delta {
-                trace.record(
-                    epoch,
-                    "shard_count",
-                    seal.shard_count_nanos,
-                    &[("steps", ingest.total_steps)],
-                );
-                trace.record(epoch, "shard_merge", seal.merge_nanos, &[]);
-            }
-            // `kind` indexes `SealKind::ALL`; `replayed` counts the units
-            // answered from their cache, `corrected` those of them whose
-            // cache was first corrected, re-evaluating `corrected_rows`
-            // rows of `corrected_words` words;
-            // `visited_tuples` is what all of it read, step by step;
-            // `moved` counts the ids classified and patched.
-            trace.record(
+        // `kind` indexes `SealKind::ALL`; `replayed` counts the units
+        // answered from their cache, `corrected` those of them whose
+        // cache was first corrected, re-evaluating `corrected_rows`
+        // rows of `corrected_words` words;
+        // `visited_tuples` is what all of it read, step by step;
+        // `moved` counts the ids classified and patched.
+        self.traces.record(
+            epoch,
+            "seal",
+            t_seal,
+            snapshot.seal_nanos,
+            &[
+                ("events", snapshot.events),
+                ("tuples", snapshot.unique_tuples as u64),
+                ("replayed", ingest.replayed_steps),
+                ("corrected", seal.corrected),
+                ("corrected_words", seal.corrected_words),
+                ("corrected_rows", seal.corrected_rows),
+                ("total_steps", ingest.total_steps),
+                ("visited_tuples", seal.visited_tuples),
+                ("moved", seal.moved),
+                ("kind", seal.kind as u64),
+            ],
+        );
+        if let Some(t_count) = t_count {
+            let (traces, steps) = (&self.traces, [("steps", ingest.total_steps)]);
+            traces.record(
                 epoch,
-                "seal",
-                snapshot.seal_nanos,
-                &[
-                    ("events", snapshot.events),
-                    ("tuples", snapshot.unique_tuples as u64),
-                    ("replayed", ingest.replayed_steps),
-                    ("corrected", seal.corrected),
-                    ("corrected_words", seal.corrected_words),
-                    ("corrected_rows", seal.corrected_rows),
-                    ("total_steps", ingest.total_steps),
-                    ("visited_tuples", seal.visited_tuples),
-                    ("moved", seal.moved),
-                    ("kind", seal.kind as u64),
-                ],
+                "shard_count",
+                t_count,
+                seal.shard_count_nanos,
+                &steps,
             );
-            // Later batches belong to the next epoch's timeline.
-            trace.set_active(epoch + 1);
+            traces.record(epoch, "shard_merge", t_count, seal.merge_nanos, &[]);
         }
         self.snapshots.push(Arc::new(snapshot));
         self.snapshots.last().expect("just pushed")
@@ -546,14 +548,7 @@ impl StreamPipeline {
         if self.events_in_epoch > 0 || self.snapshots.is_empty() {
             self.seal_epoch();
         }
-        let last = self.snapshots.last().expect("finish always seals once");
         StreamOutcome {
-            records: last.records().expect("latest snapshot is never compacted"),
-            thresholds: self.cfg.thresholds,
-            total_events: self.total_events,
-            unique_tuples: self.shards.stored_tuples(),
-            duplicates: self.shards.duplicates(),
-            shard_loads: self.shards.shard_loads(),
             snapshots: self.snapshots,
         }
     }
@@ -620,7 +615,6 @@ mod tests {
     use crate::ingest::StreamEvent;
     use crate::testing::{followed_feed, tag_tuple, FollowedFeed, Rng};
     use bgp_infer::classify::TaggingClass;
-    use obs::trace::TraceStore;
 
     #[test]
     fn epochs_seal_by_event_count() {
@@ -637,7 +631,7 @@ mod tests {
         assert_eq!(out.snapshots.len(), 3);
         assert_eq!(out.snapshots[0].version, 1);
         assert_eq!(out.snapshots[2].version, 3);
-        assert_eq!(out.total_events, 12);
+        assert_eq!(out.total_events(), 12);
     }
 
     #[test]
@@ -742,7 +736,7 @@ mod tests {
     #[test]
     fn empty_stream_finishes_clean() {
         let out = StreamPipeline::new(StreamConfig::default()).finish();
-        assert_eq!(out.total_events, 0);
+        assert_eq!(out.total_events(), 0);
         assert_eq!(out.snapshots.len(), 1);
         assert!(out.records().is_empty());
         assert_eq!(out.export_db().lines().count(), 2, "the header only");
@@ -1031,21 +1025,6 @@ mod tests {
         (classes, flips, records)
     }
 
-    /// The `moved` counter of one epoch's `seal` trace row.
-    fn moved_of(trace: &TraceStore, epoch: u64) -> u64 {
-        let seal = trace.get(epoch).expect("traced epoch");
-        let row = seal
-            .stages
-            .iter()
-            .find(|s| s.stage == "seal")
-            .expect("seal row");
-        row.counters
-            .iter()
-            .find(|(name, _)| name == "moved")
-            .expect("moved counter")
-            .1
-    }
-
     /// What the moved-set seals of the generated worlds exercised, so a
     /// generator that stopped reaching a path fails rather than passes.
     #[derive(Debug, Default)]
@@ -1060,18 +1039,14 @@ mod tests {
         flips: usize,
     }
 
-    /// A manually sealed pipeline of `shards` over `th`, tracing into a
-    /// store of its own.
-    fn traced(shards: usize, th: Thresholds) -> (StreamPipeline, Arc<TraceStore>) {
-        let trace = Arc::new(TraceStore::new(16));
-        let pipe = StreamPipeline::new(StreamConfig {
+    /// A manually sealed pipeline of `shards` over `th`.
+    fn manual(shards: usize, th: Thresholds) -> StreamPipeline {
+        StreamPipeline::new(StreamConfig {
             shards,
             epoch: EpochPolicy::manual(),
             thresholds: th,
-            trace: Some(Arc::clone(&trace)),
             ..Default::default()
-        });
-        (pipe, trace)
+        })
     }
 
     /// Seal `pipe`'s epoch and check the class table, flips and record
@@ -1080,7 +1055,6 @@ mod tests {
     /// it moved.
     fn seal_checked(
         pipe: &mut StreamPipeline,
-        trace: &TraceStore,
         given: &mut Vec<Class>,
         ctx: &str,
     ) -> (Arc<EpochSnapshot>, usize) {
@@ -1090,7 +1064,7 @@ mod tests {
         assert_eq!(*sealed.classes, classes, "{ctx}: classes");
         assert_eq!(*sealed.flips, flips, "{ctx}: flips");
         assert_eq!(*dense.records, records, "{ctx}: records");
-        let moved = moved_of(trace, sealed.epoch) as usize;
+        let moved = sealed.seal.moved as usize;
         if sealed.epoch == 0 {
             assert_eq!(
                 moved,
@@ -1110,18 +1084,18 @@ mod tests {
     fn check_moved_set_seals(seed: u64, reached: &mut MovedReached) {
         let FollowedFeed { th, epochs } = followed_feed(seed);
         let mut pipes: Vec<_> = [1usize, 2, 4]
-            .map(|shards| (traced(shards, th), Vec::new(), 0))
+            .map(|shards| (manual(shards, th), Vec::new(), 0))
             .into();
         for (epoch, batch) in epochs.iter().enumerate() {
             let event = |t: &PathCommTuple| StreamEvent::new(0, t.clone());
-            let (mut fresh, fresh_trace) = traced(1, th);
+            let mut fresh = manual(1, th);
             fresh.push_batch(epochs[..=epoch].iter().flatten().map(event));
             let ctx = format!("seed {seed}, epoch {epoch}");
-            let (want, ..) = seal_checked(&mut fresh, &fresh_trace, &mut Vec::new(), &ctx);
-            for ((pipe, trace), given, longest) in &mut pipes {
+            let (want, ..) = seal_checked(&mut fresh, &mut Vec::new(), &ctx);
+            for (pipe, given, longest) in &mut pipes {
                 let ctx = format!("{ctx}, {} shards", pipe.shards.shard_count());
                 pipe.push_batch(batch.iter().map(event));
-                let (sealed, moved) = seal_checked(pipe, trace, given, &ctx);
+                let (sealed, moved) = seal_checked(pipe, given, &ctx);
                 assert_eq!(sealed.classes, want.classes, "{ctx}: oracle classes");
                 assert_eq!(sealed.records(), want.records(), "{ctx}: oracle records");
                 if epoch > 0 {
@@ -1178,21 +1152,16 @@ mod tests {
                 tag_tuple(&[p, q, mid, origin], &[p, q, mid])
             }
         };
-        let trace = Arc::new(TraceStore::new(4));
-        let mut pipe = StreamPipeline::new(StreamConfig {
-            shards: 2,
-            epoch: EpochPolicy::manual(),
-            trace: Some(Arc::clone(&trace)),
-            ..Default::default()
-        });
+        let mut pipe = manual(2, Thresholds::default());
         pipe.push_batch((0..50_000).map(|i| StreamEvent::new(u64::from(i), tuple(i, 200_000 + i))));
-        let counted = pipe.seal_epoch().classes.len();
+        let first = pipe.seal_epoch();
+        let counted = first.classes.len();
         // A first seal moves the ids it counted, not every interned one.
-        assert_eq!(moved_of(&trace, 0) as usize, counted);
+        assert_eq!(first.seal.moved as usize, counted);
         assert!(counted < pipe.interned_asns(), "{counted} counted");
         pipe.push_batch((0..256).map(|i| StreamEvent::new(50_000, tuple(i * 7, 400_000 + i))));
-        pipe.seal_epoch();
-        let (moved, ids) = (moved_of(&trace, 1), pipe.interned_asns());
+        let moved = pipe.seal_epoch().seal.moved;
+        let ids = pipe.interned_asns();
         assert!(ids > 50_000, "{ids} ids");
         // 262 when this was written: the 256 new origins and six more.
         assert!((256..=300).contains(&moved), "{moved} of {ids} ids moved");
@@ -1219,5 +1188,48 @@ mod tests {
         let snap = pipe.seal_epoch();
         assert!(snap.seal_nanos > 0);
         assert!(snap.seal_nanos >= snap.count_nanos);
+    }
+
+    /// The seal's rows land in the store of the registry the pipeline
+    /// records on, each dated where it ran: `shard_count` and
+    /// `shard_merge` sum over the recount's interleaved steps, so both
+    /// start where the recount starts, inside the `seal` row's span.
+    #[test]
+    fn seal_rows_are_dated_where_they_ran() {
+        let reg = ObsRegistry::new();
+        let mut pipe = StreamPipeline::with_registry(
+            StreamConfig {
+                shards: 2,
+                epoch: EpochPolicy::manual(),
+                ..Default::default()
+            },
+            &reg,
+        );
+        for i in 0..2_000u32 {
+            let tags = [2 + i % 7, 100 + i % 13];
+            let p = [tags[0], tags[1], 1_000 + i];
+            pipe.push(StreamEvent::new(u64::from(i), tag_tuple(&p, &tags)));
+        }
+        let sealed = Arc::clone(pipe.seal_epoch());
+        assert_ne!(sealed.seal.kind, SealKind::ZeroDelta);
+        let trace = reg.traces().get(sealed.epoch).expect("traced epoch");
+        let row = |name: &str| {
+            let row = trace.stages.iter().find(|s| s.stage == name);
+            let row = row.unwrap_or_else(|| panic!("no {name} row: {trace:?}"));
+            (
+                row.start_offset_nanos,
+                row.start_offset_nanos + row.duration_nanos,
+            )
+        };
+        let (seal, count, merge) = (row("seal"), row("shard_count"), row("shard_merge"));
+        assert_eq!(count.0, merge.0, "{trace:?}");
+        for (start, end) in [count, merge] {
+            assert!(seal.0 <= start && end <= seal.1, "{trace:?}");
+        }
+        // A zero-delta seal counts nothing and adds only its seal row.
+        pipe.seal_epoch();
+        let stages = reg.traces().get(sealed.epoch + 1).expect("traced").stages;
+        assert_eq!(stages.len(), 1);
+        assert_eq!(stages[0].stage, "seal");
     }
 }

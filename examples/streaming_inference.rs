@@ -73,7 +73,10 @@ fn main() {
     );
     println!(
         "stream stats: {} events, {} unique, {} duplicates, shard loads {:?}",
-        out.total_events, out.unique_tuples, out.duplicates, out.shard_loads
+        out.total_events(),
+        out.unique_tuples(),
+        out.duplicates(),
+        out.shard_loads()
     );
 
     // 6. And the snapshot exports through the same release-db format.

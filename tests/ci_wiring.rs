@@ -1,8 +1,9 @@
 //! CI and the tree agree: every crate with `#[ignore]`d tests is named by
 //! the release step that runs them; `unsafe` is confined to `bgp-serve`;
 //! the instrumented crates print diagnostics only through the `obs`
-//! logger; `/metrics` has one renderer; and the README's metric table
-//! names exactly the families the code registers.
+//! logger; `/metrics` has one renderer; traces have one store per
+//! registry, which reads no clock; and the README's metric table names
+//! exactly the families the code registers.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -198,6 +199,50 @@ fn only_the_registry_writes_prometheus_exposition() {
         hits.is_empty(),
         "Prometheus exposition text outside {} (register the metric on the ObsRegistry):\n{}",
         renderer.display(),
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn traces_ride_the_registry_and_the_store_reads_no_clock() {
+    // Each `ObsRegistry` owns the one trace store its layers record on.
+    // A store built anywhere else is a parallel trace wiring growing
+    // back; a clock read in the store would date a row where it was
+    // written down instead of where its stage ran.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let obs_src = root.join("crates/obs/src");
+    let built = concat!("TraceStore", "::new");
+    let mut hits = Vec::new();
+    let mut dirs = vec![root.join("src"), root.join("tests"), root.join("examples")];
+    dirs.push(root.join("e2e_bench/src"));
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        dirs.push(krate.expect("dir entry").path());
+    }
+    for file in dirs
+        .iter()
+        .filter(|d| d.is_dir())
+        .flat_map(|d| rust_files(d))
+    {
+        if file.starts_with(&obs_src) {
+            continue;
+        }
+        let src = std::fs::read_to_string(&file).expect("read source");
+        for (i, line) in src.lines().enumerate() {
+            if line.contains(built) {
+                let rel = file.strip_prefix(root).unwrap().display();
+                hits.push(format!("{rel}:{}: {line}", i + 1));
+            }
+        }
+    }
+    let store = std::fs::read_to_string(obs_src.join("trace.rs")).expect("read trace.rs");
+    for (n, line) in non_test_lines(&store) {
+        if line.contains(concat!("Instant", "::now")) {
+            hits.push(format!("crates/obs/src/trace.rs:{n}: {line}"));
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a trace store outside the registry, or a clock in the store:\n{}",
         hits.join("\n")
     );
 }

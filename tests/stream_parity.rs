@@ -219,7 +219,11 @@ fn mrt_day_stream_matches_batch_ingest() {
     }
     let out = pipe.finish();
 
-    assert_eq!(out.unique_tuples, set.len(), "dedup diverged from TupleSet");
+    assert_eq!(
+        out.unique_tuples(),
+        set.len(),
+        "dedup diverged from TupleSet"
+    );
     assert_counter_parity(&batch, &out, "collector day");
 }
 
@@ -354,8 +358,8 @@ fn duplicate_heavy_feed_dedups_to_batch_answer() {
     pipe.drive(&mut source, 512).expect("feed streams");
     let out = pipe.finish();
 
-    assert!(out.duplicates > 0, "feed should contain re-announcements");
-    assert_eq!(out.unique_tuples, unique.len());
+    assert!(out.duplicates() > 0, "feed should contain re-announcements");
+    assert_eq!(out.unique_tuples(), unique.len());
     assert_counter_parity(&batch, &out, "duplicate-heavy feed");
     assert!(out.epochs() > 1, "day should span multiple two-hour epochs");
 }
