@@ -18,7 +18,7 @@
 //! trace store of the writer's registry holds one for it: the writer
 //! closes it with the `archive` row and writes what the store then
 //! serves. A writer on a registry that traced nothing (a private one,
-//! or one no pipeline records on) writes no Trace frame.
+//! or one no publisher records on) writes no Trace frame.
 
 use crate::archive::Archive;
 use crate::frame::{corrupt, Result};

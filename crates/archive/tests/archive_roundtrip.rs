@@ -707,9 +707,9 @@ fn a_queue_eviction_degrades_the_sink_at_once() {
 }
 
 /// A Trace frame is what the writer's registry traced: the world's
-/// pipeline recorded on a registry of its own, so a writer on a fresh
-/// one writes none, except for the epoch traced on its registry, whose
-/// timeline it closes with the `archive` row and persists.
+/// epochs were sealed but never published, so a writer on a fresh
+/// registry writes none, except for the epoch whose timeline was put on
+/// its registry, which it closes with the `archive` row and persists.
 #[test]
 fn only_an_epoch_traced_on_the_writers_registry_persists_a_trace() {
     let out = build_world(3, 16);
@@ -717,8 +717,13 @@ fn only_an_epoch_traced_on_the_writers_registry_persists_a_trace() {
     let obs = Arc::new(obs::ObsRegistry::new());
     let mut writer = ArchiveWriter::open_with_io(&dir, Box::new(RealIo), Arc::clone(&obs)).unwrap();
     writer.append_epochs(&run_of(&out.snapshots[..2])).unwrap();
-    obs.traces()
-        .record(2, "seal", std::time::Instant::now(), 10, &[]);
+    let seal = obs::StageRun {
+        stage: "seal",
+        started: std::time::Instant::now(),
+        nanos: 10,
+        counters: Vec::new(),
+    };
+    obs.traces().put(2, &[seal]);
     writer.append_epochs(&run_of(&out.snapshots[2..])).unwrap();
     assert_eq!(obs.traces().epochs(), [2], "no timeline for 0 and 1");
 
@@ -910,6 +915,7 @@ fn generated_snapshot(epoch: u64, gen: &GenEpoch) -> Arc<EpochSnapshot> {
         count_nanos: 0,
         ingest: Default::default(),
         seal: Default::default(),
+        instants: None,
     })
 }
 

@@ -17,10 +17,11 @@
 //!   concurrently-read discipline `SnapshotSlot` uses for snapshots.
 //!   "How long does this stage take" is read here.
 //! - **Per-epoch traces** ([`TraceStore`]): one timeline of named stages
-//!   per sealed epoch, persisted with the epoch in the archive. Each
-//!   registry owns one store of the last 256 epochs, and the store reads
-//!   no clock: every row is handed the instant its stage ran. "Where
-//!   did epoch N's time go" is read here.
+//!   per published epoch, persisted with the epoch in the archive. Each
+//!   registry owns one store of the last 256 epochs, a timeline is put
+//!   whole when its epoch is published, and the store reads no clock:
+//!   every row is handed the instant its stage ran. "Where did epoch
+//!   N's time go" is read here.
 //! - **Alert rules** ([`AlertState`]): `name>threshold@N` over any
 //!   registry family, evaluated against the window since the last
 //!   evaluation.
@@ -62,4 +63,4 @@ pub use alerts::{
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use logger::{Level, LogConfig};
 pub use registry::{Counter, Gauge, ObsRegistry};
-pub use trace::{EpochTrace, TraceStage, TraceStore};
+pub use trace::{EpochTrace, StageRun, TraceStage, TraceStore};

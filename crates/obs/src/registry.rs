@@ -8,10 +8,11 @@
 //! lookup itself takes a mutex and is meant for setup, not per-event
 //! use. There is no process-wide registry: a daemon builds one and
 //! hands it to every layer it starts (`bgp-serve`'s `Metrics` is a set
-//! of handles on it), and each test builds its own. A layer traces
-//! into the store of the registry it records on, so the pipeline's,
-//! publisher's and archive writer's rows of one epoch meet in one
-//! timeline exactly when the daemon hands them one registry.
+//! of handles on it), and each test builds its own. A publisher puts
+//! each epoch's timeline in the store of the registry it records on,
+//! and an archive writer closes and persists the timelines of its own
+//! registry's store, so an archived epoch carries its trace exactly
+//! when the daemon hands both one registry.
 //!
 //! [`render_prometheus`](ObsRegistry::render_prometheus) emits
 //! text-format v0.0.4: one `# HELP`/`# TYPE` preamble per family, then

@@ -1,20 +1,21 @@
 //! Per-epoch provenance traces.
 //!
-//! A [`TraceStore`] collects, for every sealed epoch, a timeline of the
-//! stages that produced it — ingest batches, per-shard counting, the
-//! merge, the seal itself, the snapshot publish, and the archive append
-//! — each with a start offset relative to the first recorded stage, a
-//! wall-clock duration, and a small bag of named counters. The daemon
-//! serves the timeline at `/v1/debug/epoch/{N}/trace` and persists it
-//! as an optional archive frame, so "where did this epoch come from and
-//! what did it cost" survives a restart and time-travels with the rest
-//! of the archive.
+//! A [`TraceStore`] collects, for every published epoch, a timeline of
+//! the stages that produced it — the span in which it filled, the seal
+//! and its per-shard counting and merge, the snapshot publish, and the
+//! archive append — each with a start offset relative to the earliest
+//! stage, a wall-clock duration, and a small bag of named counters. The
+//! daemon serves the timeline at `/v1/debug/epoch/{N}/trace` and
+//! persists it as an optional archive frame, so "where did this epoch
+//! come from and what did it cost" survives a restart and time-travels
+//! with the rest of the archive.
 //!
-//! Each [`ObsRegistry`](crate::ObsRegistry) owns one store, so every
-//! layer records on the store of the registry it already records its
-//! histograms on. The store reads no clock: each row is handed the
-//! instant its stage started (or, for the archive row, ended), so a row
-//! is dated where its stage ran, not where it was written down.
+//! Each [`ObsRegistry`](crate::ObsRegistry) owns one store, and a
+//! timeline is written in one call ([`TraceStore::put`]) when its epoch
+//! is published, from [`StageRun`]s that each carry the instant their
+//! stage started; the archive writer then closes it with its row
+//! ([`TraceStore::record_since_last`]). The store reads no clock, so a
+//! row is dated where its stage ran, not where it was written down.
 //!
 //! Concurrency follows the workspace's writer-owned discipline: the
 //! single ingest/seal thread records, readers clone finished timelines
@@ -38,8 +39,8 @@ pub struct TraceStage {
     /// Nanoseconds from the epoch's first recorded stage to this
     /// stage's start.
     pub start_offset_nanos: u64,
-    /// Stage wall time in nanoseconds (accumulated stages sum their
-    /// batches; parallel shard counting sums CPU time across shards).
+    /// Stage wall time in nanoseconds (shard counting and the merge sum
+    /// their time across the recount's steps and shards).
     pub duration_nanos: u64,
     /// Stage-specific counters (`events`, `tuples`, `attempt`, …).
     pub counters: Vec<(String, u64)>,
@@ -61,8 +62,20 @@ impl TraceStage {
     }
 }
 
-/// A finished (or in-flight) epoch timeline: every recorded stage in
-/// the order it was recorded.
+/// A stage as it ran, before it is placed on a timeline.
+#[derive(Debug, Clone)]
+pub struct StageRun {
+    /// Stage name.
+    pub stage: &'static str,
+    /// The instant the stage started.
+    pub started: Instant,
+    /// Stage wall time in nanoseconds.
+    pub nanos: u64,
+    /// Stage-specific counters.
+    pub counters: Vec<(&'static str, u64)>,
+}
+
+/// An epoch's timeline: every stage in the order it was recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochTrace {
     /// The epoch this timeline belongs to.
@@ -71,20 +84,12 @@ pub struct EpochTrace {
     pub stages: Vec<TraceStage>,
 }
 
-/// One epoch's in-flight trace plus the instant offsets anchor to.
+/// One epoch's timeline plus the instant its offsets anchor to.
 #[derive(Debug)]
 struct TraceEntry {
-    /// The instant of the first recorded stage's start; later stages
-    /// measure their offset against it.
+    /// The earliest stage's start; every offset is measured from it.
     base: Instant,
     trace: EpochTrace,
-}
-
-impl TraceEntry {
-    /// Nanoseconds from `base` to `at` (0 for an instant before it).
-    fn offset(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.base).as_nanos() as u64
-    }
 }
 
 /// Bounded store of per-epoch provenance timelines.
@@ -105,79 +110,33 @@ impl TraceStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Record one completed stage that began at `started` and took
-    /// `duration_nanos`. The first stage recorded for an epoch anchors
-    /// the timeline (its start is offset 0); later stages are offset
-    /// against it. A stage name recorded twice appends a second row.
-    pub fn record(
-        &self,
-        epoch: u64,
-        stage: &str,
-        started: Instant,
-        duration_nanos: u64,
-        counters: &[(&str, u64)],
-    ) {
-        self.push(epoch, stage, started, duration_nanos, counters, false);
-    }
-
-    /// Like [`record`](Self::record), but a repeated stage name merges
-    /// into the existing row: durations and same-named counters sum,
-    /// the first start offset is kept. Used for per-batch ingest, where
-    /// one epoch sees many batches.
-    pub fn accumulate(
-        &self,
-        epoch: u64,
-        stage: &str,
-        started: Instant,
-        duration_nanos: u64,
-        counters: &[(&str, u64)],
-    ) {
-        self.push(epoch, stage, started, duration_nanos, counters, true);
-    }
-
-    /// Find-or-create `epoch`'s entry (a new one anchored at `started`,
-    /// evicting the oldest past [`CAPACITY`]) and add the row, merged
-    /// into a same-named one when `merge`.
-    fn push(
-        &self,
-        epoch: u64,
-        stage: &str,
-        started: Instant,
-        duration_nanos: u64,
-        counters: &[(&str, u64)],
-        merge: bool,
-    ) {
+    /// Put `epoch`'s timeline: `runs` in order, each offset from the
+    /// earliest start among them. Replaces any timeline the store holds
+    /// for `epoch`; a new one evicts the oldest past [`CAPACITY`]. Puts
+    /// nothing for no runs.
+    pub fn put(&self, epoch: u64, runs: &[StageRun]) {
+        let Some(base) = runs.iter().map(|r| r.started).min() else {
+            return;
+        };
+        let stages = runs.iter().map(|r| {
+            let offset = r.started.duration_since(base).as_nanos() as u64;
+            TraceStage::new(r.stage, offset, r.nanos, &r.counters)
+        });
+        let trace = EpochTrace {
+            epoch,
+            stages: stages.collect(),
+        };
+        let entry = TraceEntry { base, trace };
         let mut entries = self.lock();
-        let at = match entries.iter().rposition(|e| e.trace.epoch == epoch) {
-            Some(at) => at,
+        match entries.iter_mut().rfind(|e| e.trace.epoch == epoch) {
+            Some(held) => *held = entry,
             None => {
-                entries.push_back(TraceEntry {
-                    base: started,
-                    trace: EpochTrace {
-                        epoch,
-                        stages: Vec::new(),
-                    },
-                });
+                entries.push_back(entry);
                 if entries.len() > CAPACITY {
                     entries.pop_front();
                 }
-                entries.len() - 1
             }
-        };
-        let entry = &mut entries[at];
-        let stages = &mut entry.trace.stages;
-        if let Some(existing) = stages.iter_mut().find(|s| merge && s.stage == stage) {
-            existing.duration_nanos += duration_nanos;
-            for &(k, v) in counters {
-                match existing.counters.iter_mut().find(|(ek, _)| ek == k) {
-                    Some((_, ev)) => *ev += v,
-                    None => existing.counters.push((k.to_string(), v)),
-                }
-            }
-            return;
         }
-        let row = TraceStage::new(stage, entry.offset(started), duration_nanos, counters);
-        entry.trace.stages.push(row);
     }
 
     /// Close `epoch`'s timeline with `stage`, spanning from the end of
@@ -196,7 +155,7 @@ impl TraceStore {
     ) -> Option<EpochTrace> {
         let mut entries = self.lock();
         let entry = entries.iter_mut().rfind(|e| e.trace.epoch == epoch)?;
-        let end = entry.offset(ended);
+        let end = ended.saturating_duration_since(entry.base).as_nanos() as u64;
         let stages = &mut entry.trace.stages;
         let last_end = stages
             .iter()
@@ -235,13 +194,25 @@ mod tests {
         Duration::from_nanos(n)
     }
 
+    fn run(stage: &'static str, started: Instant, nanos: u64) -> StageRun {
+        StageRun {
+            stage,
+            started,
+            nanos,
+            counters: Vec::new(),
+        }
+    }
+
     #[test]
-    fn record_orders_stages_and_offsets() {
+    fn put_orders_stages_and_offsets() {
         let (t, t0) = (TraceStore::new(), Instant::now());
-        t.record(3, "seal", t0, 1_000, &[("events", 10)]);
-        t.record(3, "publish", t0 + ns(1_200), 500, &[("records", 4)]);
-        // A row dated before the anchor clamps to offset 0.
-        t.record(3, "early", t0 - ns(50), 10, &[]);
+        let seal = StageRun {
+            counters: vec![("events", 10)],
+            ..run("seal", t0, 1_000)
+        };
+        // A row listed last but started first anchors the timeline.
+        let early = run("early", t0 - ns(50), 10);
+        t.put(3, &[seal, run("publish", t0 + ns(1_200), 500), early]);
         let trace = t.get(3).unwrap();
         assert_eq!(trace.epoch, 3);
         let rows: Vec<_> = trace
@@ -252,8 +223,8 @@ mod tests {
         assert_eq!(
             rows,
             [
-                ("seal", 0, 1_000),
-                ("publish", 1_200, 500),
+                ("seal", 50, 1_000),
+                ("publish", 1_250, 500),
                 ("early", 0, 10)
             ]
         );
@@ -262,24 +233,20 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_merges_batches() {
+    fn put_replaces_the_epochs_timeline() {
         let (t, t0) = (TraceStore::new(), Instant::now());
-        t.accumulate(0, "ingest", t0, 100, &[("batches", 1), ("events", 32)]);
-        t.accumulate(
-            0,
-            "ingest",
-            t0 + ns(400),
-            200,
-            &[("batches", 1), ("events", 32)],
-        );
-        let trace = t.get(0).unwrap();
-        assert_eq!(trace.stages.len(), 1);
-        assert_eq!(trace.stages[0].start_offset_nanos, 0);
-        assert_eq!(trace.stages[0].duration_nanos, 300);
+        t.put(1, &[run("seal", t0, 10), run("publish", t0 + ns(10), 5)]);
+        t.put(2, &[run("seal", t0, 10)]);
+        t.put(1, &[run("ingest", t0 + ns(7), 3)]);
+        assert_eq!(t.epochs(), [1, 2], "replaced in place");
+        let stages = t.get(1).unwrap().stages;
+        assert_eq!(stages.len(), 1);
         assert_eq!(
-            trace.stages[0].counters,
-            vec![("batches".to_string(), 2), ("events".to_string(), 64)]
+            (stages[0].stage.as_str(), stages[0].start_offset_nanos),
+            ("ingest", 0)
         );
+        t.put(3, &[]);
+        assert_eq!(t.epochs(), [1, 2], "no runs, no timeline");
     }
 
     #[test]
@@ -289,7 +256,7 @@ mod tests {
         assert!(t.record_since_last(1, "archive", t0, &[]).is_none());
         assert!(t.epochs().is_empty());
 
-        t.record(1, "seal", t0, 1_000, &[]);
+        t.put(1, &[run("seal", t0, 1_000)]);
         let first = t
             .record_since_last(1, "archive", t0 + ns(1_500), &[("attempt", 1)])
             .unwrap();
@@ -315,7 +282,7 @@ mod tests {
         let (t, t0) = (TraceStore::new(), Instant::now());
         let epochs = CAPACITY as u64 + 3;
         for epoch in 0..epochs {
-            t.record(epoch, "seal", t0, 10, &[]);
+            t.put(epoch, &[run("seal", t0, 10)]);
         }
         assert_eq!(t.epochs(), (3..epochs).collect::<Vec<_>>());
         assert!(t.get(2).is_none());

@@ -258,9 +258,9 @@ fn run(opts: Options) -> Result<(), String> {
     shutdown::install();
     let thresholds = bgp_infer::counters::Thresholds::uniform(opts.threshold);
     let slot = Arc::new(SnapshotSlot::new(thresholds));
-    // The daemon's one registry: every layer below records on it and
-    // traces into its store, and /metrics, /healthz, the alert rules
-    // and /v1/debug/epoch/{N}/trace read it.
+    // The daemon's one registry: every layer below records on it, the
+    // publisher puts each epoch's timeline in its store, and /metrics,
+    // /healthz, the alert rules and /v1/debug/epoch/{N}/trace read it.
     let obs = Arc::new(obs::ObsRegistry::new());
     let metrics = Arc::new(Metrics::with_registry(Arc::clone(&obs)));
     let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));

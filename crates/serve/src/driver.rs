@@ -29,11 +29,14 @@
 //! Every instrument the driver builds records on the registry of the
 //! [`Metrics`] it is handed: the pipeline and its shards
 //! ([`StreamPipeline::with_registry`]), the publisher, the batch
-//! histogram and the seal-queue gauge. So does every trace row: the
-//! sealer accumulates each batch's `ingest` row into the epoch the
-//! pipeline has open, and the pipeline and publisher add theirs, all in
-//! that registry's store. A daemon therefore hands down its one registry
-//! through `metrics` alone, and [`DriverConfig`] carries none.
+//! histogram and the seal-queue gauge. The driver writes no trace row:
+//! each sealed epoch carries the instants of its filling and sealing,
+//! and the publisher puts the epoch's timeline in that registry's store
+//! when it publishes it. An epoch a respawn's replay or a restart's
+//! backfill seals again is not published again, so it keeps the
+//! timeline of its first publish, or the archive's. A daemon therefore
+//! hands down its one registry through `metrics` alone, and
+//! [`DriverConfig`] carries none.
 //!
 //! `bgp_serve_seal_queue_depth` counts a batch in before the puller
 //! sends it and out after the sealer receives it; whatever an attempt
@@ -90,7 +93,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What the driver feeds the pipeline with.
 #[derive(Debug, Clone)]
@@ -333,7 +336,8 @@ impl Driver {
                         depth.add(-1);
                         let started = Instant::now();
                         sealer.take(&batch, started);
-                        sealer.timed(batch.len() as u64, started, started.elapsed());
+                        let took = started.elapsed().as_nanos() as u64;
+                        sealer.metrics.ingest_batch.record(took);
                     }
                     sealer
                 })
@@ -616,23 +620,6 @@ impl Sealer {
         self.metrics.events_ingested.add(batch.len() as u64);
     }
 
-    /// Record that taking a batch of `events` from `started` took `took`.
-    fn timed(&self, events: u64, started: Instant, took: Duration) {
-        let nanos = took.as_nanos() as u64;
-        self.metrics.ingest_batch.record(nanos);
-        // Accumulated into whichever epoch is open when the batch ends
-        // (as many as have sealed) — a batch that straddles a seal
-        // attributes its tail to the next epoch, which is close enough
-        // for provenance.
-        self.metrics.registry().traces().accumulate(
-            self.pipeline.snapshots().len() as u64,
-            "ingest",
-            started,
-            nanos,
-            &[("batches", 1), ("events", events)],
-        );
-    }
-
     /// The pull ended without an error. If the feed drained, seal
     /// whatever the last epoch policy window left open, publishing it as
     /// of `now`, so queries reflect the complete feed (idempotent when
@@ -662,7 +649,7 @@ mod tests {
     use super::*;
     use crate::health::HealthStatus;
     use bgp_infer::counters::Thresholds;
-    use bgp_stream::epoch::EpochPolicy;
+    use bgp_stream::epoch::{EpochPolicy, SealKind};
     use bgp_types::prelude::*;
 
     fn events(n: u64) -> Vec<StreamEvent> {
@@ -1022,6 +1009,7 @@ mod tests {
     use proptest::TestRng;
     use std::collections::{BTreeMap, VecDeque};
     use std::sync::Mutex;
+    use std::time::Duration;
 
     /// Every path a run of the simulation must reach, or it checks nothing.
     const PATHS: [&str; 17] = [
@@ -1105,6 +1093,8 @@ mod tests {
         /// The never-faulted run's record table of each version.
         clean: Vec<Vec<DbRecord>>,
         published: Arc<Mutex<Vec<Arc<ServeSnapshot>>>>,
+        /// Each published epoch's timeline, as its publish put it.
+        timelines: Vec<obs::EpochTrace>,
         /// The highest version published so far.
         version: u64,
         last_publish: Instant,
@@ -1133,7 +1123,8 @@ mod tests {
         }
 
         /// Check every snapshot published since the last call against
-        /// the never-faulted run; how many there were.
+        /// the never-faulted run, and its epoch's one live timeline; how
+        /// many there were.
         fn publishes(&mut self, ctx: &str) -> usize {
             let fresh: Vec<_> = std::mem::take(&mut *self.published.lock().unwrap());
             for snap in &fresh {
@@ -1146,12 +1137,40 @@ mod tests {
                 let clean = &self.clean[usize::try_from(v).unwrap() - 1];
                 assert!(snap.records == *clean, "{ctx}: version {v} diverged");
                 self.version = v;
+                let epoch = snap.epoch.as_ref().expect("a sealed epoch");
+                let trace = self.metrics.registry().traces().get(epoch.epoch);
+                let trace = trace.unwrap_or_else(|| panic!("{ctx}: version {v} untraced"));
+                let names: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
+                let want: &[&str] = match epoch.seal.kind {
+                    SealKind::ZeroDelta => &["ingest", "seal", "publish"],
+                    _ => &["ingest", "seal", "shard_count", "shard_merge", "publish"],
+                };
+                assert_eq!(names, want, "{ctx}: version {v}");
+                let events = trace.stages[0].counters.iter().find(|(k, _)| k == "events");
+                assert_eq!(events, Some(&("events".to_string(), epoch.events)), "{ctx}");
+                self.timelines.push(trace);
             }
+            self.timelines_stand(ctx);
             if !fresh.is_empty() {
                 self.last_publish = self.now;
                 self.restart_pending = false;
             }
             fresh.len()
+        }
+
+        /// Every published epoch has one live timeline, still the one its
+        /// publish put: a replay that seals it again writes none.
+        fn timelines_stand(&self, ctx: &str) {
+            let traces = self.metrics.registry().traces();
+            let held = traces.epochs();
+            let mut distinct = held.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), held.len(), "{ctx}: one timeline an epoch");
+            for trace in &self.timelines {
+                let live = traces.get(trace.epoch);
+                assert_eq!(live.as_ref(), Some(trace), "{ctx}: epoch {}", trace.epoch);
+            }
         }
 
         /// The sealer takes one batch at the simulated instant.
@@ -1397,6 +1416,7 @@ mod tests {
             now: t0,
             slot: Arc::clone(&driver.slot),
             published: watch(&driver.slot),
+            timelines: Vec::new(),
             metrics,
             health,
             alerts,

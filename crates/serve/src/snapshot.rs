@@ -21,6 +21,14 @@
 //! shared by every snapshot that retains them — per publish the log
 //! costs one chunk pointer per retained epoch, not a deep copy of every
 //! entry.
+//!
+//! A publish is also where an epoch's trace is written, once: the
+//! [`Publisher`] builds the rows the seal dated
+//! ([`EpochSnapshot::stage_runs`]), adds its `publish` row and puts them
+//! in its registry's trace store. An epoch it skips — a backfill epoch
+//! the archive already holds, a replayed one the slot already serves —
+//! writes nothing, so the store or the archive keeps the timeline of
+//! the epoch's first publish.
 
 use crate::json::{push_u64, JsonWriter};
 use bgp_archive::prelude::ArchiveSink;
@@ -29,6 +37,7 @@ use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_stream::epoch::{ClassFlip, EpochSnapshot, IngestStats};
 use bgp_stream::pipeline::StreamPipeline;
+use obs::StageRun;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -431,8 +440,8 @@ impl Publisher {
         }
     }
 
-    /// Count and time each published epoch on `metrics`, and trace its
-    /// `"publish"` stage into the store of their registry.
+    /// Count and time each published epoch on `metrics`, and put its
+    /// timeline in the trace store of their registry.
     pub fn with_metrics(mut self, metrics: Arc<crate::metrics::Metrics>) -> Self {
         self.metrics = metrics;
         self
@@ -478,7 +487,10 @@ impl Publisher {
     }
 
     /// Publish one sealed epoch with the numbers it sealed with: nothing
-    /// here reads the pipeline's state at publish time.
+    /// here reads the pipeline's state at publish time. Its timeline (the
+    /// rows its seal dated, and the `publish` row) goes into the trace
+    /// store in one call, replacing any the store held; a skipped epoch
+    /// writes none.
     fn publish_epoch(&mut self, thresholds: Thresholds, sealed: Arc<EpochSnapshot>) -> bool {
         if self.resume_skip.is_some_and(|skip| sealed.epoch <= skip) {
             return false;
@@ -500,19 +512,20 @@ impl Publisher {
         };
         let snapshot = Arc::new(snapshot);
         self.slot.publish(Arc::clone(&snapshot));
-        // Trace the publish before handing the epoch to the archive
-        // sink: the sink's thread encodes the trace frame, so the
-        // `"publish"` stage must already be in the store by then.
-        self.metrics.registry().traces().record(
-            sealed.epoch,
-            "publish",
-            t_publish,
-            t_publish.elapsed().as_nanos() as u64,
-            &[
+        // Put the epoch's timeline before handing the epoch to the
+        // archive sink: the sink's thread closes it with its `archive`
+        // row and encodes the trace frame.
+        let mut runs = sealed.stage_runs();
+        runs.push(StageRun {
+            stage: "publish",
+            started: t_publish,
+            nanos: t_publish.elapsed().as_nanos() as u64,
+            counters: vec![
                 ("records", snapshot.records.len() as u64),
                 ("version", snapshot.version()),
             ],
-        );
+        });
+        self.metrics.registry().traces().put(sealed.epoch, &runs);
         if let Some(sink) = &self.archive {
             sink.submit(sealed);
         }

@@ -11,6 +11,9 @@
 //!   with or without a rolled-back manifest) must recover on open and
 //!   converge back to the never-crashed state once the deterministic
 //!   feed backfills.
+//! * The backfill seals the archived epochs again but publishes none of
+//!   them, so each answers `/v1/debug/epoch/N/trace` from the archive,
+//!   as the first boot traced it.
 
 use bgp_archive::prelude::*;
 use bgp_infer::counters::Thresholds;
@@ -244,6 +247,70 @@ fn restart_serves_byte_identical_responses() {
             expected[idx].1,
             "{target} after backfill"
         );
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One boot with the daemon's wiring: one registry for the metrics, the
+/// archive writer and its sink; the restore of whatever the archive
+/// holds; then the feed, backfilling past it.
+fn boot(dir: &Path) -> (Arc<SnapshotSlot>, Arc<Metrics>, IngestReport) {
+    let obs = Arc::new(obs::ObsRegistry::new());
+    let metrics = Arc::new(Metrics::with_registry(Arc::clone(&obs)));
+    let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
+    let archive = Archive::open(dir).unwrap();
+    let restored = restore_latest(&archive, cfg().flip_log_cap).unwrap();
+    if let Some(snap) = &restored {
+        slot.publish(Arc::clone(snap));
+    }
+    let writer = ArchiveWriter::open_with_io(dir, Box::new(RealIo), obs).unwrap();
+    let report = spawn_ingest_archived(
+        cfg(),
+        Feed::Events(world_events()),
+        Arc::clone(&slot),
+        Arc::clone(&metrics),
+        Some(ArchiveSink::spawn(writer)),
+        restored,
+    )
+    .join()
+    .expect("archived ingest succeeds");
+    (slot, metrics, report)
+}
+
+#[test]
+fn a_backfilled_epoch_serves_its_archived_trace() {
+    let dir = tmp_dir("trace");
+    let trace = |api: &Api, epoch: usize| {
+        let (status, body) = get(api, &format!("/v1/debug/epoch/{epoch}/trace"));
+        assert_eq!(status, 200, "epoch {epoch}: {body}");
+        body
+    };
+    let tail = |body: &str| body[body.find("\"stage_count\":").unwrap()..].to_string();
+
+    // First boot: every epoch is published, traced and archived.
+    let (slot, metrics, report) = boot(&dir);
+    assert_eq!(report.archived_epochs, report.epochs as u64);
+    let api = api_with_history(&dir, &slot, &metrics);
+    let first: Vec<String> = (0..report.epochs).map(|e| trace(&api, e)).collect();
+    for body in &first {
+        assert!(body.contains("\"source\":\"live\""), "{body}");
+    }
+    // ingest, seal, shard_count, shard_merge, publish, archive.
+    assert!(first[0].contains("\"stage_count\":6"), "{}", first[0]);
+
+    // Second boot: the backfill seals every epoch again and publishes
+    // none, so each answers from the archive, as the first boot traced it.
+    let (slot, metrics, again) = boot(&dir);
+    assert_eq!(again.archived_epochs, 0, "the backfill re-archives nothing");
+    assert_eq!(
+        again.epochs, report.epochs,
+        "the backfill seals every epoch"
+    );
+    let api = api_with_history(&dir, &slot, &metrics);
+    for (epoch, body) in first.iter().enumerate() {
+        let restarted = trace(&api, epoch);
+        assert!(restarted.contains("\"source\":\"archive\""), "{restarted}");
+        assert_eq!(tail(&restarted), tail(body), "epoch {epoch}");
     }
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -109,9 +109,16 @@ fn epoch_trace_is_identical_across_restart() {
     for (epoch, stages) in [
         (
             0,
-            &["seal", "shard_count", "shard_merge", "publish", "archive"][..],
+            &[
+                "ingest",
+                "seal",
+                "shard_count",
+                "shard_merge",
+                "publish",
+                "archive",
+            ][..],
         ),
-        (1, &["seal", "publish", "archive"][..]),
+        (1, &["ingest", "seal", "publish", "archive"][..]),
     ] {
         let live_body = trace(&live, epoch, "live");
         let at = live_body.find("\"stages\":").expect("stage timeline");

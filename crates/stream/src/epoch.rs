@@ -28,18 +28,28 @@
 //! an epoch published late still reports its own numbers, never those
 //! of a later seal.
 //!
+//! So are the instants its trace rows are dated by ([`EpochInstants`]:
+//! the epoch's first push, the seal's start and the recount's start)
+//! and how many pushes filled it. The seal writes no trace row:
+//! [`EpochSnapshot::stage_runs`] builds the `ingest`, `seal`,
+//! `shard_count` and `shard_merge` rows from what the epoch carries,
+//! and whoever publishes the epoch puts them in a trace store, once.
+//!
 //! `dense` is `None` in two cases. A **compacted** epoch (see
 //! `StreamConfig::compact_history`) is a pipeline history entry whose
 //! counters were dropped once a later epoch sealed; it keeps classes and
 //! flips. A **restored** epoch ([`EpochSnapshot::restored`]) never had
 //! columns: the archive restore slices its record table from the archive
-//! and keeps only the header, classes and flips here.
+//! and keeps only the header, classes and flips here. A restored epoch
+//! carries no [`EpochInstants`] either: its timeline is the archive's.
 
 use bgp_infer::classify::Class;
 use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
+use obs::StageRun;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// When the pipeline seals the running epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,6 +209,23 @@ pub struct SealStats {
     pub merge_nanos: u64,
 }
 
+/// When a live epoch filled and sealed: what its trace rows are dated
+/// by (see [`EpochSnapshot::stage_runs`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EpochInstants {
+    /// The epoch's first push (the seal's start when nothing was
+    /// pushed): where its `ingest` row starts.
+    pub t_first_push: Instant,
+    /// Pushes that brought the epoch's events; a batch a seal cuts
+    /// counts in the epoch on either side of the cut.
+    pub pushes: u64,
+    /// The seal's start.
+    pub t_seal: Instant,
+    /// The recount's start; `None` for a zero-delta seal, which counted
+    /// nothing.
+    pub t_count: Option<Instant>,
+}
+
 /// The published state of one sealed epoch.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
@@ -238,14 +265,18 @@ pub struct EpochSnapshot {
     pub ingest: IngestStats,
     /// The rest of what this seal measured (not archived).
     pub seal: SealStats,
+    /// When the epoch filled and sealed (not archived); `None` on a
+    /// restored snapshot.
+    pub instants: Option<EpochInstants>,
 }
 
 impl EpochSnapshot {
     /// Rebuild a snapshot's header from durable state — the archive
     /// restore path. It takes the persisted timing fields and ingest
-    /// stats verbatim, carries the default [`SealStats`] (they are not
-    /// archived) and no counter columns (`dense` is `None`): whoever
-    /// restores an epoch builds its record table from the archive itself.
+    /// stats verbatim, carries the default [`SealStats`] and no
+    /// [`EpochInstants`] (neither is archived) and no counter columns
+    /// (`dense` is `None`): whoever restores an epoch builds its record
+    /// table from the archive itself.
     #[allow(clippy::too_many_arguments)]
     pub fn restored(
         epoch: u64,
@@ -273,7 +304,59 @@ impl EpochSnapshot {
             count_nanos,
             ingest,
             seal: SealStats::default(),
+            instants: None,
         }
+    }
+
+    /// The trace rows of this epoch's filling and sealing, dated by its
+    /// [`EpochInstants`]: `ingest`, from the first push to the seal's
+    /// start, with the epoch's own `events` and the pushes that brought
+    /// them; `seal`; and for a seal that counted, `shard_count` and
+    /// `shard_merge`. Those two sum over the recount's interleaved
+    /// steps, so both start where the recount starts. Empty for a
+    /// restored epoch.
+    pub fn stage_runs(&self) -> Vec<StageRun> {
+        let Some(at) = self.instants else {
+            return Vec::new();
+        };
+        let (ingest, seal) = (&self.ingest, &self.seal);
+        let run = |stage, started, nanos, counters| StageRun {
+            stage,
+            started,
+            nanos,
+            counters,
+        };
+        let filled = at.t_seal.saturating_duration_since(at.t_first_push);
+        let filled = filled.as_nanos() as u64;
+        let filled_by = vec![("batches", at.pushes), ("events", self.events)];
+        // `kind` indexes `SealKind::ALL`; `replayed` counts the units
+        // answered from their cache, `corrected` those of them whose
+        // cache was first corrected, re-evaluating `corrected_rows` rows
+        // of `corrected_words` words; `visited_tuples` is what all of it
+        // read, step by step; `moved` counts the ids classified and
+        // patched.
+        let sealed = vec![
+            ("events", self.events),
+            ("tuples", self.unique_tuples as u64),
+            ("replayed", ingest.replayed_steps),
+            ("corrected", seal.corrected),
+            ("corrected_words", seal.corrected_words),
+            ("corrected_rows", seal.corrected_rows),
+            ("total_steps", ingest.total_steps),
+            ("visited_tuples", seal.visited_tuples),
+            ("moved", seal.moved),
+            ("kind", seal.kind as u64),
+        ];
+        let mut runs = vec![
+            run("ingest", at.t_first_push, filled, filled_by),
+            run("seal", at.t_seal, self.seal_nanos, sealed),
+        ];
+        if let Some(t_count) = at.t_count {
+            let steps = vec![("steps", ingest.total_steps)];
+            runs.push(run("shard_count", t_count, seal.shard_count_nanos, steps));
+            runs.push(run("shard_merge", t_count, seal.merge_nanos, Vec::new()));
+        }
+        runs
     }
 
     /// A copy of this epoch's per-AS record table, sorted by ASN

@@ -18,18 +18,20 @@
 //! What a seal measured goes into the epoch it seals: the recount's
 //! counts come back in its [`Recount`], the shard set's dedup, interner,
 //! arena and load counts are read at the cut, and both land in the
-//! snapshot's [`IngestStats`] and [`SealStats`]. The seal's histogram,
-//! debug line and trace rows read them there, and so does everyone
-//! downstream — a publisher that catches up on several epochs at once
-//! publishes and archives each with its own numbers.
+//! snapshot's [`IngestStats`] and [`SealStats`]. The seal's histogram and
+//! debug line read them there, and so does everyone downstream — a
+//! publisher that catches up on several epochs at once publishes and
+//! archives each with its own numbers.
 //!
-//! The trace rows go to the store of the registry the pipeline records
-//! on ([`ObsRegistry::traces`]), each dated where it ran: the `seal` row
-//! from the seal's start, the `shard_count` and `shard_merge` rows from
-//! the recount's start. Those two are sums over the recount's
-//! interleaved steps, so they start where the span they sum over starts.
+//! The pipeline writes no trace rows. Each epoch carries the instants
+//! they are dated by ([`EpochInstants`]): its first push, read once an
+//! epoch beside its first timestamp, the seal's start and the recount's
+//! start, and how many pushes filled it. Whoever publishes the epoch
+//! builds its rows from them ([`EpochSnapshot::stage_runs`]).
 
-use crate::epoch::{ClassFlip, EpochPolicy, EpochSnapshot, IngestStats, SealKind, SealStats};
+use crate::epoch::{
+    ClassFlip, EpochInstants, EpochPolicy, EpochSnapshot, IngestStats, SealKind, SealStats,
+};
 use crate::ingest::{EventBatch, IngestError, StreamEvent, TupleSource};
 use crate::outcome::StreamOutcome;
 use crate::shard::{Recount, ShardSet};
@@ -38,7 +40,6 @@ use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
-use obs::trace::TraceStore;
 use obs::{Histogram, ObsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,9 +48,9 @@ use std::time::Instant;
 /// configured: it always enforces Cond1 and Cond2 over every path column
 /// and reuses the previous seal's step caches where they hold (see
 /// [`crate::shard`]). The batch engine's `InferenceConfig` keeps the
-/// ablation switches and the column cap. Nor is tracing: every seal
-/// traces into the store of the registry the pipeline records on (see
-/// [`StreamPipeline::with_registry`]).
+/// ablation switches and the column cap. Nor is tracing: every sealed
+/// epoch carries the instants its trace rows are dated by
+/// ([`EpochInstants`]).
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Shards: how tuples are partitioned for deduplication, step
@@ -105,16 +106,17 @@ pub struct StreamPipeline {
     by_asn: Arc<Vec<(Asn, AsnId)>>,
     perm_len: usize,
     events_in_epoch: u64,
+    /// Pushes that brought the open epoch's events.
+    pushes_in_epoch: u64,
     total_events: u64,
-    epoch_start_ts: Option<u64>,
+    /// The open epoch's first timestamp, and the instant it was pushed.
+    epoch_start: Option<(u64, Instant)>,
     last_ts: u64,
     /// Seal-stage histograms by kind (one per [`SealKind::ALL`] entry) plus
     /// the whole-recount histogram, resolved once on the registry so
     /// sealing records with pure atomics.
     seal_hists: [Arc<Histogram>; 3],
     recount_hist: Arc<Histogram>,
-    /// The registry's trace store, where each seal's rows go.
-    traces: Arc<TraceStore>,
     /// What [`push_batch`](Self::push_batch) encodes owned events into.
     owned: EventBatch,
 }
@@ -127,8 +129,7 @@ impl StreamPipeline {
     }
 
     /// New pipeline whose seal, recount, count and merge histograms
-    /// resolve on `reg` (a daemon's one registry), and whose seals trace
-    /// into `reg`'s store.
+    /// resolve on `reg` (a daemon's one registry).
     pub fn with_registry(cfg: StreamConfig, reg: &ObsRegistry) -> Self {
         let shards = ShardSet::with_registry(cfg.shards, reg);
         let seal_help = "Wall time of one epoch seal";
@@ -152,12 +153,12 @@ impl StreamPipeline {
             by_asn: Arc::new(Vec::new()),
             perm_len: 0,
             events_in_epoch: 0,
+            pushes_in_epoch: 0,
             total_events: 0,
-            epoch_start_ts: None,
+            epoch_start: None,
             last_ts: 0,
             seal_hists,
             recount_hist,
-            traces: Arc::clone(reg.traces()),
             owned: EventBatch::new(),
         }
     }
@@ -286,6 +287,7 @@ impl StreamPipeline {
                     break;
                 }
             }
+            self.pushes_in_epoch += u64::from(len > 0);
             self.shards.push_records(run.take(len).map(|(_, t)| t));
             if !trips {
                 break;
@@ -296,15 +298,16 @@ impl StreamPipeline {
         self.snapshots.len() - before
     }
 
-    /// Account for one event; whether the epoch policy trips on it.
+    /// Account for one event; whether the epoch policy trips on it. The
+    /// epoch's first event reads the clock: its first push.
     fn count_event(&mut self, timestamp: u64) -> bool {
-        self.epoch_start_ts.get_or_insert(timestamp);
+        let (start_ts, _) = *self
+            .epoch_start
+            .get_or_insert_with(|| (timestamp, Instant::now()));
         self.last_ts = timestamp;
         self.total_events += 1;
         self.events_in_epoch += 1;
-        let span = self
-            .last_ts
-            .saturating_sub(self.epoch_start_ts.unwrap_or(self.last_ts));
+        let span = timestamp.saturating_sub(start_ts);
         self.cfg.epoch.should_seal(self.events_in_epoch, span)
     }
 
@@ -473,9 +476,16 @@ impl StreamPipeline {
             count_nanos,
             ingest,
             seal,
+            instants: Some(EpochInstants {
+                t_first_push: self.epoch_start.map_or(t_seal, |(_, t)| t),
+                pushes: self.pushes_in_epoch,
+                t_seal,
+                t_count,
+            }),
         };
         self.events_in_epoch = 0;
-        self.epoch_start_ts = None;
+        self.pushes_in_epoch = 0;
+        self.epoch_start = None;
         if self.cfg.compact_history {
             if let Some(prev) = self.snapshots.last_mut() {
                 // A shared snapshot (e.g. one a serving layer still
@@ -504,41 +514,6 @@ impl StreamPipeline {
             snapshot.seal_nanos,
             snapshot.count_nanos
         );
-        // `kind` indexes `SealKind::ALL`; `replayed` counts the units
-        // answered from their cache, `corrected` those of them whose
-        // cache was first corrected, re-evaluating `corrected_rows`
-        // rows of `corrected_words` words;
-        // `visited_tuples` is what all of it read, step by step;
-        // `moved` counts the ids classified and patched.
-        self.traces.record(
-            epoch,
-            "seal",
-            t_seal,
-            snapshot.seal_nanos,
-            &[
-                ("events", snapshot.events),
-                ("tuples", snapshot.unique_tuples as u64),
-                ("replayed", ingest.replayed_steps),
-                ("corrected", seal.corrected),
-                ("corrected_words", seal.corrected_words),
-                ("corrected_rows", seal.corrected_rows),
-                ("total_steps", ingest.total_steps),
-                ("visited_tuples", seal.visited_tuples),
-                ("moved", seal.moved),
-                ("kind", seal.kind as u64),
-            ],
-        );
-        if let Some(t_count) = t_count {
-            let (traces, steps) = (&self.traces, [("steps", ingest.total_steps)]);
-            traces.record(
-                epoch,
-                "shard_count",
-                t_count,
-                seal.shard_count_nanos,
-                &steps,
-            );
-            traces.record(epoch, "shard_merge", t_count, seal.merge_nanos, &[]);
-        }
         self.snapshots.push(Arc::new(snapshot));
         self.snapshots.last().expect("just pushed")
     }
@@ -615,6 +590,7 @@ mod tests {
     use crate::ingest::StreamEvent;
     use crate::testing::{followed_feed, tag_tuple, FollowedFeed, Rng};
     use bgp_infer::classify::TaggingClass;
+    use std::time::Duration;
 
     #[test]
     fn epochs_seal_by_event_count() {
@@ -1190,21 +1166,18 @@ mod tests {
         assert!(snap.seal_nanos >= snap.count_nanos);
     }
 
-    /// The seal's rows land in the store of the registry the pipeline
-    /// records on, each dated where it ran: `shard_count` and
+    /// The stage names of `runs`, in order.
+    fn stages(runs: &[obs::StageRun]) -> Vec<&'static str> {
+        runs.iter().map(|r| r.stage).collect()
+    }
+
+    /// An epoch's trace rows, read off the sealed epoch, each dated where
+    /// it ran: `ingest` ends where the seal starts, and `shard_count` and
     /// `shard_merge` sum over the recount's interleaved steps, so both
     /// start where the recount starts, inside the `seal` row's span.
     #[test]
     fn seal_rows_are_dated_where_they_ran() {
-        let reg = ObsRegistry::new();
-        let mut pipe = StreamPipeline::with_registry(
-            StreamConfig {
-                shards: 2,
-                epoch: EpochPolicy::manual(),
-                ..Default::default()
-            },
-            &reg,
-        );
+        let mut pipe = manual(2, Thresholds::default());
         for i in 0..2_000u32 {
             let tags = [2 + i % 7, 100 + i % 13];
             let p = [tags[0], tags[1], 1_000 + i];
@@ -1212,24 +1185,58 @@ mod tests {
         }
         let sealed = Arc::clone(pipe.seal_epoch());
         assert_ne!(sealed.seal.kind, SealKind::ZeroDelta);
-        let trace = reg.traces().get(sealed.epoch).expect("traced epoch");
-        let row = |name: &str| {
-            let row = trace.stages.iter().find(|s| s.stage == name);
-            let row = row.unwrap_or_else(|| panic!("no {name} row: {trace:?}"));
-            (
-                row.start_offset_nanos,
-                row.start_offset_nanos + row.duration_nanos,
-            )
-        };
-        let (seal, count, merge) = (row("seal"), row("shard_count"), row("shard_merge"));
-        assert_eq!(count.0, merge.0, "{trace:?}");
+        let runs = sealed.stage_runs();
+        assert_eq!(
+            stages(&runs),
+            ["ingest", "seal", "shard_count", "shard_merge"]
+        );
+        let span = |r: &obs::StageRun| (r.started, r.started + Duration::from_nanos(r.nanos));
+        let (ingest, seal, count, merge) = (
+            span(&runs[0]),
+            span(&runs[1]),
+            span(&runs[2]),
+            span(&runs[3]),
+        );
+        assert!(ingest.1 <= seal.0, "{runs:?}");
+        assert_eq!(runs[0].counters, [("batches", 2_000), ("events", 2_000)]);
+        assert_eq!(count.0, merge.0, "{runs:?}");
         for (start, end) in [count, merge] {
-            assert!(seal.0 <= start && end <= seal.1, "{trace:?}");
+            assert!(seal.0 <= start && end <= seal.1, "{runs:?}");
         }
-        // A zero-delta seal counts nothing and adds only its seal row.
-        pipe.seal_epoch();
-        let stages = reg.traces().get(sealed.epoch + 1).expect("traced").stages;
-        assert_eq!(stages.len(), 1);
-        assert_eq!(stages[0].stage, "seal");
+        // A zero-delta seal counts nothing: no count or merge row, and an
+        // ingest row of nothing, ending where the seal starts.
+        let runs = pipe.seal_epoch().stage_runs();
+        assert_eq!(stages(&runs), ["ingest", "seal"]);
+        assert_eq!(runs[0].counters, [("batches", 0), ("events", 0)]);
+        assert_eq!(span(&runs[0]).1, runs[1].started);
+
+        // Batches of 4 into epochs of 6: the second batch is cut, two of
+        // its events in each epoch, and each epoch's ingest row counts
+        // its own six events, brought by two pushes.
+        let mut pipe = StreamPipeline::new(StreamConfig {
+            shards: 1,
+            epoch: EpochPolicy::every_events(6),
+            ..Default::default()
+        });
+        for b in 0..3u32 {
+            let batch = (4 * b..4 * b + 4)
+                .map(|i| StreamEvent::new(u64::from(i), tag_tuple(&[2, 9, 100 + i], &[2])));
+            pipe.push_batch(batch);
+        }
+        assert_eq!(pipe.snapshots().len(), 2);
+        for sealed in pipe.snapshots() {
+            let runs = sealed.stage_runs();
+            assert_eq!(runs[0].stage, "ingest");
+            assert_eq!(sealed.events, 6);
+            assert_eq!(
+                runs[0].counters,
+                [("batches", 2), ("events", sealed.events)]
+            );
+            assert!(
+                span(&runs[0]).1 <= runs[1].started,
+                "epoch {}",
+                sealed.epoch
+            );
+        }
     }
 }

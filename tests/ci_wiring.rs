@@ -240,9 +240,24 @@ fn traces_ride_the_registry_and_the_store_reads_no_clock() {
             hits.push(format!("crates/obs/src/trace.rs:{n}: {line}"));
         }
     }
+    // An epoch's timeline is put when it is published: the pipeline and
+    // the driver only date their stages in the epoch they seal, so a
+    // replay that seals an epoch again cannot trace it twice.
+    let mut sealing = rust_files(&root.join("crates/stream/src"));
+    sealing.push(root.join("crates/serve/src/driver.rs"));
+    for file in sealing {
+        let src = std::fs::read_to_string(&file).expect("read source");
+        for (n, line) in non_test_lines(&src).filter(|(_, line)| !is_comment(line)) {
+            if line.contains("traces()") || line.contains("TraceStore") {
+                let rel = file.strip_prefix(root).unwrap().display();
+                hits.push(format!("{rel}:{n}: {line}"));
+            }
+        }
+    }
     assert!(
         hits.is_empty(),
-        "a trace store outside the registry, or a clock in the store:\n{}",
+        "a trace store outside the registry, a clock in the store, or a \
+         store written where epochs seal:\n{}",
         hits.join("\n")
     );
 }
