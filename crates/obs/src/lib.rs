@@ -3,7 +3,7 @@
 //! The daemon spans four layers — ingest → shard count → epoch seal →
 //! publish → archive → serve — and every one of them answers latency
 //! questions through this crate instead of ad-hoc timers and scattered
-//! `eprintln!`. Four primitives, all hand-rolled over `std::sync::atomic`
+//! `eprintln!`. Three primitives, all hand-rolled over `std::sync::atomic`
 //! (the workspace is offline: no `log`, no `tracing`):
 //!
 //! - **Leveled structured logging** ([`log!`], [`error!`] … [`trace!`]):
@@ -22,9 +22,6 @@
 //!   whole when its epoch is published, and the store reads no clock:
 //!   every row is handed the instant its stage ran. "Where did epoch
 //!   N's time go" is read here.
-//! - **Alert rules** ([`AlertState`]): `name>threshold@N` over any
-//!   registry family, evaluated against the window since the last
-//!   evaluation.
 //!
 //! Every event is written to exactly one of each it needs — a seal is
 //! one histogram observation, one trace stage and one debug log line —
@@ -50,16 +47,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod alerts;
 pub mod hist;
 pub mod logger;
 pub mod registry;
 pub mod trace;
 
-pub use alerts::{
-    parse_alert_rules, quarantine_ratio, spawn_sampler, AlertRule, AlertState, MetricSelector,
-    SamplerHandle,
-};
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use logger::{Level, LogConfig};
 pub use registry::{Counter, Gauge, ObsRegistry};

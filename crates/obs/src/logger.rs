@@ -9,7 +9,7 @@
 //! Output is one line per event: a human-readable text form by default,
 //! or a JSON object per line (`--log-json` in `bgp-served`). Targets
 //! are short static subsystem names (`"serve"`, `"stream"`,
-//! `"archive"`, `"http"`, `"alert"`); per-target level overrides are
+//! `"archive"`, `"http"`); per-target level overrides are
 //! parsed from specs like `info,stream=debug`.
 
 use std::io::Write;

@@ -79,7 +79,7 @@ struct MetricEntry<T> {
 impl<T> MetricEntry<T> {
     /// This entry against the key `(family, labels)`. Each instrument
     /// list is kept sorted by it, so a family's label sets are adjacent
-    /// and the exposition and the per-family views need no sort pass.
+    /// and the exposition and the per-family view need no sort pass.
     fn cmp_key(&self, family: &str, labels: &[(&str, &str)]) -> std::cmp::Ordering {
         self.family.as_str().cmp(family).then_with(|| {
             self.labels
@@ -178,29 +178,27 @@ impl ObsRegistry {
             .collect()
     }
 
-    /// Every counter family with its value summed across label sets,
-    /// sorted by family — what alert rules are evaluated against.
-    pub fn counter_families(&self) -> Vec<(String, u64)> {
-        fold_families(&self.counters, Counter::get, |acc, v| *acc += v)
-    }
-
-    /// Every gauge family with its value summed across label sets,
-    /// sorted by family.
-    pub fn gauge_families(&self) -> Vec<(String, i64)> {
-        fold_families(&self.gauges, Gauge::get, |acc, v| *acc += v)
-    }
-
     /// Every histogram family aggregated across its label sets
-    /// (bucket-wise sums; max of maxes), sorted by family.
+    /// (bucket-wise sums; max of maxes), sorted by family (the entries
+    /// already are).
     pub fn histogram_families(&self) -> Vec<(String, HistogramSnapshot)> {
-        fold_families(&self.hists, Histogram::snapshot, |acc, snap| {
-            for (a, b) in acc.buckets.iter_mut().zip(snap.buckets) {
-                *a += b;
+        let guard = self.hists.lock().expect("registry lock");
+        let mut out: Vec<(String, HistogramSnapshot)> = Vec::new();
+        for e in guard.iter() {
+            let snap = e.value.snapshot();
+            match out.last_mut() {
+                Some((family, acc)) if *family == e.family => {
+                    for (a, b) in acc.buckets.iter_mut().zip(snap.buckets) {
+                        *a += b;
+                    }
+                    acc.sum_nanos += snap.sum_nanos;
+                    acc.count += snap.count;
+                    acc.max_nanos = acc.max_nanos.max(snap.max_nanos);
+                }
+                _ => out.push((e.family.clone(), snap)),
             }
-            acc.sum_nanos += snap.sum_nanos;
-            acc.count += snap.count;
-            acc.max_nanos = acc.max_nanos.max(snap.max_nanos);
-        })
+        }
+        out
     }
 
     /// Append every registered metric in Prometheus text-format v0.0.4:
@@ -241,25 +239,6 @@ impl ObsRegistry {
             let _ = writeln!(out, " {}", snap.count);
         });
     }
-}
-
-/// Fold every label set of each family into one value per family,
-/// sorted by family (the entries already are).
-fn fold_families<T, V>(
-    entries: &Mutex<Vec<MetricEntry<T>>>,
-    read: impl Fn(&T) -> V,
-    merge: impl Fn(&mut V, V),
-) -> Vec<(String, V)> {
-    let guard = entries.lock().expect("registry lock");
-    let mut out: Vec<(String, V)> = Vec::new();
-    for e in guard.iter() {
-        let v = read(&e.value);
-        match out.last_mut() {
-            Some((family, acc)) if *family == e.family => merge(acc, v),
-            _ => out.push((e.family.clone(), v)),
-        }
-    }
-    out
 }
 
 /// Walk `entries` in order: the `# HELP`/`# TYPE` preamble where the
@@ -404,20 +383,11 @@ bgp_z_duration_seconds_count 0
     }
 
     #[test]
-    fn family_enumeration_sums_label_sets() {
+    fn histogram_families_sum_label_sets() {
         let r = ObsRegistry::new();
-        r.counter("b_total", "h", &[("k", "a")]).add(3);
-        r.counter("b_total", "h", &[("k", "b")]).add(4);
-        r.counter("a_total", "h", &[]).add(1);
-        r.gauge("depth", "h", &[]).set(-2);
         r.histogram("t_seconds", "h", &[("k", "a")]).record(100);
         r.histogram("t_seconds", "h", &[("k", "b")]).record(200);
 
-        assert_eq!(
-            r.counter_families(),
-            vec![("a_total".to_string(), 1), ("b_total".to_string(), 7)]
-        );
-        assert_eq!(r.gauge_families(), vec![("depth".to_string(), -2)]);
         let hists = r.histogram_families();
         assert_eq!(hists.len(), 1);
         assert_eq!(hists[0].0, "t_seconds");

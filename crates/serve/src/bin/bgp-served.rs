@@ -50,18 +50,9 @@
 //!       --log-level <SPEC>      log filter: a default level and optional
 //!                               per-target overrides, e.g. `info`,
 //!                               `debug,http=warn`, `info,stream=trace`
-//!                               (targets: serve, stream, archive, http,
-//!                               alert; default info)
+//!                               (targets: serve, stream, archive, http;
+//!                               default info)
 //!       --log-json              one JSON object per log line instead of text
-//!       --sample-interval <MS>  alert-evaluation interval in milliseconds:
-//!                               how often --alert-rules are judged, each
-//!                               against the window since the last time
-//!                               (default 1000; idle without --alert-rules)
-//!       --alert-rules <SPEC>    alert rules evaluated every interval,
-//!                               e.g. `seal_p99>50ms@3;archive_sink_queue>64@5;
-//!                               quarantine_rate>0.05@10` — firing alerts
-//!                               surface in /healthz reasons and the
-//!                               bgp_alerts_firing gauge
 //!   -h, --help                  show this help
 //! ```
 //!
@@ -80,7 +71,6 @@ use bgp_serve::prelude::*;
 use bgp_serve::shutdown;
 use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::StreamConfig;
-use obs::AlertState;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -106,18 +96,15 @@ struct Options {
     quarantine_abort: u64,
     log_level: String,
     log_json: bool,
-    sample_interval_ms: u64,
-    alert_rules: Option<String>,
     inputs: Vec<String>,
 }
 
 fn usage() -> &'static str {
-    "usage: bgp-served [-l ADDR] [-w WORKERS] [--max-conns N] [-s SHARDS] [-e EVENTS] [--epoch-secs S]\n\
-     \x20                 [-t THRESHOLD] [-b BATCH] [--archive DIR] [--linger]\n\
+    "usage: bgp-served [-h] [-l ADDR] [-w WORKERS] [--max-conns N] [-s SHARDS] [-e EVENTS]\n\
+     \x20                 [--epoch-secs S] [-t THRESHOLD] [-b BATCH] [--archive DIR] [--linger]\n\
      \x20                 [--fault-plan SPEC] [--fault-seed N] [--restart-budget N]\n\
      \x20                 [--quarantine-abort N] [--log-level SPEC] [--log-json]\n\
-     \x20                 [--sample-interval MS] [--alert-rules SPEC]\n\
-     \x20                 <MRT-FILE>... | --sim SCENARIO\n\
+     \x20                 <MRT-FILE>... | --sim SCENARIO [--seed N] [--repeats N]\n\
      Serves the live per-AS classification database over HTTP while ingesting."
 }
 
@@ -142,8 +129,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         quarantine_abort: 0,
         log_level: "info".to_string(),
         log_json: false,
-        sample_interval_ms: 1000,
-        alert_rules: None,
         inputs: Vec::new(),
     };
     let mut it = args.iter();
@@ -227,15 +212,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--log-level" => opts.log_level = num(arg)?,
             "--log-json" => opts.log_json = true,
-            "--sample-interval" => {
-                opts.sample_interval_ms = num(arg)?
-                    .parse()
-                    .map_err(|e| format!("bad sample-interval: {e}"))?;
-                if opts.sample_interval_ms == 0 {
-                    return Err("sample-interval must be >= 1 ms".into());
-                }
-            }
-            "--alert-rules" => opts.alert_rules = Some(num(arg)?),
             "-h" | "--help" => return Err(String::new()),
             other if other.starts_with('-') => return Err(format!("unknown option {other}")),
             file => opts.inputs.push(file.to_string()),
@@ -260,29 +236,10 @@ fn run(opts: Options) -> Result<(), String> {
     let slot = Arc::new(SnapshotSlot::new(thresholds));
     // The daemon's one registry: every layer below records on it, the
     // publisher puts each epoch's timeline in its store, and /metrics,
-    // /healthz, the alert rules and /v1/debug/epoch/{N}/trace read it.
+    // /healthz and /v1/debug/epoch/{N}/trace read it.
     let obs = Arc::new(obs::ObsRegistry::new());
     let metrics = Arc::new(Metrics::with_registry(Arc::clone(&obs)));
     let health = Arc::new(HealthState::new(Arc::clone(&metrics), Instant::now()));
-
-    // Alert rules: judged every --sample-interval on a thread of their
-    // own, which exists only when there is a rule to judge.
-    let alert_rules = match &opts.alert_rules {
-        Some(spec) => obs::parse_alert_rules(spec).map_err(|e| format!("--alert-rules: {e}"))?,
-        None => Vec::new(),
-    };
-    let sampler = (!alert_rules.is_empty()).then(|| {
-        let alerts = Arc::new(AlertState::new(
-            alert_rules,
-            Arc::clone(&obs),
-            Instant::now(),
-        ));
-        health.attach_alerts(Arc::clone(&alerts));
-        obs::spawn_sampler(
-            alerts,
-            std::time::Duration::from_millis(opts.sample_interval_ms),
-        )
-    });
 
     let fault_plan = match &opts.fault_plan {
         Some(spec) => {
@@ -487,9 +444,6 @@ fn run(opts: Options) -> Result<(), String> {
         "final health: {}",
         health.evaluate(Instant::now()).status.as_str()
     );
-    if let Some(sampler) = sampler {
-        sampler.join();
-    }
     http.shutdown();
     Ok(())
 }

@@ -55,8 +55,8 @@
 //! supervisor and the attempt are thread shells around them: they move
 //! batches, join, settle the queue gauge and read the clock. The test
 //! module's simulation drives the same steps on one thread and one
-//! seeded clock, with [`HealthState`] and an alert state judged at
-//! simulated instants, and replays a failing seed.
+//! seeded clock, with [`HealthState`] judged at simulated instants, and
+//! replays a failing seed.
 //!
 //! The driver is *supervised*: each feed attempt runs under
 //! `catch_unwind`, and a panicking attempt is respawned (up to
@@ -993,26 +993,25 @@ mod tests {
     // ---- The supervised driver, simulated --------------------------------
     //
     // One thread, one seeded clock: the puller's pump over a fault-injected
-    // feed, the sealer's steps into a slot, the respawn decision, the health
-    // state and an alert state, interleaved by a seeded scheduler and
-    // checked after every step against a never-faulted run and against a
-    // model of `/healthz` and of the alert rules. The channel is a queue of
-    // `SEAL_QUEUE_BATCHES` the scheduler fills and drains; the thread shells
-    // (`Driver::run`, `Driver::attempt`) are what the threaded tests above
-    // and the soaks drive. A failing case replays from its number: the
+    // feed, the sealer's steps into a slot, the respawn decision and the
+    // health state, interleaved by a seeded scheduler and checked after
+    // every step against a never-faulted run and against a model of
+    // `/healthz`. The channel is a queue of `SEAL_QUEUE_BATCHES` the
+    // scheduler fills and drains; the thread shells (`Driver::run`,
+    // `Driver::attempt`) are what the threaded tests above and the soaks
+    // drive. A failing case replays from its number: the
     // method of FoundationDB's simulation testing (Zhou et al., SIGMOD '21).
 
     use crate::health::{QUARANTINE_MAX_RATIO, STALE_AFTER};
     use bgp_infer::db::DbRecord;
     use fault::{FaultKind, FaultRule, Trigger};
-    use obs::AlertState;
     use proptest::TestRng;
     use std::collections::{BTreeMap, VecDeque};
     use std::sync::Mutex;
     use std::time::Duration;
 
     /// Every path a run of the simulation must reach, or it checks nothing.
-    const PATHS: [&str; 17] = [
+    const PATHS: [&str; 14] = [
         "quarantined",
         "queue full",
         "respawn",
@@ -1027,9 +1026,6 @@ mod tests {
         "stale at exactly STALE_AFTER",
         "restart reason",
         "quarantine rate",
-        "alert under its window count",
-        "alert fired",
-        "alert cleared",
     ];
 
     /// Every snapshot `slot` publishes from now on, in order.
@@ -1064,31 +1060,14 @@ mod tests {
             .collect()
     }
 
-    /// What an alert rule judges, computed from the simulation's state.
-    #[derive(Clone, Copy)]
-    enum Signal {
-        QuarantineRatio,
-        IngestRate,
-    }
-
-    struct ModelRule {
-        name: &'static str,
-        signal: Signal,
-        threshold: f64,
-        windows: u32,
-        streak: u32,
-        firing: bool,
-    }
-
     /// The simulation's state beside the driver's: the clock, the model
-    /// of what `/healthz` and the alerts must say, and the paths reached.
+    /// of what `/healthz` must say, and the paths reached.
     struct World {
         rng: TestRng,
         now: Instant,
         slot: Arc<SnapshotSlot>,
         metrics: Arc<Metrics>,
         health: Arc<HealthState>,
-        alerts: Arc<AlertState>,
         injector: Arc<FeedInjector>,
         /// The never-faulted run's record table of each version.
         clean: Vec<Vec<DbRecord>>,
@@ -1105,9 +1084,6 @@ mod tests {
         restart_pending: bool,
         done: bool,
         failed: bool,
-        rules: Vec<ModelRule>,
-        window_at: Instant,
-        window_ingested: u64,
         seen: BTreeMap<&'static str, u64>,
     }
 
@@ -1185,10 +1161,9 @@ mod tests {
         }
 
         /// A step that is neither a pull nor a take: the clock moves
-        /// (sometimes to just at or past the staleness bound), or the
-        /// alert rules are judged.
+        /// (sometimes to just at or past the staleness bound), or stands.
         fn elsewhere(&mut self, ctx: &str) {
-            match self.rng.random_range(0..6u32) {
+            match self.rng.random_range(0..4u32) {
                 0 | 1 => self.now += Duration::from_millis(self.rng.random_range(0..=2_000u64)),
                 2 => {
                     let past = [0, 1, self.rng.random_range(2..1_000_000_000u64)];
@@ -1197,52 +1172,9 @@ mod tests {
                         + Duration::from_nanos(past[self.rng.random_range(0..3usize)]);
                     self.now = self.now.max(to);
                 }
-                3 | 4 => self.judge_alerts(ctx),
                 _ => {}
             }
             self.check(ctx);
-        }
-
-        /// Judge the alert rules at `now`, the model beside them.
-        fn judge_alerts(&mut self, ctx: &str) {
-            self.alerts.evaluate(self.now);
-            let (q, i) = (self.quarantined(), self.ingested);
-            let secs = self
-                .now
-                .saturating_duration_since(self.window_at)
-                .as_secs_f64()
-                .max(1e-6);
-            let rate = (i - self.window_ingested) as f64 / secs;
-            let mut seen = Vec::new();
-            for rule in &mut self.rules {
-                let value = match rule.signal {
-                    Signal::QuarantineRatio => q as f64 / (q + i).max(1) as f64,
-                    Signal::IngestRate => rate,
-                };
-                if value > rule.threshold {
-                    rule.streak += 1;
-                    if rule.streak == rule.windows {
-                        rule.firing = true;
-                        seen.push("alert fired");
-                    } else if !rule.firing {
-                        seen.push("alert under its window count");
-                    }
-                } else {
-                    rule.streak = 0;
-                    if std::mem::take(&mut rule.firing) {
-                        seen.push("alert cleared");
-                    }
-                }
-            }
-            seen.into_iter().for_each(|path| self.saw(path));
-            (self.window_at, self.window_ingested) = (self.now, i);
-            let firing: Vec<&str> = self
-                .rules
-                .iter()
-                .filter(|r| r.firing)
-                .map(|r| r.name)
-                .collect();
-            assert_eq!(self.alerts.firing(), firing, "{ctx}: firing rules");
         }
 
         /// `/healthz` and the counters against the model.
@@ -1277,8 +1209,6 @@ mod tests {
                     reasons.push("driver_restarted".to_string());
                     self.saw("restart reason");
                 }
-                let firing = self.rules.iter().filter(|r| r.firing);
-                reasons.extend(firing.map(|r| format!("alert:{}", r.name)));
             }
             let status = match (self.failed, reasons.is_empty()) {
                 (true, _) => HealthStatus::Unhealthy,
@@ -1382,35 +1312,6 @@ mod tests {
                 ..Default::default()
             })
         };
-        let rules = vec![
-            ModelRule {
-                name: "quarantine_rate",
-                signal: Signal::QuarantineRatio,
-                threshold: rng.random_range(1..10u32) as f64 / 100.0,
-                windows: rng.random_range(1..=3u32),
-                streak: 0,
-                firing: false,
-            },
-            ModelRule {
-                name: "bgp_serve_events_ingested_total_rate",
-                signal: Signal::IngestRate,
-                threshold: [0.5, 2.0, 10.0][rng.random_range(0..3usize)],
-                windows: rng.random_range(1..=3u32),
-                streak: 0,
-                firing: false,
-            },
-        ];
-        let spec: Vec<String> = rules
-            .iter()
-            .map(|r| format!("{}>{}@{}", r.name, r.threshold, r.windows))
-            .collect();
-        let alert_rules = obs::parse_alert_rules(&spec.join(";")).unwrap();
-        let alerts = Arc::new(AlertState::new(
-            alert_rules,
-            Arc::clone(metrics.registry()),
-            t0,
-        ));
-        health.attach_alerts(Arc::clone(&alerts));
         let mut w = World {
             rng,
             now: t0,
@@ -1419,7 +1320,6 @@ mod tests {
             timelines: Vec::new(),
             metrics,
             health,
-            alerts,
             injector,
             clean,
             version: 0,
@@ -1430,9 +1330,6 @@ mod tests {
             restart_pending: false,
             done: false,
             failed: false,
-            rules,
-            window_at: t0,
-            window_ingested: 0,
             seen: BTreeMap::new(),
         };
 

@@ -12,19 +12,21 @@
 //! * **degraded** — the daemon is serving but something needs
 //!   attention; each active condition is named in `reasons`:
 //!   `archive_sink_retrying`, `archive_epochs_dropped`,
-//!   `epochs_stale`, `quarantine_rate`, `driver_restarted`, plus one
-//!   `alert:{name}` per firing rule of an attached
-//!   [`AlertState`] (`--alert-rules`).
+//!   `epochs_stale`, `quarantine_rate`, `driver_restarted`.
 //! * **unhealthy** — ingest is gone for good (`ingest_failed`): the
 //!   restart budget was exhausted or the feed aborted. `/healthz`
 //!   answers 503 so load balancers eject the instance.
+//!
+//! These built-in rules are the daemon's one health judgment. Any other
+//! condition worth alerting on is a rule over the families `/metrics`
+//! exposes, evaluated by whatever scrapes it.
 //!
 //! The state is built on the daemon's [`Metrics`] and counts nothing
 //! twice: the published, ingested and quarantined totals it judges are
 //! the counters `/metrics` renders. It keeps only what no family holds —
 //! the last publish's instant, the restart count and the publish count
-//! at the last restart, the done / failed flags, and the attached sink
-//! and alerts. The ingest driver (which always reports into its
+//! at the last restart, the done / failed flags, and the attached sink.
+//! The ingest driver (which always reports into its
 //! [`DriverConfig::health`](crate::driver::DriverConfig::health)), the
 //! archive sink thread and the HTTP workers all touch the same
 //! `Arc<HealthState>`; only a publish and an evaluation take its one
@@ -43,7 +45,6 @@
 
 use crate::metrics::Metrics;
 use bgp_archive::prelude::SinkStatus;
-use obs::AlertState;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -53,9 +54,16 @@ use std::time::{Duration, Instant};
 /// drained feed is done, not stale). Exactly this long is not stale yet.
 pub const STALE_AFTER: Duration = Duration::from_secs(30);
 
-/// Quarantined share of the feed ([`obs::quarantine_ratio`]) above which
-/// the daemon reports `quarantine_rate`.
+/// Quarantined share of the feed ([`quarantine_ratio`]) above which the
+/// daemon reports `quarantine_rate`.
 pub const QUARANTINE_MAX_RATIO: f64 = 0.05;
+
+/// The quarantined share of a feed, `quarantined / (quarantined +
+/// ingested)`, 0 when nothing was quarantined: what the
+/// `quarantine_rate` reason judges.
+pub fn quarantine_ratio(quarantined: u64, ingested: u64) -> f64 {
+    quarantined as f64 / (quarantined + ingested).max(1) as f64
+}
 
 /// The health verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +111,6 @@ pub struct HealthState {
     ingest_done: AtomicBool,
     ingest_failed: AtomicBool,
     sink: OnceLock<Arc<SinkStatus>>,
-    alerts: OnceLock<Arc<AlertState>>,
 }
 
 impl HealthState {
@@ -118,19 +125,12 @@ impl HealthState {
             ingest_done: AtomicBool::new(false),
             ingest_failed: AtomicBool::new(false),
             sink: OnceLock::new(),
-            alerts: OnceLock::new(),
         }
     }
 
     /// Watch an archive sink's retry/drop state (the first one attached).
     pub fn attach_sink(&self, status: Arc<SinkStatus>) {
         let _ = self.sink.set(status);
-    }
-
-    /// Surface an alert engine's firing rules as `alert:{name}`
-    /// degraded reasons (the first engine attached).
-    pub fn attach_alerts(&self, alerts: Arc<AlertState>) {
-        let _ = self.alerts.set(alerts);
     }
 
     fn last_publish(&self) -> std::sync::MutexGuard<'_, Instant> {
@@ -203,7 +203,7 @@ impl HealthState {
             reasons.push("epochs_stale".to_string());
         }
         let ingested = self.metrics.events_ingested.get();
-        if obs::quarantine_ratio(self.quarantined(), ingested) > QUARANTINE_MAX_RATIO {
+        if quarantine_ratio(self.quarantined(), ingested) > QUARANTINE_MAX_RATIO {
             reasons.push("quarantine_rate".to_string());
         }
         // A restart stays visible until the respawned driver proves
@@ -214,13 +214,6 @@ impl HealthState {
                 == self.publishes_at_restart.load(Ordering::Acquire)
         {
             reasons.push("driver_restarted".to_string());
-        }
-        // Alert-rule reasons come last: operator-defined conditions
-        // annotate, never mask, the built-in supervision signals.
-        if let Some(alerts) = self.alerts.get() {
-            for name in alerts.firing() {
-                reasons.push(format!("alert:{name}"));
-            }
         }
         HealthReport {
             status: if reasons.is_empty() {

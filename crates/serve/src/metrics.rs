@@ -6,9 +6,8 @@
 //! itself: every field is an `Arc` handle resolved once on the registry
 //! (the daemon's one registry, which it also hands to every other layer
 //! it starts), so recording is pure atomics and `/metrics`,
-//! `/v1/debug/timings`, `/healthz` and the alert rules all read the same
-//! store. The registry is the only Prometheus renderer; this module has
-//! none.
+//! `/v1/debug/timings` and `/healthz` all read the same store. The
+//! registry is the only Prometheus renderer; this module has none.
 
 use crate::snapshot::ServeSnapshot;
 use obs::{Counter, Gauge, Histogram, ObsRegistry};

@@ -11,13 +11,13 @@
 //!   `degraded`.
 //! * A feed that quarantines past `--quarantine-abort` ends the daemon
 //!   with a non-zero exit and `final health: unhealthy`.
-//! * A rule on the archive write rate fires into `/healthz` and the
-//!   `bgp_alerts_firing` gauge while the feed archives, and clears once
-//!   it drains.
 //! * SIGTERM answers a parked long-poller with a 200 and a clean close,
 //!   and the daemon exits 0.
-//! * With an archive and alert rules, `/metrics` carries every family
-//!   README's table names: each layer records on the daemon's registry.
+//! * With an archive, `/metrics` carries every family README's table
+//!   names (each layer records on the daemon's registry) and counts the
+//!   bytes archived, an epoch's trace and `/v1/version` answer, and
+//!   SIGTERM ends the lingering daemon with exit 0 and `final health:
+//!   ok`.
 
 use bgp_archive::prelude::*;
 use bgp_infer::classify::Class;
@@ -233,78 +233,6 @@ fn a_feed_past_its_quarantine_abort_exits_unhealthy() {
 }
 
 #[test]
-fn an_alert_rule_fires_while_archiving_and_clears_after_the_drain() {
-    const RULE: &str = "bgp_archive_bytes_written_total_rate";
-    let dir = tmp_dir("daemon-alert");
-    let rules = format!("{RULE}>1@2");
-    let mut daemon = Daemon::spawn(&[
-        "--sim",
-        "flap-storm",
-        "--seed",
-        SEED,
-        "--repeats",
-        "60",
-        "-e",
-        "512",
-        "-b",
-        "128",
-        "--archive",
-        dir.to_str().unwrap(),
-        "--linger",
-        "--sample-interval",
-        "25",
-        "--alert-rules",
-        &rules,
-    ]);
-    let mut client = Client::connect(daemon.addr());
-    let reason = format!("\"alert:{RULE}\"");
-
-    // Firing, as long as the feed archives. The rule may clear between
-    // two windows, so each reading is polled for on its own; a reading
-    // taken after the feed had drained gives up.
-    let healthz = daemon.poll("the rule to fire into /healthz", |d| {
-        let drained = d.logged("ingest done:").is_some();
-        let (_, body) = client.get("/healthz");
-        (body.contains(&reason) || drained).then_some(body)
-    });
-    assert!(healthz.contains(&reason), "never fired: {healthz}");
-    assert!(healthz.contains("\"status\":\"degraded\""), "{healthz}");
-    let gauge = daemon.poll("bgp_alerts_firing at 1", |d| {
-        let drained = d.logged("ingest done:").is_some();
-        let firing = metric(&client.get("/metrics").1, "bgp_alerts_firing");
-        (firing == Some(1.0) || drained).then_some(firing)
-    });
-    assert_eq!(gauge, Some(1.0), "the gauge never read 1 while firing");
-
-    // Cleared, once the feed has drained and nothing is written.
-    daemon.poll("the feed to drain", |d| d.logged("ingest done:"));
-    daemon.poll("the reason to clear", |_| {
-        (!client.get("/healthz").1.contains(&reason)).then_some(())
-    });
-    daemon.poll("bgp_alerts_firing at 0", |_| {
-        (metric(&client.get("/metrics").1, "bgp_alerts_firing") == Some(0.0)).then_some(())
-    });
-
-    // What the rule watched, an epoch's trace and the version endpoint.
-    let (_, page) = client.get("/metrics");
-    let written = metric(&page, "bgp_archive_bytes_written_total").unwrap_or(0.0);
-    assert!(written > 0.0, "bgp_archive_bytes_written_total {written}");
-    let (status, trace) = client.get("/v1/debug/epoch/1/trace");
-    assert_eq!(status, 200);
-    assert!(trace.contains("\"trace_epoch\":1"), "{trace}");
-    let (status, version) = client.get("/v1/version");
-    assert_eq!(status, 200);
-    assert!(version.contains("\"uptime_seconds\":"), "{version}");
-
-    drop(client);
-    daemon.terminate();
-    let (status, log) = daemon.wait();
-    assert!(status.success(), "exit {status}:\n{log}");
-    assert!(log.contains("final health: ok"), "{log}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn sigterm_answers_a_parked_long_poller_and_exits_zero() {
     let mut daemon = Daemon::spawn(&["--sim", "random", "--seed", SEED, "-e", "2048", "--linger"]);
     let addr = daemon.addr();
@@ -342,8 +270,6 @@ fn every_family_in_the_readme_is_on_the_daemons_page() {
         "--archive",
         dir.to_str().unwrap(),
         "--linger",
-        "--alert-rules",
-        "seal_p99>10s@3",
     ]);
     let mut client = Client::connect(daemon.addr());
     daemon.poll("the feed to drain", |d| d.logged("ingest done:"));
@@ -357,9 +283,20 @@ fn every_family_in_the_readme_is_on_the_daemons_page() {
         .collect();
     assert!(missing.is_empty(), "not on /metrics: {missing:?}\n{page}");
 
+    // What the archive wrote, an epoch's trace and the version endpoint.
+    let written = metric(&page, "bgp_archive_bytes_written_total").unwrap_or(0.0);
+    assert!(written > 0.0, "bgp_archive_bytes_written_total {written}");
+    let (status, trace) = client.get("/v1/debug/epoch/1/trace");
+    assert_eq!(status, 200);
+    assert!(trace.contains("\"trace_epoch\":1"), "{trace}");
+    let (status, version) = client.get("/v1/version");
+    assert_eq!(status, 200);
+    assert!(version.contains("\"uptime_seconds\":"), "{version}");
+
     drop(client);
     daemon.terminate();
     let (status, log) = daemon.wait();
     assert!(status.success(), "exit {status}:\n{log}");
+    assert!(log.contains("final health: ok"), "{log}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

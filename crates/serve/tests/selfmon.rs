@@ -1,25 +1,17 @@
-//! Self-monitoring end-to-end: the per-epoch provenance traces and the
-//! alert-rules engine, observed over real loopback TCP.
+//! Self-monitoring end-to-end: the per-epoch provenance traces,
+//! observed over real loopback TCP.
 //!
-//! Two proofs:
-//! 1. An epoch's provenance trace is byte-identical whether served live
-//!    (from the trace store of the registry every layer records on) or
-//!    from the archive's persisted trace frame after a "restart" (a
-//!    fresh server on a fresh registry).
-//! 2. An alert rule fires into `/healthz` reasons after its consecutive
-//!    over-threshold windows, and clears once the signal drops.
-//!
-//! Plus, in process: a rule can name what the serving layer itself
-//! counts, because `Metrics` records into the registry rules read.
+//! An epoch's provenance trace is byte-identical whether served live
+//! (from the trace store of the registry every layer records on) or
+//! from the archive's persisted trace frame after a "restart" (a fresh
+//! server on a fresh registry).
 
 use bgp_archive::prelude::{ArchiveWriter, RealIo, SegmentStats};
 use bgp_infer::counters::Thresholds;
 use bgp_serve::prelude::*;
 use bgp_stream::epoch::EpochPolicy;
 use bgp_stream::pipeline::{StreamConfig, StreamPipeline};
-use obs::AlertState;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 mod support;
 use support::{tag_events, tmp_dir, Client};
@@ -34,34 +26,6 @@ fn serve(api: Api) -> HttpServer {
         Arc::new(api),
     )
     .expect("bind loopback")
-}
-
-/// `Metrics` is a set of handles on the registry rules are evaluated
-/// against: what the serving layer itself counts is alertable.
-#[test]
-fn a_rule_on_the_serve_response_counter_fires() {
-    let obs = Arc::new(obs::ObsRegistry::new());
-    let api = Api::new(
-        Arc::new(SnapshotSlot::new(Thresholds::default())),
-        Arc::new(Metrics::with_registry(Arc::clone(&obs))),
-    );
-    let rules = obs::parse_alert_rules("bgp_serve_http_responses_total>1@1").unwrap();
-    let t0 = Instant::now();
-    let alerts = AlertState::new(rules, obs, t0);
-    let get = |path: &str| {
-        api.handle(&Request {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            query: Vec::new(),
-        })
-    };
-    assert_eq!(get("/healthz").status, 200);
-    alerts.evaluate(t0 + Duration::from_secs(1));
-    assert!(alerts.firing().is_empty(), "one response is not over 1");
-    // The family's label sets are summed: a 2xx and a 4xx make two.
-    assert_eq!(get("/nope").status, 404);
-    alerts.evaluate(t0 + Duration::from_secs(2));
-    assert_eq!(alerts.firing(), ["bgp_serve_http_responses_total"]);
 }
 
 #[test]
@@ -154,55 +118,4 @@ fn epoch_trace_is_identical_across_restart() {
     );
     restarted.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn alert_fires_into_healthz_and_clears() {
-    // Rule over a test-owned counter family: `_rate` selects its
-    // per-second delta over the window since the last evaluation.
-    let rules = obs::parse_alert_rules("bgp_selfmon_alert_total_rate>5@2").unwrap();
-    let metrics = Arc::new(Metrics::new());
-    let t0 = Instant::now();
-    let window = |n: u32| t0 + Duration::from_secs(1) * n;
-    let alerts = Arc::new(AlertState::new(rules, Arc::clone(metrics.registry()), t0));
-    let health = Arc::new(HealthState::new(Arc::clone(&metrics), t0));
-    health.attach_alerts(Arc::clone(&alerts));
-
-    let slot = Arc::new(SnapshotSlot::new(Thresholds::default()));
-    let counter =
-        metrics
-            .registry()
-            .counter("bgp_selfmon_alert_total", "Alert-rule test traffic", &[]);
-    let api = Api::new(Arc::clone(&slot), metrics).with_health(Arc::clone(&health));
-    let http = serve(api);
-    let addr = http.local_addr();
-    // Baseline evaluation so the family has a previous value to delta from.
-    alerts.evaluate(window(1));
-
-    // Two consecutive over-threshold windows: the streak requirement.
-    for n in 2..4 {
-        counter.add(10_000);
-        alerts.evaluate(window(n));
-    }
-    assert_eq!(alerts.firing(), vec!["bgp_selfmon_alert_total_rate"]);
-    let (status, body) = Client::connect(addr).get("/healthz");
-    assert_eq!(status, 200);
-    assert!(
-        body.contains("\"alert:bgp_selfmon_alert_total_rate\""),
-        "{body}"
-    );
-    assert!(body.contains("\"status\":\"degraded\""), "{body}");
-
-    // Quiet windows: the rule clears and /healthz drops the reason.
-    for n in 4..6 {
-        alerts.evaluate(window(n));
-    }
-    assert!(alerts.firing().is_empty());
-    let (status, body) = Client::connect(addr).get("/healthz");
-    assert_eq!(status, 200);
-    assert!(
-        !body.contains("alert:bgp_selfmon_alert_total_rate"),
-        "{body}"
-    );
-    http.shutdown();
 }

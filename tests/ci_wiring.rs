@@ -2,8 +2,9 @@
 //! the release step that runs them; `unsafe` is confined to `bgp-serve`;
 //! the instrumented crates print diagnostics only through the `obs`
 //! logger; `/metrics` has one renderer; traces have one store per
-//! registry, which reads no clock; and the README's metric table names
-//! exactly the families the code registers.
+//! registry, which reads no clock; the README's metric table names
+//! exactly the families the code registers; and `bgp-served`'s parser,
+//! module doc and usage line name the same flags.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -347,4 +348,79 @@ fn the_readme_names_every_metric_family() {
         "registered but missing from README's /metrics table: {unlisted:?}\n\
          in the table but registered nowhere: {stale:?}"
     );
+}
+
+/// The body of `fn {name}` in `src`: from its signature to the first
+/// line that closes a top-level item.
+fn fn_body<'a>(src: &'a str, name: &str) -> &'a str {
+    let at = src
+        .find(&format!("fn {name}("))
+        .unwrap_or_else(|| panic!("no fn {name}"));
+    let len = src[at..].find("\n}\n").expect("a closing brace");
+    &src[at..at + len]
+}
+
+/// The words of `text` that read as command-line flags (`-l`,
+/// `--max-conns`): a hyphen, then lowercase letters, digits and hyphens.
+fn flag_words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+        .filter(|w| {
+            w.starts_with('-') && w.trim_start_matches('-').starts_with(char::is_alphabetic)
+        })
+}
+
+#[test]
+fn the_daemons_parser_doc_and_usage_name_the_same_flags() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(root.join("crates/serve/src/bin/bgp-served.rs"))
+        .expect("read bgp-served.rs");
+
+    // What `parse_args` matches: each arm's patterns, a short form
+    // beside the long one it stands for.
+    let mut parsed = BTreeSet::new();
+    let mut long_of = std::collections::BTreeMap::new();
+    for line in fn_body(&src, "parse_args").lines() {
+        let arm = line.trim_start();
+        let Some((patterns, _)) = arm.split_once("=>").filter(|_| arm.starts_with('"')) else {
+            continue;
+        };
+        let flags: Vec<&str> = patterns
+            .split('|')
+            .map(|p| p.trim().trim_matches('"'))
+            .collect();
+        let long = *flags
+            .iter()
+            .find(|f| f.starts_with("--"))
+            .expect("a long form");
+        for short in flags.iter().filter(|f| !f.starts_with("--")) {
+            long_of.insert(short.to_string(), long.to_string());
+        }
+        parsed.insert(long.to_string());
+    }
+
+    // What the module doc's `OPTIONS:` block lists: the first long flag
+    // of each line that starts an option (a description's continuation
+    // lines are indented past the flag column).
+    let doc: BTreeSet<String> = src
+        .lines()
+        .filter_map(|l| l.strip_prefix("//!"))
+        .skip_while(|l| l.trim() != "OPTIONS:")
+        .take_while(|l| l.trim() != "```")
+        .filter(|l| l.trim_start().starts_with('-') && l.len() - l.trim_start().len() < 10)
+        .filter_map(|l| flag_words(l).find(|w| w.starts_with("--")))
+        .map(str::to_string)
+        .collect();
+
+    // What `usage()` prints, short forms read as the flags they stand for.
+    let usage: BTreeSet<String> = flag_words(fn_body(&src, "usage"))
+        .map(|w| match long_of.get(w) {
+            Some(long) => long.clone(),
+            None if w.starts_with("--") => w.to_string(),
+            None => panic!("usage() names {w}, which parse_args does not take"),
+        })
+        .collect();
+
+    assert!(parsed.len() > 15, "found only {parsed:?}");
+    assert_eq!(parsed, doc, "left: parse_args, right: the OPTIONS block");
+    assert_eq!(parsed, usage, "left: parse_args, right: usage()");
 }
