@@ -91,7 +91,7 @@ pub fn compact(dir: &Path, keep_full: u64) -> Result<Option<CompactReport>> {
                 classes: &ep.classes,
                 flips: None,
                 stats: &ep.stats,
-                trace: ep.trace.as_ref(),
+                trace: ep.trace,
             });
         }
     }

@@ -7,9 +7,9 @@
 //! ```
 //!
 //! An [`Kind::EpochMeta`](crate::frame::Kind) frame opens an epoch; the
-//! frames after it (interner delta, counters, classes, flips, stats)
-//! belong to that epoch until the next meta frame or the trailer. The
-//! trailer ([`Kind::End`](crate::frame::Kind)) carries the FNV-1a-64
+//! frames after it (interner delta, counters, classes, flips, stats,
+//! trace) belong to that epoch until the next meta frame or the
+//! trailer. The trailer ([`Kind::End`](crate::frame::Kind)) carries the FNV-1a-64
 //! digest of every preceding byte — the per-segment checksum that turns
 //! a torn tail into a detected, recoverable condition instead of silent
 //! garbage.
@@ -26,26 +26,33 @@
 //! epoch-`e` counter column is indexed by.
 //!
 //! The counter and class frames are **deltas within the segment**
-//! (format version 2): each holds only the rows that differ from the same
-//! frame of the epoch pushed before it into the same segment. The first
-//! epoch of a segment, or one whose predecessor has no such frame, is
-//! diffed against an empty base — an all-zero column, an empty table —
-//! so a segment's first counter frame holds its non-zero rows, and an
-//! epoch that moved nothing costs a few bytes. [`decode_segment`] folds
+//! (since format version 2): each holds only the rows that differ from
+//! the same frame of the epoch pushed before it into the same segment.
+//! The first epoch of a segment, or one whose predecessor has no such
+//! frame, is diffed against an empty base — an all-zero column, an empty
+//! table — so a segment's first counter frame holds its non-zero rows,
+//! and an epoch that moved nothing costs a few bytes. [`decode_segment`] folds
 //! the chain, so every decoded epoch still carries its full column and
 //! table, and every segment still decodes on its own.
 //!
 //! ```text
 //! counters := u32(len) u32(n) n × (u32(id) u64(t) u64(s) u64(f) u64(c))
 //! classes  := u32(n) n × (u32(asn) u8(tagging) u8(forwarding)) u32(m) m × u32(asn)
+//! trace    := u64(present) WORDS × u64
 //! ```
 //!
 //! A counter frame's `len` is the epoch's interner length, never below
 //! its predecessor's, and its rows ascend by id. A class frame's rows are
 //! the upserted `(asn, class)` pairs, ascending by ASN, then the ASNs
 //! removed from the previous table, ascending — exact even if an AS's
-//! counters ever return to zero. Version 1 (a full column and table in
-//! every epoch) is refused as unsupported.
+//! counters ever return to zero.
+//!
+//! The trace frame is fixed-length (since format version 3): an
+//! [`EpochTrace`]'s presence word, one bit a stage of
+//! [`obs::trace::STAGES`], then its words, every stage's row in that
+//! table's order whether it ran or not. Versions 1 (a full column and
+//! table in every epoch) and 2 (a trace frame of named rows) are refused
+//! as unsupported.
 
 use crate::frame::{
     corrupt, put_frame, ByteReader, Fnv64, Frame, FrameWalker, Kind, PutBytes, Result,
@@ -54,12 +61,12 @@ use bgp_infer::classify::{Class, ForwardingClass, TaggingClass};
 use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_stream::epoch::ClassFlip;
 use bgp_types::asn::Asn;
-use obs::trace::{EpochTrace, TraceStage};
+use obs::trace::{EpochTrace, STAGES, WORDS};
 
 /// File magic: the first four bytes of every segment.
 pub const MAGIC: &[u8; 4] = b"BGPA";
 /// Format version this crate reads and writes.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Bytes of one counter row: the id, then `t`, `s`, `f` and `c`.
 const COUNTER_ROW: usize = 4 + 4 * 8;
@@ -71,11 +78,8 @@ const ASN_BYTES: usize = 4;
 const FLIP_ROW: usize = 4 + 4;
 /// Bytes of one shard load.
 const SHARD_LOAD: usize = 8;
-/// Fewest bytes a trace stage takes: an empty name, offset, duration and
-/// an empty counter list.
-const TRACE_STAGE_MIN: usize = 4 + 8 + 8 + 4;
-/// Fewest bytes a trace counter takes: an empty name and its value.
-const TRACE_COUNTER_MIN: usize = 4 + 8;
+/// Bytes of a trace frame: the presence word, then the record's words.
+pub const TRACE_FRAME: usize = 8 * (1 + WORDS);
 /// Most ids an interner may hold, far more ASes than the routing system
 /// has. A decoded counter column is this long at most, whatever a
 /// segment claims about the ids its earlier segments wrote.
@@ -164,9 +168,9 @@ pub struct EpochFrames<'a> {
     pub flips: Option<&'a [ClassFlip]>,
     /// Ingest statistics.
     pub stats: &'a SegmentStats,
-    /// Provenance timeline; `None` omits the frame (daemon running
-    /// without tracing, or a pre-trace archive being compacted).
-    pub trace: Option<&'a EpochTrace>,
+    /// Provenance trace; `None` omits the frame (an epoch the writer's
+    /// registry never published, so holds no timeline for).
+    pub trace: Option<EpochTrace>,
 }
 
 /// Which heavyweight frames to materialize when decoding. Meta, interner
@@ -372,17 +376,10 @@ impl SegmentBuilder {
         put_frame(&mut self.buf, Kind::Stats, &p);
 
         if let Some(trace) = ep.trace {
-            let mut p = Vec::with_capacity(16 + 64 * trace.stages.len());
-            p.put_u32(u32::try_from(trace.stages.len()).expect("stage count fits u32"));
-            for stage in &trace.stages {
-                put_str(&mut p, &stage.stage);
-                p.put_u64(stage.start_offset_nanos);
-                p.put_u64(stage.duration_nanos);
-                p.put_u32(u32::try_from(stage.counters.len()).expect("counter count fits u32"));
-                for (k, v) in &stage.counters {
-                    put_str(&mut p, k);
-                    p.put_u64(*v);
-                }
+            let mut p = Vec::with_capacity(TRACE_FRAME);
+            p.put_u64(trace.present);
+            for &word in &trace.words {
+                p.put_u64(word);
             }
             put_frame(&mut self.buf, Kind::Trace, &p);
         }
@@ -625,44 +622,18 @@ fn parse_flips(payload: &[u8]) -> Result<Vec<ClassFlip>> {
     Ok(flips)
 }
 
-/// Append a length-prefixed UTF-8 string.
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.put_u32(u32::try_from(s.len()).expect("string fits u32"));
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(r: &mut ByteReader<'_>) -> Result<String> {
-    let n = r.u32()? as usize;
-    let bytes = r.take(n)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("non-UTF-8 string in trace frame"))
-}
-
-/// Parse a trace frame's stages; the epoch id comes from the meta frame.
+/// Parse a trace frame; the epoch id comes from the meta frame.
 fn parse_trace(payload: &[u8], epoch: u64) -> Result<EpochTrace> {
     let mut r = ByteReader::new(payload);
-    let n = r.count(TRACE_STAGE_MIN)?;
-    let mut stages = Vec::with_capacity(n);
-    for _ in 0..n {
-        let stage = read_str(&mut r)?;
-        let start_offset_nanos = r.u64()?;
-        let duration_nanos = r.u64()?;
-        let counter_count = r.count(TRACE_COUNTER_MIN)?;
-        let mut counters = Vec::with_capacity(counter_count);
-        for _ in 0..counter_count {
-            let k = read_str(&mut r)?;
-            counters.push((k, r.u64()?));
-        }
-        stages.push(TraceStage {
-            stage,
-            start_offset_nanos,
-            duration_nanos,
-            counters,
-        });
+    let mut trace = EpochTrace::new(epoch);
+    trace.present = r.u64()?;
+    for word in &mut trace.words {
+        *word = r.u64()?;
     }
-    if !r.is_empty() {
-        return Err(corrupt("trailing bytes in trace frame"));
+    if !r.is_empty() || trace.present >> STAGES.len() != 0 {
+        return Err(corrupt("trace frame is not one record of known stages"));
     }
-    Ok(EpochTrace { epoch, stages })
+    Ok(trace)
 }
 
 fn parse_stats(payload: &[u8]) -> Result<SegmentStats> {
@@ -838,6 +809,7 @@ fn once<'a>(slot: &mut Option<&'a [u8]>, frame: Frame<'a>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::trace::Stage;
 
     fn sample_epoch(epoch: u64, base: u32) -> (EpochMeta, Vec<Asn>, Vec<AsCounters>) {
         let meta = EpochMeta {
@@ -916,42 +888,34 @@ mod tests {
 
     #[test]
     fn trace_frame_roundtrips_and_filters() {
-        let trace = EpochTrace {
-            epoch: 0,
-            stages: vec![
-                TraceStage {
-                    stage: "ingest".to_string(),
-                    start_offset_nanos: 0,
-                    duration_nanos: 5_000,
-                    counters: vec![("batches".to_string(), 3), ("events".to_string(), 10)],
-                },
-                TraceStage {
-                    stage: "seal".to_string(),
-                    start_offset_nanos: 5_000,
-                    duration_nanos: 2_000,
-                    counters: vec![],
-                },
-            ],
+        let mut trace = EpochTrace::new(0);
+        trace.set(Stage::INGEST, 0, 5_000, &[3, 10]);
+        let seal = vec![0; Stage::SEAL.counters().len()];
+        trace.set(Stage::SEAL, 5_000, 2_000, &seal);
+        let segment = |trace| {
+            let mut b = SegmentBuilder::new();
+            let (meta, delta, counters) = sample_epoch(0, 0);
+            b.push_epoch(&EpochFrames {
+                meta,
+                interner_base: 0,
+                interner_delta: &delta,
+                counters: Some(&counters),
+                classes: &classes(),
+                flips: None,
+                stats: &SegmentStats::default(),
+                trace,
+            });
+            b.finish().0
         };
-        let mut b = SegmentBuilder::new();
-        let (meta, delta, counters) = sample_epoch(0, 0);
-        b.push_epoch(&EpochFrames {
-            meta,
-            interner_base: 0,
-            interner_delta: &delta,
-            counters: Some(&counters),
-            classes: &classes(),
-            flips: None,
-            stats: &SegmentStats::default(),
-            trace: Some(&trace),
-        });
-        let (bytes, _) = b.finish();
+        let bytes = segment(Some(trace));
+        // The frame is its header and the fixed payload, whichever rows ran.
+        assert_eq!(bytes.len() - segment(None).len(), 5 + TRACE_FRAME);
         let full = decode_segment(&bytes, DecodeFilter::all()).unwrap();
         assert!(full[0].has_trace);
-        assert_eq!(full[0].trace.as_ref().unwrap(), &trace);
+        assert_eq!(full[0].trace, Some(trace));
         // trace_only keeps the timeline but drops the heavy frames.
         let slim = decode_segment(&bytes, DecodeFilter::trace_only()).unwrap();
-        assert_eq!(slim[0].trace.as_ref().unwrap(), &trace);
+        assert_eq!(slim[0].trace, Some(trace));
         assert!(slim[0].counters.is_none());
         assert!(slim[0].classes.is_empty());
         // classes_only records presence without materializing.

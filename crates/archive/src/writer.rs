@@ -254,12 +254,10 @@ impl ArchiveWriter {
             // this commit attempt, and a retry replaces the row with a bumped
             // attempt count — so the persisted frame always equals what the
             // store serves live.
-            let trace = self.obs.traces().record_since_last(
-                snap.epoch,
-                "archive",
-                attempted,
-                &[("attempt", attempts)],
-            );
+            let trace = self
+                .obs
+                .traces()
+                .close_archive(snap.epoch, attempted, attempts);
             builder.push_epoch(&EpochFrames {
                 meta,
                 interner_base: interner_written,
@@ -268,7 +266,7 @@ impl ArchiveWriter {
                 classes: &snap.classes,
                 flips: Some(&snap.flips),
                 stats,
-                trace: trace.as_ref(),
+                trace,
             });
             interner_written = seal_len;
         }

@@ -6,13 +6,14 @@
 
 use bgp_archive::frame::{put_frame, Fnv64, Kind, PutBytes};
 use bgp_archive::prelude::*;
-use bgp_archive::segment::{decode_segment, DecodeFilter, MAGIC, VERSION};
+use bgp_archive::segment::{decode_segment, DecodeFilter, MAGIC, TRACE_FRAME, VERSION};
 use bgp_archive::sink::{MAX_RETRIES, QUEUE_CAP};
 use bgp_infer::classify::Class;
 use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::counters::{AsCounters, Thresholds};
 use bgp_stream::prelude::*;
 use bgp_types::prelude::*;
+use obs::trace::STAGES;
 use proptest::TestRng;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -717,13 +718,10 @@ fn only_an_epoch_traced_on_the_writers_registry_persists_a_trace() {
     let obs = Arc::new(obs::ObsRegistry::new());
     let mut writer = ArchiveWriter::open_with_io(&dir, Box::new(RealIo), Arc::clone(&obs)).unwrap();
     writer.append_epochs(&run_of(&out.snapshots[..2])).unwrap();
-    let seal = obs::StageRun {
-        stage: "seal",
-        started: std::time::Instant::now(),
-        nanos: 10,
-        counters: Vec::new(),
-    };
-    obs.traces().put(2, &[seal]);
+    let mut timeline = obs::Timeline::new(2, std::time::Instant::now());
+    let seal = vec![0; obs::Stage::SEAL.counters().len()];
+    timeline.set(obs::Stage::SEAL, timeline.base, 10, &seal);
+    obs.traces().put(timeline);
     writer.append_epochs(&run_of(&out.snapshots[2..])).unwrap();
     assert_eq!(obs.traces().epochs(), [2], "no timeline for 0 and 1");
 
@@ -735,7 +733,7 @@ fn only_an_epoch_traced_on_the_writers_registry_persists_a_trace() {
     assert_eq!(traced, [false, false, true]);
     let trace = archived[2].trace.as_ref().expect("decoded trace");
     assert_eq!(Some(trace), obs.traces().get(2).as_ref());
-    let stages: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
+    let stages: Vec<&str> = trace.rows().map(|r| r.stage.name()).collect();
     assert_eq!(stages, ["seal", "archive"]);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -1134,10 +1132,12 @@ fn hand_written_delta_segments_fold_or_are_corrupt() {
     for _ in 0..5 {
         stats.put_u64(0);
     }
-    let mut stage = Vec::new();
-    stage.put_u32(0);
-    stage.put_u64(0);
-    stage.put_u64(0);
+    // A trace frame's payload: a presence word, then the record's words.
+    let trace = |present: u64, len: usize| {
+        let mut p = present.to_le_bytes().to_vec();
+        p.resize(len, 0);
+        (Kind::Trace, p)
+    };
     let hostile: Vec<(&str, Frames)> = vec![
         ("a row id past the column", epoch_of(0, vec![rows(&[3])])),
         ("a repeated row id", epoch_of(0, vec![rows(&[1, 1])])),
@@ -1223,19 +1223,18 @@ fn hand_written_delta_segments_fold_or_are_corrupt() {
             "u32::MAX shard loads",
             epoch_of(0, vec![max_count(Kind::Stats, &stats)]),
         ),
+        // The trace frame is one fixed length, naming only known stages.
         (
-            "u32::MAX trace stages",
-            epoch_of(0, vec![max_count(Kind::Trace, &[])]),
+            "a trace frame one byte short",
+            epoch_of(0, vec![trace(1, TRACE_FRAME - 1)]),
         ),
         (
-            "u32::MAX trace counters",
-            epoch_of(
-                0,
-                vec![max_count(
-                    Kind::Trace,
-                    &[&1u32.to_le_bytes()[..], &stage].concat(),
-                )],
-            ),
+            "a trace frame one byte long",
+            epoch_of(0, vec![trace(1, TRACE_FRAME + 1)]),
+        ),
+        (
+            "a presence word with an unknown bit",
+            epoch_of(0, vec![trace(1 << STAGES.len(), TRACE_FRAME)]),
         ),
     ];
     for (what, frames) in hostile {
@@ -1246,12 +1245,17 @@ fn hand_written_delta_segments_fold_or_are_corrupt() {
         }
     }
 
-    // Version 1 held full columns and tables; it is refused, not misread.
-    let err = decode_segment(&sealed(1, &[meta_frame(0)]), DecodeFilter::all()).unwrap_err();
-    assert!(
-        err.to_string().contains("unsupported segment version 1"),
-        "{err}"
-    );
+    // Version 1 held full columns and tables, version 2 a trace frame of
+    // named rows; both are refused, not misread.
+    for version in [1, 2] {
+        let err =
+            decode_segment(&sealed(version, &[meta_frame(0)]), DecodeFilter::all()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported segment version {version}")),
+            "{err}"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! A counting `#[global_allocator]` for the allocation-budget test
-//! binaries (`alloc_budget.rs` here and in `crates/stream/tests`, which
-//! includes this file by path): each is a test binary of its own, so no
-//! other suite runs under it.
+//! binaries (`alloc_budget.rs` here and in `crates/stream/tests`, and
+//! `crates/obs/tests/trace_alloc.rs`; the other two include this file by
+//! path): each is a test binary of its own, so no other suite runs under
+//! it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

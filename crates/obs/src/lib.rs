@@ -16,9 +16,11 @@
 //!   and scraping never blocks a writer — the same writer-owned /
 //!   concurrently-read discipline `SnapshotSlot` uses for snapshots.
 //!   "How long does this stage take" is read here.
-//! - **Per-epoch traces** ([`TraceStore`]): one timeline of named stages
-//!   per published epoch, persisted with the epoch in the archive. Each
-//!   registry owns one store of the last 256 epochs, a timeline is put
+//! - **Per-epoch traces** ([`TraceStore`]): one fixed-size record per
+//!   published epoch ([`EpochTrace`]), each stage's offset, duration and
+//!   counters as plain words under names listed once
+//!   ([`trace::STAGES`]), persisted with the epoch in the archive. Each
+//!   registry owns one ring of the last 256 epochs, a timeline is put
 //!   whole when its epoch is published, and the store reads no clock:
 //!   every row is handed the instant its stage ran. "Where did epoch
 //!   N's time go" is read here.
@@ -55,4 +57,4 @@ pub mod trace;
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use logger::{Level, LogConfig};
 pub use registry::{Counter, Gauge, ObsRegistry};
-pub use trace::{EpochTrace, StageRun, TraceStage, TraceStore};
+pub use trace::{EpochTrace, Stage, Timeline, TraceStore};

@@ -178,29 +178,6 @@ impl ObsRegistry {
             .collect()
     }
 
-    /// Every histogram family aggregated across its label sets
-    /// (bucket-wise sums; max of maxes), sorted by family (the entries
-    /// already are).
-    pub fn histogram_families(&self) -> Vec<(String, HistogramSnapshot)> {
-        let guard = self.hists.lock().expect("registry lock");
-        let mut out: Vec<(String, HistogramSnapshot)> = Vec::new();
-        for e in guard.iter() {
-            let snap = e.value.snapshot();
-            match out.last_mut() {
-                Some((family, acc)) if *family == e.family => {
-                    for (a, b) in acc.buckets.iter_mut().zip(snap.buckets) {
-                        *a += b;
-                    }
-                    acc.sum_nanos += snap.sum_nanos;
-                    acc.count += snap.count;
-                    acc.max_nanos = acc.max_nanos.max(snap.max_nanos);
-                }
-                _ => out.push((e.family.clone(), snap)),
-            }
-        }
-        out
-    }
-
     /// Append every registered metric in Prometheus text-format v0.0.4:
     /// counters, then gauges, then histograms, each sorted by (family,
     /// labels). One pass per instrument list, under its lock (recording
@@ -383,16 +360,18 @@ bgp_z_duration_seconds_count 0
     }
 
     #[test]
-    fn histogram_families_sum_label_sets() {
+    fn histogram_snapshots_keep_each_label_set() {
         let r = ObsRegistry::new();
         r.histogram("t_seconds", "h", &[("k", "a")]).record(100);
         r.histogram("t_seconds", "h", &[("k", "b")]).record(200);
 
-        let hists = r.histogram_families();
-        assert_eq!(hists.len(), 1);
-        assert_eq!(hists[0].0, "t_seconds");
-        assert_eq!(hists[0].1.count, 2);
-        assert_eq!(hists[0].1.sum_nanos, 300);
-        assert_eq!(hists[0].1.max_nanos, 200);
+        let hists = r.histogram_snapshots();
+        let family: Vec<_> = hists.iter().filter(|h| h.family == "t_seconds").collect();
+        assert_eq!(family.len(), 2);
+        assert_eq!(family.iter().map(|h| h.snap.count).sum::<u64>(), 2);
+        assert_eq!(family.iter().map(|h| h.snap.sum_nanos).sum::<u64>(), 300);
+        assert_eq!(family.iter().map(|h| h.snap.max_nanos).max(), Some(200));
+        let labels: Vec<_> = family.iter().map(|h| h.labels[0].1.as_str()).collect();
+        assert_eq!(labels, ["a", "b"]);
     }
 }

@@ -49,7 +49,6 @@ use bgp_infer::classify::Class;
 use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
-use obs::trace::EpochTrace;
 use obs::ObsRegistry;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -247,8 +246,9 @@ impl Api {
 
     /// `/v1/debug/epoch/{N}/trace` — the epoch's provenance timeline:
     /// the trace store of the metrics' registry first, then the
-    /// archive's persisted Trace frame (same shape either way, so
-    /// restarts and evicted epochs answer identically).
+    /// archive's persisted Trace frame (the same record either way, so
+    /// restarts and evicted epochs answer identically). Its rows are
+    /// rendered here, each under the names `obs::trace::STAGES` gives.
     fn epoch_trace_endpoint(&self, snap: &ServeSnapshot, raw_epoch: &str) -> Response {
         let Ok(epoch) = raw_epoch.parse::<u64>() else {
             return Response::error(400, "epoch must be an unsigned integer");
@@ -272,7 +272,21 @@ impl Api {
         let mut w = begin_envelope(snap);
         w.field_u64("trace_epoch", trace.epoch);
         w.field_str("source", source);
-        write_trace_stages(&mut w, &trace);
+        w.field_u64("stage_count", trace.rows().count() as u64);
+        w.begin_arr_field("stages");
+        for row in trace.rows() {
+            w.begin_obj();
+            w.field_str("stage", row.stage.name());
+            w.field_u64("start_offset_nanos", row.start_offset_nanos);
+            w.field_u64("duration_nanos", row.duration_nanos);
+            w.begin_obj_field("counters");
+            for (name, &value) in row.stage.counters().iter().zip(row.counters) {
+                w.field_u64(name, value);
+            }
+            w.end_obj();
+            w.end_obj();
+        }
+        w.end_arr();
         w.end_obj();
         Response::json(w.finish())
     }
@@ -737,25 +751,6 @@ fn version_endpoint(snap: &ServeSnapshot, uptime_seconds: u64) -> Response {
     w.field_u64("uptime_seconds", uptime_seconds);
     w.end_obj();
     Response::json(w.finish())
-}
-
-/// The `"stages"` array shared by live and archived trace responses.
-fn write_trace_stages(w: &mut JsonWriter, trace: &EpochTrace) {
-    w.field_u64("stage_count", trace.stages.len() as u64);
-    w.begin_arr_field("stages");
-    for stage in &trace.stages {
-        w.begin_obj();
-        w.field_str("stage", &stage.stage);
-        w.field_u64("start_offset_nanos", stage.start_offset_nanos);
-        w.field_u64("duration_nanos", stage.duration_nanos);
-        w.begin_obj_field("counters");
-        for (name, value) in &stage.counters {
-            w.field_u64(name, *value);
-        }
-        w.end_obj();
-        w.end_obj();
-    }
-    w.end_arr();
 }
 
 /// `/v1/stats` — the served snapshot's ingest statistics and its own

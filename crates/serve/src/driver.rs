@@ -1116,14 +1116,16 @@ mod tests {
                 let epoch = snap.epoch.as_ref().expect("a sealed epoch");
                 let trace = self.metrics.registry().traces().get(epoch.epoch);
                 let trace = trace.unwrap_or_else(|| panic!("{ctx}: version {v} untraced"));
-                let names: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
+                let names: Vec<&str> = trace.rows().map(|r| r.stage.name()).collect();
                 let want: &[&str] = match epoch.seal.kind {
                     SealKind::ZeroDelta => &["ingest", "seal", "publish"],
                     _ => &["ingest", "seal", "shard_count", "shard_merge", "publish"],
                 };
                 assert_eq!(names, want, "{ctx}: version {v}");
-                let events = trace.stages[0].counters.iter().find(|(k, _)| k == "events");
-                assert_eq!(events, Some(&("events".to_string(), epoch.events)), "{ctx}");
+                let ingest = trace.row(obs::Stage::INGEST).expect("an ingest row");
+                let events = ingest.stage.counters().iter().position(|&n| n == "events");
+                let events = events.map(|at| ingest.counters[at]);
+                assert_eq!(events, Some(epoch.events), "{ctx}");
                 self.timelines.push(trace);
             }
             self.timelines_stand(ctx);

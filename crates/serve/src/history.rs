@@ -106,9 +106,9 @@ impl HistoryStore {
     }
 
     /// The provenance trace persisted with epoch `epoch`, or `None`
-    /// when the archive does not retain that epoch (or it was written
-    /// without tracing). Trace frames are tiny, so these reads skip the
-    /// snapshot cache entirely.
+    /// when the archive does not retain that epoch or holds no trace for
+    /// it. Trace frames are tiny, so these reads skip the snapshot cache
+    /// entirely.
     pub fn trace_at(&self, epoch: u64) -> Result<Option<obs::trace::EpochTrace>> {
         let mut inner = self.lock();
         if inner.archive.manifest().entry_for_epoch(epoch).is_none() {

@@ -23,9 +23,9 @@
 //! entry.
 //!
 //! A publish is also where an epoch's trace is written, once: the
-//! [`Publisher`] builds the rows the seal dated
-//! ([`EpochSnapshot::stage_runs`]), adds its `publish` row and puts them
-//! in its registry's trace store. An epoch it skips — a backfill epoch
+//! [`Publisher`] takes the fixed-size record the seal dated
+//! ([`EpochSnapshot::timeline`]), adds its `publish` row and puts it in
+//! its registry's trace store. An epoch it skips — a backfill epoch
 //! the archive already holds, a replayed one the slot already serves —
 //! writes nothing, so the store or the archive keeps the timeline of
 //! the epoch's first publish.
@@ -37,7 +37,7 @@ use bgp_infer::counters::Thresholds;
 use bgp_infer::db::DbRecord;
 use bgp_stream::epoch::{ClassFlip, EpochSnapshot, IngestStats};
 use bgp_stream::pipeline::StreamPipeline;
-use obs::StageRun;
+use obs::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -515,17 +515,12 @@ impl Publisher {
         // Put the epoch's timeline before handing the epoch to the
         // archive sink: the sink's thread closes it with its `archive`
         // row and encodes the trace frame.
-        let mut runs = sealed.stage_runs();
-        runs.push(StageRun {
-            stage: "publish",
-            started: t_publish,
-            nanos: t_publish.elapsed().as_nanos() as u64,
-            counters: vec![
-                ("records", snapshot.records.len() as u64),
-                ("version", snapshot.version()),
-            ],
-        });
-        self.metrics.registry().traces().put(sealed.epoch, &runs);
+        if let Some(mut timeline) = sealed.timeline() {
+            let counts = [snapshot.records.len() as u64, snapshot.version()];
+            let nanos = t_publish.elapsed().as_nanos() as u64;
+            timeline.set(Stage::PUBLISH, t_publish, nanos, &counts);
+            self.metrics.registry().traces().put(timeline);
+        }
         if let Some(sink) = &self.archive {
             sink.submit(sealed);
         }

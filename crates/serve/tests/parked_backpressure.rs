@@ -25,10 +25,11 @@ impl Handler for Parks {
 
 /// Busy event-loop iterations so far on `obs`.
 fn loop_iterations(obs: &obs::ObsRegistry) -> u64 {
-    obs.histogram_families()
-        .into_iter()
-        .find(|(name, _)| name == "bgp_http_event_loop_duration_seconds")
-        .map_or(0, |(_, snap)| snap.count)
+    obs.histogram_snapshots()
+        .iter()
+        .filter(|h| h.family == "bgp_http_event_loop_duration_seconds")
+        .map(|h| h.snap.count)
+        .sum()
 }
 
 #[test]

@@ -28,6 +28,56 @@ fn serve(api: Api) -> HttpServer {
     .expect("bind loopback")
 }
 
+/// `body` from `"stage_count"` on, every number replaced with `N`.
+fn skeleton(body: &str) -> String {
+    let tail = &body[body.find("\"stage_count\":").expect("stage count")..];
+    let mut out = String::with_capacity(tail.len());
+    let mut in_number = false;
+    for c in tail.chars() {
+        if !c.is_ascii_digit() {
+            out.push(c);
+        } else if !in_number {
+            out.push('N');
+        }
+        in_number = c.is_ascii_digit();
+    }
+    out
+}
+
+/// The trace of an epoch whose seal counted.
+const COUNTED: &str = concat!(
+    r#""stage_count":N,"stages":["#,
+    r#"{"stage":"ingest","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"batches":N,"events":N}},"#,
+    r#"{"stage":"seal","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"events":N,"tuples":N,"replayed":N,"corrected":N,"#,
+    r#""corrected_words":N,"corrected_rows":N,"total_steps":N,"#,
+    r#""visited_tuples":N,"moved":N,"kind":N}},"#,
+    r#"{"stage":"shard_count","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"steps":N}},"#,
+    r#"{"stage":"shard_merge","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{}},"#,
+    r#"{"stage":"publish","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"records":N,"version":N}},"#,
+    r#"{"stage":"archive","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"attempt":N}}]}"#,
+);
+
+/// The trace of an epoch whose zero-delta seal counted nothing.
+const ZERO_DELTA: &str = concat!(
+    r#""stage_count":N,"stages":["#,
+    r#"{"stage":"ingest","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"batches":N,"events":N}},"#,
+    r#"{"stage":"seal","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"events":N,"tuples":N,"replayed":N,"corrected":N,"#,
+    r#""corrected_words":N,"corrected_rows":N,"total_steps":N,"#,
+    r#""visited_tuples":N,"moved":N,"kind":N}},"#,
+    r#"{"stage":"publish","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"records":N,"version":N}},"#,
+    r#"{"stage":"archive","start_offset_nanos":N,"duration_nanos":N,"#,
+    r#""counters":{"attempt":N}}]}"#,
+);
+
 #[test]
 fn epoch_trace_is_identical_across_restart() {
     let dir = tmp_dir("trace");
@@ -106,6 +156,10 @@ fn epoch_trace_is_identical_across_restart() {
         let archived_body = trace(&restarted, epoch, "archive");
         let tail = |body: &str| body[body.find("\"stage_count\":").unwrap()..].to_string();
         assert_eq!(tail(&live_body), tail(&archived_body));
+        // The stage and counter names and their order, pinned.
+        let want = if epoch == 0 { COUNTED } else { ZERO_DELTA };
+        assert_eq!(skeleton(&live_body), want, "{live_body}");
+        assert_eq!(skeleton(&archived_body), want, "{archived_body}");
     }
     live.shutdown();
 

@@ -31,9 +31,10 @@
 //! So are the instants its trace rows are dated by ([`EpochInstants`]:
 //! the epoch's first push, the seal's start and the recount's start)
 //! and how many pushes filled it. The seal writes no trace row:
-//! [`EpochSnapshot::stage_runs`] builds the `ingest`, `seal`,
-//! `shard_count` and `shard_merge` rows from what the epoch carries,
-//! and whoever publishes the epoch puts them in a trace store, once.
+//! [`EpochSnapshot::timeline`] fills the `ingest`, `seal`, `shard_count`
+//! and `shard_merge` rows of the epoch's fixed-size trace record from
+//! what the epoch carries, and whoever publishes the epoch puts it in a
+//! trace store, once.
 //!
 //! `dense` is `None` in two cases. A **compacted** epoch (see
 //! `StreamConfig::compact_history`) is a pipeline history entry whose
@@ -47,7 +48,7 @@ use bgp_infer::classify::Class;
 use bgp_infer::compiled::DenseOutcome;
 use bgp_infer::db::DbRecord;
 use bgp_types::prelude::*;
-use obs::StageRun;
+use obs::{Stage, Timeline};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -210,7 +211,7 @@ pub struct SealStats {
 }
 
 /// When a live epoch filled and sealed: what its trace rows are dated
-/// by (see [`EpochSnapshot::stage_runs`]).
+/// by (see [`EpochSnapshot::timeline`]).
 #[derive(Debug, Clone, Copy)]
 pub struct EpochInstants {
     /// The epoch's first push (the seal's start when nothing was
@@ -308,55 +309,41 @@ impl EpochSnapshot {
         }
     }
 
-    /// The trace rows of this epoch's filling and sealing, dated by its
-    /// [`EpochInstants`]: `ingest`, from the first push to the seal's
-    /// start, with the epoch's own `events` and the pushes that brought
-    /// them; `seal`; and for a seal that counted, `shard_count` and
-    /// `shard_merge`. Those two sum over the recount's interleaved
-    /// steps, so both start where the recount starts. Empty for a
+    /// The timeline of this epoch's filling and sealing, dated by its
+    /// [`EpochInstants`]: the `ingest` row, from the first push to the
+    /// seal's start, with the pushes that brought the epoch's own events;
+    /// the `seal` row; and for a seal that counted, the `shard_count` and
+    /// `shard_merge` rows. Those two sum over the recount's interleaved
+    /// steps, so both start where the recount starts. `None` for a
     /// restored epoch.
-    pub fn stage_runs(&self) -> Vec<StageRun> {
-        let Some(at) = self.instants else {
-            return Vec::new();
-        };
+    pub fn timeline(&self) -> Option<Timeline> {
+        let at = self.instants?;
         let (ingest, seal) = (&self.ingest, &self.seal);
-        let run = |stage, started, nanos, counters| StageRun {
-            stage,
-            started,
-            nanos,
-            counters,
-        };
+        let mut timeline = Timeline::new(self.epoch, at.t_first_push);
         let filled = at.t_seal.saturating_duration_since(at.t_first_push);
-        let filled = filled.as_nanos() as u64;
-        let filled_by = vec![("batches", at.pushes), ("events", self.events)];
-        // `kind` indexes `SealKind::ALL`; `replayed` counts the units
-        // answered from their cache, `corrected` those of them whose
-        // cache was first corrected, re-evaluating `corrected_rows` rows
-        // of `corrected_words` words; `visited_tuples` is what all of it
-        // read, step by step; `moved` counts the ids classified and
-        // patched.
-        let sealed = vec![
-            ("events", self.events),
-            ("tuples", self.unique_tuples as u64),
-            ("replayed", ingest.replayed_steps),
-            ("corrected", seal.corrected),
-            ("corrected_words", seal.corrected_words),
-            ("corrected_rows", seal.corrected_rows),
-            ("total_steps", ingest.total_steps),
-            ("visited_tuples", seal.visited_tuples),
-            ("moved", seal.moved),
-            ("kind", seal.kind as u64),
+        let (filled, filled_by) = (filled.as_nanos() as u64, [at.pushes, self.events]);
+        timeline.set(Stage::INGEST, at.t_first_push, filled, &filled_by);
+        // In the order `obs::trace::STAGES` names them; the kind is its
+        // index in `SealKind::ALL`.
+        let sealed = [
+            self.events,
+            self.unique_tuples as u64,
+            ingest.replayed_steps,
+            seal.corrected,
+            seal.corrected_words,
+            seal.corrected_rows,
+            ingest.total_steps,
+            seal.visited_tuples,
+            seal.moved,
+            seal.kind as u64,
         ];
-        let mut runs = vec![
-            run("ingest", at.t_first_push, filled, filled_by),
-            run("seal", at.t_seal, self.seal_nanos, sealed),
-        ];
+        timeline.set(Stage::SEAL, at.t_seal, self.seal_nanos, &sealed);
         if let Some(t_count) = at.t_count {
-            let steps = vec![("steps", ingest.total_steps)];
-            runs.push(run("shard_count", t_count, seal.shard_count_nanos, steps));
-            runs.push(run("shard_merge", t_count, seal.merge_nanos, Vec::new()));
+            let steps = [ingest.total_steps];
+            timeline.set(Stage::SHARD_COUNT, t_count, seal.shard_count_nanos, &steps);
+            timeline.set(Stage::SHARD_MERGE, t_count, seal.merge_nanos, &[]);
         }
-        runs
+        Some(timeline)
     }
 
     /// A copy of this epoch's per-AS record table, sorted by ASN

@@ -27,7 +27,7 @@
 //! they are dated by ([`EpochInstants`]): its first push, read once an
 //! epoch beside its first timestamp, the seal's start and the recount's
 //! start, and how many pushes filled it. Whoever publishes the epoch
-//! builds its rows from them ([`EpochSnapshot::stage_runs`]).
+//! builds its trace from them ([`EpochSnapshot::timeline`]).
 
 use crate::epoch::{
     ClassFlip, EpochInstants, EpochPolicy, EpochSnapshot, IngestStats, SealKind, SealStats,
@@ -590,7 +590,7 @@ mod tests {
     use crate::ingest::StreamEvent;
     use crate::testing::{followed_feed, tag_tuple, FollowedFeed, Rng};
     use bgp_infer::classify::TaggingClass;
-    use std::time::Duration;
+    use obs::trace::{EpochTrace, Stage};
 
     #[test]
     fn epochs_seal_by_event_count() {
@@ -1166,9 +1166,23 @@ mod tests {
         assert!(snap.seal_nanos >= snap.count_nanos);
     }
 
-    /// The stage names of `runs`, in order.
-    fn stages(runs: &[obs::StageRun]) -> Vec<&'static str> {
-        runs.iter().map(|r| r.stage).collect()
+    /// The stage names of `trace`'s rows, in order.
+    fn stages(trace: &EpochTrace) -> Vec<&'static str> {
+        trace.rows().map(|r| r.stage.name()).collect()
+    }
+
+    /// `stage`'s row in `trace` as its (start, end) offsets.
+    fn span(trace: &EpochTrace, stage: Stage) -> (u64, u64) {
+        let r = trace.row(stage).expect("the stage ran");
+        (
+            r.start_offset_nanos,
+            r.start_offset_nanos + r.duration_nanos,
+        )
+    }
+
+    /// The epoch's trace, read off the sealed epoch.
+    fn trace_of(sealed: &EpochSnapshot) -> EpochTrace {
+        sealed.timeline().expect("a live epoch").trace
     }
 
     /// An epoch's trace rows, read off the sealed epoch, each dated where
@@ -1185,30 +1199,30 @@ mod tests {
         }
         let sealed = Arc::clone(pipe.seal_epoch());
         assert_ne!(sealed.seal.kind, SealKind::ZeroDelta);
-        let runs = sealed.stage_runs();
+        let trace = trace_of(&sealed);
         assert_eq!(
-            stages(&runs),
+            stages(&trace),
             ["ingest", "seal", "shard_count", "shard_merge"]
         );
-        let span = |r: &obs::StageRun| (r.started, r.started + Duration::from_nanos(r.nanos));
         let (ingest, seal, count, merge) = (
-            span(&runs[0]),
-            span(&runs[1]),
-            span(&runs[2]),
-            span(&runs[3]),
+            span(&trace, Stage::INGEST),
+            span(&trace, Stage::SEAL),
+            span(&trace, Stage::SHARD_COUNT),
+            span(&trace, Stage::SHARD_MERGE),
         );
-        assert!(ingest.1 <= seal.0, "{runs:?}");
-        assert_eq!(runs[0].counters, [("batches", 2_000), ("events", 2_000)]);
-        assert_eq!(count.0, merge.0, "{runs:?}");
+        assert!(ingest.1 <= seal.0, "{trace:?}");
+        let filled = |trace: &EpochTrace| trace.row(Stage::INGEST).unwrap().counters.to_vec();
+        assert_eq!(filled(&trace), [2_000, 2_000]);
+        assert_eq!(count.0, merge.0, "{trace:?}");
         for (start, end) in [count, merge] {
-            assert!(seal.0 <= start && end <= seal.1, "{runs:?}");
+            assert!(seal.0 <= start && end <= seal.1, "{trace:?}");
         }
         // A zero-delta seal counts nothing: no count or merge row, and an
         // ingest row of nothing, ending where the seal starts.
-        let runs = pipe.seal_epoch().stage_runs();
-        assert_eq!(stages(&runs), ["ingest", "seal"]);
-        assert_eq!(runs[0].counters, [("batches", 0), ("events", 0)]);
-        assert_eq!(span(&runs[0]).1, runs[1].started);
+        let trace = trace_of(pipe.seal_epoch());
+        assert_eq!(stages(&trace), ["ingest", "seal"]);
+        assert_eq!(filled(&trace), [0, 0]);
+        assert_eq!(span(&trace, Stage::INGEST).1, span(&trace, Stage::SEAL).0);
 
         // Batches of 4 into epochs of 6: the second batch is cut, two of
         // its events in each epoch, and each epoch's ingest row counts
@@ -1225,15 +1239,12 @@ mod tests {
         }
         assert_eq!(pipe.snapshots().len(), 2);
         for sealed in pipe.snapshots() {
-            let runs = sealed.stage_runs();
-            assert_eq!(runs[0].stage, "ingest");
+            let trace = trace_of(sealed);
+            assert_eq!(stages(&trace)[0], "ingest");
             assert_eq!(sealed.events, 6);
-            assert_eq!(
-                runs[0].counters,
-                [("batches", 2), ("events", sealed.events)]
-            );
+            assert_eq!(filled(&trace), [2, sealed.events]);
             assert!(
-                span(&runs[0]).1 <= runs[1].started,
+                span(&trace, Stage::INGEST).1 <= span(&trace, Stage::SEAL).0,
                 "epoch {}",
                 sealed.epoch
             );
